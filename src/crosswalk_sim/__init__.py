@@ -7,81 +7,4 @@ and a value-iteration-solved decision-process baseline) and a seeded Monte
 Carlo harness for safety, efficiency, and smoothness evaluation.
 """
 
-from .core import (
-    ControllerParams,
-    EntrySide,
-    GapUndefinedError,
-    PastStopPointError,
-    PedestrianState,
-    VehicleState,
-    WorldGeometry,
-    comfort_brake_distance,
-    gap,
-    max_brake_distance,
-)
-from .hybrid import HybridController, Mode, in_crosswalk, time_advantage
-from .pedestrian import GapAcceptanceModel, PedestrianAgent, Phase, pedestrian_tick, sample_accepted_gap
-from .pomdp import (
-    DiscretizedState,
-    PomdpController,
-    PomdpModel,
-    QTable,
-    RewardWeights,
-    build_model,
-    pomdp_step,
-    qmdp_solve,
-    solve_or_load,
-)
-from .simulator import (
-    ControllerKind,
-    Lane,
-    Scenario,
-    TrialResult,
-    plant_tick,
-    run_batch,
-    run_trial,
-    sweep_gaps,
-    vehicle_pedestrian_distance,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ControllerParams",
-    "ControllerKind",
-    "DiscretizedState",
-    "EntrySide",
-    "GapAcceptanceModel",
-    "GapUndefinedError",
-    "HybridController",
-    "Lane",
-    "Mode",
-    "PastStopPointError",
-    "PedestrianAgent",
-    "PedestrianState",
-    "Phase",
-    "PomdpController",
-    "PomdpModel",
-    "QTable",
-    "RewardWeights",
-    "Scenario",
-    "TrialResult",
-    "VehicleState",
-    "WorldGeometry",
-    "build_model",
-    "comfort_brake_distance",
-    "gap",
-    "in_crosswalk",
-    "max_brake_distance",
-    "pedestrian_tick",
-    "plant_tick",
-    "pomdp_step",
-    "qmdp_solve",
-    "run_batch",
-    "run_trial",
-    "sample_accepted_gap",
-    "solve_or_load",
-    "sweep_gaps",
-    "time_advantage",
-    "vehicle_pedestrian_distance",
-]

@@ -132,7 +132,6 @@ def _make_pomdp_factory(config: RunConfig, scenario: Scenario, quiet: bool = Fal
 def _run_quadrant(
     config: RunConfig,
     scenario: Scenario,
-    method: str,
     sweep: Optional[list[float]],
     factory,
 ) -> list[TrialResult]:
@@ -166,7 +165,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     method = config.run["controller"]
     if scenario.controller_kind is ControllerKind.POMDP:
         factory = _make_pomdp_factory(config, scenario)
-    results = _run_quadrant(config, scenario, method, sweep, factory)
+    results = _run_quadrant(config, scenario, sweep, factory)
     rows = [trial_row(i, method, scenario, r) for i, r in enumerate(results)]
     write_trials_csv(out_dir / "trials.csv", rows)
     write_summary_csv(out_dir / "summary.csv", rows)
@@ -197,7 +196,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     if pomdp_factory is None:
                         pomdp_factory = _make_pomdp_factory(config, scenario)
                     factory = pomdp_factory
-                results = _run_quadrant(config, scenario, method, sweep, factory)
+                results = _run_quadrant(config, scenario, sweep, factory)
                 paired[method] = results
                 for r in results:
                     rows.append(trial_row(trial_id, method, scenario, r))

@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 from .core import ControllerParams, EntrySide, WorldGeometry
 from .pedestrian import GapAcceptanceModel
 from .pomdp import PomdpModel, RewardWeights
-from .simulator import ControllerKind, Lane, Scenario
+from .simulator import ControllerKind, Lane, Scenario, sweep_gaps
 
 ENV_PREFIX = "CWSIM_"
 
@@ -144,6 +144,8 @@ class RunConfig:
     def gap_model(self) -> GapAcceptanceModel:
         p = dict(self.pedestrian)
         sigma2 = p.pop("sigma2_gap")
+        if sigma2 <= 0.0:
+            raise ConfigError("pedestrian.sigma2_gap must be positive")
         return GapAcceptanceModel(sigma_gap=math.sqrt(sigma2), **p)
 
     def reward_weights(self) -> RewardWeights:
@@ -157,19 +159,22 @@ class RunConfig:
 
     def pomdp_model(self) -> PomdpModel:
         p = self.pomdp
-        actions = tuple(float(tok) for tok in str(p["actions"]).split(","))
-        return PomdpModel(
-            self.controller_params(),
-            self.geometry(),
-            self.gap_model(),
-            weights=self.reward_weights(),
-            dt=p["dt"],
-            discount=p["gamma"],
-            n_v_bins=p["n_v_bins"],
-            n_d_bins=p["n_d_bins"],
-            d_range=(p["d_min"], p["d_max"]),
-            actions=actions,
-        )
+        try:
+            actions = tuple(float(tok) for tok in str(p["actions"]).split(","))
+            return PomdpModel(
+                self.controller_params(),
+                self.geometry(),
+                self.gap_model(),
+                weights=self.reward_weights(),
+                dt=p["dt"],
+                discount=p["gamma"],
+                n_v_bins=p["n_v_bins"],
+                n_d_bins=p["n_d_bins"],
+                d_range=(p["d_min"], p["d_max"]),
+                actions=actions,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def scenario(
         self,
@@ -179,23 +184,26 @@ class RunConfig:
         seed: Optional[int] = None,
     ) -> Scenario:
         r = self.run
-        params = self.controller_params()
-        initial_v = r["initial_v"] if r["initial_v"] >= 0.0 else params.v_speedlimit
-        return Scenario(
-            geometry=self.geometry(),
-            params=params,
-            gap_model=self.gap_model(),
-            lane=Lane[(lane or r["lane"]).upper()],
-            entry_side=EntrySide[(side or r["side"]).upper()],
-            controller_kind=ControllerKind((controller or r["controller"]).lower()),
-            initial_d=r["initial_d"],
-            initial_v=initial_v,
-            dt=r["dt"],
-            t_delay_plant=r["t_delay_plant"],
-            max_sim_time=r["max_sim_time"],
-            seed=seed if seed is not None else r["seed"],
-            collision_radius=r["collision_radius"],
-        )
+        try:
+            params = self.controller_params()
+            initial_v = r["initial_v"] if r["initial_v"] >= 0.0 else params.v_speedlimit
+            return Scenario(
+                geometry=self.geometry(),
+                params=params,
+                gap_model=self.gap_model(),
+                lane=Lane((lane or r["lane"]).upper()),
+                entry_side=EntrySide((side or r["side"]).lower()),
+                controller_kind=ControllerKind((controller or r["controller"]).lower()),
+                initial_d=r["initial_d"],
+                initial_v=initial_v,
+                dt=r["dt"],
+                t_delay_plant=r["t_delay_plant"],
+                max_sim_time=r["max_sim_time"],
+                seed=seed if seed is not None else r["seed"],
+                collision_radius=r["collision_radius"],
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def sweep_values(self) -> Optional[list[float]]:
         spec = str(self.run["sweep"]).strip()
@@ -205,10 +213,9 @@ class RunConfig:
             lo, step, hi = (float(tok) for tok in spec.split(":"))
         except ValueError as exc:
             raise ConfigError(f"bad sweep spec {spec!r}, expected LO:STEP:HI") from exc
-        if step <= 0 or hi < lo:
+        if not all(map(math.isfinite, (lo, step, hi))) or step <= 0 or hi < lo:
             raise ConfigError(f"bad sweep spec {spec!r}")
-        n = int(round((hi - lo) / step))
-        return [round(lo + k * step, 10) for k in range(n + 1)]
+        return sweep_gaps(lo, step, hi)
 
 
 def _coerce(section: str, key: str, raw: str) -> object:
@@ -218,11 +225,14 @@ def _coerce(section: str, key: str, raw: str) -> object:
             return raw.strip().lower() in ("1", "true", "yes", "on")
         if isinstance(default, int) and not isinstance(default, bool):
             return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw.strip()
+        if not isinstance(default, float):
+            return raw.strip()
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not finite")
+    return value
 
 
 def load_config(

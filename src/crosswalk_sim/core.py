@@ -14,7 +14,6 @@ Coordinate conventions:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,28 +21,6 @@ from enum import Enum
 class EntrySide(Enum):
     NEAR = "near"
     FAR = "far"
-
-
-class GapUndefinedError(ValueError):
-    """Raised when a time gap is requested for a stopped vehicle."""
-
-
-class PastStopPointError(ValueError):
-    """Raised when a time gap is requested behind the stop point."""
-
-
-def gap(d: float, v: float) -> float:
-    """Time gap in seconds until the vehicle covers distance ``d`` at speed ``v``.
-
-    Callers that want a stopped vehicle to read as an infinite gap must
-    handle ``GapUndefinedError`` themselves; the division is deliberately
-    not hidden behind an ``inf`` here.
-    """
-    if v <= 0.0:
-        raise GapUndefinedError(f"gap undefined for v={v} (stopped vehicle)")
-    if d < 0.0:
-        raise PastStopPointError(f"gap undefined for d={d} (past stop point)")
-    return d / v
 
 
 def comfort_brake_distance(v: float, a_cmf: float) -> float:
@@ -73,7 +50,6 @@ class WorldGeometry:
 
     n_lanes: int = 4
     lane_width: float = 3.5
-    crosswalk_x_begin: float = 0.0
     x_f: float = 14.0
     delta: float = 5.0
     crosswalk_depth: float = 3.0
@@ -106,16 +82,9 @@ class WorldGeometry:
         """Longitudinal position of the vehicle for a given stop-point distance."""
         return -(d + self.delta)
 
-    def full_span(self) -> "WorldGeometry":
-        """Copy with the whole roadway legally relevant."""
-        return WorldGeometry(
-            n_lanes=self.n_lanes,
-            lane_width=self.lane_width,
-            crosswalk_x_begin=self.crosswalk_x_begin,
-            x_f=self.roadway_width,
-            delta=self.delta,
-            crosswalk_depth=self.crosswalk_depth,
-        )
+    def vehicle_is_past(self, d: float) -> bool:
+        """True once the vehicle has cleared the crosswalk stripe by a 1 m margin."""
+        return self.vehicle_y(d) > self.crosswalk_depth / 2.0 + 1.0
 
 
 @dataclass
@@ -172,7 +141,3 @@ class ControllerParams:
             raise ValueError("tau_max must be positive")
         if self.t_delay < 0.0:
             raise ValueError("t_delay must be nonnegative")
-
-
-def euclidean_distance(x0: float, y0: float, x1: float, y1: float) -> float:
-    return math.hypot(x1 - x0, y1 - y0)

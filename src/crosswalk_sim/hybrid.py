@@ -44,19 +44,22 @@ def in_crosswalk(ped: PedestrianState, geometry: WorldGeometry) -> bool:
     return inside or approaching
 
 
-def time_advantage(vehicle: VehicleState, ped: PedestrianState) -> float:
-    """Pedestrian's time to reach the vehicle's lane minus the vehicle's time gap.
+def time_advantage(vehicle: VehicleState, ped: PedestrianState, geometry: WorldGeometry) -> float:
+    """Pedestrian's time to the vehicle's lane minus the vehicle's time to the walking line.
 
-    Large positive values mean the vehicle clears long before the pedestrian
-    arrives. Returns +inf for a stationary pedestrian or one already past
-    the vehicle's lane, since neither can conflict with the vehicle.
+    The pass/yield question is whether the vehicle clears the crosswalk, not
+    the stop point short of it, hence the ``delta`` offset. Returns +inf when
+    the pedestrian cannot conflict (standing, or already past the lane) and
+    -inf for a stopped vehicle, which can never pass first.
     """
     if ped.xdot_p == 0.0:
         return math.inf
     t_reach = (vehicle.x_v - ped.x_p) / ped.xdot_p
     if t_reach < 0.0:
         return math.inf
-    return t_reach - vehicle.d / vehicle.v
+    if vehicle.v <= 0.0:
+        return -math.inf
+    return t_reach - (vehicle.d + geometry.delta) / vehicle.v
 
 
 class HybridController:
@@ -87,6 +90,11 @@ class HybridController:
         self._decel_latched = False
         self.safety_events.clear()
 
+    @property
+    def label(self) -> str:
+        """Name of the current mode, as recorded in mode traces."""
+        return self.mode.value
+
     # -- mode commands -----------------------------------------------------
 
     def driving_command(self, v: float) -> float:
@@ -101,8 +109,7 @@ class HybridController:
             # point, led by the brake-communication delay plus one sample so
             # the quantized switch lands at or before the stop point.
             if d > comfort_brake_distance(v, p.a_cmf) + (p.t_delay + self.dt) * v:
-                a = p.k_s * (p.v_speedlimit - v)
-                return _clamp(a, -p.a_cmf, p.a_cmf)
+                return self.driving_command(v)
             self.d_o = d
             self.v_o = v
             self._decel_latched = True
@@ -152,7 +159,7 @@ class HybridController:
         if self.mode is Mode.DRIVING:
             a = self.driving_command(v)
             if d > 0.0 and ped_active:
-                if self._crossing_time_advantage(vehicle, ped) > p.tau_max:
+                if time_advantage(vehicle, ped, self.geometry) > p.tau_max:
                     pass  # enough margin to continue through
                 else:
                     d_cmf = comfort_brake_distance(v, p.a_cmf)
@@ -186,22 +193,6 @@ class HybridController:
         self.d_o = d
         self.v_o = v
         self._decel_latched = False
-
-    def _crossing_time_advantage(self, vehicle: VehicleState, ped: PedestrianState) -> float:
-        """Time advantage referenced to the pedestrian's walking line.
-
-        The pass/yield question is whether the vehicle clears the
-        crosswalk, not the stop point short of it, so the guard adds the
-        safety offset to the vehicle's remaining distance.
-        """
-        if ped.xdot_p == 0.0:
-            return math.inf
-        t_reach = (vehicle.x_v - ped.x_p) / ped.xdot_p
-        if t_reach < 0.0:
-            return math.inf
-        if vehicle.v <= 0.0:
-            return -math.inf  # stopped vehicle can never pass first
-        return t_reach - (vehicle.d + self.geometry.delta) / vehicle.v
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:

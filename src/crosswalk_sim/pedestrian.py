@@ -91,15 +91,11 @@ class PedestrianAgent:
         )
         return cls(model=model, geometry=geometry, accepted_gap=accepted_gap, state=state)
 
-    def _vehicle_is_past(self, vehicle: VehicleState) -> bool:
-        y = self.geometry.vehicle_y(vehicle.d)
-        return y > self.geometry.crosswalk_depth / 2.0 + 1.0
-
     def _should_arm(self, vehicle: VehicleState) -> bool:
         if vehicle.v <= 1e-9:
             # A stopped vehicle offers an infinite gap; every pedestrian takes it.
             return True
-        if self._vehicle_is_past(vehicle):
+        if self.geometry.vehicle_is_past(vehicle.d):
             return True
         if self.accepted_gap > self.model.max_trigger_gap:
             return False

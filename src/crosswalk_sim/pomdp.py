@@ -51,30 +51,6 @@ class RewardWeights:
         )
 
 
-@dataclass(frozen=True)
-class DiscretizedState:
-    """One grid cell; the flattened index is a bijection over all cells."""
-
-    v_bin: int
-    c: bool
-    d_bin: int
-    a_prev_bin: int
-
-    def index(self, model: "PomdpModel") -> int:
-        nd, na = len(model.d_grid), len(model.a_grid)
-        return ((self.v_bin * 2 + int(self.c)) * nd + self.d_bin) * na + self.a_prev_bin
-
-    @staticmethod
-    def from_index(i: int, model: "PomdpModel") -> "DiscretizedState":
-        nd, na = len(model.d_grid), len(model.a_grid)
-        a_prev = i % na
-        rest = i // na
-        d_bin = rest % nd
-        rest //= nd
-        c = bool(rest % 2)
-        return DiscretizedState(v_bin=rest // 2, c=c, d_bin=d_bin, a_prev_bin=a_prev)
-
-
 class PomdpModel:
     """Grids, transition kernel, and reward table for the planner."""
 
@@ -133,6 +109,11 @@ class PomdpModel:
         i = int(round((x - grid[0]) / step))
         return min(max(i, 0), len(grid) - 1)
 
+    def state_index(self, v_bin, c, d_bin, a_prev_bin):
+        """Flat C-order index over (v, c, d, a_prev); takes ints or NumPy arrays."""
+        nd, na = len(self.d_grid), len(self.a_grid)
+        return ((v_bin * 2 + c) * nd + d_bin) * na + a_prev_bin
+
     @property
     def n_states(self) -> int:
         return len(self.v_grid) * 2 * len(self.d_grid) * len(self.a_grid)
@@ -140,9 +121,6 @@ class PomdpModel:
     @property
     def n_actions(self) -> int:
         return len(self.a_grid)
-
-    def crossing_entry_prob(self, d_bin: int, v_bin: int, a_idx: int = 3) -> float:
-        return float(self._entry_p[v_bin, d_bin, a_idx])
 
     # -- construction --------------------------------------------------------
 
@@ -202,8 +180,8 @@ class PomdpModel:
         s_v = self._v_next_idx[:, None, :, None, :]  # v,c,d,ap,a
         s_d = self._d_next_idx[:, None, :, None, :]
         aa_idx = np.arange(na)[None, None, None, None, :]
-        flat0 = ((s_v * 2 + 0) * nd + s_d) * na + aa_idx
-        flat1 = ((s_v * 2 + 1) * nd + s_d) * na + aa_idx
+        flat0 = self.state_index(s_v, 0, s_d, aa_idx)
+        flat1 = self.state_index(s_v, 1, s_d, aa_idx)
         shape = (nv, 2, nd, na, na)
         self._ns0 = np.broadcast_to(flat0, shape).reshape(self.n_states, na).copy()
         self._ns1 = np.broadcast_to(flat1, shape).reshape(self.n_states, na).copy()
@@ -216,10 +194,6 @@ class PomdpModel:
             axis=1,
         )
         self._p_c1 = p_c1.reshape(self.n_states, na).copy()
-
-    def reward(self, state: DiscretizedState, a_idx: int) -> float:
-        """Scalar reward for one grid cell and action."""
-        return float(self.reward_table[state.index(self), a_idx])
 
     def cache_key(self) -> str:
         h = hashlib.sha256()
@@ -236,16 +210,6 @@ class PomdpModel:
         return h.hexdigest()[:16]
 
 
-def build_model(
-    params: ControllerParams,
-    geometry: WorldGeometry,
-    gap_model: GapAcceptanceModel,
-    **kwargs,
-) -> PomdpModel:
-    """Construct the discretized model; kwargs override grid/weight defaults."""
-    return PomdpModel(params, geometry, gap_model, **kwargs)
-
-
 class ConvergenceError(RuntimeError):
     def __init__(self, residual: float, iterations: int):
         super().__init__(f"value iteration residual {residual:.3e} after {iterations} iterations")
@@ -260,9 +224,6 @@ class QTable:
     q: np.ndarray
     residuals: list[float] = field(default_factory=list)
     cache_key: str = ""
-
-    def value(self, state_index: int, a_idx: int) -> float:
-        return float(self.q[state_index, a_idx])
 
 
 def qmdp_solve(model: PomdpModel, tol: float = 1e-6, max_iters: int = 5000) -> QTable:
@@ -297,27 +258,24 @@ def greedy_action_table(model: PomdpModel, qtable: QTable) -> np.ndarray:
 
 
 def pomdp_step(
-    qtable: QTable,
+    greedy: np.ndarray,
     model: PomdpModel,
     vehicle: VehicleState,
     ped: PedestrianState,
     a_prev_bin: int,
-    greedy: Optional[np.ndarray] = None,
 ) -> tuple[float, int]:
-    """Greedy acceleration for the observed state; returns (command, action bin)."""
-    if greedy is None:
-        greedy = greedy_action_table(model, qtable)
+    """Command from ``greedy_action_table`` for the observed state; returns (command, action bin)."""
     if not (model.d_grid[0] <= vehicle.d <= model.d_grid[-1]) or not (
         model.v_grid[0] <= vehicle.v <= model.v_grid[-1]
     ):
         log.debug("state outside grid, clamping: d=%.2f v=%.2f", vehicle.d, vehicle.v)
-    state = DiscretizedState(
-        v_bin=model.v_bin(vehicle.v),
-        c=in_crosswalk(ped, model.geometry),
-        d_bin=model.d_bin(vehicle.d),
-        a_prev_bin=a_prev_bin,
+    state = model.state_index(
+        model.v_bin(vehicle.v),
+        in_crosswalk(ped, model.geometry),
+        model.d_bin(vehicle.d),
+        a_prev_bin,
     )
-    a_idx = int(greedy[state.index(model)])
+    a_idx = int(greedy[state])
     return float(model.a_grid[a_idx]), a_idx
 
 
@@ -326,11 +284,14 @@ class PomdpController:
 
     The policy was optimized at the model's coarser decision period, so the
     command is re-evaluated on that period and held between decisions.
+    The policy has no modes and raises no safety events.
     """
+
+    label = "pomdp"
+    safety_events: tuple[str, ...] = ()
 
     def __init__(self, model: PomdpModel, qtable: QTable, sim_dt: float):
         self.model = model
-        self.qtable = qtable
         self.greedy = greedy_action_table(model, qtable)
         self.hold_ticks = max(1, int(round(model.dt / sim_dt)))
         self.reset()
@@ -342,9 +303,7 @@ class PomdpController:
 
     def step(self, vehicle: VehicleState, ped: PedestrianState) -> float:
         if self._tick % self.hold_ticks == 0:
-            self._a, self._a_idx = pomdp_step(
-                self.qtable, self.model, vehicle, ped, self._a_idx, self.greedy
-            )
+            self._a, self._a_idx = pomdp_step(self.greedy, self.model, vehicle, ped, self._a_idx)
         self._tick += 1
         return self._a
 
@@ -355,13 +314,16 @@ def save_policy(path: Path, model: PomdpModel, qtable: QTable) -> None:
 
 
 def load_policy(path: Path, model: PomdpModel) -> Optional[QTable]:
-    """Load a cached table if it matches the model's cache key."""
+    """Load a cached table if it matches the model's cache key and shape."""
     if not path.exists():
         return None
     data = np.load(path, allow_pickle=False)
     if str(data["cache_key"]) != model.cache_key():
         return None
-    return QTable(q=data["q"], cache_key=model.cache_key())
+    q = data["q"]
+    if q.shape != (model.n_states, model.n_actions):
+        return None
+    return QTable(q=q, cache_key=model.cache_key())
 
 
 def policy_cache_path(cache_dir: Path, model: PomdpModel) -> Path:

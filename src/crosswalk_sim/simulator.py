@@ -8,10 +8,11 @@ reproducible and order-independent.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .core import (
     PedestrianState,
     VehicleState,
     WorldGeometry,
-    euclidean_distance,
 )
 from .hybrid import HybridController
 from .pedestrian import GapAcceptanceModel, PedestrianAgent, Phase, pedestrian_tick, sample_accepted_gap
@@ -35,6 +35,17 @@ class Lane(Enum):
 class ControllerKind(Enum):
     HYBRID = "hybrid"
     POMDP = "pomdp"
+
+
+class Controller(Protocol):
+    """Per-tick controller: ``label`` names its current mode and
+    ``safety_events`` lists the events raised since ``reset``."""
+
+    label: str
+    safety_events: Sequence[str]
+
+    def step(self, vehicle: VehicleState, ped: PedestrianState) -> float: ...
+    def reset(self) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,7 @@ class Scenario:
             raise ValueError("dt must be positive")
         if self.max_sim_time <= 0.0:
             raise ValueError("max_sim_time must be positive")
+        self.lane_center()  # raises for a lane the road does not have
 
     def lane_index(self) -> int:
         return 0 if self.lane is Lane.A else 1
@@ -118,21 +130,21 @@ def plant_tick(vehicle: VehicleState, commanded_a: float, dt: float, delay_buffe
 
 
 def vehicle_pedestrian_distance(vehicle: VehicleState, ped: PedestrianState, geometry: WorldGeometry) -> float:
-    """Euclidean distance from the vehicle point to the pedestrian point."""
-    return euclidean_distance(vehicle.x_v, geometry.vehicle_y(vehicle.d), ped.x_p, 0.0)
+    """Euclidean distance from the vehicle point to the pedestrian point on the walking line."""
+    return math.hypot(ped.x_p - vehicle.x_v, 0.0 - geometry.vehicle_y(vehicle.d))
 
 
 def run_trial(
     scenario: Scenario,
     accepted_gap_override: Optional[float] = None,
-    controller: Optional[object] = None,
+    controller: Optional[Controller] = None,
     record_trace: bool = False,
 ) -> TrialResult:
     """Run one seeded trial to completion and collect its metrics.
 
-    ``controller`` may supply a pre-built controller exposing
-    ``step(vehicle, ped) -> float`` and ``reset()`` (used for the solved
-    policy baseline); by default a fresh hybrid controller is used.
+    ``controller`` may supply a pre-built controller, which is reset first
+    (used for the solved policy baseline); by default a fresh hybrid
+    controller is used.
     """
     rng = np.random.default_rng(scenario.seed)
     accepted_gap = (
@@ -149,11 +161,9 @@ def run_trial(
         controller = HybridController(scenario.params, geometry, dt=scenario.dt)
     else:
         controller.reset()
-    is_hybrid = isinstance(controller, HybridController)
 
     buffer = make_delay_buffer(scenario.t_delay_plant, scenario.dt)
     dt = scenario.dt
-    past_y = geometry.crosswalk_depth / 2.0 + 1.0
 
     t = 0.0
     min_distance = vehicle_pedestrian_distance(vehicle, agent.state, geometry)
@@ -162,18 +172,17 @@ def run_trial(
     peak_accel = 0.0
     collision = False
     timed_out = False
-    mode_trace: list[tuple[float, str]] = []
+    mode_trace: list[tuple[float, str]] = [(0.0, controller.label)]
     trace: Optional[list[tuple]] = [] if record_trace else None
-    if is_hybrid:
-        mode_trace.append((0.0, controller.mode.value))
 
     while True:
         if t >= scenario.max_sim_time:
             timed_out = True
             break
         a_cmd = controller.step(vehicle, agent.state)
-        if is_hybrid and controller.mode.value != mode_trace[-1][1]:
-            mode_trace.append((t, controller.mode.value))
+        label = controller.label
+        if label != mode_trace[-1][1]:
+            mode_trace.append((t, label))
         v_before = vehicle.v
         plant_tick(vehicle, a_cmd, dt, buffer)
         a_actual = (vehicle.v - v_before) / dt
@@ -191,13 +200,12 @@ def run_trial(
         if abs(a_actual) > peak_accel:
             peak_accel = abs(a_actual)
         if record_trace:
-            mode_name = controller.mode.value if is_hybrid else ControllerKind.POMDP.value
-            trace.append((t, vehicle.d, vehicle.v, a_cmd, a_actual, agent.state.x_p, mode_name))
+            trace.append((t, vehicle.d, vehicle.v, a_cmd, a_actual, agent.state.x_p, label))
 
-        if agent.phase is Phase.DONE and geometry.vehicle_y(vehicle.d) > past_y:
+        if agent.phase is Phase.DONE and geometry.vehicle_is_past(vehicle.d):
             break
 
-    events = list(getattr(controller, "safety_events", []))
+    events = list(controller.safety_events)
     if timed_out:
         events.append("timed_out")
     return TrialResult(
@@ -225,7 +233,7 @@ def run_batch(
     scenario: Scenario,
     n_trials: Optional[int] = None,
     gap_sweep: Optional[list[float]] = None,
-    controller_factory: Optional[Callable[[], object]] = None,
+    controller_factory: Optional[Callable[[], Controller]] = None,
 ) -> list[TrialResult]:
     """Run independently seeded trials (seed_i = base_seed + i) or a gap sweep."""
     if (n_trials is None) == (gap_sweep is None):

@@ -71,6 +71,27 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "var,value,argv",
+        [
+            ("CWSIM_CONTROLLER__K_S", "nan", ["simulate", "--trials", "3"]),
+            ("CWSIM_RUN__INITIAL_D", "inf", ["simulate", "--trials", "3"]),
+            ("CWSIM_RUN__MAX_SIM_TIME", "-inf", ["simulate", "--trials", "3"]),
+            ("CWSIM_RUN__DT", "0", ["simulate", "--trials", "3"]),
+            ("CWSIM_WORLD__N_LANES", "1", ["simulate", "--trials", "3", "--lane", "B"]),
+            ("CWSIM_PEDESTRIAN__SIGMA2_GAP", "-1", ["simulate", "--trials", "3"]),
+            ("CWSIM_CONTROLLER__A_CMF", "10", ["simulate", "--trials", "3"]),
+            ("CWSIM_RUN__CONTROLLER", "foo", ["simulate", "--trials", "3"]),
+            ("CWSIM_POMDP__ACTIONS", "a,0", ["solve-pomdp"]),
+        ],
+    )
+    def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):
+        monkeypatch.setenv(var, value)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_pomdp_controller_solves_and_caches(self, tmp_path, capsys):
         import os
 
@@ -106,6 +127,7 @@ class TestCompare:
         assert [r["accepted_gap_s"] for r in hybrid] == [
             r["accepted_gap_s"] for r in pomdp
         ]
+        assert {r["final_mode_sequence"] for r in pomdp} == {"pomdp"}
         for side in ("near", "far"):
             panel_rows = read_rows(out / f"panels_{side}.csv")
             assert {r["metric"] for r in panel_rows} == {

@@ -136,7 +136,7 @@ class TestSweepSpec:
     def test_empty_means_none(self):
         assert load_config(env={}).sweep_values() is None
 
-    @pytest.mark.parametrize("spec", ["1:2", "a:b:c", "5:0:6", "9:1:2"])
+    @pytest.mark.parametrize("spec", ["1:2", "a:b:c", "5:0:6", "9:1:2", "nan:1:2", "1:1:inf"])
     def test_bad_specs(self, spec):
         cfg = load_config(env={"CWSIM_RUN__SWEEP": spec})
         with pytest.raises(ConfigError):

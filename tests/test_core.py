@@ -1,41 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 from crosswalk_sim.core import (
     ControllerParams,
     EntrySide,
-    GapUndefinedError,
-    PastStopPointError,
     PedestrianState,
     WorldGeometry,
     comfort_brake_distance,
-    gap,
     max_brake_distance,
 )
-
-
-class TestGap:
-    def test_direct_value(self):
-        assert gap(18.0, 4.5) == 4.0
-
-    def test_zero_distance(self):
-        assert gap(0.0, 4.5) == 0.0
-
-    def test_stopped_vehicle_raises(self):
-        with pytest.raises(GapUndefinedError):
-            gap(10.0, 0.0)
-
-    def test_past_stop_point_raises(self):
-        with pytest.raises(PastStopPointError):
-            gap(-1.0, 4.5)
-
-    def test_homogeneous(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            d, v, c = rng.uniform(0.1, 60), rng.uniform(0.1, 10), rng.uniform(0.01, 50)
-            assert gap(c * d, c * v) == pytest.approx(gap(d, v), rel=1e-12)
 
 
 class TestBrakeDistances:
@@ -75,6 +48,12 @@ class TestWorldGeometry:
     def test_vehicle_y(self, geometry):
         assert geometry.vehicle_y(0.0) == -5.0
         assert geometry.vehicle_y(-5.0) == 0.0
+
+    def test_vehicle_is_past(self, geometry):
+        # Past once 1 m beyond the far edge of the 3 m stripe (y > 2.5).
+        assert not geometry.vehicle_is_past(0.0)
+        assert not geometry.vehicle_is_past(-7.5)
+        assert geometry.vehicle_is_past(-7.51)
 
     def test_x_f_bounds(self):
         with pytest.raises(ValueError):
@@ -130,8 +109,5 @@ class TestPedestrianState:
 
 
 def test_operations_are_pure():
-    args = (17.3, 3.7)
-    assert gap(*args) == gap(*args)
     assert comfort_brake_distance(3.3, 2.0) == comfort_brake_distance(3.3, 2.0)
     assert max_brake_distance(3.3, 9.0) == max_brake_distance(3.3, 9.0)
-    assert math.isclose(gap(17.3, 3.7), 17.3 / 3.7)

@@ -49,23 +49,27 @@ class TestInCrosswalk:
 
 
 class TestTimeAdvantage:
-    def test_reference_value(self):
-        t = time_advantage(veh(22.5, 4.5), ped(-1.25, 1.2))
+    # The vehicle's time runs to the walking line, delta = 5 m past the stop point.
+    def test_reference_value(self, geometry):
+        t = time_advantage(veh(17.5, 4.5), ped(-1.25, 1.2), geometry)
         assert t == pytest.approx(2.5 - 5.0, abs=1e-12)
 
-    def test_stationary_pedestrian(self):
-        assert time_advantage(veh(10.0, 4.5), ped(-1.0, 0.0)) == math.inf
+    def test_stationary_pedestrian(self, geometry):
+        assert time_advantage(veh(10.0, 4.5), ped(-1.0, 0.0), geometry) == math.inf
 
-    def test_pedestrian_at_lane_center(self):
-        t = time_advantage(veh(9.0, 4.5), ped(1.75, 1.2))
+    def test_pedestrian_at_lane_center(self, geometry):
+        t = time_advantage(veh(4.0, 4.5), ped(1.75, 1.2), geometry)
         assert t == pytest.approx(-2.0, abs=1e-12)
 
-    def test_pedestrian_past_lane(self):
-        assert time_advantage(veh(10.0, 4.5), ped(3.0, 1.2)) == math.inf
+    def test_pedestrian_past_lane(self, geometry):
+        assert time_advantage(veh(10.0, 4.5), ped(3.0, 1.2), geometry) == math.inf
 
     def test_far_side_sign_convention(self, geometry):
-        t = time_advantage(veh(22.5, 4.5), ped(15.0, -1.2, EntrySide.FAR))
+        t = time_advantage(veh(17.5, 4.5), ped(15.0, -1.2, EntrySide.FAR), geometry)
         assert t == pytest.approx((15.0 - 1.75) / 1.2 - 5.0)
+
+    def test_stopped_vehicle(self, geometry):
+        assert time_advantage(veh(10.0, 0.0), ped(-1.0, 1.2), geometry) == -math.inf
 
 
 class TestModeCommands:

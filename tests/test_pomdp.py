@@ -4,11 +4,10 @@ import pytest
 from crosswalk_sim.core import PedestrianState, VehicleState
 from crosswalk_sim.pomdp import (
     ConvergenceError,
-    DiscretizedState,
     PomdpController,
     PomdpModel,
+    QTable,
     RewardWeights,
-    build_model,
     greedy_action_table,
     load_policy,
     pomdp_step,
@@ -21,6 +20,11 @@ def small_model(params, geometry, gap_model, **kwargs):
     defaults = dict(n_v_bins=5, n_d_bins=11, discount=0.9)
     defaults.update(kwargs)
     return PomdpModel(params, geometry, gap_model, **defaults)
+
+
+@pytest.fixture(scope="module")
+def greedy(pomdp_model, solved_policy):
+    return greedy_action_table(pomdp_model, solved_policy)
 
 
 class TestModelConstruction:
@@ -41,8 +45,9 @@ class TestModelConstruction:
     def test_entry_prob_peaks_near_mean_gap(self, pomdp_model):
         m = pomdp_model
         v_bin = m.v_bin(4.5)
-        at_mean = m.crossing_entry_prob(m.d_bin(4.0 * 4.5 - 5.0), v_bin)
-        at_eight = m.crossing_entry_prob(m.d_bin(8.0 * 4.5 - 5.0), v_bin)
+        a0 = m.a_bin(0.0)
+        at_mean = m._entry_p[v_bin, m.d_bin(4.0 * 4.5 - 5.0), a0]
+        at_eight = m._entry_p[v_bin, m.d_bin(8.0 * 4.5 - 5.0), a0]
         assert at_mean > at_eight
 
     def test_exit_prob_matches_crossing_time(self, pomdp_model, geometry, gap_model):
@@ -61,36 +66,31 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             PomdpModel(params, geometry, gap_model, actions=(-20.0, 0.0))
 
-    def test_build_model_passes_overrides(self, params, geometry, gap_model):
-        m = build_model(params, geometry, gap_model, n_v_bins=7, discount=0.8)
-        assert len(m.v_grid) == 7 and m.discount == 0.8
-
     def test_state_index_bijection(self, pomdp_model):
         m = pomdp_model
-        seen = set()
-        for i in range(m.n_states):
-            s = DiscretizedState.from_index(i, m)
-            assert s.index(m) == i
-            seen.add((s.v_bin, s.c, s.d_bin, s.a_prev_bin))
-        assert len(seen) == m.n_states
+        cells = np.meshgrid(
+            np.arange(len(m.v_grid)), np.arange(2), np.arange(len(m.d_grid)),
+            np.arange(len(m.a_grid)), indexing="ij",
+        )
+        assert np.array_equal(m.state_index(*cells).ravel(), np.arange(m.n_states))
 
 
 class TestRewardShape:
     def test_no_penalty_at_cruise(self, pomdp_model):
         m = pomdp_model
-        s = DiscretizedState(m.v_bin(4.5), False, m.d_bin(30.0), m.a_bin(0.0))
-        assert m.reward(s, m.a_bin(0.0)) == 0.0
+        s = m.state_index(m.v_bin(4.5), False, m.d_bin(30.0), m.a_bin(0.0))
+        assert m.reward_table[s, m.a_bin(0.0)] == 0.0
 
     def test_crossing_at_speed_is_penalized(self, pomdp_model):
         m = pomdp_model
-        s = DiscretizedState(m.v_bin(4.5), True, m.d_bin(3.0), m.a_bin(0.0))
-        assert m.reward(s, m.a_bin(0.0)) < -50.0
+        s = m.state_index(m.v_bin(4.5), True, m.d_bin(3.0), m.a_bin(0.0))
+        assert m.reward_table[s, m.a_bin(0.0)] < -50.0
 
     def test_smoothness_monotone_in_accel_change(self, pomdp_model):
         m = pomdp_model
-        s = DiscretizedState(m.v_bin(4.5), False, m.d_bin(30.0), m.a_bin(0.0))
-        r_small = m.reward(s, m.a_bin(-1.0))
-        r_large = m.reward(s, m.a_bin(-4.0))
+        s = m.state_index(m.v_bin(4.5), False, m.d_bin(30.0), m.a_bin(0.0))
+        r_small = m.reward_table[s, m.a_bin(-1.0)]
+        r_large = m.reward_table[s, m.a_bin(-4.0)]
         assert r_large < r_small < 0.0
 
 
@@ -134,30 +134,28 @@ class TestSolver:
 
 
 class TestPolicy:
-    def test_cruise_far_from_crosswalk(self, pomdp_model, solved_policy):
+    def test_cruise_far_from_crosswalk(self, pomdp_model, greedy):
         v = VehicleState(d=44.0, v=4.5, x_v=1.75)
         p = PedestrianState(x_p=-2.5, xdot_p=0.0)
-        a, _ = pomdp_step(solved_policy, pomdp_model, v, p, pomdp_model.a_bin(0.0))
+        a, _ = pomdp_step(greedy, pomdp_model, v, p, pomdp_model.a_bin(0.0))
         assert a == 0.0
 
-    def test_brakes_for_crossing_pedestrian(self, pomdp_model, solved_policy):
+    def test_brakes_for_crossing_pedestrian(self, pomdp_model, greedy):
         v = VehicleState(d=15.0, v=4.5, x_v=1.75)
         p = PedestrianState(x_p=2.0, xdot_p=1.2)
-        a, _ = pomdp_step(solved_policy, pomdp_model, v, p, pomdp_model.a_bin(0.0))
+        a, _ = pomdp_step(greedy, pomdp_model, v, p, pomdp_model.a_bin(0.0))
         assert a < 0.0
 
-    def test_lookup_is_pure(self, pomdp_model, solved_policy):
+    def test_lookup_is_pure(self, pomdp_model, greedy):
         v = VehicleState(d=12.0, v=3.0, x_v=1.75)
         p = PedestrianState(x_p=1.0, xdot_p=1.2)
-        first = pomdp_step(solved_policy, pomdp_model, v, p, 2)
-        assert all(
-            pomdp_step(solved_policy, pomdp_model, v, p, 2) == first for _ in range(5)
-        )
+        first = pomdp_step(greedy, pomdp_model, v, p, 2)
+        assert all(pomdp_step(greedy, pomdp_model, v, p, 2) == first for _ in range(5))
 
-    def test_out_of_grid_clamps(self, pomdp_model, solved_policy):
+    def test_out_of_grid_clamps(self, pomdp_model, greedy):
         v = VehicleState(d=500.0, v=20.0, x_v=1.75)
         p = PedestrianState(x_p=-2.5, xdot_p=0.0)
-        a, idx = pomdp_step(solved_policy, pomdp_model, v, p, 0)
+        a, idx = pomdp_step(greedy, pomdp_model, v, p, 0)
         assert a in pomdp_model.a_grid
 
     def test_controller_holds_between_decisions(self, pomdp_model, solved_policy):
@@ -171,10 +169,7 @@ class TestPolicy:
         assert ctrl._tick == 0
 
     def test_tie_break_prefers_small_accel(self, pomdp_model, solved_policy):
-        q = np.zeros_like(solved_policy.q)
-        from crosswalk_sim.pomdp import QTable
-
-        flat = QTable(q=q)
+        flat = QTable(q=np.zeros_like(solved_policy.q))
         greedy = greedy_action_table(pomdp_model, flat)
         zero_idx = pomdp_model.a_bin(0.0)
         assert np.all(greedy == zero_idx)
@@ -198,3 +193,8 @@ class TestSerialization:
 
     def test_missing_file(self, tmp_path, pomdp_model):
         assert load_policy(tmp_path / "nope.npz", pomdp_model) is None
+
+    def test_shape_mismatch_rejected(self, tmp_path, pomdp_model, solved_policy):
+        path = tmp_path / "policy.npz"
+        save_policy(path, pomdp_model, QTable(q=solved_policy.q[:-1]))
+        assert load_policy(path, pomdp_model) is None

@@ -142,6 +142,27 @@ class TestRunTrial:
         assert r.timed_out
         assert "timed_out" in r.safety_events
 
+    def test_controller_protocol(self, scenario_factory):
+        class Constant:
+            label = "fake"
+            safety_events = ("fake_event",)
+            resets = 0
+
+            def reset(self):
+                self.resets += 1
+
+            def step(self, vehicle, ped):
+                return 0.0
+
+        ctrl = Constant()
+        r = run_trial(scenario_factory(), accepted_gap_override=10.0, controller=ctrl,
+                      record_trace=True)
+        assert ctrl.resets == 1
+        assert not r.timed_out and not r.collision
+        assert r.mode_trace == [(0.0, "fake")]
+        assert {row[6] for row in r.trace} == {"fake"}
+        assert r.safety_events == ["fake_event"]
+
 
 class TestRunBatch:
     def test_deterministic_given_seed(self, scenario_factory):
