@@ -28,8 +28,9 @@ from .config import (
     load_config,
     write_config_echo,
 )
-from .pomdp import PomdpController, export_policy_csv, policy_cache_path, solve_or_load
-from .simulator import ControllerKind, Scenario, TrialResult, run_batch, run_trial
+from .pomdp import (PomdpController, PomdpModel, QTable, export_policy_csv,
+                    policy_cache_path, solve_or_load)
+from .simulator import Scenario, TrialResult, run_batch, run_trial
 from .svgplot import scatter_svg
 
 TRIALS_HEADER = [
@@ -50,6 +51,8 @@ METRIC_COLUMNS = {
     "avg_velocity": ("avg_velocity_mps", "average vehicle velocity (m/s)"),
     "peak_accel": ("peak_accel_mps2", "peak |acceleration| (m/s^2)"),
 }
+
+METHODS = ("hybrid", "pomdp")
 
 SUMMARY_BIN = 0.5
 SUMMARY_RANGE = (0.0, 10.0)
@@ -117,35 +120,61 @@ def write_summary_csv(path: Path, rows: list[dict]) -> None:
                 )
 
 
-def _make_pomdp_factory(config: RunConfig, scenario: Scenario, quiet: bool = False):
+# Trial results keyed by (side, lane, method), in run order.
+Batches = dict[tuple[str, str, str], list[TrialResult]]
+
+
+def _policy(config: RunConfig) -> tuple[PomdpModel, QTable]:
     model = config.pomdp_model()
-    cache_dir = Path(config.pomdp["cache_dir"])
-    cached = policy_cache_path(cache_dir, model).exists()
-    table = solve_or_load(model, cache_dir, tol=config.pomdp["tol"])
-    if not quiet:
-        origin = "cache" if cached else f"solved ({len(table.residuals)} iterations)"
-        print(f"pomdp policy: {origin}, key={model.cache_key()}")
-    controller = PomdpController(model, table, sim_dt=scenario.dt)
-    return lambda: controller
+    table = solve_or_load(model, Path(config.pomdp["cache_dir"]), tol=config.pomdp["tol"])
+    return model, table
 
 
-def _run_quadrant(
-    config: RunConfig,
-    scenario: Scenario,
-    sweep: Optional[list[float]],
-    factory,
-) -> list[TrialResult]:
-    if sweep is not None:
-        return run_batch(scenario, gap_sweep=sweep, controller_factory=factory)
-    return run_batch(scenario, n_trials=config.run["trials"], controller_factory=factory)
+def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Sequence[str],
+         out_dir: Path) -> Batches:
+    """Run every method on every (side, lane) quadrant and write the trial tables.
+
+    All batches share the base seed, so the methods see identical gaps.
+    """
+    sweep = config.sweep_values()
+    if sweep is None and config.run["trials"] < 1:
+        raise ConfigError(f"run.trials must be >= 1, got {config.run['trials']}")
+    batch_args = {"gap_sweep": sweep} if sweep is not None else {"n_trials": config.run["trials"]}
+    write_config_echo(config, out_dir)
+
+    pomdp: Optional[PomdpController] = None
+    batches: Batches = {}
+    rows: list[dict] = []
+    for side, lane in quadrants:
+        scenario = config.scenario(lane=lane, side=side)
+        for method in methods:
+            if method == "pomdp" and pomdp is None:
+                model, table = _policy(config)
+                n_sweeps = len(table.residuals)  # 0 for a table loaded from the cache
+                origin = f"solved ({n_sweeps} iterations)" if n_sweeps else "cache"
+                print(f"pomdp policy: {origin}, key={model.cache_key}")
+                pomdp = PomdpController(model, table, sim_dt=scenario.dt)
+            results = run_batch(
+                scenario,
+                controller_factory=(lambda: pomdp) if method == "pomdp" else None,
+                **batch_args,
+            )
+            batches[side, lane, method] = results
+            for r in results:
+                rows.append(trial_row(len(rows), method, scenario, r))
+
+    write_trials_csv(out_dir / "trials.csv", rows)
+    write_summary_csv(out_dir / "summary.csv", rows)
+    return batches
 
 
-def _finish(rows: list[dict], results: list[TrialResult], out_dir: Path) -> int:
-    collisions = sum(r["collision"] == "true" for r in rows)
-    timeouts = sum(res.timed_out for res in results)
-    n = len(rows)
-    mean_v = sum(float(r["avg_velocity_mps"]) for r in rows) / n
-    max_peak = max(float(r["peak_accel_mps2"]) for r in rows)
+def _finish(batches: Batches, out_dir: Path) -> int:
+    results = [r for batch in batches.values() for r in batch]
+    n = len(results)
+    collisions = sum(r.collision for r in results)
+    timeouts = sum(r.timed_out for r in results)
+    mean_v = sum(r.avg_velocity for r in results) / n
+    max_peak = max(r.peak_accel for r in results)
     print(
         f"n={n} collisions={collisions} timeouts={timeouts} "
         f"mean_avg_velocity={mean_v:.3f} max_peak_accel={max_peak:.3f} -> {out_dir}"
@@ -155,81 +184,36 @@ def _finish(rows: list[dict], results: list[TrialResult], out_dir: Path) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    method = config.run["controller"].lower()
+    if method not in METHODS:
+        raise ConfigError(f"run.controller must be one of {', '.join(METHODS)}, got {method!r}")
     out_dir = Path(config.run["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config_echo(config, out_dir)
-
-    scenario = config.scenario()
-    sweep = config.sweep_values()
-    factory = None
-    method = config.run["controller"]
-    if scenario.controller_kind is ControllerKind.POMDP:
-        factory = _make_pomdp_factory(config, scenario)
-    results = _run_quadrant(config, scenario, sweep, factory)
-    rows = [trial_row(i, method, scenario, r) for i, r in enumerate(results)]
-    write_trials_csv(out_dir / "trials.csv", rows)
-    write_summary_csv(out_dir / "summary.csv", rows)
-    return _finish(rows, results, out_dir)
+    batches = _run(config, [(config.run["side"], config.run["lane"])], [method], out_dir)
+    return _finish(batches, out_dir)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out_dir = Path(config.run["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_config_echo(config, out_dir)
-    sweep = config.sweep_values()
+    quadrants = [(side, lane) for side in ("near", "far") for lane in ("A", "B")]
+    batches = _run(config, quadrants, METHODS, out_dir)
 
-    rows: list[dict] = []
-    all_results: list[TrialResult] = []
-    per_method_collisions = {"hybrid": 0, "pomdp": 0}
-    trial_id = 0
-    panel_rows: dict[str, list[dict]] = {"near": [], "far": []}
-
-    pomdp_factory = None
     for side in ("near", "far"):
-        for lane in ("A", "B"):
-            paired: dict[str, list[TrialResult]] = {}
-            for method in ("hybrid", "pomdp"):
-                scenario = config.scenario(lane=lane, side=side, controller=method)
-                factory = None
-                if method == "pomdp":
-                    if pomdp_factory is None:
-                        pomdp_factory = _make_pomdp_factory(config, scenario)
-                    factory = pomdp_factory
-                results = _run_quadrant(config, scenario, sweep, factory)
-                paired[method] = results
-                for r in results:
-                    rows.append(trial_row(trial_id, method, scenario, r))
-                    trial_id += 1
-                all_results.extend(results)
-                per_method_collisions[method] += sum(r.collision for r in results)
-            for h, p in zip(paired["hybrid"], paired["pomdp"]):
-                for metric in ("min_distance", "avg_velocity", "peak_accel"):
-                    panel_rows[side].append(
-                        {
-                            "panel": f"{metric}_lane_{lane}",
-                            "lane": lane,
-                            "metric": metric,
-                            "accepted_gap_s": _fmt(h.accepted_gap),
-                            "hybrid": _fmt(getattr(h, metric)),
-                            "pomdp": _fmt(getattr(p, metric)),
-                        }
-                    )
-
-    write_trials_csv(out_dir / "trials.csv", rows)
-    write_summary_csv(out_dir / "summary.csv", rows)
-    for side, prows in panel_rows.items():
         with open(out_dir / f"panels_{side}.csv", "w", encoding="utf-8", newline="") as f:
-            writer = csv.DictWriter(
-                f, fieldnames=["panel", "lane", "metric", "accepted_gap_s", "hybrid", "pomdp"]
-            )
-            writer.writeheader()
-            writer.writerows(prows)
-    print(
-        "per-method collisions: "
-        + " ".join(f"{m}={c}" for m, c in sorted(per_method_collisions.items()))
-    )
-    return _finish(rows, all_results, out_dir)
+            writer = csv.writer(f)
+            writer.writerow(["panel", "lane", "metric", "accepted_gap_s", "hybrid", "pomdp"])
+            for lane in ("A", "B"):
+                for h, p in zip(batches[side, lane, "hybrid"], batches[side, lane, "pomdp"]):
+                    for metric in ("min_distance", "avg_velocity", "peak_accel"):
+                        writer.writerow(
+                            [f"{metric}_lane_{lane}", lane, metric, _fmt(h.accepted_gap),
+                             _fmt(getattr(h, metric)), _fmt(getattr(p, metric))]
+                        )
+    collisions = dict.fromkeys(METHODS, 0)
+    for (_, _, method), results in batches.items():
+        collisions[method] += sum(r.collision for r in results)
+    print("per-method collisions: " + " ".join(f"{m}={c}" for m, c in collisions.items()))
+    return _finish(batches, out_dir)
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
@@ -262,7 +246,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out_dir = Path(config.run["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_config_echo(config, out_dir)
 
     if args.trial is not None:
@@ -304,12 +287,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_solve_pomdp(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    model = config.pomdp_model()
-    cache_dir = Path(config.pomdp["cache_dir"])
-    table = solve_or_load(model, cache_dir, tol=config.pomdp["tol"])
-    path = policy_cache_path(cache_dir, model)
+    model, table = _policy(config)
+    path = policy_cache_path(Path(config.pomdp["cache_dir"]), model)
     print(
-        f"policy key={model.cache_key()} states={model.n_states} actions={model.n_actions} "
+        f"policy key={model.cache_key} states={model.n_states} actions={model.n_actions} "
         f"cached at {path}"
     )
     if args.export:
@@ -319,21 +300,11 @@ def cmd_solve_pomdp(args: argparse.Namespace) -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        "run": {
-            "lane": getattr(args, "lane", None),
-            "side": getattr(args, "side", None),
-            "controller": getattr(args, "controller", None),
-            "trials": getattr(args, "trials", None),
-            "sweep": getattr(args, "sweep", None),
-            "seed": getattr(args, "seed", None),
-            "out_dir": getattr(args, "out", None),
-        }
-    }
+    flags = ("lane", "side", "controller", "trials", "sweep", "seed", "out_dir")
     return load_config(
         path=Path(args.config) if args.config else None,
         preset=getattr(args, "preset", None),
-        cli_overrides=overrides,
+        cli_overrides={"run": {key: getattr(args, key, None) for key in flags}},
     )
 
 
@@ -350,11 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lane", choices=["A", "B"])
         p.add_argument("--side", choices=["near", "far"])
         p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
 
     p_sim = sub.add_parser("simulate", help="run one scenario batch")
     common(p_sim)
-    p_sim.add_argument("--controller", choices=["hybrid", "pomdp"])
+    p_sim.add_argument("--controller", choices=METHODS)
     p_sim.add_argument("--trials", type=int)
     p_sim.add_argument("--sweep", help="deterministic gap sweep LO:STEP:HI")
     p_sim.set_defaults(func=cmd_simulate)

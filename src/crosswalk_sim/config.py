@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 from .core import ControllerParams, EntrySide, WorldGeometry
 from .pedestrian import GapAcceptanceModel
 from .pomdp import PomdpModel, RewardWeights
-from .simulator import ControllerKind, Lane, Scenario, sweep_gaps
+from .simulator import Lane, Scenario, sweep_gaps
 
 ENV_PREFIX = "CWSIM_"
 
@@ -180,7 +180,6 @@ class RunConfig:
         self,
         lane: Optional[str] = None,
         side: Optional[str] = None,
-        controller: Optional[str] = None,
         seed: Optional[int] = None,
     ) -> Scenario:
         r = self.run
@@ -193,7 +192,6 @@ class RunConfig:
                 gap_model=self.gap_model(),
                 lane=Lane((lane or r["lane"]).upper()),
                 entry_side=EntrySide((side or r["side"]).lower()),
-                controller_kind=ControllerKind((controller or r["controller"]).lower()),
                 initial_d=r["initial_d"],
                 initial_v=initial_v,
                 dt=r["dt"],
@@ -221,9 +219,7 @@ class RunConfig:
 def _coerce(section: str, key: str, raw: str) -> object:
     default = DEFAULTS[section][key]
     try:
-        if isinstance(default, bool):
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        if isinstance(default, int) and not isinstance(default, bool):
+        if isinstance(default, int):
             return int(raw)
         if not isinstance(default, float):
             return raw.strip()
@@ -235,35 +231,18 @@ def _coerce(section: str, key: str, raw: str) -> object:
     return value
 
 
-def load_config(
-    path: Optional[Path] = None,
-    preset: Optional[str] = None,
-    env: Optional[Mapping[str, str]] = None,
-    cli_overrides: Optional[dict[str, dict[str, object]]] = None,
-) -> RunConfig:
-    """Resolve defaults -> preset -> file -> environment -> CLI flags."""
-    sections = {name: dict(values) for name, values in DEFAULTS.items()}
+Layer = dict[str, dict[str, object]]
 
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-        for name, values in PRESETS[preset].items():
-            sections[name].update(values)
 
-    if path is not None:
-        parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
-        for name in parser.sections():
-            if name not in sections:
-                raise ConfigError(f"unknown config section [{name}]")
-            for key, raw in parser.items(name):
-                if key not in sections[name]:
-                    raise ConfigError(f"unknown key {key!r} in section [{name}]")
-                sections[name][key] = _coerce(name, key, raw)
+def _file_layer(path: Path) -> Layer:
+    parser = configparser.ConfigParser(interpolation=None)
+    if not parser.read(path):
+        raise ConfigError(f"config file not found: {path}")
+    return {name: dict(parser.items(name)) for name in parser.sections()}
 
-    env = os.environ if env is None else env
+
+def _env_layer(env: Mapping[str, str]) -> Layer:
+    layer: Layer = {}
     for var, raw in env.items():
         if not var.startswith(ENV_PREFIX):
             continue
@@ -271,19 +250,40 @@ def load_config(
         if "__" not in body:
             raise ConfigError(f"bad override {var}: expected {ENV_PREFIX}SECTION__KEY")
         name, key = body.split("__", 1)
-        if name not in sections or key not in sections[name]:
-            raise ConfigError(f"bad override {var}: no such key [{name}] {key}")
-        sections[name][key] = _coerce(name, key, raw)
+        layer.setdefault(name, {})[key] = raw
+    return layer
 
-    if cli_overrides:
-        for name, values in cli_overrides.items():
+
+def load_config(
+    path: Optional[Path] = None,
+    preset: Optional[str] = None,
+    env: Optional[Mapping[str, str]] = None,
+    cli_overrides: Optional[Layer] = None,
+) -> RunConfig:
+    """Resolve defaults -> preset -> file -> environment -> CLI flags.
+
+    Every layer is checked the same way: unknown sections and keys are
+    rejected, and each value is parsed against the type of its default.
+    """
+    if preset is not None and preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
+    layers: list[tuple[str, Layer]] = [
+        (f"preset {preset!r}", PRESETS[preset] if preset is not None else {}),
+        (str(path), _file_layer(path) if path is not None else {}),
+        ("environment", _env_layer(os.environ if env is None else env)),
+        ("flags", cli_overrides or {}),
+    ]
+    sections = {name: dict(values) for name, values in DEFAULTS.items()}
+    for source, layer in layers:
+        for name, values in layer.items():
+            if name not in sections:
+                raise ConfigError(f"{source}: unknown section [{name}]")
             for key, value in values.items():
                 if value is None:
                     continue
-                if name not in sections or key not in sections[name]:
-                    raise ConfigError(f"bad override [{name}] {key}")
-                sections[name][key] = value
-
+                if key not in sections[name]:
+                    raise ConfigError(f"{source}: unknown key {key!r} in section [{name}]")
+                sections[name][key] = _coerce(name, key, str(value))
     return RunConfig(**sections)
 
 

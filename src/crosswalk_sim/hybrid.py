@@ -77,11 +77,8 @@ class HybridController:
         self.params = params
         self.geometry = geometry
         self.dt = dt  # sample time; used as a one-tick lead on the braking point
-        self.mode = Mode.DRIVING
-        self.d_o = 0.0
-        self.v_o = 0.0
-        self._decel_latched = False
         self.safety_events: list[str] = []
+        self.reset()
 
     def reset(self) -> None:
         self.mode = Mode.DRIVING

@@ -14,6 +14,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -195,19 +198,12 @@ class PomdpModel:
         )
         self._p_c1 = p_c1.reshape(self.n_states, na).copy()
 
-    def cache_key(self) -> str:
-        h = hashlib.sha256()
-        for arr in (self.v_grid, self.d_grid, self.a_grid):
-            h.update(arr.tobytes())
-        w = self.weights
-        meta = (
-            w.w_legality, w.w_safety, w.w_efficient, w.w_smooth,
-            self.dt, self.discount, self.crossing_exit_prob,
-            self.params.v_speedlimit, self.geometry.delta,
-            self.gap_model.mu_gap, self.gap_model.sigma_gap, self.gap_model.max_trigger_gap,
-        )
-        h.update(repr(meta).encode())
-        return h.hexdigest()[:16]
+        # The key covers everything `qmdp_solve` reads, so any change to the
+        # model, reward shapes included, selects a different cached policy.
+        h = hashlib.sha256(repr(self.discount).encode())
+        for arr in (self.reward_table, self._ns0, self._ns1, self._p_c1):
+            h.update(arr)
+        self.cache_key = h.hexdigest()[:16]
 
 
 class ConvergenceError(RuntimeError):
@@ -223,7 +219,6 @@ class QTable:
 
     q: np.ndarray
     residuals: list[float] = field(default_factory=list)
-    cache_key: str = ""
 
 
 def qmdp_solve(model: PomdpModel, tol: float = 1e-6, max_iters: int = 5000) -> QTable:
@@ -243,7 +238,7 @@ def qmdp_solve(model: PomdpModel, tol: float = 1e-6, max_iters: int = 5000) -> Q
         residuals.append(residual)
         q = q_new
         if residual < tol:
-            table = QTable(q=q, residuals=residuals, cache_key=model.cache_key())
+            table = QTable(q=q, residuals=residuals)
             if not np.all(np.isfinite(q)):
                 raise ConvergenceError(residual, len(residuals))
             return table
@@ -309,29 +304,33 @@ class PomdpController:
 
 
 def save_policy(path: Path, model: PomdpModel, qtable: QTable) -> None:
+    """Write through a temporary file so a reader never sees a partial policy."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, q=qtable.q, cache_key=np.array(model.cache_key()))
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as f:
+        np.savez_compressed(f, q=qtable.q, cache_key=np.array(model.cache_key))
+    os.replace(tmp, path)
 
 
 def load_policy(path: Path, model: PomdpModel) -> Optional[QTable]:
-    """Load a cached table if it matches the model's cache key and shape."""
-    if not path.exists():
+    """The cached table matching ``model``'s key and shape; None if missing, unreadable or stale."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            key, q = str(data["cache_key"]), data["q"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):
         return None
-    data = np.load(path, allow_pickle=False)
-    if str(data["cache_key"]) != model.cache_key():
+    if key != model.cache_key or q.shape != (model.n_states, model.n_actions):
         return None
-    q = data["q"]
-    if q.shape != (model.n_states, model.n_actions):
-        return None
-    return QTable(q=q, cache_key=model.cache_key())
+    return QTable(q=q)
 
 
 def policy_cache_path(cache_dir: Path, model: PomdpModel) -> Path:
-    return Path(cache_dir) / f"pomdp_policy_{model.cache_key()}.npz"
+    return Path(cache_dir) / f"pomdp_policy_{model.cache_key}.npz"
 
 
 def solve_or_load(model: PomdpModel, cache_dir: Optional[Path] = None,
                   tol: float = 1e-6, max_iters: int = 5000) -> QTable:
+    """The cached policy for ``model``, else a fresh solve (the only kind with ``residuals``)."""
     if cache_dir is not None:
         path = policy_cache_path(cache_dir, model)
         cached = load_policy(path, model)
@@ -345,6 +344,7 @@ def solve_or_load(model: PomdpModel, cache_dir: Optional[Path] = None,
 
 def export_policy_csv(path: Path, model: PomdpModel, qtable: QTable) -> None:
     """Flat (state index, action index, Q-value) table for external tooling."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("state_index,action_index,q_value\n")
         for s in range(model.n_states):

@@ -32,11 +32,6 @@ class Lane(Enum):
     B = "B"
 
 
-class ControllerKind(Enum):
-    HYBRID = "hybrid"
-    POMDP = "pomdp"
-
-
 class Controller(Protocol):
     """Per-tick controller: ``label`` names its current mode and
     ``safety_events`` lists the events raised since ``reset``."""
@@ -57,7 +52,6 @@ class Scenario:
     gap_model: GapAcceptanceModel
     lane: Lane = Lane.A
     entry_side: EntrySide = EntrySide.NEAR
-    controller_kind: ControllerKind = ControllerKind.HYBRID
     initial_d: float = 50.0
     initial_v: float = 4.5
     dt: float = 0.05
@@ -71,6 +65,8 @@ class Scenario:
             raise ValueError("dt must be positive")
         if self.max_sim_time <= 0.0:
             raise ValueError("max_sim_time must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         self.lane_center()  # raises for a lane the road does not have
 
     def lane_index(self) -> int:

@@ -83,10 +83,14 @@ class TestSimulate:
             ("CWSIM_CONTROLLER__A_CMF", "10", ["simulate", "--trials", "3"]),
             ("CWSIM_RUN__CONTROLLER", "foo", ["simulate", "--trials", "3"]),
             ("CWSIM_POMDP__ACTIONS", "a,0", ["solve-pomdp"]),
+            ("CWSIM_RUN__TRIALS", "0", ["simulate"]),
+            (None, None, ["simulate", "--trials", "0"]),
+            (None, None, ["simulate", "--trials", "3", "--seed", "-1"]),
         ],
     )
     def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):
-        monkeypatch.setenv(var, value)
+        if var is not None:
+            monkeypatch.setenv(var, value)
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -110,6 +114,25 @@ class TestSimulate:
         assert rc == 0
         second = capsys.readouterr().out
         assert "solved" in first and "cache" in second
+
+    def test_controller_name_is_case_insensitive(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CWSIM_RUN__CONTROLLER", "POMDP")
+        assert main(["simulate", "--sweep", "4:1:4", "--out", str(tmp_path / "run")]) == 0
+        assert [r["method"] for r in read_rows(tmp_path / "run" / "trials.csv")] == ["pomdp"]
+
+    def test_corrupt_cache_file_is_resolved(self, tmp_path, monkeypatch, capsys):
+        from crosswalk_sim.config import load_config
+        from crosswalk_sim.pomdp import policy_cache_path
+
+        monkeypatch.setenv("CWSIM_POMDP__CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("CWSIM_POMDP__N_D_BINS", "11")
+        path = policy_cache_path(tmp_path / "cache", load_config().pomdp_model())
+        path.parent.mkdir()
+        path.write_bytes(b"not a policy")
+        rc = main(["simulate", "--controller", "pomdp", "--sweep", "4:1:4",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert "pomdp policy: solved" in capsys.readouterr().out
 
 
 class TestCompare:
@@ -216,9 +239,9 @@ class TestReplay:
 
 class TestSolvePomdp:
     def test_export(self, tmp_path):
-        export = tmp_path / "table.csv"
-        rc = main(["solve-pomdp", "--export", str(export)])
-        assert rc == 0
-        with open(export, newline="") as f:
-            header = f.readline().strip()
-        assert header == "state_index,action_index,q_value"
+        for export in (tmp_path / "table.csv", tmp_path / "newdir" / "table.csv"):
+            rc = main(["solve-pomdp", "--export", str(export)])
+            assert rc == 0
+            with open(export, newline="") as f:
+                header = f.readline().strip()
+            assert header == "state_index,action_index,q_value"

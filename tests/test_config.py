@@ -9,7 +9,7 @@ from crosswalk_sim.config import (
     resolved_ini,
     write_config_echo,
 )
-from crosswalk_sim.simulator import ControllerKind, Lane
+from crosswalk_sim.simulator import Lane
 
 
 class TestDefaults:
@@ -35,7 +35,7 @@ class TestDefaults:
         cfg = load_config(env={})
         sc = cfg.scenario()
         assert sc.lane is Lane.A
-        assert sc.controller_kind is ControllerKind.HYBRID
+        assert cfg.run["controller"] == "hybrid"
         assert sc.initial_d == 50.0
         assert sc.initial_v == 4.5  # falls back to the speed limit
         assert sc.dt == 0.05 and sc.max_sim_time == 60.0
@@ -101,6 +101,16 @@ class TestFileAndOverrides:
             path=path, env={}, cli_overrides={"run": {"seed": 9, "lane": None}}
         )
         assert cfg.run["seed"] == 9
+
+    @pytest.mark.parametrize("flags", [{"run": {"trials": "many"}}, {"run": {"wheels": 4}},
+                                       {"steering": {"gain": 1}}])
+    def test_cli_override_checked(self, flags):
+        with pytest.raises(ConfigError):
+            load_config(env={}, cli_overrides=flags)
+
+    def test_cli_override_coerced(self):
+        cfg = load_config(env={}, cli_overrides={"run": {"trials": "12", "initial_d": 40}})
+        assert cfg.run["trials"] == 12 and cfg.run["initial_d"] == 40.0
 
     def test_shipped_experiment_preset_file_matches(self, tmp_path):
         from pathlib import Path

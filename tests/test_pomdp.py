@@ -198,3 +198,28 @@ class TestSerialization:
         path = tmp_path / "policy.npz"
         save_policy(path, pomdp_model, QTable(q=solved_policy.q[:-1]))
         assert load_policy(path, pomdp_model) is None
+
+    def test_garbage_file_is_a_miss(self, tmp_path, pomdp_model):
+        path = tmp_path / "policy.npz"
+        path.write_bytes(b"\x00garbage" * 50)
+        assert load_policy(path, pomdp_model) is None
+
+    def test_truncated_file_is_a_miss(self, tmp_path, pomdp_model, solved_policy):
+        path = tmp_path / "policy.npz"
+        save_policy(path, pomdp_model, solved_policy)
+        path.write_bytes(path.read_bytes()[:200])
+        assert load_policy(path, pomdp_model) is None
+
+    def test_save_leaves_only_the_policy(self, tmp_path, pomdp_model, solved_policy):
+        save_policy(tmp_path / "policy.npz", pomdp_model, solved_policy)
+        assert [p.name for p in tmp_path.iterdir()] == ["policy.npz"]
+
+    def test_key_covers_model_internals(self, monkeypatch, params, geometry, gap_model, pomdp_model):
+        import crosswalk_sim.pomdp as pomdp
+
+        real_cdf = pomdp._normal_cdf
+        monkeypatch.setattr(pomdp, "_normal_cdf", lambda z: real_cdf(1.1 * z))
+        changed = PomdpModel(params, geometry, gap_model)
+        assert changed.cache_key != pomdp_model.cache_key
+        monkeypatch.undo()
+        assert PomdpModel(params, geometry, gap_model).cache_key == pomdp_model.cache_key
