@@ -55,7 +55,6 @@ METRIC_COLUMNS = {
 METHODS = ("hybrid", "pomdp")
 
 SUMMARY_BIN = 0.5
-SUMMARY_RANGE = (0.0, 10.0)
 
 
 def _fmt(x: float) -> str:
@@ -86,10 +85,11 @@ def trial_row(trial_id: int, method: str, scenario: Scenario, result: TrialResul
 
 
 def write_summary_csv(path: Path, rows: list[dict]) -> None:
-    """Per-gap-bin aggregates of a trials table."""
-    lo, hi = SUMMARY_RANGE
-    n_bins = int(round((hi - lo) / SUMMARY_BIN))
-    methods = sorted({r["method"] for r in rows})
+    """Per-gap-bin aggregates of a trials table, one row per populated bin."""
+    bins: dict[tuple[str, int], list[dict]] = {}
+    for r in rows:
+        b = int(float(r["accepted_gap_s"]) // SUMMARY_BIN)
+        bins.setdefault((r["method"], b), []).append(r)
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(
@@ -97,27 +97,19 @@ def write_summary_csv(path: Path, rows: list[dict]) -> None:
              "mean_min_distance_m", "mean_avg_velocity_mps",
              "mean_peak_accel_mps2", "max_peak_accel_mps2", "collisions"]
         )
-        for method in methods:
-            for b in range(n_bins):
-                b_lo, b_hi = lo + b * SUMMARY_BIN, lo + (b + 1) * SUMMARY_BIN
-                sel = [
-                    r for r in rows
-                    if r["method"] == method and b_lo <= float(r["accepted_gap_s"]) < b_hi
-                ]
-                if not sel:
-                    continue
-                n = len(sel)
+        for (method, b), sel in sorted(bins.items()):
+            n = len(sel)
 
-                def mean(key: str) -> float:
-                    return sum(float(r[key]) for r in sel) / n
+            def mean(key: str) -> float:
+                return sum(float(r[key]) for r in sel) / n
 
-                writer.writerow(
-                    [method, _fmt(b_lo), _fmt(b_hi), n,
-                     _fmt(mean("min_distance_m")), _fmt(mean("avg_velocity_mps")),
-                     _fmt(mean("peak_accel_mps2")),
-                     _fmt(max(float(r["peak_accel_mps2"]) for r in sel)),
-                     sum(r["collision"] == "true" for r in sel)]
-                )
+            writer.writerow(
+                [method, _fmt(b * SUMMARY_BIN), _fmt((b + 1) * SUMMARY_BIN), n,
+                 _fmt(mean("min_distance_m")), _fmt(mean("avg_velocity_mps")),
+                 _fmt(mean("peak_accel_mps2")),
+                 _fmt(max(float(r["peak_accel_mps2"]) for r in sel)),
+                 sum(r["collision"] == "true" for r in sel)]
+            )
 
 
 # Trial results keyed by (side, lane, method), in run order.

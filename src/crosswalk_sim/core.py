@@ -14,13 +14,34 @@ Coordinate conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 
 
 class EntrySide(Enum):
     NEAR = "near"
     FAR = "far"
+
+
+def require_finite(**values: object) -> None:
+    """Raise ``ValueError`` naming the first NaN or infinite number among ``values``.
+
+    Tuple values are checked item by item; values that are not floats pass.
+    """
+    for name, value in values.items():
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_finite_fields(record: object) -> None:
+    """``require_finite`` over the fields of dataclass ``record``.
+
+    Fields are read with ``getattr``: ``vars(record)`` would materialize the
+    instance dict, which slows every later attribute read on the hot path.
+    """
+    require_finite(**{f.name: getattr(record, f.name) for f in fields(record)})
 
 
 def comfort_brake_distance(v: float, a_cmf: float) -> float:
@@ -55,6 +76,7 @@ class WorldGeometry:
     crosswalk_depth: float = 3.0
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.n_lanes < 1:
             raise ValueError("need at least one lane")
         if self.lane_width <= 0.0:
@@ -133,6 +155,7 @@ class ControllerParams:
     tau_max: float = 4.0
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if not 0.0 < self.a_cmf < self.a_max:
             raise ValueError("need 0 < a_cmf < a_max")
         if self.k_s <= 0.0:

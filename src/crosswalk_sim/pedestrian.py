@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import EntrySide, PedestrianState, VehicleState, WorldGeometry
+from .core import EntrySide, PedestrianState, VehicleState, WorldGeometry, require_finite_fields
 
 
 class Phase(Enum):
@@ -46,6 +46,7 @@ class GapAcceptanceModel:
     far_setback: float = 0.25
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.sigma_gap <= 0.0:
             raise ValueError("sigma_gap must be positive")
         if not 0.0 < self.min_gap < self.mu_gap:

@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ControllerParams, PedestrianState, VehicleState, WorldGeometry
+from .core import (ControllerParams, PedestrianState, VehicleState, WorldGeometry, require_finite,
+                   require_finite_fields)
 from .hybrid import in_crosswalk
 from .pedestrian import GapAcceptanceModel
 
@@ -44,6 +45,9 @@ class RewardWeights:
     w_safety: float = 50.0
     w_efficient: float = 1.0
     w_smooth: float = 2.0
+
+    def __post_init__(self) -> None:
+        require_finite_fields(self)
 
     def scaled(self, factor: float) -> "RewardWeights":
         return RewardWeights(
@@ -70,6 +74,7 @@ class PomdpModel:
         d_range: tuple[float, float] = (-5.0, 45.0),
         actions: tuple[float, ...] = (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0),
     ):
+        require_finite(dt=dt, discount=discount, d_range=d_range, actions=actions)
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         if not 0.0 <= discount < 1.0:
@@ -179,24 +184,13 @@ class PomdpModel:
         r = np.stack([r_nc, r_c], axis=1)  # c axis sits after v
         self.reward_table = r.reshape(self.n_states, na).copy()
 
-        # Next-state index tables for c'=0 and c'=1 and P(c'=1).
-        s_v = self._v_next_idx[:, None, :, None, :]  # v,c,d,ap,a
-        s_d = self._d_next_idx[:, None, :, None, :]
-        aa_idx = np.arange(na)[None, None, None, None, :]
-        flat0 = self.state_index(s_v, 0, s_d, aa_idx)
-        flat1 = self.state_index(s_v, 1, s_d, aa_idx)
-        shape = (nv, 2, nd, na, na)
-        self._ns0 = np.broadcast_to(flat0, shape).reshape(self.n_states, na).copy()
-        self._ns1 = np.broadcast_to(flat1, shape).reshape(self.n_states, na).copy()
-
-        entry = self._entry_p[:, None, :, None, :]  # from c=0
-        exit_ = np.full_like(entry, self.crossing_exit_prob)
-        p_c1 = np.concatenate(
-            [np.broadcast_to(entry, (nv, 1, nd, na, na)),
-             np.broadcast_to(1.0 - exit_, (nv, 1, nd, na, na))],
-            axis=1,
+        # The kernel, once, on the axes it depends on (none is a_prev): next-state
+        # indices for c'=0/1 over (v, d, a), and P(c'=1) over (v, c, d, a).
+        self._ns0 = self.state_index(self._v_next_idx, 0, self._d_next_idx, np.arange(na))
+        self._ns1 = self._ns0 + nd * na
+        self._p_c1 = np.stack(
+            [self._entry_p, np.full_like(self._entry_p, 1.0 - self.crossing_exit_prob)], axis=1
         )
-        self._p_c1 = p_c1.reshape(self.n_states, na).copy()
 
         # The key covers everything `qmdp_solve` reads, so any change to the
         # model, reward shapes included, selects a different cached policy.
@@ -227,21 +221,27 @@ def qmdp_solve(model: PomdpModel, tol: float = 1e-6, max_iters: int = 5000) -> Q
     Raises ``ConvergenceError`` carrying the final residual if the budget
     runs out first.
     """
-    r = model.reward_table
+    na = model.n_actions
+    r = model.reward_table.reshape(-1, na, na)  # (v·c·d, a_prev, a)
+    p_c0 = 1.0 - model._p_c1
     gamma = model.discount
+    # Reused buffers: fresh (S, A) temporaries re-fault trimmed heap pages each sweep (~20% slower).
     q = np.zeros_like(r)
+    q_new = np.empty_like(r)
+    diff = np.empty_like(r)
     residuals: list[float] = []
     for _ in range(max_iters):
-        v = q.max(axis=1)
-        q_new = r + gamma * ((1.0 - model._p_c1) * v[model._ns0] + model._p_c1 * v[model._ns1])
-        residual = float(np.max(np.abs(q_new - q)))
+        v = q.max(axis=2).ravel()
+        cont = p_c0 * v[model._ns0][:, None] + model._p_c1 * v[model._ns1][:, None]
+        np.add(r, (gamma * cont).reshape(-1, 1, na), out=q_new)
+        np.abs(np.subtract(q_new, q, out=diff), out=diff)
+        residual = float(diff.max())
         residuals.append(residual)
-        q = q_new
+        q, q_new = q_new, q
         if residual < tol:
-            table = QTable(q=q, residuals=residuals)
             if not np.all(np.isfinite(q)):
                 raise ConvergenceError(residual, len(residuals))
-            return table
+            return QTable(q=q.reshape(model.n_states, na), residuals=residuals)
     raise ConvergenceError(residuals[-1], max_iters)
 
 
@@ -328,17 +328,14 @@ def policy_cache_path(cache_dir: Path, model: PomdpModel) -> Path:
     return Path(cache_dir) / f"pomdp_policy_{model.cache_key}.npz"
 
 
-def solve_or_load(model: PomdpModel, cache_dir: Optional[Path] = None,
-                  tol: float = 1e-6, max_iters: int = 5000) -> QTable:
+def solve_or_load(model: PomdpModel, cache_dir: Path, tol: float) -> QTable:
     """The cached policy for ``model``, else a fresh solve (the only kind with ``residuals``)."""
-    if cache_dir is not None:
-        path = policy_cache_path(cache_dir, model)
-        cached = load_policy(path, model)
-        if cached is not None:
-            return cached
-    table = qmdp_solve(model, tol=tol, max_iters=max_iters)
-    if cache_dir is not None:
-        save_policy(policy_cache_path(cache_dir, model), model, table)
+    path = policy_cache_path(cache_dir, model)
+    cached = load_policy(path, model)
+    if cached is not None:
+        return cached
+    table = qmdp_solve(model, tol=tol)
+    save_policy(path, model, table)
     return table
 
 

@@ -22,6 +22,7 @@ from .core import (
     PedestrianState,
     VehicleState,
     WorldGeometry,
+    require_finite_fields,
 )
 from .hybrid import HybridController
 from .pedestrian import GapAcceptanceModel, PedestrianAgent, Phase, pedestrian_tick, sample_accepted_gap
@@ -61,6 +62,7 @@ class Scenario:
     collision_radius: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite_fields(self)
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.max_sim_time <= 0.0:

@@ -41,6 +41,13 @@ class TestSimulate:
         assert (out / "summary.csv").exists()
         assert (out / "resolved_config.ini").exists()
 
+    def test_summary_counts_every_trial(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--sweep", "8:0.5:12", "--out", str(out)]) == 0
+        summary = read_rows(out / "summary.csv")
+        assert sum(int(r["n_trials"]) for r in summary) == len(read_rows(out / "trials.csv")) == 9
+        assert [r["gap_bin_lo_s"] for r in summary][-3:] == ["11", "11.5", "12"]
+
     def test_trials_run(self, tmp_path):
         out = tmp_path / "run"
         rc = main(
@@ -86,6 +93,7 @@ class TestSimulate:
             ("CWSIM_RUN__TRIALS", "0", ["simulate"]),
             (None, None, ["simulate", "--trials", "0"]),
             (None, None, ["simulate", "--trials", "3", "--seed", "-1"]),
+            ("CWSIM_POMDP__ACTIONS", "nan,0", ["solve-pomdp"]),
         ],
     )
     def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):

@@ -9,7 +9,10 @@ from crosswalk_sim.config import (
     resolved_ini,
     write_config_echo,
 )
-from crosswalk_sim.simulator import Lane
+from crosswalk_sim.core import ControllerParams, WorldGeometry
+from crosswalk_sim.pedestrian import GapAcceptanceModel
+from crosswalk_sim.pomdp import PomdpModel
+from crosswalk_sim.simulator import Lane, Scenario
 
 
 class TestDefaults:
@@ -50,6 +53,17 @@ class TestDefaults:
         assert cfg.pedestrian["max_trigger_gap"] == 10.0
         sc = cfg.scenario()
         assert sc.initial_v == 7.0
+
+    def test_config_defaults_match_dataclass_defaults(self):
+        # The acceptance suite builds its fixtures from the dataclass defaults
+        # while the CLI runs DEFAULTS; both must describe the same world.
+        cfg = load_config(env={})
+        params, geometry, gap_model = ControllerParams(), WorldGeometry(), GapAcceptanceModel()
+        assert cfg.geometry() == geometry
+        assert cfg.controller_params() == params
+        assert cfg.gap_model() == gap_model
+        assert cfg.scenario() == Scenario(geometry, params, gap_model)
+        assert cfg.pomdp_model().cache_key == PomdpModel(params, geometry, gap_model).cache_key
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from crosswalk_sim.core import (
     comfort_brake_distance,
     max_brake_distance,
 )
+from crosswalk_sim.pedestrian import GapAcceptanceModel
+from crosswalk_sim.pomdp import PomdpModel, RewardWeights
+from crosswalk_sim.simulator import Scenario
 
 
 class TestBrakeDistances:
@@ -111,3 +116,35 @@ class TestPedestrianState:
 def test_operations_are_pure():
     assert comfort_brake_distance(3.3, 2.0) == comfort_brake_distance(3.3, 2.0)
     assert max_brake_distance(3.3, 9.0) == max_brake_distance(3.3, 9.0)
+
+
+def _scenario(**kwargs):
+    return Scenario(WorldGeometry(), ControllerParams(), GapAcceptanceModel(), **kwargs)
+
+
+def _pomdp_model(**kwargs):
+    return PomdpModel(ControllerParams(), WorldGeometry(), GapAcceptanceModel(), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "build,kwargs",
+    [
+        (ControllerParams, dict(k_s=math.nan)),
+        (ControllerParams, dict(tau_max=math.nan)),
+        (ControllerParams, dict(v_speedlimit=math.nan)),
+        (ControllerParams, dict(a_max=math.inf)),
+        (WorldGeometry, dict(delta=math.nan)),
+        (GapAcceptanceModel, dict(walk_speed=math.nan)),
+        (GapAcceptanceModel, dict(max_trigger_gap=math.inf)),
+        (RewardWeights, dict(w_safety=math.nan)),
+        (_scenario, dict(initial_d=math.nan)),
+        (_scenario, dict(initial_v=-math.inf)),
+        (_pomdp_model, dict(dt=math.nan)),
+        (_pomdp_model, dict(d_range=(-5.0, math.inf))),
+        (_pomdp_model, dict(actions=(math.nan, 0.0))),
+    ],
+)
+def test_non_finite_rejected(build, kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        build(**kwargs)

@@ -128,6 +128,35 @@ class TestSolver:
         g2 = greedy_action_table(m2, qmdp_solve(m2))
         assert np.array_equal(g1, g2)
 
+    def test_matches_dense_reference(self, params, geometry, gap_model):
+        # Oracle: the plain update on the kernel broadcast to (S, A) tables.
+        m = small_model(params, geometry, gap_model)
+        nv, nd, na = len(m.v_grid), len(m.d_grid), len(m.a_grid)
+        full = (nv, 2, nd, na, na)  # v, c, d, a_prev, a
+        s_v = m._v_next_idx[:, None, :, None, :]
+        s_d = m._d_next_idx[:, None, :, None, :]
+        a = np.arange(na)
+        ns0 = np.broadcast_to(m.state_index(s_v, 0, s_d, a), full).reshape(m.n_states, na)
+        ns1 = np.broadcast_to(m.state_index(s_v, 1, s_d, a), full).reshape(m.n_states, na)
+        block = (nv, 1, nd, na, na)
+        p1 = np.concatenate(
+            [np.broadcast_to(m._entry_p[:, None, :, None, :], block),
+             np.broadcast_to(1.0 - m.crossing_exit_prob, block)],
+            axis=1,
+        ).reshape(m.n_states, na)
+
+        q = np.zeros_like(m.reward_table)
+        residuals = [np.inf]
+        while residuals[-1] >= 1e-6:
+            v = q.max(axis=1)
+            q_new = m.reward_table + m.discount * ((1.0 - p1) * v[ns0] + p1 * v[ns1])
+            residuals.append(float(np.max(np.abs(q_new - q))))
+            q = q_new
+
+        table = qmdp_solve(m, tol=1e-6)
+        assert np.array_equal(table.q, q)
+        assert table.residuals == residuals[1:]
+
     def test_actions_within_limits(self, pomdp_model, params):
         assert pomdp_model.a_grid.min() >= -params.a_max
         assert pomdp_model.a_grid.max() <= params.a_cmf
