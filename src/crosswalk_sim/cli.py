@@ -9,7 +9,8 @@ Verbs:
 * ``solve-pomdp``  pre-solve and cache the baseline policy
 
 Exit status is 0 only when the run completed with zero collisions and zero
-timeouts; configuration errors exit 2.
+timeouts; bad input of any kind is a configuration error, which ``main``
+reports as one ``config error:`` line before exiting 2.
 """
 
 from __future__ import annotations
@@ -28,10 +29,19 @@ from .config import (
     load_config,
     write_config_echo,
 )
+from .hybrid import HybridController
 from .pomdp import (PomdpController, PomdpModel, QTable, export_policy_csv,
                     policy_cache_path, solve_or_load)
-from .simulator import Scenario, TrialResult, run_batch, run_trial
+from .simulator import Controller, Scenario, TrialResult, run_batch, run_trial
 from .svgplot import scatter_svg
+
+# The per-trial metrics, in column order: TrialResult attribute -> (trials.csv
+# column, plot axis label). Every table that lists the metrics follows this one.
+METRIC_COLUMNS = {
+    "min_distance": ("min_distance_m", "closest vehicle-pedestrian distance (m)"),
+    "avg_velocity": ("avg_velocity_mps", "average vehicle velocity (m/s)"),
+    "peak_accel": ("peak_accel_mps2", "peak |acceleration| (m/s^2)"),
+}
 
 TRIALS_HEADER = [
     "trial_id",
@@ -39,18 +49,10 @@ TRIALS_HEADER = [
     "lane",
     "entry_side",
     "accepted_gap_s",
-    "min_distance_m",
-    "avg_velocity_mps",
-    "peak_accel_mps2",
+    *(column for column, _ in METRIC_COLUMNS.values()),
     "collision",
     "final_mode_sequence",
 ]
-
-METRIC_COLUMNS = {
-    "min_distance": ("min_distance_m", "closest vehicle-pedestrian distance (m)"),
-    "avg_velocity": ("avg_velocity_mps", "average vehicle velocity (m/s)"),
-    "peak_accel": ("peak_accel_mps2", "peak |acceleration| (m/s^2)"),
-}
 
 METHODS = ("hybrid", "pomdp")
 
@@ -76,9 +78,7 @@ def trial_row(trial_id: int, method: str, scenario: Scenario, result: TrialResul
         "lane": scenario.lane.value,
         "entry_side": scenario.entry_side.value,
         "accepted_gap_s": _fmt(result.accepted_gap),
-        "min_distance_m": _fmt(result.min_distance),
-        "avg_velocity_mps": _fmt(result.avg_velocity),
-        "peak_accel_mps2": _fmt(result.peak_accel),
+        **{column: _fmt(getattr(result, metric)) for metric, (column, _) in METRIC_COLUMNS.items()},
         "collision": str(result.collision).lower(),
         "final_mode_sequence": result.mode_sequence(),
     }
@@ -86,28 +86,22 @@ def trial_row(trial_id: int, method: str, scenario: Scenario, result: TrialResul
 
 def write_summary_csv(path: Path, rows: list[dict]) -> None:
     """Per-gap-bin aggregates of a trials table, one row per populated bin."""
+    columns = [column for column, _ in METRIC_COLUMNS.values()]
+    peak = METRIC_COLUMNS["peak_accel"][0]
     bins: dict[tuple[str, int], list[dict]] = {}
     for r in rows:
         b = int(float(r["accepted_gap_s"]) // SUMMARY_BIN)
         bins.setdefault((r["method"], b), []).append(r)
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(
-            ["method", "gap_bin_lo_s", "gap_bin_hi_s", "n_trials",
-             "mean_min_distance_m", "mean_avg_velocity_mps",
-             "mean_peak_accel_mps2", "max_peak_accel_mps2", "collisions"]
-        )
+        writer.writerow(["method", "gap_bin_lo_s", "gap_bin_hi_s", "n_trials",
+                         *(f"mean_{c}" for c in columns), "max_peak_accel_mps2", "collisions"])
         for (method, b), sel in sorted(bins.items()):
             n = len(sel)
-
-            def mean(key: str) -> float:
-                return sum(float(r[key]) for r in sel) / n
-
             writer.writerow(
                 [method, _fmt(b * SUMMARY_BIN), _fmt((b + 1) * SUMMARY_BIN), n,
-                 _fmt(mean("min_distance_m")), _fmt(mean("avg_velocity_mps")),
-                 _fmt(mean("peak_accel_mps2")),
-                 _fmt(max(float(r["peak_accel_mps2"]) for r in sel)),
+                 *(_fmt(sum(float(r[c]) for r in sel) / n) for c in columns),
+                 _fmt(max(float(r[peak]) for r in sel)),
                  sum(r["collision"] == "true" for r in sel)]
             )
 
@@ -122,6 +116,24 @@ def _policy(config: RunConfig) -> tuple[PomdpModel, QTable]:
     return model, table
 
 
+def _controller(config: RunConfig, method: str, scenario: Scenario) -> tuple[str, Controller]:
+    """The method's canonical name and the one controller a run uses for it.
+
+    ``run_trial`` resets the controller before each trial, so a single
+    instance serves every trial and quadrant of the run.
+    """
+    method = method.lower()
+    if method == "hybrid":
+        return method, HybridController(scenario.params, scenario.geometry, dt=scenario.dt)
+    if method == "pomdp":
+        model, table = _policy(config)
+        n_sweeps = len(table.residuals)  # 0 for a table loaded from the cache
+        origin = f"solved ({n_sweeps} iterations)" if n_sweeps else "cache"
+        print(f"pomdp policy: {origin}, key={model.cache_key}")
+        return method, PomdpController(model, table, sim_dt=scenario.dt)
+    raise ConfigError(f"run.controller must be one of {', '.join(METHODS)}, got {method!r}")
+
+
 def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Sequence[str],
          out_dir: Path) -> Batches:
     """Run every method on every (side, lane) quadrant and write the trial tables.
@@ -132,25 +144,15 @@ def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Seque
     if sweep is None and config.run["trials"] < 1:
         raise ConfigError(f"run.trials must be >= 1, got {config.run['trials']}")
     batch_args = {"gap_sweep": sweep} if sweep is not None else {"n_trials": config.run["trials"]}
+    scenarios = [config.scenario(lane=lane, side=side) for side, lane in quadrants]
+    controllers = dict(_controller(config, method, scenarios[0]) for method in methods)
     write_config_echo(config, out_dir)
 
-    pomdp: Optional[PomdpController] = None
     batches: Batches = {}
     rows: list[dict] = []
-    for side, lane in quadrants:
-        scenario = config.scenario(lane=lane, side=side)
-        for method in methods:
-            if method == "pomdp" and pomdp is None:
-                model, table = _policy(config)
-                n_sweeps = len(table.residuals)  # 0 for a table loaded from the cache
-                origin = f"solved ({n_sweeps} iterations)" if n_sweeps else "cache"
-                print(f"pomdp policy: {origin}, key={model.cache_key}")
-                pomdp = PomdpController(model, table, sim_dt=scenario.dt)
-            results = run_batch(
-                scenario,
-                controller_factory=(lambda: pomdp) if method == "pomdp" else None,
-                **batch_args,
-            )
+    for (side, lane), scenario in zip(quadrants, scenarios):
+        for method, controller in controllers.items():
+            results = run_batch(scenario, controller_factory=lambda: controller, **batch_args)
             batches[side, lane, method] = results
             for r in results:
                 rows.append(trial_row(len(rows), method, scenario, r))
@@ -176,11 +178,9 @@ def _finish(batches: Batches, out_dir: Path) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    method = config.run["controller"].lower()
-    if method not in METHODS:
-        raise ConfigError(f"run.controller must be one of {', '.join(METHODS)}, got {method!r}")
     out_dir = Path(config.run["out_dir"])
-    batches = _run(config, [(config.run["side"], config.run["lane"])], [method], out_dir)
+    quadrant = (config.run["side"], config.run["lane"])
+    batches = _run(config, [quadrant], [config.run["controller"]], out_dir)
     return _finish(batches, out_dir)
 
 
@@ -196,7 +196,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             writer.writerow(["panel", "lane", "metric", "accepted_gap_s", "hybrid", "pomdp"])
             for lane in ("A", "B"):
                 for h, p in zip(batches[side, lane, "hybrid"], batches[side, lane, "pomdp"]):
-                    for metric in ("min_distance", "avg_velocity", "peak_accel"):
+                    for metric in METRIC_COLUMNS:
                         writer.writerow(
                             [f"{metric}_lane_{lane}", lane, metric, _fmt(h.accepted_gap),
                              _fmt(getattr(h, metric)), _fmt(getattr(p, metric))]
@@ -213,20 +213,16 @@ def cmd_plot(args: argparse.Namespace) -> int:
     column, label = METRIC_COLUMNS[args.metric]
     try:
         with open(csv_in, encoding="utf-8", newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None or column not in reader.fieldnames:
-                print(f"error: {csv_in} lacks column {column}", file=sys.stderr)
-                return 2
             points = [
                 (row["method"], float(row["accepted_gap_s"]), float(row[column]))
-                for row in reader
+                for row in csv.DictReader(f)
             ]
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read {csv_in}: {exc}", file=sys.stderr)
-        return 2
+    except KeyError as exc:
+        raise ConfigError(f"{csv_in} lacks column {exc}") from exc
+    except (OSError, ValueError, TypeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {csv_in}: {exc}") from exc
     if not points:
-        print(f"error: {csv_in} has no trials", file=sys.stderr)
-        return 2
+        raise ConfigError(f"{csv_in} has no trials")
     svg = scatter_svg(points, "pedestrian accepted gap (s)", label, title=args.title or "")
     out = Path(args.out_svg)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -237,22 +233,20 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    if args.trial is not None:
+        if args.preset != "experiment":
+            raise ConfigError("--trial requires --preset experiment")
+        gap, side, expected = EXPERIMENT_TRIALS[args.trial - 1]
+    elif args.gap is None:
+        raise ConfigError("need --gap or --trial")
+    else:
+        gap, side, expected = config.accepted_gap(args.gap), config.run["side"], None
+    scenario = config.scenario(side=side)
+    _, controller = _controller(config, config.run["controller"], scenario)
     out_dir = Path(config.run["out_dir"])
     write_config_echo(config, out_dir)
 
-    if args.trial is not None:
-        if args.preset != "experiment":
-            print("error: --trial requires --preset experiment", file=sys.stderr)
-            return 2
-        gap, side, expected = EXPERIMENT_TRIALS[args.trial - 1]
-    else:
-        if args.gap is None:
-            print("error: need --gap or --trial", file=sys.stderr)
-            return 2
-        gap, side, expected = args.gap, config.run["side"], None
-
-    scenario = config.scenario(side=side)
-    result = run_trial(scenario, accepted_gap_override=gap, record_trace=True)
+    result = run_trial(scenario, accepted_gap_override=gap, controller=controller, record_trace=True)
 
     trace_path = out_dir / "trace.csv"
     with open(trace_path, "w", encoding="utf-8", newline="") as f:
@@ -307,25 +301,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def config_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
+
+    def run_flags(p: argparse.ArgumentParser) -> None:
+        config_flags(p)
         p.add_argument("--lane", choices=["A", "B"])
         p.add_argument("--side", choices=["near", "far"])
         p.add_argument("--seed", type=int)
         p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
 
+    def batch_flags(p: argparse.ArgumentParser) -> None:
+        run_flags(p)
+        p.add_argument("--trials", type=int)
+        p.add_argument("--sweep", help="deterministic gap sweep LO:STEP:HI")
+
     p_sim = sub.add_parser("simulate", help="run one scenario batch")
-    common(p_sim)
+    batch_flags(p_sim)
     p_sim.add_argument("--controller", choices=METHODS)
-    p_sim.add_argument("--trials", type=int)
-    p_sim.add_argument("--sweep", help="deterministic gap sweep LO:STEP:HI")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="both controllers, all four quadrants")
-    common(p_cmp)
-    p_cmp.add_argument("--trials", type=int)
-    p_cmp.add_argument("--sweep", help="deterministic gap sweep LO:STEP:HI")
+    batch_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_plot = sub.add_parser("plot", help="scatter plot from a trials CSV")
@@ -336,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.set_defaults(func=cmd_plot)
 
     p_rep = sub.add_parser("replay", help="single trial with a fixed accepted gap")
-    common(p_rep)
+    run_flags(p_rep)
     p_rep.add_argument("--gap", type=float, help="accepted gap in seconds")
     p_rep.add_argument(
         "--trial", type=int, choices=range(1, len(EXPERIMENT_TRIALS) + 1),
@@ -345,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=cmd_replay)
 
     p_solve = sub.add_parser("solve-pomdp", help="pre-solve and cache the baseline policy")
-    p_solve.add_argument("--config", help="INI config file")
-    p_solve.add_argument("--preset", choices=sorted(PRESETS))
+    config_flags(p_solve)
     p_solve.add_argument("--export", help="also export a flat CSV Q-table")
     p_solve.set_defaults(func=cmd_solve_pomdp)
 

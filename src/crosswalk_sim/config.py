@@ -159,6 +159,8 @@ class RunConfig:
 
     def pomdp_model(self) -> PomdpModel:
         p = self.pomdp
+        if p["tol"] <= 0.0:
+            raise ConfigError(f"pomdp.tol must be positive, got {p['tol']!r}")
         try:
             actions = tuple(float(tok) for tok in str(p["actions"]).split(","))
             return PomdpModel(
@@ -213,7 +215,18 @@ class RunConfig:
             raise ConfigError(f"bad sweep spec {spec!r}, expected LO:STEP:HI") from exc
         if not all(map(math.isfinite, (lo, step, hi))) or step <= 0 or hi < lo:
             raise ConfigError(f"bad sweep spec {spec!r}")
-        return sweep_gaps(lo, step, hi)
+        gaps = sweep_gaps(lo, step, hi)
+        self.accepted_gap(gaps[0])
+        return gaps
+
+    def accepted_gap(self, gap: float) -> float:
+        """``gap`` if a pedestrian can accept it: finite and no shorter than
+        ``pedestrian.min_gap``, the floor the gap sampler applies."""
+        min_gap = self.pedestrian["min_gap"]
+        if not math.isfinite(gap) or gap < min_gap:
+            raise ConfigError(f"accepted gap {gap!r} s must be finite and >= pedestrian.min_gap "
+                              f"({min_gap!r} s)")
+        return gap
 
 
 def _coerce(section: str, key: str, raw: str) -> object:

@@ -67,6 +67,10 @@ class Scenario:
             raise ValueError("dt must be positive")
         if self.max_sim_time <= 0.0:
             raise ValueError("max_sim_time must be positive")
+        if self.t_delay_plant < 0.0:
+            raise ValueError("t_delay_plant must be non-negative")
+        if self.collision_radius <= 0.0:
+            raise ValueError("collision_radius must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         self.lane_center()  # raises for a lane the road does not have

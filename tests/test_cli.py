@@ -94,6 +94,16 @@ class TestSimulate:
             (None, None, ["simulate", "--trials", "0"]),
             (None, None, ["simulate", "--trials", "3", "--seed", "-1"]),
             ("CWSIM_POMDP__ACTIONS", "nan,0", ["solve-pomdp"]),
+            (None, None, ["replay", "--gap", "nan"]),
+            (None, None, ["replay", "--gap", "-3"]),
+            (None, None, ["replay", "--gap", "0.2"]),
+            (None, None, ["simulate", "--sweep=-2:0.5:0"]),
+            ("CWSIM_RUN__COLLISION_RADIUS", "-1", ["simulate", "--trials", "3"]),
+            ("CWSIM_RUN__T_DELAY_PLANT", "-1", ["simulate", "--trials", "3"]),
+            ("CWSIM_POMDP__TOL", "0", ["solve-pomdp"]),
+            ("CWSIM_RUN__CONTROLLER", "foo", ["replay", "--gap", "2.5"]),
+            (None, None, ["replay", "--trial", "1"]),
+            (None, None, ["replay"]),
         ],
     )
     def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):
@@ -103,6 +113,7 @@ class TestSimulate:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()  # rejected before any output is written
 
     def test_pomdp_controller_solves_and_caches(self, tmp_path, capsys):
         import os
@@ -218,6 +229,15 @@ class TestPlot:
         rc = main(["plot", str(bad), str(tmp_path / "x.svg")])
         assert rc == 2
 
+    @pytest.mark.parametrize("row", ["hybrid,1", "hybrid,1," + "9" * 200_000])
+    def test_unreadable_row_exits_2_with_one_line(self, tmp_path, capsys, row):
+        # A short row and a field past the csv module's size limit.
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"method,accepted_gap_s,min_distance_m\n{row}\n")
+        assert main(["plot", str(bad), str(tmp_path / "x.svg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read ") and err.count("\n") == 1
+
 
 class TestReplay:
     def test_trace_schema(self, tmp_path):
@@ -243,6 +263,12 @@ class TestReplay:
     def test_gap_required_without_trial(self, tmp_path):
         rc = main(["replay", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    def test_controller_is_honoured(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CWSIM_RUN__CONTROLLER", "pomdp")
+        out = tmp_path / "rep"
+        assert main(["replay", "--gap", "2.5", "--out", str(out)]) == 0
+        assert {r["mode"] for r in read_rows(out / "trace.csv")} == {"pomdp"}
 
 
 class TestSolvePomdp:

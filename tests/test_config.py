@@ -126,14 +126,6 @@ class TestFileAndOverrides:
         cfg = load_config(env={}, cli_overrides={"run": {"trials": "12", "initial_d": 40}})
         assert cfg.run["trials"] == 12 and cfg.run["initial_d"] == 40.0
 
-    def test_shipped_experiment_preset_file_matches(self, tmp_path):
-        from pathlib import Path
-
-        shipped = Path(__file__).resolve().parents[1] / "presets" / "experiment.ini"
-        cfg_file = load_config(path=shipped, env={})
-        cfg_preset = load_config(preset="experiment", env={})
-        assert cfg_file == cfg_preset
-
 
 class TestGeometryFactory:
     def test_full_span(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crosswalk_sim.core import EntrySide, PedestrianState, VehicleState
-from crosswalk_sim.hybrid import Mode
+from crosswalk_sim.hybrid import HybridController, Mode
 from crosswalk_sim.simulator import (
     Lane,
     Scenario,
@@ -185,6 +185,19 @@ class TestRunBatch:
         assert len(values) == 96
         rs = run_batch(sc, gap_sweep=values)
         assert [r.accepted_gap for r in rs] == values
+
+    @pytest.mark.parametrize("side", [EntrySide.NEAR, EntrySide.FAR])
+    @pytest.mark.parametrize("max_sim_time", [60.0, 5.0])
+    def test_reused_controller_matches_fresh(self, scenario_factory, params, geometry, side,
+                                             max_sim_time):
+        # The CLI runs every trial of a run on one controller, so reset() must
+        # restore all per-trial state, also after a trial that timed out mid-mode.
+        sc = scenario_factory(entry_side=side, max_sim_time=max_sim_time)
+        shared = HybridController(params, geometry, dt=sc.dt)
+        gaps = sweep_gaps(0.5, 0.25, 8.0)
+        assert run_batch(sc, gap_sweep=gaps, controller_factory=lambda: shared) == run_batch(
+            sc, gap_sweep=gaps
+        )
 
     def test_batch_argument_validation(self, scenario_factory):
         sc = scenario_factory()
