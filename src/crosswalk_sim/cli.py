@@ -236,6 +236,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.trial is not None:
         if args.preset != "experiment":
             raise ConfigError("--trial requires --preset experiment")
+        if args.gap is not None or args.side is not None:
+            raise ConfigError("--trial takes its gap and side from the script; omit --gap and --side")
         gap, side, expected = EXPERIMENT_TRIALS[args.trial - 1]
     elif args.gap is None:
         raise ConfigError("need --gap or --trial")

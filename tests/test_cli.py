@@ -104,6 +104,8 @@ class TestSimulate:
             ("CWSIM_RUN__CONTROLLER", "foo", ["replay", "--gap", "2.5"]),
             (None, None, ["replay", "--trial", "1"]),
             (None, None, ["replay"]),
+            (None, None, ["replay", "--preset", "experiment", "--trial", "1", "--gap", "9"]),
+            (None, None, ["replay", "--preset", "experiment", "--trial", "1", "--side", "far"]),
         ],
     )
     def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):

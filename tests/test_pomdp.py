@@ -128,9 +128,9 @@ class TestSolver:
         g2 = greedy_action_table(m2, qmdp_solve(m2))
         assert np.array_equal(g1, g2)
 
-    def test_matches_dense_reference(self, params, geometry, gap_model):
-        # Oracle: the plain update on the kernel broadcast to (S, A) tables.
-        m = small_model(params, geometry, gap_model)
+    @staticmethod
+    def dense_reference(m):
+        """The plain update on the kernel broadcast to (S, A) tables; returns (Q, residuals)."""
         nv, nd, na = len(m.v_grid), len(m.d_grid), len(m.a_grid)
         full = (nv, 2, nd, na, na)  # v, c, d, a_prev, a
         s_v = m._v_next_idx[:, None, :, None, :]
@@ -152,10 +152,25 @@ class TestSolver:
             q_new = m.reward_table + m.discount * ((1.0 - p1) * v[ns0] + p1 * v[ns1])
             residuals.append(float(np.max(np.abs(q_new - q))))
             q = q_new
+        return q, residuals[1:]
 
+    def test_matches_dense_reference(self, params, geometry, gap_model):
+        m = small_model(params, geometry, gap_model)
+        q, residuals = self.dense_reference(m)
         table = qmdp_solve(m, tol=1e-6)
         assert np.array_equal(table.q, q)
-        assert table.residuals == residuals[1:]
+        assert table.residuals == residuals
+
+    def test_matches_dense_reference_on_asymmetric_rewards(self, params, geometry, gap_model):
+        # The model's only action-pair term, -|a - a_prev|, is symmetric, so an
+        # (a, a_prev) mix-up would pass the case above; random rewards and a
+        # 4-action grid expose it and any hard-coded action count.
+        m = small_model(params, geometry, gap_model, actions=(-2.0, -1.0, 0.0, 1.0))
+        m.reward_table = np.random.default_rng(7).normal(size=(m.n_states, m.n_actions))
+        q, residuals = self.dense_reference(m)
+        table = qmdp_solve(m, tol=1e-6)
+        assert np.array_equal(table.q, q)
+        assert table.residuals == residuals
 
     def test_actions_within_limits(self, pomdp_model, params):
         assert pomdp_model.a_grid.min() >= -params.a_max
@@ -206,11 +221,17 @@ class TestPolicy:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path, pomdp_model, solved_policy):
+        # The cache, --export and greedy_action_table read q as C-contiguous (S, A) float64.
+        q = solved_policy.q
+        assert q.shape == (pomdp_model.n_states, pomdp_model.n_actions)
+        assert q.dtype == np.float64 and q.flags.c_contiguous
         path = tmp_path / "policy.npz"
         save_policy(path, pomdp_model, solved_policy)
         loaded = load_policy(path, pomdp_model)
         assert loaded is not None
-        assert np.array_equal(loaded.q, solved_policy.q)
+        assert np.array_equal(loaded.q, q)
+        assert np.array_equal(greedy_action_table(pomdp_model, loaded),
+                              greedy_action_table(pomdp_model, solved_policy))
 
     def test_key_mismatch_rejected(self, tmp_path, params, geometry, gap_model, pomdp_model, solved_policy):
         path = tmp_path / "policy.npz"
