@@ -29,6 +29,7 @@ from .config import (
     load_config,
     write_config_echo,
 )
+from .core import whole_ticks
 from .hybrid import HybridController
 from .pomdp import (PomdpController, PomdpModel, QTable, export_policy_csv,
                     policy_cache_path, solve_or_load)
@@ -119,13 +120,18 @@ def _policy(config: RunConfig) -> tuple[PomdpModel, QTable]:
 def _controller(config: RunConfig, method: str, scenario: Scenario) -> tuple[str, Controller]:
     """The method's canonical name and the one controller a run uses for it.
 
-    ``run_trial`` resets the controller before each trial, so a single
-    instance serves every trial and quadrant of the run.
+    ``run_trial`` resets the controller before each trial and ``run_batch``
+    keeps per-trial state in its own arrays, so a single instance serves
+    every trial and quadrant of the run.
     """
     method = method.lower()
     if method == "hybrid":
         return method, HybridController(scenario.params, scenario.geometry, dt=scenario.dt)
     if method == "pomdp":
+        try:  # before the policy is solved, so a rejected run writes no cache file
+            whole_ticks(config.pomdp["dt"], scenario.dt, "pomdp.dt")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         model, table = _policy(config)
         n_sweeps = len(table.residuals)  # 0 for a table loaded from the cache
         origin = f"solved ({n_sweeps} iterations)" if n_sweeps else "cache"
@@ -152,7 +158,7 @@ def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Seque
     rows: list[dict] = []
     for (side, lane), scenario in zip(quadrants, scenarios):
         for method, controller in controllers.items():
-            results = run_batch(scenario, controller_factory=lambda: controller, **batch_args)
+            results = run_batch(scenario, controller=controller, **batch_args)
             batches[side, lane, method] = results
             for r in results:
                 rows.append(trial_row(len(rows), method, scenario, r))

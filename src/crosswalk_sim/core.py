@@ -44,6 +44,16 @@ def require_finite_fields(record: object) -> None:
     require_finite(**{f.name: getattr(record, f.name) for f in fields(record)})
 
 
+def whole_ticks(duration: float, dt: float, name: str) -> int:
+    """``duration / dt`` as an int; ``ValueError`` naming ``name`` unless the
+    ratio lies within 1e-9 of a whole number, so no duration is rounded silently."""
+    ratio = duration / dt
+    n = round(ratio)
+    if abs(ratio - n) > 1e-9:
+        raise ValueError(f"{name} = {duration!r} s is not a whole number of {dt!r} s ticks")
+    return n
+
+
 def comfort_brake_distance(v: float, a_cmf: float) -> float:
     """Distance needed to stop from speed ``v`` at the comfortable deceleration."""
     if a_cmf <= 0.0:

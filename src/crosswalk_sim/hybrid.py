@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .core import (
     ControllerParams,
@@ -20,12 +23,21 @@ from .core import (
     max_brake_distance,
 )
 
+if TYPE_CHECKING:
+    from .simulator import BatchState
+
 
 class Mode(Enum):
     DRIVING = "Driving"
     YIELDING = "Yielding"
     HARD_BRAKING = "HardBraking"
     SPEED_UP = "SpeedUp"
+
+
+# ``Mode`` as the codes ``step_batch`` keeps in the batch ``mode`` array.
+DRIVING, YIELDING, HARD_BRAKING, SPEED_UP = range(4)
+
+OVERRUN = "hard_braking_overrun"
 
 
 def in_crosswalk(ped: PedestrianState, geometry: WorldGeometry) -> bool:
@@ -35,13 +47,13 @@ def in_crosswalk(ped: PedestrianState, geometry: WorldGeometry) -> bool:
     legally relevant span, even while still on the sidewalk, and stops
     counting once past the end of that span. Someone standing still inside
     the span keeps holding the vehicle; someone walking away never
-    triggers it.
+    triggers it. Takes floats or, for a batch, arrays (then returns a mask).
     """
     s = ped.span_coord(geometry)
     sdot = ped.span_speed()
-    inside = 0.0 <= s <= geometry.x_f
-    approaching = sdot > 0.0 and s < geometry.x_f
-    return inside or approaching
+    inside = (0.0 <= s) & (s <= geometry.x_f)
+    approaching = (sdot > 0.0) & (s < geometry.x_f)
+    return inside | approaching
 
 
 def time_advantage(vehicle: VehicleState, ped: PedestrianState, geometry: WorldGeometry) -> float:
@@ -72,6 +84,8 @@ class HybridController:
     comfort envelope, HardBraking may use the full braking authority,
     SpeedUp commands the comfort acceleration.
     """
+
+    modes = tuple(m.value for m in Mode)  # labels of the batch mode codes
 
     def __init__(self, params: ControllerParams, geometry: WorldGeometry, dt: float = 0.05):
         self.params = params
@@ -122,8 +136,8 @@ class HybridController:
     def hard_braking_command(self, d: float, v: float) -> float:
         p = self.params
         if d <= 0.0:
-            if not self.safety_events or self.safety_events[-1] != "hard_braking_overrun":
-                self.safety_events.append("hard_braking_overrun")
+            if not self.safety_events or self.safety_events[-1] != OVERRUN:
+                self.safety_events.append(OVERRUN)
             return -p.a_max
         v_des = self.brake_speed_profile(d)
         a = -v * v / (2.0 * d) + p.k_s * (v_des - v)
@@ -185,6 +199,66 @@ class HybridController:
 
         return _clamp(a, -p.a_max, p.a_cmf)
 
+    def step_batch(self, s: BatchState, tick: int) -> np.ndarray:
+        """``step`` for every live trial of a lockstep batch; returns the commands.
+
+        The mode blocks run as masked blocks in the order of ``step``, so the
+        same-tick cascade holds, and each array expression does the same IEEE
+        operations in the same order as its scalar counterpart. The reset
+        state is all zeros: Driving, nothing latched, no overrun.
+        """
+        p, geo = self.params, self.geometry
+        d, v, mode = s.d, s.v, s.mode
+        ped_active = in_crosswalk(s.pedestrian(), geo)
+        a = _clip(p.k_s * (p.v_speedlimit - v), -p.a_cmf, p.a_cmf)  # driving_command
+
+        check = (mode == DRIVING) & (d > 0.0) & ped_active
+        if check.any():
+            # time_advantage(...) > tau_max, its inf / -inf cases spelled out.
+            t_reach = (s.x_v - s.x_p) / s.xdot_p
+            margin = ((s.xdot_p == 0.0) | (t_reach < 0.0)
+                      | (v > 0.0) & (t_reach - (d + geo.delta) / v > p.tau_max))
+            enter = check & ~margin
+            if enter.any():
+                new = np.where(d >= comfort_brake_distance(v, p.a_cmf), YIELDING,
+                               np.where(d > max_brake_distance(v, p.a_max), HARD_BRAKING, SPEED_UP))
+                np.copyto(mode, new, where=enter)
+                np.copyto(s.d_o, d, where=enter)
+                np.copyto(s.v_o, v, where=enter)
+                np.copyto(s.latched, False, where=enter)
+        leaving = ~ped_active
+
+        yielding = mode == YIELDING
+        if yielding.any():
+            # yielding_command: a coasting trial keeps the driving command.
+            coast = ~s.latched & (d > comfort_brake_distance(v, p.a_cmf) + (p.t_delay + self.dt) * v)
+            latch = yielding & ~s.latched & ~coast
+            np.copyto(s.d_o, d, where=latch)
+            np.copyto(s.v_o, v, where=latch)
+            s.latched |= latch
+            arg = 2.0 * p.a_cmf * (d - s.d_o) + s.v_o * s.v_o
+            v_des = np.sqrt(np.where(arg > 0.0, arg, 0.0))  # yield_speed_profile
+            a_y = _clip(-p.a_cmf + p.k_s * (v_des - v), -p.a_cmf, p.a_cmf)
+            np.copyto(a, a_y, where=yielding & ~coast)
+            mode[yielding & leaving] = DRIVING
+
+        braking = mode == HARD_BRAKING
+        if braking.any():
+            overrun = d <= 0.0
+            s.overrun |= braking & overrun
+            v_des = np.where(overrun | (s.d_o <= 0.0), 0.0,
+                             s.v_o / np.sqrt(s.d_o) * np.sqrt(d))  # brake_speed_profile
+            a_h = _clip(-v * v / (2.0 * d) + p.k_s * (v_des - v), -p.a_max, p.a_cmf)
+            np.copyto(a, np.where(overrun, -p.a_max, a_h), where=braking)
+            mode[braking & leaving] = DRIVING
+
+        speeding = mode == SPEED_UP
+        if speeding.any():
+            np.copyto(a, p.a_cmf, where=speeding)
+            mode[speeding & (leaving | (d < 0.0))] = DRIVING
+
+        return _clip(a, -p.a_max, p.a_cmf)
+
     def _enter(self, mode: Mode, d: float, v: float) -> None:
         self.mode = mode
         self.d_o = d
@@ -194,3 +268,8 @@ class HybridController:
 
 def _clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
+
+
+def _clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``_clamp`` on arrays (``np.clip`` gives the same values, twice as slowly)."""
+    return np.minimum(np.maximum(x, lo), hi)

@@ -12,16 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import EntrySide, PedestrianState, VehicleState, WorldGeometry, require_finite_fields
+
+if TYPE_CHECKING:
+    from .simulator import BatchState
 
 
 class Phase(Enum):
     WAITING = "waiting"
     CROSSING = "crossing"
     DONE = "done"
+
+
+# ``Phase`` as the codes of the batch engine's ``phase`` array.
+WAITING_CODE, CROSSING_CODE, DONE_CODE = range(3)
 
 
 @dataclass(frozen=True)
@@ -136,3 +144,39 @@ def pedestrian_tick(agent: PedestrianAgent, vehicle: VehicleState, dt: float) ->
         agent.phase = Phase.DONE
         agent.state.xdot_p = 0.0
     return agent
+
+
+def pedestrian_tick_batch(s: BatchState, model: GapAcceptanceModel, geometry: WorldGeometry,
+                          dt: float) -> None:
+    """``pedestrian_tick`` for every live trial of a lockstep batch, in place.
+
+    Each masked block does the same IEEE operations as the scalar branch it
+    replaces, so every pedestrian follows its scalar path bit for bit.
+    """
+    waiting = s.phase == WAITING_CODE
+    if waiting.any():
+        unarmed = waiting & (s.delay_left < 0.0)
+        line_dist = s.d + geometry.delta
+        should_arm = (
+            (s.v <= 1e-9)
+            | geometry.vehicle_is_past(s.d)
+            | ~(s.gap > model.max_trigger_gap) & (line_dist > 0.0) & (line_dist / s.v <= s.gap)
+        )
+        armed = unarmed & should_arm
+        counting = waiting & ~unarmed
+        np.copyto(s.delay_left, model.start_delay, where=armed)
+        np.subtract(s.delay_left, dt, out=s.delay_left, where=counting)
+        start = (armed | counting) & ~(s.delay_left > 1e-9)
+        if start.any():
+            s.phase[start] = CROSSING_CODE
+            sign = 1.0 if s.entry_side is EntrySide.NEAR else -1.0
+            s.xdot_p[start] = sign * model.walk_speed
+
+    crossing = s.phase == CROSSING_CODE
+    np.add(s.x_p, s.xdot_p * dt, out=s.x_p, where=crossing)
+    if s.entry_side is EntrySide.NEAR:
+        done = crossing & (s.x_p > geometry.roadway_width)
+    else:
+        done = crossing & (s.x_p < 0.0)
+    s.phase[done] = DONE_CODE
+    s.xdot_p[done] = 0.0

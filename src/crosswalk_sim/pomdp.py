@@ -19,14 +19,17 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .core import (ControllerParams, PedestrianState, VehicleState, WorldGeometry, require_finite,
-                   require_finite_fields)
+                   require_finite_fields, whole_ticks)
 from .hybrid import in_crosswalk
 from .pedestrian import GapAcceptanceModel
+
+if TYPE_CHECKING:
+    from .simulator import BatchState
 
 log = logging.getLogger(__name__)
 
@@ -102,20 +105,21 @@ class PomdpModel:
 
     # -- grid helpers --------------------------------------------------------
 
-    def v_bin(self, v: float) -> int:
+    def v_bin(self, v):
         return self._snap(v, self.v_grid)
 
-    def d_bin(self, d: float) -> int:
+    def d_bin(self, d):
         return self._snap(d, self.d_grid)
 
     def a_bin(self, a: float) -> int:
         return int(np.argmin(np.abs(self.a_grid - a)))
 
     @staticmethod
-    def _snap(x: float, grid: np.ndarray) -> int:
+    def _snap(x, grid: np.ndarray):
+        """Nearest grid index (ties to even), clamped to the grid; takes a float or an array."""
         step = grid[1] - grid[0]
-        i = int(round((x - grid[0]) / step))
-        return min(max(i, 0), len(grid) - 1)
+        i = np.rint((x - grid[0]) / step)
+        return np.minimum(np.maximum(i, 0), len(grid) - 1).astype(np.int64)
 
     def state_index(self, v_bin, c, d_bin, a_prev_bin):
         """Flat C-order index over (v, c, d, a_prev); takes ints or NumPy arrays."""
@@ -302,12 +306,13 @@ class PomdpController:
     """
 
     label = "pomdp"
+    modes = (label,)
     safety_events: tuple[str, ...] = ()
 
     def __init__(self, model: PomdpModel, qtable: QTable, sim_dt: float):
         self.model = model
         self.greedy = greedy_action_table(model, qtable)
-        self.hold_ticks = max(1, int(round(model.dt / sim_dt)))
+        self.hold_ticks = max(1, whole_ticks(model.dt, sim_dt, "model.dt"))
         self.reset()
 
     def reset(self) -> None:
@@ -320,6 +325,20 @@ class PomdpController:
             self._a, self._a_idx = pomdp_step(self.greedy, self.model, vehicle, ped, self._a_idx)
         self._tick += 1
         return self._a
+
+    def step_batch(self, s: BatchState, tick: int) -> np.ndarray:
+        """``step`` for every live trial of a lockstep batch; returns the commands.
+
+        Every trial starts at tick 0, so the decision ticks line up and each
+        decision is one gather from the greedy table.
+        """
+        m = self.model
+        if tick == 0:
+            s.a_prev_idx[:] = m.a_bin(0.0)  # reset
+        if tick % self.hold_ticks == 0:
+            c = in_crosswalk(s.pedestrian(), m.geometry)
+            s.a_prev_idx = self.greedy[m.state_index(m.v_bin(s.v), c, m.d_bin(s.d), s.a_prev_idx)]
+        return m.a_grid[s.a_prev_idx]
 
 
 def save_policy(path: Path, model: PomdpModel, qtable: QTable) -> None:

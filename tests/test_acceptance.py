@@ -224,7 +224,7 @@ def test_criterion_10_pomdp_slows_at_high_gaps(scenario_factory, pomdp_model, so
     sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR)
     hybrid = run_batch(sc, gap_sweep=gaps)
     ctrl = PomdpController(pomdp_model, solved_policy, sim_dt=sc.dt)
-    pomdp = run_batch(sc, gap_sweep=gaps, controller_factory=lambda: ctrl)
+    pomdp = run_batch(sc, gap_sweep=gaps, controller=ctrl)
 
     diffs = np.array(
         [h.avg_velocity - p.avg_velocity for h, p in zip(hybrid, pomdp)]

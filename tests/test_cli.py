@@ -106,6 +106,8 @@ class TestSimulate:
             (None, None, ["replay"]),
             (None, None, ["replay", "--preset", "experiment", "--trial", "1", "--gap", "9"]),
             (None, None, ["replay", "--preset", "experiment", "--trial", "1", "--side", "far"]),
+            ("CWSIM_RUN__T_DELAY_PLANT", "0.07", ["simulate", "--trials", "5"]),
+            ("CWSIM_POMDP__DT", "0.23", ["simulate", "--controller", "pomdp", "--trials", "5"]),
         ],
     )
     def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):

@@ -1,4 +1,5 @@
-"""Property tests for the physical invariants of the plant, controller and pedestrian.
+"""Property tests for the physical invariants of the plant, controller and pedestrian,
+and for the lockstep batch engine's bitwise equality with scalar trials.
 
 Examples are derived from a fixed seed and no example database is kept, so
 every run checks the same cases.
@@ -6,6 +7,7 @@ every run checks the same cases.
 
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 # Hypothesis also caches the constants it finds in local source files under its
@@ -20,7 +22,8 @@ from hypothesis import strategies as st  # noqa: E402
 from crosswalk_sim.core import ControllerParams, EntrySide, PedestrianState, VehicleState, WorldGeometry
 from crosswalk_sim.hybrid import HybridController
 from crosswalk_sim.pedestrian import GapAcceptanceModel, PedestrianAgent, Phase, pedestrian_tick
-from crosswalk_sim.simulator import make_delay_buffer, plant_tick
+from crosswalk_sim.pomdp import PomdpController
+from crosswalk_sim.simulator import Lane, Scenario, make_delay_buffer, plant_tick, run_batch, run_trial
 
 PARAMS = ControllerParams()
 GEOMETRY = WorldGeometry()
@@ -92,3 +95,35 @@ def test_pedestrian_phases_only_move_forward(side, accepted_gap, d0, v0, segment
             pedestrian_tick(agent, vehicle, dt)
             assert PHASE_ORDER[agent.phase] >= rank
             rank = PHASE_ORDER[agent.phase]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    params=st.sampled_from([PARAMS, ControllerParams(k_s=1.0, t_delay=0.5, v_speedlimit=7.0)]),
+    lane=st.sampled_from(list(Lane)),
+    side=sides,
+    initial_d=finite(-10.0, 80.0),
+    initial_v=finite(0.0, 12.0),
+    dt=st.sampled_from([0.05, 0.125, 0.25]),
+    delay_ticks=st.integers(0, 4),
+    max_sim_time=finite(1.0, 20.0),
+    collision_radius=finite(0.5, 3.0),
+    gaps=st.lists(finite(0.5, 12.0), min_size=1, max_size=6),
+    policy=st.booleans(),
+)
+def test_lockstep_batch_matches_scalar_trials(pomdp_model, solved_policy, params, lane, side,
+                                              initial_d, initial_v, dt, delay_ticks, max_sim_time,
+                                              collision_radius, gaps, policy):
+    # Start states the presets never reach: stopped, already past the stop
+    # point, coarse ticks, short horizons.
+    sc = Scenario(geometry=GEOMETRY, params=params, gap_model=GapAcceptanceModel(), lane=lane,
+                  entry_side=side, initial_d=initial_d, initial_v=initial_v, dt=dt,
+                  t_delay_plant=delay_ticks * dt, max_sim_time=max_sim_time,
+                  collision_radius=collision_radius)
+    if policy:
+        controller = PomdpController(pomdp_model, solved_policy, sim_dt=dt)
+    else:
+        controller = HybridController(params, GEOMETRY, dt=dt)
+    assert run_batch(sc, gap_sweep=gaps, controller=controller) == [
+        run_trial(replace(sc, seed=i), g, controller) for i, g in enumerate(gaps)
+    ]

@@ -1,11 +1,16 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from crosswalk_sim.config import load_config
 from crosswalk_sim.core import EntrySide, PedestrianState, VehicleState
 from crosswalk_sim.hybrid import HybridController, Mode
+from crosswalk_sim.pomdp import PomdpController, qmdp_solve
 from crosswalk_sim.simulator import (
     Lane,
     Scenario,
+    TrialResult,
     make_delay_buffer,
     plant_tick,
     run_batch,
@@ -195,9 +200,7 @@ class TestRunBatch:
         sc = scenario_factory(entry_side=side, max_sim_time=max_sim_time)
         shared = HybridController(params, geometry, dt=sc.dt)
         gaps = sweep_gaps(0.5, 0.25, 8.0)
-        assert run_batch(sc, gap_sweep=gaps, controller_factory=lambda: shared) == run_batch(
-            sc, gap_sweep=gaps
-        )
+        assert run_batch(sc, gap_sweep=gaps, controller=shared) == run_batch(sc, gap_sweep=gaps)
 
     def test_batch_argument_validation(self, scenario_factory):
         sc = scenario_factory()
@@ -205,6 +208,78 @@ class TestRunBatch:
             run_batch(sc)
         with pytest.raises(ValueError):
             run_batch(sc, n_trials=5, gap_sweep=[1.0])
+
+
+@pytest.fixture(scope="module", params=["default", "experiment"])
+def preset_config(request):
+    """The default preset, or the experiment one with its 10-tick plant delay
+    and the controller's t_delay lead."""
+    return load_config(preset=None if request.param == "default" else request.param, env={})
+
+
+@pytest.fixture(scope="module")
+def preset_policy(preset_config):
+    model = preset_config.pomdp_model()
+    return model, qmdp_solve(model)
+
+
+def scalar_batch(sc, gaps, controller):
+    """The lockstep engine's oracle: one scalar trial per seed, as run_batch seeds them."""
+    return [run_trial(replace(sc, seed=sc.seed + i), g, controller) for i, g in enumerate(gaps)]
+
+
+def assert_bitwise_equal(batch, scalar):
+    assert len(batch) == len(scalar)
+    for b, s in zip(batch, scalar):
+        for f in fields(TrialResult):
+            got, want = getattr(b, f.name), getattr(s, f.name)
+            assert type(got) is type(want) and got == want, (s.seed, f.name, got, want)
+
+
+QUADRANTS = [("A", "near"), ("A", "far"), ("B", "near"), ("B", "far")]
+
+
+class TestLockstepMatchesScalar:
+    """run_batch's lockstep engine against a loop of scalar run_trial, with no tolerance."""
+
+    @pytest.fixture(params=["hybrid", "pomdp"])
+    def controller(self, request, preset_config, preset_policy):
+        sc = preset_config.scenario()
+        if request.param == "hybrid":
+            return HybridController(sc.params, sc.geometry, dt=sc.dt)
+        return PomdpController(*preset_policy, sim_dt=sc.dt)
+
+    @pytest.mark.parametrize("lane,side", QUADRANTS)
+    def test_sweep_and_seeded_batch(self, preset_config, controller, lane, side):
+        sc = preset_config.scenario(lane=lane, side=side)
+        gaps = sweep_gaps(0.5, 0.05, 10.0)
+        assert_bitwise_equal(run_batch(sc, gap_sweep=gaps, controller=controller),
+                             scalar_batch(sc, gaps, controller))
+        seeded = replace(sc, seed=17)
+        assert_bitwise_equal(run_batch(seeded, n_trials=25, controller=controller),
+                             scalar_batch(seeded, [None] * 25, controller))
+
+    def test_sweep_reaches_hard_braking_overrun(self, preset_config):
+        # So the test above covers HardBraking past the stop point (18 trials
+        # on the default preset, 85 on the experiment one).
+        overruns = sum("hard_braking_overrun" in r.safety_events
+                       for lane, side in QUADRANTS
+                       for r in run_batch(preset_config.scenario(lane=lane, side=side),
+                                          gap_sweep=sweep_gaps(0.5, 0.05, 10.0)))
+        assert overruns > 0
+
+    @pytest.mark.parametrize("override", [{"max_sim_time": 5.0}, {"collision_radius": 4.0}])
+    def test_timeouts_and_collisions(self, preset_config, controller, override):
+        # A timeout ends every live trial on the same tick; a collision ends a
+        # trial before that tick's velocity and peak-acceleration updates.
+        gaps = sweep_gaps(0.5, 0.5, 10.0)
+        ended = 0
+        for lane, side in QUADRANTS:
+            sc = replace(preset_config.scenario(lane=lane, side=side), **override)
+            batch = run_batch(sc, gap_sweep=gaps, controller=controller)
+            assert_bitwise_equal(batch, scalar_batch(sc, gaps, controller))
+            ended += sum(r.timed_out or r.collision for r in batch)
+        assert ended > 0
 
 
 def test_scenario_validation(geometry, params, gap_model):
