@@ -144,23 +144,32 @@ def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Seque
          out_dir: Path) -> Batches:
     """Run every method on every (side, lane) quadrant and write the trial tables.
 
-    All batches share the base seed, so the methods see identical gaps.
+    Every quadrant shares the base seed, and the first method's batch draws
+    the gaps that the later methods reuse, so the methods and the quadrants
+    see identical gaps, drawn once per run. Each method is one lockstep
+    ``run_batch`` call over all quadrants; the tables list the trials by
+    (side, lane), then method.
     """
     sweep = config.sweep_values()
     if sweep is None and config.run["trials"] < 1:
         raise ConfigError(f"run.trials must be >= 1, got {config.run['trials']}")
-    batch_args = {"gap_sweep": sweep} if sweep is not None else {"n_trials": config.run["trials"]}
+    n = len(sweep) if sweep is not None else config.run["trials"]  # trials per quadrant
+    batch_args = {"gap_sweep": sweep} if sweep is not None else {"n_trials": n}
     scenarios = [config.scenario(lane=lane, side=side) for side, lane in quadrants]
     controllers = dict(_controller(config, method, scenarios[0]) for method in methods)
     write_config_echo(config, out_dir)
 
+    results: dict[str, list[TrialResult]] = {}
+    for method, controller in controllers.items():
+        results[method] = run_batch(scenarios, controller=controller, **batch_args)
+        batch_args = {"gap_sweep": [r.accepted_gap for r in results[method][:n]]}  # reused
     batches: Batches = {}
     rows: list[dict] = []
-    for (side, lane), scenario in zip(quadrants, scenarios):
-        for method, controller in controllers.items():
-            results = run_batch(scenario, controller=controller, **batch_args)
-            batches[side, lane, method] = results
-            for r in results:
+    for k, ((side, lane), scenario) in enumerate(zip(quadrants, scenarios)):
+        for method in controllers:
+            batch = results[method][k * n:(k + 1) * n]
+            batches[side, lane, method] = batch
+            for r in batch:
                 rows.append(trial_row(len(rows), method, scenario, r))
 
     write_trials_csv(out_dir / "trials.csv", rows)

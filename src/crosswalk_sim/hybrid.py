@@ -40,14 +40,15 @@ DRIVING, YIELDING, HARD_BRAKING, SPEED_UP = range(4)
 OVERRUN = "hard_braking_overrun"
 
 
-def in_crosswalk(ped: PedestrianState, geometry: WorldGeometry) -> bool:
+def in_crosswalk(ped: PedestrianState | BatchState, geometry: WorldGeometry) -> bool:
     """True while the pedestrian holds the right of way over the vehicle.
 
     A pedestrian counts from the instant they start moving toward the
     legally relevant span, even while still on the sidewalk, and stops
     counting once past the end of that span. Someone standing still inside
     the span keeps holding the vehicle; someone walking away never
-    triggers it. Takes floats or, for a batch, arrays (then returns a mask).
+    triggers it. Takes one pedestrian or the trials of a lockstep batch
+    (then returns a mask).
     """
     s = ped.span_coord(geometry)
     sdot = ped.span_speed()
@@ -209,7 +210,7 @@ class HybridController:
         """
         p, geo = self.params, self.geometry
         d, v, mode = s.d, s.v, s.mode
-        ped_active = in_crosswalk(s.pedestrian(), geo)
+        ped_active = in_crosswalk(s, geo)
         a = _clip(p.k_s * (p.v_speedlimit - v), -p.a_cmf, p.a_cmf)  # driving_command
 
         check = (mode == DRIVING) & (d > 0.0) & ped_active

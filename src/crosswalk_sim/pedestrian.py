@@ -151,7 +151,8 @@ def pedestrian_tick_batch(s: BatchState, model: GapAcceptanceModel, geometry: Wo
     """``pedestrian_tick`` for every live trial of a lockstep batch, in place.
 
     Each masked block does the same IEEE operations as the scalar branch it
-    replaces, so every pedestrian follows its scalar path bit for bit.
+    replaces, so every pedestrian follows its scalar path bit for bit; the
+    walk direction and the done test follow each trial's entry side.
     """
     waiting = s.phase == WAITING_CODE
     if waiting.any():
@@ -169,14 +170,11 @@ def pedestrian_tick_batch(s: BatchState, model: GapAcceptanceModel, geometry: Wo
         start = (armed | counting) & ~(s.delay_left > 1e-9)
         if start.any():
             s.phase[start] = CROSSING_CODE
-            sign = 1.0 if s.entry_side is EntrySide.NEAR else -1.0
-            s.xdot_p[start] = sign * model.walk_speed
+            # sign * walk_speed with sign = 1.0 (near) or -1.0 (far), per trial
+            s.xdot_p[start] = np.where(s.near[start], model.walk_speed, -model.walk_speed)
 
     crossing = s.phase == CROSSING_CODE
     np.add(s.x_p, s.xdot_p * dt, out=s.x_p, where=crossing)
-    if s.entry_side is EntrySide.NEAR:
-        done = crossing & (s.x_p > geometry.roadway_width)
-    else:
-        done = crossing & (s.x_p < 0.0)
+    done = crossing & np.where(s.near, s.x_p > geometry.roadway_width, s.x_p < 0.0)
     s.phase[done] = DONE_CODE
     s.xdot_p[done] = 0.0

@@ -336,7 +336,7 @@ class PomdpController:
         if tick == 0:
             s.a_prev_idx[:] = m.a_bin(0.0)  # reset
         if tick % self.hold_ticks == 0:
-            c = in_crosswalk(s.pedestrian(), m.geometry)
+            c = in_crosswalk(s, m.geometry)
             s.a_prev_idx = self.greedy[m.state_index(m.v_bin(s.v), c, m.d_bin(s.d), s.a_prev_idx)]
         return m.a_grid[s.a_prev_idx]
 

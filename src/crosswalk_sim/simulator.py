@@ -9,14 +9,15 @@ reproducible and order-independent.
 trials and traces. ``run_batch`` advances every trial of a batch at once
 in a lockstep NumPy engine (``BatchState``), whose array expressions do the
 same IEEE operations in the same order as the scalar ones, so both give
-bitwise-equal results.
+bitwise-equal results. One batch may span several quadrants (lane and entry
+side), each trial carrying its own.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Protocol, Sequence
 
@@ -46,9 +47,10 @@ class Controller(Protocol):
     ``safety_events`` lists the events raised since ``reset``.
 
     ``step_batch`` is ``step`` over the live trials of a lockstep batch: it
-    reads the vehicle and pedestrian arrays of a ``BatchState``, updates its
-    own arrays there (``mode``, an index into ``modes``, whose code 0 is the
-    mode after ``reset``) and returns one command per trial.
+    reads the vehicle and pedestrian arrays of a ``BatchState`` (lane centre
+    ``x_v`` and entry side included, both per trial), updates its own arrays
+    there (``mode``, an index into ``modes``, whose code 0 is the mode after
+    ``reset``) and returns one command per trial.
     """
 
     label: str
@@ -260,53 +262,63 @@ def sweep_gaps(lo: float = 0.5, step: float = 0.1, hi: float = 10.0) -> list[flo
 class BatchState:
     """The live trials of a lockstep batch, one array element per trial.
 
-    Vehicle: ``d``, ``v``. Pedestrian: ``x_p``, ``xdot_p``, ``phase`` (a
+    Vehicle: ``d``, ``v``, ``x_v`` (the trial's lane centre). Pedestrian:
+    ``near`` (entered from the near side), ``x_p``, ``xdot_p``, ``phase`` (a
     ``Phase`` code), ``delay_left``, ``gap``. Controller, written only by its
     ``step_batch`` and zero at the start: ``mode``, ``d_o``, ``v_o``,
     ``latched``, ``overrun``, ``a_prev_idx``. Plant: ``fifo``, a (trial,
     delay tick) ring of the commands not yet applied. Metrics:
     ``min_distance``, ``v_sum``, ``n_ticks``, ``peak_accel``, ``collision``,
-    ``timed_out``. ``trial`` is each element's index in the batch; ``x_v``
-    and ``entry_side`` are shared by the batch.
+    ``timed_out``. ``trial`` is each element's index in the batch: trial i of
+    ``scenarios[k]`` is element ``k * len(gaps) + i`` and has gap ``gaps[i]``.
     """
 
-    ARRAYS = ("trial", "d", "v", "x_p", "xdot_p", "phase", "delay_left", "gap", "mode", "d_o",
-              "v_o", "latched", "overrun", "a_prev_idx", "fifo", "min_distance", "v_sum",
-              "n_ticks", "peak_accel", "collision", "timed_out")
+    ARRAYS = ("trial", "d", "v", "x_v", "near", "x_p", "xdot_p", "phase", "delay_left", "gap",
+              "mode", "d_o", "v_o", "latched", "overrun", "a_prev_idx", "fifo", "min_distance",
+              "v_sum", "n_ticks", "peak_accel", "collision", "timed_out")
     # The arrays a finished trial's TrialResult is built from.
     RESULTS = ("min_distance", "v_sum", "n_ticks", "peak_accel", "collision", "timed_out",
                "overrun", "d")
 
-    def __init__(self, scenario: Scenario, gaps: list[float]):
-        n = len(gaps)
-        self.x_v = scenario.lane_center()
-        self.entry_side = scenario.entry_side
+    def __init__(self, scenarios: Sequence[Scenario], gaps: list[float]):
+        sc = scenarios[0]  # every field but lane and entry_side is shared
+        per_scenario = len(gaps)
+        n = len(scenarios) * per_scenario
+
+        def each(values: list) -> np.ndarray:
+            return np.repeat(values, per_scenario)
+
         self.trial = np.arange(n)
-        self.d = np.full(n, scenario.initial_d)
-        self.v = np.full(n, scenario.initial_v)
-        self.x_p = np.full(n, start_position(scenario.gap_model, scenario.entry_side,
-                                             scenario.geometry))
+        self.d = np.full(n, sc.initial_d)
+        self.v = np.full(n, sc.initial_v)
+        self.x_v = each([q.lane_center() for q in scenarios])
+        self.near = each([q.entry_side is EntrySide.NEAR for q in scenarios])
+        self.x_p = each([start_position(sc.gap_model, q.entry_side, sc.geometry) for q in scenarios])
         self.xdot_p = np.zeros(n)
         self.phase = np.zeros(n, dtype=np.int8)
         self.delay_left = np.full(n, -1.0)
-        self.gap = np.array(gaps, dtype=float)
+        self.gap = np.tile(np.array(gaps, dtype=float), len(scenarios))
         self.mode = np.zeros(n, dtype=np.int8)
         self.d_o = np.zeros(n)
         self.v_o = np.zeros(n)
         self.latched = np.zeros(n, dtype=bool)
         self.overrun = np.zeros(n, dtype=bool)
         self.a_prev_idx = np.zeros(n, dtype=np.int64)
-        self.fifo = np.zeros((n, scenario.delay_ticks()))
-        self.min_distance = self.distance(scenario.geometry)
+        self.fifo = np.zeros((n, sc.delay_ticks()))
+        self.min_distance = self.distance(sc.geometry)
         self.v_sum = np.zeros(n)
         self.n_ticks = np.zeros(n, dtype=np.int64)
         self.peak_accel = np.zeros(n)
         self.collision = np.zeros(n, dtype=bool)
         self.timed_out = np.zeros(n, dtype=bool)
 
-    def pedestrian(self) -> PedestrianState:
-        """The batch's pedestrians as one state over arrays, for ``in_crosswalk``."""
-        return PedestrianState(x_p=self.x_p, xdot_p=self.xdot_p, entry_side=self.entry_side)
+    def span_coord(self, geometry: WorldGeometry) -> np.ndarray:
+        """``PedestrianState.span_coord`` per trial, for ``in_crosswalk``."""
+        return np.where(self.near, self.x_p, geometry.roadway_width - self.x_p)
+
+    def span_speed(self) -> np.ndarray:
+        """``PedestrianState.span_speed`` per trial, for ``in_crosswalk``."""
+        return np.where(self.near, self.xdot_p, -self.xdot_p)
 
     def distance(self, geometry: WorldGeometry) -> np.ndarray:
         """``vehicle_pedestrian_distance`` on arrays."""
@@ -344,18 +356,29 @@ def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, dt: float, tick: in
 
 
 def run_batch(
-    scenario: Scenario,
+    scenarios: Sequence[Scenario],
     n_trials: Optional[int] = None,
     gap_sweep: Optional[list[float]] = None,
     controller: Optional[Controller] = None,
 ) -> list[TrialResult]:
-    """Run independently seeded trials (seed_i = base_seed + i) or a gap sweep.
+    """Run independently seeded trials (seed_i = base_seed + i) or a gap sweep
+    in every scenario.
 
-    All trials advance together in the lockstep engine; each result is
-    bitwise equal to ``run_trial`` on the trial's own seed. ``controller``
-    drives every trial (its scalar state is not touched); by default a
-    hybrid controller is built from the scenario.
+    The scenarios (a run's quadrants) may differ only in ``lane`` and
+    ``entry_side``; every scenario runs the same gaps, drawn once. All trials
+    of all scenarios advance together in the lockstep engine, and each result
+    is bitwise equal to ``run_trial`` on the trial's own scenario and seed.
+    Returns one block of results per scenario, in order: trial i of
+    ``scenarios[k]`` is at ``k * n + i`` for ``n`` trials per scenario.
+    ``controller`` drives every trial (its scalar state is not touched); by
+    default a hybrid controller is built from the scenarios.
     """
+    if not scenarios:
+        raise ValueError("need at least one scenario")
+    scenario = scenarios[0]
+    for other in scenarios[1:]:
+        if replace(other, lane=scenario.lane, entry_side=scenario.entry_side) != scenario:
+            raise ValueError("a batch's scenarios may differ only in lane and entry_side")
     if (n_trials is None) == (gap_sweep is None):
         raise ValueError("pass exactly one of n_trials or gap_sweep")
     if gap_sweep is not None:
@@ -369,8 +392,8 @@ def run_batch(
         controller = HybridController(scenario.params, scenario.geometry, dt=scenario.dt)
 
     geometry, dt = scenario.geometry, scenario.dt
-    s = BatchState(scenario, gaps)
-    out = BatchState(scenario, gaps)
+    s = BatchState(scenarios, gaps)
+    out = BatchState(scenarios, gaps)
     modes = controller.modes
     switches: list[tuple[int, float, str]] = []  # (trial, t, label)
     t = 0.0
@@ -406,26 +429,28 @@ def run_batch(
             if finished.any():
                 s.retire(finished, out)
 
-    mode_traces: list[list[tuple[float, str]]] = [[(0.0, modes[0])] for _ in gaps]
-    for i, t_switch, label in switches:
-        mode_traces[i].append((t_switch, label))
+    n_total = len(out.trial)
+    mode_traces: list[list[tuple[float, str]]] = [[(0.0, modes[0])] for _ in range(n_total)]
+    for k, t_switch, label in switches:
+        mode_traces[k].append((t_switch, label))
     final = {name: getattr(out, name).tolist() for name in BatchState.RESULTS}  # Python scalars
     results = []
-    for i, gap in enumerate(gaps):
-        events = [OVERRUN] if final["overrun"][i] else []
-        if final["timed_out"][i]:
+    for k in range(n_total):
+        i = k % len(gaps)
+        events = [OVERRUN] if final["overrun"][k] else []
+        if final["timed_out"][k]:
             events.append("timed_out")
-        n_ticks = final["n_ticks"][i]
+        n_ticks = final["n_ticks"][k]
         results.append(TrialResult(
-            accepted_gap=gap,
-            min_distance=final["min_distance"][i],
-            avg_velocity=final["v_sum"][i] / n_ticks if n_ticks else 0.0,
-            peak_accel=final["peak_accel"][i],
-            collision=final["collision"][i],
-            timed_out=final["timed_out"][i],
-            mode_trace=mode_traces[i],
+            accepted_gap=gaps[i],
+            min_distance=final["min_distance"][k],
+            avg_velocity=final["v_sum"][k] / n_ticks if n_ticks else 0.0,
+            peak_accel=final["peak_accel"][k],
+            collision=final["collision"][k],
+            timed_out=final["timed_out"][k],
+            mode_trace=mode_traces[k],
             safety_events=events,
-            final_d=final["d"][i],
+            final_d=final["d"][k],
             seed=scenario.seed + i,
         ))
     return results

@@ -46,7 +46,7 @@ def safety_sweep(scenario_factory):
     out = {}
     for lane, side in QUADRANTS:
         sc = scenario_factory(lane=lane, entry_side=side)
-        out[(lane, side)] = run_batch(sc, gap_sweep=gaps)
+        out[(lane, side)] = run_batch([sc], gap_sweep=gaps)
     return out
 
 
@@ -56,7 +56,7 @@ def random_batches(scenario_factory):
     out = {}
     for i, (lane, side) in enumerate(QUADRANTS):
         sc = scenario_factory(lane=lane, entry_side=side, seed=1000 * (i + 1))
-        out[(lane, side)] = run_batch(sc, n_trials=750)
+        out[(lane, side)] = run_batch([sc], n_trials=750)
     return out
 
 
@@ -222,9 +222,9 @@ def test_criterion_09_solver_properties(params, geometry, gap_model, solved_poli
 def test_criterion_10_pomdp_slows_at_high_gaps(scenario_factory, pomdp_model, solved_policy):
     gaps = sweep_gaps(7.1, 0.1, 10.0)
     sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR)
-    hybrid = run_batch(sc, gap_sweep=gaps)
+    hybrid = run_batch([sc], gap_sweep=gaps)
     ctrl = PomdpController(pomdp_model, solved_policy, sim_dt=sc.dt)
-    pomdp = run_batch(sc, gap_sweep=gaps, controller=ctrl)
+    pomdp = run_batch([sc], gap_sweep=gaps, controller=ctrl)
 
     diffs = np.array(
         [h.avg_velocity - p.avg_velocity for h, p in zip(hybrid, pomdp)]

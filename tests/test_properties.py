@@ -100,8 +100,7 @@ def test_pedestrian_phases_only_move_forward(side, accepted_gap, d0, v0, segment
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(
     params=st.sampled_from([PARAMS, ControllerParams(k_s=1.0, t_delay=0.5, v_speedlimit=7.0)]),
-    lane=st.sampled_from(list(Lane)),
-    side=sides,
+    quadrants=st.lists(st.tuples(st.sampled_from(list(Lane)), sides), min_size=1, max_size=4),
     initial_d=finite(-10.0, 80.0),
     initial_v=finite(0.0, 12.0),
     dt=st.sampled_from([0.05, 0.125, 0.25]),
@@ -111,19 +110,21 @@ def test_pedestrian_phases_only_move_forward(side, accepted_gap, d0, v0, segment
     gaps=st.lists(finite(0.5, 12.0), min_size=1, max_size=6),
     policy=st.booleans(),
 )
-def test_lockstep_batch_matches_scalar_trials(pomdp_model, solved_policy, params, lane, side,
+def test_lockstep_batch_matches_scalar_trials(pomdp_model, solved_policy, params, quadrants,
                                               initial_d, initial_v, dt, delay_ticks, max_sim_time,
                                               collision_radius, gaps, policy):
     # Start states the presets never reach: stopped, already past the stop
-    # point, coarse ticks, short horizons.
-    sc = Scenario(geometry=GEOMETRY, params=params, gap_model=GapAcceptanceModel(), lane=lane,
-                  entry_side=side, initial_d=initial_d, initial_v=initial_v, dt=dt,
-                  t_delay_plant=delay_ticks * dt, max_sim_time=max_sim_time,
-                  collision_radius=collision_radius)
+    # point, coarse ticks, short horizons; one batch over a random mix of
+    # quadrants.
+    scenarios = [Scenario(geometry=GEOMETRY, params=params, gap_model=GapAcceptanceModel(),
+                          lane=lane, entry_side=side, initial_d=initial_d, initial_v=initial_v,
+                          dt=dt, t_delay_plant=delay_ticks * dt, max_sim_time=max_sim_time,
+                          collision_radius=collision_radius)
+                 for lane, side in quadrants]
     if policy:
         controller = PomdpController(pomdp_model, solved_policy, sim_dt=dt)
     else:
         controller = HybridController(params, GEOMETRY, dt=dt)
-    assert run_batch(sc, gap_sweep=gaps, controller=controller) == [
-        run_trial(replace(sc, seed=i), g, controller) for i, g in enumerate(gaps)
+    assert run_batch(scenarios, gap_sweep=gaps, controller=controller) == [
+        run_trial(replace(sc, seed=i), g, controller) for sc in scenarios for i, g in enumerate(gaps)
     ]
