@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -58,6 +59,12 @@ TRIALS_HEADER = [
 METHODS = ("hybrid", "pomdp")
 
 SUMMARY_BIN = 0.5
+
+# trace.csv as csv.writer would write it: CRLF rows, every number as _fmt
+# renders it. The mode labels hold no comma, quote or line break, so no field
+# needs quoting.
+TRACE_HEADER = "t,d,v,a_cmd,a_actual,x_p,mode\r\n"
+TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s\r\n"
 
 
 def _fmt(x: float) -> str:
@@ -267,10 +274,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
     trace_path = out_dir / "trace.csv"
     with open(trace_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "d", "v", "a_cmd", "a_actual", "x_p", "mode"])
-        for t, d, v, a_cmd, a_actual, x_p, mode in result.trace:
-            writer.writerow([_fmt(t), _fmt(d), _fmt(v), _fmt(a_cmd), _fmt(a_actual), _fmt(x_p), mode])
+        f.write(TRACE_HEADER + "".join([TRACE_ROW % row for row in result.trace]))
 
     modes = result.mode_sequence()
     print(
@@ -352,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("replay", help="single trial with a fixed accepted gap")
     run_flags(p_rep)
+    p_rep.add_argument("--controller", choices=METHODS)
     p_rep.add_argument("--gap", type=float, help="accepted gap in seconds")
     p_rep.add_argument(
         "--trial", type=int, choices=range(1, len(EXPERIMENT_TRIALS) + 1),
@@ -367,9 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser. ``parse_args`` leaves a parser unchanged, so
+    every ``main`` call can reuse it; ``build_parser`` is looked up when first
+    needed, not bound at import."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

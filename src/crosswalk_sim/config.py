@@ -11,7 +11,6 @@ reproduced bit-for-bit.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -301,15 +300,16 @@ def load_config(
 
 
 def resolved_ini(config: RunConfig) -> str:
-    """Render the fully resolved config as an INI document."""
-    parser = configparser.ConfigParser(interpolation=None)
+    """Render the fully resolved config as an INI document, in the exact text
+    ``ConfigParser.write`` gives for it (so ``_file_layer`` reads it back)."""
+    parts = []
     for name in DEFAULTS:
-        parser[name] = {}
+        parts.append(f"[{name}]\n")
         for key, value in getattr(config, name).items():
-            parser[name][key] = repr(value) if isinstance(value, float) else str(value)
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+            text = repr(value) if isinstance(value, float) else str(value)
+            parts.append(f"{key} = " + text.replace("\n", "\n\t") + "\n")
+        parts.append("\n")
+    return "".join(parts)
 
 
 def write_config_echo(config: RunConfig, out_dir: Path) -> Path:

@@ -290,4 +290,10 @@ def test_criterion_12_bitwise_determinism(tmp_path, monkeypatch):
         assert (out / name).read_bytes() == first[name], name
     assert main(["plot", str(out / "trials.csv"), str(svg)]) == 0
     assert svg.read_bytes() == first_svg
-    report(12, "repeat runs are bitwise-identical for CSV, config echo, and SVG")
+
+    replay = ["replay", "--preset", "experiment", "--trial", "4", "--out", str(tmp_path / "rep")]
+    assert main(replay) == 0
+    first_trace = (tmp_path / "rep" / "trace.csv").read_bytes()
+    assert main(replay) == 0
+    assert (tmp_path / "rep" / "trace.csv").read_bytes() == first_trace
+    report(12, "repeat runs are bitwise-identical for CSV, trace, config echo, and SVG")

@@ -1,8 +1,10 @@
 import csv
+import io
 from pathlib import Path
 
 import pytest
 
+from crosswalk_sim import cli
 from crosswalk_sim.cli import TRIALS_HEADER, main
 
 pytestmark = pytest.mark.usefixtures("pomdp_cache_env")
@@ -273,6 +275,74 @@ class TestReplay:
         out = tmp_path / "rep"
         assert main(["replay", "--gap", "2.5", "--out", str(out)]) == 0
         assert {r["mode"] for r in read_rows(out / "trace.csv")} == {"pomdp"}
+
+    def test_controller_flag(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        assert main(["replay", "--gap", "2.5", "--controller", "pomdp", "--out", str(out)]) == 0
+        assert {r["mode"] for r in read_rows(out / "trace.csv")} == {"pomdp"}
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--gap", "2.5", "--controller", "mpc", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mpc'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @staticmethod
+    def csv_writer_trace(trace: list[tuple]) -> bytes:
+        """trace.csv as ``csv.writer`` renders it, numbers through ``_fmt``: the
+        reference the one-template writer must match byte for byte."""
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["t", "d", "v", "a_cmd", "a_actual", "x_p", "mode"])
+        for *numbers, mode in trace:
+            writer.writerow([*map(cli._fmt, numbers), mode])
+        return buf.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "--preset", "experiment", "--trial", "4"],  # 0.5 s delay, HardBraking
+            ["replay", "--gap", "2.5", "--controller", "pomdp"],
+        ],
+    )
+    def test_trace_matches_csv_writer(self, tmp_path, monkeypatch, argv):
+        results = []
+        run_trial = cli.run_trial
+
+        def recorded(*args, **kwargs):
+            results.append(run_trial(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_trial", recorded)
+        out = tmp_path / "rep"
+        assert main([*argv, "--out", str(out)]) == 0
+        (result,) = results
+        data = (out / "trace.csv").read_bytes()
+        assert data == self.csv_writer_trace(result.trace)
+        assert data.startswith(b"t,d,v,a_cmd,a_actual,x_p,mode\r\n") and data.endswith(b"\r\n")
+
+    def test_reused_parser_keeps_no_state(self, tmp_path, monkeypatch):
+        trial_4 = ["replay", "--preset", "experiment", "--trial", "4"]
+        cli._parser.cache_clear()
+        assert main([*trial_4, "--out", str(tmp_path / "fresh")]) == 0
+        cli._parser.cache_clear()
+        built = []
+        build_parser = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        try:
+            assert main(["replay", "--preset", "experiment", "--gap", "3.2", "--side", "far",
+                         "--out", str(tmp_path / "gap")]) == 0
+            assert main([*trial_4, "--out", str(tmp_path / "t4")]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert (tmp_path / "t4" / "trace.csv").read_bytes() == \
+            (tmp_path / "fresh" / "trace.csv").read_bytes()
 
 
 class TestSolvePomdp:

@@ -1,8 +1,11 @@
+import configparser
+import io
 import math
 
 import pytest
 
 from crosswalk_sim.config import (
+    DEFAULTS,
     ConfigError,
     RunConfig,
     load_config,
@@ -171,3 +174,33 @@ class TestEcho:
         text = resolved_ini(load_config(env={}))
         for section in ("world", "controller", "pedestrian", "pomdp", "run"):
             assert f"[{section}]" in text
+        assert "\nsweep = \n" in text and "\ntol = 1e-06\n" in text
+
+    @staticmethod
+    def configparser_ini(cfg: RunConfig) -> str:
+        """The echo as ``ConfigParser.write`` renders it: the reference that
+        ``resolved_ini`` must match byte for byte."""
+        parser = configparser.ConfigParser(interpolation=None)
+        for name in DEFAULTS:
+            parser[name] = {}
+            for key, value in getattr(cfg, name).items():
+                parser[name][key] = repr(value) if isinstance(value, float) else str(value)
+        buf = io.StringIO()
+        parser.write(buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "preset,env",
+        [
+            (None, {}),
+            ("experiment", {}),
+            (None, {"CWSIM_RUN__SWEEP": "", "CWSIM_POMDP__TOL": "1e-06"}),
+            (None, {"CWSIM_RUN__SWEEP": "1:0.5:9", "CWSIM_CONTROLLER__K_S": "0.1"}),
+            (None, {"CWSIM_POMDP__CACHE_DIR": "a\nb"}),  # continuation line
+        ],
+    )
+    def test_echo_matches_configparser(self, tmp_path, preset, env):
+        cfg = load_config(preset=preset, env=env)
+        expected = self.configparser_ini(cfg)
+        assert resolved_ini(cfg) == expected
+        assert write_config_echo(cfg, tmp_path).read_bytes() == expected.encode("utf-8")
