@@ -20,7 +20,7 @@ import csv
 import functools
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .config import (
     EXPERIMENT_TRIALS,
@@ -34,7 +34,7 @@ from .core import whole_ticks
 from .hybrid import HybridController
 from .pomdp import (PomdpController, PomdpModel, QTable, export_policy_csv,
                     policy_cache_path, solve_or_load)
-from .simulator import Controller, Scenario, TrialResult, run_batch, run_trial
+from .simulator import Controller, Scenario, TrialResult, run_batch, run_trial, seeded_gaps
 from .svgplot import scatter_svg
 
 # The per-trial metrics, in column order: TrialResult attribute -> (trials.csv
@@ -151,25 +151,21 @@ def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Seque
          out_dir: Path) -> Batches:
     """Run every method on every (side, lane) quadrant and write the trial tables.
 
-    Every quadrant shares the base seed, and the first method's batch draws
-    the gaps that the later methods reuse, so the methods and the quadrants
-    see identical gaps, drawn once per run. Each method is one lockstep
-    ``run_batch`` call over all quadrants; the tables list the trials by
-    (side, lane), then method.
+    The gaps (the sweep, else one seeded draw from the shared base seed) are
+    fixed once per run, so every method and quadrant sees the same ones. Each
+    method is one lockstep ``run_batch`` call over all quadrants; the tables
+    list the trials by (side, lane), then method.
     """
-    sweep = config.sweep_values()
-    if sweep is None and config.run["trials"] < 1:
-        raise ConfigError(f"run.trials must be >= 1, got {config.run['trials']}")
-    n = len(sweep) if sweep is not None else config.run["trials"]  # trials per quadrant
-    batch_args = {"gap_sweep": sweep} if sweep is not None else {"n_trials": n}
     scenarios = [config.scenario(lane=lane, side=side) for side, lane in quadrants]
+    gaps = config.sweep_values() or seeded_gaps(scenarios[0], config.run["trials"])
+    if not gaps:
+        raise ConfigError(f"run.trials must be >= 1, got {config.run['trials']}")
+    n = len(gaps)  # trials per quadrant
     controllers = dict(_controller(config, method, scenarios[0]) for method in methods)
     write_config_echo(config, out_dir)
 
-    results: dict[str, list[TrialResult]] = {}
-    for method, controller in controllers.items():
-        results[method] = run_batch(scenarios, controller=controller, **batch_args)
-        batch_args = {"gap_sweep": [r.accepted_gap for r in results[method][:n]]}  # reused
+    results = {method: run_batch(scenarios, gaps, controller)
+               for method, controller in controllers.items()}
     batches: Batches = {}
     rows: list[dict] = []
     for k, ((side, lane), scenario) in enumerate(zip(quadrants, scenarios)):
@@ -270,7 +266,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     out_dir = Path(config.run["out_dir"])
     write_config_echo(config, out_dir)
 
-    result = run_trial(scenario, accepted_gap_override=gap, controller=controller, record_trace=True)
+    result = run_trial(scenario, gap, controller, record_trace=True)
 
     trace_path = out_dir / "trace.csv"
     with open(trace_path, "w", encoding="utf-8", newline="") as f:
@@ -315,8 +311,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ``ConfigError``; subparsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crosswalk-sim",
         description="Crosswalk interaction simulator: hybrid controller vs POMDP baseline.",
     )
@@ -340,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one scenario batch")
     batch_flags(p_sim)
-    p_sim.add_argument("--controller", choices=METHODS)
+    p_sim.add_argument("--controller", help="hybrid or pomdp, in any case")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="both controllers, all four quadrants")
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("replay", help="single trial with a fixed accepted gap")
     run_flags(p_rep)
-    p_rep.add_argument("--controller", choices=METHODS)
+    p_rep.add_argument("--controller", help="hybrid or pomdp, in any case")
     p_rep.add_argument("--gap", type=float, help="accepted gap in seconds")
     p_rep.add_argument(
         "--trial", type=int, choices=range(1, len(EXPERIMENT_TRIALS) + 1),
@@ -381,8 +384,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -255,14 +255,14 @@ def _file_layer(path: Path) -> Layer:
 
 def _env_layer(env: Mapping[str, str]) -> Layer:
     layer: Layer = {}
-    for var, raw in env.items():
+    for var in env:
         if not var.startswith(ENV_PREFIX):
             continue
         body = var[len(ENV_PREFIX):].lower()
         if "__" not in body:
             raise ConfigError(f"bad override {var}: expected {ENV_PREFIX}SECTION__KEY")
         name, key = body.split("__", 1)
-        layer.setdefault(name, {})[key] = raw
+        layer.setdefault(name, {})[key] = env[var]
     return layer
 
 

@@ -52,14 +52,6 @@ class RewardWeights:
     def __post_init__(self) -> None:
         require_finite_fields(self)
 
-    def scaled(self, factor: float) -> "RewardWeights":
-        return RewardWeights(
-            self.w_legality * factor,
-            self.w_safety * factor,
-            self.w_efficient * factor,
-            self.w_smooth * factor,
-        )
-
 
 class PomdpModel:
     """Grids, transition kernel, and reward table for the planner."""

@@ -5,12 +5,14 @@ optional actuation delay, and one gap-acceptance pedestrian, all advanced
 at a fixed tick. Trials are independently seeded, so batches are
 reproducible and order-independent.
 
-``run_trial`` advances one trial with Python floats; it serves single
-trials and traces. ``run_batch`` advances every trial of a batch at once
-in a lockstep NumPy engine (``BatchState``), whose array expressions do the
-same IEEE operations in the same order as the scalar ones, so both give
-bitwise-equal results. One batch may span several quadrants (lane and entry
-side), each trial carrying its own.
+Both engines take their gaps and their controller from the caller and
+draw nothing themselves; ``seeded_gaps`` is the one seeded draw. ``run_trial``
+advances one trial with Python floats; it serves single trials and traces.
+``run_batch`` advances every trial of a batch at once in a lockstep NumPy
+engine (``BatchState``), whose array expressions do the same IEEE operations
+in the same order as the scalar ones, so both give bitwise-equal results. One
+batch may span several quadrants (lane and entry side), each trial carrying
+its own.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .core import (
     require_finite_fields,
     whole_ticks,
 )
-from .hybrid import OVERRUN, HybridController
+from .hybrid import OVERRUN
 from .pedestrian import (DONE_CODE, GapAcceptanceModel, PedestrianAgent, Phase, pedestrian_tick,
                          pedestrian_tick_batch, sample_accepted_gap, start_position)
 
@@ -164,33 +166,17 @@ def vehicle_pedestrian_distance(vehicle: VehicleState, ped: PedestrianState, geo
     return math.sqrt(dx * dx + dy * dy)
 
 
-def run_trial(
-    scenario: Scenario,
-    accepted_gap_override: Optional[float] = None,
-    controller: Optional[Controller] = None,
-    record_trace: bool = False,
-) -> TrialResult:
-    """Run one seeded trial to completion and collect its metrics.
-
-    ``controller`` may supply a pre-built controller, which is reset first
-    (used for the solved policy baseline); by default a fresh hybrid
-    controller is used.
+def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller,
+              record_trace: bool = False) -> TrialResult:
+    """Run one trial with the pedestrian's ``accepted_gap`` to completion and
+    collect its metrics. ``controller`` is reset first, so one instance can
+    serve many trials.
     """
-    rng = np.random.default_rng(scenario.seed)
-    accepted_gap = (
-        float(accepted_gap_override)
-        if accepted_gap_override is not None
-        else sample_accepted_gap(scenario.gap_model, rng)
-    )
-
+    accepted_gap = float(accepted_gap)
     geometry = scenario.geometry
     vehicle = VehicleState(d=scenario.initial_d, v=scenario.initial_v, x_v=scenario.lane_center())
     agent = PedestrianAgent.spawn(scenario.gap_model, geometry, scenario.entry_side, accepted_gap)
-
-    if controller is None:
-        controller = HybridController(scenario.params, geometry, dt=scenario.dt)
-    else:
-        controller.reset()
+    controller.reset()
 
     buffer = make_delay_buffer(scenario.t_delay_plant, scenario.dt)
     dt = scenario.dt
@@ -251,6 +237,12 @@ def run_trial(
         seed=scenario.seed,
         trace=trace,
     )
+
+
+def seeded_gaps(scenario: Scenario, n_trials: int) -> list[float]:
+    """``n_trials`` accepted gaps; trial i's is drawn from seed ``scenario.seed + i``."""
+    return [sample_accepted_gap(scenario.gap_model, np.random.default_rng(scenario.seed + i))
+            for i in range(n_trials)]
 
 
 def sweep_gaps(lo: float = 0.5, step: float = 0.1, hi: float = 10.0) -> list[float]:
@@ -355,23 +347,16 @@ def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, dt: float, tick: in
     s.v = np.where(v_next > 0.0, v_next, 0.0)
 
 
-def run_batch(
-    scenarios: Sequence[Scenario],
-    n_trials: Optional[int] = None,
-    gap_sweep: Optional[list[float]] = None,
-    controller: Optional[Controller] = None,
-) -> list[TrialResult]:
-    """Run independently seeded trials (seed_i = base_seed + i) or a gap sweep
-    in every scenario.
+def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
+              controller: Controller) -> list[TrialResult]:
+    """Run trial i with accepted gap ``gaps[i]`` and seed ``seed + i`` in every
+    scenario, all driven by ``controller`` (its scalar state is not touched).
 
     The scenarios (a run's quadrants) may differ only in ``lane`` and
-    ``entry_side``; every scenario runs the same gaps, drawn once. All trials
-    of all scenarios advance together in the lockstep engine, and each result
-    is bitwise equal to ``run_trial`` on the trial's own scenario and seed.
-    Returns one block of results per scenario, in order: trial i of
-    ``scenarios[k]`` is at ``k * n + i`` for ``n`` trials per scenario.
-    ``controller`` drives every trial (its scalar state is not touched); by
-    default a hybrid controller is built from the scenarios.
+    ``entry_side``. All trials of all scenarios advance together in the
+    lockstep engine, and each result is bitwise equal to ``run_trial`` on the
+    trial's own scenario, seed and gap. Returns one block of results per
+    scenario, in order: trial i of ``scenarios[k]`` is at ``k * len(gaps) + i``.
     """
     if not scenarios:
         raise ValueError("need at least one scenario")
@@ -379,17 +364,9 @@ def run_batch(
     for other in scenarios[1:]:
         if replace(other, lane=scenario.lane, entry_side=scenario.entry_side) != scenario:
             raise ValueError("a batch's scenarios may differ only in lane and entry_side")
-    if (n_trials is None) == (gap_sweep is None):
-        raise ValueError("pass exactly one of n_trials or gap_sweep")
-    if gap_sweep is not None:
-        gaps = [float(g) for g in gap_sweep]
-    else:
-        if n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        gaps = [sample_accepted_gap(scenario.gap_model, np.random.default_rng(scenario.seed + i))
-                for i in range(n_trials)]
-    if controller is None:
-        controller = HybridController(scenario.params, scenario.geometry, dt=scenario.dt)
+    gaps = [float(g) for g in gaps]
+    if not gaps:
+        raise ValueError("need at least one gap")
 
     geometry, dt = scenario.geometry, scenario.dt
     s = BatchState(scenarios, gaps)

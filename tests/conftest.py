@@ -1,6 +1,7 @@
 import pytest
 
 from crosswalk_sim.core import ControllerParams, WorldGeometry
+from crosswalk_sim.hybrid import HybridController
 from crosswalk_sim.pedestrian import GapAcceptanceModel
 from crosswalk_sim.pomdp import PomdpModel, qmdp_solve
 from crosswalk_sim.simulator import Scenario
@@ -27,6 +28,16 @@ def scenario_factory(geometry, params, gap_model):
         defaults = dict(geometry=geometry, params=params, gap_model=gap_model)
         defaults.update(kwargs)
         return Scenario(**defaults)
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def hybrid_for():
+    """A hybrid controller for a scenario, built as the CLI builds it."""
+
+    def make(scenario):
+        return HybridController(scenario.params, scenario.geometry, dt=scenario.dt)
 
     return make
 

@@ -24,7 +24,7 @@ from crosswalk_sim.pomdp import (
     greedy_action_table,
     qmdp_solve,
 )
-from crosswalk_sim.simulator import Lane, run_batch, run_trial, sweep_gaps
+from crosswalk_sim.simulator import Lane, run_batch, run_trial, seeded_gaps, sweep_gaps
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 QUADRANTS = [
@@ -40,23 +40,23 @@ def report(n: int, text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def safety_sweep(scenario_factory):
+def safety_sweep(scenario_factory, hybrid_for):
     """Deterministic gap sweep, hybrid controller, all four quadrants."""
     gaps = sweep_gaps(0.5, 0.1, 10.0)
     out = {}
     for lane, side in QUADRANTS:
         sc = scenario_factory(lane=lane, entry_side=side)
-        out[(lane, side)] = run_batch([sc], gap_sweep=gaps)
+        out[(lane, side)] = run_batch([sc], gaps, hybrid_for(sc))
     return out
 
 
 @pytest.fixture(scope="module")
-def random_batches(scenario_factory):
+def random_batches(scenario_factory, hybrid_for):
     """750 independently seeded random-gap trials per quadrant."""
     out = {}
     for i, (lane, side) in enumerate(QUADRANTS):
         sc = scenario_factory(lane=lane, entry_side=side, seed=1000 * (i + 1))
-        out[(lane, side)] = run_batch([sc], n_trials=750)
+        out[(lane, side)] = run_batch([sc], seeded_gaps(sc, 750), hybrid_for(sc))
     return out
 
 
@@ -82,12 +82,12 @@ def test_criterion_02_lane_b_clearance(safety_sweep):
     report(2, f"all Lane B trials keep >= 4.0 m (worst {worst:.2f} m)")
 
 
-def test_criterion_03_risky_gap_lateral_margin(scenario_factory, geometry):
+def test_criterion_03_risky_gap_lateral_margin(scenario_factory, hybrid_for, geometry):
     half_depth = geometry.crosswalk_depth / 2.0
     sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR)
     worst = math.inf
     for gap in [round(1.25 + 0.05 * k, 10) for k in range(11)]:
-        r = run_trial(sc, accepted_gap_override=gap, record_trace=True)
+        r = run_trial(sc, gap, hybrid_for(sc), record_trace=True)
         for t, d, v, a_cmd, a_act, x_p, mode in r.trace:
             y = geometry.vehicle_y(d)
             if abs(y) <= half_depth:
@@ -207,7 +207,7 @@ def test_criterion_09_solver_properties(params, geometry, gap_model, solved_poli
     m1 = PomdpModel(params, geometry, gap_model, discount=0.9, **small)
     m2 = PomdpModel(
         params, geometry, gap_model, discount=0.9,
-        weights=RewardWeights().scaled(4.2), **small
+        weights=RewardWeights(10.0 * 4.2, 50.0 * 4.2, 1.0 * 4.2, 2.0 * 4.2), **small
     )
     g1 = greedy_action_table(m1, qmdp_solve(m1))
     g2 = greedy_action_table(m2, qmdp_solve(m2))
@@ -219,12 +219,12 @@ def test_criterion_09_solver_properties(params, geometry, gap_model, solved_poli
     )
 
 
-def test_criterion_10_pomdp_slows_at_high_gaps(scenario_factory, pomdp_model, solved_policy):
+def test_criterion_10_pomdp_slows_at_high_gaps(scenario_factory, hybrid_for, pomdp_model,
+                                               solved_policy):
     gaps = sweep_gaps(7.1, 0.1, 10.0)
     sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR)
-    hybrid = run_batch([sc], gap_sweep=gaps)
-    ctrl = PomdpController(pomdp_model, solved_policy, sim_dt=sc.dt)
-    pomdp = run_batch([sc], gap_sweep=gaps, controller=ctrl)
+    hybrid = run_batch([sc], gaps, hybrid_for(sc))
+    pomdp = run_batch([sc], gaps, PomdpController(pomdp_model, solved_policy, sim_dt=sc.dt))
 
     diffs = np.array(
         [h.avg_velocity - p.avg_velocity for h, p in zip(hybrid, pomdp)]
@@ -249,12 +249,12 @@ def test_criterion_10_pomdp_slows_at_high_gaps(scenario_factory, pomdp_model, so
     )
 
 
-def test_criterion_11_experimental_preset_replay():
+def test_criterion_11_experimental_preset_replay(hybrid_for):
     config = load_config(preset="experiment", env={})
     outcomes = []
     for i, (gap, side, expected) in enumerate(EXPERIMENT_TRIALS, start=1):
         sc = config.scenario(side=side)
-        r = run_trial(sc, accepted_gap_override=gap, record_trace=True)
+        r = run_trial(sc, gap, hybrid_for(sc), record_trace=True)
         active = r.visited_modes() - {"Driving"}
         assert active == {expected}, f"trial {i}: expected {expected}, saw {active}"
         assert not r.collision

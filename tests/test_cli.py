@@ -6,6 +6,8 @@ import pytest
 
 from crosswalk_sim import cli
 from crosswalk_sim.cli import TRIALS_HEADER, main
+from crosswalk_sim.config import load_config
+from crosswalk_sim.simulator import seeded_gaps
 
 pytestmark = pytest.mark.usefixtures("pomdp_cache_env")
 
@@ -190,12 +192,15 @@ class TestCompare:
         rows = read_rows(out / "trials.csv")
         by_key = {}
         for r in rows:
-            key = (r["lane"], r["entry_side"], r["trial_id"])
             by_key.setdefault((r["lane"], r["entry_side"]), {}).setdefault(
                 r["method"], []
             ).append(r["accepted_gap_s"])
+        # One seeded draw per run: trial i of every quadrant and method has seed 11 + i.
+        config = load_config(cli_overrides={"run": {"seed": 11}})
+        drawn = [cli._fmt(g) for g in seeded_gaps(config.scenario(), 6)]
+        assert len(by_key) == 4
         for quadrant, methods in by_key.items():
-            assert methods["hybrid"] == methods["pomdp"]
+            assert methods["hybrid"] == methods["pomdp"] == drawn
 
 
 class TestPlot:
@@ -278,14 +283,16 @@ class TestReplay:
 
     def test_controller_flag(self, tmp_path, capsys):
         out = tmp_path / "rep"
-        assert main(["replay", "--gap", "2.5", "--controller", "pomdp", "--out", str(out)]) == 0
+        assert main(["replay", "--gap", "2.5", "--controller", "POMDP", "--out", str(out)]) == 0
         assert {r["mode"] for r in read_rows(out / "trace.csv")} == {"pomdp"}
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            main(["replay", "--gap", "2.5", "--controller", "mpc", "--out", str(tmp_path / "x")])
-        assert exc.value.code == 2
-        assert "invalid choice: 'mpc'" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        # A bad flag value, argparse's usage errors included, is one config error line.
+        for flags in (["--gap", "2.5", "--controller", "mpc"], ["--gap", "2.5", "--lane", "C"],
+                      ["--preset", "experiment", "--trial", "9"]):
+            capsys.readouterr()
+            assert main(["replay", *flags, "--out", str(tmp_path / "x")]) == 2, flags
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+            assert not (tmp_path / "x").exists()
 
     @staticmethod
     def csv_writer_trace(trace: list[tuple]) -> bytes:

@@ -1,6 +1,7 @@
 import configparser
 import io
 import math
+from collections.abc import Mapping
 
 import pytest
 
@@ -106,6 +107,25 @@ class TestFileAndOverrides:
     def test_env_override(self):
         cfg = load_config(env={"CWSIM_CONTROLLER__K_S": "3.0", "UNRELATED": "x"})
         assert cfg.controller["k_s"] == 3.0
+
+    def test_env_reads_only_prefixed_values(self):
+        class Recorded(Mapping):
+            def __init__(self, values):
+                self.values, self.read = values, []
+
+            def __getitem__(self, key):
+                self.read.append(key)
+                return self.values[key]
+
+            def __iter__(self):
+                return iter(self.values)
+
+            def __len__(self):
+                return len(self.values)
+
+        env = Recorded({"PATH": "/bin", "CWSIM_RUN__SEED": "4", "HOME": "/h", "CWSIMX": "y"})
+        assert load_config(env=env).run["seed"] == 4
+        assert env.read == ["CWSIM_RUN__SEED"]
 
     def test_env_override_bad_key(self):
         with pytest.raises(ConfigError):

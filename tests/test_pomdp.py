@@ -122,7 +122,8 @@ class TestSolver:
     def test_weight_rescaling_preserves_policy(self, params, geometry, gap_model):
         m1 = small_model(params, geometry, gap_model)
         m2 = small_model(
-            params, geometry, gap_model, weights=RewardWeights().scaled(3.7)
+            params, geometry, gap_model,
+            weights=RewardWeights(10.0 * 3.7, 50.0 * 3.7, 1.0 * 3.7, 2.0 * 3.7),
         )
         g1 = greedy_action_table(m1, qmdp_solve(m1))
         g2 = greedy_action_table(m2, qmdp_solve(m2))

@@ -125,6 +125,6 @@ def test_lockstep_batch_matches_scalar_trials(pomdp_model, solved_policy, params
         controller = PomdpController(pomdp_model, solved_policy, sim_dt=dt)
     else:
         controller = HybridController(params, GEOMETRY, dt=dt)
-    assert run_batch(scenarios, gap_sweep=gaps, controller=controller) == [
+    assert run_batch(scenarios, gaps, controller) == [
         run_trial(replace(sc, seed=i), g, controller) for sc in scenarios for i, g in enumerate(gaps)
     ]

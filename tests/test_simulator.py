@@ -5,8 +5,7 @@ import pytest
 
 from crosswalk_sim.config import load_config
 from crosswalk_sim.core import EntrySide, PedestrianState, VehicleState
-from crosswalk_sim.hybrid import HybridController, Mode
-from crosswalk_sim.pedestrian import GapAcceptanceModel
+from crosswalk_sim.pedestrian import GapAcceptanceModel, sample_accepted_gap
 from crosswalk_sim.pomdp import PomdpController, qmdp_solve
 from crosswalk_sim.simulator import (
     Lane,
@@ -16,6 +15,7 @@ from crosswalk_sim.simulator import (
     plant_tick,
     run_batch,
     run_trial,
+    seeded_gaps,
     sweep_gaps,
     vehicle_pedestrian_distance,
 )
@@ -93,58 +93,58 @@ class TestDistance:
 
 
 class TestRunTrial:
-    def test_gentle_gap_lane_b(self, scenario_factory):
+    def test_gentle_gap_lane_b(self, scenario_factory, hybrid_for):
         sc = scenario_factory(lane=Lane.B, entry_side=EntrySide.NEAR)
-        r = run_trial(sc, accepted_gap_override=7.0)
+        r = run_trial(sc, 7.0, hybrid_for(sc))
         assert not r.collision and not r.timed_out
         assert r.min_distance > 4.0
 
-    def test_tiny_gap_lane_a_no_collision(self, scenario_factory):
+    def test_tiny_gap_lane_a_no_collision(self, scenario_factory, hybrid_for):
         sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR)
-        r = run_trial(sc, accepted_gap_override=1.0)
+        r = run_trial(sc, 1.0, hybrid_for(sc))
         assert not r.collision
         assert r.avg_velocity > 4.0  # passes through at speed
 
-    def test_speed_up_band_engages(self, scenario_factory):
+    def test_speed_up_band_engages(self, scenario_factory, hybrid_for):
         sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR)
-        r = run_trial(sc, accepted_gap_override=1.5)
+        r = run_trial(sc, 1.5, hybrid_for(sc))
         assert "SpeedUp" in r.visited_modes()
         assert not r.collision
 
-    def test_above_horizon_no_trigger(self, scenario_factory):
+    def test_above_horizon_no_trigger(self, scenario_factory, hybrid_for):
         sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR)
-        r = run_trial(sc, accepted_gap_override=10.0)
+        r = run_trial(sc, 10.0, hybrid_for(sc))
         assert r.visited_modes() == {"Driving"}
         assert r.avg_velocity == pytest.approx(4.5, rel=0.01)
 
-    def test_mode_graph_soundness(self, scenario_factory):
+    def test_mode_graph_soundness(self, scenario_factory, hybrid_for):
         for lane in (Lane.A, Lane.B):
             for side in (EntrySide.NEAR, EntrySide.FAR):
                 sc = scenario_factory(lane=lane, entry_side=side)
                 for g in sweep_gaps(0.5, 0.5, 10.0):
-                    r = run_trial(sc, accepted_gap_override=g)
+                    r = run_trial(sc, g, hybrid_for(sc))
                     modes = [m for _, m in r.mode_trace]
                     for pair in zip(modes, modes[1:]):
                         assert pair in ALLOWED_TRANSITIONS, pair
 
-    def test_no_pedestrian_baseline_holds_speed_limit(self, scenario_factory):
+    def test_no_pedestrian_baseline_holds_speed_limit(self, scenario_factory, hybrid_for):
         sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR, initial_v=3.0)
-        r = run_trial(sc, accepted_gap_override=50.0, record_trace=True)
+        r = run_trial(sc, 50.0, hybrid_for(sc), record_trace=True)
         assert r.visited_modes() == {"Driving"}
         settled = [row[2] for row in r.trace if row[0] > 2.0 and row[1] > -5.0]
         assert all(abs(v - 4.5) <= 0.045 for v in settled)
 
-    def test_result_invariants(self, scenario_factory):
+    def test_result_invariants(self, scenario_factory, hybrid_for):
         sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR)
         for g in (1.0, 2.0, 4.0, 8.0):
-            r = run_trial(sc, accepted_gap_override=g)
+            r = run_trial(sc, g, hybrid_for(sc))
             assert r.min_distance >= 0.0
             assert 0.0 <= r.avg_velocity <= 4.5 + 0.5
             assert r.peak_accel <= 9.0 + 1e-9
 
-    def test_timeout_flagging(self, scenario_factory):
+    def test_timeout_flagging(self, scenario_factory, hybrid_for):
         sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR, max_sim_time=1.0)
-        r = run_trial(sc, accepted_gap_override=8.0)
+        r = run_trial(sc, 8.0, hybrid_for(sc))
         assert r.timed_out
         assert "timed_out" in r.safety_events
 
@@ -161,8 +161,7 @@ class TestRunTrial:
                 return 0.0
 
         ctrl = Constant()
-        r = run_trial(scenario_factory(), accepted_gap_override=10.0, controller=ctrl,
-                      record_trace=True)
+        r = run_trial(scenario_factory(), 10.0, ctrl, record_trace=True)
         assert ctrl.resets == 1
         assert not r.timed_out and not r.collision
         assert r.mode_trace == [(0.0, "fake")]
@@ -170,47 +169,56 @@ class TestRunTrial:
         assert r.safety_events == ["fake_event"]
 
 
+class TestSeededGaps:
+    def test_trial_i_draws_from_seed_plus_i(self, scenario_factory, gap_model):
+        sc = scenario_factory(seed=123)
+        gaps = seeded_gaps(sc, 10)
+        assert gaps == [sample_accepted_gap(gap_model, np.random.default_rng(123 + i))
+                        for i in range(10)]
+        assert all(type(g) is float for g in gaps)
+        assert seeded_gaps(replace(sc, seed=127), 6) == gaps[4:]
+
+
 class TestRunBatch:
-    def test_deterministic_given_seed(self, scenario_factory):
+    def test_deterministic_given_seed(self, scenario_factory, hybrid_for):
         sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR, seed=123)
-        a = run_batch([sc], n_trials=40)
-        b = run_batch([sc], n_trials=40)
+        a = run_batch([sc], seeded_gaps(sc, 40), hybrid_for(sc))
+        b = run_batch([sc], seeded_gaps(sc, 40), hybrid_for(sc))
         assert [(r.accepted_gap, r.min_distance, r.avg_velocity) for r in a] == [
             (r.accepted_gap, r.min_distance, r.avg_velocity) for r in b
         ]
 
-    def test_seed_offsets_vary_gaps(self, scenario_factory):
+    def test_seed_offsets_vary_gaps(self, scenario_factory, hybrid_for):
         sc = scenario_factory(seed=0)
-        rs = run_batch([sc], n_trials=10)
+        rs = run_batch([sc], seeded_gaps(sc, 10), hybrid_for(sc))
         assert len({r.accepted_gap for r in rs}) > 1
         assert [r.seed for r in rs] == list(range(10))
 
-    def test_sweep_values_exact(self, scenario_factory):
+    def test_sweep_values_exact(self, scenario_factory, hybrid_for):
         sc = scenario_factory()
         values = sweep_gaps(0.5, 0.1, 10.0)
         assert len(values) == 96
-        rs = run_batch([sc], gap_sweep=values)
+        rs = run_batch([sc], values, hybrid_for(sc))
         assert [r.accepted_gap for r in rs] == values
 
     @pytest.mark.parametrize("side", [EntrySide.NEAR, EntrySide.FAR])
     @pytest.mark.parametrize("max_sim_time", [60.0, 5.0])
-    def test_reused_controller_matches_fresh(self, scenario_factory, params, geometry, side,
+    def test_reused_controller_matches_fresh(self, scenario_factory, hybrid_for, side,
                                              max_sim_time):
         # The CLI runs every trial of a run on one controller, so reset() must
         # restore all per-trial state, also after a trial that timed out mid-mode.
         sc = scenario_factory(entry_side=side, max_sim_time=max_sim_time)
-        shared = HybridController(params, geometry, dt=sc.dt)
+        shared = hybrid_for(sc)
         gaps = sweep_gaps(0.5, 0.25, 8.0)
-        assert run_batch([sc], gap_sweep=gaps, controller=shared) == run_batch([sc], gap_sweep=gaps)
+        first = run_batch([sc], gaps, shared)
+        assert run_batch([sc], gaps, shared) == first == run_batch([sc], gaps, hybrid_for(sc))
 
-    def test_batch_argument_validation(self, scenario_factory):
+    def test_batch_argument_validation(self, scenario_factory, hybrid_for):
         sc = scenario_factory()
-        with pytest.raises(ValueError):
-            run_batch([sc])
-        with pytest.raises(ValueError):
-            run_batch([sc], n_trials=5, gap_sweep=[1.0])
-        with pytest.raises(ValueError):
-            run_batch([], n_trials=5)
+        with pytest.raises(ValueError, match="gap"):
+            run_batch([sc], [], hybrid_for(sc))
+        with pytest.raises(ValueError, match="scenario"):
+            run_batch([], [1.0], hybrid_for(sc))
 
     @pytest.mark.parametrize("change", [
         {"dt": 0.1},
@@ -219,19 +227,19 @@ class TestRunBatch:
         {"t_delay_plant": 0.5},
         {"max_sim_time": 5.0},
     ])
-    def test_scenarios_differ_only_in_quadrant(self, scenario_factory, change):
+    def test_scenarios_differ_only_in_quadrant(self, scenario_factory, hybrid_for, change):
         # One batch has one clock, one seed base, one gap draw and one delay ring.
         sc = scenario_factory()
         other = replace(scenario_factory(lane=Lane.B, entry_side=EntrySide.FAR), **change)
         with pytest.raises(ValueError, match="lane and entry_side"):
-            run_batch([sc, other], n_trials=3)
+            run_batch([sc, other], seeded_gaps(sc, 3), hybrid_for(sc))
 
 
 @pytest.mark.xfail(strict=True, reason="known defect, ROADMAP item 5: the hybrid controller "
                    "collides at gaps 1.05-1.3 s on the experiment preset, lane B, far side")
-def test_experiment_lane_b_far_side_sweep_has_no_collision():
+def test_experiment_lane_b_far_side_sweep_has_no_collision(hybrid_for):
     sc = load_config(preset="experiment", env={}).scenario(lane="B", side="far")
-    results = run_batch([sc], gap_sweep=sweep_gaps(0.5, 0.05, 10.0))
+    results = run_batch([sc], sweep_gaps(0.5, 0.05, 10.0), hybrid_for(sc))
     assert [r.accepted_gap for r in results if r.collision] == []
 
 
@@ -254,7 +262,7 @@ def scalar_oracle():
 
     Memoised per (scenario, controller kind, gaps), so the per-quadrant tests
     and the all-quadrant test run each scalar loop once. The scenario names the
-    preset, and so the policy. A gap of None is drawn from the trial's seed.
+    preset, and so the policy.
     """
     cache = {}
 
@@ -278,8 +286,7 @@ def assert_bitwise_equal(batch, scalar):
 
 def assert_batch_matches_scalar(scenarios, gaps, controller, oracle):
     """One run_batch call over ``scenarios`` against each scenario's scalar oracle."""
-    batch_args = {"n_trials": len(gaps)} if gaps[0] is None else {"gap_sweep": gaps}
-    batch = run_batch(scenarios, controller=controller, **batch_args)
+    batch = run_batch(scenarios, gaps, controller)
     n = len(gaps)
     assert len(batch) == len(scenarios) * n
     for k, sc in enumerate(scenarios):
@@ -289,7 +296,7 @@ def assert_batch_matches_scalar(scenarios, gaps, controller, oracle):
 
 QUADRANTS = [("A", "near"), ("A", "far"), ("B", "near"), ("B", "far")]
 SWEEP = sweep_gaps(0.5, 0.05, 10.0)
-SEEDED = [None] * 25  # 25 trials from seed 17
+SEEDED = 25  # trials drawn by seeded_gaps from seed 17
 COARSE = sweep_gaps(0.5, 0.5, 10.0)
 OVERRIDES = [{"max_sim_time": 5.0}, {"collision_radius": 4.0}]
 
@@ -298,24 +305,26 @@ class TestLockstepMatchesScalar:
     """run_batch's lockstep engine against a loop of scalar run_trial, with no tolerance."""
 
     @pytest.fixture(params=["hybrid", "pomdp"])
-    def controller(self, request, preset_config, preset_policy):
+    def controller(self, request, preset_config, preset_policy, hybrid_for):
         sc = preset_config.scenario()
         if request.param == "hybrid":
-            return HybridController(sc.params, sc.geometry, dt=sc.dt)
+            return hybrid_for(sc)
         return PomdpController(*preset_policy, sim_dt=sc.dt)
 
     @pytest.mark.parametrize("lane,side", QUADRANTS)
     def test_sweep_and_seeded_batch(self, preset_config, controller, scalar_oracle, lane, side):
         sc = preset_config.scenario(lane=lane, side=side)
         assert_batch_matches_scalar([sc], SWEEP, controller, scalar_oracle)
-        assert_batch_matches_scalar([replace(sc, seed=17)], SEEDED, controller, scalar_oracle)
+        seeded = replace(sc, seed=17)
+        assert_batch_matches_scalar([seeded], seeded_gaps(seeded, SEEDED), controller,
+                                    scalar_oracle)
 
-    def test_sweep_reaches_hard_braking_overrun(self, preset_config):
+    def test_sweep_reaches_hard_braking_overrun(self, preset_config, hybrid_for):
         # So the test above covers HardBraking past the stop point (18 trials
         # on the default preset, 85 on the experiment one).
         scenarios = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
         overruns = sum("hard_braking_overrun" in r.safety_events
-                       for r in run_batch(scenarios, gap_sweep=SWEEP))
+                       for r in run_batch(scenarios, SWEEP, hybrid_for(scenarios[0])))
         assert overruns > 0
 
     @pytest.mark.parametrize("override", OVERRIDES)
@@ -334,8 +343,9 @@ class TestLockstepMatchesScalar:
         # centre, on one clock, one delay ring and one set of gaps.
         quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
         assert_batch_matches_scalar(quadrants, SWEEP, controller, scalar_oracle)
-        assert_batch_matches_scalar([replace(sc, seed=17) for sc in quadrants], SEEDED,
-                                    controller, scalar_oracle)
+        seeded = [replace(sc, seed=17) for sc in quadrants]
+        assert_batch_matches_scalar(seeded, seeded_gaps(seeded[0], SEEDED), controller,
+                                    scalar_oracle)
         for override in OVERRIDES:
             assert_batch_matches_scalar([replace(sc, **override) for sc in quadrants], COARSE,
                                         controller, scalar_oracle)
