@@ -118,9 +118,26 @@ def write_summary_csv(path: Path, rows: list[dict]) -> None:
 Batches = dict[tuple[str, str, str], list[TrialResult]]
 
 
+def _output_path(path: Path, directory: bool) -> Path:
+    """``path`` once it is known the run can write it: it is not an existing
+    file of the wrong kind, and its nearest existing ancestor is a directory.
+    Checked before any trial runs or any solve starts."""
+    if path.exists():
+        if path.is_dir() != directory:
+            raise ConfigError(f"output path {path} is {'not ' if directory else ''}a directory")
+        return path
+    for parent in path.parents:
+        if parent.exists():
+            if not parent.is_dir():
+                raise ConfigError(f"cannot create {path}: {parent} is not a directory")
+            break
+    return path
+
+
 def _policy(config: RunConfig) -> tuple[PomdpModel, QTable]:
     model = config.pomdp_model()
-    table = solve_or_load(model, Path(config.pomdp["cache_dir"]), tol=config.pomdp["tol"])
+    cache_dir = _output_path(Path(config.pomdp["cache_dir"]), directory=True)
+    table = solve_or_load(model, cache_dir, tol=config.pomdp["tol"])
     return model, table
 
 
@@ -156,6 +173,7 @@ def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Seque
     method is one lockstep ``run_batch`` call over all quadrants; the tables
     list the trials by (side, lane), then method.
     """
+    _output_path(out_dir, directory=True)
     scenarios = [config.scenario(lane=lane, side=side) for side, lane in quadrants]
     gaps = config.sweep_values() or seeded_gaps(scenarios[0], config.run["trials"])
     if not gaps:
@@ -228,21 +246,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     csv_in = Path(args.csv_in)
+    out = _output_path(Path(args.out_svg), directory=False)
     column, label = METRIC_COLUMNS[args.metric]
     try:
         with open(csv_in, encoding="utf-8", newline="") as f:
-            points = [
-                (row["method"], float(row["accepted_gap_s"]), float(row[column]))
-                for row in csv.DictReader(f)
-            ]
+            reader = csv.reader(f)
+            # As csv.DictReader reads it: the last of repeated names wins, blank rows are skipped.
+            index = {name: i for i, name in enumerate(next(reader, []))}
+            method, gap, metric = (index[name] for name in ("method", "accepted_gap_s", column))
+            points = [(row[method], float(row[gap]), float(row[metric])) for row in reader if row]
     except KeyError as exc:
         raise ConfigError(f"{csv_in} lacks column {exc}") from exc
-    except (OSError, ValueError, TypeError, csv.Error) as exc:
+    except (OSError, ValueError, IndexError, csv.Error) as exc:
         raise ConfigError(f"cannot read {csv_in}: {exc}") from exc
     if not points:
         raise ConfigError(f"{csv_in} has no trials")
     svg = scatter_svg(points, "pedestrian accepted gap (s)", label, title=args.title or "")
-    out = Path(args.out_svg)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(svg, encoding="utf-8")
     print(f"{len(points)} markers -> {out}")
@@ -262,8 +281,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     else:
         gap, side, expected = config.accepted_gap(args.gap), config.run["side"], None
     scenario = config.scenario(side=side)
+    out_dir = _output_path(Path(config.run["out_dir"]), directory=True)
     _, controller = _controller(config, config.run["controller"], scenario)
-    out_dir = Path(config.run["out_dir"])
     write_config_echo(config, out_dir)
 
     result = run_trial(scenario, gap, controller, record_trace=True)
@@ -290,14 +309,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_solve_pomdp(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    export = args.export and _output_path(Path(args.export), directory=False)
     model, table = _policy(config)
     path = policy_cache_path(Path(config.pomdp["cache_dir"]), model)
     print(
         f"policy key={model.cache_key} states={model.n_states} actions={model.n_actions} "
         f"cached at {path}"
     )
-    if args.export:
-        export_policy_csv(Path(args.export), model, table)
+    if export:
+        export_policy_csv(export, model, table)
         print(f"exported flat table -> {args.export}")
     return 0
 

@@ -214,51 +214,58 @@ class HybridController:
         a = _clip(p.k_s * (p.v_speedlimit - v), -p.a_cmf, p.a_cmf)  # driving_command
 
         check = (mode == DRIVING) & (d > 0.0) & ped_active
-        if check.any():
+        if np.count_nonzero(check):
             # time_advantage(...) > tau_max, its inf / -inf cases spelled out.
             t_reach = (s.x_v - s.x_p) / s.xdot_p
             margin = ((s.xdot_p == 0.0) | (t_reach < 0.0)
                       | (v > 0.0) & (t_reach - (d + geo.delta) / v > p.tau_max))
             enter = check & ~margin
-            if enter.any():
+            if np.count_nonzero(enter):
                 new = np.where(d >= comfort_brake_distance(v, p.a_cmf), YIELDING,
                                np.where(d > max_brake_distance(v, p.a_max), HARD_BRAKING, SPEED_UP))
-                np.copyto(mode, new, where=enter)
-                np.copyto(s.d_o, d, where=enter)
-                np.copyto(s.v_o, v, where=enter)
-                np.copyto(s.latched, False, where=enter)
+                np.putmask(mode, enter, new.astype(mode.dtype))
+                np.putmask(s.d_o, enter, d)
+                np.putmask(s.v_o, enter, v)
+                np.putmask(s.latched, enter, False)
         leaving = ~ped_active
 
         yielding = mode == YIELDING
-        if yielding.any():
+        if np.count_nonzero(yielding):
             # yielding_command: a coasting trial keeps the driving command.
-            coast = ~s.latched & (d > comfort_brake_distance(v, p.a_cmf) + (p.t_delay + self.dt) * v)
-            latch = yielding & ~s.latched & ~coast
-            np.copyto(s.d_o, d, where=latch)
-            np.copyto(s.v_o, v, where=latch)
-            s.latched |= latch
-            arg = 2.0 * p.a_cmf * (d - s.d_o) + s.v_o * s.v_o
-            v_des = np.sqrt(np.where(arg > 0.0, arg, 0.0))  # yield_speed_profile
+            steer = yielding
+            unlatched = yielding & ~s.latched
+            if np.count_nonzero(unlatched):
+                coast = unlatched & (d > comfort_brake_distance(v, p.a_cmf) + (p.t_delay + self.dt) * v)
+                latch = unlatched & ~coast
+                np.putmask(s.d_o, latch, d)
+                np.putmask(s.v_o, latch, v)
+                s.latched |= latch
+                steer = yielding & ~coast
+            # yield_speed_profile; arg is never -0.0, as v_o * v_o is not.
+            v_des = np.sqrt(np.maximum(2.0 * p.a_cmf * (d - s.d_o) + s.v_o * s.v_o, 0.0))
             a_y = _clip(-p.a_cmf + p.k_s * (v_des - v), -p.a_cmf, p.a_cmf)
-            np.copyto(a, a_y, where=yielding & ~coast)
-            mode[yielding & leaving] = DRIVING
+            np.putmask(a, steer, a_y)
+            np.putmask(mode, yielding & leaving, DRIVING)
 
         braking = mode == HARD_BRAKING
-        if braking.any():
+        if np.count_nonzero(braking):
             overrun = d <= 0.0
             s.overrun |= braking & overrun
-            v_des = np.where(overrun | (s.d_o <= 0.0), 0.0,
-                             s.v_o / np.sqrt(s.d_o) * np.sqrt(d))  # brake_speed_profile
+            v_des = s.v_o / np.sqrt(s.d_o) * np.sqrt(d)  # brake_speed_profile
+            np.putmask(v_des, overrun | (s.d_o <= 0.0), 0.0)
             a_h = _clip(-v * v / (2.0 * d) + p.k_s * (v_des - v), -p.a_max, p.a_cmf)
-            np.copyto(a, np.where(overrun, -p.a_max, a_h), where=braking)
-            mode[braking & leaving] = DRIVING
+            np.putmask(a_h, overrun, -p.a_max)
+            np.putmask(a, braking, a_h)
+            np.putmask(mode, braking & leaving, DRIVING)
 
         speeding = mode == SPEED_UP
-        if speeding.any():
-            np.copyto(a, p.a_cmf, where=speeding)
-            mode[speeding & (leaving | (d < 0.0))] = DRIVING
+        if np.count_nonzero(speeding):
+            np.putmask(a, speeding, p.a_cmf)
+            np.putmask(mode, speeding & (leaving | (d < 0.0)), DRIVING)
 
-        return _clip(a, -p.a_max, p.a_cmf)
+        # Every mode's command already lies in [-a_max, a_cmf], inside which
+        # step's final clamp is the identity.
+        return a
 
     def _enter(self, mode: Mode, d: float, v: float) -> None:
         self.mode = mode

@@ -146,35 +146,36 @@ def pedestrian_tick(agent: PedestrianAgent, vehicle: VehicleState, dt: float) ->
     return agent
 
 
-def pedestrian_tick_batch(s: BatchState, model: GapAcceptanceModel, geometry: WorldGeometry,
-                          dt: float) -> None:
+def pedestrian_tick_batch(s: BatchState, model: GapAcceptanceModel, dt: float,
+                          line: np.ndarray, past: np.ndarray) -> None:
     """``pedestrian_tick`` for every live trial of a lockstep batch, in place.
 
-    Each masked block does the same IEEE operations as the scalar branch it
+    ``line`` and ``past`` are ``BatchState.walking_line`` of this tick. Each
+    masked block does the same IEEE operations as the scalar branch it
     replaces, so every pedestrian follows its scalar path bit for bit; the
     walk direction and the done test follow each trial's entry side.
     """
     waiting = s.phase == WAITING_CODE
-    if waiting.any():
+    if np.count_nonzero(waiting):
         unarmed = waiting & (s.delay_left < 0.0)
-        line_dist = s.d + geometry.delta
         should_arm = (
             (s.v <= 1e-9)
-            | geometry.vehicle_is_past(s.d)
-            | ~(s.gap > model.max_trigger_gap) & (line_dist > 0.0) & (line_dist / s.v <= s.gap)
+            | past
+            | ~(s.gap > model.max_trigger_gap) & (line > 0.0) & (line / s.v <= s.gap)
         )
         armed = unarmed & should_arm
         counting = waiting & ~unarmed
-        np.copyto(s.delay_left, model.start_delay, where=armed)
-        np.subtract(s.delay_left, dt, out=s.delay_left, where=counting)
+        np.putmask(s.delay_left, armed, model.start_delay)
+        np.putmask(s.delay_left, counting, s.delay_left - dt)
         start = (armed | counting) & ~(s.delay_left > 1e-9)
-        if start.any():
-            s.phase[start] = CROSSING_CODE
-            # sign * walk_speed with sign = 1.0 (near) or -1.0 (far), per trial
-            s.xdot_p[start] = np.where(s.near[start], model.walk_speed, -model.walk_speed)
+        if np.count_nonzero(start):
+            np.putmask(s.phase, start, CROSSING_CODE)
+            np.putmask(s.xdot_p, start, s.sgn * model.walk_speed)  # sign * walk_speed
 
-    crossing = s.phase == CROSSING_CODE
-    np.add(s.x_p, s.xdot_p * dt, out=s.x_p, where=crossing)
-    done = crossing & np.where(s.near, s.x_p > geometry.roadway_width, s.x_p < 0.0)
-    s.phase[done] = DONE_CODE
-    s.xdot_p[done] = 0.0
+    # Only a crossing pedestrian moves: everyone else has xdot_p == 0.0, and
+    # x_p + 0.0 * dt is x_p (up to the sign of a zero, which no test sees).
+    s.x_p += s.xdot_p * dt
+    done = (s.phase == CROSSING_CODE) & s.crossed()
+    if np.count_nonzero(done):
+        np.putmask(s.phase, done, DONE_CODE)
+        np.putmask(s.xdot_p, done, 0.0)

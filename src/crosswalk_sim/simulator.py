@@ -50,9 +50,9 @@ class Controller(Protocol):
 
     ``step_batch`` is ``step`` over the live trials of a lockstep batch: it
     reads the vehicle and pedestrian arrays of a ``BatchState`` (lane centre
-    ``x_v`` and entry side included, both per trial), updates its own arrays
-    there (``mode``, an index into ``modes``, whose code 0 is the mode after
-    ``reset``) and returns one command per trial.
+    ``x_v`` and the entry-side constants included, all per trial), updates its
+    own arrays there (``mode``, an index into ``modes``, whose code 0 is the
+    mode after ``reset``) and returns one command per trial.
     """
 
     label: str
@@ -255,36 +255,44 @@ class BatchState:
     """The live trials of a lockstep batch, one array element per trial.
 
     Vehicle: ``d``, ``v``, ``x_v`` (the trial's lane centre). Pedestrian:
-    ``near`` (entered from the near side), ``x_p``, ``xdot_p``, ``phase`` (a
-    ``Phase`` code), ``delay_left``, ``gap``. Controller, written only by its
-    ``step_batch`` and zero at the start: ``mode``, ``d_o``, ``v_o``,
-    ``latched``, ``overrun``, ``a_prev_idx``. Plant: ``fifo``, a (trial,
-    delay tick) ring of the commands not yet applied. Metrics:
-    ``min_distance``, ``v_sum``, ``n_ticks``, ``peak_accel``, ``collision``,
-    ``timed_out``. ``trial`` is each element's index in the batch: trial i of
-    ``scenarios[k]`` is element ``k * len(gaps) + i`` and has gap ``gaps[i]``.
+    ``x_p``, ``xdot_p``, ``phase`` (a ``Phase`` code), ``delay_left``, ``gap``,
+    and three constants of the trial's entry side, which replace per-side
+    branches with exact arithmetic: ``sgn`` (1.0 near, -1.0 far), ``off``
+    (0.0 near, roadway_width far) and ``lim`` (roadway_width near, 0.0 far).
+    The span coordinate is ``sgn * x_p + off``, the span speed
+    ``sgn * xdot_p`` and the crossing is done once ``sgn * x_p > lim``.
+    Controller, written only by its ``step_batch`` and zero at the start:
+    ``mode``, ``d_o``, ``v_o``, ``latched``, ``overrun``, ``a_prev_idx``.
+    Plant: ``fifo``, a (trial, delay tick) ring of the commands not yet
+    applied. Metrics: ``min_distance``, ``v_sum``, ``peak_accel`` and
+    ``collision`` (this tick's). ``trial`` is each element's index in the
+    batch: trial i of ``scenarios[k]`` is element ``k * len(gaps) + i`` and has
+    gap ``gaps[i]``.
     """
 
-    ARRAYS = ("trial", "d", "v", "x_v", "near", "x_p", "xdot_p", "phase", "delay_left", "gap",
-              "mode", "d_o", "v_o", "latched", "overrun", "a_prev_idx", "fifo", "min_distance",
-              "v_sum", "n_ticks", "peak_accel", "collision", "timed_out")
+    ARRAYS = ("trial", "d", "v", "x_v", "sgn", "off", "lim", "x_p", "xdot_p", "phase",
+              "delay_left", "gap", "mode", "d_o", "v_o", "latched", "overrun", "a_prev_idx",
+              "fifo", "min_distance", "v_sum", "peak_accel", "collision")
     # The arrays a finished trial's TrialResult is built from.
-    RESULTS = ("min_distance", "v_sum", "n_ticks", "peak_accel", "collision", "timed_out",
-               "overrun", "d")
+    RESULTS = ("min_distance", "v_sum", "peak_accel", "collision", "overrun", "d")
 
     def __init__(self, scenarios: Sequence[Scenario], gaps: list[float]):
         sc = scenarios[0]  # every field but lane and entry_side is shared
         per_scenario = len(gaps)
         n = len(scenarios) * per_scenario
+        width = sc.geometry.roadway_width
 
         def each(values: list) -> np.ndarray:
             return np.repeat(values, per_scenario)
 
+        near = [q.entry_side is EntrySide.NEAR for q in scenarios]
         self.trial = np.arange(n)
         self.d = np.full(n, sc.initial_d)
         self.v = np.full(n, sc.initial_v)
         self.x_v = each([q.lane_center() for q in scenarios])
-        self.near = each([q.entry_side is EntrySide.NEAR for q in scenarios])
+        self.sgn = each([1.0 if q else -1.0 for q in near])
+        self.off = each([0.0 if q else width for q in near])
+        self.lim = each([width if q else 0.0 for q in near])
         self.x_p = each([start_position(sc.gap_model, q.entry_side, sc.geometry) for q in scenarios])
         self.xdot_p = np.zeros(n)
         self.phase = np.zeros(n, dtype=np.int8)
@@ -297,41 +305,68 @@ class BatchState:
         self.overrun = np.zeros(n, dtype=bool)
         self.a_prev_idx = np.zeros(n, dtype=np.int64)
         self.fifo = np.zeros((n, sc.delay_ticks()))
-        self.min_distance = self.distance(sc.geometry)
+        self.min_distance = self.distance(self.walking_line(sc.geometry)[0])
         self.v_sum = np.zeros(n)
-        self.n_ticks = np.zeros(n, dtype=np.int64)
         self.peak_accel = np.zeros(n)
         self.collision = np.zeros(n, dtype=bool)
-        self.timed_out = np.zeros(n, dtype=bool)
 
     def span_coord(self, geometry: WorldGeometry) -> np.ndarray:
-        """``PedestrianState.span_coord`` per trial, for ``in_crosswalk``."""
-        return np.where(self.near, self.x_p, geometry.roadway_width - self.x_p)
+        """``PedestrianState.span_coord`` per trial, for ``in_crosswalk``.
+
+        Near side ``1.0 * x_p + 0.0`` is ``x_p`` and far side
+        ``width + (-1.0 * x_p)`` is ``width - x_p``, both exactly (a zero may
+        change sign, which no comparison sees); ``geometry`` is folded into ``off``.
+        """
+        return self.sgn * self.x_p + self.off
 
     def span_speed(self) -> np.ndarray:
         """``PedestrianState.span_speed`` per trial, for ``in_crosswalk``."""
-        return np.where(self.near, self.xdot_p, -self.xdot_p)
+        return self.sgn * self.xdot_p
 
-    def distance(self, geometry: WorldGeometry) -> np.ndarray:
-        """``vehicle_pedestrian_distance`` on arrays."""
+    def crossed(self) -> np.ndarray:
+        """``pedestrian_tick``'s done test per trial: ``x_p > roadway_width``
+        near side, ``x_p < 0.0`` far side (``-x_p > 0.0`` is the same test)."""
+        return self.sgn * self.x_p > self.lim
+
+    def walking_line(self, geometry: WorldGeometry) -> tuple[np.ndarray, np.ndarray]:
+        """``d + delta`` (the vehicle's distance to the walking line, which is
+        ``-vehicle_y(d)``) and ``vehicle_is_past(d)``, spelled
+        ``d + delta < -margin`` since negation is exact, per trial."""
+        line = self.d + geometry.delta
+        return line, line < -(geometry.crosswalk_depth / 2.0 + 1.0)
+
+    def distance(self, line: np.ndarray) -> np.ndarray:
+        """``vehicle_pedestrian_distance`` on arrays, given ``walking_line``'s
+        ``line``: its ``dy`` is ``line`` up to the sign of zero, so
+        ``dy * dy == line * line``."""
         dx = self.x_p - self.x_v
-        dy = 0.0 - geometry.vehicle_y(self.d)
-        return np.sqrt(dx * dx + dy * dy)
+        return np.sqrt(dx * dx + line * line)
 
-    def retire(self, finished: np.ndarray, out: BatchState) -> None:
-        """Copy the results of the ``finished`` trials into ``out`` and drop them."""
-        idx = self.trial[finished]
+    def retire(self, finished: np.ndarray, out: dict[str, np.ndarray], tick: int) -> None:
+        """Copy the ``RESULTS`` of the ``finished`` trials into ``out`` and drop them.
+
+        They ran ``tick`` ticks, and ``n_ticks`` counts all but a colliding one.
+        The integer indices are found once and serve every gather.
+        """
+        done = np.flatnonzero(finished)
+        idx = self.trial[done]
         for name in self.RESULTS:
-            getattr(out, name)[idx] = getattr(self, name)[finished]
-        live = ~finished
+            out[name][idx] = getattr(self, name)[done]
+        out["n_ticks"][idx] = tick - self.collision[done]
+        live = np.flatnonzero(~finished)
         for name in self.ARRAYS:
             setattr(self, name, getattr(self, name)[live])
+
+
+# Tick primitives: np.count_nonzero, never .any(); np.putmask, never copyto(where=) or mask stores.
 
 
 def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, dt: float, tick: int) -> None:
     """``plant_tick`` for every live trial of a lockstep batch, in place.
 
-    Every trial starts at tick 0, so the delay ring has one shared head.
+    Every trial starts at tick 0, so the delay ring has one shared head. A
+    trial stops inside the step when ``v + a * dt < 0.0``, which with
+    ``v >= 0.0`` implies the scalar test's ``a < 0.0``.
     """
     n_delay = s.fifo.shape[1]
     if n_delay:
@@ -340,11 +375,13 @@ def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, dt: float, tick: in
         s.fifo[:, head] = commanded_a
     else:
         a = commanded_a
-    v = s.v
+    d, v = s.d, s.v
     v_next = v + a * dt
-    stops = (a < 0.0) & (v_next < 0.0)  # stops inside this step
-    s.d = np.where(stops, s.d - v * v / (-2.0 * a), s.d - (v * dt + 0.5 * a * dt * dt))
-    s.v = np.where(v_next > 0.0, v_next, 0.0)
+    s.d = d - (v * dt + 0.5 * a * dt * dt)
+    stops = v_next < 0.0
+    if np.count_nonzero(stops):
+        np.putmask(s.d, stops, d - v * v / (-2.0 * a))
+    s.v = np.where(v_next > 0.0, v_next, 0.0)  # max(0.0, v_next), which maps -0.0 to 0.0
 
 
 def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
@@ -370,7 +407,10 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
 
     geometry, dt = scenario.geometry, scenario.dt
     s = BatchState(scenarios, gaps)
-    out = BatchState(scenarios, gaps)
+    n_total = len(s.trial)
+    out = {name: np.zeros(n_total, dtype=getattr(s, name).dtype) for name in BatchState.RESULTS}
+    out["n_ticks"] = np.zeros(n_total, dtype=np.int64)
+    out["timed_out"] = np.zeros(n_total, dtype=bool)
     modes = controller.modes
     switches: list[tuple[int, float, str]] = []  # (trial, t, label)
     t = 0.0
@@ -379,38 +419,49 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     with np.errstate(divide="ignore", invalid="ignore"):
         while len(s.trial):
             if t >= scenario.max_sim_time:
-                s.timed_out[:] = True
-                s.retire(np.ones(len(s.trial), dtype=bool), out)
+                out["timed_out"][s.trial] = True
+                s.retire(np.ones(len(s.trial), dtype=bool), out, tick)
                 break
-            before = s.mode.copy()
+            before = s.mode.copy() if len(modes) > 1 else None
             a_cmd = controller.step_batch(s, tick)
-            for k in np.flatnonzero(s.mode != before).tolist():
-                switches.append((int(s.trial[k]), t, modes[s.mode[k]]))
+            if before is not None:
+                changed = s.mode != before
+                if np.count_nonzero(changed):
+                    for k in np.flatnonzero(changed).tolist():
+                        switches.append((int(s.trial[k]), t, modes[s.mode[k]]))
             v_before = s.v
             plant_tick_batch(s, a_cmd, dt, tick)
             a_actual = (s.v - v_before) / dt
-            pedestrian_tick_batch(s, scenario.gap_model, geometry, dt)
+            line, past = s.walking_line(geometry)
+            pedestrian_tick_batch(s, scenario.gap_model, dt, line, past)
             t += dt
             tick += 1
 
-            dist = s.distance(geometry)
-            np.copyto(s.min_distance, dist, where=dist < s.min_distance)
+            # Neither operand of np.minimum / np.maximum is ever -0.0 (a root
+            # and an absolute value), so each is the scalar ``if x < m: m = x``.
+            dist = s.distance(line)
+            np.minimum(s.min_distance, dist, out=s.min_distance)
             s.collision = dist < scenario.collision_radius
-            counted = ~s.collision
-            np.add(s.v_sum, s.v, out=s.v_sum, where=counted)
-            np.add(s.n_ticks, 1, out=s.n_ticks, where=counted)
+            collided = np.count_nonzero(s.collision)
             accel = np.abs(a_actual)
-            np.copyto(s.peak_accel, accel, where=counted & (accel > s.peak_accel))
+            if collided:  # a colliding trial's last tick is not counted
+                counted = ~s.collision
+                np.add(s.v_sum, s.v, out=s.v_sum, where=counted)
+                np.maximum(s.peak_accel, accel, out=s.peak_accel, where=counted)
+            else:
+                s.v_sum += s.v
+                np.maximum(s.peak_accel, accel, out=s.peak_accel)
 
-            finished = s.collision | (s.phase == DONE_CODE) & geometry.vehicle_is_past(s.d)
-            if finished.any():
-                s.retire(finished, out)
+            finished = (s.phase == DONE_CODE) & past
+            if collided:
+                finished |= s.collision
+            if np.count_nonzero(finished):
+                s.retire(finished, out, tick)
 
-    n_total = len(out.trial)
     mode_traces: list[list[tuple[float, str]]] = [[(0.0, modes[0])] for _ in range(n_total)]
     for k, t_switch, label in switches:
         mode_traces[k].append((t_switch, label))
-    final = {name: getattr(out, name).tolist() for name in BatchState.RESULTS}  # Python scalars
+    final = {name: values.tolist() for name, values in out.items()}  # Python scalars
     results = []
     for k in range(n_total):
         i = k % len(gaps)

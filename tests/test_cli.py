@@ -352,6 +352,43 @@ class TestReplay:
             (tmp_path / "fresh" / "trace.csv").read_bytes()
 
 
+class TestBadOutputPath:
+    """An output path that cannot be written is a config error, found before any
+    trial runs or any solve starts."""
+
+    @staticmethod
+    def forbid(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    @pytest.mark.parametrize(
+        "env,argv",
+        [
+            (None, ["simulate", "--sweep", "2:1:3", "--out", "afile"]),
+            (None, ["compare", "--sweep", "2:1:3", "--out", "afile"]),
+            (None, ["replay", "--gap", "2.5", "--out", "afile/sub"]),
+            (None, ["plot", "trials.csv", "afile/x.svg"]),
+            (None, ["plot", "trials.csv", "adir"]),
+            (None, ["solve-pomdp", "--export", "afile/x.csv"]),
+            ("afile", ["solve-pomdp"]),
+        ],
+        ids=["simulate", "compare", "replay", "plot", "plot-onto-dir", "solve-pomdp",
+             "pomdp-cache-dir"],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, env, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "trials.csv").write_text("method,accepted_gap_s,min_distance_m\nhybrid,2,3\n")
+        if env is not None:
+            monkeypatch.setenv("CWSIM_POMDP__CACHE_DIR", env)
+        for name in ("run_batch", "run_trial", "solve_or_load", "scatter_svg"):
+            monkeypatch.setattr(cli, name, self.forbid)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert (tmp_path / "afile").read_text() == ""
+
+
 class TestSolvePomdp:
     def test_export(self, tmp_path):
         for export in (tmp_path / "table.csv", tmp_path / "newdir" / "table.csv"):

@@ -5,9 +5,11 @@ import pytest
 
 from crosswalk_sim.config import load_config
 from crosswalk_sim.core import EntrySide, PedestrianState, VehicleState
-from crosswalk_sim.pedestrian import GapAcceptanceModel, sample_accepted_gap
+from crosswalk_sim.pedestrian import (GapAcceptanceModel, PedestrianAgent, Phase, pedestrian_tick,
+                                      sample_accepted_gap)
 from crosswalk_sim.pomdp import PomdpController, qmdp_solve
 from crosswalk_sim.simulator import (
+    BatchState,
     Lane,
     Scenario,
     TrialResult,
@@ -349,6 +351,80 @@ class TestLockstepMatchesScalar:
         for override in OVERRIDES:
             assert_batch_matches_scalar([replace(sc, **override) for sc in quadrants], COARSE,
                                         controller, scalar_oracle)
+
+
+class TestBatchIdentities:
+    """The exact rewrites the lockstep tick makes of the scalar tests it replaces,
+    checked element by element against ``PedestrianState`` and ``WorldGeometry``."""
+
+    SIDES = (EntrySide.NEAR, EntrySide.FAR)
+
+    @pytest.fixture
+    def batch(self, scenario_factory):
+        # One element per (side, value): the near-side trials, then the far-side ones.
+        def make(values):
+            scenarios = [scenario_factory(entry_side=side) for side in self.SIDES]
+            s = BatchState(scenarios, [2.0] * len(values))
+            sides = [side for side in self.SIDES for _ in values]
+            return s, sides, [*values, *values]
+
+        return make
+
+    @staticmethod
+    def positions(width):
+        return [0.0, 1e-300, -1e-300, width, np.nextafter(width, np.inf),
+                np.nextafter(width, -np.inf), 7.0, -2.5, width + 0.25, 1.75]
+
+    def test_span_coord(self, batch, geometry):
+        # 1.0 * x + 0.0 == x (near) and W + (-1.0 * x) == W - x (far).
+        s, sides, x_ps = batch(self.positions(geometry.roadway_width))
+        s.x_p = np.array(x_ps)
+        want = [PedestrianState(x_p=x, xdot_p=0.0, entry_side=side).span_coord(geometry)
+                for x, side in zip(x_ps, sides)]
+        assert s.span_coord(geometry).tolist() == want
+
+    def test_span_speed(self, batch, geometry):
+        s, sides, speeds = batch([1.2, -1.2, 0.0, 1e-300, -1e-300])
+        s.xdot_p = np.array(speeds)
+        want = [PedestrianState(x_p=0.0, xdot_p=xdot, entry_side=side).span_speed()
+                for xdot, side in zip(speeds, sides)]
+        assert s.span_speed().tolist() == want
+
+    def test_crossed_matches_done_test(self, batch, geometry, gap_model):
+        # pedestrian_tick with xdot_p = 0.0 leaves x_p in place and applies its done test.
+        s, sides, x_ps = batch(self.positions(geometry.roadway_width))
+        s.x_p = np.array(x_ps)
+        want = []
+        for x, side in zip(x_ps, sides):
+            agent = PedestrianAgent(gap_model, geometry, 2.0,
+                                    PedestrianState(x_p=x, xdot_p=0.0, entry_side=side),
+                                    phase=Phase.CROSSING)
+            want.append(pedestrian_tick(agent, VehicleState(d=10.0, v=4.5, x_v=1.75), 0.05).phase
+                        is Phase.DONE)
+        assert s.crossed().tolist() == want
+        assert any(want) and not all(want)
+
+    def test_walking_line_matches_vehicle_is_past(self, batch, geometry):
+        # (d + delta) < -margin is -(d + delta) > margin; d + delta is -vehicle_y(d).
+        edge = -(geometry.delta + geometry.crosswalk_depth / 2.0 + 1.0)
+        ds = [edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf), edge + 1e-15,
+              edge - 1e-15, -geometry.delta, 0.0, -1e-300, 50.0, -100.0]
+        s, _, ds = batch(ds)
+        s.d = np.array(ds)
+        line, past = s.walking_line(geometry)
+        assert past.tolist() == [geometry.vehicle_is_past(d) for d in ds]
+        assert line.tolist() == [-geometry.vehicle_y(d) for d in ds]
+        assert any(past) and not all(past)
+
+    def test_distance_matches_scalar(self, batch, geometry):
+        s, _, ds = batch([-geometry.delta, 0.0, 50.0, -7.5, 1e-300, 3.3])
+        s.d = np.array(ds)
+        s.x_p = np.linspace(-2.5, geometry.roadway_width + 0.25, len(ds))
+        want = [vehicle_pedestrian_distance(VehicleState(d=d, v=4.5, x_v=x_v),
+                                            PedestrianState(x_p=x_p, xdot_p=0.0), geometry)
+                for d, x_v, x_p in zip(ds, s.x_v.tolist(), s.x_p.tolist())]
+        assert [x.hex() for x in s.distance(s.walking_line(geometry)[0]).tolist()] == \
+            [x.hex() for x in want]
 
 
 def test_scenario_validation(geometry, params, gap_model):
