@@ -8,6 +8,10 @@ Verbs:
 * ``replay``     one trial with a fixed gap, full event trace CSV
 * ``solve-pomdp``  pre-solve and cache the baseline policy
 
+``simulate`` and ``compare`` render each trial once, in ``trials.csv`` row
+order, and build ``summary.csv`` and ``panels_*.csv`` from those cells. Every
+table has CRLF rows, as ``csv.writer`` writes them; no field needs quoting.
+
 Exit status is 0 only when the run completed with zero collisions and zero
 timeouts; bad input of any kind is a configuration error, which ``main``
 reports as one ``config error:`` line before exiting 2.
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
@@ -60,62 +65,62 @@ METHODS = ("hybrid", "pomdp")
 
 SUMMARY_BIN = 0.5
 
-# trace.csv as csv.writer would write it: CRLF rows, every number as _fmt
-# renders it. The mode labels hold no comma, quote or line break, so no field
-# needs quoting.
+# Every table as csv.writer would write it: CRLF rows, every number as _fmt
+# renders it. Methods, lanes, sides and mode labels hold no comma, quote or line
+# break, so no field needs quoting.
+TRIALS_ROW = "%d,%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n"
+SUMMARY_HEADER = ("method,gap_bin_lo_s,gap_bin_hi_s,n_trials,"
+                  + "".join(f"mean_{column}," for column, _ in METRIC_COLUMNS.values())
+                  + "max_peak_accel_mps2,collisions\r\n")
+SUMMARY_ROW = "%s,%s,%s,%d,%s,%s,%s,%s,%d\r\n"
 TRACE_HEADER = "t,d,v,a_cmd,a_actual,x_p,mode\r\n"
 TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s\r\n"
+
+# One trial as every table prints it, rendered once: method, accepted gap, the
+# METRIC_COLUMNS values in order, and collision.
+Cells = tuple[str, str, str, str, str, str]
+# A run's trials or their cells keyed by (side, lane, method), in trials.csv row order.
+Key = tuple[str, str, str]
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def write_trials_csv(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_trials_csv(path: Path, batches: dict[Key, list[TrialResult]]) -> dict[Key, list[Cells]]:
+    """Render each trial once into a row of trials.csv; return the cells of every row."""
+    table: dict[Key, list[Cells]] = {}
+    lines: list[str] = []
+    for (side, lane, method), batch in batches.items():
+        cells = table[side, lane, method] = []
+        for r in batch:
+            c = (method, _fmt(r.accepted_gap), _fmt(r.min_distance), _fmt(r.avg_velocity),
+                 _fmt(r.peak_accel), "true" if r.collision else "false")
+            cells.append(c)
+            lines.append(TRIALS_ROW % (len(lines), method, lane, side, *c[1:], r.mode_sequence()))
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=TRIALS_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
+        f.write(",".join(TRIALS_HEADER) + "\r\n")
+        f.writelines(lines)
+    return table
 
 
-def trial_row(trial_id: int, method: str, scenario: Scenario, result: TrialResult) -> dict:
-    return {
-        "trial_id": trial_id,
-        "method": method,
-        "lane": scenario.lane.value,
-        "entry_side": scenario.entry_side.value,
-        "accepted_gap_s": _fmt(result.accepted_gap),
-        **{column: _fmt(getattr(result, metric)) for metric, (column, _) in METRIC_COLUMNS.items()},
-        "collision": str(result.collision).lower(),
-        "final_mode_sequence": result.mode_sequence(),
-    }
-
-
-def write_summary_csv(path: Path, rows: list[dict]) -> None:
-    """Per-gap-bin aggregates of a trials table, one row per populated bin."""
-    columns = [column for column, _ in METRIC_COLUMNS.values()]
-    peak = METRIC_COLUMNS["peak_accel"][0]
-    bins: dict[tuple[str, int], list[dict]] = {}
-    for r in rows:
-        b = int(float(r["accepted_gap_s"]) // SUMMARY_BIN)
-        bins.setdefault((r["method"], b), []).append(r)
+def write_summary_csv(path: Path, table: dict[Key, list[Cells]]) -> None:
+    """Per-gap-bin aggregates of the trials table, one row per populated bin,
+    computed from the numbers as trials.csv prints them."""
+    peak = list(METRIC_COLUMNS).index("peak_accel")
+    bins: dict[tuple[str, int], list[Cells]] = {}
+    for cells in table.values():
+        for c in cells:
+            bins.setdefault((c[0], int(float(c[1]) // SUMMARY_BIN)), []).append(c)
+    lines = [SUMMARY_HEADER]
+    for (method, b), sel in sorted(bins.items()):
+        _, _, *metrics, collisions = zip(*sel)
+        means = [_fmt(sum(map(float, values)) / len(sel)) for values in metrics]
+        lines.append(SUMMARY_ROW % (method, _fmt(b * SUMMARY_BIN), _fmt((b + 1) * SUMMARY_BIN),
+                                    len(sel), *means, _fmt(max(map(float, metrics[peak]))),
+                                    collisions.count("true")))
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "gap_bin_lo_s", "gap_bin_hi_s", "n_trials",
-                         *(f"mean_{c}" for c in columns), "max_peak_accel_mps2", "collisions"])
-        for (method, b), sel in sorted(bins.items()):
-            n = len(sel)
-            writer.writerow(
-                [method, _fmt(b * SUMMARY_BIN), _fmt((b + 1) * SUMMARY_BIN), n,
-                 *(_fmt(sum(float(r[c]) for r in sel) / n) for c in columns),
-                 _fmt(max(float(r[peak]) for r in sel)),
-                 sum(r["collision"] == "true" for r in sel)]
-            )
-
-
-# Trial results keyed by (side, lane, method), in run order.
-Batches = dict[tuple[str, str, str], list[TrialResult]]
+        f.writelines(lines)
 
 
 def _output_path(path: Path, directory: bool) -> Path:
@@ -165,13 +170,13 @@ def _controller(config: RunConfig, method: str, scenario: Scenario) -> tuple[str
 
 
 def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Sequence[str],
-         out_dir: Path) -> Batches:
+         out_dir: Path) -> tuple[dict[Key, list[Cells]], list[TrialResult]]:
     """Run every method on every (side, lane) quadrant and write the trial tables.
 
     The gaps (the sweep, else one seeded draw from the shared base seed) are
     fixed once per run, so every method and quadrant sees the same ones. Each
-    method is one lockstep ``run_batch`` call over all quadrants; the tables
-    list the trials by (side, lane), then method.
+    method is one lockstep ``run_batch`` call over all quadrants. The tables and
+    the returned cells and trials list the trials by (side, lane), then method.
     """
     _output_path(out_dir, directory=True)
     scenarios = [config.scenario(lane=lane, side=side) for side, lane in quadrants]
@@ -184,22 +189,14 @@ def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Seque
 
     results = {method: run_batch(scenarios, gaps, controller)
                for method, controller in controllers.items()}
-    batches: Batches = {}
-    rows: list[dict] = []
-    for k, ((side, lane), scenario) in enumerate(zip(quadrants, scenarios)):
-        for method in controllers:
-            batch = results[method][k * n:(k + 1) * n]
-            batches[side, lane, method] = batch
-            for r in batch:
-                rows.append(trial_row(len(rows), method, scenario, r))
-
-    write_trials_csv(out_dir / "trials.csv", rows)
-    write_summary_csv(out_dir / "summary.csv", rows)
-    return batches
+    batches = {(s.entry_side.value, s.lane.value, method): results[method][k * n:(k + 1) * n]
+               for k, s in enumerate(scenarios) for method in controllers}
+    table = write_trials_csv(out_dir / "trials.csv", batches)
+    write_summary_csv(out_dir / "summary.csv", table)
+    return table, [r for batch in batches.values() for r in batch]
 
 
-def _finish(batches: Batches, out_dir: Path) -> int:
-    results = [r for batch in batches.values() for r in batch]
+def _finish(results: list[TrialResult], out_dir: Path) -> int:
     n = len(results)
     collisions = sum(r.collision for r in results)
     timeouts = sum(r.timed_out for r in results)
@@ -216,32 +213,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out_dir = Path(config.run["out_dir"])
     quadrant = (config.run["side"], config.run["lane"])
-    batches = _run(config, [quadrant], [config.run["controller"]], out_dir)
-    return _finish(batches, out_dir)
+    _, results = _run(config, [quadrant], [config.run["controller"]], out_dir)
+    return _finish(results, out_dir)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out_dir = Path(config.run["out_dir"])
     quadrants = [(side, lane) for side in ("near", "far") for lane in ("A", "B")]
-    batches = _run(config, quadrants, METHODS, out_dir)
+    table, results = _run(config, quadrants, METHODS, out_dir)
 
     for side in ("near", "far"):
+        lines = ["panel,lane,metric,accepted_gap_s,hybrid,pomdp\r\n"]
+        for lane in ("A", "B"):
+            # A pair's rows, one per metric: the hybrid trial's gap, then each method's value.
+            rows = "".join(f"{metric}_lane_{lane},{lane},{metric},%s,%s,%s\r\n"
+                           for metric in METRIC_COLUMNS)
+            lines += [rows % (h[1], h[2], p[2], h[1], h[3], p[3], h[1], h[4], p[4])
+                      for h, p in zip(table[side, lane, "hybrid"], table[side, lane, "pomdp"])]
         with open(out_dir / f"panels_{side}.csv", "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["panel", "lane", "metric", "accepted_gap_s", "hybrid", "pomdp"])
-            for lane in ("A", "B"):
-                for h, p in zip(batches[side, lane, "hybrid"], batches[side, lane, "pomdp"]):
-                    for metric in METRIC_COLUMNS:
-                        writer.writerow(
-                            [f"{metric}_lane_{lane}", lane, metric, _fmt(h.accepted_gap),
-                             _fmt(getattr(h, metric)), _fmt(getattr(p, metric))]
-                        )
+            f.writelines(lines)
     collisions = dict.fromkeys(METHODS, 0)
-    for (_, _, method), results in batches.items():
-        collisions[method] += sum(r.collision for r in results)
+    for (_, _, method), cells in table.items():
+        collisions[method] += sum(c[-1] == "true" for c in cells)
     print("per-method collisions: " + " ".join(f"{m}={c}" for m, c in collisions.items()))
-    return _finish(batches, out_dir)
+    return _finish(results, out_dir)
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
@@ -261,6 +257,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot read {csv_in}: {exc}") from exc
     if not points:
         raise ConfigError(f"{csv_in} has no trials")
+    bad = [p for p in points if not (math.isfinite(p[1]) and math.isfinite(p[2]))]
+    if bad:
+        raise ConfigError(f"{csv_in}: {len(bad)} non-finite points to plot, first {bad[0]}")
     svg = scatter_svg(points, "pedestrian accepted gap (s)", label, title=args.title or "")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(svg, encoding="utf-8")

@@ -51,10 +51,9 @@ def in_crosswalk(ped: PedestrianState | BatchState, geometry: WorldGeometry) -> 
     (then returns a mask).
     """
     s = ped.span_coord(geometry)
-    sdot = ped.span_speed()
-    inside = (0.0 <= s) & (s <= geometry.x_f)
-    approaching = (sdot > 0.0) & (s < geometry.x_f)
-    return inside | approaching
+    # Inside the span [0, x_f], or approaching it from before x_f. As x_f > 0,
+    # this is the same Boolean function as (0 <= s <= x_f) | (sdot > 0 & s < x_f).
+    return (s <= geometry.x_f) & ((0.0 <= s) | (ped.span_speed() > 0.0))
 
 
 def time_advantage(vehicle: VehicleState, ped: PedestrianState, geometry: WorldGeometry) -> float:

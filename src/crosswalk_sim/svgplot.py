@@ -37,6 +37,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _text(s: str) -> str:
+    """``s`` as XML character data."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def scatter_svg(
     points: Sequence[tuple[str, float, float]],
     x_label: str,
@@ -75,7 +80,7 @@ def scatter_svg(
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
+            f'font-family="sans-serif" font-size="15">{_text(title)}</text>'
         )
 
     for t in _ticks(x_lo, x_hi):
@@ -99,12 +104,12 @@ def scatter_svg(
         )
     parts.append(
         f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
+        f'font-family="sans-serif" font-size="13">{_text(x_label)}</text>'
     )
     parts.append(
         f'<text x="18" y="{MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{y_label}</text>'
+        f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{_text(y_label)}</text>'
     )
 
     for series, x, y in points:
@@ -136,7 +141,8 @@ def scatter_svg(
                 f'stroke="{color}" stroke-width="1.5"/>'
             )
         parts.append(
-            f'<text x="{lx + 8}" y="{ly}" font-family="sans-serif" font-size="12">{series}</text>'
+            f'<text x="{lx + 8}" y="{ly}" font-family="sans-serif" font-size="12">'
+            f'{_text(series)}</text>'
         )
 
     parts.append("</svg>")

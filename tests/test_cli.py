@@ -203,6 +203,119 @@ class TestCompare:
             assert methods["hybrid"] == methods["pomdp"] == drawn
 
 
+class TestTablesMatchCsvModule:
+    """The one-pass tables against the csv module rendering the same trials:
+    ``csv.DictWriter`` rows for trials.csv, ``csv.writer`` for summary.csv and
+    panels_*.csv, and the stdout totals, byte for byte."""
+
+    @staticmethod
+    def render(header: list[str], rows: list[list]) -> bytes:
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().encode("utf-8")
+
+    @classmethod
+    def oracle(cls, batches: dict, compare: bool, out_dir: Path) -> tuple[dict, list[str]]:
+        """Every table and stdout line of a run from its trials, keyed by
+        (side, lane, method) in row order."""
+        fmt = cli._fmt
+        rows = []
+        for (side, lane, method), batch in batches.items():
+            for r in batch:
+                rows.append({
+                    "trial_id": len(rows), "method": method, "lane": lane, "entry_side": side,
+                    "accepted_gap_s": fmt(r.accepted_gap),
+                    **{column: fmt(getattr(r, metric))
+                       for metric, (column, _) in cli.METRIC_COLUMNS.items()},
+                    "collision": str(r.collision).lower(),
+                    "final_mode_sequence": r.mode_sequence(),
+                })
+        buf = io.StringIO(newline="")
+        writer = csv.DictWriter(buf, fieldnames=TRIALS_HEADER)
+        writer.writeheader()
+        writer.writerows(rows)
+        files = {"trials.csv": buf.getvalue().encode("utf-8")}
+
+        columns = [column for column, _ in cli.METRIC_COLUMNS.values()]
+        bins: dict = {}
+        for r in rows:
+            b = int(float(r["accepted_gap_s"]) // cli.SUMMARY_BIN)
+            bins.setdefault((r["method"], b), []).append(r)
+        files["summary.csv"] = cls.render(
+            ["method", "gap_bin_lo_s", "gap_bin_hi_s", "n_trials",
+             *(f"mean_{c}" for c in columns), "max_peak_accel_mps2", "collisions"],
+            [[method, fmt(b * cli.SUMMARY_BIN), fmt((b + 1) * cli.SUMMARY_BIN), len(sel),
+              *(fmt(sum(float(r[c]) for r in sel) / len(sel)) for c in columns),
+              fmt(max(float(r["peak_accel_mps2"]) for r in sel)),
+              sum(r["collision"] == "true" for r in sel)]
+             for (method, b), sel in sorted(bins.items())],
+        )
+
+        results = [r for batch in batches.values() for r in batch]
+        stdout = []
+        if compare:
+            for side in ("near", "far"):
+                files[f"panels_{side}.csv"] = cls.render(
+                    ["panel", "lane", "metric", "accepted_gap_s", "hybrid", "pomdp"],
+                    [[f"{metric}_lane_{lane}", lane, metric, fmt(h.accepted_gap),
+                      fmt(getattr(h, metric)), fmt(getattr(p, metric))]
+                     for lane in ("A", "B")
+                     for h, p in zip(batches[side, lane, "hybrid"], batches[side, lane, "pomdp"])
+                     for metric in cli.METRIC_COLUMNS],
+                )
+            counts = {m: sum(r.collision for (_, _, method), batch in batches.items()
+                             if method == m for r in batch) for m in cli.METHODS}
+            stdout.append("per-method collisions: "
+                          + " ".join(f"{m}={c}" for m, c in counts.items()))
+        stdout.append(
+            f"n={len(results)} collisions={sum(r.collision for r in results)} "
+            f"timeouts={sum(r.timed_out for r in results)} "
+            f"mean_avg_velocity={sum(r.avg_velocity for r in results) / len(results):.3f} "
+            f"max_peak_accel={max(r.peak_accel for r in results):.3f} -> {out_dir}"
+        )
+        return files, stdout
+
+    @pytest.mark.parametrize(
+        "env,argv,collisions",
+        [
+            (None, ["compare", "--trials", "20", "--seed", "0"], 0),
+            (None, ["simulate", "--preset", "experiment", "--lane", "B", "--side", "far",
+                    "--sweep", "1.0:0.05:1.4"], 6),
+            # Both methods collide in more than one quadrant, so per-method counts add up.
+            ("6.0", ["compare", "--sweep", "1:0.25:4"], 48),
+        ],
+        ids=["compare", "simulate-collisions", "compare-collisions"],
+    )
+    def test_tables_and_stdout_match(self, tmp_path, monkeypatch, capsys, env, argv, collisions):
+        if env is not None:
+            monkeypatch.setenv("CWSIM_RUN__COLLISION_RADIUS", env)
+        calls = []
+        run_batch = cli.run_batch
+
+        def recorded(scenarios, gaps, controller):
+            calls.append((scenarios, len(gaps), run_batch(scenarios, gaps, controller)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(cli, "run_batch", recorded)
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == (1 if collisions else 0)
+        compare = argv[0] == "compare"
+        methods = cli.METHODS if compare else ("hybrid",)
+        batches = {}
+        for k, scenario in enumerate(calls[0][0]):
+            for method, (_, n, results) in zip(methods, calls):
+                batches[scenario.entry_side.value, scenario.lane.value, method] = \
+                    results[k * n:(k + 1) * n]
+        files, stdout = self.oracle(batches, compare, out)
+        assert sum(r.collision for batch in batches.values() for r in batch) == collisions
+        for name, data in files.items():
+            assert (out / name).read_bytes() == data, name
+        printed = capsys.readouterr().out.splitlines()
+        assert [line for line in printed if not line.startswith("pomdp policy:")] == stdout
+
+
 class TestPlot:
     def make_trials(self, tmp_path) -> Path:
         out = tmp_path / "run"
@@ -248,6 +361,39 @@ class TestPlot:
         assert main(["plot", str(bad), str(tmp_path / "x.svg")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot read ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["accepted_gap_s", "min_distance_m"])
+    def test_non_finite_value_exits_2_with_one_line(self, tmp_path, capsys, column, value):
+        rows = {"accepted_gap_s": ["2", "3"], "min_distance_m": ["4", "5"]}
+        rows[column][1] = value
+        bad = tmp_path / "bad.csv"
+        bad.write_text("method,accepted_gap_s,min_distance_m\n"
+                       + "".join(f"hybrid,{g},{d}\n" for g, d in zip(*rows.values())))
+        out = tmp_path / "x.svg"
+        assert main(["plot", str(bad), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert value in err and not out.exists()
+
+    def test_title_and_methods_are_escaped(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        trials = tmp_path / "t.csv"
+        trials.write_text("method,accepted_gap_s,min_distance_m\n"
+                          "hybrid,2,3\n\"a<b & c>\",3,4\n")
+        svg = tmp_path / "t.svg"
+        assert main(["plot", str(trials), str(svg), "--title", "A & B <1>"]) == 0
+        texts = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == "A & B <1>"
+        assert texts[-2:] == ["hybrid", "a<b & c>"]
+
+    def test_plain_title_is_unchanged(self, tmp_path):
+        trials = self.make_trials(tmp_path)
+        svg = tmp_path / "t.svg"
+        assert main(["plot", str(trials), str(svg), "--title", "min distance, lane A"]) == 0
+        assert '<text x="320.0" y="24" text-anchor="middle" font-family="sans-serif" ' \
+               'font-size="15">min distance, lane A</text>' in svg.read_text()
 
 
 class TestReplay:

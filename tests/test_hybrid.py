@@ -47,6 +47,36 @@ class TestInCrosswalk:
         assert in_crosswalk(ped(3.0, -1.2, EntrySide.FAR), geometry)
         assert not in_crosswalk(ped(-0.01, -1.2, EntrySide.FAR), geometry)
 
+    def test_matches_unfactored_form(self, geometry):
+        """The factored test equals ``(0 <= s <= x_f) | (sdot > 0 & s < x_f)`` at
+        the edges of the span, for one pedestrian and for a batch."""
+
+        class Span:
+            def __init__(self, s, sdot):
+                self.s, self.sdot = s, sdot
+
+            def span_coord(self, geometry):
+                return self.s
+
+            def span_speed(self):
+                return self.sdot
+
+        def unfactored(s, sdot):
+            return ((0.0 <= s) & (s <= x_f)) | ((sdot > 0.0) & (s < x_f))
+
+        x_f = geometry.x_f
+        coords = [math.nan, 0.0, -0.0, math.inf, -math.inf, -1.0, 1.0, x_f,
+                  math.nextafter(x_f, -math.inf), math.nextafter(x_f, math.inf)]
+        speeds = [-1.0, -0.0, 0.0, 1.0]
+        pairs = [(s, sdot) for s in coords for sdot in speeds]
+        for s, sdot in pairs:
+            got = in_crosswalk(Span(s, sdot), geometry)
+            assert type(got) is bool and got == unfactored(s, sdot), (s, sdot)
+        s, sdot = np.array(pairs).T
+        got = in_crosswalk(Span(s, sdot), geometry)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, unfactored(s, sdot))
+
 
 class TestTimeAdvantage:
     # The vehicle's time runs to the walking line, delta = 5 m past the stop point.
