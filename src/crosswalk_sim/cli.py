@@ -11,6 +11,7 @@ Verbs:
 ``simulate`` and ``compare`` render each trial once, in ``trials.csv`` row
 order, and build ``summary.csv`` and ``panels_*.csv`` from those cells. Every
 table has CRLF rows, as ``csv.writer`` writes them; no field needs quoting.
+Every output file is written in place by ``core.write_output``.
 
 Exit status is 0 only when the run completed with zero collisions and zero
 timeouts; bad input of any kind is a configuration error, which ``main``
@@ -35,7 +36,7 @@ from .config import (
     load_config,
     write_config_echo,
 )
-from .core import whole_ticks
+from .core import whole_ticks, write_output
 from .hybrid import HybridController
 from .pomdp import (PomdpController, PomdpModel, QTable, export_policy_csv,
                     policy_cache_path, solve_or_load)
@@ -98,9 +99,7 @@ def write_trials_csv(path: Path, batches: dict[Key, list[TrialResult]]) -> dict[
                  _fmt(r.peak_accel), "true" if r.collision else "false")
             cells.append(c)
             lines.append(TRIALS_ROW % (len(lines), method, lane, side, *c[1:], r.mode_sequence()))
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(TRIALS_HEADER) + "\r\n")
-        f.writelines(lines)
+    write_output(path, ",".join(TRIALS_HEADER) + "\r\n" + "".join(lines))
     return table
 
 
@@ -119,8 +118,7 @@ def write_summary_csv(path: Path, table: dict[Key, list[Cells]]) -> None:
         lines.append(SUMMARY_ROW % (method, _fmt(b * SUMMARY_BIN), _fmt((b + 1) * SUMMARY_BIN),
                                     len(sel), *means, _fmt(max(map(float, metrics[peak]))),
                                     collisions.count("true")))
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.writelines(lines)
+    write_output(path, "".join(lines))
 
 
 def _output_path(path: Path, directory: bool) -> Path:
@@ -231,8 +229,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                            for metric in METRIC_COLUMNS)
             lines += [rows % (h[1], h[2], p[2], h[1], h[3], p[3], h[1], h[4], p[4])
                       for h, p in zip(table[side, lane, "hybrid"], table[side, lane, "pomdp"])]
-        with open(out_dir / f"panels_{side}.csv", "w", encoding="utf-8", newline="") as f:
-            f.writelines(lines)
+        write_output(out_dir / f"panels_{side}.csv", "".join(lines))
     collisions = dict.fromkeys(METHODS, 0)
     for (_, _, method), cells in table.items():
         collisions[method] += sum(c[-1] == "true" for c in cells)
@@ -260,9 +257,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
     bad = [p for p in points if not (math.isfinite(p[1]) and math.isfinite(p[2]))]
     if bad:
         raise ConfigError(f"{csv_in}: {len(bad)} non-finite points to plot, first {bad[0]}")
-    svg = scatter_svg(points, "pedestrian accepted gap (s)", label, title=args.title or "")
+    try:
+        svg = scatter_svg(points, "pedestrian accepted gap (s)", label, title=args.title or "")
+    except ValueError as exc:  # an axis that a float cannot lay out
+        raise ConfigError(f"{csv_in}: {exc}") from exc
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(svg, encoding="utf-8")
+    write_output(out, svg)
     print(f"{len(points)} markers -> {out}")
     return 0
 
@@ -287,8 +287,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     result = run_trial(scenario, gap, controller, record_trace=True)
 
     trace_path = out_dir / "trace.csv"
-    with open(trace_path, "w", encoding="utf-8", newline="") as f:
-        f.write(TRACE_HEADER + "".join([TRACE_ROW % row for row in result.trace]))
+    write_output(trace_path, TRACE_HEADER + "".join([TRACE_ROW % row for row in result.trace]))
 
     modes = result.mode_sequence()
     print(

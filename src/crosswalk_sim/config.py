@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .core import ControllerParams, EntrySide, WorldGeometry
+from .core import ControllerParams, EntrySide, WorldGeometry, write_output
 from .pedestrian import GapAcceptanceModel
 from .pomdp import PomdpModel, RewardWeights
 from .simulator import Lane, Scenario, sweep_gaps
@@ -315,5 +315,5 @@ def resolved_ini(config: RunConfig) -> str:
 def write_config_echo(config: RunConfig, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "resolved_config.ini"
-    path.write_text(resolved_ini(config), encoding="utf-8")
+    write_output(path, resolved_ini(config))
     return path

@@ -15,8 +15,10 @@ Coordinate conventions:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 from enum import Enum
+from pathlib import Path
 
 
 class EntrySide(Enum):
@@ -42,6 +44,30 @@ def require_finite_fields(record: object) -> None:
     instance dict, which slows every later attribute read on the hot path.
     """
     require_finite(**{f.name: getattr(record, f.name) for f in fields(record)})
+
+
+def write_output(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 into ``path`` in place: every output file goes through here.
+
+    The bytes are ``text``'s own, with no newline translation. The file is
+    overwritten from its start and only then cut to the written length, so a
+    rerun into the same directory never truncates a file to zero first, which
+    on some filesystems costs freeing its blocks and a flush on close. A new
+    file gets mode ``0o666`` less the umask, an existing one keeps its mode, and
+    a symlink is followed. A crash mid-write can leave the new head on the old
+    tail; an error raised while writing still cuts the file where it stopped.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
 
 
 def whole_ticks(duration: float, dt: float, name: str) -> int:

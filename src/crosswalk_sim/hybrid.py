@@ -82,7 +82,9 @@ class HybridController:
     ends so the constant-deceleration profile lands at the stop point.
     Commands are saturated per mode: Driving and Yielding stay inside the
     comfort envelope, HardBraking may use the full braking authority,
-    SpeedUp commands the comfort acceleration.
+    SpeedUp commands the comfort acceleration. ``label`` is the current mode's
+    name as mode traces record it, set along with ``mode`` by ``reset``,
+    ``_enter`` and ``_drive``.
     """
 
     modes = tuple(m.value for m in Mode)  # labels of the batch mode codes
@@ -95,16 +97,11 @@ class HybridController:
         self.reset()
 
     def reset(self) -> None:
-        self.mode = Mode.DRIVING
+        self._drive()
         self.d_o = 0.0
         self.v_o = 0.0
         self._decel_latched = False
         self.safety_events.clear()
-
-    @property
-    def label(self) -> str:
-        """Name of the current mode, as recorded in mode traces."""
-        return self.mode.value
 
     # -- mode commands -----------------------------------------------------
 
@@ -185,17 +182,17 @@ class HybridController:
         if self.mode is Mode.YIELDING:
             a = self.yielding_command(d, v)
             if not ped_active:
-                self.mode = Mode.DRIVING
+                self._drive()
 
         if self.mode is Mode.HARD_BRAKING:
             a = self.hard_braking_command(d, v)
             if not ped_active:
-                self.mode = Mode.DRIVING
+                self._drive()
 
         if self.mode is Mode.SPEED_UP:
             a = self.speed_up_command()
             if not ped_active or d < 0.0:
-                self.mode = Mode.DRIVING
+                self._drive()
 
         return _clamp(a, -p.a_max, p.a_cmf)
 
@@ -268,9 +265,14 @@ class HybridController:
 
     def _enter(self, mode: Mode, d: float, v: float) -> None:
         self.mode = mode
+        self.label = mode.value
         self.d_o = d
         self.v_o = v
         self._decel_latched = False
+
+    def _drive(self) -> None:
+        self.mode = Mode.DRIVING
+        self.label = Mode.DRIVING.value
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .core import (ControllerParams, PedestrianState, VehicleState, WorldGeometry, require_finite,
-                   require_finite_fields, whole_ticks)
+                   require_finite_fields, whole_ticks, write_output)
 from .hybrid import in_crosswalk
 from .pedestrian import GapAcceptanceModel
 
@@ -372,8 +372,6 @@ def solve_or_load(model: PomdpModel, cache_dir: Path, tol: float) -> QTable:
 def export_policy_csv(path: Path, model: PomdpModel, qtable: QTable) -> None:
     """Flat (state index, action index, Q-value) table for external tooling."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("state_index,action_index,q_value\n")
-        for s in range(model.n_states):
-            for a in range(model.n_actions):
-                f.write(f"{s},{a},{qtable.q[s, a]:.9g}\n")
+    rows = ["%d,%d,%.9g\n" % (s, a, q) for s, row in enumerate(qtable.q.tolist())
+            for a, q in enumerate(row)]
+    write_output(path, "state_index,action_index,q_value\n" + "".join(rows))

@@ -181,34 +181,44 @@ def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller,
     buffer = make_delay_buffer(scenario.t_delay_plant, scenario.dt)
     dt = scenario.dt
 
+    # Read once per trial. plant_tick, pedestrian_tick and
+    # vehicle_pedestrian_distance stay module lookups on every tick.
+    ped = agent.state
+    step = controller.step
+    max_sim_time, collision_radius = scenario.max_sim_time, scenario.collision_radius
+    vehicle_is_past = geometry.vehicle_is_past
+    done = Phase.DONE
+
     t = 0.0
-    min_distance = vehicle_pedestrian_distance(vehicle, agent.state, geometry)
+    min_distance = vehicle_pedestrian_distance(vehicle, ped, geometry)
     v_sum = 0.0
     n_ticks = 0
     peak_accel = 0.0
     collision = False
     timed_out = False
-    mode_trace: list[tuple[float, str]] = [(0.0, controller.label)]
+    last = controller.label
+    mode_trace: list[tuple[float, str]] = [(0.0, last)]
     trace: Optional[list[tuple]] = [] if record_trace else None
 
     while True:
-        if t >= scenario.max_sim_time:
+        if t >= max_sim_time:
             timed_out = True
             break
-        a_cmd = controller.step(vehicle, agent.state)
+        a_cmd = step(vehicle, ped)
         label = controller.label
-        if label != mode_trace[-1][1]:
+        if label != last:
             mode_trace.append((t, label))
+            last = label
         v_before = vehicle.v
         plant_tick(vehicle, a_cmd, dt, buffer)
         a_actual = (vehicle.v - v_before) / dt
         pedestrian_tick(agent, vehicle, dt)
         t += dt
 
-        dist = vehicle_pedestrian_distance(vehicle, agent.state, geometry)
+        dist = vehicle_pedestrian_distance(vehicle, ped, geometry)
         if dist < min_distance:
             min_distance = dist
-        if dist < scenario.collision_radius:
+        if dist < collision_radius:
             collision = True
             break
         v_sum += vehicle.v
@@ -216,9 +226,9 @@ def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller,
         if abs(a_actual) > peak_accel:
             peak_accel = abs(a_actual)
         if record_trace:
-            trace.append((t, vehicle.d, vehicle.v, a_cmd, a_actual, agent.state.x_p, label))
+            trace.append((t, vehicle.d, vehicle.v, a_cmd, a_actual, ped.x_p, label))
 
-        if agent.phase is Phase.DONE and geometry.vehicle_is_past(vehicle.d):
+        if agent.phase is done and vehicle_is_past(vehicle.d):
             break
 
     events = list(controller.safety_events)

@@ -16,6 +16,12 @@ SERIES_STYLE = {
     "hybrid": ("#1f77b4", "circle"),
     "pomdp": ("#d62728", "cross"),
 }
+OTHER_STYLE = ("#2ca02c", "circle")
+# One trial's marker: a circle takes its centre and colour, a cross its corners
+# (left, top, right, bottom, left, bottom, right, top) and colour.
+CIRCLE = '<circle cx="%.2f" cy="%.2f" r="2.4" fill="%s" fill-opacity="0.55" class="marker"/>'
+CROSS = ('<path d="M%.2f %.2fL%.2f %.2fM%.2f %.2fL%.2f %.2f" '
+         'stroke="%s" stroke-opacity="0.55" stroke-width="1.3" class="marker"/>')
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
@@ -29,6 +35,8 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9:
         out.append(round(t, 10))
+        if t + step == t:  # a step below half a unit in the last place: the loop would not end
+            raise ValueError(f"cannot place axis ticks {step!r} apart near {t!r}")
         t += step
     return out
 
@@ -55,19 +63,29 @@ def scatter_svg(
     ys = [p[2] for p in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(0.0, min(ys)), max(ys)
+    # An axis spanning less than 1e-9 is drawn one unit wide: the ticks'
+    # 1e-9 tolerance would otherwise add about 1e-9 / step of them.
     if x_hi - x_lo < 1e-9:
         x_hi = x_lo + 1.0
-    pad_y = 0.05 * (y_hi - y_lo) if y_hi > y_lo else 1.0
-    y_hi += pad_y
+    if y_hi - y_lo < 1e-9:
+        y_hi = y_lo + 1.0
+    else:
+        y_hi += 0.05 * (y_hi - y_lo)
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    for axis, values, span in (("x", xs, x_span), ("y", ys, y_span)):
+        if not math.isfinite(span):
+            raise ValueError(f"cannot plot {axis} values from {min(values)!r} to "
+                             f"{max(values)!r}: the axis span overflows a float")
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
+    y_base = MARGIN_T + plot_h
 
     def sx(x: float) -> float:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_L + (x - x_lo) / x_span * plot_w
 
     def sy(y: float) -> float:
-        return MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return y_base - (y - y_lo) / y_span * plot_h
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -113,23 +131,18 @@ def scatter_svg(
     )
 
     for series, x, y in points:
-        color, shape = SERIES_STYLE.get(series, ("#2ca02c", "circle"))
-        px, py = sx(x), sy(y)
+        color, shape = SERIES_STYLE.get(series, OTHER_STYLE)
+        px = MARGIN_L + (x - x_lo) / x_span * plot_w  # sx(x) and sy(y), inlined
+        py = y_base - (y - y_lo) / y_span * plot_h
         if shape == "circle":
-            parts.append(
-                f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.4" fill="{color}" '
-                'fill-opacity="0.55" class="marker"/>'
-            )
+            parts.append(CIRCLE % (px, py, color))
         else:
-            parts.append(
-                f'<path d="M{px - 2.4:.2f} {py - 2.4:.2f}L{px + 2.4:.2f} {py + 2.4:.2f}'
-                f'M{px - 2.4:.2f} {py + 2.4:.2f}L{px + 2.4:.2f} {py - 2.4:.2f}" '
-                f'stroke="{color}" stroke-opacity="0.55" stroke-width="1.3" class="marker"/>'
-            )
+            left, top, right, bottom = px - 2.4, py - 2.4, px + 2.4, py + 2.4
+            parts.append(CROSS % (left, top, right, bottom, left, bottom, right, top, color))
 
     legend_y = MARGIN_T + 14
     for i, series in enumerate(dict.fromkeys(p[0] for p in points)):
-        color, shape = SERIES_STYLE.get(series, ("#2ca02c", "circle"))
+        color, shape = SERIES_STYLE.get(series, OTHER_STYLE)
         lx = MARGIN_L + plot_w - 110
         ly = legend_y + 18 * i
         if shape == "circle":

@@ -376,6 +376,20 @@ class TestPlot:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert value in err and not out.exists()
 
+    @pytest.mark.parametrize("column", ["accepted_gap_s", "min_distance_m"])
+    def test_overflowing_axis_span_exits_2_with_one_line(self, tmp_path, capsys, column):
+        # Finite values whose span (max - min) overflows a float.
+        rows = {"accepted_gap_s": ["2", "3"], "min_distance_m": ["4", "5"]}
+        rows[column] = ["1e308", "-1e308"]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("method,accepted_gap_s,min_distance_m\n"
+                       + "".join(f"hybrid,{g},{d}\n" for g, d in zip(*rows.values())))
+        out = tmp_path / "x.svg"
+        assert main(["plot", str(bad), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "overflows a float" in err and not out.exists()
+
     def test_title_and_methods_are_escaped(self, tmp_path):
         import xml.etree.ElementTree as ET
 
@@ -498,6 +512,45 @@ class TestReplay:
             (tmp_path / "fresh" / "trace.csv").read_bytes()
 
 
+class TestRerunIntoOneOut:
+    """A run into an --out that holds a longer earlier run writes the same
+    bytes as the same run into a fresh directory. Runs use a relative --out,
+    so every config echo names the same one."""
+
+    @staticmethod
+    def run_in(root: Path, monkeypatch, argvs: list[list[str]]) -> dict[str, bytes]:
+        """Run ``argvs`` from ``root``; return every file below it."""
+        root.mkdir(exist_ok=True)
+        monkeypatch.chdir(root)
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file()}
+
+    def test_replay_long_trace_then_short(self, tmp_path, monkeypatch):
+        def replay(gap: str) -> list[list[str]]:
+            return [["replay", "--gap", gap, "--out", "out"]]
+
+        long = self.run_in(tmp_path / "reused", monkeypatch, replay("2.5"))
+        reused = self.run_in(tmp_path / "reused", monkeypatch, replay("5"))
+        fresh = self.run_in(tmp_path / "fresh", monkeypatch, replay("5"))
+        assert len(long["out/trace.csv"]) > len(fresh["out/trace.csv"])
+        assert reused == fresh
+
+    def test_compare_20_then_5(self, tmp_path, monkeypatch):
+        def compare(trials: str) -> list[list[str]]:
+            return [["compare", "--trials", trials, "--seed", "0", "--out", "out"],
+                    ["plot", "out/trials.csv", "out/plot.svg"]]
+
+        long = self.run_in(tmp_path / "reused", monkeypatch, compare("20"))
+        reused = self.run_in(tmp_path / "reused", monkeypatch, compare("5"))
+        fresh = self.run_in(tmp_path / "fresh", monkeypatch, compare("5"))
+        assert sorted(fresh) == sorted(long)
+        for name, data in fresh.items():
+            assert len(long[name]) > len(data), name  # each file had a longer tail to cut
+        assert reused == fresh
+
+
 class TestBadOutputPath:
     """An output path that cannot be written is a config error, found before any
     trial runs or any solve starts."""
@@ -543,3 +596,10 @@ class TestSolvePomdp:
             with open(export, newline="") as f:
                 header = f.readline().strip()
             assert header == "state_index,action_index,q_value"
+
+    def test_export_over_a_longer_file(self, tmp_path):
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        assert main(["solve-pomdp", "--export", str(fresh)]) == 0
+        reused.write_bytes(fresh.read_bytes() + b"0,0,1\n" * 100)
+        assert main(["solve-pomdp", "--export", str(reused)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from crosswalk_sim.core import (
     WorldGeometry,
     comfort_brake_distance,
     max_brake_distance,
+    write_output,
 )
 from crosswalk_sim.pedestrian import GapAcceptanceModel
 from crosswalk_sim.pomdp import PomdpModel, RewardWeights
@@ -148,3 +151,57 @@ def test_non_finite_rejected(build, kwargs):
     (name,) = kwargs
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         build(**kwargs)
+
+
+class TestWriteOutput:
+    TEXT = "a,b\r\n1,2\r\nµ,\u00e9\n"  # CRLF and LF rows, non-ASCII text
+
+    @pytest.mark.parametrize("old", [b"", b"x" * 4096, b"short"])
+    def test_holds_exactly_the_new_bytes(self, tmp_path, old):
+        path = tmp_path / "out.csv"
+        path.write_bytes(old)
+        write_output(path, self.TEXT)
+        assert path.read_bytes() == self.TEXT.encode("utf-8")
+
+    def test_new_file_gets_the_umask_mode(self, tmp_path):
+        path = tmp_path / "new.csv"
+        umask = os.umask(0o027)
+        try:
+            write_output(path, "x\n")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640  # 0o666 & ~0o027
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("a much longer old text\n")
+        path.chmod(0o640)
+        write_output(path, "x\n")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_bytes() == b"x\n"
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old text, longer than the new\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_output(link, "new\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == b"new\n"
+
+    def test_error_mid_write_leaves_no_old_tail(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"o" * 100)
+        real_write, calls = os.write, []
+
+        def write_then_fail(fd, data):  # a short write, then an error
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError("disk full")
+            return real_write(fd, data[:3])
+
+        monkeypatch.setattr(os, "write", write_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_output(path, "abcdefgh")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"abc"
