@@ -38,7 +38,7 @@ from .config import (
 )
 from .core import whole_ticks, write_output
 from .hybrid import HybridController
-from .pomdp import (PomdpController, PomdpModel, QTable, export_policy_csv,
+from .pomdp import (ConvergenceError, PomdpController, PomdpModel, QTable, export_policy_csv,
                     policy_cache_path, solve_or_load)
 from .simulator import Controller, Scenario, TrialResult, run_batch, run_trial, seeded_gaps
 from .svgplot import scatter_svg
@@ -140,7 +140,10 @@ def _output_path(path: Path, directory: bool) -> Path:
 def _policy(config: RunConfig) -> tuple[PomdpModel, QTable]:
     model = config.pomdp_model()
     cache_dir = _output_path(Path(config.pomdp["cache_dir"]), directory=True)
-    table = solve_or_load(model, cache_dir, tol=config.pomdp["tol"])
+    try:  # a failed solve writes no cache file
+        table = solve_or_load(model, cache_dir, tol=config.pomdp["tol"])
+    except ConvergenceError as exc:
+        raise ConfigError(f"pomdp policy: {exc}; check the [pomdp] weights, gamma and tol") from exc
     return model, table
 
 

@@ -40,6 +40,11 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + _erf(z / math.sqrt(2.0)).astype(float))
 
 
+def _sup_norm(d: np.ndarray) -> float:
+    """``float(np.max(np.abs(d)))`` bit for bit, NaN and zeros included, without the abs pass."""
+    return abs(max(float(d.max()), -float(d.min())))
+
+
 @dataclass(frozen=True)
 class RewardWeights:
     """Relative importance of the four reward terms; shapes are fixed."""
@@ -173,12 +178,15 @@ class PomdpModel:
         efficient = -np.abs(vv - self.params.v_speedlimit) / self.params.v_speedlimit
         smooth = -np.abs(aa - aa_prev)
         full = (nv, nd, na, na)
-        r_c = np.broadcast_to(
-            w.w_legality * legality + w.w_safety * safety + w.w_smooth * smooth, full
-        )
-        r_nc = np.broadcast_to(w.w_efficient * efficient + w.w_smooth * smooth, full)
+        with np.errstate(over="ignore"):  # reported below
+            r_c = np.broadcast_to(
+                w.w_legality * legality + w.w_safety * safety + w.w_smooth * smooth, full
+            )
+            r_nc = np.broadcast_to(w.w_efficient * efficient + w.w_smooth * smooth, full)
         r = np.stack([r_nc, r_c], axis=1)  # c axis sits after v
         self.reward_table = r.reshape(self.n_states, na).copy()
+        if not math.isfinite(_sup_norm(self.reward_table)):
+            raise ValueError(f"reward weights {w} overflow the reward table")
 
         # The kernel, once, on the axes it depends on (none is a_prev): next-state
         # indices for c'=0/1 over (v, d, a), and P(c'=1) over (v, c, d, a).
@@ -214,49 +222,89 @@ class QTable:
 def qmdp_solve(model: PomdpModel, tol: float = 1e-6, max_iters: int = 5000) -> QTable:
     """Value-iterate Q to a sup-norm residual below ``tol``.
 
-    During the sweeps Q is held action-first, as (a, a_prev, v·c·d), because
-    NumPy reduces and broadcasts over a trailing axis of length ``n_actions``
-    (6) slowly. V is then a max over the leading axis, an elementwise
-    ``np.maximum`` of contiguous action slices, and the continuation value
-    broadcasts over the outer a_prev axis. Each element goes through the same
-    IEEE operations in the same order as on the (S, A) layout, so Q is
-    bitwise the same. The returned ``q`` is (S, A), C-contiguous.
+    During the sweeps Q is held as (a_prev, a, v·c·d), because NumPy reduces
+    and broadcasts over a trailing axis of length ``n_actions`` (6) slowly.
+    V is a max over the middle (action) axis. The next-state values of both
+    crosswalk flags come from one flat ``np.take`` with a (c', a, v·c·d)
+    index built here, and the discounted continuation value ``x``, of shape
+    (a, v·c·d), broadcasts over the leading a_prev axis as whole contiguous
+    blocks: each sweep sets Q to ``r + x``. Every step writes into a buffer
+    made once, and Q is the only table of Q's size that a sweep writes.
 
-    Raises ``ConvergenceError`` carrying the final residual if the budget
-    runs out first.
+    The residual ``max|q_new - q|`` needs no second table either. Q before
+    the sweep was ``r + y``, with ``y`` the last sweep's ``x``, and rounding
+    keeps each ``|fl(r + x) - fl(r + y)|`` close to ``|x - y|``, so the
+    residual is taken exactly, from the max and min of the signed
+    difference, over the few (a, v·c·d) columns whose ``|x - y|`` comes near
+    the largest.
+
+    Each element of Q and of the residual goes through the same IEEE
+    operations in the same order as on the (S, A) layout, so Q and every
+    residual are bitwise the same as the plain (S, A) update's. The returned
+    ``q`` is (S, A), C-contiguous.
+
+    Raises ``ConvergenceError`` at the first residual that is not finite (a
+    Q that overflows) or, carrying the final residual, if the budget runs out
+    first.
     """
     na = model.n_actions
     n_vcd = model.n_states // na
     # Model arrays moved once into V's (a_prev, v·c·d) layout: a flat state
     # (v·c·d)·na + a_prev becomes a_prev·n_vcd + v·c·d.
-    r = np.ascontiguousarray(model.reward_table.reshape(n_vcd, na, na).transpose(2, 1, 0))
-    p_c1 = np.ascontiguousarray(np.moveaxis(model._p_c1, 3, 0))  # (a, v, c, d)
-    p_c0 = 1.0 - p_c1
-    ns0, ns1 = (np.moveaxis(ns % na * n_vcd + ns // na, 2, 0)[:, :, None, :]
-                for ns in (model._ns0, model._ns1))  # (a, v, 1, d)
+    r = np.ascontiguousarray(
+        model.reward_table.reshape(n_vcd, na, na).transpose(1, 2, 0)).reshape(na, na * n_vcd)
+    r_max = _sup_norm(r)
+    p_c1 = np.moveaxis(model._p_c1, 3, 0).reshape(-1)  # (a·v·c·d)
+    p = np.stack([1.0 - p_c1, p_c1])
+    # Next-state indices over (a, v, d), broadcast over c to the same (c', a·v·c·d).
+    full = (na, *model._p_c1.shape[:3])  # (a, v, c, d)
+    idx = np.stack([np.broadcast_to(np.moveaxis(ns % na * n_vcd + ns // na, 2, 0)[:, :, None, :],
+                                    full).reshape(-1)
+                    for ns in (model._ns0, model._ns1)])
     gamma = model.discount
-    # Reused (a, a_prev, v·c·d) buffers, action-first so no sweep reduces or broadcasts
-    # a length-6 trailing axis; fresh temporaries re-fault trimmed heap pages (~20% slower).
-    q = np.zeros_like(r)
-    q_new = np.empty_like(r)
-    diff = np.empty_like(r)
-    vbuf = np.empty((na, n_vcd))
+    # Buffers reused by every sweep; fresh temporaries re-fault trimmed heap pages (~20% slower).
+    q = np.zeros_like(r)  # (a_prev, a·v·c·d)
+    v = np.empty(na * n_vcd)  # (a_prev·v·c·d)
+    g = np.empty_like(p)
+    g0, g1 = g
+    x, y, delta = np.empty((3, na * n_vcd))
+    q3, v2 = q.reshape(na, na, n_vcd), v.reshape(na, n_vcd)
     residuals: list[float] = []
-    for _ in range(max_iters):
-        v = q.max(axis=0, out=vbuf).ravel()
-        cont = p_c0 * v[ns0] + p_c1 * v[ns1]
-        np.add(r, (gamma * cont).reshape(na, 1, n_vcd), out=q_new)
-        np.abs(np.subtract(q_new, q, out=diff), out=diff)
-        residual = float(diff.max())
-        residuals.append(residual)
-        q, q_new = q_new, q
-        if residual < tol:
-            if not np.all(np.isfinite(q)):
+    y_max = 0.0
+    # A Q that overflows shows as a non-finite residual, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(max_iters):
+            q3.max(axis=1, out=v2)
+            np.take(v, idx, out=g, mode="clip")
+            np.multiply(p, g, out=g)
+            np.add(g0, g1, out=x)
+            np.multiply(gamma, x, out=x)
+            np.add(r, x, out=q)
+            x_max = _sup_norm(x)
+            if sweep == 0:
+                residual = _sup_norm(q)  # from Q = 0
+            else:
+                # With u = 2**-53 and R, X, Y, D the largest |r|, |x|, |y| and
+                # fl(|x - y|), every |fl(r + x) - fl(r + y)| lies within
+                # 2.01·u·(2R + X + Y + D) of its column's fl(|x - y|) unless a sum
+                # overflows. So a column whose fl(|x - y|) falls short of D by more
+                # than twice that cannot hold the largest difference. The slack is
+                # 16·u·(...), which also covers its own rounding.
+                np.abs(np.subtract(x, y, out=delta), out=delta)
+                d_max = float(delta.max())
+                slack = 2.0 ** -49 * (2.0 * r_max + x_max + y_max + d_max)
+                if math.isfinite(slack):
+                    cols = np.flatnonzero(delta >= d_max - slack)
+                    residual = _sup_norm(q[:, cols] - (r[:, cols] + y[cols]))
+                else:  # an overflow or NaN: every column
+                    residual = _sup_norm(q - (r + y))
+            residuals.append(residual)
+            if not math.isfinite(residual):
                 raise ConvergenceError(residual, len(residuals))
-            # `diff` is free now; reuse it for the (S, A) copy.
-            out = diff.reshape(n_vcd, na, na)
-            np.copyto(out, q.transpose(2, 1, 0))
-            return QTable(q=out.reshape(model.n_states, na), residuals=residuals)
+            if residual < tol:
+                out = np.ascontiguousarray(q3.transpose(2, 0, 1))
+                return QTable(q=out.reshape(model.n_states, na), residuals=residuals)
+            x, y, y_max = y, x, x_max
     raise ConvergenceError(residuals[-1], max_iters)
 
 
@@ -334,11 +382,16 @@ class PomdpController:
 
 
 def save_policy(path: Path, model: PomdpModel, qtable: QTable) -> None:
-    """Write through a temporary file so a reader never sees a partial policy."""
+    """Write through a temporary file so a reader never sees a partial policy.
+
+    The archive is stored, not deflated: Q's float64 bits compress poorly
+    (382 KB to 149 KB on the default model) and deflate is most of a save's and
+    a load's time. Zip's CRC-32 still guards every member, and ``load_policy``
+    reads compressed caches as well."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as f:
-        np.savez_compressed(f, q=qtable.q, cache_key=np.array(model.cache_key))
+        np.savez(f, q=qtable.q, cache_key=np.array(model.cache_key))
     os.replace(tmp, path)
 
 

@@ -123,6 +123,20 @@ class TestSimulate:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()  # rejected before any output is written
 
+    @pytest.mark.parametrize("argv", [["solve-pomdp"], ["compare", "--trials", "5"],
+                                      ["simulate", "--controller", "pomdp", "--trials", "3"]])
+    def test_overflowing_reward_weight_exits_2_at_once(self, tmp_path, monkeypatch, capsys, argv):
+        # A finite weight whose Q overflows stops the solve at sweep 2, the first
+        # non-finite residual, with no traceback, warning, cache file or output.
+        monkeypatch.setenv("CWSIM_POMDP__W_SAFETY", "1e308")
+        monkeypatch.setenv("CWSIM_POMDP__CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pomdp policy: value iteration residual inf after 2 ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_pomdp_controller_solves_and_caches(self, tmp_path, capsys):
         import os
 

@@ -10,10 +10,14 @@ from crosswalk_sim.pomdp import (
     RewardWeights,
     greedy_action_table,
     load_policy,
+    policy_cache_path,
     pomdp_step,
     qmdp_solve,
     save_policy,
+    solve_or_load,
 )
+
+from qmdp_reference import dense_reference
 
 
 def small_model(params, geometry, gap_model, **kwargs):
@@ -119,6 +123,19 @@ class TestSolver:
             qmdp_solve(m, tol=1e-12, max_iters=3)
         assert err.value.residual > 0.0
 
+    def test_overflow_stops_at_first_non_finite_residual(self, params, geometry, gap_model):
+        # A finite weight whose Q overflows: sweep 1 gives 1e308, sweep 2 inf. The
+        # solve stops there, without a NumPy warning, not after 5000 NaN sweeps.
+        m = small_model(params, geometry, gap_model, weights=RewardWeights(w_safety=1e308))
+        with pytest.raises(ConvergenceError) as err:
+            qmdp_solve(m)
+        assert err.value.iterations == 2 and err.value.residual == np.inf
+
+    def test_overflowing_reward_table_is_rejected(self, params, geometry, gap_model):
+        with pytest.raises(ValueError, match="overflow the reward table"):
+            small_model(params, geometry, gap_model,
+                        weights=RewardWeights(w_legality=1e308, w_safety=1e308))
+
     def test_weight_rescaling_preserves_policy(self, params, geometry, gap_model):
         m1 = small_model(params, geometry, gap_model)
         m2 = small_model(
@@ -129,31 +146,7 @@ class TestSolver:
         g2 = greedy_action_table(m2, qmdp_solve(m2))
         assert np.array_equal(g1, g2)
 
-    @staticmethod
-    def dense_reference(m):
-        """The plain update on the kernel broadcast to (S, A) tables; returns (Q, residuals)."""
-        nv, nd, na = len(m.v_grid), len(m.d_grid), len(m.a_grid)
-        full = (nv, 2, nd, na, na)  # v, c, d, a_prev, a
-        s_v = m._v_next_idx[:, None, :, None, :]
-        s_d = m._d_next_idx[:, None, :, None, :]
-        a = np.arange(na)
-        ns0 = np.broadcast_to(m.state_index(s_v, 0, s_d, a), full).reshape(m.n_states, na)
-        ns1 = np.broadcast_to(m.state_index(s_v, 1, s_d, a), full).reshape(m.n_states, na)
-        block = (nv, 1, nd, na, na)
-        p1 = np.concatenate(
-            [np.broadcast_to(m._entry_p[:, None, :, None, :], block),
-             np.broadcast_to(1.0 - m.crossing_exit_prob, block)],
-            axis=1,
-        ).reshape(m.n_states, na)
-
-        q = np.zeros_like(m.reward_table)
-        residuals = [np.inf]
-        while residuals[-1] >= 1e-6:
-            v = q.max(axis=1)
-            q_new = m.reward_table + m.discount * ((1.0 - p1) * v[ns0] + p1 * v[ns1])
-            residuals.append(float(np.max(np.abs(q_new - q))))
-            q = q_new
-        return q, residuals[1:]
+    dense_reference = staticmethod(dense_reference)
 
     def test_matches_dense_reference(self, params, geometry, gap_model):
         m = small_model(params, geometry, gap_model)
@@ -259,6 +252,28 @@ class TestSerialization:
         path = tmp_path / "policy.npz"
         save_policy(path, pomdp_model, solved_policy)
         path.write_bytes(path.read_bytes()[:200])
+        assert load_policy(path, pomdp_model) is None
+
+    def test_compressed_cache_still_loads(self, tmp_path, pomdp_model, solved_policy):
+        # Caches written deflated, as save_policy once wrote them, stay valid.
+        path = policy_cache_path(tmp_path, pomdp_model)
+        with open(path, "wb") as f:
+            np.savez_compressed(f, q=solved_policy.q, cache_key=np.array(pomdp_model.cache_key))
+        table = solve_or_load(pomdp_model, tmp_path, tol=1e-6)
+        assert table.residuals == []  # a cache hit
+        assert np.array_equal(table.q, solved_policy.q)
+
+    def test_flipped_payload_byte_is_a_miss(self, tmp_path, pomdp_model, solved_policy):
+        # The archive is stored, not deflated, so Q's bytes lie in the file as they
+        # are; zip's CRC-32 still catches one that changed.
+        path = tmp_path / "policy.npz"
+        save_policy(path, pomdp_model, solved_policy)
+        raw = bytearray(path.read_bytes())
+        payload = solved_policy.q.tobytes()
+        at = raw.find(payload)
+        assert at > 0
+        raw[at + len(payload) // 2] ^= 0x10
+        path.write_bytes(raw)
         assert load_policy(path, pomdp_model) is None
 
     def test_save_leaves_only_the_policy(self, tmp_path, pomdp_model, solved_policy):

@@ -1,5 +1,6 @@
 """Property tests for the physical invariants of the plant, controller and pedestrian,
-and for the lockstep batch engine's bitwise equality with scalar trials.
+for the lockstep batch engine's bitwise equality with scalar trials, and for the
+QMDP solver's bitwise equality with the plain (S, A) update.
 
 Examples are derived from a fixed seed and no example database is kept, so
 every run checks the same cases.
@@ -16,14 +17,18 @@ os.environ.setdefault(
     "HYPOTHESIS_STORAGE_DIRECTORY", str(Path(tempfile.gettempdir()) / "crosswalk-sim-hypothesis")
 )
 
+import numpy as np  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from crosswalk_sim.core import ControllerParams, EntrySide, PedestrianState, VehicleState, WorldGeometry
 from crosswalk_sim.hybrid import HybridController
 from crosswalk_sim.pedestrian import GapAcceptanceModel, PedestrianAgent, Phase, pedestrian_tick
-from crosswalk_sim.pomdp import PomdpController
+from crosswalk_sim.pomdp import PomdpController, PomdpModel, qmdp_solve
 from crosswalk_sim.simulator import Lane, Scenario, make_delay_buffer, plant_tick, run_batch, run_trial
+
+from qmdp_reference import dense_reference
 
 PARAMS = ControllerParams()
 GEOMETRY = WorldGeometry()
@@ -128,3 +133,25 @@ def test_lockstep_batch_matches_scalar_trials(pomdp_model, solved_policy, params
     assert run_batch(scenarios, gaps, controller) == [
         run_trial(replace(sc, seed=i), g, controller) for sc in scenarios for i, g in enumerate(gaps)
     ]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    n_v_bins=st.integers(2, 4),
+    n_d_bins=st.integers(2, 6),
+    actions=st.lists(finite(-PARAMS.a_max, PARAMS.a_cmf), min_size=2, max_size=6, unique=True),
+    discount=finite(0.0, 0.95),
+    data=st.data(),
+)
+def test_qmdp_solve_matches_dense_reference(n_v_bins, n_d_bins, actions, discount, data):
+    # Small random models with arbitrary reward tables: both signs, signed zeros,
+    # ties and magnitudes from subnormal to 1e6, so the solver's layout, gather and
+    # residual shortcut each meet cases the presets never reach.
+    model = PomdpModel(PARAMS, GEOMETRY, GapAcceptanceModel(), discount=discount,
+                       n_v_bins=n_v_bins, n_d_bins=n_d_bins, actions=tuple(actions))
+    rewards = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), finite(-1e6, 1e6))
+    model.reward_table = data.draw(arrays(np.float64, model.reward_table.shape, elements=rewards))
+    q, residuals = dense_reference(model)
+    table = qmdp_solve(model)
+    assert table.q.tobytes() == q.tobytes()  # bit for bit, signed zeros included
+    assert table.residuals == residuals
