@@ -150,9 +150,10 @@ def _policy(config: RunConfig) -> tuple[PomdpModel, QTable]:
 def _controller(config: RunConfig, method: str, scenario: Scenario) -> tuple[str, Controller]:
     """The method's canonical name and the one controller a run uses for it.
 
-    ``run_trial`` resets the controller before each trial and ``run_batch``
-    keeps per-trial state in its own arrays, so a single instance serves
-    every trial and quadrant of the run.
+    A controller keeps no per-trial state: each trial's mode and held command
+    live in its ``TrialState``, or in the arrays of ``run_batch``'s
+    ``BatchState``, so a single instance serves every trial and quadrant of
+    the run.
     """
     method = method.lower()
     if method == "hybrid":
@@ -277,6 +278,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
             raise ConfigError("--trial requires --preset experiment")
         if args.gap is not None or args.side is not None:
             raise ConfigError("--trial takes its gap and side from the script; omit --gap and --side")
+        if config.run["controller"].lower() != "hybrid":  # before any policy is solved
+            raise ConfigError(f"--trial checks the hybrid controller's modes; "
+                              f"run.controller is {config.run['controller']!r}")
         gap, side, expected = EXPERIMENT_TRIALS[args.trial - 1]
     elif args.gap is None:
         raise ConfigError("need --gap or --trial")
@@ -287,7 +291,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     _, controller = _controller(config, config.run["controller"], scenario)
     write_config_echo(config, out_dir)
 
-    result = run_trial(scenario, gap, controller, record_trace=True)
+    result = run_trial(scenario, gap, controller)
 
     trace_path = out_dir / "trace.csv"
     write_output(trace_path, TRACE_HEADER + "".join([TRACE_ROW % row for row in result.trace]))
@@ -310,6 +314,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_solve_pomdp(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    if args.export == "":
+        raise ConfigError("--export needs a file path")
     export = args.export and _output_path(Path(args.export), directory=False)
     model, table = _policy(config)
     path = policy_cache_path(Path(config.pomdp["cache_dir"]), model)
@@ -354,11 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
         config_flags(p)
         p.add_argument("--lane", choices=["A", "B"])
         p.add_argument("--side", choices=["near", "far"])
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
 
     def batch_flags(p: argparse.ArgumentParser) -> None:
         run_flags(p)
+        p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int)
         p.add_argument("--sweep", help="deterministic gap sweep LO:STEP:HI")
 

@@ -136,48 +136,6 @@ class WorldGeometry:
             raise ValueError(f"lane {lane} outside 0..{self.n_lanes - 1}")
         return (lane + 0.5) * self.lane_width
 
-    def vehicle_y(self, d: float) -> float:
-        """Longitudinal position of the vehicle for a given stop-point distance."""
-        return -(d + self.delta)
-
-    def vehicle_is_past(self, d: float) -> bool:
-        """True once the vehicle has cleared the crosswalk stripe by a 1 m margin."""
-        return self.vehicle_y(d) > self.crosswalk_depth / 2.0 + 1.0
-
-
-@dataclass
-class VehicleState:
-    """Ego kinematic state. ``d`` may go negative; ``v`` never does."""
-
-    d: float
-    v: float
-    x_v: float
-
-    def __post_init__(self) -> None:
-        if self.v < 0.0:
-            raise ValueError("vehicle speed must be nonnegative")
-
-
-@dataclass
-class PedestrianState:
-    """Pedestrian position and velocity along the crosswalk axis."""
-
-    x_p: float
-    xdot_p: float
-    entry_side: EntrySide = EntrySide.NEAR
-
-    def span_coord(self, geometry: WorldGeometry) -> float:
-        """Progress along the crossing, measured from the entry-side curb."""
-        if self.entry_side is EntrySide.NEAR:
-            return self.x_p
-        return geometry.roadway_width - self.x_p
-
-    def span_speed(self) -> float:
-        """Signed speed in the crossing direction (positive = into the road)."""
-        if self.entry_side is EntrySide.NEAR:
-            return self.xdot_p
-        return -self.xdot_p
-
 
 @dataclass(frozen=True)
 class ControllerParams:

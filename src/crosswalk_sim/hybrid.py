@@ -1,62 +1,49 @@
 """Four-mode hybrid longitudinal controller.
 
-The controller holds one of four discrete modes and maps the current
-vehicle and pedestrian states to an acceleration command once per tick.
-Mode commands are feedback-feedforward: a desired acceleration plus a
+Each trial holds one of four discrete modes, as a code in its
+``TrialState``; once per tick the controller maps that mode and the current
+vehicle and pedestrian states to a new mode and an acceleration command. The
+controller itself keeps no per-trial state: ``step`` ticks one trial with
+branches, ``step_batch`` the trials of a lockstep batch with masks. Mode
+commands are feedback-feedforward: a desired acceleration plus a
 proportional correction toward a desired velocity profile.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (
-    ControllerParams,
-    PedestrianState,
-    VehicleState,
-    WorldGeometry,
-    comfort_brake_distance,
-    max_brake_distance,
-)
+from .core import ControllerParams, WorldGeometry, comfort_brake_distance, max_brake_distance
 
 if TYPE_CHECKING:
-    from .simulator import BatchState
+    from .simulator import BatchState, TrialState
 
 
-class Mode(Enum):
-    DRIVING = "Driving"
-    YIELDING = "Yielding"
-    HARD_BRAKING = "HardBraking"
-    SPEED_UP = "SpeedUp"
-
-
-# ``Mode`` as the codes ``step_batch`` keeps in the batch ``mode`` array.
+# The mode codes, as a trial's ``mode`` field holds them; ``HybridController.modes``
+# has their labels.
 DRIVING, YIELDING, HARD_BRAKING, SPEED_UP = range(4)
 
-OVERRUN = "hard_braking_overrun"
 
-
-def in_crosswalk(ped: PedestrianState | BatchState, geometry: WorldGeometry) -> bool:
+def in_crosswalk(s: TrialState, geometry: WorldGeometry) -> bool:
     """True while the pedestrian holds the right of way over the vehicle.
 
     A pedestrian counts from the instant they start moving toward the
     legally relevant span, even while still on the sidewalk, and stops
     counting once past the end of that span. Someone standing still inside
     the span keeps holding the vehicle; someone walking away never
-    triggers it. Takes one pedestrian or the trials of a lockstep batch
-    (then returns a mask).
+    triggers it. Takes one trial or the trials of a lockstep batch (then
+    returns a mask).
     """
-    s = ped.span_coord(geometry)
+    c = s.span_coord()
     # Inside the span [0, x_f], or approaching it from before x_f. As x_f > 0,
-    # this is the same Boolean function as (0 <= s <= x_f) | (sdot > 0 & s < x_f).
-    return (s <= geometry.x_f) & ((0.0 <= s) | (ped.span_speed() > 0.0))
+    # this is the same Boolean function as (0 <= c <= x_f) | (cdot > 0 & c < x_f).
+    return (c <= geometry.x_f) & ((0.0 <= c) | (s.span_speed() > 0.0))
 
 
-def time_advantage(vehicle: VehicleState, ped: PedestrianState, geometry: WorldGeometry) -> float:
+def time_advantage(s: TrialState, geometry: WorldGeometry) -> float:
     """Pedestrian's time to the vehicle's lane minus the vehicle's time to the walking line.
 
     The pass/yield question is whether the vehicle clears the crosswalk, not
@@ -64,44 +51,37 @@ def time_advantage(vehicle: VehicleState, ped: PedestrianState, geometry: WorldG
     the pedestrian cannot conflict (standing, or already past the lane) and
     -inf for a stopped vehicle, which can never pass first.
     """
-    if ped.xdot_p == 0.0:
+    if s.xdot_p == 0.0:
         return math.inf
-    t_reach = (vehicle.x_v - ped.x_p) / ped.xdot_p
+    t_reach = (s.x_v - s.x_p) / s.xdot_p
     if t_reach < 0.0:
         return math.inf
-    if vehicle.v <= 0.0:
+    if s.v <= 0.0:
         return -math.inf
-    return t_reach - (vehicle.d + geometry.delta) / vehicle.v
+    return t_reach - (s.d + geometry.delta) / s.v
 
 
 class HybridController:
-    """Mode machine owned by a single trial.
+    """The mode machine, one instance for every trial of a run.
 
-    ``d_o`` / ``v_o`` are the distance and speed latched when a braking
-    profile starts; Yielding re-latches them at the moment its coast phase
-    ends so the constant-deceleration profile lands at the stop point.
-    Commands are saturated per mode: Driving and Yielding stay inside the
-    comfort envelope, HardBraking may use the full braking authority,
-    SpeedUp commands the comfort acceleration. ``label`` is the current mode's
-    name as mode traces record it, set along with ``mode`` by ``reset``,
-    ``_enter`` and ``_drive``.
+    The controller holds only its parameters. A trial's mode and braking
+    profile live in its ``TrialState``, which ``step`` reads and writes:
+    ``mode`` (a code, labelled by ``modes``), ``d_o`` / ``v_o``, the distance
+    and speed latched when a braking profile starts, ``latched``, set once
+    Yielding re-latches them at the moment its coast phase ends so the
+    constant-deceleration profile lands at the stop point, and ``overrun``,
+    set once HardBraking runs past the stop point. Commands are saturated per
+    mode: Driving and Yielding stay inside the comfort envelope, HardBraking
+    may use the full braking authority, SpeedUp commands the comfort
+    acceleration.
     """
 
-    modes = tuple(m.value for m in Mode)  # labels of the batch mode codes
+    modes = ("Driving", "Yielding", "HardBraking", "SpeedUp")  # labels of the mode codes
 
     def __init__(self, params: ControllerParams, geometry: WorldGeometry, dt: float = 0.05):
         self.params = params
         self.geometry = geometry
         self.dt = dt  # sample time; used as a one-tick lead on the braking point
-        self.safety_events: list[str] = []
-        self.reset()
-
-    def reset(self) -> None:
-        self._drive()
-        self.d_o = 0.0
-        self.v_o = 0.0
-        self._decel_latched = False
-        self.safety_events.clear()
 
     # -- mode commands -----------------------------------------------------
 
@@ -110,49 +90,49 @@ class HybridController:
         a = p.k_s * (p.v_speedlimit - v)
         return _clamp(a, -p.a_cmf, p.a_cmf)
 
-    def yielding_command(self, d: float, v: float) -> float:
+    def yielding_command(self, s: TrialState) -> float:
         p = self.params
-        if not self._decel_latched:
+        d, v = s.d, s.v
+        if not s.latched:
             # Coast phase: hold the speed limit until the comfortable braking
             # point, led by the brake-communication delay plus one sample so
             # the quantized switch lands at or before the stop point.
             if d > comfort_brake_distance(v, p.a_cmf) + (p.t_delay + self.dt) * v:
                 return self.driving_command(v)
-            self.d_o = d
-            self.v_o = v
-            self._decel_latched = True
-        v_des = self.yield_speed_profile(d)
+            s.d_o, s.v_o, s.latched = d, v, True
+        v_des = self.yield_speed_profile(d, s.d_o, s.v_o)
         a = -p.a_cmf + p.k_s * (v_des - v)
         return _clamp(a, -p.a_cmf, p.a_cmf)
 
-    def yield_speed_profile(self, d: float) -> float:
+    def yield_speed_profile(self, d: float, d_o: float, v_o: float) -> float:
         """Constant-deceleration profile, v_o at d_o and 0 at the stop point."""
-        arg = 2.0 * self.params.a_cmf * (d - self.d_o) + self.v_o * self.v_o
+        arg = 2.0 * self.params.a_cmf * (d - d_o) + v_o * v_o
         return math.sqrt(max(0.0, arg))
 
-    def hard_braking_command(self, d: float, v: float) -> float:
+    def hard_braking_command(self, s: TrialState) -> float:
         p = self.params
+        d, v = s.d, s.v
         if d <= 0.0:
-            if not self.safety_events or self.safety_events[-1] != OVERRUN:
-                self.safety_events.append(OVERRUN)
+            s.overrun = True
             return -p.a_max
-        v_des = self.brake_speed_profile(d)
+        v_des = self.brake_speed_profile(d, s.d_o, s.v_o)
         a = -v * v / (2.0 * d) + p.k_s * (v_des - v)
         return _clamp(a, -p.a_max, p.a_cmf)
 
-    def brake_speed_profile(self, d: float) -> float:
+    def brake_speed_profile(self, d: float, d_o: float, v_o: float) -> float:
         """Square-root profile matching v_o at d_o and 0 at the stop point."""
-        if d <= 0.0 or self.d_o <= 0.0:
+        if d <= 0.0 or d_o <= 0.0:
             return 0.0
-        return self.v_o / math.sqrt(self.d_o) * math.sqrt(d)
+        return v_o / math.sqrt(d_o) * math.sqrt(d)
 
     def speed_up_command(self) -> float:
         return self.params.a_cmf
 
     # -- one controller tick -----------------------------------------------
 
-    def step(self, vehicle: VehicleState, ped: PedestrianState) -> float:
-        """Run one pass of the mode machine and return the acceleration command.
+    def step(self, s: TrialState, tick: int) -> float:
+        """Run one pass of the mode machine on trial ``s`` and return the
+        acceleration command; ``tick`` is not read.
 
         Mode blocks cascade the way the control loop is written: a
         transition out of Driving produces the new mode's command on the
@@ -160,40 +140,42 @@ class HybridController:
         command for the transition tick.
         """
         p = self.params
-        d, v = vehicle.d, vehicle.v
+        d, v, mode = s.d, s.v, s.mode
         a = 0.0
-        ped_active = in_crosswalk(ped, self.geometry)
+        ped_active = in_crosswalk(s, self.geometry)
 
-        if self.mode is Mode.DRIVING:
+        if mode == DRIVING:
             a = self.driving_command(v)
             if d > 0.0 and ped_active:
-                if time_advantage(vehicle, ped, self.geometry) > p.tau_max:
+                if time_advantage(s, self.geometry) > p.tau_max:
                     pass  # enough margin to continue through
                 else:
                     d_cmf = comfort_brake_distance(v, p.a_cmf)
                     d_max = max_brake_distance(v, p.a_max)
                     if d >= d_cmf:
-                        self._enter(Mode.YIELDING, d, v)
+                        mode = YIELDING
                     elif d > d_max:
-                        self._enter(Mode.HARD_BRAKING, d, v)
+                        mode = HARD_BRAKING
                     else:
-                        self._enter(Mode.SPEED_UP, d, v)
+                        mode = SPEED_UP
+                    s.d_o, s.v_o, s.latched = d, v, False
 
-        if self.mode is Mode.YIELDING:
-            a = self.yielding_command(d, v)
+        if mode == YIELDING:
+            a = self.yielding_command(s)
             if not ped_active:
-                self._drive()
+                mode = DRIVING
 
-        if self.mode is Mode.HARD_BRAKING:
-            a = self.hard_braking_command(d, v)
+        if mode == HARD_BRAKING:
+            a = self.hard_braking_command(s)
             if not ped_active:
-                self._drive()
+                mode = DRIVING
 
-        if self.mode is Mode.SPEED_UP:
+        if mode == SPEED_UP:
             a = self.speed_up_command()
             if not ped_active or d < 0.0:
-                self._drive()
+                mode = DRIVING
 
+        s.mode = mode
         return _clamp(a, -p.a_max, p.a_cmf)
 
     def step_batch(self, s: BatchState, tick: int) -> np.ndarray:
@@ -201,7 +183,7 @@ class HybridController:
 
         The mode blocks run as masked blocks in the order of ``step``, so the
         same-tick cascade holds, and each array expression does the same IEEE
-        operations in the same order as its scalar counterpart. The reset
+        operations in the same order as its scalar counterpart. The start
         state is all zeros: Driving, nothing latched, no overrun.
         """
         p, geo = self.params, self.geometry
@@ -262,17 +244,6 @@ class HybridController:
         # Every mode's command already lies in [-a_max, a_cmf], inside which
         # step's final clamp is the identity.
         return a
-
-    def _enter(self, mode: Mode, d: float, v: float) -> None:
-        self.mode = mode
-        self.label = mode.value
-        self.d_o = d
-        self.v_o = v
-        self._decel_latched = False
-
-    def _drive(self) -> None:
-        self.mode = Mode.DRIVING
-        self.label = Mode.DRIVING.value
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:

@@ -6,29 +6,27 @@ vehicle's time gap to the walking line shrinks to that value. Pedestrians
 whose accepted gap exceeds ``max_trigger_gap`` never treat the approaching
 vehicle as a crossing opportunity; they wait for it to pass and then cross.
 Once crossing, the walk is constant-speed and is never aborted.
+
+A pedestrian's state is the ``x_p``, ``xdot_p``, ``phase``, ``delay_left``
+and ``gap`` fields of the trial's ``TrialState``, with the entry side as its
+``sgn`` / ``lim`` constants. ``pedestrian_tick`` advances one trial with
+branches and ``pedestrian_tick_batch`` the trials of a lockstep batch with
+masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import EntrySide, PedestrianState, VehicleState, WorldGeometry, require_finite_fields
+from .core import require_finite_fields
 
 if TYPE_CHECKING:
-    from .simulator import BatchState
+    from .simulator import BatchState, TrialState
 
-
-class Phase(Enum):
-    WAITING = "waiting"
-    CROSSING = "crossing"
-    DONE = "done"
-
-
-# ``Phase`` as the codes of the batch engine's ``phase`` array.
+# The pedestrian's phases, in the order a trial passes through them.
 WAITING_CODE, CROSSING_CODE, DONE_CODE = range(3)
 
 
@@ -70,80 +68,39 @@ def sample_accepted_gap(model: GapAcceptanceModel, rng: np.random.Generator) -> 
     return max(model.min_gap, float(rng.normal(model.mu_gap, model.sigma_gap)))
 
 
-def start_position(model: GapAcceptanceModel, side: EntrySide, geometry: WorldGeometry) -> float:
-    if side is EntrySide.NEAR:
-        return -model.near_setback
-    return geometry.roadway_width + model.far_setback
+def pedestrian_tick(s: TrialState, model: GapAcceptanceModel, dt: float, line: float,
+                    past: bool) -> None:
+    """Advance the pedestrian by one time step against the current ego state.
 
-
-@dataclass
-class PedestrianAgent:
-    """One pedestrian over one trial: Waiting -> Crossing -> Done."""
-
-    model: GapAcceptanceModel
-    geometry: WorldGeometry
-    accepted_gap: float
-    state: PedestrianState
-    phase: Phase = Phase.WAITING
-    delay_left: float = field(default=-1.0)  # negative = trigger not armed yet
-
-    @classmethod
-    def spawn(
-        cls,
-        model: GapAcceptanceModel,
-        geometry: WorldGeometry,
-        side: EntrySide,
-        accepted_gap: float,
-    ) -> "PedestrianAgent":
-        state = PedestrianState(
-            x_p=start_position(model, side, geometry), xdot_p=0.0, entry_side=side
-        )
-        return cls(model=model, geometry=geometry, accepted_gap=accepted_gap, state=state)
-
-    def _should_arm(self, vehicle: VehicleState) -> bool:
-        if vehicle.v <= 1e-9:
-            # A stopped vehicle offers an infinite gap; every pedestrian takes it.
-            return True
-        if self.geometry.vehicle_is_past(vehicle.d):
-            return True
-        if self.accepted_gap > self.model.max_trigger_gap:
-            return False
-        line_dist = vehicle.d + self.geometry.delta
-        if line_dist <= 0.0:
-            return False
-        return line_dist / vehicle.v <= self.accepted_gap
-
-
-def pedestrian_tick(agent: PedestrianAgent, vehicle: VehicleState, dt: float) -> PedestrianAgent:
-    """Advance the pedestrian by one time step against the current ego state."""
+    ``line`` and ``past`` are ``s.walking_line`` of this tick, taken after the
+    plant has moved.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if agent.phase is Phase.DONE:
-        return agent
+    phase = s.phase
+    if phase == DONE_CODE:
+        return
 
-    if agent.phase is Phase.WAITING:
-        if agent.delay_left < 0.0:
-            if not agent._should_arm(vehicle):
-                return agent
-            agent.delay_left = agent.model.start_delay
+    if phase == WAITING_CODE:
+        if s.delay_left < 0.0:
+            # A stopped vehicle offers an infinite gap and a passed one no
+            # conflict: every pedestrian takes those. Otherwise the time gap to
+            # the walking line must have shrunk to the accepted one.
+            if not (s.v <= 1e-9 or past):
+                if s.gap > model.max_trigger_gap or line <= 0.0 or not line / s.v <= s.gap:
+                    return
+            s.delay_left = model.start_delay
         else:
-            agent.delay_left -= dt
-        if agent.delay_left > 1e-9:
-            return agent
-        agent.phase = Phase.CROSSING
-        sign = 1.0 if agent.state.entry_side is EntrySide.NEAR else -1.0
-        agent.state.xdot_p = sign * agent.model.walk_speed
+            s.delay_left -= dt
+        if s.delay_left > 1e-9:
+            return
+        s.phase = CROSSING_CODE
+        s.xdot_p = s.sgn * model.walk_speed
 
-    agent.state.x_p += agent.state.xdot_p * dt
-    width = agent.geometry.roadway_width
-    if agent.state.entry_side is EntrySide.NEAR:
-        done = agent.state.x_p > width
-    else:
-        done = agent.state.x_p < 0.0
-    if done:
-        agent.phase = Phase.DONE
-        agent.state.xdot_p = 0.0
-    return agent
+    s.x_p += s.xdot_p * dt
+    if s.crossed():
+        s.phase = DONE_CODE
+        s.xdot_p = 0.0
 
 
 def pedestrian_tick_batch(s: BatchState, model: GapAcceptanceModel, dt: float,

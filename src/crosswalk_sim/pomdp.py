@@ -23,13 +23,13 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .core import (ControllerParams, PedestrianState, VehicleState, WorldGeometry, require_finite,
-                   require_finite_fields, whole_ticks, write_output)
+from .core import (ControllerParams, WorldGeometry, require_finite, require_finite_fields,
+                   whole_ticks, write_output)
 from .hybrid import in_crosswalk
 from .pedestrian import GapAcceptanceModel
 
 if TYPE_CHECKING:
-    from .simulator import BatchState
+    from .simulator import BatchState, TrialState
 
 log = logging.getLogger(__name__)
 
@@ -315,56 +315,45 @@ def greedy_action_table(model: PomdpModel, qtable: QTable) -> np.ndarray:
     return order[best_in_order].astype(np.int64)
 
 
-def pomdp_step(
-    greedy: np.ndarray,
-    model: PomdpModel,
-    vehicle: VehicleState,
-    ped: PedestrianState,
-    a_prev_bin: int,
-) -> tuple[float, int]:
-    """Command from ``greedy_action_table`` for the observed state; returns (command, action bin)."""
-    if not (model.d_grid[0] <= vehicle.d <= model.d_grid[-1]) or not (
-        model.v_grid[0] <= vehicle.v <= model.v_grid[-1]
+def pomdp_step(greedy: np.ndarray, model: PomdpModel, s: TrialState, a_prev_bin: int) -> int:
+    """The action bin ``greedy_action_table`` picks for trial ``s``'s observed state."""
+    if not (model.d_grid[0] <= s.d <= model.d_grid[-1]) or not (
+        model.v_grid[0] <= s.v <= model.v_grid[-1]
     ):
-        log.debug("state outside grid, clamping: d=%.2f v=%.2f", vehicle.d, vehicle.v)
+        log.debug("state outside grid, clamping: d=%.2f v=%.2f", s.d, s.v)
     state = model.state_index(
-        model.v_bin(vehicle.v),
-        in_crosswalk(ped, model.geometry),
-        model.d_bin(vehicle.d),
+        model.v_bin(s.v),
+        in_crosswalk(s, model.geometry),
+        model.d_bin(s.d),
         a_prev_bin,
     )
-    a_idx = int(greedy[state])
-    return float(model.a_grid[a_idx]), a_idx
+    return int(greedy[state])
 
 
 class PomdpController:
     """Solved-policy controller behind the same per-tick step interface.
 
     The policy was optimized at the model's coarser decision period, so the
-    command is re-evaluated on that period and held between decisions.
-    The policy has no modes and raises no safety events.
+    command is re-evaluated on that period and held between decisions. The
+    held action is the trial's ``a_prev_idx``, which is also the previous
+    action of its next decision; the controller keeps no per-trial state. The
+    policy has one mode and raises no safety events.
     """
 
-    label = "pomdp"
-    modes = (label,)
-    safety_events: tuple[str, ...] = ()
+    modes = ("pomdp",)
 
     def __init__(self, model: PomdpModel, qtable: QTable, sim_dt: float):
         self.model = model
         self.greedy = greedy_action_table(model, qtable)
         self.hold_ticks = max(1, whole_ticks(model.dt, sim_dt, "model.dt"))
-        self.reset()
+        self.commands = tuple(model.a_grid.tolist())  # each action as a Python float
 
-    def reset(self) -> None:
-        self._a_idx = self.model.a_bin(0.0)
-        self._a = 0.0
-        self._tick = 0
-
-    def step(self, vehicle: VehicleState, ped: PedestrianState) -> float:
-        if self._tick % self.hold_ticks == 0:
-            self._a, self._a_idx = pomdp_step(self.greedy, self.model, vehicle, ped, self._a_idx)
-        self._tick += 1
-        return self._a
+    def step(self, s: TrialState, tick: int) -> float:
+        if tick == 0:
+            s.a_prev_idx = self.model.a_bin(0.0)  # start
+        if tick % self.hold_ticks == 0:
+            s.a_prev_idx = pomdp_step(self.greedy, self.model, s, s.a_prev_idx)
+        return self.commands[s.a_prev_idx]
 
     def step_batch(self, s: BatchState, tick: int) -> np.ndarray:
         """``step`` for every live trial of a lockstep batch; returns the commands.
@@ -374,7 +363,7 @@ class PomdpController:
         """
         m = self.model
         if tick == 0:
-            s.a_prev_idx[:] = m.a_bin(0.0)  # reset
+            s.a_prev_idx[:] = m.a_bin(0.0)  # start
         if tick % self.hold_ticks == 0:
             c = in_crosswalk(s, m.geometry)
             s.a_prev_idx = self.greedy[m.state_index(m.v_bin(s.v), c, m.d_bin(s.d), s.a_prev_idx)]

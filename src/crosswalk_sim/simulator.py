@@ -6,37 +6,30 @@ at a fixed tick. Trials are independently seeded, so batches are
 reproducible and order-independent.
 
 Both engines take their gaps and their controller from the caller and
-draw nothing themselves; ``seeded_gaps`` is the one seeded draw. ``run_trial``
-advances one trial with Python floats; it serves single trials and traces.
-``run_batch`` advances every trial of a batch at once in a lockstep NumPy
-engine (``BatchState``), whose array expressions do the same IEEE operations
-in the same order as the scalar ones, so both give bitwise-equal results. One
-batch may span several quadrants (lane and entry side), each trial carrying
-its own.
+draw nothing themselves; ``seeded_gaps`` is the one seeded draw. Both hold a
+trial in one record, ``TrialState``: the same fields, names and integer codes,
+entry side included, so a controller keeps no per-trial state and serves every
+trial of a run. ``run_trial`` advances one trial in Python floats with
+branches; it serves single trials and traces. ``run_batch`` advances every
+trial of a batch at once in a lockstep NumPy engine (``BatchState``, the same
+fields as arrays) with masks, whose array expressions do the same IEEE
+operations in the same order as the scalar ones, so both give bitwise-equal
+results. One batch may span several quadrants (lane and entry side), each trial
+carrying its own.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .core import (
-    ControllerParams,
-    EntrySide,
-    PedestrianState,
-    VehicleState,
-    WorldGeometry,
-    require_finite_fields,
-    whole_ticks,
-)
-from .hybrid import OVERRUN
-from .pedestrian import (DONE_CODE, GapAcceptanceModel, PedestrianAgent, Phase, pedestrian_tick,
-                         pedestrian_tick_batch, sample_accepted_gap, start_position)
+from .core import ControllerParams, EntrySide, WorldGeometry, require_finite_fields, whole_ticks
+from .pedestrian import (DONE_CODE, WAITING_CODE, GapAcceptanceModel, pedestrian_tick,
+                         pedestrian_tick_batch, sample_accepted_gap)
 
 
 class Lane(Enum):
@@ -44,23 +37,23 @@ class Lane(Enum):
     B = "B"
 
 
-class Controller(Protocol):
-    """Per-tick controller: ``label`` names its current mode and
-    ``safety_events`` lists the events raised since ``reset``.
+OVERRUN = "hard_braking_overrun"
 
-    ``step_batch`` is ``step`` over the live trials of a lockstep batch: it
-    reads the vehicle and pedestrian arrays of a ``BatchState`` (lane centre
-    ``x_v`` and the entry-side constants included, all per trial), updates its
-    own arrays there (``mode``, an index into ``modes``, whose code 0 is the
-    mode after ``reset``) and returns one command per trial.
+
+class Controller(Protocol):
+    """Per-tick controller, one instance shared by every trial it drives.
+
+    A controller keeps no per-trial state. ``step`` reads one trial's
+    ``TrialState`` at tick ``tick`` (0 at the trial's start), updates the
+    controller fields there (``mode``, an index into ``modes``, whose code 0 is
+    the mode at the start) and returns the command. ``step_batch`` is ``step``
+    over the live trials of a lockstep batch: the same fields as the arrays of
+    a ``BatchState``, and one command per trial.
     """
 
-    label: str
     modes: tuple[str, ...]
-    safety_events: Sequence[str]
 
-    def step(self, vehicle: VehicleState, ped: PedestrianState) -> float: ...
-    def reset(self) -> None: ...
+    def step(self, s: TrialState, tick: int) -> float: ...
     def step_batch(self, s: BatchState, tick: int) -> np.ndarray: ...
 
 
@@ -83,6 +76,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
+        if self.initial_v < 0.0:
+            raise ValueError("initial_v must be non-negative")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.max_sim_time <= 0.0:
@@ -117,7 +112,6 @@ class TrialResult:
     mode_trace: list[tuple[float, str]]
     safety_events: list[str]
     final_d: float
-    seed: int
     trace: Optional[list[tuple]] = None
 
     def mode_sequence(self) -> str:
@@ -127,124 +121,177 @@ class TrialResult:
         return {m for _, m in self.mode_trace}
 
 
-def make_delay_buffer(t_delay_plant: float, dt: float) -> deque:
-    """FIFO of pending commands; empty when there is no actuation delay."""
-    return deque([0.0] * whole_ticks(t_delay_plant, dt, "t_delay_plant"))
+class TrialState:
+    """One trial's state, in the one encoding both engines use.
+
+    ``run_trial`` holds a trial in Python floats, ints and bools; a
+    ``BatchState`` holds the same fields as arrays, one element per trial, and
+    the methods below serve both.
+
+    Vehicle: ``d``, ``v`` and ``x_v`` (the lane centre). Pedestrian: ``x_p``,
+    ``xdot_p``, ``phase`` (``WAITING_CODE``, ``CROSSING_CODE`` or
+    ``DONE_CODE``), ``delay_left`` (negative until the step-off is armed),
+    ``gap`` (the accepted gap), and three constants of the entry side, which
+    replace per-side branches with exact arithmetic: ``sgn`` (1.0 near, -1.0
+    far), ``off`` (0.0 near, roadway_width far) and ``lim`` (roadway_width
+    near, 0.0 far). Controller, written only by its ``step`` or ``step_batch``
+    and zero at the start: ``mode``, ``d_o``, ``v_o``, ``latched``, ``overrun``
+    and ``a_prev_idx``.
+    """
+
+    __slots__ = ("d", "v", "x_v", "sgn", "off", "lim", "x_p", "xdot_p", "phase", "delay_left",
+                 "gap", "mode", "d_o", "v_o", "latched", "overrun", "a_prev_idx")
+
+    def __init__(self, scenario: Scenario, gap: float):
+        """The start of a trial on ``scenario``'s lane and entry side with accepted gap ``gap``."""
+        width, model = scenario.geometry.roadway_width, scenario.gap_model
+        self.d, self.v, self.x_v = scenario.initial_d, scenario.initial_v, scenario.lane_center()
+        if scenario.entry_side is EntrySide.NEAR:  # waiting on the sidewalk before the curb
+            self.sgn, self.off, self.lim, self.x_p = 1.0, 0.0, width, -model.near_setback
+        else:
+            self.sgn, self.off, self.lim, self.x_p = -1.0, width, 0.0, width + model.far_setback
+        self.xdot_p, self.phase, self.delay_left, self.gap = 0.0, WAITING_CODE, -1.0, gap
+        self.mode, self.d_o, self.v_o, self.latched, self.overrun, self.a_prev_idx = (
+            0, 0.0, 0.0, False, False, 0)
+
+    def span_coord(self):
+        """Progress along the crossing from the entry-side curb: ``x_p`` near side
+        and ``roadway_width - x_p`` far side, both exactly (a zero may change
+        sign, which no comparison sees)."""
+        return self.sgn * self.x_p + self.off
+
+    def span_speed(self):
+        """Signed speed in the crossing direction (positive = into the road)."""
+        return self.sgn * self.xdot_p
+
+    def crossed(self):
+        """Whether the pedestrian has left the road: ``x_p > roadway_width`` near
+        side, ``x_p < 0.0`` far side (``-x_p > 0.0`` is the same test)."""
+        return self.sgn * self.x_p > self.lim
+
+    def walking_line(self, geometry: WorldGeometry):
+        """``d + delta``, the vehicle's distance to the walking line (its y is
+        ``-(d + delta)``), and whether the vehicle has cleared the stripe by a
+        1 m margin, ``y > depth / 2 + 1``, spelled ``d + delta < -margin`` since
+        negation is exact."""
+        line = self.d + geometry.delta
+        return line, line < -(geometry.crosswalk_depth / 2.0 + 1.0)
 
 
-def plant_tick(vehicle: VehicleState, commanded_a: float, dt: float, delay_buffer: deque) -> VehicleState:
+def plant_tick(s: TrialState, commanded_a: float, dt: float, fifo: list[float], tick: int) -> None:
     """Advance the point-mass plant one step under the (possibly delayed) command.
 
+    ``fifo`` is the ring of the commands not yet applied, one per delay tick
+    and empty when there is no actuation delay; tick ``tick`` applies the
+    command at its head ``tick % len(fifo)`` and stores ``commanded_a`` there.
     Exact constant-acceleration kinematics within the step; the vehicle
     never reverses, so a braking step that would cross zero speed stops
     exactly at the stopping distance.
     """
-    if delay_buffer:
-        delay_buffer.append(commanded_a)
-        a = delay_buffer.popleft()
+    if fifo:
+        head = tick % len(fifo)
+        a = fifo[head]
+        fifo[head] = commanded_a
     else:
         a = commanded_a
-    v = vehicle.v
+    v = s.v
     if a < 0.0 and v + a * dt < 0.0:
-        vehicle.d -= v * v / (-2.0 * a)  # stops inside this step
-        vehicle.v = 0.0
-        return vehicle
-    vehicle.d -= v * dt + 0.5 * a * dt * dt
-    vehicle.v = max(0.0, v + a * dt)
-    return vehicle
+        s.d -= v * v / (-2.0 * a)  # stops inside this step
+        s.v = 0.0
+        return
+    s.d -= v * dt + 0.5 * a * dt * dt
+    s.v = max(0.0, v + a * dt)
 
 
-def vehicle_pedestrian_distance(vehicle: VehicleState, ped: PedestrianState, geometry: WorldGeometry) -> float:
-    """Euclidean distance from the vehicle point to the pedestrian point on the walking line.
+def vehicle_pedestrian_distance(s: TrialState, line: float) -> float:
+    """Euclidean distance from the vehicle point to the pedestrian point on the
+    walking line, given ``walking_line``'s ``line``, which is the vehicle's y
+    up to its sign.
 
     Spelled ``sqrt(dx*dx + dy*dy)`` rather than ``hypot``, whose NumPy and
     ``math`` versions differ in the last bit; ``BatchState.distance`` is the
     same formula on arrays.
     """
-    dx = ped.x_p - vehicle.x_v
-    dy = 0.0 - geometry.vehicle_y(vehicle.d)
-    return math.sqrt(dx * dx + dy * dy)
+    dx = s.x_p - s.x_v
+    return math.sqrt(dx * dx + line * line)
 
 
-def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller,
-              record_trace: bool = False) -> TrialResult:
+def trial_events(overrun: bool, timed_out: bool) -> list[str]:
+    """A finished trial's safety events, as ``TrialResult`` lists them."""
+    events = [OVERRUN] if overrun else []
+    if timed_out:
+        events.append("timed_out")
+    return events
+
+
+def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller) -> TrialResult:
     """Run one trial with the pedestrian's ``accepted_gap`` to completion and
-    collect its metrics. ``controller`` is reset first, so one instance can
-    serve many trials.
+    collect its metrics and its trace, one row per counted tick. The trial's
+    state is its own ``TrialState``, so one controller can serve many trials.
     """
     accepted_gap = float(accepted_gap)
-    geometry = scenario.geometry
-    vehicle = VehicleState(d=scenario.initial_d, v=scenario.initial_v, x_v=scenario.lane_center())
-    agent = PedestrianAgent.spawn(scenario.gap_model, geometry, scenario.entry_side, accepted_gap)
-    controller.reset()
-
-    buffer = make_delay_buffer(scenario.t_delay_plant, scenario.dt)
-    dt = scenario.dt
+    geometry, dt = scenario.geometry, scenario.dt
+    s = TrialState(scenario, accepted_gap)
+    fifo = [0.0] * scenario.delay_ticks()
 
     # Read once per trial. plant_tick, pedestrian_tick and
     # vehicle_pedestrian_distance stay module lookups on every tick.
-    ped = agent.state
-    step = controller.step
+    step, modes, model = controller.step, controller.modes, scenario.gap_model
     max_sim_time, collision_radius = scenario.max_sim_time, scenario.collision_radius
-    vehicle_is_past = geometry.vehicle_is_past
-    done = Phase.DONE
 
     t = 0.0
-    min_distance = vehicle_pedestrian_distance(vehicle, ped, geometry)
+    tick = 0
+    min_distance = vehicle_pedestrian_distance(s, s.walking_line(geometry)[0])
     v_sum = 0.0
-    n_ticks = 0
     peak_accel = 0.0
     collision = False
     timed_out = False
-    last = controller.label
-    mode_trace: list[tuple[float, str]] = [(0.0, last)]
-    trace: Optional[list[tuple]] = [] if record_trace else None
+    mode = s.mode
+    label = modes[mode]
+    mode_trace: list[tuple[float, str]] = [(0.0, label)]
+    trace: list[tuple] = []  # one row per tick that counts towards the metrics
 
     while True:
         if t >= max_sim_time:
             timed_out = True
             break
-        a_cmd = step(vehicle, ped)
-        label = controller.label
-        if label != last:
+        a_cmd = step(s, tick)
+        if s.mode != mode:
+            mode = s.mode
+            label = modes[mode]
             mode_trace.append((t, label))
-            last = label
-        v_before = vehicle.v
-        plant_tick(vehicle, a_cmd, dt, buffer)
-        a_actual = (vehicle.v - v_before) / dt
-        pedestrian_tick(agent, vehicle, dt)
+        v_before = s.v
+        plant_tick(s, a_cmd, dt, fifo, tick)
+        a_actual = (s.v - v_before) / dt
+        line, past = s.walking_line(geometry)
+        pedestrian_tick(s, model, dt, line, past)
         t += dt
+        tick += 1
 
-        dist = vehicle_pedestrian_distance(vehicle, ped, geometry)
+        dist = vehicle_pedestrian_distance(s, line)
         if dist < min_distance:
             min_distance = dist
         if dist < collision_radius:
             collision = True
             break
-        v_sum += vehicle.v
-        n_ticks += 1
+        v_sum += s.v
         if abs(a_actual) > peak_accel:
             peak_accel = abs(a_actual)
-        if record_trace:
-            trace.append((t, vehicle.d, vehicle.v, a_cmd, a_actual, ped.x_p, label))
+        trace.append((t, s.d, s.v, a_cmd, a_actual, s.x_p, label))
 
-        if agent.phase is done and vehicle_is_past(vehicle.d):
+        if s.phase == DONE_CODE and past:
             break
 
-    events = list(controller.safety_events)
-    if timed_out:
-        events.append("timed_out")
     return TrialResult(
         accepted_gap=accepted_gap,
         min_distance=min_distance,
-        avg_velocity=v_sum / n_ticks if n_ticks else 0.0,
+        avg_velocity=v_sum / len(trace) if trace else 0.0,
         peak_accel=peak_accel,
         collision=collision,
         timed_out=timed_out,
         mode_trace=mode_trace,
-        safety_events=events,
-        final_d=vehicle.d,
-        seed=scenario.seed,
+        safety_events=trial_events(s.overrun, timed_out),
+        final_d=s.d,
         trace=trace,
     )
 
@@ -261,18 +308,10 @@ def sweep_gaps(lo: float = 0.5, step: float = 0.1, hi: float = 10.0) -> list[flo
     return [round(lo + k * step, 10) for k in range(n + 1)]
 
 
-class BatchState:
-    """The live trials of a lockstep batch, one array element per trial.
+class BatchState(TrialState):
+    """The live trials of a lockstep batch: every ``TrialState`` field as an
+    array with one element per trial, plus the batch's own arrays.
 
-    Vehicle: ``d``, ``v``, ``x_v`` (the trial's lane centre). Pedestrian:
-    ``x_p``, ``xdot_p``, ``phase`` (a ``Phase`` code), ``delay_left``, ``gap``,
-    and three constants of the trial's entry side, which replace per-side
-    branches with exact arithmetic: ``sgn`` (1.0 near, -1.0 far), ``off``
-    (0.0 near, roadway_width far) and ``lim`` (roadway_width near, 0.0 far).
-    The span coordinate is ``sgn * x_p + off``, the span speed
-    ``sgn * xdot_p`` and the crossing is done once ``sgn * x_p > lim``.
-    Controller, written only by its ``step_batch`` and zero at the start:
-    ``mode``, ``d_o``, ``v_o``, ``latched``, ``overrun``, ``a_prev_idx``.
     Plant: ``fifo``, a (trial, delay tick) ring of the commands not yet
     applied. Metrics: ``min_distance``, ``v_sum``, ``peak_accel`` and
     ``collision`` (this tick's). ``trial`` is each element's index in the
@@ -280,9 +319,8 @@ class BatchState:
     gap ``gaps[i]``.
     """
 
-    ARRAYS = ("trial", "d", "v", "x_v", "sgn", "off", "lim", "x_p", "xdot_p", "phase",
-              "delay_left", "gap", "mode", "d_o", "v_o", "latched", "overrun", "a_prev_idx",
-              "fifo", "min_distance", "v_sum", "peak_accel", "collision")
+    __slots__ = ("trial", "fifo", "min_distance", "v_sum", "peak_accel", "collision")
+    ARRAYS = TrialState.__slots__ + __slots__
     # The arrays a finished trial's TrialResult is built from.
     RESULTS = ("min_distance", "v_sum", "peak_accel", "collision", "overrun", "d")
 
@@ -290,65 +328,20 @@ class BatchState:
         sc = scenarios[0]  # every field but lane and entry_side is shared
         per_scenario = len(gaps)
         n = len(scenarios) * per_scenario
-        width = sc.geometry.roadway_width
-
-        def each(values: list) -> np.ndarray:
-            return np.repeat(values, per_scenario)
-
-        near = [q.entry_side is EntrySide.NEAR for q in scenarios]
-        self.trial = np.arange(n)
-        self.d = np.full(n, sc.initial_d)
-        self.v = np.full(n, sc.initial_v)
-        self.x_v = each([q.lane_center() for q in scenarios])
-        self.sgn = each([1.0 if q else -1.0 for q in near])
-        self.off = each([0.0 if q else width for q in near])
-        self.lim = each([width if q else 0.0 for q in near])
-        self.x_p = each([start_position(sc.gap_model, q.entry_side, sc.geometry) for q in scenarios])
-        self.xdot_p = np.zeros(n)
-        self.phase = np.zeros(n, dtype=np.int8)
-        self.delay_left = np.full(n, -1.0)
+        starts = [TrialState(q, 0.0) for q in scenarios]
+        for name in TrialState.__slots__:
+            values = np.repeat([getattr(start, name) for start in starts], per_scenario)
+            setattr(self, name, values.astype(np.int8) if name in ("phase", "mode") else values)
         self.gap = np.tile(np.array(gaps, dtype=float), len(scenarios))
-        self.mode = np.zeros(n, dtype=np.int8)
-        self.d_o = np.zeros(n)
-        self.v_o = np.zeros(n)
-        self.latched = np.zeros(n, dtype=bool)
-        self.overrun = np.zeros(n, dtype=bool)
-        self.a_prev_idx = np.zeros(n, dtype=np.int64)
+        self.trial = np.arange(n)
         self.fifo = np.zeros((n, sc.delay_ticks()))
         self.min_distance = self.distance(self.walking_line(sc.geometry)[0])
         self.v_sum = np.zeros(n)
         self.peak_accel = np.zeros(n)
         self.collision = np.zeros(n, dtype=bool)
 
-    def span_coord(self, geometry: WorldGeometry) -> np.ndarray:
-        """``PedestrianState.span_coord`` per trial, for ``in_crosswalk``.
-
-        Near side ``1.0 * x_p + 0.0`` is ``x_p`` and far side
-        ``width + (-1.0 * x_p)`` is ``width - x_p``, both exactly (a zero may
-        change sign, which no comparison sees); ``geometry`` is folded into ``off``.
-        """
-        return self.sgn * self.x_p + self.off
-
-    def span_speed(self) -> np.ndarray:
-        """``PedestrianState.span_speed`` per trial, for ``in_crosswalk``."""
-        return self.sgn * self.xdot_p
-
-    def crossed(self) -> np.ndarray:
-        """``pedestrian_tick``'s done test per trial: ``x_p > roadway_width``
-        near side, ``x_p < 0.0`` far side (``-x_p > 0.0`` is the same test)."""
-        return self.sgn * self.x_p > self.lim
-
-    def walking_line(self, geometry: WorldGeometry) -> tuple[np.ndarray, np.ndarray]:
-        """``d + delta`` (the vehicle's distance to the walking line, which is
-        ``-vehicle_y(d)``) and ``vehicle_is_past(d)``, spelled
-        ``d + delta < -margin`` since negation is exact, per trial."""
-        line = self.d + geometry.delta
-        return line, line < -(geometry.crosswalk_depth / 2.0 + 1.0)
-
     def distance(self, line: np.ndarray) -> np.ndarray:
-        """``vehicle_pedestrian_distance`` on arrays, given ``walking_line``'s
-        ``line``: its ``dy`` is ``line`` up to the sign of zero, so
-        ``dy * dy == line * line``."""
+        """``vehicle_pedestrian_distance`` on arrays, given ``walking_line``'s ``line``."""
         dx = self.x_p - self.x_v
         return np.sqrt(dx * dx + line * line)
 
@@ -397,7 +390,7 @@ def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, dt: float, tick: in
 def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
               controller: Controller) -> list[TrialResult]:
     """Run trial i with accepted gap ``gaps[i]`` and seed ``seed + i`` in every
-    scenario, all driven by ``controller`` (its scalar state is not touched).
+    scenario, all driven by ``controller``.
 
     The scenarios (a run's quadrants) may differ only in ``lane`` and
     ``entry_side``. All trials of all scenarios advance together in the
@@ -425,8 +418,9 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     switches: list[tuple[int, float, str]] = []  # (trial, t, label)
     t = 0.0
     tick = 0
-    # Masked-out lanes may divide by zero or take a root of a negative number.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
+    # a root of a negative number. An overflow that counts is inf, as in Python.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while len(s.trial):
             if t >= scenario.max_sim_time:
                 out["timed_out"][s.trial] = True
@@ -475,9 +469,6 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     results = []
     for k in range(n_total):
         i = k % len(gaps)
-        events = [OVERRUN] if final["overrun"][k] else []
-        if final["timed_out"][k]:
-            events.append("timed_out")
         n_ticks = final["n_ticks"][k]
         results.append(TrialResult(
             accepted_gap=gaps[i],
@@ -487,8 +478,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
             collision=final["collision"][k],
             timed_out=final["timed_out"][k],
             mode_trace=mode_traces[k],
-            safety_events=events,
+            safety_events=trial_events(final["overrun"][k], final["timed_out"][k]),
             final_d=final["d"][k],
-            seed=scenario.seed + i,
         ))
     return results

@@ -87,9 +87,9 @@ def test_criterion_03_risky_gap_lateral_margin(scenario_factory, hybrid_for, geo
     sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR)
     worst = math.inf
     for gap in [round(1.25 + 0.05 * k, 10) for k in range(11)]:
-        r = run_trial(sc, gap, hybrid_for(sc), record_trace=True)
+        r = run_trial(sc, gap, hybrid_for(sc))
         for t, d, v, a_cmd, a_act, x_p, mode in r.trace:
-            y = geometry.vehicle_y(d)
+            y = -(d + geometry.delta)
             if abs(y) <= half_depth:
                 lateral = abs(sc.lane_center() - x_p)
                 worst = min(worst, lateral)
@@ -167,9 +167,8 @@ def test_criterion_06_mode_regime_map(safety_sweep):
 
 def test_criterion_07_controller_math_oracles(params, geometry):
     ctrl = HybridController(params, geometry)
-    ctrl.d_o, ctrl.v_o = 5.0625, 4.5
-    assert abs(ctrl.yield_speed_profile(5.0625) - 4.5) <= 1e-12
-    assert abs(ctrl.yield_speed_profile(0.0) - 0.0) <= 1e-12
+    assert abs(ctrl.yield_speed_profile(5.0625, 5.0625, 4.5) - 4.5) <= 1e-12
+    assert abs(ctrl.yield_speed_profile(0.0, 5.0625, 4.5) - 0.0) <= 1e-12
 
     dt = 1e-3
     d, v = 4.0, 4.0
@@ -254,7 +253,7 @@ def test_criterion_11_experimental_preset_replay(hybrid_for):
     outcomes = []
     for i, (gap, side, expected) in enumerate(EXPERIMENT_TRIALS, start=1):
         sc = config.scenario(side=side)
-        r = run_trial(sc, gap, hybrid_for(sc), record_trace=True)
+        r = run_trial(sc, gap, hybrid_for(sc))
         active = r.visited_modes() - {"Driving"}
         assert active == {expected}, f"trial {i}: expected {expected}, saw {active}"
         assert not r.collision

@@ -468,6 +468,33 @@ class TestReplay:
             assert err.startswith("config error: ") and err.count("\n") == 1, err
             assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("how", ["flag", "env", "file"])
+    def test_trial_needs_the_hybrid_controller(self, tmp_path, monkeypatch, capsys, how):
+        # A scripted trial checks the hybrid controller's modes, so --trial with
+        # another controller, however it is set, is rejected before any policy is
+        # solved: one line, no cache file and no output.
+        monkeypatch.setenv("CWSIM_POMDP__CACHE_DIR", str(tmp_path / "cache"))
+        argv = ["replay", "--preset", "experiment", "--trial", "1", "--out", str(tmp_path / "out")]
+        if how == "flag":
+            argv += ["--controller", "pomdp"]
+        elif how == "env":
+            monkeypatch.setenv("CWSIM_RUN__CONTROLLER", "POMDP")
+        else:
+            (tmp_path / "run.ini").write_text("[run]\ncontroller = pomdp\n")
+            argv += ["--config", str(tmp_path / "run.ini")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --trial ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["run.ini"] if how == "file" else [])
+
+    def test_seed_is_not_a_replay_flag(self, tmp_path, capsys):
+        # A replay draws nothing, so a seed would change only the config echo.
+        assert main(["replay", "--gap", "2.5", "--seed", "5", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: unrecognized arguments: --seed 5\n"
+        assert not (tmp_path / "x").exists()
+
     @staticmethod
     def csv_writer_trace(trace: list[tuple]) -> bytes:
         """trace.csv as ``csv.writer`` renders it, numbers through ``_fmt``: the
@@ -617,3 +644,11 @@ class TestSolvePomdp:
         reused.write_bytes(fresh.read_bytes() + b"0,0,1\n" * 100)
         assert main(["solve-pomdp", "--export", str(reused)]) == 0
         assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_empty_export_path_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CWSIM_POMDP__CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve-pomdp", "--export", ""]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: --export needs a file path\n"
+        assert list(tmp_path.iterdir()) == []  # rejected before the solve

@@ -8,7 +8,6 @@ import pytest
 from crosswalk_sim.core import (
     ControllerParams,
     EntrySide,
-    PedestrianState,
     WorldGeometry,
     comfort_brake_distance,
     max_brake_distance,
@@ -17,6 +16,8 @@ from crosswalk_sim.core import (
 from crosswalk_sim.pedestrian import GapAcceptanceModel
 from crosswalk_sim.pomdp import PomdpModel, RewardWeights
 from crosswalk_sim.simulator import Scenario
+
+from states import trial_state
 
 
 class TestBrakeDistances:
@@ -54,14 +55,15 @@ class TestWorldGeometry:
         assert centers[0] == 1.75 and centers[1] == 5.25
 
     def test_vehicle_y(self, geometry):
-        assert geometry.vehicle_y(0.0) == -5.0
-        assert geometry.vehicle_y(-5.0) == 0.0
+        # The vehicle's y is -(d + delta); walking_line gives its distance to y = 0.
+        assert trial_state(geometry, d=0.0).walking_line(geometry)[0] == 5.0
+        assert trial_state(geometry, d=-5.0).walking_line(geometry)[0] == 0.0
 
     def test_vehicle_is_past(self, geometry):
         # Past once 1 m beyond the far edge of the 3 m stripe (y > 2.5).
-        assert not geometry.vehicle_is_past(0.0)
-        assert not geometry.vehicle_is_past(-7.5)
-        assert geometry.vehicle_is_past(-7.51)
+        assert not trial_state(geometry, d=0.0).walking_line(geometry)[1]
+        assert not trial_state(geometry, d=-7.5).walking_line(geometry)[1]
+        assert trial_state(geometry, d=-7.51).walking_line(geometry)[1]
 
     def test_x_f_bounds(self):
         with pytest.raises(ValueError):
@@ -101,19 +103,19 @@ class TestControllerParams:
 
 
 class TestPedestrianState:
+    """The pedestrian's fields of a trial's state."""
+
     def test_span_coordinates(self, geometry):
-        near = PedestrianState(x_p=2.0, xdot_p=1.2, entry_side=EntrySide.NEAR)
-        far = PedestrianState(x_p=12.0, xdot_p=-1.2, entry_side=EntrySide.FAR)
-        assert near.span_coord(geometry) == 2.0
-        assert far.span_coord(geometry) == 2.0
+        near = trial_state(geometry, EntrySide.NEAR, x_p=2.0, xdot_p=1.2)
+        far = trial_state(geometry, EntrySide.FAR, x_p=12.0, xdot_p=-1.2)
+        assert near.span_coord() == 2.0
+        assert far.span_coord() == 2.0
         assert near.span_speed() == 1.2
         assert far.span_speed() == 1.2
 
-    def test_vehicle_state_rejects_reverse(self):
-        from crosswalk_sim.core import VehicleState
-
-        with pytest.raises(ValueError):
-            VehicleState(d=10.0, v=-0.1, x_v=1.75)
+    def test_vehicle_state_rejects_reverse(self, geometry, params, gap_model):
+        with pytest.raises(ValueError, match="initial_v"):
+            Scenario(geometry=geometry, params=params, gap_model=gap_model, initial_v=-0.1)
 
 
 def test_operations_are_pure():

@@ -3,22 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from crosswalk_sim.core import (
-    EntrySide,
-    PedestrianState,
-    VehicleState,
-    comfort_brake_distance,
-    max_brake_distance,
-)
-from crosswalk_sim.hybrid import HybridController, Mode, in_crosswalk, time_advantage
+from crosswalk_sim.core import EntrySide, WorldGeometry, comfort_brake_distance, max_brake_distance
+from crosswalk_sim.hybrid import (DRIVING, HARD_BRAKING, SPEED_UP, YIELDING, HybridController,
+                                  in_crosswalk, time_advantage)
+
+from states import trial_state
 
 
-def ped(x_p, xdot_p, side=EntrySide.NEAR):
-    return PedestrianState(x_p=x_p, xdot_p=xdot_p, entry_side=side)
+def state(d=30.0, v=4.5, x_p=-2.5, xdot_p=0.0, side=EntrySide.NEAR, geometry=WorldGeometry(),
+          **values):
+    """A trial in lane A (x_v = 1.75) with the vehicle at (d, v) and the pedestrian at (x_p, xdot_p)."""
+    return trial_state(geometry, side, d=d, v=v, x_p=x_p, xdot_p=xdot_p, **values)
 
 
-def veh(d, v, x_v=1.75):
-    return VehicleState(d=d, v=v, x_v=x_v)
+def ped(x_p, xdot_p, side=EntrySide.NEAR, geometry=WorldGeometry()):
+    return state(x_p=x_p, xdot_p=xdot_p, side=side, geometry=geometry)
 
 
 class TestInCrosswalk:
@@ -29,10 +28,8 @@ class TestInCrosswalk:
         assert not in_crosswalk(ped(-1.0, 0.0), geometry)
 
     def test_standing_inside_holds(self):
-        from crosswalk_sim.core import WorldGeometry
-
         geo = WorldGeometry(n_lanes=2, x_f=7.0)
-        assert in_crosswalk(ped(2.0, 0.0), geo)
+        assert in_crosswalk(ped(2.0, 0.0, geometry=geo), geo)
 
     def test_cleared_past_span(self, geometry):
         assert not in_crosswalk(ped(geometry.x_f + 0.01, 1.2), geometry)
@@ -55,7 +52,7 @@ class TestInCrosswalk:
             def __init__(self, s, sdot):
                 self.s, self.sdot = s, sdot
 
-            def span_coord(self, geometry):
+            def span_coord(self):
                 return self.s
 
             def span_speed(self):
@@ -81,25 +78,25 @@ class TestInCrosswalk:
 class TestTimeAdvantage:
     # The vehicle's time runs to the walking line, delta = 5 m past the stop point.
     def test_reference_value(self, geometry):
-        t = time_advantage(veh(17.5, 4.5), ped(-1.25, 1.2), geometry)
+        t = time_advantage(state(17.5, 4.5, -1.25, 1.2), geometry)
         assert t == pytest.approx(2.5 - 5.0, abs=1e-12)
 
     def test_stationary_pedestrian(self, geometry):
-        assert time_advantage(veh(10.0, 4.5), ped(-1.0, 0.0), geometry) == math.inf
+        assert time_advantage(state(10.0, 4.5, -1.0, 0.0), geometry) == math.inf
 
     def test_pedestrian_at_lane_center(self, geometry):
-        t = time_advantage(veh(4.0, 4.5), ped(1.75, 1.2), geometry)
+        t = time_advantage(state(4.0, 4.5, 1.75, 1.2), geometry)
         assert t == pytest.approx(-2.0, abs=1e-12)
 
     def test_pedestrian_past_lane(self, geometry):
-        assert time_advantage(veh(10.0, 4.5), ped(3.0, 1.2), geometry) == math.inf
+        assert time_advantage(state(10.0, 4.5, 3.0, 1.2), geometry) == math.inf
 
     def test_far_side_sign_convention(self, geometry):
-        t = time_advantage(veh(17.5, 4.5), ped(15.0, -1.2, EntrySide.FAR), geometry)
+        t = time_advantage(state(17.5, 4.5, 15.0, -1.2, EntrySide.FAR), geometry)
         assert t == pytest.approx((15.0 - 1.75) / 1.2 - 5.0)
 
     def test_stopped_vehicle(self, geometry):
-        assert time_advantage(veh(10.0, 0.0), ped(-1.0, 1.2), geometry) == -math.inf
+        assert time_advantage(state(10.0, 0.0, -1.0, 1.2), geometry) == -math.inf
 
 
 class TestModeCommands:
@@ -117,41 +114,36 @@ class TestModeCommands:
 
     def test_yield_profile_endpoints(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        ctrl.d_o, ctrl.v_o = 5.0625, 4.5
-        assert ctrl.yield_speed_profile(5.0625) == pytest.approx(4.5, abs=1e-12)
-        assert ctrl.yield_speed_profile(0.0) == pytest.approx(0.0, abs=1e-12)
+        assert ctrl.yield_speed_profile(5.0625, 5.0625, 4.5) == pytest.approx(4.5, abs=1e-12)
+        assert ctrl.yield_speed_profile(0.0, 5.0625, 4.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_yield_profile_half_distance(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        ctrl.d_o, ctrl.v_o = 5.0625, 4.5
         expected = math.sqrt(2 * 2 * (2.53125 - 5.0625) + 4.5**2)
-        assert ctrl.yield_speed_profile(2.53125) == pytest.approx(expected, rel=1e-12)
+        assert ctrl.yield_speed_profile(2.53125, 5.0625, 4.5) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(3.182, abs=5e-4)
 
     def test_brake_profile_endpoints(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        ctrl.d_o, ctrl.v_o = 3.0, 4.5
-        assert ctrl.brake_speed_profile(3.0) == pytest.approx(4.5, abs=1e-12)
-        assert ctrl.brake_speed_profile(0.0) == 0.0
+        assert ctrl.brake_speed_profile(3.0, 3.0, 4.5) == pytest.approx(4.5, abs=1e-12)
+        assert ctrl.brake_speed_profile(0.0, 3.0, 4.5) == 0.0
 
     def test_brake_profile_quarter_distance(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        ctrl.d_o, ctrl.v_o = 3.0, 4.5
-        assert ctrl.brake_speed_profile(0.75) == pytest.approx(2.25, rel=1e-12)
+        assert ctrl.brake_speed_profile(0.75, 3.0, 4.5) == pytest.approx(2.25, rel=1e-12)
 
     def test_hard_braking_feedforward(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        ctrl.mode = Mode.HARD_BRAKING
-        ctrl.d_o, ctrl.v_o = 3.0, 4.5
+        s = state(3.0, 4.5, mode=HARD_BRAKING, d_o=3.0, v_o=4.5)
         # On-profile: feedback vanishes, command is the pure feedforward.
-        assert ctrl.hard_braking_command(3.0, 4.5) == pytest.approx(-3.375, abs=1e-12)
+        assert ctrl.hard_braking_command(s) == pytest.approx(-3.375, abs=1e-12)
+        assert not s.overrun
 
     def test_hard_braking_overrun_clamps(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        ctrl.mode = Mode.HARD_BRAKING
-        ctrl.d_o, ctrl.v_o = 3.0, 4.5
-        assert ctrl.hard_braking_command(-0.1, 2.0) == -params.a_max
-        assert "hard_braking_overrun" in ctrl.safety_events
+        s = state(-0.1, 2.0, mode=HARD_BRAKING, d_o=3.0, v_o=4.5)
+        assert ctrl.hard_braking_command(s) == -params.a_max
+        assert s.overrun
 
     def test_speed_up_value(self, params, geometry):
         ctrl = HybridController(params, geometry)
@@ -161,100 +153,111 @@ class TestModeCommands:
 class TestStepTransitions:
     def test_equilibrium_stays_driving(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        a = ctrl.step(veh(30.0, 4.5), ped(-2.5, 0.0))
-        assert a == 0.0 and ctrl.mode is Mode.DRIVING
+        s = state(30.0, 4.5, -2.5, 0.0)
+        a = ctrl.step(s, 0)
+        assert a == 0.0 and s.mode == DRIVING
 
     def test_trigger_far_enough_yields(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        ctrl.step(veh(20.0, 4.5), ped(-1.0, 1.2))
-        assert ctrl.mode is Mode.YIELDING
-        assert (ctrl.d_o, ctrl.v_o) == (20.0, 4.5)
+        s = state(20.0, 4.5, -1.0, 1.2)
+        ctrl.step(s, 0)
+        assert s.mode == YIELDING
+        assert (s.d_o, s.v_o) == (20.0, 4.5)
 
     def test_trigger_mid_range_hard_brakes(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        ctrl.step(veh(3.0, 4.5), ped(-1.0, 1.2))
-        assert ctrl.mode is Mode.HARD_BRAKING
+        s = state(3.0, 4.5, -1.0, 1.2)
+        ctrl.step(s, 0)
+        assert s.mode == HARD_BRAKING
 
     def test_trigger_too_close_speeds_up(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        a = ctrl.step(veh(0.5, 4.5), ped(-1.0, 1.2))
-        assert ctrl.mode is Mode.SPEED_UP
+        s = state(0.5, 4.5, -1.0, 1.2)
+        a = ctrl.step(s, 0)
+        assert s.mode == SPEED_UP
         assert a == params.a_cmf
 
     def test_large_time_advantage_keeps_driving(self, params, geometry):
         # Far-side pedestrian 10+ s from the lane: vehicle passes first.
         ctrl = HybridController(params, geometry)
-        ctrl.step(veh(20.0, 4.5), ped(14.25, -1.2, EntrySide.FAR))
-        assert ctrl.mode is Mode.DRIVING
+        s = state(20.0, 4.5, 14.25, -1.2, EntrySide.FAR)
+        ctrl.step(s, 0)
+        assert s.mode == DRIVING
 
     def test_boundary_d_cmf_goes_to_yielding(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        d_cmf = comfort_brake_distance(4.5, params.a_cmf)
-        ctrl.step(veh(d_cmf, 4.5), ped(-1.0, 1.2))
-        assert ctrl.mode is Mode.YIELDING
+        s = state(comfort_brake_distance(4.5, params.a_cmf), 4.5, -1.0, 1.2)
+        ctrl.step(s, 0)
+        assert s.mode == YIELDING
 
     def test_boundary_d_max_goes_to_speed_up(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        d_max = max_brake_distance(4.5, params.a_max)
-        ctrl.step(veh(d_max, 4.5), ped(-1.0, 1.2))
-        assert ctrl.mode is Mode.SPEED_UP
+        s = state(max_brake_distance(4.5, params.a_max), 4.5, -1.0, 1.2)
+        ctrl.step(s, 0)
+        assert s.mode == SPEED_UP
 
     def test_guard_partition_unique_mode(self, params, geometry):
         rng = np.random.default_rng(11)
+        ctrl = HybridController(params, geometry)
         for _ in range(300):
             d = rng.uniform(0.01, 45.0)
             v = rng.uniform(0.5, 4.5)
-            ctrl = HybridController(params, geometry)
-            ctrl.step(veh(d, v), ped(-1.0, 1.2))
+            s = state(d, v, -1.0, 1.2)
+            ctrl.step(s, 0)
             d_cmf = comfort_brake_distance(v, params.a_cmf)
             d_max = max_brake_distance(v, params.a_max)
             if d >= d_cmf:
-                expected = Mode.YIELDING
+                expected = YIELDING
             elif d > d_max:
-                expected = Mode.HARD_BRAKING
+                expected = HARD_BRAKING
             else:
-                expected = Mode.SPEED_UP
-            assert ctrl.mode is expected
+                expected = SPEED_UP
+            assert s.mode == expected
 
     def test_speed_up_exits_when_passed(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        ctrl.step(veh(0.5, 4.5), ped(-1.0, 1.2))
-        assert ctrl.mode is Mode.SPEED_UP
-        ctrl.step(veh(-0.1, 4.6), ped(-0.5, 1.2))
-        assert ctrl.mode is Mode.DRIVING
+        s = state(0.5, 4.5, -1.0, 1.2)
+        ctrl.step(s, 0)
+        assert s.mode == SPEED_UP
+        s.d, s.v, s.x_p = -0.1, 4.6, -0.5
+        ctrl.step(s, 1)
+        assert s.mode == DRIVING
 
     def test_yield_exits_when_cleared(self, params, geometry):
         ctrl = HybridController(params, geometry)
-        ctrl.step(veh(20.0, 4.5), ped(-1.0, 1.2))
-        ctrl.step(veh(19.0, 4.5), ped(geometry.x_f + 0.1, 1.2))
-        assert ctrl.mode is Mode.DRIVING
+        s = state(20.0, 4.5, -1.0, 1.2)
+        ctrl.step(s, 0)
+        s.d, s.x_p = 19.0, geometry.x_f + 0.1
+        ctrl.step(s, 1)
+        assert s.mode == DRIVING
 
     def test_saturation_envelope(self, params, geometry):
+        # One trial whose state jumps every tick, mode and latched profile carried over.
         rng = np.random.default_rng(4)
         ctrl = HybridController(params, geometry)
-        for _ in range(2000):
-            d = rng.uniform(-10.0, 45.0)
-            v = rng.uniform(0.0, 6.0)
-            x_p = rng.uniform(-3.0, 16.0)
-            xdot = rng.choice([0.0, 1.2, -1.2])
-            a = ctrl.step(veh(d, v), ped(x_p, xdot))
+        s = state()
+        for k in range(2000):
+            s.d = rng.uniform(-10.0, 45.0)
+            s.v = rng.uniform(0.0, 6.0)
+            s.x_p = rng.uniform(-3.0, 16.0)
+            s.xdot_p = rng.choice([0.0, 1.2, -1.2])
+            a = ctrl.step(s, k)
             assert -params.a_max <= a <= params.a_cmf
 
     def test_step_deterministic(self, params, geometry):
         def run():
             ctrl = HybridController(params, geometry)
             out = []
-            d, v = 30.0, 4.5
-            p = ped(-1.0, 0.0)
+            s = state(30.0, 4.5, -1.0, 0.0)
             for k in range(200):
                 if k == 40:
-                    p = ped(-1.0, 1.2)
+                    s.xdot_p = 1.2
                 elif k > 40:
-                    p = ped(p.x_p + 1.2 * 0.05, 1.2)
-                a = ctrl.step(veh(d, v), p)
-                v = max(0.0, v + a * 0.05)
-                d -= v * 0.05
-                out.append((round(d, 12), round(v, 12), ctrl.mode))
+                    s.x_p += 1.2 * 0.05
+                a = ctrl.step(s, k)
+                s.v = max(0.0, s.v + a * 0.05)
+                s.d -= s.v * 0.05
+                out.append((round(s.d, 12), round(s.v, 12), s.mode))
             return out
 
         assert run() == run()
@@ -265,28 +268,29 @@ class TestClosedLoopGuarantees:
 
     def _stop_from(self, mode, d0, v0, params, geometry):
         ctrl = HybridController(params, geometry, dt=self.DT)
-        ctrl.mode = mode
-        ctrl.d_o, ctrl.v_o = d0, v0
-        holding = ped(3.0, 0.0)  # standing mid-crosswalk keeps the mode active
-        d, v, t = d0, v0, 0.0
+        # Standing mid-crosswalk keeps the mode active.
+        s = state(d0, v0, 3.0, 0.0, mode=mode, d_o=d0, v_o=v0)
+        t, k = 0.0, 0
         while t < 80.0:
-            a = ctrl.step(veh(d, v), holding)
+            a = ctrl.step(s, k)
+            d, v = s.d, s.v
             if a < 0.0 and v + a * self.DT < 0.0:
-                d -= v * v / (-2.0 * a)
-                v = 0.0
+                s.d = d - v * v / (-2.0 * a)
+                s.v = 0.0
             else:
-                d -= v * self.DT + 0.5 * a * self.DT**2
-                v = max(0.0, v + a * self.DT)
+                s.d = d - (v * self.DT + 0.5 * a * self.DT**2)
+                s.v = max(0.0, v + a * self.DT)
             t += self.DT
-            if v <= 0.05 and (mode is Mode.HARD_BRAKING or ctrl._decel_latched):
+            k += 1
+            if s.v <= 0.05 and (mode == HARD_BRAKING or s.latched):
                 break
-        return d, v
+        return s.d, s.v
 
     def test_yielding_stops_at_stop_point(self, params, geometry):
         for v0 in np.linspace(1.0, 4.5, 50):
             d_cmf = comfort_brake_distance(v0, params.a_cmf)
             for d0 in np.linspace(d_cmf + 0.05, 45.0, 50):
-                d, v = self._stop_from(Mode.YIELDING, d0, v0, params, geometry)
+                d, v = self._stop_from(YIELDING, float(d0), float(v0), params, geometry)
                 assert v <= 0.05
                 assert d >= -0.1, f"overshoot from d0={d0}, v0={v0}: d={d}"
 
@@ -295,7 +299,7 @@ class TestClosedLoopGuarantees:
             d_cmf = comfort_brake_distance(v0, params.a_cmf)
             d_max = max_brake_distance(v0, params.a_max)
             for d0 in np.linspace(d_max + 1e-3, d_cmf, 50):
-                d, v = self._stop_from(Mode.HARD_BRAKING, d0, v0, params, geometry)
+                d, v = self._stop_from(HARD_BRAKING, float(d0), float(v0), params, geometry)
                 assert v <= 0.05
                 assert d >= -0.1, f"overshoot from d0={d0}, v0={v0}: d={d}"
 

@@ -1,32 +1,46 @@
 import numpy as np
 import pytest
 
-from crosswalk_sim.core import EntrySide, VehicleState
+from crosswalk_sim.core import EntrySide
 from crosswalk_sim.pedestrian import (
+    CROSSING_CODE,
+    DONE_CODE,
+    WAITING_CODE,
     GapAcceptanceModel,
-    PedestrianAgent,
-    Phase,
     pedestrian_tick,
     sample_accepted_gap,
 )
 
+from states import trial_state
+
 DT = 0.05
 
 
+def spawn(geometry, side=EntrySide.NEAR, accepted_gap=4.0, model=GapAcceptanceModel()):
+    """A pedestrian waiting at the curb of ``side``; the vehicle is in lane A."""
+    return trial_state(geometry, side, accepted_gap, model)
+
+
+def tick(s, geometry, d, v, dt=DT, model=GapAcceptanceModel()):
+    """One pedestrian tick with the vehicle at distance ``d`` and speed ``v``."""
+    s.d, s.v = d, v
+    pedestrian_tick(s, model, dt, *s.walking_line(geometry))
+
+
 def stationary_ego(d=50.0, v=4.5):
-    return VehicleState(d=d, v=v, x_v=1.75)
+    return lambda t: (d, v)
 
 
-def walk_until(agent, ego_fn, dt=DT, t_max=60.0):
-    """Advance agent against a scripted ego; returns (time of first step, time done)."""
+def walk_until(s, geometry, ego_fn, dt=DT, t_max=60.0):
+    """Advance the pedestrian against a scripted ego ``t -> (d, v)``; returns
+    (time of first step, time done)."""
     t, t_start, t_done = 0.0, None, None
     while t < t_max:
-        vehicle = ego_fn(t)
-        pedestrian_tick(agent, vehicle, dt)
+        tick(s, geometry, *ego_fn(t), dt)
         t += dt
-        if t_start is None and agent.phase is Phase.CROSSING:
+        if t_start is None and s.phase == CROSSING_CODE:
             t_start = t
-        if agent.phase is Phase.DONE:
+        if s.phase == DONE_CODE:
             t_done = t
             break
     return t_start, t_done
@@ -63,11 +77,11 @@ class TestSampling:
 
 class TestTrigger:
     def constant_ego(self, d0=50.0, v=4.5):
-        return lambda t: VehicleState(d=d0 - v * t, v=v, x_v=1.75)
+        return lambda t: (d0 - v * t, v)
 
     def test_starts_when_gap_reaches_accepted(self, gap_model, geometry):
-        agent = PedestrianAgent.spawn(gap_model, geometry, EntrySide.NEAR, accepted_gap=4.0)
-        t_start, _ = walk_until(agent, self.constant_ego())
+        s = spawn(geometry, accepted_gap=4.0)
+        t_start, _ = walk_until(s, geometry, self.constant_ego())
         # gap to the walking line = (d + delta)/v, hits 4.0 at t = 55/4.5 - 4
         expected = (50.0 + 5.0) / 4.5 - 4.0 + gap_model.start_delay
         assert t_start == pytest.approx(expected, abs=2 * DT)
@@ -75,104 +89,100 @@ class TestTrigger:
     def test_smaller_gap_triggers_strictly_later(self, gap_model, geometry):
         starts = []
         for g in (5.0, 4.0, 3.0, 2.0, 1.0):
-            agent = PedestrianAgent.spawn(gap_model, geometry, EntrySide.NEAR, accepted_gap=g)
-            t_start, _ = walk_until(agent, self.constant_ego())
+            s = spawn(geometry, accepted_gap=g)
+            t_start, _ = walk_until(s, geometry, self.constant_ego())
             starts.append(t_start)
         assert starts == sorted(starts)
         assert all(b - a > DT / 2 for a, b in zip(starts, starts[1:]))
 
     def test_stopped_vehicle_yields_right_of_way(self, gap_model, geometry):
-        agent = PedestrianAgent.spawn(gap_model, geometry, EntrySide.NEAR, accepted_gap=4.0)
-        t_start, _ = walk_until(agent, lambda t: stationary_ego(d=20.0, v=0.0))
+        s = spawn(geometry, accepted_gap=4.0)
+        t_start, _ = walk_until(s, geometry, stationary_ego(d=20.0, v=0.0))
         assert t_start == pytest.approx(gap_model.start_delay + DT, abs=2 * DT)
 
     def test_gap_above_horizon_waits_for_passage(self, gap_model, geometry):
-        agent = PedestrianAgent.spawn(
-            gap_model, geometry, EntrySide.NEAR, accepted_gap=gap_model.max_trigger_gap + 0.5
-        )
+        s = spawn(geometry, accepted_gap=gap_model.max_trigger_gap + 0.5)
         seen_d = []
 
         def ego(t):
             d = 50.0 - 4.5 * t
-            if agent.phase is Phase.CROSSING:
+            if s.phase == CROSSING_CODE:
                 seen_d.append(d)
-            return VehicleState(d=d, v=4.5, x_v=1.75)
+            return d, 4.5
 
-        t_start, t_done = walk_until(agent, ego)
+        t_start, t_done = walk_until(s, geometry, ego)
         assert t_start is not None and t_done is not None
         # every crossing tick happened with the vehicle already past the stripe
         assert max(seen_d) < -(geometry.delta + geometry.crosswalk_depth / 2)
 
     def test_never_aborts_mid_crossing(self, gap_model, geometry):
-        agent = PedestrianAgent.spawn(gap_model, geometry, EntrySide.NEAR, accepted_gap=4.0)
-        speeds = []
+        s = spawn(geometry, accepted_gap=4.0)
 
         def ego(t):
             # vehicle stops, restarts, stops again: pedestrian should not care
             v = 4.5 if int(t) % 2 == 0 else 0.0
-            return VehicleState(d=max(-10.0, 30.0 - 2.0 * t), v=v, x_v=1.75)
+            return max(-10.0, 30.0 - 2.0 * t), v
 
-        walk_until(agent, ego)
-        assert agent.phase is Phase.DONE
+        walk_until(s, geometry, ego)
+        assert s.phase == DONE_CODE
 
 
 class TestKinematics:
     def test_euler_step_position(self, gap_model, geometry):
-        agent = PedestrianAgent.spawn(gap_model, geometry, EntrySide.NEAR, accepted_gap=4.0)
-        agent.phase = Phase.CROSSING
-        agent.state.x_p = -0.94 - 1.2 * DT
-        agent.state.xdot_p = 1.2
-        pedestrian_tick(agent, stationary_ego(), DT)
-        assert agent.state.x_p == pytest.approx(-0.94, abs=1e-12)
+        s = spawn(geometry)
+        s.phase = CROSSING_CODE
+        s.x_p = -0.94 - 1.2 * DT
+        s.xdot_p = 1.2
+        tick(s, geometry, 50.0, 4.5)
+        assert s.x_p == pytest.approx(-0.94, abs=1e-12)
 
     def test_constant_speed_while_crossing(self, gap_model, geometry):
-        agent = PedestrianAgent.spawn(gap_model, geometry, EntrySide.NEAR, accepted_gap=4.0)
-        ego = lambda t: VehicleState(d=50.0 - 4.5 * t, v=4.5, x_v=1.75)
+        s = spawn(geometry)
         t = 0.0
-        while agent.phase is not Phase.DONE and t < 60.0:
-            pedestrian_tick(agent, ego(t), DT)
+        while s.phase != DONE_CODE and t < 60.0:
+            tick(s, geometry, 50.0 - 4.5 * t, 4.5)
             t += DT
-            if agent.phase is Phase.CROSSING:
-                assert abs(agent.state.xdot_p) == gap_model.walk_speed
+            if s.phase == CROSSING_CODE:
+                assert abs(s.xdot_p) == gap_model.walk_speed
             else:
-                assert agent.state.xdot_p == 0.0
+                assert s.xdot_p == 0.0
 
     def test_crossing_duration_matches_span(self, gap_model, geometry):
         for side in (EntrySide.NEAR, EntrySide.FAR):
-            agent = PedestrianAgent.spawn(gap_model, geometry, side, accepted_gap=4.0)
-            agent.phase = Phase.CROSSING
+            s = spawn(geometry, side)
+            s.phase = CROSSING_CODE
             sign = 1.0 if side is EntrySide.NEAR else -1.0
-            agent.state.xdot_p = sign * gap_model.walk_speed
+            s.xdot_p = sign * gap_model.walk_speed
             in_road_ticks = 0
             for _ in range(int(60.0 / DT)):
-                pedestrian_tick(agent, stationary_ego(), DT)
-                if agent.phase is Phase.DONE:
+                tick(s, geometry, 50.0, 4.5)
+                if s.phase == DONE_CODE:
                     break
-                if 0.0 <= agent.state.x_p <= geometry.roadway_width:
+                if 0.0 <= s.x_p <= geometry.roadway_width:
                     in_road_ticks += 1
             expected = geometry.roadway_width / gap_model.walk_speed
             assert in_road_ticks * DT == pytest.approx(expected, abs=2 * DT)
 
     def test_phases_monotone(self, gap_model, geometry):
-        agent = PedestrianAgent.spawn(gap_model, geometry, EntrySide.FAR, accepted_gap=2.0)
-        order = {Phase.WAITING: 0, Phase.CROSSING: 1, Phase.DONE: 2}
-        last = 0
-        ego = lambda t: VehicleState(d=50.0 - 4.5 * t, v=4.5, x_v=1.75)
+        s = spawn(geometry, EntrySide.FAR, accepted_gap=2.0)
+        assert s.phase == WAITING_CODE
+        last = s.phase
         t = 0.0
         for _ in range(int(60.0 / DT)):
-            pedestrian_tick(agent, ego(t), DT)
+            tick(s, geometry, 50.0 - 4.5 * t, 4.5)
             t += DT
-            assert order[agent.phase] >= last
-            last = order[agent.phase]
-        assert agent.phase is Phase.DONE
+            assert s.phase >= last  # the codes run Waiting < Crossing < Done
+            last = s.phase
+        assert s.phase == DONE_CODE
 
     def test_start_positions(self, gap_model, geometry):
-        near = PedestrianAgent.spawn(gap_model, geometry, EntrySide.NEAR, 4.0)
-        far = PedestrianAgent.spawn(gap_model, geometry, EntrySide.FAR, 4.0)
-        assert near.state.x_p == -gap_model.near_setback
-        assert far.state.x_p == geometry.roadway_width + gap_model.far_setback
+        near = spawn(geometry, EntrySide.NEAR)
+        far = spawn(geometry, EntrySide.FAR)
+        assert near.x_p == -gap_model.near_setback
+        assert far.x_p == geometry.roadway_width + gap_model.far_setback
+        assert near.xdot_p == far.xdot_p == 0.0
 
     def test_dt_must_be_positive(self, gap_model, geometry):
-        agent = PedestrianAgent.spawn(gap_model, geometry, EntrySide.NEAR, 4.0)
+        s = spawn(geometry)
         with pytest.raises(ValueError):
-            pedestrian_tick(agent, stationary_ego(), 0.0)
+            tick(s, geometry, 50.0, 4.5, dt=0.0)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from crosswalk_sim.core import PedestrianState, VehicleState
 from crosswalk_sim.pomdp import (
     ConvergenceError,
     PomdpController,
@@ -18,6 +17,7 @@ from crosswalk_sim.pomdp import (
 )
 
 from qmdp_reference import dense_reference
+from states import trial_state
 
 
 def small_model(params, geometry, gap_model, **kwargs):
@@ -173,38 +173,36 @@ class TestSolver:
 
 class TestPolicy:
     def test_cruise_far_from_crosswalk(self, pomdp_model, greedy):
-        v = VehicleState(d=44.0, v=4.5, x_v=1.75)
-        p = PedestrianState(x_p=-2.5, xdot_p=0.0)
-        a, _ = pomdp_step(greedy, pomdp_model, v, p, pomdp_model.a_bin(0.0))
+        s = trial_state(d=44.0, v=4.5, x_p=-2.5, xdot_p=0.0)
+        a = pomdp_model.a_grid[pomdp_step(greedy, pomdp_model, s, pomdp_model.a_bin(0.0))]
         assert a == 0.0
 
     def test_brakes_for_crossing_pedestrian(self, pomdp_model, greedy):
-        v = VehicleState(d=15.0, v=4.5, x_v=1.75)
-        p = PedestrianState(x_p=2.0, xdot_p=1.2)
-        a, _ = pomdp_step(greedy, pomdp_model, v, p, pomdp_model.a_bin(0.0))
+        s = trial_state(d=15.0, v=4.5, x_p=2.0, xdot_p=1.2)
+        a = pomdp_model.a_grid[pomdp_step(greedy, pomdp_model, s, pomdp_model.a_bin(0.0))]
         assert a < 0.0
 
     def test_lookup_is_pure(self, pomdp_model, greedy):
-        v = VehicleState(d=12.0, v=3.0, x_v=1.75)
-        p = PedestrianState(x_p=1.0, xdot_p=1.2)
-        first = pomdp_step(greedy, pomdp_model, v, p, 2)
-        assert all(pomdp_step(greedy, pomdp_model, v, p, 2) == first for _ in range(5))
+        s = trial_state(d=12.0, v=3.0, x_p=1.0, xdot_p=1.2)
+        first = pomdp_step(greedy, pomdp_model, s, 2)
+        assert all(pomdp_step(greedy, pomdp_model, s, 2) == first for _ in range(5))
 
     def test_out_of_grid_clamps(self, pomdp_model, greedy):
-        v = VehicleState(d=500.0, v=20.0, x_v=1.75)
-        p = PedestrianState(x_p=-2.5, xdot_p=0.0)
-        a, idx = pomdp_step(greedy, pomdp_model, v, p, 0)
-        assert a in pomdp_model.a_grid
+        s = trial_state(d=500.0, v=20.0, x_p=-2.5, xdot_p=0.0)
+        idx = pomdp_step(greedy, pomdp_model, s, 0)
+        assert type(idx) is int and 0 <= idx < pomdp_model.n_actions
 
     def test_controller_holds_between_decisions(self, pomdp_model, solved_policy):
         ctrl = PomdpController(pomdp_model, solved_policy, sim_dt=0.05)
         assert ctrl.hold_ticks == 5
-        v = VehicleState(d=30.0, v=4.5, x_v=1.75)
-        p = PedestrianState(x_p=-2.5, xdot_p=0.0)
-        commands = [ctrl.step(v, p) for _ in range(10)]
+        s = trial_state(d=30.0, v=4.5, x_p=-2.5, xdot_p=0.0)
+        commands = [ctrl.step(s, k) for k in range(10)]
         assert len(set(commands[:5])) == 1
-        ctrl.reset()
-        assert ctrl._tick == 0
+        assert all(type(a) is float for a in commands)
+        # Tick 0 starts a trial afresh: the previous action is the zero command's.
+        s.a_prev_idx = 0
+        ctrl.step(s, 0)
+        assert s.a_prev_idx == pomdp_step(ctrl.greedy, pomdp_model, s, pomdp_model.a_bin(0.0))
 
     def test_tie_break_prefers_small_accel(self, pomdp_model, solved_policy):
         flat = QTable(q=np.zeros_like(solved_policy.q))

@@ -22,17 +22,17 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from crosswalk_sim.core import ControllerParams, EntrySide, PedestrianState, VehicleState, WorldGeometry
+from crosswalk_sim.core import ControllerParams, EntrySide, WorldGeometry
 from crosswalk_sim.hybrid import HybridController
-from crosswalk_sim.pedestrian import GapAcceptanceModel, PedestrianAgent, Phase, pedestrian_tick
+from crosswalk_sim.pedestrian import GapAcceptanceModel, pedestrian_tick
 from crosswalk_sim.pomdp import PomdpController, PomdpModel, qmdp_solve
-from crosswalk_sim.simulator import Lane, Scenario, make_delay_buffer, plant_tick, run_batch, run_trial
+from crosswalk_sim.simulator import Lane, Scenario, plant_tick, run_batch, run_trial
 
 from qmdp_reference import dense_reference
+from states import trial_state
 
 PARAMS = ControllerParams()
 GEOMETRY = WorldGeometry()
-PHASE_ORDER = {Phase.WAITING: 0, Phase.CROSSING: 1, Phase.DONE: 2}
 
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -52,12 +52,11 @@ sides = st.sampled_from(list(EntrySide))
     dt=finite(0.001, 0.5),
     pending=st.lists(commands, max_size=10),
     a=commands,
+    tick=st.integers(0, 100),
 )
-def test_plant_never_reverses_and_respects_braking_authority(d, v, dt, pending, a):
-    buffer = make_delay_buffer(0.0, dt)
-    buffer.extend(pending)
-    vehicle = VehicleState(d=d, v=v, x_v=1.75)
-    plant_tick(vehicle, a, dt, buffer)
+def test_plant_never_reverses_and_respects_braking_authority(d, v, dt, pending, a, tick):
+    vehicle = trial_state(d=d, v=v)
+    plant_tick(vehicle, a, dt, pending, tick)
     assert vehicle.v >= 0.0
     assert vehicle.d <= d
     assert abs(vehicle.v - v) <= PARAMS.a_max * dt + 1e-9
@@ -73,10 +72,14 @@ def test_plant_never_reverses_and_respects_braking_authority(d, v, dt, pending, 
     ),
 )
 def test_hybrid_command_stays_in_envelope(params, states):
+    # One trial per side, each carrying its mode and latched profile from state to state.
     controller = HybridController(params, GEOMETRY)
-    for d, v, x_p, xdot_p, side in states:
-        vehicle = VehicleState(d=d, v=v, x_v=1.75)
-        a = controller.step(vehicle, PedestrianState(x_p=x_p, xdot_p=xdot_p, entry_side=side))
+    trials = {side: trial_state(GEOMETRY, side) for side in EntrySide}
+    for tick, (d, v, x_p, xdot_p, side) in enumerate(states):
+        s = trials[side]
+        s.d, s.v, s.x_p, s.xdot_p = d, v, x_p, xdot_p
+        a = controller.step(s, tick)
+        assert type(a) is float
         assert -params.a_max <= a <= params.a_cmf
 
 
@@ -90,16 +93,15 @@ def test_hybrid_command_stays_in_envelope(params, states):
 )
 def test_pedestrian_phases_only_move_forward(side, accepted_gap, d0, v0, segments):
     dt = 0.05
-    agent = PedestrianAgent.spawn(GapAcceptanceModel(), GEOMETRY, side, accepted_gap)
-    vehicle = VehicleState(d=d0, v=v0, x_v=1.75)
-    buffer = make_delay_buffer(0.0, dt)
-    rank = PHASE_ORDER[agent.phase]
+    model = GapAcceptanceModel()
+    s = trial_state(GEOMETRY, side, accepted_gap, model, d=d0, v=v0)
+    rank = s.phase
     for a in segments:
         for _ in range(20):
-            plant_tick(vehicle, a, dt, buffer)
-            pedestrian_tick(agent, vehicle, dt)
-            assert PHASE_ORDER[agent.phase] >= rank
-            rank = PHASE_ORDER[agent.phase]
+            plant_tick(s, a, dt, [], 0)
+            pedestrian_tick(s, model, dt, *s.walking_line(GEOMETRY))
+            assert s.phase >= rank  # the codes run Waiting < Crossing < Done
+            rank = s.phase
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -130,8 +132,10 @@ def test_lockstep_batch_matches_scalar_trials(pomdp_model, solved_policy, params
         controller = PomdpController(pomdp_model, solved_policy, sim_dt=dt)
     else:
         controller = HybridController(params, GEOMETRY, dt=dt)
+    # Every field but the trace, which only run_trial records.
     assert run_batch(scenarios, gaps, controller) == [
-        run_trial(replace(sc, seed=i), g, controller) for sc in scenarios for i, g in enumerate(gaps)
+        replace(run_trial(replace(sc, seed=i), g, controller), trace=None)
+        for sc in scenarios for i, g in enumerate(gaps)
     ]
 
 

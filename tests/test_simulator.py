@@ -1,11 +1,12 @@
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from crosswalk_sim.config import load_config
-from crosswalk_sim.core import EntrySide, PedestrianState, VehicleState
-from crosswalk_sim.pedestrian import (GapAcceptanceModel, PedestrianAgent, Phase, pedestrian_tick,
+from crosswalk_sim.core import EntrySide
+from crosswalk_sim.pedestrian import (CROSSING_CODE, DONE_CODE, GapAcceptanceModel, pedestrian_tick,
                                       sample_accepted_gap)
 from crosswalk_sim.pomdp import PomdpController, qmdp_solve
 from crosswalk_sim.simulator import (
@@ -13,7 +14,6 @@ from crosswalk_sim.simulator import (
     Lane,
     Scenario,
     TrialResult,
-    make_delay_buffer,
     plant_tick,
     run_batch,
     run_trial,
@@ -21,6 +21,8 @@ from crosswalk_sim.simulator import (
     sweep_gaps,
     vehicle_pedestrian_distance,
 )
+
+from states import trial_state
 
 ALLOWED_TRANSITIONS = {
     ("Driving", "Yielding"),
@@ -32,66 +34,68 @@ ALLOWED_TRANSITIONS = {
 }
 
 
+def vehicle(d, v):
+    return trial_state(d=d, v=v)
+
+
 class TestPlantTick:
     def test_euler_arithmetic(self):
-        v = VehicleState(d=10.0, v=4.5, x_v=1.75)
-        plant_tick(v, -2.0, 0.05, make_delay_buffer(0.0, 0.05))
+        v = vehicle(10.0, 4.5)
+        plant_tick(v, -2.0, 0.05, [], 0)
         assert v.v == pytest.approx(4.4, abs=1e-12)
         assert 10.0 - v.d == pytest.approx(0.2225, abs=1e-12)
 
     def test_no_reverse_motion(self):
-        v = VehicleState(d=10.0, v=0.0, x_v=1.75)
-        plant_tick(v, -5.0, 0.05, make_delay_buffer(0.0, 0.05))
+        v = vehicle(10.0, 0.0)
+        plant_tick(v, -5.0, 0.05, [], 0)
         assert v.v == 0.0 and v.d == 10.0
 
     def test_stops_exactly_within_step(self):
-        v = VehicleState(d=10.0, v=0.05, x_v=1.75)
-        plant_tick(v, -2.0, 0.05, make_delay_buffer(0.0, 0.05))
+        v = vehicle(10.0, 0.05)
+        plant_tick(v, -2.0, 0.05, [], 0)
         assert v.v == 0.0
         assert 10.0 - v.d == pytest.approx(0.05**2 / (2 * 2.0), abs=1e-12)
 
     def test_zero_delay_applies_same_tick(self):
-        v = VehicleState(d=10.0, v=4.0, x_v=1.75)
-        plant_tick(v, 2.0, 0.05, make_delay_buffer(0.0, 0.05))
+        v = vehicle(10.0, 4.0)
+        plant_tick(v, 2.0, 0.05, [], 0)
         assert v.v == pytest.approx(4.1)
 
-    def test_delay_buffer_postpones_commands(self):
-        buf = make_delay_buffer(0.5, 0.05)
-        assert len(buf) == 10
-        v = VehicleState(d=100.0, v=4.0, x_v=1.75)
-        for _ in range(10):
-            plant_tick(v, 2.0, 0.05, buf)
+    def test_delay_buffer_postpones_commands(self, scenario_factory):
+        fifo = [0.0] * scenario_factory(t_delay_plant=0.5).delay_ticks()
+        assert len(fifo) == 10
+        v = vehicle(100.0, 4.0)
+        for tick in range(10):
+            plant_tick(v, 2.0, 0.05, fifo, tick)
         assert v.v == pytest.approx(4.0)  # still coasting on the zero backlog
-        plant_tick(v, 2.0, 0.05, buf)
+        plant_tick(v, 2.0, 0.05, fifo, 10)
         assert v.v == pytest.approx(4.1)
 
     def test_kinematic_consistency(self):
         rng = np.random.default_rng(5)
         dt, a_max = 0.05, 9.0
-        v = VehicleState(d=50.0, v=4.5, x_v=1.75)
-        buf = make_delay_buffer(0.0, dt)
-        for _ in range(2000):
+        v = vehicle(50.0, 4.5)
+        for tick in range(2000):
             d0, v0 = v.d, v.v
-            plant_tick(v, float(rng.uniform(-a_max, 2.0)), dt, buf)
+            plant_tick(v, float(rng.uniform(-a_max, 2.0)), dt, [], tick)
             assert abs(v.v - v0) <= a_max * dt + 1e-12
             assert abs(v.d - d0) <= (v0 + a_max * dt) * dt + 1e-12
 
 
 class TestDistance:
+    @staticmethod
+    def distance(geometry, d, x_p):
+        s = trial_state(geometry, d=d, x_p=x_p)
+        return vehicle_pedestrian_distance(s, s.walking_line(geometry)[0])
+
     def test_vehicle_at_stop_point(self, geometry):
-        v = VehicleState(d=0.0, v=0.0, x_v=1.75)
-        p = PedestrianState(x_p=1.75, xdot_p=0.0)
-        assert vehicle_pedestrian_distance(v, p, geometry) == 5.0
+        assert self.distance(geometry, 0.0, 1.75) == 5.0
 
     def test_coincident_points(self, geometry):
-        v = VehicleState(d=-5.0, v=1.0, x_v=1.75)
-        p = PedestrianState(x_p=1.75, xdot_p=1.2)
-        assert vehicle_pedestrian_distance(v, p, geometry) == 0.0
+        assert self.distance(geometry, -5.0, 1.75) == 0.0
 
     def test_lateral_offset_only(self, geometry):
-        v = VehicleState(d=-5.0, v=1.0, x_v=1.75)
-        p = PedestrianState(x_p=5.25, xdot_p=0.0)
-        assert vehicle_pedestrian_distance(v, p, geometry) == 3.5
+        assert self.distance(geometry, -5.0, 5.25) == 3.5
 
 
 class TestRunTrial:
@@ -131,7 +135,7 @@ class TestRunTrial:
 
     def test_no_pedestrian_baseline_holds_speed_limit(self, scenario_factory, hybrid_for):
         sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR, initial_v=3.0)
-        r = run_trial(sc, 50.0, hybrid_for(sc), record_trace=True)
+        r = run_trial(sc, 50.0, hybrid_for(sc))
         assert r.visited_modes() == {"Driving"}
         settled = [row[2] for row in r.trace if row[0] > 2.0 and row[1] > -5.0]
         assert all(abs(v - 4.5) <= 0.045 for v in settled)
@@ -152,23 +156,23 @@ class TestRunTrial:
 
     def test_controller_protocol(self, scenario_factory):
         class Constant:
-            label = "fake"
-            safety_events = ("fake_event",)
-            resets = 0
+            modes = ("fake", "overrun")
 
-            def reset(self):
-                self.resets += 1
+            def __init__(self):
+                self.ticks = []
 
-            def step(self, vehicle, ped):
+            def step(self, s, tick):
+                self.ticks.append(tick)
+                s.overrun = True
                 return 0.0
 
         ctrl = Constant()
-        r = run_trial(scenario_factory(), 10.0, ctrl, record_trace=True)
-        assert ctrl.resets == 1
+        r = run_trial(scenario_factory(), 10.0, ctrl)
+        assert ctrl.ticks == list(range(len(ctrl.ticks)))  # one call per tick, from 0
         assert not r.timed_out and not r.collision
         assert r.mode_trace == [(0.0, "fake")]
-        assert {row[6] for row in r.trace} == {"fake"}
-        assert r.safety_events == ["fake_event"]
+        assert len(r.trace) == len(ctrl.ticks) and {row[6] for row in r.trace} == {"fake"}
+        assert r.safety_events == ["hard_braking_overrun"]
 
 
 class TestSeededGaps:
@@ -194,7 +198,6 @@ class TestRunBatch:
         sc = scenario_factory(seed=0)
         rs = run_batch([sc], seeded_gaps(sc, 10), hybrid_for(sc))
         assert len({r.accepted_gap for r in rs}) > 1
-        assert [r.seed for r in rs] == list(range(10))
 
     def test_sweep_values_exact(self, scenario_factory, hybrid_for):
         sc = scenario_factory()
@@ -207,8 +210,8 @@ class TestRunBatch:
     @pytest.mark.parametrize("max_sim_time", [60.0, 5.0])
     def test_reused_controller_matches_fresh(self, scenario_factory, hybrid_for, side,
                                              max_sim_time):
-        # The CLI runs every trial of a run on one controller, so reset() must
-        # restore all per-trial state, also after a trial that timed out mid-mode.
+        # The CLI runs every trial of a run on one controller, so it must carry
+        # nothing from one batch to the next, also after trials that timed out mid-mode.
         sc = scenario_factory(entry_side=side, max_sim_time=max_sim_time)
         shared = hybrid_for(sc)
         gaps = sweep_gaps(0.5, 0.25, 8.0)
@@ -279,11 +282,13 @@ def scalar_oracle():
 
 
 def assert_bitwise_equal(batch, scalar):
+    """Every ``TrialResult`` field but ``trace``, which only run_trial records."""
     assert len(batch) == len(scalar)
-    for b, s in zip(batch, scalar):
+    for i, (b, s) in enumerate(zip(batch, scalar)):
         for f in fields(TrialResult):
-            got, want = getattr(b, f.name), getattr(s, f.name)
-            assert type(got) is type(want) and got == want, (s.seed, f.name, got, want)
+            if f.name != "trace":
+                got, want = getattr(b, f.name), getattr(s, f.name)
+                assert type(got) is type(want) and got == want, (i, f.name, got, want)
 
 
 def assert_batch_matches_scalar(scenarios, gaps, controller, oracle):
@@ -354,8 +359,9 @@ class TestLockstepMatchesScalar:
 
 
 class TestBatchIdentities:
-    """The exact rewrites the lockstep tick makes of the scalar tests it replaces,
-    checked element by element against ``PedestrianState`` and ``WorldGeometry``."""
+    """The exact rewrites that ``TrialState`` makes of the paper's per-side and
+    vehicle-position tests, which both engines use, checked element by element
+    against those tests as written here, in their branchy paper form."""
 
     SIDES = (EntrySide.NEAR, EntrySide.FAR)
 
@@ -375,54 +381,68 @@ class TestBatchIdentities:
         return [0.0, 1e-300, -1e-300, width, np.nextafter(width, np.inf),
                 np.nextafter(width, -np.inf), 7.0, -2.5, width + 0.25, 1.75]
 
+    @staticmethod
+    def scalar(geometry, side, **values):
+        return trial_state(geometry, side, **values)
+
     def test_span_coord(self, batch, geometry):
         # 1.0 * x + 0.0 == x (near) and W + (-1.0 * x) == W - x (far).
         s, sides, x_ps = batch(self.positions(geometry.roadway_width))
         s.x_p = np.array(x_ps)
-        want = [PedestrianState(x_p=x, xdot_p=0.0, entry_side=side).span_coord(geometry)
+        want = [x if side is EntrySide.NEAR else geometry.roadway_width - x
                 for x, side in zip(x_ps, sides)]
-        assert s.span_coord(geometry).tolist() == want
+        assert s.span_coord().tolist() == want
+        assert [self.scalar(geometry, side, x_p=float(x)).span_coord()
+                for x, side in zip(x_ps, sides)] == want
 
     def test_span_speed(self, batch, geometry):
         s, sides, speeds = batch([1.2, -1.2, 0.0, 1e-300, -1e-300])
         s.xdot_p = np.array(speeds)
-        want = [PedestrianState(x_p=0.0, xdot_p=xdot, entry_side=side).span_speed()
-                for xdot, side in zip(speeds, sides)]
+        want = [xdot if side is EntrySide.NEAR else -xdot for xdot, side in zip(speeds, sides)]
         assert s.span_speed().tolist() == want
+        assert [self.scalar(geometry, side, xdot_p=xdot).span_speed()
+                for xdot, side in zip(speeds, sides)] == want
 
     def test_crossed_matches_done_test(self, batch, geometry, gap_model):
-        # pedestrian_tick with xdot_p = 0.0 leaves x_p in place and applies its done test.
         s, sides, x_ps = batch(self.positions(geometry.roadway_width))
         s.x_p = np.array(x_ps)
-        want = []
-        for x, side in zip(x_ps, sides):
-            agent = PedestrianAgent(gap_model, geometry, 2.0,
-                                    PedestrianState(x_p=x, xdot_p=0.0, entry_side=side),
-                                    phase=Phase.CROSSING)
-            want.append(pedestrian_tick(agent, VehicleState(d=10.0, v=4.5, x_v=1.75), 0.05).phase
-                        is Phase.DONE)
+        width = geometry.roadway_width
+        want = [x > width if side is EntrySide.NEAR else x < 0.0 for x, side in zip(x_ps, sides)]
         assert s.crossed().tolist() == want
         assert any(want) and not all(want)
+        # pedestrian_tick with xdot_p = 0.0 leaves x_p in place and applies its done test.
+        done = []
+        for x, side in zip(x_ps, sides):
+            p = self.scalar(geometry, side, x_p=float(x), phase=CROSSING_CODE)
+            pedestrian_tick(p, gap_model, 0.05, *p.walking_line(geometry))
+            done.append(p.phase == DONE_CODE)
+        assert done == want
 
     def test_walking_line_matches_vehicle_is_past(self, batch, geometry):
-        # (d + delta) < -margin is -(d + delta) > margin; d + delta is -vehicle_y(d).
+        # The vehicle's y is -(d + delta), and it is past once y > depth / 2 + 1.
         edge = -(geometry.delta + geometry.crosswalk_depth / 2.0 + 1.0)
         ds = [edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf), edge + 1e-15,
               edge - 1e-15, -geometry.delta, 0.0, -1e-300, 50.0, -100.0]
-        s, _, ds = batch(ds)
+        s, sides, ds = batch(ds)
         s.d = np.array(ds)
         line, past = s.walking_line(geometry)
-        assert past.tolist() == [geometry.vehicle_is_past(d) for d in ds]
-        assert line.tolist() == [-geometry.vehicle_y(d) for d in ds]
+        want_past = [-(d + geometry.delta) > geometry.crosswalk_depth / 2.0 + 1.0 for d in ds]
+        assert past.tolist() == want_past
+        assert line.tolist() == [-(-(d + geometry.delta)) for d in ds]
         assert any(past) and not all(past)
+        assert [self.scalar(geometry, side, d=float(d)).walking_line(geometry)
+                for d, side in zip(ds, sides)] == list(zip(line.tolist(), want_past))
 
     def test_distance_matches_scalar(self, batch, geometry):
-        s, _, ds = batch([-geometry.delta, 0.0, 50.0, -7.5, 1e-300, 3.3])
+        s, sides, ds = batch([-geometry.delta, 0.0, 50.0, -7.5, 1e-300, 3.3])
         s.d = np.array(ds)
         s.x_p = np.linspace(-2.5, geometry.roadway_width + 0.25, len(ds))
-        want = [vehicle_pedestrian_distance(VehicleState(d=d, v=4.5, x_v=x_v),
-                                            PedestrianState(x_p=x_p, xdot_p=0.0), geometry)
-                for d, x_v, x_p in zip(ds, s.x_v.tolist(), s.x_p.tolist())]
+        want = []
+        for d, x_p, side in zip(ds, s.x_p.tolist(), sides):
+            p = self.scalar(geometry, side, d=d, x_p=x_p)
+            want.append(vehicle_pedestrian_distance(p, p.walking_line(geometry)[0]))
+            dx, dy = x_p - p.x_v, 0.0 - (-(d + geometry.delta))  # the paper form
+            assert want[-1] == math.sqrt(dx * dx + dy * dy)
         assert [x.hex() for x in s.distance(s.walking_line(geometry)[0]).tolist()] == \
             [x.hex() for x in want]
 
