@@ -182,7 +182,8 @@ def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Seque
     """
     _output_path(out_dir, directory=True)
     scenarios = [config.scenario(lane=lane, side=side) for side, lane in quadrants]
-    gaps = config.sweep_values() or seeded_gaps(scenarios[0], config.run["trials"])
+    gaps = config.sweep_values() or seeded_gaps(scenarios[0].gap_model, config.run["seed"],
+                                                  config.run["trials"])
     if not gaps:
         raise ConfigError(f"run.trials must be >= 1, got {config.run['trials']}")
     n = len(gaps)  # trials per quadrant

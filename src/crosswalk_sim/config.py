@@ -177,13 +177,10 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def scenario(
-        self,
-        lane: Optional[str] = None,
-        side: Optional[str] = None,
-        seed: Optional[int] = None,
-    ) -> Scenario:
+    def scenario(self, lane: Optional[str] = None, side: Optional[str] = None) -> Scenario:
         r = self.run
+        if r["seed"] < 0:  # rejected by every verb that runs trials, even one that draws no gap
+            raise ConfigError(f"run.seed must be non-negative, got {r['seed']}")
         try:
             params = self.controller_params()
             initial_v = r["initial_v"] if r["initial_v"] >= 0.0 else params.v_speedlimit
@@ -198,7 +195,6 @@ class RunConfig:
                 dt=r["dt"],
                 t_delay_plant=r["t_delay_plant"],
                 max_sim_time=r["max_sim_time"],
-                seed=seed if seed is not None else r["seed"],
                 collision_radius=r["collision_radius"],
             )
         except ValueError as exc:

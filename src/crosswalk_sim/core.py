@@ -105,11 +105,11 @@ class WorldGeometry:
     travel direction, centered on the pedestrian walking line y = 0.
     """
 
-    n_lanes: int = 4
-    lane_width: float = 3.5
-    x_f: float = 14.0
-    delta: float = 5.0
-    crosswalk_depth: float = 3.0
+    n_lanes: int
+    lane_width: float
+    x_f: float
+    delta: float
+    crosswalk_depth: float
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
@@ -141,12 +141,12 @@ class WorldGeometry:
 class ControllerParams:
     """Longitudinal controller gains and limits."""
 
-    k_s: float = 2.0
-    t_delay: float = 0.0
-    v_speedlimit: float = 4.5
-    a_cmf: float = 2.0
-    a_max: float = 9.0
-    tau_max: float = 4.0
+    k_s: float
+    t_delay: float
+    v_speedlimit: float
+    a_cmf: float
+    a_max: float
+    tau_max: float
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
@@ -154,6 +154,8 @@ class ControllerParams:
             raise ValueError("need 0 < a_cmf < a_max")
         if self.k_s <= 0.0:
             raise ValueError("k_s must be positive")
+        if self.v_speedlimit <= 0.0:
+            raise ValueError("v_speedlimit must be positive")
         if self.tau_max <= 0.0:
             raise ValueError("tau_max must be positive")
         if self.t_delay < 0.0:

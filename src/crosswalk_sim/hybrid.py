@@ -78,7 +78,7 @@ class HybridController:
 
     modes = ("Driving", "Yielding", "HardBraking", "SpeedUp")  # labels of the mode codes
 
-    def __init__(self, params: ControllerParams, geometry: WorldGeometry, dt: float = 0.05):
+    def __init__(self, params: ControllerParams, geometry: WorldGeometry, dt: float):
         self.params = params
         self.geometry = geometry
         self.dt = dt  # sample time; used as a one-tick lead on the braking point

@@ -42,14 +42,14 @@ class GapAcceptanceModel:
     the waiting spot relative to the entry-side curb.
     """
 
-    mu_gap: float = 4.0
-    sigma_gap: float = float(np.sqrt(2.5))
-    min_gap: float = 0.5
-    walk_speed: float = 1.2
-    max_trigger_gap: float = 6.0
-    start_delay: float = 0.2
-    near_setback: float = 2.5
-    far_setback: float = 0.25
+    mu_gap: float
+    sigma_gap: float
+    min_gap: float
+    walk_speed: float
+    max_trigger_gap: float
+    start_delay: float
+    near_setback: float
+    far_setback: float
 
     def __post_init__(self) -> None:
         require_finite_fields(self)

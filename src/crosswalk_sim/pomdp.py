@@ -49,10 +49,10 @@ def _sup_norm(d: np.ndarray) -> float:
 class RewardWeights:
     """Relative importance of the four reward terms; shapes are fixed."""
 
-    w_legality: float = 10.0
-    w_safety: float = 50.0
-    w_efficient: float = 1.0
-    w_smooth: float = 2.0
+    w_legality: float
+    w_safety: float
+    w_efficient: float
+    w_smooth: float
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
@@ -66,13 +66,13 @@ class PomdpModel:
         params: ControllerParams,
         geometry: WorldGeometry,
         gap_model: GapAcceptanceModel,
-        weights: RewardWeights = RewardWeights(),
-        dt: float = 0.25,
-        discount: float = 0.99,
-        n_v_bins: int = 13,
-        n_d_bins: int = 51,
-        d_range: tuple[float, float] = (-5.0, 45.0),
-        actions: tuple[float, ...] = (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0),
+        weights: RewardWeights,
+        dt: float,
+        discount: float,
+        n_v_bins: int,
+        n_d_bins: int,
+        d_range: tuple[float, float],
+        actions: tuple[float, ...],
     ):
         require_finite(dt=dt, discount=discount, d_range=d_range, actions=actions)
         if dt <= 0.0:
@@ -142,18 +142,13 @@ class PomdpModel:
 
         v_next = np.clip(v + a * self.dt, self.v_grid[0], self.v_grid[-1])
         d_next = d - v * self.dt - 0.5 * a * self.dt * self.dt
-        v_step = self.v_grid[1] - self.v_grid[0]
-        d_step = self.d_grid[1] - self.d_grid[0]
-        self._v_next_idx = np.clip(
-            np.round((v_next - self.v_grid[0]) / v_step), 0, nv - 1
-        ).astype(np.int64)
-        self._d_next_idx = np.clip(
-            np.round((d_next - self.d_grid[0]) / d_step), 0, nd - 1
-        ).astype(np.int64)
+        self._v_next_idx = self.v_bin(v_next)
+        self._d_next_idx = self.d_bin(d_next)
 
         # Entry hazard: probability that the sampled accepted gap falls inside
         # the gap interval swept during this step, zero once the vehicle has
         # reached the walking line and capped at the largest actionable gap.
+        v_step = self.v_grid[1] - self.v_grid[0]
         v_eff = np.maximum(v, 0.5 * v_step)
         v_eff_next = np.maximum(v_next, 0.5 * v_step)
         g_now = np.broadcast_to((d + geo.delta) / v_eff, (nv, nd, na))
@@ -219,7 +214,7 @@ class QTable:
     residuals: list[float] = field(default_factory=list)
 
 
-def qmdp_solve(model: PomdpModel, tol: float = 1e-6, max_iters: int = 5000) -> QTable:
+def qmdp_solve(model: PomdpModel, tol: float, max_iters: int = 5000) -> QTable:
     """Value-iterate Q to a sup-norm residual below ``tol``.
 
     During the sweeps Q is held as (a_prev, a, v·c·d), because NumPy reduces

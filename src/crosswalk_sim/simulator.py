@@ -59,20 +59,23 @@ class Controller(Protocol):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to run one trial deterministically."""
+    """Everything but the accepted gap needed to run one trial deterministically.
+
+    No field has a default: ``RunConfig.scenario`` builds one from the
+    config. The gap comes from the caller, so a scenario holds no seed.
+    """
 
     geometry: WorldGeometry
     params: ControllerParams
     gap_model: GapAcceptanceModel
-    lane: Lane = Lane.A
-    entry_side: EntrySide = EntrySide.NEAR
-    initial_d: float = 50.0
-    initial_v: float = 4.5
-    dt: float = 0.05
-    t_delay_plant: float = 0.0
-    max_sim_time: float = 60.0
-    seed: int = 0
-    collision_radius: float = 1.0
+    lane: Lane
+    entry_side: EntrySide
+    initial_d: float
+    initial_v: float
+    dt: float
+    t_delay_plant: float
+    max_sim_time: float
+    collision_radius: float
 
     def __post_init__(self) -> None:
         require_finite_fields(self)
@@ -86,8 +89,6 @@ class Scenario:
             raise ValueError("t_delay_plant must be non-negative")
         if self.collision_radius <= 0.0:
             raise ValueError("collision_radius must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         self.lane_center()  # raises for a lane the road does not have
         self.delay_ticks()  # raises for a delay that is not a whole number of ticks
 
@@ -296,13 +297,13 @@ def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller) -
     )
 
 
-def seeded_gaps(scenario: Scenario, n_trials: int) -> list[float]:
-    """``n_trials`` accepted gaps; trial i's is drawn from seed ``scenario.seed + i``."""
-    return [sample_accepted_gap(scenario.gap_model, np.random.default_rng(scenario.seed + i))
+def seeded_gaps(gap_model: GapAcceptanceModel, seed: int, n_trials: int) -> list[float]:
+    """``n_trials`` accepted gaps; trial i's is drawn from seed ``seed + i``."""
+    return [sample_accepted_gap(gap_model, np.random.default_rng(seed + i))
             for i in range(n_trials)]
 
 
-def sweep_gaps(lo: float = 0.5, step: float = 0.1, hi: float = 10.0) -> list[float]:
+def sweep_gaps(lo: float, step: float, hi: float) -> list[float]:
     """Inclusive deterministic gap grid with exact decimal values."""
     n = int(round((hi - lo) / step))
     return [round(lo + k * step, 10) for k in range(n + 1)]
@@ -389,13 +390,13 @@ def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, dt: float, tick: in
 
 def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
               controller: Controller) -> list[TrialResult]:
-    """Run trial i with accepted gap ``gaps[i]`` and seed ``seed + i`` in every
-    scenario, all driven by ``controller``.
+    """Run trial i with accepted gap ``gaps[i]`` in every scenario, all driven
+    by ``controller``.
 
     The scenarios (a run's quadrants) may differ only in ``lane`` and
     ``entry_side``. All trials of all scenarios advance together in the
     lockstep engine, and each result is bitwise equal to ``run_trial`` on the
-    trial's own scenario, seed and gap. Returns one block of results per
+    trial's own scenario and gap. Returns one block of results per
     scenario, in order: trial i of ``scenarios[k]`` is at ``k * len(gaps) + i``.
     """
     if not scenarios:

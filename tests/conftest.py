@@ -1,33 +1,41 @@
+from dataclasses import replace
+
 import pytest
 
-from crosswalk_sim.core import ControllerParams, WorldGeometry
 from crosswalk_sim.hybrid import HybridController
-from crosswalk_sim.pedestrian import GapAcceptanceModel
-from crosswalk_sim.pomdp import PomdpModel, qmdp_solve
-from crosswalk_sim.simulator import Scenario
+from crosswalk_sim.pomdp import qmdp_solve
+
+from states import CONFIG
 
 
 @pytest.fixture(scope="session")
-def geometry():
-    return WorldGeometry()
+def config():
+    """The default config; every fixture below comes from it."""
+    return CONFIG
 
 
 @pytest.fixture(scope="session")
-def params():
-    return ControllerParams()
+def geometry(config):
+    return config.geometry()
 
 
 @pytest.fixture(scope="session")
-def gap_model():
-    return GapAcceptanceModel()
+def params(config):
+    return config.controller_params()
 
 
 @pytest.fixture(scope="session")
-def scenario_factory(geometry, params, gap_model):
+def gap_model(config):
+    return config.gap_model()
+
+
+@pytest.fixture(scope="session")
+def scenario_factory(config):
+    """The default scenario with ``kwargs`` written over its fields."""
+    scenario = config.scenario()
+
     def make(**kwargs):
-        defaults = dict(geometry=geometry, params=params, gap_model=gap_model)
-        defaults.update(kwargs)
-        return Scenario(**defaults)
+        return replace(scenario, **kwargs)
 
     return make
 
@@ -43,10 +51,16 @@ def hybrid_for():
 
 
 @pytest.fixture(scope="session")
-def pomdp_model(geometry, params, gap_model):
-    return PomdpModel(params, geometry, gap_model)
+def ctrl(scenario_factory, hybrid_for):
+    """The hybrid controller of the default scenario."""
+    return hybrid_for(scenario_factory())
 
 
 @pytest.fixture(scope="session")
-def solved_policy(pomdp_model):
-    return qmdp_solve(pomdp_model)
+def pomdp_model(config):
+    return config.pomdp_model()
+
+
+@pytest.fixture(scope="session")
+def solved_policy(config, pomdp_model):
+    return qmdp_solve(pomdp_model, tol=config.pomdp["tol"])

@@ -3,7 +3,7 @@
 import numpy as np
 
 
-def dense_reference(m, tol=1e-6):
+def dense_reference(m, tol):
     """The plain update on the kernel broadcast to (S, A) tables; returns (Q, residuals)."""
     nv, nd, na = len(m.v_grid), len(m.d_grid), len(m.a_grid)
     full = (nv, 2, nd, na, na)  # v, c, d, a_prev, a

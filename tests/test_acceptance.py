@@ -15,16 +15,11 @@ import pytest
 from crosswalk_sim.cli import main
 from crosswalk_sim.config import EXPERIMENT_TRIALS, load_config
 from crosswalk_sim.core import EntrySide, comfort_brake_distance
-from crosswalk_sim.hybrid import HybridController
 from crosswalk_sim.pedestrian import sample_accepted_gap
-from crosswalk_sim.pomdp import (
-    PomdpController,
-    PomdpModel,
-    RewardWeights,
-    greedy_action_table,
-    qmdp_solve,
-)
+from crosswalk_sim.pomdp import PomdpController, greedy_action_table, qmdp_solve
 from crosswalk_sim.simulator import Lane, run_batch, run_trial, seeded_gaps, sweep_gaps
+
+from states import config_with, scaled_weights
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 QUADRANTS = [
@@ -55,8 +50,9 @@ def random_batches(scenario_factory, hybrid_for):
     """750 independently seeded random-gap trials per quadrant."""
     out = {}
     for i, (lane, side) in enumerate(QUADRANTS):
-        sc = scenario_factory(lane=lane, entry_side=side, seed=1000 * (i + 1))
-        out[(lane, side)] = run_batch([sc], seeded_gaps(sc, 750), hybrid_for(sc))
+        sc = scenario_factory(lane=lane, entry_side=side)
+        gaps = seeded_gaps(sc.gap_model, 1000 * (i + 1), 750)
+        out[(lane, side)] = run_batch([sc], gaps, hybrid_for(sc))
     return out
 
 
@@ -165,8 +161,7 @@ def test_criterion_06_mode_regime_map(safety_sweep):
     )
 
 
-def test_criterion_07_controller_math_oracles(params, geometry):
-    ctrl = HybridController(params, geometry)
+def test_criterion_07_controller_math_oracles(ctrl):
     assert abs(ctrl.yield_speed_profile(5.0625, 5.0625, 4.5) - 4.5) <= 1e-12
     assert abs(ctrl.yield_speed_profile(0.0, 5.0625, 4.5) - 0.0) <= 1e-12
 
@@ -194,22 +189,20 @@ def test_criterion_08_gap_acceptance_statistics(gap_model):
     report(8, f"10k draws: mean {mean:.3f} (4.0 +/- 0.05), std {std:.3f} (1.581 +/- 0.05)")
 
 
-def test_criterion_09_solver_properties(params, geometry, gap_model, solved_policy, pomdp_model):
+def test_criterion_09_solver_properties(config, solved_policy):
+    tol = config.pomdp["tol"]
     res = solved_policy.residuals
-    assert res[-1] < 1e-6
+    assert res[-1] < tol
     assert all(res[i + 1] <= res[i] + 1e-12 for i in range(1, len(res) - 1))
 
-    small = dict(n_v_bins=5, n_d_bins=11)
-    m0 = PomdpModel(params, geometry, gap_model, discount=0.0, **small)
+    small = {"n_v_bins": 5, "n_d_bins": 11}
+    m0 = config_with(pomdp={**small, "gamma": 0.0}).pomdp_model()
     assert np.array_equal(qmdp_solve(m0, tol=1e-9).q, m0.reward_table)
 
-    m1 = PomdpModel(params, geometry, gap_model, discount=0.9, **small)
-    m2 = PomdpModel(
-        params, geometry, gap_model, discount=0.9,
-        weights=RewardWeights(10.0 * 4.2, 50.0 * 4.2, 1.0 * 4.2, 2.0 * 4.2), **small
-    )
-    g1 = greedy_action_table(m1, qmdp_solve(m1))
-    g2 = greedy_action_table(m2, qmdp_solve(m2))
+    m1 = config_with(pomdp={**small, "gamma": 0.9}).pomdp_model()
+    m2 = config_with(pomdp={**small, "gamma": 0.9, **scaled_weights(4.2)}).pomdp_model()
+    g1 = greedy_action_table(m1, qmdp_solve(m1, tol=tol))
+    g2 = greedy_action_table(m2, qmdp_solve(m2, tol=tol))
     assert np.array_equal(g1, g2)
     report(
         9,

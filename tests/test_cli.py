@@ -112,16 +112,25 @@ class TestSimulate:
             (None, None, ["replay", "--preset", "experiment", "--trial", "1", "--side", "far"]),
             ("CWSIM_RUN__T_DELAY_PLANT", "0.07", ["simulate", "--trials", "5"]),
             ("CWSIM_POMDP__DT", "0.23", ["simulate", "--controller", "pomdp", "--trials", "5"]),
+            ("CWSIM_CONTROLLER__V_SPEEDLIMIT", "-1", ["simulate", "--trials", "3"]),
+            ("CWSIM_CONTROLLER__V_SPEEDLIMIT", "0", ["replay", "--gap", "3"]),
+            ("CWSIM_CONTROLLER__V_SPEEDLIMIT", "0", ["solve-pomdp"]),
+            ("CWSIM_CONTROLLER__V_SPEEDLIMIT", "-2", ["solve-pomdp"]),
+            ("CWSIM_RUN__SEED", "-1", ["replay", "--gap", "3"]),
         ],
     )
     def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):
         if var is not None:
             monkeypatch.setenv(var, value)
+        if var == "CWSIM_CONTROLLER__V_SPEEDLIMIT":  # not the start speed, which has its own check
+            monkeypatch.setenv("CWSIM_RUN__INITIAL_V", "4.5")
+        monkeypatch.delenv("CWSIM_POMDP__CACHE_DIR")  # the policy cache goes to .pomdp_cache
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert not (tmp_path / "out").exists()  # rejected before any output is written
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # rejected before any output or cache is written
 
     @pytest.mark.parametrize("argv", [["solve-pomdp"], ["compare", "--trials", "5"],
                                       ["simulate", "--controller", "pomdp", "--trials", "3"]])
@@ -211,7 +220,7 @@ class TestCompare:
             ).append(r["accepted_gap_s"])
         # One seeded draw per run: trial i of every quadrant and method has seed 11 + i.
         config = load_config(cli_overrides={"run": {"seed": 11}})
-        drawn = [cli._fmt(g) for g in seeded_gaps(config.scenario(), 6)]
+        drawn = [cli._fmt(g) for g in seeded_gaps(config.gap_model(), 11, 6)]
         assert len(by_key) == 4
         for quadrant, methods in by_key.items():
             assert methods["hybrid"] == methods["pomdp"] == drawn

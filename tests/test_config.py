@@ -1,7 +1,9 @@
 import configparser
+import inspect
 import io
 import math
 from collections.abc import Mapping
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -14,9 +16,10 @@ from crosswalk_sim.config import (
     write_config_echo,
 )
 from crosswalk_sim.core import ControllerParams, WorldGeometry
+from crosswalk_sim.hybrid import HybridController
 from crosswalk_sim.pedestrian import GapAcceptanceModel
-from crosswalk_sim.pomdp import PomdpModel
-from crosswalk_sim.simulator import Lane, Scenario
+from crosswalk_sim.pomdp import PomdpModel, RewardWeights, qmdp_solve
+from crosswalk_sim.simulator import Lane, Scenario, sweep_gaps
 
 
 class TestDefaults:
@@ -58,16 +61,25 @@ class TestDefaults:
         sc = cfg.scenario()
         assert sc.initial_v == 7.0
 
-    def test_config_defaults_match_dataclass_defaults(self):
-        # The acceptance suite builds its fixtures from the dataclass defaults
-        # while the CLI runs DEFAULTS; both must describe the same world.
-        cfg = load_config(env={})
-        params, geometry, gap_model = ControllerParams(), WorldGeometry(), GapAcceptanceModel()
-        assert cfg.geometry() == geometry
-        assert cfg.controller_params() == params
-        assert cfg.gap_model() == gap_model
-        assert cfg.scenario() == Scenario(geometry, params, gap_model)
-        assert cfg.pomdp_model().cache_key == PomdpModel(params, geometry, gap_model).cache_key
+    def test_parameter_records_have_no_defaults(self):
+        # DEFAULTS and PRESETS are the one place a parameter value is written:
+        # every model object comes from the config, never from a constructor default.
+        for record in (WorldGeometry, ControllerParams, GapAcceptanceModel, RewardWeights,
+                       Scenario):
+            for f in fields(record):
+                assert f.default is MISSING and f.default_factory is MISSING, \
+                    f"{record.__name__}.{f.name}"
+        assert "seed" not in {f.name for f in fields(Scenario)}  # only seeded_gaps reads it
+        keyword_defaults = {
+            PomdpModel.__init__: [],
+            HybridController.__init__: [],
+            qmdp_solve: ["max_iters"],  # a solver limit, not a parameter of the config
+            sweep_gaps: [],
+        }
+        for fn, expected in keyword_defaults.items():
+            params = inspect.signature(fn).parameters.values()
+            assert [p.name for p in params if p.default is not p.empty] == expected, \
+                fn.__qualname__
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):

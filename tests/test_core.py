@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from crosswalk_sim.core import (
 )
 from crosswalk_sim.pedestrian import GapAcceptanceModel
 from crosswalk_sim.pomdp import PomdpModel, RewardWeights
-from crosswalk_sim.simulator import Scenario
 
-from states import trial_state
+from states import CONFIG, SCENARIO, trial_state
 
 
 class TestBrakeDistances:
@@ -65,17 +65,17 @@ class TestWorldGeometry:
         assert not trial_state(geometry, d=-7.5).walking_line(geometry)[1]
         assert trial_state(geometry, d=-7.51).walking_line(geometry)[1]
 
-    def test_x_f_bounds(self):
+    def test_x_f_bounds(self, geometry):
         with pytest.raises(ValueError):
-            WorldGeometry(n_lanes=2, x_f=8.0)
+            replace(geometry, n_lanes=2, x_f=8.0)
         with pytest.raises(ValueError):
-            WorldGeometry(x_f=0.0)
-        half = WorldGeometry(n_lanes=4, x_f=7.0)
+            replace(geometry, x_f=0.0)
+        half = replace(geometry, n_lanes=4, x_f=7.0)
         assert half.x_f == 7.0
 
-    def test_delta_positive(self):
+    def test_delta_positive(self, geometry):
         with pytest.raises(ValueError):
-            WorldGeometry(delta=0.0)
+            replace(geometry, delta=0.0)
 
     def test_lane_index_checked(self, geometry):
         with pytest.raises(ValueError):
@@ -95,11 +95,12 @@ class TestControllerParams:
             dict(k_s=0.0),
             dict(tau_max=0.0),
             dict(t_delay=-0.1),
+            dict(v_speedlimit=0.0),
         ],
     )
-    def test_invalid(self, kwargs):
+    def test_invalid(self, params, kwargs):
         with pytest.raises(ValueError):
-            ControllerParams(**kwargs)
+            replace(params, **kwargs)
 
 
 class TestPedestrianState:
@@ -113,9 +114,9 @@ class TestPedestrianState:
         assert near.span_speed() == 1.2
         assert far.span_speed() == 1.2
 
-    def test_vehicle_state_rejects_reverse(self, geometry, params, gap_model):
+    def test_vehicle_state_rejects_reverse(self, scenario_factory):
         with pytest.raises(ValueError, match="initial_v"):
-            Scenario(geometry=geometry, params=params, gap_model=gap_model, initial_v=-0.1)
+            scenario_factory(initial_v=-0.1)
 
 
 def test_operations_are_pure():
@@ -124,11 +125,22 @@ def test_operations_are_pure():
 
 
 def _scenario(**kwargs):
-    return Scenario(WorldGeometry(), ControllerParams(), GapAcceptanceModel(), **kwargs)
+    return replace(SCENARIO, **kwargs)
 
 
 def _pomdp_model(**kwargs):
-    return PomdpModel(ControllerParams(), WorldGeometry(), GapAcceptanceModel(), **kwargs)
+    # Called directly: the config's parser refuses a non-finite number before
+    # the model sees it. The default model's arguments, with kwargs over them.
+    m = CONFIG.pomdp_model()
+    args = dict(weights=m.weights, dt=m.dt, discount=m.discount, n_v_bins=len(m.v_grid),
+                n_d_bins=len(m.d_grid), d_range=(m.d_grid[0], m.d_grid[-1]),
+                actions=tuple(m.a_grid))
+    return PomdpModel(m.params, m.geometry, m.gap_model, **{**args, **kwargs})
+
+
+# The default config's parameter records; the non-finite value is written over one field.
+RECORDS = {type(r): r for r in (CONFIG.controller_params(), CONFIG.geometry(),
+                                CONFIG.gap_model(), CONFIG.reward_weights())}
 
 
 @pytest.mark.parametrize(
@@ -152,7 +164,7 @@ def _pomdp_model(**kwargs):
 def test_non_finite_rejected(build, kwargs):
     (name,) = kwargs
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        build(**kwargs)
+        replace(RECORDS[build], **kwargs) if build in RECORDS else build(**kwargs)
 
 
 class TestWriteOutput:

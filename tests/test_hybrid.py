@@ -1,22 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from crosswalk_sim.core import EntrySide, WorldGeometry, comfort_brake_distance, max_brake_distance
+from crosswalk_sim.core import EntrySide, comfort_brake_distance, max_brake_distance
 from crosswalk_sim.hybrid import (DRIVING, HARD_BRAKING, SPEED_UP, YIELDING, HybridController,
                                   in_crosswalk, time_advantage)
 
-from states import trial_state
+from states import SCENARIO, trial_state
 
 
-def state(d=30.0, v=4.5, x_p=-2.5, xdot_p=0.0, side=EntrySide.NEAR, geometry=WorldGeometry(),
+def state(d=30.0, v=4.5, x_p=-2.5, xdot_p=0.0, side=EntrySide.NEAR, geometry=SCENARIO.geometry,
           **values):
     """A trial in lane A (x_v = 1.75) with the vehicle at (d, v) and the pedestrian at (x_p, xdot_p)."""
     return trial_state(geometry, side, d=d, v=v, x_p=x_p, xdot_p=xdot_p, **values)
 
 
-def ped(x_p, xdot_p, side=EntrySide.NEAR, geometry=WorldGeometry()):
+def ped(x_p, xdot_p, side=EntrySide.NEAR, geometry=SCENARIO.geometry):
     return state(x_p=x_p, xdot_p=xdot_p, side=side, geometry=geometry)
 
 
@@ -27,8 +28,8 @@ class TestInCrosswalk:
     def test_waiting_on_sidewalk(self, geometry):
         assert not in_crosswalk(ped(-1.0, 0.0), geometry)
 
-    def test_standing_inside_holds(self):
-        geo = WorldGeometry(n_lanes=2, x_f=7.0)
+    def test_standing_inside_holds(self, geometry):
+        geo = replace(geometry, n_lanes=2, x_f=7.0)
         assert in_crosswalk(ped(2.0, 0.0, geometry=geo), geo)
 
     def test_cleared_past_span(self, geometry):
@@ -100,105 +101,87 @@ class TestTimeAdvantage:
 
 
 class TestModeCommands:
-    def test_driving_at_setpoint(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_driving_at_setpoint(self, ctrl):
         assert ctrl.driving_command(4.5) == 0.0
 
-    def test_driving_saturates_up(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_driving_saturates_up(self, ctrl):
         assert ctrl.driving_command(3.5) == 2.0
 
-    def test_driving_slows_down(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_driving_slows_down(self, ctrl):
         assert ctrl.driving_command(5.5) == -2.0
 
-    def test_yield_profile_endpoints(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_yield_profile_endpoints(self, ctrl):
         assert ctrl.yield_speed_profile(5.0625, 5.0625, 4.5) == pytest.approx(4.5, abs=1e-12)
         assert ctrl.yield_speed_profile(0.0, 5.0625, 4.5) == pytest.approx(0.0, abs=1e-12)
 
-    def test_yield_profile_half_distance(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_yield_profile_half_distance(self, ctrl):
         expected = math.sqrt(2 * 2 * (2.53125 - 5.0625) + 4.5**2)
         assert ctrl.yield_speed_profile(2.53125, 5.0625, 4.5) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(3.182, abs=5e-4)
 
-    def test_brake_profile_endpoints(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_brake_profile_endpoints(self, ctrl):
         assert ctrl.brake_speed_profile(3.0, 3.0, 4.5) == pytest.approx(4.5, abs=1e-12)
         assert ctrl.brake_speed_profile(0.0, 3.0, 4.5) == 0.0
 
-    def test_brake_profile_quarter_distance(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_brake_profile_quarter_distance(self, ctrl):
         assert ctrl.brake_speed_profile(0.75, 3.0, 4.5) == pytest.approx(2.25, rel=1e-12)
 
-    def test_hard_braking_feedforward(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_hard_braking_feedforward(self, ctrl):
         s = state(3.0, 4.5, mode=HARD_BRAKING, d_o=3.0, v_o=4.5)
         # On-profile: feedback vanishes, command is the pure feedforward.
         assert ctrl.hard_braking_command(s) == pytest.approx(-3.375, abs=1e-12)
         assert not s.overrun
 
-    def test_hard_braking_overrun_clamps(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_hard_braking_overrun_clamps(self, params, ctrl):
         s = state(-0.1, 2.0, mode=HARD_BRAKING, d_o=3.0, v_o=4.5)
         assert ctrl.hard_braking_command(s) == -params.a_max
         assert s.overrun
 
-    def test_speed_up_value(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_speed_up_value(self, ctrl):
         assert ctrl.speed_up_command() == 2.0
 
 
 class TestStepTransitions:
-    def test_equilibrium_stays_driving(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_equilibrium_stays_driving(self, ctrl):
         s = state(30.0, 4.5, -2.5, 0.0)
         a = ctrl.step(s, 0)
         assert a == 0.0 and s.mode == DRIVING
 
-    def test_trigger_far_enough_yields(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_trigger_far_enough_yields(self, ctrl):
         s = state(20.0, 4.5, -1.0, 1.2)
         ctrl.step(s, 0)
         assert s.mode == YIELDING
         assert (s.d_o, s.v_o) == (20.0, 4.5)
 
-    def test_trigger_mid_range_hard_brakes(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_trigger_mid_range_hard_brakes(self, ctrl):
         s = state(3.0, 4.5, -1.0, 1.2)
         ctrl.step(s, 0)
         assert s.mode == HARD_BRAKING
 
-    def test_trigger_too_close_speeds_up(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_trigger_too_close_speeds_up(self, params, ctrl):
         s = state(0.5, 4.5, -1.0, 1.2)
         a = ctrl.step(s, 0)
         assert s.mode == SPEED_UP
         assert a == params.a_cmf
 
-    def test_large_time_advantage_keeps_driving(self, params, geometry):
+    def test_large_time_advantage_keeps_driving(self, ctrl):
         # Far-side pedestrian 10+ s from the lane: vehicle passes first.
-        ctrl = HybridController(params, geometry)
         s = state(20.0, 4.5, 14.25, -1.2, EntrySide.FAR)
         ctrl.step(s, 0)
         assert s.mode == DRIVING
 
-    def test_boundary_d_cmf_goes_to_yielding(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_boundary_d_cmf_goes_to_yielding(self, params, ctrl):
         s = state(comfort_brake_distance(4.5, params.a_cmf), 4.5, -1.0, 1.2)
         ctrl.step(s, 0)
         assert s.mode == YIELDING
 
-    def test_boundary_d_max_goes_to_speed_up(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_boundary_d_max_goes_to_speed_up(self, params, ctrl):
         s = state(max_brake_distance(4.5, params.a_max), 4.5, -1.0, 1.2)
         ctrl.step(s, 0)
         assert s.mode == SPEED_UP
 
-    def test_guard_partition_unique_mode(self, params, geometry):
+    def test_guard_partition_unique_mode(self, params, ctrl):
         rng = np.random.default_rng(11)
-        ctrl = HybridController(params, geometry)
         for _ in range(300):
             d = rng.uniform(0.01, 45.0)
             v = rng.uniform(0.5, 4.5)
@@ -214,8 +197,7 @@ class TestStepTransitions:
                 expected = SPEED_UP
             assert s.mode == expected
 
-    def test_speed_up_exits_when_passed(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_speed_up_exits_when_passed(self, ctrl):
         s = state(0.5, 4.5, -1.0, 1.2)
         ctrl.step(s, 0)
         assert s.mode == SPEED_UP
@@ -223,18 +205,16 @@ class TestStepTransitions:
         ctrl.step(s, 1)
         assert s.mode == DRIVING
 
-    def test_yield_exits_when_cleared(self, params, geometry):
-        ctrl = HybridController(params, geometry)
+    def test_yield_exits_when_cleared(self, geometry, ctrl):
         s = state(20.0, 4.5, -1.0, 1.2)
         ctrl.step(s, 0)
         s.d, s.x_p = 19.0, geometry.x_f + 0.1
         ctrl.step(s, 1)
         assert s.mode == DRIVING
 
-    def test_saturation_envelope(self, params, geometry):
+    def test_saturation_envelope(self, params, ctrl):
         # One trial whose state jumps every tick, mode and latched profile carried over.
         rng = np.random.default_rng(4)
-        ctrl = HybridController(params, geometry)
         s = state()
         for k in range(2000):
             s.d = rng.uniform(-10.0, 45.0)
@@ -244,9 +224,8 @@ class TestStepTransitions:
             a = ctrl.step(s, k)
             assert -params.a_max <= a <= params.a_cmf
 
-    def test_step_deterministic(self, params, geometry):
-        def run():
-            ctrl = HybridController(params, geometry)
+    def test_step_deterministic(self, ctrl, hybrid_for, scenario_factory):
+        def run(ctrl):
             out = []
             s = state(30.0, 4.5, -1.0, 0.0)
             for k in range(200):
@@ -260,7 +239,7 @@ class TestStepTransitions:
                 out.append((round(s.d, 12), round(s.v, 12), s.mode))
             return out
 
-        assert run() == run()
+        assert run(ctrl) == run(hybrid_for(scenario_factory()))
 
 
 class TestClosedLoopGuarantees:

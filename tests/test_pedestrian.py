@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,22 +8,21 @@ from crosswalk_sim.pedestrian import (
     CROSSING_CODE,
     DONE_CODE,
     WAITING_CODE,
-    GapAcceptanceModel,
     pedestrian_tick,
     sample_accepted_gap,
 )
 
-from states import trial_state
+from states import SCENARIO, trial_state
 
 DT = 0.05
 
 
-def spawn(geometry, side=EntrySide.NEAR, accepted_gap=4.0, model=GapAcceptanceModel()):
+def spawn(geometry, side=EntrySide.NEAR, accepted_gap=4.0, model=SCENARIO.gap_model):
     """A pedestrian waiting at the curb of ``side``; the vehicle is in lane A."""
     return trial_state(geometry, side, accepted_gap, model)
 
 
-def tick(s, geometry, d, v, dt=DT, model=GapAcceptanceModel()):
+def tick(s, geometry, d, v, dt=DT, model=SCENARIO.gap_model):
     """One pedestrian tick with the vehicle at distance ``d`` and speed ``v``."""
     s.d, s.v = d, v
     pedestrian_tick(s, model, dt, *s.walking_line(geometry))
@@ -52,8 +53,8 @@ class TestSampling:
         draws = [sample_accepted_gap(gap_model, rng) for _ in range(5000)]
         assert min(draws) >= gap_model.min_gap
 
-    def test_tiny_sigma_concentrates_at_mean(self):
-        model = GapAcceptanceModel(sigma_gap=1e-9)
+    def test_tiny_sigma_concentrates_at_mean(self, gap_model):
+        model = replace(gap_model, sigma_gap=1e-9)
         rng = np.random.default_rng(1)
         assert sample_accepted_gap(model, rng) == pytest.approx(4.0, abs=1e-6)
 
@@ -68,11 +69,11 @@ class TestSampling:
         assert draws.mean() == pytest.approx(4.0, abs=0.05)
         assert draws.std(ddof=0) == pytest.approx(np.sqrt(2.5), abs=0.05)
 
-    def test_invalid_model(self):
+    def test_invalid_model(self, gap_model):
         with pytest.raises(ValueError):
-            GapAcceptanceModel(sigma_gap=0.0)
+            replace(gap_model, sigma_gap=0.0)
         with pytest.raises(ValueError):
-            GapAcceptanceModel(min_gap=5.0)
+            replace(gap_model, min_gap=5.0)
 
 
 class TestTrigger:

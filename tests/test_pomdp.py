@@ -4,9 +4,7 @@ import pytest
 from crosswalk_sim.pomdp import (
     ConvergenceError,
     PomdpController,
-    PomdpModel,
     QTable,
-    RewardWeights,
     greedy_action_table,
     load_policy,
     policy_cache_path,
@@ -17,13 +15,15 @@ from crosswalk_sim.pomdp import (
 )
 
 from qmdp_reference import dense_reference
-from states import trial_state
+from states import CONFIG, config_with, scaled_weights, trial_state
 
 
-def small_model(params, geometry, gap_model, **kwargs):
-    defaults = dict(n_v_bins=5, n_d_bins=11, discount=0.9)
-    defaults.update(kwargs)
-    return PomdpModel(params, geometry, gap_model, **defaults)
+def small_model(**pomdp):
+    """A coarse model of the default config with the ``[pomdp]`` keys ``pomdp`` over it."""
+    return config_with(pomdp={"n_v_bins": 5, "n_d_bins": 11, "gamma": 0.9, **pomdp}).pomdp_model()
+
+
+TOL = CONFIG.pomdp["tol"]
 
 
 @pytest.fixture(scope="module")
@@ -58,17 +58,11 @@ class TestModelConstruction:
         expected = pomdp_model.dt / (geometry.roadway_width / gap_model.walk_speed)
         assert pomdp_model.crossing_exit_prob == pytest.approx(expected)
 
-    def test_grid_validation(self, params, geometry, gap_model):
-        with pytest.raises(ValueError):
-            PomdpModel(params, geometry, gap_model, dt=0.0)
-        with pytest.raises(ValueError):
-            PomdpModel(params, geometry, gap_model, discount=1.0)
-        with pytest.raises(ValueError):
-            PomdpModel(params, geometry, gap_model, n_d_bins=1)
-        with pytest.raises(ValueError):
-            PomdpModel(params, geometry, gap_model, d_range=(10.0, -10.0))
-        with pytest.raises(ValueError):
-            PomdpModel(params, geometry, gap_model, actions=(-20.0, 0.0))
+    def test_grid_validation(self):
+        for pomdp in [dict(dt=0.0), dict(gamma=1.0), dict(n_d_bins=1),
+                      dict(d_min=10.0, d_max=-10.0), dict(actions="-20,0")]:
+            with pytest.raises(ValueError):
+                config_with(pomdp=pomdp).pomdp_model()
 
     def test_state_index_bijection(self, pomdp_model):
         m = pomdp_model
@@ -100,69 +94,65 @@ class TestRewardShape:
 
 class TestSolver:
     def test_converges_below_tol(self, solved_policy):
-        assert solved_policy.residuals[-1] < 1e-6
+        assert solved_policy.residuals[-1] < TOL
         assert np.all(np.isfinite(solved_policy.q))
 
     def test_residuals_non_increasing_after_first(self, solved_policy):
         res = solved_policy.residuals
         assert all(res[i + 1] <= res[i] + 1e-12 for i in range(1, len(res) - 1))
 
-    def test_zero_discount_gives_reward(self, params, geometry, gap_model):
-        m = small_model(params, geometry, gap_model, discount=0.0)
+    def test_zero_discount_gives_reward(self):
+        m = small_model(gamma=0.0)
         table = qmdp_solve(m, tol=1e-9)
         assert np.array_equal(table.q, m.reward_table)
 
-    def test_zero_reward_gives_zero_q(self, params, geometry, gap_model):
-        m = small_model(params, geometry, gap_model, weights=RewardWeights(0, 0, 0, 0))
-        table = qmdp_solve(m)
+    def test_zero_reward_gives_zero_q(self):
+        m = small_model(**scaled_weights(0.0))
+        table = qmdp_solve(m, tol=TOL)
         assert np.all(table.q == 0.0)
 
-    def test_non_convergence_raises(self, params, geometry, gap_model):
-        m = small_model(params, geometry, gap_model, discount=0.99)
+    def test_non_convergence_raises(self):
+        m = small_model(gamma=0.99)
         with pytest.raises(ConvergenceError) as err:
             qmdp_solve(m, tol=1e-12, max_iters=3)
         assert err.value.residual > 0.0
 
-    def test_overflow_stops_at_first_non_finite_residual(self, params, geometry, gap_model):
+    def test_overflow_stops_at_first_non_finite_residual(self):
         # A finite weight whose Q overflows: sweep 1 gives 1e308, sweep 2 inf. The
         # solve stops there, without a NumPy warning, not after 5000 NaN sweeps.
-        m = small_model(params, geometry, gap_model, weights=RewardWeights(w_safety=1e308))
+        m = small_model(w_safety=1e308)
         with pytest.raises(ConvergenceError) as err:
-            qmdp_solve(m)
+            qmdp_solve(m, tol=TOL)
         assert err.value.iterations == 2 and err.value.residual == np.inf
 
-    def test_overflowing_reward_table_is_rejected(self, params, geometry, gap_model):
+    def test_overflowing_reward_table_is_rejected(self):
         with pytest.raises(ValueError, match="overflow the reward table"):
-            small_model(params, geometry, gap_model,
-                        weights=RewardWeights(w_legality=1e308, w_safety=1e308))
+            small_model(w_legality=1e308, w_safety=1e308)
 
-    def test_weight_rescaling_preserves_policy(self, params, geometry, gap_model):
-        m1 = small_model(params, geometry, gap_model)
-        m2 = small_model(
-            params, geometry, gap_model,
-            weights=RewardWeights(10.0 * 3.7, 50.0 * 3.7, 1.0 * 3.7, 2.0 * 3.7),
-        )
-        g1 = greedy_action_table(m1, qmdp_solve(m1))
-        g2 = greedy_action_table(m2, qmdp_solve(m2))
+    def test_weight_rescaling_preserves_policy(self):
+        m1 = small_model()
+        m2 = small_model(**scaled_weights(3.7))
+        g1 = greedy_action_table(m1, qmdp_solve(m1, tol=TOL))
+        g2 = greedy_action_table(m2, qmdp_solve(m2, tol=TOL))
         assert np.array_equal(g1, g2)
 
     dense_reference = staticmethod(dense_reference)
 
-    def test_matches_dense_reference(self, params, geometry, gap_model):
-        m = small_model(params, geometry, gap_model)
-        q, residuals = self.dense_reference(m)
-        table = qmdp_solve(m, tol=1e-6)
+    def test_matches_dense_reference(self):
+        m = small_model()
+        q, residuals = self.dense_reference(m, TOL)
+        table = qmdp_solve(m, tol=TOL)
         assert np.array_equal(table.q, q)
         assert table.residuals == residuals
 
-    def test_matches_dense_reference_on_asymmetric_rewards(self, params, geometry, gap_model):
+    def test_matches_dense_reference_on_asymmetric_rewards(self):
         # The model's only action-pair term, -|a - a_prev|, is symmetric, so an
         # (a, a_prev) mix-up would pass the case above; random rewards and a
         # 4-action grid expose it and any hard-coded action count.
-        m = small_model(params, geometry, gap_model, actions=(-2.0, -1.0, 0.0, 1.0))
+        m = small_model(actions="-2,-1,0,1")
         m.reward_table = np.random.default_rng(7).normal(size=(m.n_states, m.n_actions))
-        q, residuals = self.dense_reference(m)
-        table = qmdp_solve(m, tol=1e-6)
+        q, residuals = self.dense_reference(m, TOL)
+        table = qmdp_solve(m, tol=TOL)
         assert np.array_equal(table.q, q)
         assert table.residuals == residuals
 
@@ -225,12 +215,10 @@ class TestSerialization:
         assert np.array_equal(greedy_action_table(pomdp_model, loaded),
                               greedy_action_table(pomdp_model, solved_policy))
 
-    def test_key_mismatch_rejected(self, tmp_path, params, geometry, gap_model, pomdp_model, solved_policy):
+    def test_key_mismatch_rejected(self, tmp_path, pomdp_model, solved_policy):
         path = tmp_path / "policy.npz"
         save_policy(path, pomdp_model, solved_policy)
-        other = PomdpModel(
-            params, geometry, gap_model, weights=RewardWeights(w_safety=99.0)
-        )
+        other = config_with(pomdp={"w_safety": 99.0}).pomdp_model()
         assert load_policy(path, other) is None
 
     def test_missing_file(self, tmp_path, pomdp_model):
@@ -257,7 +245,7 @@ class TestSerialization:
         path = policy_cache_path(tmp_path, pomdp_model)
         with open(path, "wb") as f:
             np.savez_compressed(f, q=solved_policy.q, cache_key=np.array(pomdp_model.cache_key))
-        table = solve_or_load(pomdp_model, tmp_path, tol=1e-6)
+        table = solve_or_load(pomdp_model, tmp_path, tol=TOL)
         assert table.residuals == []  # a cache hit
         assert np.array_equal(table.q, solved_policy.q)
 
@@ -278,12 +266,12 @@ class TestSerialization:
         save_policy(tmp_path / "policy.npz", pomdp_model, solved_policy)
         assert [p.name for p in tmp_path.iterdir()] == ["policy.npz"]
 
-    def test_key_covers_model_internals(self, monkeypatch, params, geometry, gap_model, pomdp_model):
+    def test_key_covers_model_internals(self, monkeypatch, config, pomdp_model):
         import crosswalk_sim.pomdp as pomdp
 
         real_cdf = pomdp._normal_cdf
         monkeypatch.setattr(pomdp, "_normal_cdf", lambda z: real_cdf(1.1 * z))
-        changed = PomdpModel(params, geometry, gap_model)
+        changed = config.pomdp_model()
         assert changed.cache_key != pomdp_model.cache_key
         monkeypatch.undo()
-        assert PomdpModel(params, geometry, gap_model).cache_key == pomdp_model.cache_key
+        assert config.pomdp_model().cache_key == pomdp_model.cache_key

@@ -22,17 +22,20 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from crosswalk_sim.core import ControllerParams, EntrySide, WorldGeometry
+from crosswalk_sim.core import EntrySide
 from crosswalk_sim.hybrid import HybridController
-from crosswalk_sim.pedestrian import GapAcceptanceModel, pedestrian_tick
-from crosswalk_sim.pomdp import PomdpController, PomdpModel, qmdp_solve
-from crosswalk_sim.simulator import Lane, Scenario, plant_tick, run_batch, run_trial
+from crosswalk_sim.pedestrian import pedestrian_tick
+from crosswalk_sim.pomdp import PomdpController, qmdp_solve
+from crosswalk_sim.simulator import Lane, plant_tick, run_batch, run_trial
 
 from qmdp_reference import dense_reference
-from states import trial_state
+from states import CONFIG, SCENARIO, config_with, trial_state
 
-PARAMS = ControllerParams()
-GEOMETRY = WorldGeometry()
+PARAMS = SCENARIO.params
+GEOMETRY = SCENARIO.geometry
+# The controller sections of the default and the experiment preset.
+PRESET_PARAMS = [PARAMS, config_with("experiment").controller_params()]
+TOL = CONFIG.pomdp["tol"]
 
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -64,7 +67,7 @@ def test_plant_never_reverses_and_respects_braking_authority(d, v, dt, pending, 
 
 @deterministic
 @given(
-    params=st.sampled_from([PARAMS, ControllerParams(k_s=1.0, t_delay=0.5, v_speedlimit=7.0)]),
+    params=st.sampled_from(PRESET_PARAMS),
     states=st.lists(
         st.tuples(finite(-20.0, 60.0), finite(0.0, 15.0), finite(-2.0, 16.0),
                   finite(-2.0, 2.0), sides),
@@ -73,7 +76,7 @@ def test_plant_never_reverses_and_respects_braking_authority(d, v, dt, pending, 
 )
 def test_hybrid_command_stays_in_envelope(params, states):
     # One trial per side, each carrying its mode and latched profile from state to state.
-    controller = HybridController(params, GEOMETRY)
+    controller = HybridController(params, GEOMETRY, dt=SCENARIO.dt)
     trials = {side: trial_state(GEOMETRY, side) for side in EntrySide}
     for tick, (d, v, x_p, xdot_p, side) in enumerate(states):
         s = trials[side]
@@ -93,7 +96,7 @@ def test_hybrid_command_stays_in_envelope(params, states):
 )
 def test_pedestrian_phases_only_move_forward(side, accepted_gap, d0, v0, segments):
     dt = 0.05
-    model = GapAcceptanceModel()
+    model = SCENARIO.gap_model
     s = trial_state(GEOMETRY, side, accepted_gap, model, d=d0, v=v0)
     rank = s.phase
     for a in segments:
@@ -106,7 +109,7 @@ def test_pedestrian_phases_only_move_forward(side, accepted_gap, d0, v0, segment
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(
-    params=st.sampled_from([PARAMS, ControllerParams(k_s=1.0, t_delay=0.5, v_speedlimit=7.0)]),
+    params=st.sampled_from(PRESET_PARAMS),
     quadrants=st.lists(st.tuples(st.sampled_from(list(Lane)), sides), min_size=1, max_size=4),
     initial_d=finite(-10.0, 80.0),
     initial_v=finite(0.0, 12.0),
@@ -123,10 +126,10 @@ def test_lockstep_batch_matches_scalar_trials(pomdp_model, solved_policy, params
     # Start states the presets never reach: stopped, already past the stop
     # point, coarse ticks, short horizons; one batch over a random mix of
     # quadrants.
-    scenarios = [Scenario(geometry=GEOMETRY, params=params, gap_model=GapAcceptanceModel(),
-                          lane=lane, entry_side=side, initial_d=initial_d, initial_v=initial_v,
-                          dt=dt, t_delay_plant=delay_ticks * dt, max_sim_time=max_sim_time,
-                          collision_radius=collision_radius)
+    scenarios = [replace(SCENARIO, params=params, lane=lane, entry_side=side,
+                         initial_d=initial_d, initial_v=initial_v, dt=dt,
+                         t_delay_plant=delay_ticks * dt, max_sim_time=max_sim_time,
+                         collision_radius=collision_radius)
                  for lane, side in quadrants]
     if policy:
         controller = PomdpController(pomdp_model, solved_policy, sim_dt=dt)
@@ -134,8 +137,7 @@ def test_lockstep_batch_matches_scalar_trials(pomdp_model, solved_policy, params
         controller = HybridController(params, GEOMETRY, dt=dt)
     # Every field but the trace, which only run_trial records.
     assert run_batch(scenarios, gaps, controller) == [
-        replace(run_trial(replace(sc, seed=i), g, controller), trace=None)
-        for sc in scenarios for i, g in enumerate(gaps)
+        replace(run_trial(sc, g, controller), trace=None) for sc in scenarios for g in gaps
     ]
 
 
@@ -151,11 +153,12 @@ def test_qmdp_solve_matches_dense_reference(n_v_bins, n_d_bins, actions, discoun
     # Small random models with arbitrary reward tables: both signs, signed zeros,
     # ties and magnitudes from subnormal to 1e6, so the solver's layout, gather and
     # residual shortcut each meet cases the presets never reach.
-    model = PomdpModel(PARAMS, GEOMETRY, GapAcceptanceModel(), discount=discount,
-                       n_v_bins=n_v_bins, n_d_bins=n_d_bins, actions=tuple(actions))
+    pomdp = {"gamma": discount, "n_v_bins": n_v_bins, "n_d_bins": n_d_bins,
+             "actions": ",".join(map(repr, actions))}
+    model = config_with(pomdp=pomdp).pomdp_model()
     rewards = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), finite(-1e6, 1e6))
     model.reward_table = data.draw(arrays(np.float64, model.reward_table.shape, elements=rewards))
-    q, residuals = dense_reference(model)
-    table = qmdp_solve(model)
+    q, residuals = dense_reference(model, TOL)
+    table = qmdp_solve(model, tol=TOL)
     assert table.q.tobytes() == q.tobytes()  # bit for bit, signed zeros included
     assert table.residuals == residuals

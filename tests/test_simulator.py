@@ -6,13 +6,11 @@ import pytest
 
 from crosswalk_sim.config import load_config
 from crosswalk_sim.core import EntrySide
-from crosswalk_sim.pedestrian import (CROSSING_CODE, DONE_CODE, GapAcceptanceModel, pedestrian_tick,
-                                      sample_accepted_gap)
+from crosswalk_sim.pedestrian import CROSSING_CODE, DONE_CODE, pedestrian_tick, sample_accepted_gap
 from crosswalk_sim.pomdp import PomdpController, qmdp_solve
 from crosswalk_sim.simulator import (
     BatchState,
     Lane,
-    Scenario,
     TrialResult,
     plant_tick,
     run_batch,
@@ -22,7 +20,7 @@ from crosswalk_sim.simulator import (
     vehicle_pedestrian_distance,
 )
 
-from states import trial_state
+from states import SCENARIO, trial_state
 
 ALLOWED_TRANSITIONS = {
     ("Driving", "Yielding"),
@@ -176,27 +174,26 @@ class TestRunTrial:
 
 
 class TestSeededGaps:
-    def test_trial_i_draws_from_seed_plus_i(self, scenario_factory, gap_model):
-        sc = scenario_factory(seed=123)
-        gaps = seeded_gaps(sc, 10)
+    def test_trial_i_draws_from_seed_plus_i(self, gap_model):
+        gaps = seeded_gaps(gap_model, 123, 10)
         assert gaps == [sample_accepted_gap(gap_model, np.random.default_rng(123 + i))
                         for i in range(10)]
         assert all(type(g) is float for g in gaps)
-        assert seeded_gaps(replace(sc, seed=127), 6) == gaps[4:]
+        assert seeded_gaps(gap_model, 127, 6) == gaps[4:]
 
 
 class TestRunBatch:
     def test_deterministic_given_seed(self, scenario_factory, hybrid_for):
-        sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR, seed=123)
-        a = run_batch([sc], seeded_gaps(sc, 40), hybrid_for(sc))
-        b = run_batch([sc], seeded_gaps(sc, 40), hybrid_for(sc))
+        sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR)
+        a = run_batch([sc], seeded_gaps(sc.gap_model, 123, 40), hybrid_for(sc))
+        b = run_batch([sc], seeded_gaps(sc.gap_model, 123, 40), hybrid_for(sc))
         assert [(r.accepted_gap, r.min_distance, r.avg_velocity) for r in a] == [
             (r.accepted_gap, r.min_distance, r.avg_velocity) for r in b
         ]
 
     def test_seed_offsets_vary_gaps(self, scenario_factory, hybrid_for):
-        sc = scenario_factory(seed=0)
-        rs = run_batch([sc], seeded_gaps(sc, 10), hybrid_for(sc))
+        sc = scenario_factory()
+        rs = run_batch([sc], seeded_gaps(sc.gap_model, 0, 10), hybrid_for(sc))
         assert len({r.accepted_gap for r in rs}) > 1
 
     def test_sweep_values_exact(self, scenario_factory, hybrid_for):
@@ -227,17 +224,17 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("change", [
         {"dt": 0.1},
-        {"seed": 1},
-        {"gap_model": GapAcceptanceModel(mu_gap=3.0)},
+        {"initial_d": 40.0},
+        {"gap_model": replace(SCENARIO.gap_model, mu_gap=3.0)},
         {"t_delay_plant": 0.5},
         {"max_sim_time": 5.0},
     ])
     def test_scenarios_differ_only_in_quadrant(self, scenario_factory, hybrid_for, change):
-        # One batch has one clock, one seed base, one gap draw and one delay ring.
+        # One batch has one clock, one start, one gap model and one delay ring.
         sc = scenario_factory()
         other = replace(scenario_factory(lane=Lane.B, entry_side=EntrySide.FAR), **change)
         with pytest.raises(ValueError, match="lane and entry_side"):
-            run_batch([sc, other], seeded_gaps(sc, 3), hybrid_for(sc))
+            run_batch([sc, other], [2.0, 3.0, 4.0], hybrid_for(sc))
 
 
 @pytest.mark.xfail(strict=True, reason="known defect, ROADMAP item 5: the hybrid controller "
@@ -258,12 +255,12 @@ def preset_config(request):
 @pytest.fixture(scope="module")
 def preset_policy(preset_config):
     model = preset_config.pomdp_model()
-    return model, qmdp_solve(model)
+    return model, qmdp_solve(model, tol=preset_config.pomdp["tol"])
 
 
 @pytest.fixture(scope="module")
 def scalar_oracle():
-    """The lockstep engine's oracle: one scalar trial per seed, as run_batch seeds them.
+    """The lockstep engine's oracle: one scalar trial per gap.
 
     Memoised per (scenario, controller kind, gaps), so the per-quadrant tests
     and the all-quadrant test run each scalar loop once. The scenario names the
@@ -274,8 +271,7 @@ def scalar_oracle():
     def oracle(sc, gaps, controller):
         key = (sc, type(controller).__name__, tuple(gaps))
         if key not in cache:
-            cache[key] = [run_trial(replace(sc, seed=sc.seed + i), g, controller)
-                          for i, g in enumerate(gaps)]
+            cache[key] = [run_trial(sc, g, controller) for g in gaps]
         return cache[key]
 
     return oracle
@@ -322,8 +318,7 @@ class TestLockstepMatchesScalar:
     def test_sweep_and_seeded_batch(self, preset_config, controller, scalar_oracle, lane, side):
         sc = preset_config.scenario(lane=lane, side=side)
         assert_batch_matches_scalar([sc], SWEEP, controller, scalar_oracle)
-        seeded = replace(sc, seed=17)
-        assert_batch_matches_scalar([seeded], seeded_gaps(seeded, SEEDED), controller,
+        assert_batch_matches_scalar([sc], seeded_gaps(sc.gap_model, 17, SEEDED), controller,
                                     scalar_oracle)
 
     def test_sweep_reaches_hard_braking_overrun(self, preset_config, hybrid_for):
@@ -350,9 +345,8 @@ class TestLockstepMatchesScalar:
         # centre, on one clock, one delay ring and one set of gaps.
         quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
         assert_batch_matches_scalar(quadrants, SWEEP, controller, scalar_oracle)
-        seeded = [replace(sc, seed=17) for sc in quadrants]
-        assert_batch_matches_scalar(seeded, seeded_gaps(seeded[0], SEEDED), controller,
-                                    scalar_oracle)
+        assert_batch_matches_scalar(quadrants, seeded_gaps(quadrants[0].gap_model, 17, SEEDED),
+                                    controller, scalar_oracle)
         for override in OVERRIDES:
             assert_batch_matches_scalar([replace(sc, **override) for sc in quadrants], COARSE,
                                         controller, scalar_oracle)
@@ -447,6 +441,6 @@ class TestBatchIdentities:
             [x.hex() for x in want]
 
 
-def test_scenario_validation(geometry, params, gap_model):
+def test_scenario_validation(scenario_factory):
     with pytest.raises(ValueError):
-        Scenario(geometry=geometry, params=params, gap_model=gap_model, dt=0.0)
+        scenario_factory(dt=0.0)
