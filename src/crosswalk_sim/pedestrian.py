@@ -68,6 +68,32 @@ def sample_accepted_gap(model: GapAcceptanceModel, rng: np.random.Generator) -> 
     return max(model.min_gap, float(rng.normal(model.mu_gap, model.sigma_gap)))
 
 
+def arming_gap(v: np.ndarray, line: np.ndarray, past) -> np.ndarray:
+    """The least accepted gap that arms a waiting pedestrian this tick, for arrays
+    of vehicle speeds ``v`` and ``walking_line`` results ``line`` and ``past``.
+
+    It is -inf once the vehicle has stopped (``v <= 1e-9``, an infinite gap) or
+    passed (no conflict), which every pedestrian takes, whatever their gap. While
+    the vehicle approaches the walking line (``line > 0``) it is the time gap
+    ``line / v``, and otherwise inf: no gap arms. ``arms`` is the test against it.
+    """
+    least = np.where(line > 0.0, line / v, np.inf)
+    np.putmask(least, (v <= 1e-9) | past, -np.inf)
+    return least
+
+
+def arms(gap, least, max_trigger_gap: float):
+    """Whether a waiting pedestrian with accepted gap ``gap`` arms against
+    ``arming_gap``'s ``least``: every one at -inf, else one whose gap lies in
+    [least, max_trigger_gap]. Takes scalars or arrays.
+
+    With ``arming_gap`` this is the one arm rule of the lockstep engine and of
+    ``simulator.gap_classes``. ``pedestrian_tick`` spells the same rule inline,
+    to keep a call off each scalar tick.
+    """
+    return (least == -np.inf) | (gap <= max_trigger_gap) & (least <= gap)
+
+
 def pedestrian_tick(s: TrialState, model: GapAcceptanceModel, dt: float, line: float,
                     past: bool) -> None:
     """Advance the pedestrian by one time step against the current ego state.
@@ -85,7 +111,8 @@ def pedestrian_tick(s: TrialState, model: GapAcceptanceModel, dt: float, line: f
         if s.delay_left < 0.0:
             # A stopped vehicle offers an infinite gap and a passed one no
             # conflict: every pedestrian takes those. Otherwise the time gap to
-            # the walking line must have shrunk to the accepted one.
+            # the walking line must have shrunk to the accepted one. This is
+            # arming_gap and arms, inline.
             if not (s.v <= 1e-9 or past):
                 if s.gap > model.max_trigger_gap or line <= 0.0 or not line / s.v <= s.gap:
                     return
@@ -115,12 +142,7 @@ def pedestrian_tick_batch(s: BatchState, model: GapAcceptanceModel, dt: float,
     waiting = s.phase == WAITING_CODE
     if np.count_nonzero(waiting):
         unarmed = waiting & (s.delay_left < 0.0)
-        should_arm = (
-            (s.v <= 1e-9)
-            | past
-            | ~(s.gap > model.max_trigger_gap) & (line > 0.0) & (line / s.v <= s.gap)
-        )
-        armed = unarmed & should_arm
+        armed = unarmed & arms(s.gap, arming_gap(s.v, line, past), model.max_trigger_gap)
         counting = waiting & ~unarmed
         np.putmask(s.delay_left, armed, model.start_delay)
         np.putmask(s.delay_left, counting, s.delay_left - dt)

@@ -10,12 +10,18 @@ draw nothing themselves; ``seeded_gaps`` is the one seeded draw. Both hold a
 trial in one record, ``TrialState``: the same fields, names and integer codes,
 entry side included, so a controller keeps no per-trial state and serves every
 trial of a run. ``run_trial`` advances one trial in Python floats with
-branches; it serves single trials and traces. ``run_batch`` advances every
-trial of a batch at once in a lockstep NumPy engine (``BatchState``, the same
-fields as arrays) with masks, whose array expressions do the same IEEE
-operations in the same order as the scalar ones, so both give bitwise-equal
-results. One batch may span several quadrants (lane and entry side), each trial
-carrying its own.
+branches; it serves single trials and traces. ``run_batch`` advances a batch
+at once in a lockstep NumPy engine (``BatchState``, the same fields as arrays)
+with masks, whose array expressions do the same IEEE operations in the same
+order as the scalar ones, so both give bitwise-equal results. One batch may
+span several quadrants (lane and entry side), each row carrying its own.
+
+A lockstep row is a gap class, not a trial. A trial reads its accepted gap only
+in its waiting pedestrian's arm test, which no controller reads, so trials whose
+pedestrians arm on the same tick are the same trial but for ``accepted_gap``.
+``gap_classes`` finds those classes from one scalar reference trial per quadrant,
+and ``run_batch`` runs one row per (quadrant, class) and hands each trial its
+class's result, which is exact, not an approximation.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from .core import ControllerParams, EntrySide, WorldGeometry, require_finite_fields, whole_ticks
-from .pedestrian import (DONE_CODE, WAITING_CODE, GapAcceptanceModel, pedestrian_tick,
-                         pedestrian_tick_batch, sample_accepted_gap)
+from .pedestrian import (DONE_CODE, WAITING_CODE, GapAcceptanceModel, arming_gap, arms,
+                         pedestrian_tick, pedestrian_tick_batch, sample_accepted_gap)
 
 
 class Lane(Enum):
@@ -49,6 +55,9 @@ class Controller(Protocol):
     the mode at the start) and returns the command. ``step_batch`` is ``step``
     over the live trials of a lockstep batch: the same fields as the arrays of
     a ``BatchState``, and one command per trial.
+
+    Neither reads the trial's ``gap``: ``run_batch``'s gap classes rely on it,
+    since they hold the trials whose pedestrians arm on one tick to be one trial.
     """
 
     modes: tuple[str, ...]
@@ -304,20 +313,77 @@ def seeded_gaps(gap_model: GapAcceptanceModel, seed: int, n_trials: int) -> list
 
 
 def sweep_gaps(lo: float, step: float, hi: float) -> list[float]:
-    """Inclusive deterministic gap grid with exact decimal values."""
-    n = int(round((hi - lo) / step))
+    """Deterministic gap grid from ``lo`` in steps of ``step`` with exact decimal
+    values, up to ``hi`` inclusive: a last point within 1e-9 steps of ``hi`` counts
+    as ``hi``, so a step that divides the range ends the grid on it."""
+    n = math.floor((hi - lo) / step + 1e-9)
     return [round(lo + k * step, 10) for k in range(n + 1)]
 
 
-class BatchState(TrialState):
-    """The live trials of a lockstep batch: every ``TrialState`` field as an
-    array with one element per trial, plus the batch's own arrays.
+def class_edges(scenario: Scenario, controller: Controller) -> list[float]:
+    """The edges of ``gap_classes`` on ``scenario``: the record lows, in falling
+    order, of the time gap ``line / v`` (``line > 0``) that a waiting pedestrian
+    reads at each tick of a reference trial.
 
-    Plant: ``fifo``, a (trial, delay tick) ring of the commands not yet
-    applied. Metrics: ``min_distance``, ``v_sum``, ``peak_accel`` and
-    ``collision`` (this tick's). ``trial`` is each element's index in the
-    batch: trial i of ``scenarios[k]`` is element ``k * len(gaps) + i`` and has
-    gap ``gaps[i]``.
+    The reference is ``run_trial``'s trial whose pedestrian never arms on time
+    gap (an infinite accepted gap), ticked by the same controller ``step``,
+    ``plant_tick``, ``walking_line``, ``pedestrian_tick`` and distance. It ends
+    at the first tick that arms every pedestrian (the vehicle stopped or past),
+    which adds no edge, or after a collision or at the timeout, whose ticks do.
+    """
+    geometry, dt, model = scenario.geometry, scenario.dt, scenario.gap_model
+    s = TrialState(scenario, math.inf)
+    fifo = [0.0] * scenario.delay_ticks()
+    step = controller.step
+    lines: list[float] = []
+    speeds: list[float] = []
+    t = 0.0
+    tick = 0
+    while t < scenario.max_sim_time:
+        plant_tick(s, step(s, tick), dt, fifo, tick)
+        line, past = s.walking_line(geometry)
+        pedestrian_tick(s, model, dt, line, past)
+        if s.delay_left >= 0.0:  # armed: the vehicle has stopped or passed
+            break
+        lines.append(line)
+        speeds.append(s.v)
+        t += dt
+        tick += 1
+        if vehicle_pedestrian_distance(s, line) < scenario.collision_radius:
+            break
+    least = arming_gap(np.array(speeds), np.array(lines), False)
+    lowest_before = np.minimum.accumulate(np.concatenate(([np.inf], least)))[:-1]
+    return least[least < lowest_before].tolist()
+
+
+def gap_classes(scenario: Scenario, controller: Controller, gaps: Sequence[float]) -> list[int]:
+    """The class of each of ``gaps`` on ``scenario``: trials whose gaps share a
+    class differ in nothing but ``accepted_gap``.
+
+    A trial reads its gap only in the arm test of its waiting pedestrian (no
+    controller reads it), so its gap matters only through the tick where the
+    pedestrian arms. Until then every trial of the scenario is the reference
+    trial of ``class_edges``. A gap arms at the tick of the first edge at or
+    below it, so class j holds the gaps in [edges[j], edges[j - 1]), found by
+    bisection. The top class, ``len(edges)``, holds the gaps below every edge or
+    above ``max_trigger_gap``: they arm only once the vehicle stops or passes,
+    or never (a collision or a timeout first).
+    """
+    edges = class_edges(scenario, controller)
+    g = np.array(gaps, dtype=float)
+    j = np.searchsorted(-np.array(edges), -g)  # the first edge <= g, by bisection
+    least = np.append(edges, np.inf)[j]
+    return np.where(arms(g, least, scenario.gap_model.max_trigger_gap), j, len(edges)).tolist()
+
+
+class BatchState(TrialState):
+    """The live rows of a lockstep batch: every ``TrialState`` field as an
+    array with one element per row, plus the batch's own arrays.
+
+    Plant: ``fifo``, a (row, delay tick) ring of the commands not yet applied.
+    Metrics: ``min_distance``, ``v_sum``, ``peak_accel`` and ``collision``
+    (this tick's). ``trial`` is each element's index in ``rows``, whose row r
+    is one trial: the start of ``scenarios[rows[r][0]]`` with gap ``rows[r][1]``.
     """
 
     __slots__ = ("trial", "fifo", "min_distance", "v_sum", "peak_accel", "collision")
@@ -325,15 +391,15 @@ class BatchState(TrialState):
     # The arrays a finished trial's TrialResult is built from.
     RESULTS = ("min_distance", "v_sum", "peak_accel", "collision", "overrun", "d")
 
-    def __init__(self, scenarios: Sequence[Scenario], gaps: list[float]):
+    def __init__(self, scenarios: Sequence[Scenario], rows: Sequence[tuple[int, float]]):
         sc = scenarios[0]  # every field but lane and entry_side is shared
-        per_scenario = len(gaps)
-        n = len(scenarios) * per_scenario
+        which = [k for k, _ in rows]
         starts = [TrialState(q, 0.0) for q in scenarios]
         for name in TrialState.__slots__:
-            values = np.repeat([getattr(start, name) for start in starts], per_scenario)
+            values = np.array([getattr(start, name) for start in starts])[which]
             setattr(self, name, values.astype(np.int8) if name in ("phase", "mode") else values)
-        self.gap = np.tile(np.array(gaps, dtype=float), len(scenarios))
+        self.gap = np.array([g for _, g in rows], dtype=float)
+        n = len(rows)
         self.trial = np.arange(n)
         self.fifo = np.zeros((n, sc.delay_ticks()))
         self.min_distance = self.distance(self.walking_line(sc.geometry)[0])
@@ -394,9 +460,12 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     by ``controller``.
 
     The scenarios (a run's quadrants) may differ only in ``lane`` and
-    ``entry_side``. All trials of all scenarios advance together in the
-    lockstep engine, and each result is bitwise equal to ``run_trial`` on the
-    trial's own scenario and gap. Returns one block of results per
+    ``entry_side``. Each scenario's gaps fall into ``gap_classes``, and the
+    trials of one class are one trial but for ``accepted_gap``, so one lockstep
+    row per (scenario, class) runs, with the class's first gap in ``gaps``.
+    Every trial gets its row's result with its own ``accepted_gap`` and its own
+    ``mode_trace`` and ``safety_events`` lists, bitwise equal to ``run_trial``
+    on the trial's own scenario and gap. Returns one block of results per
     scenario, in order: trial i of ``scenarios[k]`` is at ``k * len(gaps) + i``.
     """
     if not scenarios:
@@ -409,14 +478,24 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     if not gaps:
         raise ValueError("need at least one gap")
 
+    rows: list[tuple[int, float]] = []  # (scenario index, the class's first gap)
+    trial_rows: list[int] = []  # each trial's row, in result order
+    for k, sc in enumerate(scenarios):
+        first: dict[int, int] = {}  # class -> row
+        for gap, cls in zip(gaps, gap_classes(sc, controller, gaps)):
+            if cls not in first:
+                first[cls] = len(rows)
+                rows.append((k, gap))
+            trial_rows.append(first[cls])
+
     geometry, dt = scenario.geometry, scenario.dt
-    s = BatchState(scenarios, gaps)
-    n_total = len(s.trial)
-    out = {name: np.zeros(n_total, dtype=getattr(s, name).dtype) for name in BatchState.RESULTS}
-    out["n_ticks"] = np.zeros(n_total, dtype=np.int64)
-    out["timed_out"] = np.zeros(n_total, dtype=bool)
+    s = BatchState(scenarios, rows)
+    n_rows = len(rows)
+    out = {name: np.zeros(n_rows, dtype=getattr(s, name).dtype) for name in BatchState.RESULTS}
+    out["n_ticks"] = np.zeros(n_rows, dtype=np.int64)
+    out["timed_out"] = np.zeros(n_rows, dtype=bool)
     modes = controller.modes
-    switches: list[tuple[int, float, str]] = []  # (trial, t, label)
+    switches: list[tuple[int, float, str]] = []  # (row, t, label)
     t = 0.0
     tick = 0
     # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
@@ -463,23 +542,23 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
             if np.count_nonzero(finished):
                 s.retire(finished, out, tick)
 
-    mode_traces: list[list[tuple[float, str]]] = [[(0.0, modes[0])] for _ in range(n_total)]
-    for k, t_switch, label in switches:
-        mode_traces[k].append((t_switch, label))
+    mode_traces: list[list[tuple[float, str]]] = [[(0.0, modes[0])] for _ in range(n_rows)]
+    for r, t_switch, label in switches:
+        mode_traces[r].append((t_switch, label))
     final = {name: values.tolist() for name, values in out.items()}  # Python scalars
+    final["avg_velocity"] = [v_sum / n_ticks if n_ticks else 0.0
+                             for v_sum, n_ticks in zip(final["v_sum"], final["n_ticks"])]
     results = []
-    for k in range(n_total):
-        i = k % len(gaps)
-        n_ticks = final["n_ticks"][k]
+    for r, gap in zip(trial_rows, gaps * len(scenarios)):
         results.append(TrialResult(
-            accepted_gap=gaps[i],
-            min_distance=final["min_distance"][k],
-            avg_velocity=final["v_sum"][k] / n_ticks if n_ticks else 0.0,
-            peak_accel=final["peak_accel"][k],
-            collision=final["collision"][k],
-            timed_out=final["timed_out"][k],
-            mode_trace=mode_traces[k],
-            safety_events=trial_events(final["overrun"][k], final["timed_out"][k]),
-            final_d=final["d"][k],
+            accepted_gap=gap,
+            min_distance=final["min_distance"][r],
+            avg_velocity=final["avg_velocity"][r],
+            peak_accel=final["peak_accel"][r],
+            collision=final["collision"][r],
+            timed_out=final["timed_out"][r],
+            mode_trace=mode_traces[r][:],
+            safety_events=trial_events(final["overrun"][r], final["timed_out"][r]),
+            final_d=final["d"][r],
         ))
     return results

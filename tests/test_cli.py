@@ -45,6 +45,12 @@ class TestSimulate:
         assert (out / "summary.csv").exists()
         assert (out / "resolved_config.ini").exists()
 
+    def test_sweep_stops_at_hi(self, tmp_path):
+        # 1:0.6:2 has no point at 2; the grid ends at 1.6, not at 2.2.
+        out = tmp_path / "run"
+        assert main(["simulate", "--sweep", "1:0.6:2", "--out", str(out)]) == 0
+        assert [r["accepted_gap_s"] for r in read_rows(out / "trials.csv")] == ["1", "1.6"]
+
     def test_summary_counts_every_trial(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--sweep", "8:0.5:12", "--out", str(out)]) == 0

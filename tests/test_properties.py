@@ -1,11 +1,13 @@
 """Property tests for the physical invariants of the plant, controller and pedestrian,
-for the lockstep batch engine's bitwise equality with scalar trials, and for the
-QMDP solver's bitwise equality with the plain (S, A) update.
+for the lockstep batch engine's bitwise equality with scalar trials, for the gap
+classes it runs, and for the QMDP solver's bitwise equality with the plain (S, A)
+update.
 
 Examples are derived from a fixed seed and no example database is kept, so
 every run checks the same cases.
 """
 
+import math
 import os
 import tempfile
 from dataclasses import replace
@@ -18,15 +20,17 @@ os.environ.setdefault(
 )
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from crosswalk_sim.core import EntrySide
 from crosswalk_sim.hybrid import HybridController
-from crosswalk_sim.pedestrian import pedestrian_tick
+from crosswalk_sim.pedestrian import WAITING_CODE, pedestrian_tick
 from crosswalk_sim.pomdp import PomdpController, qmdp_solve
-from crosswalk_sim.simulator import Lane, plant_tick, run_batch, run_trial
+from crosswalk_sim.simulator import (Lane, class_edges, gap_classes, plant_tick, run_batch,
+                                     run_trial)
 
 from qmdp_reference import dense_reference
 from states import CONFIG, SCENARIO, config_with, trial_state
@@ -139,6 +143,69 @@ def test_lockstep_batch_matches_scalar_trials(pomdp_model, solved_policy, params
     assert run_batch(scenarios, gaps, controller) == [
         replace(run_trial(sc, g, controller), trace=None) for sc in scenarios for g in gaps
     ]
+
+
+class ArmSpy:
+    """``inner``, noting the first tick whose step sees the pedestrian armed."""
+
+    def __init__(self, inner):
+        self.inner, self.modes, self.armed_at = inner, inner.modes, None
+
+    def step(self, s, tick):
+        if self.armed_at is None and (s.delay_left >= 0.0 or s.phase != WAITING_CODE):
+            self.armed_at = tick
+        return self.inner.step(s, tick)
+
+
+@pytest.fixture(scope="module")
+def preset_controllers():
+    """Per preset: its config and its hybrid and POMDP controllers."""
+    out = {}
+    for preset in (None, "experiment"):
+        config = config_with(preset)
+        sc, model = config.scenario(), config.pomdp_model()
+        out[preset] = (config, [
+            HybridController(sc.params, sc.geometry, dt=sc.dt),
+            PomdpController(model, qmdp_solve(model, tol=config.pomdp["tol"]), sim_dt=sc.dt),
+        ])
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    preset=st.sampled_from([None, "experiment"]),
+    policy=st.integers(0, 1),
+    lane=st.sampled_from(list(Lane)),
+    side=sides,
+    data=st.data(),
+)
+def test_gap_classes_are_exact(preset_controllers, preset, policy, lane, side, data):
+    # Trials whose gaps share a class differ only in accepted_gap (the trace is
+    # left out, as everywhere); trials in different classes arm on different ticks.
+    # The drawn gaps: an edge, the float below it, one more gap of the edge's class
+    # unless it lies above max_trigger_gap, and up to three anywhere.
+    config, controllers = preset_controllers[preset]
+    sc, controller = config.scenario(lane=lane.value, side=side.value), controllers[policy]
+    edges = class_edges(sc, controller)
+    cut = sc.gap_model.max_trigger_gap
+    j = data.draw(st.sampled_from([j for j, e in enumerate(edges) if e <= cut]))
+    upper = edges[j - 1] if j else math.inf
+    gaps = [edges[j], math.nextafter(edges[j], -math.inf),
+            data.draw(st.floats(edges[j], upper, exclude_max=True)),
+            *data.draw(st.lists(finite(0.5, 12.0), max_size=3))]
+    classes = gap_classes(sc, controller, gaps)
+    assert classes[0] != classes[1]
+    assert classes[2] == classes[0] or gaps[2] > cut
+    runs = []
+    for g in gaps:
+        spy = ArmSpy(controller)
+        runs.append((replace(run_trial(sc, g, spy), accepted_gap=0.0, trace=None), spy.armed_at))
+    for (a, a_armed), ca in zip(runs, classes):
+        for (b, b_armed), cb in zip(runs, classes):
+            if ca == cb:
+                assert a == b
+            else:
+                assert a_armed != b_armed
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

@@ -12,6 +12,7 @@ from crosswalk_sim.simulator import (
     BatchState,
     Lane,
     TrialResult,
+    class_edges,
     plant_tick,
     run_batch,
     run_trial,
@@ -182,6 +183,22 @@ class TestSeededGaps:
         assert seeded_gaps(gap_model, 127, 6) == gaps[4:]
 
 
+class TestSweepGaps:
+    def test_stops_at_hi(self):
+        assert sweep_gaps(1.0, 0.6, 2.0) == [1.0, 1.6]
+        assert sweep_gaps(1.0, 0.6, 2.1999) == [1.0, 1.6]
+        assert sweep_gaps(1.0, 0.6, 2.2) == [1.0, 1.6, 2.2]
+
+    @pytest.mark.parametrize("lo,step,hi,n", [
+        (0.5, 0.05, 10.0, 191), (0.5, 0.1, 10.0, 96), (0.5, 0.5, 10.0, 20), (1.0, 0.05, 1.4, 9),
+        (1.0, 1.0, 1.0, 1), (7.1, 0.1, 10.0, 30), (0.1, 0.1, 0.3, 3),
+    ])
+    def test_step_that_divides_the_range_ends_on_hi(self, lo, step, hi, n):
+        # (0.3 - 0.1) / 0.1 is 1.9999999999999998 in floats.
+        values = sweep_gaps(lo, step, hi)
+        assert len(values) == n and values[0] == lo and values[-1] == hi
+
+
 class TestRunBatch:
     def test_deterministic_given_seed(self, scenario_factory, hybrid_for):
         sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR)
@@ -302,6 +319,7 @@ SWEEP = sweep_gaps(0.5, 0.05, 10.0)
 SEEDED = 25  # trials drawn by seeded_gaps from seed 17
 COARSE = sweep_gaps(0.5, 0.5, 10.0)
 OVERRIDES = [{"max_sim_time": 5.0}, {"collision_radius": 4.0}]
+SHORT = sweep_gaps(0.05, 0.05, 1.0)  # below min_gap too: a trial takes any gap
 
 
 class TestLockstepMatchesScalar:
@@ -352,6 +370,109 @@ class TestLockstepMatchesScalar:
                                         controller, scalar_oracle)
 
 
+@pytest.fixture(params=["hybrid", "pomdp"])
+def preset_controller(request, preset_config, preset_policy, hybrid_for):
+    sc = preset_config.scenario()
+    if request.param == "hybrid":
+        return hybrid_for(sc)
+    return PomdpController(*preset_policy, sim_dt=sc.dt)
+
+
+def edge_gaps(sc, controller, stride):
+    """Every ``stride``-th class edge of ``sc`` at or below ``max_trigger_gap``, and
+    the last one, each with the floats on either side of it."""
+    edges = [e for e in class_edges(sc, controller) if e <= sc.gap_model.max_trigger_gap]
+    return [g for e in edges[::stride] + edges[-1:]
+            for g in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+
+
+class TestLockstepClassEdges:
+    """run_batch's gap classes against the scalar oracle where two classes meet."""
+
+    @pytest.mark.parametrize("lane,side", QUADRANTS)
+    def test_edges_and_trigger_cut(self, preset_config, preset_controller, scalar_oracle, lane,
+                                   side):
+        sc = preset_config.scenario(lane=lane, side=side)
+        cut = sc.gap_model.max_trigger_gap
+        gaps = edge_gaps(sc, preset_controller, 8) + [cut, math.nextafter(cut, math.inf)]
+        assert_batch_matches_scalar([sc], gaps, preset_controller, scalar_oracle)
+
+    @pytest.mark.parametrize("override", OVERRIDES)
+    def test_zero_start_delay(self, preset_config, preset_controller, scalar_oracle, override):
+        # The pedestrian moves on the tick it arms, before that tick's distance
+        # check, so one that arms on the tick a reference trial collides escapes
+        # that collision. The short gaps arm close to the vehicle. A radius of
+        # 4 m reaches a waiting pedestrian in some quadrants only.
+        for lane, side in QUADRANTS:
+            sc = replace(preset_config.scenario(lane=lane, side=side), **override)
+            sc = replace(sc, gap_model=replace(sc.gap_model, start_delay=0.0))
+            gaps = edge_gaps(sc, preset_controller, 16) + SHORT + COARSE
+            assert_batch_matches_scalar([sc], gaps, preset_controller, scalar_oracle)
+
+    @pytest.mark.parametrize("override", OVERRIDES)
+    def test_edges_under_timeouts_and_collisions(self, preset_config, preset_controller,
+                                                 scalar_oracle, override):
+        # A radius of 4 m reaches a waiting pedestrian, so a reference trial can
+        # end in a collision before it arms; 5 s can end it in a timeout.
+        for lane, side in QUADRANTS:
+            sc = replace(preset_config.scenario(lane=lane, side=side), **override)
+            gaps = edge_gaps(sc, preset_controller, 16) + COARSE[::4]  # 5 s may reach no edge
+            assert_batch_matches_scalar([sc], gaps, preset_controller, scalar_oracle)
+
+    def test_duplicate_gaps(self, preset_config, preset_controller, scalar_oracle):
+        quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
+        edge = edge_gaps(quadrants[0], preset_controller, 1)[1]
+        gaps = [3.0, 2.0, 3.0, edge, 3.0, edge, 11.0, 2.0, 11.0]
+        batch = assert_batch_matches_scalar(quadrants, gaps, preset_controller, scalar_oracle)
+        assert len({id(r.mode_trace) for r in batch}) == len(batch)  # each trial its own list
+
+
+class SealedGap:
+    """``inner`` with the stepped trials' ``gap`` unset, so that reading it raises
+    AttributeError."""
+
+    def __init__(self, inner):
+        self.inner, self.modes = inner, inner.modes
+
+    def step(self, s, tick):
+        return self.sealed(self.inner.step, s, tick)
+
+    def step_batch(self, s, tick):
+        return self.sealed(self.inner.step_batch, s, tick)
+
+    @staticmethod
+    def sealed(step, s, tick):
+        gap = s.gap
+        del s.gap
+        try:
+            return step(s, tick)
+        finally:
+            s.gap = gap
+
+
+def test_controllers_never_read_gap(preset_config, preset_controller):
+    # run_batch's gap classes rely on it: only the pedestrian's arm test reads a trial's gap.
+    quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
+    sealed = SealedGap(preset_controller)
+    assert [run_trial(quadrants[0], g, sealed) for g in COARSE] == \
+        [run_trial(quadrants[0], g, preset_controller) for g in COARSE]
+    assert run_batch(quadrants, COARSE, sealed) == run_batch(quadrants, COARSE, preset_controller)
+
+
+def test_sealed_gap_raises_when_read(scenario_factory):
+    class Reader:
+        modes = ("reader",)
+
+        def step(self, s, tick):
+            return 0.0 * s.gap
+
+        step_batch = step
+
+    for run in (run_trial, lambda sc, g, c: run_batch([sc], [g], c)):
+        with pytest.raises(AttributeError):
+            run(scenario_factory(), 2.0, SealedGap(Reader()))
+
+
 class TestBatchIdentities:
     """The exact rewrites that ``TrialState`` makes of the paper's per-side and
     vehicle-position tests, which both engines use, checked element by element
@@ -364,7 +485,7 @@ class TestBatchIdentities:
         # One element per (side, value): the near-side trials, then the far-side ones.
         def make(values):
             scenarios = [scenario_factory(entry_side=side) for side in self.SIDES]
-            s = BatchState(scenarios, [2.0] * len(values))
+            s = BatchState(scenarios, [(k, 2.0) for k in range(len(scenarios)) for _ in values])
             sides = [side for side in self.SIDES for _ in values]
             return s, sides, [*values, *values]
 
