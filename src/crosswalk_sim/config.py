@@ -244,7 +244,12 @@ Layer = dict[str, dict[str, object]]
 
 def _file_layer(path: Path) -> Layer:
     parser = configparser.ConfigParser(interpolation=None)
-    if not parser.read(path):
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages span several lines; a config error is one.
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
+    if not found:
         raise ConfigError(f"config file not found: {path}")
     return {name: dict(parser.items(name)) for name in parser.sections()}
 

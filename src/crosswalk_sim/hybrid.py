@@ -4,7 +4,7 @@ Each trial holds one of four discrete modes, as a code in its
 ``TrialState``; once per tick the controller maps that mode and the current
 vehicle and pedestrian states to a new mode and an acceleration command. The
 controller itself keeps no per-trial state: ``step`` ticks one trial with
-branches, ``step_batch`` the trials of a lockstep batch with masks. Mode
+branches, ``step_batch`` the rows of a lockstep batch with masks. Mode
 commands are feedback-feedforward: a desired acceleration plus a
 proportional correction toward a desired velocity profile.
 """
@@ -34,7 +34,7 @@ def in_crosswalk(s: TrialState, geometry: WorldGeometry) -> bool:
     legally relevant span, even while still on the sidewalk, and stops
     counting once past the end of that span. Someone standing still inside
     the span keeps holding the vehicle; someone walking away never
-    triggers it. Takes one trial or the trials of a lockstep batch (then
+    triggers it. Takes one trial or the rows of a lockstep batch (then
     returns a mask).
     """
     c = s.span_coord()
@@ -179,12 +179,13 @@ class HybridController:
         return _clamp(a, -p.a_max, p.a_cmf)
 
     def step_batch(self, s: BatchState, tick: int) -> np.ndarray:
-        """``step`` for every live trial of a lockstep batch; returns the commands.
+        """``step`` for every row of a lockstep batch; returns the commands.
 
         The mode blocks run as masked blocks in the order of ``step``, so the
         same-tick cascade holds, and each array expression does the same IEEE
         operations in the same order as its scalar counterpart. The start
-        state is all zeros: Driving, nothing latched, no overrun.
+        state is all zeros: Driving, nothing latched, no overrun. A finished
+        row ticks on as its scalar trial would, so ``step`` accepts its state.
         """
         p, geo = self.params, self.geometry
         d, v, mode = s.d, s.v, s.mode

@@ -10,7 +10,7 @@ Once crossing, the walk is constant-speed and is never aborted.
 A pedestrian's state is the ``x_p``, ``xdot_p``, ``phase``, ``delay_left``
 and ``gap`` fields of the trial's ``TrialState``, with the entry side as its
 ``sgn`` / ``lim`` constants. ``pedestrian_tick`` advances one trial with
-branches and ``pedestrian_tick_batch`` the trials of a lockstep batch with
+branches and ``pedestrian_tick_batch`` the rows of a lockstep batch with
 masks.
 """
 
@@ -132,12 +132,12 @@ def pedestrian_tick(s: TrialState, model: GapAcceptanceModel, dt: float, line: f
 
 def pedestrian_tick_batch(s: BatchState, model: GapAcceptanceModel, dt: float,
                           line: np.ndarray, past: np.ndarray) -> None:
-    """``pedestrian_tick`` for every live trial of a lockstep batch, in place.
+    """``pedestrian_tick`` for every row of a lockstep batch, in place.
 
     ``line`` and ``past`` are ``BatchState.walking_line`` of this tick. Each
     masked block does the same IEEE operations as the scalar branch it
     replaces, so every pedestrian follows its scalar path bit for bit; the
-    walk direction and the done test follow each trial's entry side.
+    walk direction and the done test follow each row's entry side.
     """
     waiting = s.phase == WAITING_CODE
     if np.count_nonzero(waiting):

@@ -81,6 +81,8 @@ class PomdpModel:
             raise ValueError("discount must lie in [0, 1)")
         if n_v_bins < 2 or n_d_bins < 2 or not actions:
             raise ValueError("grids must be non-empty")
+        if len(set(actions)) != len(actions):  # -0.0 == 0.0
+            raise ValueError(f"actions must not repeat, got {actions!r}")
         if d_range[1] <= d_range[0]:
             raise ValueError("inconsistent d_range")
 
@@ -351,10 +353,11 @@ class PomdpController:
         return self.commands[s.a_prev_idx]
 
     def step_batch(self, s: BatchState, tick: int) -> np.ndarray:
-        """``step`` for every live trial of a lockstep batch; returns the commands.
+        """``step`` for every row of a lockstep batch; returns the commands.
 
-        Every trial starts at tick 0, so the decision ticks line up and each
-        decision is one gather from the greedy table.
+        Every row starts at tick 0, so the decision ticks line up and each
+        decision is one gather from the greedy table. The bins clamp to the
+        grid, so a finished row that ticks on still indexes the table.
         """
         m = self.model
         if tick == 0:

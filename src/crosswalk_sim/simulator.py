@@ -21,7 +21,8 @@ in its waiting pedestrian's arm test, which no controller reads, so trials whose
 pedestrians arm on the same tick are the same trial but for ``accepted_gap``.
 ``gap_classes`` finds those classes from one scalar reference trial per quadrant,
 and ``run_batch`` runs one row per (quadrant, class) and hands each trial its
-class's result, which is exact, not an approximation.
+class's result, which is exact, not an approximation. Rows never move: a row's
+results are taken on the tick it finishes, and it then ticks on unread.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ class Controller(Protocol):
     ``TrialState`` at tick ``tick`` (0 at the trial's start), updates the
     controller fields there (``mode``, an index into ``modes``, whose code 0 is
     the mode at the start) and returns the command. ``step_batch`` is ``step``
-    over the live trials of a lockstep batch: the same fields as the arrays of
-    a ``BatchState``, and one command per trial.
+    over the rows of a lockstep batch: the same fields as the arrays of a
+    ``BatchState``, and one command per row. It also runs on finished rows, so
+    it must accept any state a finished row reaches.
 
     Neither reads the trial's ``gap``: ``run_batch``'s gap classes rely on it,
     since they hold the trials whose pedestrians arm on one tick to be one trial.
@@ -135,7 +137,7 @@ class TrialState:
     """One trial's state, in the one encoding both engines use.
 
     ``run_trial`` holds a trial in Python floats, ints and bools; a
-    ``BatchState`` holds the same fields as arrays, one element per trial, and
+    ``BatchState`` holds the same fields as arrays, one element per row, and
     the methods below serve both.
 
     Vehicle: ``d``, ``v`` and ``x_v`` (the lane centre). Pedestrian: ``x_p``,
@@ -377,72 +379,44 @@ def gap_classes(scenario: Scenario, controller: Controller, gaps: Sequence[float
 
 
 class BatchState(TrialState):
-    """The live rows of a lockstep batch: every ``TrialState`` field as an
-    array with one element per row, plus the batch's own arrays.
-
-    Plant: ``fifo``, a (row, delay tick) ring of the commands not yet applied.
-    Metrics: ``min_distance``, ``v_sum``, ``peak_accel`` and ``collision``
-    (this tick's). ``trial`` is each element's index in ``rows``, whose row r
-    is one trial: the start of ``scenarios[rows[r][0]]`` with gap ``rows[r][1]``.
+    """The rows of a lockstep batch: every ``TrialState`` field as an array with
+    one element per row, and nothing else. Row r is the start of
+    ``scenarios[rows[r][0]]`` with gap ``rows[r][1]``. Rows never move: a
+    finished row ticks on with the others, and nothing reads it.
     """
 
-    __slots__ = ("trial", "fifo", "min_distance", "v_sum", "peak_accel", "collision")
-    ARRAYS = TrialState.__slots__ + __slots__
-    # The arrays a finished trial's TrialResult is built from.
-    RESULTS = ("min_distance", "v_sum", "peak_accel", "collision", "overrun", "d")
+    __slots__ = ()
 
     def __init__(self, scenarios: Sequence[Scenario], rows: Sequence[tuple[int, float]]):
-        sc = scenarios[0]  # every field but lane and entry_side is shared
         which = [k for k, _ in rows]
         starts = [TrialState(q, 0.0) for q in scenarios]
         for name in TrialState.__slots__:
             values = np.array([getattr(start, name) for start in starts])[which]
             setattr(self, name, values.astype(np.int8) if name in ("phase", "mode") else values)
         self.gap = np.array([g for _, g in rows], dtype=float)
-        n = len(rows)
-        self.trial = np.arange(n)
-        self.fifo = np.zeros((n, sc.delay_ticks()))
-        self.min_distance = self.distance(self.walking_line(sc.geometry)[0])
-        self.v_sum = np.zeros(n)
-        self.peak_accel = np.zeros(n)
-        self.collision = np.zeros(n, dtype=bool)
 
     def distance(self, line: np.ndarray) -> np.ndarray:
         """``vehicle_pedestrian_distance`` on arrays, given ``walking_line``'s ``line``."""
         dx = self.x_p - self.x_v
         return np.sqrt(dx * dx + line * line)
 
-    def retire(self, finished: np.ndarray, out: dict[str, np.ndarray], tick: int) -> None:
-        """Copy the ``RESULTS`` of the ``finished`` trials into ``out`` and drop them.
-
-        They ran ``tick`` ticks, and ``n_ticks`` counts all but a colliding one.
-        The integer indices are found once and serve every gather.
-        """
-        done = np.flatnonzero(finished)
-        idx = self.trial[done]
-        for name in self.RESULTS:
-            out[name][idx] = getattr(self, name)[done]
-        out["n_ticks"][idx] = tick - self.collision[done]
-        live = np.flatnonzero(~finished)
-        for name in self.ARRAYS:
-            setattr(self, name, getattr(self, name)[live])
-
 
 # Tick primitives: np.count_nonzero, never .any(); np.putmask, never copyto(where=) or mask stores.
 
 
-def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, dt: float, tick: int) -> None:
-    """``plant_tick`` for every live trial of a lockstep batch, in place.
+def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, dt: float, fifo: np.ndarray,
+                     tick: int) -> None:
+    """``plant_tick`` for every row of a lockstep batch, in place.
 
-    Every trial starts at tick 0, so the delay ring has one shared head. A
-    trial stops inside the step when ``v + a * dt < 0.0``, which with
-    ``v >= 0.0`` implies the scalar test's ``a < 0.0``.
+    ``fifo`` is the same ring as a (delay tick, row) array: every row starts at
+    tick 0, so the ring has one head. A row stops inside the step when
+    ``v + a * dt < 0.0``, which with ``v >= 0.0`` implies the scalar test's
+    ``a < 0.0``.
     """
-    n_delay = s.fifo.shape[1]
-    if n_delay:
-        head = tick % n_delay
-        a = s.fifo[:, head].copy()
-        s.fifo[:, head] = commanded_a
+    if len(fifo):
+        head = tick % len(fifo)
+        a = fifo[head].copy()
+        fifo[head] = commanded_a
     else:
         a = commanded_a
     d, v = s.d, s.v
@@ -463,10 +437,12 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     ``entry_side``. Each scenario's gaps fall into ``gap_classes``, and the
     trials of one class are one trial but for ``accepted_gap``, so one lockstep
     row per (scenario, class) runs, with the class's first gap in ``gaps``.
-    Every trial gets its row's result with its own ``accepted_gap`` and its own
-    ``mode_trace`` and ``safety_events`` lists, bitwise equal to ``run_trial``
-    on the trial's own scenario and gap. Returns one block of results per
-    scenario, in order: trial i of ``scenarios[k]`` is at ``k * len(gaps) + i``.
+    A row's results are taken on the tick it finishes (done and past, a
+    collision or the timeout), and it then ticks on unread. Every trial gets
+    its row's result with its own ``accepted_gap`` and its own ``mode_trace``
+    and ``safety_events`` lists, bitwise equal to ``run_trial`` on the trial's
+    own scenario and gap. Returns one block of results per scenario, in order:
+    trial i of ``scenarios[k]`` is at ``k * len(gaps) + i``.
     """
     if not scenarios:
         raise ValueError("need at least one scenario")
@@ -491,9 +467,17 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     geometry, dt = scenario.geometry, scenario.dt
     s = BatchState(scenarios, rows)
     n_rows = len(rows)
-    out = {name: np.zeros(n_rows, dtype=getattr(s, name).dtype) for name in BatchState.RESULTS}
-    out["n_ticks"] = np.zeros(n_rows, dtype=np.int64)
-    out["timed_out"] = np.zeros(n_rows, dtype=bool)
+    fifo = np.zeros((scenario.delay_ticks(), n_rows))
+    min_distance = s.distance(s.walking_line(geometry)[0])
+    v_sum = np.zeros(n_rows)
+    peak_accel = np.zeros(n_rows)
+    collision = np.zeros(n_rows, dtype=bool)  # this tick's
+    # Each row's results, written on the tick it finishes.
+    out = {name: np.zeros(n_rows, dtype=dtype) for name, dtype in (
+        ("min_distance", float), ("v_sum", float), ("peak_accel", float), ("collision", bool),
+        ("overrun", bool), ("d", float), ("n_ticks", np.int64), ("timed_out", bool))}
+    live = np.ones(n_rows, dtype=bool)
+    n_live = n_rows
     modes = controller.modes
     switches: list[tuple[int, float, str]] = []  # (row, t, label)
     t = 0.0
@@ -501,64 +485,69 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
     # a root of a negative number. An overflow that counts is inf, as in Python.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while len(s.trial):
+        while n_live:
             if t >= scenario.max_sim_time:
-                out["timed_out"][s.trial] = True
-                s.retire(np.ones(len(s.trial), dtype=bool), out, tick)
-                break
-            before = s.mode.copy() if len(modes) > 1 else None
-            a_cmd = controller.step_batch(s, tick)
-            if before is not None:
-                changed = s.mode != before
-                if np.count_nonzero(changed):
-                    for k in np.flatnonzero(changed).tolist():
-                        switches.append((int(s.trial[k]), t, modes[s.mode[k]]))
-            v_before = s.v
-            plant_tick_batch(s, a_cmd, dt, tick)
-            a_actual = (s.v - v_before) / dt
-            line, past = s.walking_line(geometry)
-            pedestrian_tick_batch(s, scenario.gap_model, dt, line, past)
-            t += dt
-            tick += 1
-
-            # Neither operand of np.minimum / np.maximum is ever -0.0 (a root
-            # and an absolute value), so each is the scalar ``if x < m: m = x``.
-            dist = s.distance(line)
-            np.minimum(s.min_distance, dist, out=s.min_distance)
-            s.collision = dist < scenario.collision_radius
-            collided = np.count_nonzero(s.collision)
-            accel = np.abs(a_actual)
-            if collided:  # a colliding trial's last tick is not counted
-                counted = ~s.collision
-                np.add(s.v_sum, s.v, out=s.v_sum, where=counted)
-                np.maximum(s.peak_accel, accel, out=s.peak_accel, where=counted)
+                finished = out["timed_out"] = live.copy()
             else:
-                s.v_sum += s.v
-                np.maximum(s.peak_accel, accel, out=s.peak_accel)
+                before = s.mode.copy() if len(modes) > 1 else None
+                a_cmd = controller.step_batch(s, tick)
+                if before is not None:
+                    changed = (s.mode != before) & live
+                    if np.count_nonzero(changed):
+                        for r in np.flatnonzero(changed).tolist():
+                            switches.append((r, t, modes[s.mode[r]]))
+                v_before = s.v
+                plant_tick_batch(s, a_cmd, dt, fifo, tick)
+                a_actual = (s.v - v_before) / dt
+                line, past = s.walking_line(geometry)
+                pedestrian_tick_batch(s, scenario.gap_model, dt, line, past)
+                t += dt
+                tick += 1
 
-            finished = (s.phase == DONE_CODE) & past
-            if collided:
-                finished |= s.collision
-            if np.count_nonzero(finished):
-                s.retire(finished, out, tick)
+                # Neither operand of np.minimum / np.maximum is ever -0.0 (a root
+                # and an absolute value), so each is the scalar ``if x < m: m = x``.
+                dist = s.distance(line)
+                np.minimum(min_distance, dist, out=min_distance)
+                collision = dist < scenario.collision_radius
+                collided = np.count_nonzero(collision)
+                accel = np.abs(a_actual)
+                if collided:  # a colliding row's last tick is not counted
+                    counted = ~collision
+                    np.add(v_sum, s.v, out=v_sum, where=counted)
+                    np.maximum(peak_accel, accel, out=peak_accel, where=counted)
+                else:
+                    v_sum += s.v
+                    np.maximum(peak_accel, accel, out=peak_accel)
+
+                finished = (s.phase == DONE_CODE) & past
+                if collided:
+                    finished |= collision
+                finished &= live
+                if not np.count_nonzero(finished):
+                    continue
+            # Their finishing tick: ``n_ticks`` counts all but a colliding one.
+            for name, values in (("min_distance", min_distance), ("v_sum", v_sum),
+                                 ("peak_accel", peak_accel), ("collision", collision),
+                                 ("overrun", s.overrun), ("d", s.d)):
+                np.putmask(out[name], finished, values)
+            np.putmask(out["n_ticks"], finished, tick - collision)
+            live &= ~finished
+            n_live = np.count_nonzero(live)
 
     mode_traces: list[list[tuple[float, str]]] = [[(0.0, modes[0])] for _ in range(n_rows)]
     for r, t_switch, label in switches:
         mode_traces[r].append((t_switch, label))
     final = {name: values.tolist() for name, values in out.items()}  # Python scalars
-    final["avg_velocity"] = [v_sum / n_ticks if n_ticks else 0.0
-                             for v_sum, n_ticks in zip(final["v_sum"], final["n_ticks"])]
-    results = []
-    for r, gap in zip(trial_rows, gaps * len(scenarios)):
-        results.append(TrialResult(
-            accepted_gap=gap,
-            min_distance=final["min_distance"][r],
-            avg_velocity=final["avg_velocity"][r],
-            peak_accel=final["peak_accel"][r],
-            collision=final["collision"][r],
-            timed_out=final["timed_out"][r],
-            mode_trace=mode_traces[r][:],
-            safety_events=trial_events(final["overrun"][r], final["timed_out"][r]),
-            final_d=final["d"][r],
-        ))
-    return results
+    final["avg_velocity"] = [total / n if n else 0.0
+                             for total, n in zip(final["v_sum"], final["n_ticks"])]
+    return [TrialResult(
+        accepted_gap=gap,
+        min_distance=final["min_distance"][r],
+        avg_velocity=final["avg_velocity"][r],
+        peak_accel=final["peak_accel"][r],
+        collision=final["collision"][r],
+        timed_out=final["timed_out"][r],
+        mode_trace=mode_traces[r][:],
+        safety_events=trial_events(final["overrun"][r], final["timed_out"][r]),
+        final_d=final["d"][r],
+    ) for r, gap in zip(trial_rows, gaps * len(scenarios))]

@@ -123,6 +123,8 @@ class TestSimulate:
             ("CWSIM_CONTROLLER__V_SPEEDLIMIT", "0", ["solve-pomdp"]),
             ("CWSIM_CONTROLLER__V_SPEEDLIMIT", "-2", ["solve-pomdp"]),
             ("CWSIM_RUN__SEED", "-1", ["replay", "--gap", "3"]),
+            ("CWSIM_POMDP__ACTIONS", "-4,-4,0", ["solve-pomdp"]),
+            ("CWSIM_POMDP__ACTIONS", "0,-0", ["solve-pomdp"]),
         ],
     )
     def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):
@@ -137,6 +139,25 @@ class TestSimulate:
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []  # rejected before any output or cache is written
+
+    @pytest.mark.parametrize("text", [
+        b"k_s = 1\n",  # no section header
+        b"[controller]\nk_s\n",  # a line with no =
+        b"[controller]\nk_s = 1\nk_s = 2\n",  # a repeated key
+        b"[controller]\nk_s = 1\n[controller]\na_cmf = 1\n",  # a repeated section
+        b"[controller]\nk_s = \xff\n",  # not UTF-8
+    ], ids=["no-header", "no-equals", "repeated-key", "repeated-section", "not-utf8"])
+    def test_malformed_config_file_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, text):
+        config = tmp_path / "bad.ini"
+        config.write_bytes(text)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["simulate", "--config", str(config), "--trials", "3", "--out", "out"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(work.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["solve-pomdp"], ["compare", "--trials", "5"],
                                       ["simulate", "--controller", "pomdp", "--trials", "3"]])
