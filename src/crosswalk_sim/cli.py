@@ -176,9 +176,11 @@ def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Seque
     """Run every method on every (side, lane) quadrant and write the trial tables.
 
     The gaps (the sweep, else one seeded draw from the shared base seed) are
-    fixed once per run, so every method and quadrant sees the same ones. Each
-    method is one lockstep ``run_batch`` call over all quadrants. The tables and
-    the returned cells and trials list the trials by (side, lane), then method.
+    fixed once per run, so every method and quadrant sees the same ones. One
+    lockstep ``run_batch`` call runs every method on every quadrant; trial i of
+    quadrant k under ``methods[j]`` is its result ``(j * len(quadrants) + k) * n + i``
+    for n gaps. The tables and the returned cells and trials list the trials by
+    (side, lane), then method.
     """
     _output_path(out_dir, directory=True)
     scenarios = [config.scenario(lane=lane, side=side) for side, lane in quadrants]
@@ -190,10 +192,10 @@ def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Seque
     controllers = dict(_controller(config, method, scenarios[0]) for method in methods)
     write_config_echo(config, out_dir)
 
-    results = {method: run_batch(scenarios, gaps, controller)
-               for method, controller in controllers.items()}
-    batches = {(s.entry_side.value, s.lane.value, method): results[method][k * n:(k + 1) * n]
-               for k, s in enumerate(scenarios) for method in controllers}
+    results = run_batch(scenarios, gaps, *controllers.values())
+    batches = {(s.entry_side.value, s.lane.value, method):
+               results[(j * len(scenarios) + k) * n:(j * len(scenarios) + k + 1) * n]
+               for k, s in enumerate(scenarios) for j, method in enumerate(controllers)}
     table = write_trials_csv(out_dir / "trials.csv", batches)
     write_summary_csv(out_dir / "summary.csv", table)
     return table, [r for batch in batches.values() for r in batch]

@@ -244,13 +244,16 @@ Layer = dict[str, dict[str, object]]
 
 def _file_layer(path: Path) -> Layer:
     parser = configparser.ConfigParser(interpolation=None)
-    try:
-        found = parser.read(path, encoding="utf-8")
+    try:  # ConfigParser.read would skip a file it cannot open, a directory included
+        with open(path, encoding="utf-8") as f:
+            parser.read_file(f, source=os.fspath(path))
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         # configparser's messages span several lines; a config error is one.
         raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
-    if not found:
-        raise ConfigError(f"config file not found: {path}")
     return {name: dict(parser.items(name)) for name in parser.sections()}
 
 

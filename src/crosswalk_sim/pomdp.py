@@ -364,7 +364,8 @@ class PomdpController:
             s.a_prev_idx[:] = m.a_bin(0.0)  # start
         if tick % self.hold_ticks == 0:
             c = in_crosswalk(s, m.geometry)
-            s.a_prev_idx = self.greedy[m.state_index(m.v_bin(s.v), c, m.d_bin(s.d), s.a_prev_idx)]
+            state = m.state_index(m.v_bin(s.v), c, m.d_bin(s.d), s.a_prev_idx)
+            s.a_prev_idx[:] = self.greedy[state]
         return m.a_grid[s.a_prev_idx]
 
 

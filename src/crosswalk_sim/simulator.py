@@ -5,7 +5,7 @@ optional actuation delay, and one gap-acceptance pedestrian, all advanced
 at a fixed tick. Trials are independently seeded, so batches are
 reproducible and order-independent.
 
-Both engines take their gaps and their controller from the caller and
+Both engines take their gaps and their controllers from the caller and
 draw nothing themselves; ``seeded_gaps`` is the one seeded draw. Both hold a
 trial in one record, ``TrialState``: the same fields, names and integer codes,
 entry side included, so a controller keeps no per-trial state and serves every
@@ -14,7 +14,8 @@ branches; it serves single trials and traces. ``run_batch`` advances a batch
 at once in a lockstep NumPy engine (``BatchState``, the same fields as arrays)
 with masks, whose array expressions do the same IEEE operations in the same
 order as the scalar ones, so both give bitwise-equal results. One batch may
-span several quadrants (lane and entry side), each row carrying its own.
+span several quadrants (lane and entry side), each row carrying its own, and
+several controllers, each stepping its own block of rows.
 
 A lockstep row is a gap class, not a trial. A trial reads its accepted gap only
 in its waiting pedestrian's arm test, which no controller reads, so trials whose
@@ -57,6 +58,10 @@ class Controller(Protocol):
     over the rows of a lockstep batch: the same fields as the arrays of a
     ``BatchState``, and one command per row. It also runs on finished rows, so
     it must accept any state a finished row reaches.
+
+    ``step_batch`` writes its fields in place and never rebinds them, since
+    ``run_batch`` hands it a view of its controller's rows of a larger batch
+    (``BatchState.rows``). It is not called once none of those rows is live.
 
     Neither reads the trial's ``gap``: ``run_batch``'s gap classes rely on it,
     since they hold the trials whose pedestrians arm on one tick to be one trial.
@@ -395,6 +400,15 @@ class BatchState(TrialState):
             setattr(self, name, values.astype(np.int8) if name in ("phase", "mode") else values)
         self.gap = np.array([g for _, g in rows], dtype=float)
 
+    def rows(self, lo: int, hi: int) -> BatchState:
+        """Rows ``lo`` to ``hi`` as a batch of their own whose fields are the
+        views ``arr[lo:hi]``: an in-place write to a field writes this batch,
+        while a rebound field no longer does."""
+        view = object.__new__(BatchState)
+        for name in TrialState.__slots__:
+            setattr(view, name, getattr(self, name)[lo:hi])
+        return view
+
     def distance(self, line: np.ndarray) -> np.ndarray:
         """``vehicle_pedestrian_distance`` on arrays, given ``walking_line``'s ``line``."""
         dx = self.x_p - self.x_v
@@ -429,21 +443,28 @@ def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, dt: float, fifo: np
 
 
 def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
-              controller: Controller) -> list[TrialResult]:
-    """Run trial i with accepted gap ``gaps[i]`` in every scenario, all driven
-    by ``controller``.
+              *controllers: Controller) -> list[TrialResult]:
+    """Run trial i with accepted gap ``gaps[i]`` in every scenario under each of
+    ``controllers``, all in one lockstep batch on one clock.
 
     The scenarios (a run's quadrants) may differ only in ``lane`` and
-    ``entry_side``. Each scenario's gaps fall into ``gap_classes``, and the
-    trials of one class are one trial but for ``accepted_gap``, so one lockstep
-    row per (scenario, class) runs, with the class's first gap in ``gaps``.
-    A row's results are taken on the tick it finishes (done and past, a
-    collision or the timeout), and it then ticks on unread. Every trial gets
-    its row's result with its own ``accepted_gap`` and its own ``mode_trace``
-    and ``safety_events`` lists, bitwise equal to ``run_trial`` on the trial's
-    own scenario and gap. Returns one block of results per scenario, in order:
-    trial i of ``scenarios[k]`` is at ``k * len(gaps) + i``.
+    ``entry_side``. Each scenario's gaps fall into ``gap_classes`` under each
+    controller, and the trials of one class are one trial but for
+    ``accepted_gap``, so one lockstep row per (controller, scenario, class)
+    runs, with the class's first gap in ``gaps``. Each controller's rows form
+    one block, which its ``step_batch`` steps through ``BatchState.rows``; the
+    plant, the pedestrians, the distance and the metrics then tick every row at
+    once. A row's results are taken on the tick it finishes (done and past, a
+    collision or the timeout), and it then ticks on unread; a block with no
+    live row is not stepped, and its rows keep their last commands. Every trial
+    gets its row's result with its own ``accepted_gap`` and its own
+    ``mode_trace`` and ``safety_events`` lists, bitwise equal to ``run_trial``
+    on the trial's own scenario, gap and controller. Returns one block of
+    results per (controller, scenario), in order: trial i of ``scenarios[k]``
+    under ``controllers[j]`` is at ``(j * len(scenarios) + k) * len(gaps) + i``.
     """
+    if not controllers:
+        raise ValueError("need at least one controller")
     if not scenarios:
         raise ValueError("need at least one scenario")
     scenario = scenarios[0]
@@ -456,18 +477,26 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
 
     rows: list[tuple[int, float]] = []  # (scenario index, the class's first gap)
     trial_rows: list[int] = []  # each trial's row, in result order
-    for k, sc in enumerate(scenarios):
-        first: dict[int, int] = {}  # class -> row
-        for gap, cls in zip(gaps, gap_classes(sc, controller, gaps)):
-            if cls not in first:
-                first[cls] = len(rows)
-                rows.append((k, gap))
-            trial_rows.append(first[cls])
+    bounds: list[tuple[int, int]] = []  # each controller's block of rows, [lo, hi)
+    for controller in controllers:
+        lo = len(rows)
+        for k, sc in enumerate(scenarios):
+            first: dict[int, int] = {}  # class -> row
+            for gap, cls in zip(gaps, gap_classes(sc, controller, gaps)):
+                if cls not in first:
+                    first[cls] = len(rows)
+                    rows.append((k, gap))
+                trial_rows.append(first[cls])
+        bounds.append((lo, len(rows)))
 
     geometry, dt = scenario.geometry, scenario.dt
     s = BatchState(scenarios, rows)
     n_rows = len(rows)
+    # (controller, lo, hi, its rows' view); and how many of each block's rows are live.
+    blocks = [(c, lo, hi, s.rows(lo, hi)) for c, (lo, hi) in zip(controllers, bounds)]
+    block_live = [hi - lo for lo, hi in bounds]
     fifo = np.zeros((scenario.delay_ticks(), n_rows))
+    a_cmd = np.zeros(n_rows)
     min_distance = s.distance(s.walking_line(geometry)[0])
     v_sum = np.zeros(n_rows)
     peak_accel = np.zeros(n_rows)
@@ -477,25 +506,28 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
         ("min_distance", float), ("v_sum", float), ("peak_accel", float), ("collision", bool),
         ("overrun", bool), ("d", float), ("n_ticks", np.int64), ("timed_out", bool))}
     live = np.ones(n_rows, dtype=bool)
-    n_live = n_rows
-    modes = controller.modes
     switches: list[tuple[int, float, str]] = []  # (row, t, label)
     t = 0.0
     tick = 0
     # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
     # a root of a negative number. An overflow that counts is inf, as in Python.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while n_live:
+        while any(block_live):
             if t >= scenario.max_sim_time:
                 finished = out["timed_out"] = live.copy()
             else:
-                before = s.mode.copy() if len(modes) > 1 else None
-                a_cmd = controller.step_batch(s, tick)
-                if before is not None:
-                    changed = (s.mode != before) & live
-                    if np.count_nonzero(changed):
-                        for r in np.flatnonzero(changed).tolist():
-                            switches.append((r, t, modes[s.mode[r]]))
+                for (controller, lo, hi, view), n_live in zip(blocks, block_live):
+                    if not n_live:
+                        continue
+                    view.d, view.v = s.d[lo:hi], s.v[lo:hi]  # plant_tick_batch rebinds them
+                    modes = controller.modes
+                    before = view.mode.copy() if len(modes) > 1 else None
+                    a_cmd[lo:hi] = controller.step_batch(view, tick)
+                    if before is not None:
+                        changed = (view.mode != before) & live[lo:hi]
+                        if np.count_nonzero(changed):
+                            for r in np.flatnonzero(changed).tolist():
+                                switches.append((lo + r, t, modes[view.mode[r]]))
                 v_before = s.v
                 plant_tick_batch(s, a_cmd, dt, fifo, tick)
                 a_actual = (s.v - v_before) / dt
@@ -532,9 +564,9 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                 np.putmask(out[name], finished, values)
             np.putmask(out["n_ticks"], finished, tick - collision)
             live &= ~finished
-            n_live = np.count_nonzero(live)
+            block_live = [np.count_nonzero(live[lo:hi]) for lo, hi in bounds]
 
-    mode_traces: list[list[tuple[float, str]]] = [[(0.0, modes[0])] for _ in range(n_rows)]
+    mode_traces = [[(0.0, c.modes[0])] for c, lo, hi, _ in blocks for _ in range(lo, hi)]
     for r, t_switch, label in switches:
         mode_traces[r].append((t_switch, label))
     final = {name: values.tolist() for name, values in out.items()}  # Python scalars
@@ -550,4 +582,4 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
         mode_trace=mode_traces[r][:],
         safety_events=trial_events(final["overrun"][r], final["timed_out"][r]),
         final_d=final["d"][r],
-    ) for r, gap in zip(trial_rows, gaps * len(scenarios))]
+    ) for r, gap in zip(trial_rows, gaps * (len(scenarios) * len(controllers)))]

@@ -159,6 +159,20 @@ class TestSimulate:
         assert captured.out == ""
         assert list(work.iterdir()) == []
 
+    @pytest.mark.parametrize("path,message", [
+        ("adir", "config error: cannot read config file adir: "),  # exists, cannot be opened
+        ("missing.ini", "config error: config file not found: missing.ini\n"),
+    ], ids=["directory", "missing"])
+    def test_unopenable_config_path_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys,
+                                                          path, message):
+        (tmp_path / "adir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", path, "--trials", "3", "--out", "out"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+
     @pytest.mark.parametrize("argv", [["solve-pomdp"], ["compare", "--trials", "5"],
                                       ["simulate", "--controller", "pomdp", "--trials", "3"]])
     def test_overflowing_reward_weight_exits_2_at_once(self, tmp_path, monkeypatch, capsys, argv):
@@ -344,8 +358,8 @@ class TestTablesMatchCsvModule:
         calls = []
         run_batch = cli.run_batch
 
-        def recorded(scenarios, gaps, controller):
-            calls.append((scenarios, len(gaps), run_batch(scenarios, gaps, controller)))
+        def recorded(scenarios, gaps, *controllers):
+            calls.append((scenarios, len(gaps), run_batch(scenarios, gaps, *controllers)))
             return calls[-1][2]
 
         monkeypatch.setattr(cli, "run_batch", recorded)
@@ -353,11 +367,14 @@ class TestTablesMatchCsvModule:
         assert main([*argv, "--out", str(out)]) == (1 if collisions else 0)
         compare = argv[0] == "compare"
         methods = cli.METHODS if compare else ("hybrid",)
+        assert len(calls) == 1  # every method in one lockstep call
+        scenarios, n, results = calls[0]
         batches = {}
-        for k, scenario in enumerate(calls[0][0]):
-            for method, (_, n, results) in zip(methods, calls):
+        for k, scenario in enumerate(scenarios):
+            for j, method in enumerate(methods):
+                block = (j * len(scenarios) + k) * n
                 batches[scenario.entry_side.value, scenario.lane.value, method] = \
-                    results[k * n:(k + 1) * n]
+                    results[block:block + n]
         files, stdout = self.oracle(batches, compare, out)
         assert sum(r.collision for batch in batches.values() for r in batch) == collisions
         for name, data in files.items():

@@ -12,6 +12,7 @@ from crosswalk_sim.simulator import (
     BatchState,
     Lane,
     TrialResult,
+    TrialState,
     class_edges,
     plant_tick,
     run_batch,
@@ -425,6 +426,72 @@ class TestLockstepClassEdges:
         gaps = [3.0, 2.0, 3.0, edge, 3.0, edge, 11.0, 2.0, 11.0]
         batch = assert_batch_matches_scalar(quadrants, gaps, preset_controller, scalar_oracle)
         assert len({id(r.mode_trace) for r in batch}) == len(batch)  # each trial its own list
+
+
+class SteppedTicks:
+    """``inner``, recording each tick at which ``run_batch`` steps its rows."""
+
+    def __init__(self, inner):
+        self.inner, self.modes, self.ticks = inner, inner.modes, []
+
+    def step(self, s, tick):
+        return self.inner.step(s, tick)
+
+    def step_batch(self, s, tick):
+        self.ticks.append(tick)
+        return self.inner.step_batch(s, tick)
+
+
+class TestOneCallForEveryController:
+    """run_batch over several controllers against one call per controller, with no
+    tolerance: one clock for every row must not couple the controllers' trials."""
+
+    @pytest.fixture
+    def hybrid_and_pomdp(self, preset_config, preset_policy, hybrid_for):
+        sc = preset_config.scenario()
+        return hybrid_for(sc), PomdpController(*preset_policy, sim_dt=sc.dt)
+
+    @pytest.mark.parametrize("override", [{}, *OVERRIDES], ids=["plain", "timeout", "collision"])
+    def test_equals_one_call_per_controller(self, preset_config, hybrid_and_pomdp, override):
+        # A timeout ends every block on one tick; a collision ends a row before
+        # that tick's velocity and peak-acceleration updates.
+        quadrants = [replace(preset_config.scenario(lane=lane, side=side), **override)
+                     for lane, side in QUADRANTS]
+        gaps = SWEEP + seeded_gaps(quadrants[0].gap_model, 17, SEEDED)
+        alone = [run_batch(quadrants, gaps, c) for c in hybrid_and_pomdp]
+        if override:
+            ended = "timed_out" if "max_sim_time" in override else "collision"
+            assert all(any(getattr(r, ended) for r in results) for results in alone)
+        for order in ([0, 1], [1, 0]):
+            merged = run_batch(quadrants, gaps, *(hybrid_and_pomdp[j] for j in order))
+            assert_bitwise_equal(merged, [r for j in order for r in alone[j]])
+
+    def test_a_finished_block_is_not_stepped(self, preset_config, hybrid_and_pomdp):
+        # The hybrid rows finish long before the POMDP rows, so the merged call
+        # runs ticks on which only the POMDP block is stepped.
+        quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
+        alone = [SteppedTicks(c) for c in hybrid_and_pomdp]
+        expected = [r for c in alone for r in run_batch(quadrants, SWEEP, c)]
+        merged = [SteppedTicks(c) for c in hybrid_and_pomdp]
+        assert_bitwise_equal(run_batch(quadrants, SWEEP, *merged), expected)
+        for own, shared in zip(alone, merged):
+            assert shared.ticks == own.ticks == list(range(len(own.ticks)))
+        hybrid, pomdp = (len(c.ticks) for c in merged)
+        assert hybrid + 100 < pomdp
+
+    def test_rows_are_views(self, scenario_factory):
+        s = BatchState([scenario_factory()], [(0, 2.0)] * 5)
+        view = s.rows(1, 4)
+        for name in TrialState.__slots__:
+            field = getattr(view, name)
+            assert field.base is not None and np.shares_memory(field, getattr(s, name)), name
+            assert len(field) == 3
+        view.mode[:] = 2
+        assert s.mode.tolist() == [0, 2, 2, 2, 0]
+
+    def test_needs_a_controller(self, scenario_factory):
+        with pytest.raises(ValueError, match="controller"):
+            run_batch([scenario_factory()], [2.0])
 
 
 class SealedGap:
