@@ -88,14 +88,17 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def write_trials_csv(path: Path, batches: dict[Key, list[TrialResult]]) -> dict[Key, list[Cells]]:
-    """Render each trial once into a row of trials.csv; return the cells of every row."""
+def write_trials_csv(path: Path, gaps: Sequence[float],
+                     batches: dict[Key, list[TrialResult]]) -> dict[Key, list[Cells]]:
+    """Render each trial once into a row of trials.csv; return the cells of every row.
+    Trial i of every batch has accepted gap ``gaps[i]``, which is formatted once."""
+    gap_cells = [_fmt(g) for g in gaps]
     table: dict[Key, list[Cells]] = {}
     lines: list[str] = []
     for (side, lane, method), batch in batches.items():
         cells = table[side, lane, method] = []
-        for r in batch:
-            c = (method, _fmt(r.accepted_gap), _fmt(r.min_distance), _fmt(r.avg_velocity),
+        for gap, r in zip(gap_cells, batch):
+            c = (method, gap, _fmt(r.min_distance), _fmt(r.avg_velocity),
                  _fmt(r.peak_accel), "true" if r.collision else "false")
             cells.append(c)
             lines.append(TRIALS_ROW % (len(lines), method, lane, side, *c[1:], r.mode_sequence()))
@@ -196,7 +199,7 @@ def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Seque
     batches = {(s.entry_side.value, s.lane.value, method):
                results[(j * len(scenarios) + k) * n:(j * len(scenarios) + k + 1) * n]
                for k, s in enumerate(scenarios) for j, method in enumerate(controllers)}
-    table = write_trials_csv(out_dir / "trials.csv", batches)
+    table = write_trials_csv(out_dir / "trials.csv", gaps, batches)
     write_summary_csv(out_dir / "summary.csv", table)
     return table, [r for batch in batches.values() for r in batch]
 

@@ -208,7 +208,8 @@ class RunConfig:
             lo, step, hi = (float(tok) for tok in spec.split(":"))
         except ValueError as exc:
             raise ConfigError(f"bad sweep spec {spec!r}, expected LO:STEP:HI") from exc
-        if not all(map(math.isfinite, (lo, step, hi))) or step <= 0 or hi < lo:
+        if (not all(map(math.isfinite, (lo, step, hi))) or step <= 0 or hi < lo
+                or not math.isfinite((hi - lo) / step)):  # too many points to count
             raise ConfigError(f"bad sweep spec {spec!r}")
         gaps = sweep_gaps(lo, step, hi)
         self.accepted_gap(gaps[0])

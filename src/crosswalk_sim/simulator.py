@@ -19,11 +19,12 @@ several controllers, each stepping its own block of rows.
 
 A lockstep row is a gap class, not a trial. A trial reads its accepted gap only
 in its waiting pedestrian's arm test, which no controller reads, so trials whose
-pedestrians arm on the same tick are the same trial but for ``accepted_gap``.
-``gap_classes`` finds those classes from one scalar reference trial per quadrant,
-and ``run_batch`` runs one row per (quadrant, class) and hands each trial its
-class's result, which is exact, not an approximation. Rows never move: a row's
-results are taken on the tick it finishes, and it then ticks on unread.
+pedestrians arm on the same tick are the same trial. ``gap_classes`` finds those
+classes from one scalar reference trial per quadrant, and ``run_batch`` runs one
+row per (quadrant, class) and hands each trial its class's result, which is
+exact, not an approximation. A ``TrialResult`` is immutable and holds no gap, so
+the trials of a class share one; the gaps stay with the caller. Rows never move:
+a row's result is built on the tick it finishes, and the row then ticks on unread.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ class Controller(Protocol):
     ``BatchState``, and one command per row. It also runs on finished rows, so
     it must accept any state a finished row reaches.
 
-    ``step_batch`` writes its fields in place and never rebinds them, since
-    ``run_batch`` hands it a view of its controller's rows of a larger batch
-    (``BatchState.rows``). It is not called once none of those rows is live.
+    ``step_batch`` writes its fields in place, as ``run_batch`` writes every
+    other field, since it steps a view of its controller's rows of a larger
+    batch (``BatchState.rows``). It is not called once none of those rows is live.
 
     Neither reads the trial's ``gap``: ``run_batch``'s gap classes rely on it,
     since they hold the trials whose pedestrians arm on one tick to be one trial.
@@ -118,16 +119,18 @@ class Scenario:
         return whole_ticks(self.t_delay_plant, self.dt, "t_delay_plant")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialResult:
-    accepted_gap: float
+    """The outcome of a trial, shared by every trial of its gap class in
+    ``run_batch``; the accepted gap stays with the caller."""
+
     min_distance: float
     avg_velocity: float
     peak_accel: float
     collision: bool
     timed_out: bool
-    mode_trace: list[tuple[float, str]]
-    safety_events: list[str]
+    mode_trace: tuple[tuple[float, str], ...]
+    safety_events: tuple[str, ...]
     final_d: float
     trace: Optional[list[tuple]] = None
 
@@ -233,12 +236,9 @@ def vehicle_pedestrian_distance(s: TrialState, line: float) -> float:
     return math.sqrt(dx * dx + line * line)
 
 
-def trial_events(overrun: bool, timed_out: bool) -> list[str]:
+def trial_events(overrun: bool, timed_out: bool) -> tuple[str, ...]:
     """A finished trial's safety events, as ``TrialResult`` lists them."""
-    events = [OVERRUN] if overrun else []
-    if timed_out:
-        events.append("timed_out")
-    return events
+    return ((OVERRUN,) if overrun else ()) + (("timed_out",) if timed_out else ())
 
 
 def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller) -> TrialResult:
@@ -300,13 +300,12 @@ def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller) -
             break
 
     return TrialResult(
-        accepted_gap=accepted_gap,
         min_distance=min_distance,
         avg_velocity=v_sum / len(trace) if trace else 0.0,
         peak_accel=peak_accel,
         collision=collision,
         timed_out=timed_out,
-        mode_trace=mode_trace,
+        mode_trace=tuple(mode_trace),
         safety_events=trial_events(s.overrun, timed_out),
         final_d=s.d,
         trace=trace,
@@ -365,7 +364,7 @@ def class_edges(scenario: Scenario, controller: Controller) -> list[float]:
 
 def gap_classes(scenario: Scenario, controller: Controller, gaps: Sequence[float]) -> list[int]:
     """The class of each of ``gaps`` on ``scenario``: trials whose gaps share a
-    class differ in nothing but ``accepted_gap``.
+    class have one result.
 
     A trial reads its gap only in the arm test of its waiting pedestrian (no
     controller reads it), so its gap matters only through the tick where the
@@ -402,8 +401,8 @@ class BatchState(TrialState):
 
     def rows(self, lo: int, hi: int) -> BatchState:
         """Rows ``lo`` to ``hi`` as a batch of their own whose fields are the
-        views ``arr[lo:hi]``: an in-place write to a field writes this batch,
-        while a rebound field no longer does."""
+        views ``arr[lo:hi]``, so a write to the view writes this batch: every
+        field is written in place."""
         view = object.__new__(BatchState)
         for name in TrialState.__slots__:
             setattr(view, name, getattr(self, name)[lo:hi])
@@ -435,11 +434,12 @@ def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, dt: float, fifo: np
         a = commanded_a
     d, v = s.d, s.v
     v_next = v + a * dt
-    s.d = d - (v * dt + 0.5 * a * dt * dt)
+    d_next = d - (v * dt + 0.5 * a * dt * dt)
     stops = v_next < 0.0
     if np.count_nonzero(stops):
-        np.putmask(s.d, stops, d - v * v / (-2.0 * a))
-    s.v = np.where(v_next > 0.0, v_next, 0.0)  # max(0.0, v_next), which maps -0.0 to 0.0
+        np.putmask(d_next, stops, d - v * v / (-2.0 * a))
+    d[:] = d_next
+    v[:] = np.where(v_next > 0.0, v_next, 0.0)  # max(0.0, v_next), which maps -0.0 to 0.0
 
 
 def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
@@ -449,19 +449,18 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
 
     The scenarios (a run's quadrants) may differ only in ``lane`` and
     ``entry_side``. Each scenario's gaps fall into ``gap_classes`` under each
-    controller, and the trials of one class are one trial but for
-    ``accepted_gap``, so one lockstep row per (controller, scenario, class)
-    runs, with the class's first gap in ``gaps``. Each controller's rows form
-    one block, which its ``step_batch`` steps through ``BatchState.rows``; the
-    plant, the pedestrians, the distance and the metrics then tick every row at
-    once. A row's results are taken on the tick it finishes (done and past, a
-    collision or the timeout), and it then ticks on unread; a block with no
-    live row is not stepped, and its rows keep their last commands. Every trial
-    gets its row's result with its own ``accepted_gap`` and its own
-    ``mode_trace`` and ``safety_events`` lists, bitwise equal to ``run_trial``
-    on the trial's own scenario, gap and controller. Returns one block of
-    results per (controller, scenario), in order: trial i of ``scenarios[k]``
-    under ``controllers[j]`` is at ``(j * len(scenarios) + k) * len(gaps) + i``.
+    controller, and the trials of one class are one trial, so one lockstep row
+    per (controller, scenario, class) runs, with the class's first gap in
+    ``gaps``. Each controller's rows form one block, which its ``step_batch``
+    steps through ``BatchState.rows``; the plant, the pedestrians, the distance
+    and the metrics then tick every row at once. A row's ``TrialResult`` is
+    built on the tick it finishes (done and past, a collision or the timeout),
+    and the row then ticks on unread; a block with no live row is not stepped,
+    and its rows keep their last commands. Every trial of a class gets that
+    class's one result, bitwise equal to ``run_trial`` on the trial's own
+    scenario, gap and controller. Returns one block of results per (controller,
+    scenario), in order: trial i of ``scenarios[k]`` under ``controllers[j]`` is
+    at ``(j * len(scenarios) + k) * len(gaps) + i``.
     """
     if not controllers:
         raise ValueError("need at least one controller")
@@ -501,25 +500,22 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     v_sum = np.zeros(n_rows)
     peak_accel = np.zeros(n_rows)
     collision = np.zeros(n_rows, dtype=bool)  # this tick's
-    # Each row's results, written on the tick it finishes.
-    out = {name: np.zeros(n_rows, dtype=dtype) for name, dtype in (
-        ("min_distance", float), ("v_sum", float), ("peak_accel", float), ("collision", bool),
-        ("overrun", bool), ("d", float), ("n_ticks", np.int64), ("timed_out", bool))}
     live = np.ones(n_rows, dtype=bool)
-    switches: list[tuple[int, float, str]] = []  # (row, t, label)
+    mode_traces = [[(0.0, c.modes[0])] for c, lo, hi, _ in blocks for _ in range(lo, hi)]
+    results: dict[int, TrialResult] = {}  # row -> its result, built on the tick it finishes
     t = 0.0
     tick = 0
     # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
     # a root of a negative number. An overflow that counts is inf, as in Python.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while any(block_live):
-            if t >= scenario.max_sim_time:
-                finished = out["timed_out"] = live.copy()
+            timed_out = t >= scenario.max_sim_time
+            if timed_out:
+                finished = live
             else:
                 for (controller, lo, hi, view), n_live in zip(blocks, block_live):
                     if not n_live:
                         continue
-                    view.d, view.v = s.d[lo:hi], s.v[lo:hi]  # plant_tick_batch rebinds them
                     modes = controller.modes
                     before = view.mode.copy() if len(modes) > 1 else None
                     a_cmd[lo:hi] = controller.step_batch(view, tick)
@@ -527,8 +523,8 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                         changed = (view.mode != before) & live[lo:hi]
                         if np.count_nonzero(changed):
                             for r in np.flatnonzero(changed).tolist():
-                                switches.append((lo + r, t, modes[view.mode[r]]))
-                v_before = s.v
+                                mode_traces[lo + r].append((t, modes[view.mode[r]]))
+                v_before = s.v.copy()
                 plant_tick_batch(s, a_cmd, dt, fifo, tick)
                 a_actual = (s.v - v_before) / dt
                 line, past = s.walking_line(geometry)
@@ -557,29 +553,17 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                 finished &= live
                 if not np.count_nonzero(finished):
                     continue
-            # Their finishing tick: ``n_ticks`` counts all but a colliding one.
-            for name, values in (("min_distance", min_distance), ("v_sum", v_sum),
-                                 ("peak_accel", peak_accel), ("collision", collision),
-                                 ("overrun", s.overrun), ("d", s.d)):
-                np.putmask(out[name], finished, values)
-            np.putmask(out["n_ticks"], finished, tick - collision)
+            # Their results, in Python scalars: a colliding row's last tick is not counted.
+            ended = np.flatnonzero(finished)
+            for r, low, total, peak, hit, overrun, d in zip(
+                    ended.tolist(), *(x[ended].tolist() for x in (
+                        min_distance, v_sum, peak_accel, collision, s.overrun, s.d))):
+                n = tick - hit
+                results[r] = TrialResult(
+                    min_distance=low, avg_velocity=total / n if n else 0.0, peak_accel=peak,
+                    collision=hit, timed_out=timed_out, mode_trace=tuple(mode_traces[r]),
+                    safety_events=trial_events(overrun, timed_out), final_d=d)
             live &= ~finished
             block_live = [np.count_nonzero(live[lo:hi]) for lo, hi in bounds]
 
-    mode_traces = [[(0.0, c.modes[0])] for c, lo, hi, _ in blocks for _ in range(lo, hi)]
-    for r, t_switch, label in switches:
-        mode_traces[r].append((t_switch, label))
-    final = {name: values.tolist() for name, values in out.items()}  # Python scalars
-    final["avg_velocity"] = [total / n if n else 0.0
-                             for total, n in zip(final["v_sum"], final["n_ticks"])]
-    return [TrialResult(
-        accepted_gap=gap,
-        min_distance=final["min_distance"][r],
-        avg_velocity=final["avg_velocity"][r],
-        peak_accel=final["peak_accel"][r],
-        collision=final["collision"][r],
-        timed_out=final["timed_out"][r],
-        mode_trace=mode_traces[r][:],
-        safety_events=trial_events(final["overrun"][r], final["timed_out"][r]),
-        final_d=final["d"][r],
-    ) for r, gap in zip(trial_rows, gaps * (len(scenarios) * len(controllers)))]
+    return [results[r] for r in trial_rows]

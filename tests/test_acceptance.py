@@ -36,32 +36,33 @@ def report(n: int, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def safety_sweep(scenario_factory, hybrid_for):
-    """Deterministic gap sweep, hybrid controller, all four quadrants."""
+    """Deterministic gap sweep, hybrid controller, all four quadrants: each
+    trial's (gap, result)."""
     gaps = sweep_gaps(0.5, 0.1, 10.0)
     out = {}
     for lane, side in QUADRANTS:
         sc = scenario_factory(lane=lane, entry_side=side)
-        out[(lane, side)] = run_batch([sc], gaps, hybrid_for(sc))
+        out[(lane, side)] = list(zip(gaps, run_batch([sc], gaps, hybrid_for(sc)), strict=True))
     return out
 
 
 @pytest.fixture(scope="module")
 def random_batches(scenario_factory, hybrid_for):
-    """750 independently seeded random-gap trials per quadrant."""
+    """750 independently seeded random-gap trials per quadrant: each trial's (gap, result)."""
     out = {}
     for i, (lane, side) in enumerate(QUADRANTS):
         sc = scenario_factory(lane=lane, entry_side=side)
         gaps = seeded_gaps(sc.gap_model, 1000 * (i + 1), 750)
-        out[(lane, side)] = run_batch([sc], gaps, hybrid_for(sc))
+        out[(lane, side)] = list(zip(gaps, run_batch([sc], gaps, hybrid_for(sc)), strict=True))
     return out
 
 
 def test_criterion_01_safety_sweep_no_collisions(safety_sweep):
     total = 0
     for (lane, side), results in safety_sweep.items():
-        for r in results:
-            assert not r.collision, f"collision at {lane}/{side} gap={r.accepted_gap}"
-            assert not r.timed_out, f"timeout at {lane}/{side} gap={r.accepted_gap}"
+        for gap, r in results:
+            assert not r.collision, f"collision at {lane}/{side} gap={gap}"
+            assert not r.timed_out, f"timeout at {lane}/{side} gap={gap}"
             total += 1
     assert total == 96 * 4
     report(1, f"gap sweep x quadrants: {total} trials, zero collisions (radius 1.0 m)")
@@ -70,10 +71,10 @@ def test_criterion_01_safety_sweep_no_collisions(safety_sweep):
 def test_criterion_02_lane_b_clearance(safety_sweep):
     worst = math.inf
     for side in (EntrySide.NEAR, EntrySide.FAR):
-        for r in safety_sweep[(Lane.B, side)]:
+        for gap, r in safety_sweep[(Lane.B, side)]:
             worst = min(worst, r.min_distance)
             assert r.min_distance >= 4.0, (
-                f"Lane B {side} gap={r.accepted_gap}: {r.min_distance:.3f} m"
+                f"Lane B {side} gap={gap}: {r.min_distance:.3f} m"
             )
     report(2, f"all Lane B trials keep >= 4.0 m (worst {worst:.2f} m)")
 
@@ -94,18 +95,18 @@ def test_criterion_03_risky_gap_lateral_margin(scenario_factory, hybrid_for, geo
 
 
 def test_criterion_04_smoothness(random_batches):
-    pooled = [r for results in random_batches.values() for r in results]
+    pooled = [r for results in random_batches.values() for _, r in results]
     exceed = [r for r in pooled if r.peak_accel > 2.0 + 0.05]
     compliance = 1.0 - len(exceed) / len(pooled)
     assert compliance >= 0.90, f"compliance {compliance:.3f}"
     for (lane, side), results in random_batches.items():
-        for r in results:
+        for gap, r in results:
             if r.peak_accel > 2.05:
                 assert (lane, side) == (Lane.A, EntrySide.NEAR), (
                     f"exceedance outside Lane A/near: {lane}/{side}"
                 )
-                assert 1.5 <= r.accepted_gap <= 2.75, (
-                    f"exceedance at gap {r.accepted_gap:.3f}"
+                assert 1.5 <= gap <= 2.75, (
+                    f"exceedance at gap {gap:.3f}"
                 )
     report(
         4,
@@ -117,10 +118,10 @@ def test_criterion_04_smoothness(random_batches):
 def test_criterion_05_far_side_pass_through(safety_sweep, params):
     floor = 0.95 * params.v_speedlimit
     worst = math.inf
-    for r in safety_sweep[(Lane.A, EntrySide.FAR)]:
+    for gap, r in safety_sweep[(Lane.A, EntrySide.FAR)]:
         worst = min(worst, r.avg_velocity)
         assert r.avg_velocity >= floor, (
-            f"gap={r.accepted_gap}: avg {r.avg_velocity:.3f} < {floor:.3f}"
+            f"gap={gap}: avg {r.avg_velocity:.3f} < {floor:.3f}"
         )
     report(5, f"Lane A/far sweep: avg velocity >= {floor:.3f} m/s (worst {worst:.3f})")
 
@@ -128,10 +129,10 @@ def test_criterion_05_far_side_pass_through(safety_sweep, params):
 def test_criterion_06_mode_regime_map(safety_sweep):
     results = safety_sweep[(Lane.A, EntrySide.NEAR)]
     regime = {}
-    for r in results:
+    for gap, r in results:
         active = r.visited_modes() - {"Driving"}
         assert len(active) <= 1, f"multiple active modes in one trial: {active}"
-        regime[f"{r.accepted_gap:.1f}"] = active.pop() if active else "Driving"
+        regime[f"{gap:.1f}"] = active.pop() if active else "Driving"
 
     labels = list(regime.values())
     assert {"SpeedUp", "HardBraking", "Yielding", "Driving"} <= set(labels)

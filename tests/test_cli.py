@@ -125,6 +125,8 @@ class TestSimulate:
             ("CWSIM_RUN__SEED", "-1", ["replay", "--gap", "3"]),
             ("CWSIM_POMDP__ACTIONS", "-4,-4,0", ["solve-pomdp"]),
             ("CWSIM_POMDP__ACTIONS", "0,-0", ["solve-pomdp"]),
+            (None, None, ["simulate", "--sweep=0.5:1e-320:1"]),  # (hi - lo) / step overflows
+            (None, None, ["simulate", "--sweep=-1e308:1:1e308"]),  # hi - lo overflows
         ],
     )
     def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):
@@ -281,16 +283,17 @@ class TestTablesMatchCsvModule:
         return buf.getvalue().encode("utf-8")
 
     @classmethod
-    def oracle(cls, batches: dict, compare: bool, out_dir: Path) -> tuple[dict, list[str]]:
-        """Every table and stdout line of a run from its trials, keyed by
-        (side, lane, method) in row order."""
+    def oracle(cls, gaps: list, batches: dict, compare: bool,
+               out_dir: Path) -> tuple[dict, list[str]]:
+        """Every table and stdout line of a run from its gaps and its trials, keyed
+        by (side, lane, method) in row order; trial i of a batch has gap ``gaps[i]``."""
         fmt = cli._fmt
         rows = []
         for (side, lane, method), batch in batches.items():
-            for r in batch:
+            for gap, r in zip(gaps, batch, strict=True):
                 rows.append({
                     "trial_id": len(rows), "method": method, "lane": lane, "entry_side": side,
-                    "accepted_gap_s": fmt(r.accepted_gap),
+                    "accepted_gap_s": fmt(gap),
                     **{column: fmt(getattr(r, metric))
                        for metric, (column, _) in cli.METRIC_COLUMNS.items()},
                     "collision": str(r.collision).lower(),
@@ -323,10 +326,11 @@ class TestTablesMatchCsvModule:
             for side in ("near", "far"):
                 files[f"panels_{side}.csv"] = cls.render(
                     ["panel", "lane", "metric", "accepted_gap_s", "hybrid", "pomdp"],
-                    [[f"{metric}_lane_{lane}", lane, metric, fmt(h.accepted_gap),
+                    [[f"{metric}_lane_{lane}", lane, metric, fmt(gap),
                       fmt(getattr(h, metric)), fmt(getattr(p, metric))]
                      for lane in ("A", "B")
-                     for h, p in zip(batches[side, lane, "hybrid"], batches[side, lane, "pomdp"])
+                     for gap, h, p in zip(gaps, batches[side, lane, "hybrid"],
+                                          batches[side, lane, "pomdp"], strict=True)
                      for metric in cli.METRIC_COLUMNS],
                 )
             counts = {m: sum(r.collision for (_, _, method), batch in batches.items()
@@ -359,7 +363,7 @@ class TestTablesMatchCsvModule:
         run_batch = cli.run_batch
 
         def recorded(scenarios, gaps, *controllers):
-            calls.append((scenarios, len(gaps), run_batch(scenarios, gaps, *controllers)))
+            calls.append((scenarios, list(gaps), run_batch(scenarios, gaps, *controllers)))
             return calls[-1][2]
 
         monkeypatch.setattr(cli, "run_batch", recorded)
@@ -368,14 +372,15 @@ class TestTablesMatchCsvModule:
         compare = argv[0] == "compare"
         methods = cli.METHODS if compare else ("hybrid",)
         assert len(calls) == 1  # every method in one lockstep call
-        scenarios, n, results = calls[0]
+        scenarios, gaps, results = calls[0]
+        n = len(gaps)
         batches = {}
         for k, scenario in enumerate(scenarios):
             for j, method in enumerate(methods):
                 block = (j * len(scenarios) + k) * n
                 batches[scenario.entry_side.value, scenario.lane.value, method] = \
                     results[block:block + n]
-        files, stdout = self.oracle(batches, compare, out)
+        files, stdout = self.oracle(gaps, batches, compare, out)
         assert sum(r.collision for batch in batches.values() for r in batch) == collisions
         for name, data in files.items():
             assert (out / name).read_bytes() == data, name

@@ -180,8 +180,8 @@ def preset_controllers():
     data=st.data(),
 )
 def test_gap_classes_are_exact(preset_controllers, preset, policy, lane, side, data):
-    # Trials whose gaps share a class differ only in accepted_gap (the trace is
-    # left out, as everywhere); trials in different classes arm on different ticks.
+    # Trials whose gaps share a class have equal results (the trace is left
+    # out, as everywhere); trials in different classes arm on different ticks.
     # The drawn gaps: an edge, the float below it, one more gap of the edge's class
     # unless it lies above max_trigger_gap, and up to three anywhere.
     config, controllers = preset_controllers[preset]
@@ -199,7 +199,7 @@ def test_gap_classes_are_exact(preset_controllers, preset, policy, lane, side, d
     runs = []
     for g in gaps:
         spy = ArmSpy(controller)
-        runs.append((replace(run_trial(sc, g, spy), accepted_gap=0.0, trace=None), spy.armed_at))
+        runs.append((replace(run_trial(sc, g, spy), trace=None), spy.armed_at))
     for (a, a_armed), ca in zip(runs, classes):
         for (b, b_armed), cb in zip(runs, classes):
             if ca == cb:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,9 @@ from crosswalk_sim.simulator import (
     TrialResult,
     TrialState,
     class_edges,
+    gap_classes,
     plant_tick,
+    plant_tick_batch,
     run_batch,
     run_trial,
     seeded_gaps,
@@ -170,9 +172,9 @@ class TestRunTrial:
         r = run_trial(scenario_factory(), 10.0, ctrl)
         assert ctrl.ticks == list(range(len(ctrl.ticks)))  # one call per tick, from 0
         assert not r.timed_out and not r.collision
-        assert r.mode_trace == [(0.0, "fake")]
+        assert r.mode_trace == ((0.0, "fake"),)
         assert len(r.trace) == len(ctrl.ticks) and {row[6] for row in r.trace} == {"fake"}
-        assert r.safety_events == ["hard_braking_overrun"]
+        assert r.safety_events == ("hard_braking_overrun",)
 
 
 class TestSeededGaps:
@@ -203,23 +205,23 @@ class TestSweepGaps:
 class TestRunBatch:
     def test_deterministic_given_seed(self, scenario_factory, hybrid_for):
         sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR)
-        a = run_batch([sc], seeded_gaps(sc.gap_model, 123, 40), hybrid_for(sc))
+        gaps = seeded_gaps(sc.gap_model, 123, 40)
+        a = run_batch([sc], gaps, hybrid_for(sc))
         b = run_batch([sc], seeded_gaps(sc.gap_model, 123, 40), hybrid_for(sc))
-        assert [(r.accepted_gap, r.min_distance, r.avg_velocity) for r in a] == [
-            (r.accepted_gap, r.min_distance, r.avg_velocity) for r in b
-        ]
+        assert len(a) == len(gaps) and a == b
 
     def test_seed_offsets_vary_gaps(self, scenario_factory, hybrid_for):
         sc = scenario_factory()
-        rs = run_batch([sc], seeded_gaps(sc.gap_model, 0, 10), hybrid_for(sc))
-        assert len({r.accepted_gap for r in rs}) > 1
+        gaps = seeded_gaps(sc.gap_model, 0, 10)
+        rs = run_batch([sc], gaps, hybrid_for(sc))
+        assert len(set(gaps)) > 1 and len({r.min_distance for r in rs}) > 1
 
     def test_sweep_values_exact(self, scenario_factory, hybrid_for):
+        # run_batch holds no gap; the gap column of trials.csv is these values.
         sc = scenario_factory()
         values = sweep_gaps(0.5, 0.1, 10.0)
-        assert len(values) == 96
-        rs = run_batch([sc], values, hybrid_for(sc))
-        assert [r.accepted_gap for r in rs] == values
+        assert values == [k / 10 for k in range(5, 101)]
+        assert len(run_batch([sc], values, hybrid_for(sc))) == 96
 
     @pytest.mark.parametrize("side", [EntrySide.NEAR, EntrySide.FAR])
     @pytest.mark.parametrize("max_sim_time", [60.0, 5.0])
@@ -255,12 +257,14 @@ class TestRunBatch:
             run_batch([sc, other], [2.0, 3.0, 4.0], hybrid_for(sc))
 
 
-@pytest.mark.xfail(strict=True, reason="known defect, ROADMAP item 5: the hybrid controller "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known defect, ROADMAP item 5: the hybrid controller "
                    "collides at gaps 1.05-1.3 s on the experiment preset, lane B, far side")
 def test_experiment_lane_b_far_side_sweep_has_no_collision(hybrid_for):
     sc = load_config(preset="experiment", env={}).scenario(lane="B", side="far")
-    results = run_batch([sc], sweep_gaps(0.5, 0.05, 10.0), hybrid_for(sc))
-    assert [r.accepted_gap for r in results if r.collision] == []
+    gaps = sweep_gaps(0.5, 0.05, 10.0)
+    results = run_batch([sc], gaps, hybrid_for(sc))
+    assert [g for g, r in zip(gaps, results, strict=True) if r.collision] == []
 
 
 @pytest.fixture(scope="module", params=["default", "experiment"])
@@ -425,7 +429,16 @@ class TestLockstepClassEdges:
         edge = edge_gaps(quadrants[0], preset_controller, 1)[1]
         gaps = [3.0, 2.0, 3.0, edge, 3.0, edge, 11.0, 2.0, 11.0]
         batch = assert_batch_matches_scalar(quadrants, gaps, preset_controller, scalar_oracle)
-        assert len({id(r.mode_trace) for r in batch}) == len(batch)  # each trial its own list
+        # One result per lockstep row, shared by its class's trials and immutable.
+        n, total = len(gaps), 0
+        for k, sc in enumerate(quadrants):
+            classes = len(set(gap_classes(sc, preset_controller, gaps)))
+            assert len({id(r) for r in batch[k * n:(k + 1) * n]}) == classes < n
+            total += classes
+        assert len({id(r) for r in batch}) == total
+        with pytest.raises(FrozenInstanceError):
+            batch[0].collision = True
+        assert all(type(r.mode_trace) is tuple and type(r.safety_events) is tuple for r in batch)
 
 
 class SteppedTicks:
@@ -488,6 +501,11 @@ class TestOneCallForEveryController:
             assert len(field) == 3
         view.mode[:] = 2
         assert s.mode.tolist() == [0, 2, 2, 2, 0]
+        # The plant writes the batch's d and v in place, so a view made before sees them.
+        d, v = s.d.copy(), s.v.copy()
+        plant_tick_batch(s, np.full(5, -1.0), 0.05, np.zeros((0, 5)), 0)
+        assert (s.d < d).all() and (s.v < v).all()
+        assert view.d.tolist() == s.d[1:4].tolist() and view.v.tolist() == s.v[1:4].tolist()
 
     def test_needs_a_controller(self, scenario_factory):
         with pytest.raises(ValueError, match="controller"):
