@@ -188,9 +188,7 @@ def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Seque
     _output_path(out_dir, directory=True)
     scenarios = [config.scenario(lane=lane, side=side) for side, lane in quadrants]
     gaps = config.sweep_values() or seeded_gaps(scenarios[0].gap_model, config.run["seed"],
-                                                  config.run["trials"])
-    if not gaps:
-        raise ConfigError(f"run.trials must be >= 1, got {config.run['trials']}")
+                                                  config.trial_count())
     n = len(gaps)  # trials per quadrant
     controllers = dict(_controller(config, method, scenarios[0]) for method in methods)
     write_config_echo(config, out_dir)

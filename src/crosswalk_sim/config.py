@@ -24,6 +24,9 @@ from .simulator import Lane, Scenario, sweep_gaps
 
 ENV_PREFIX = "CWSIM_"
 
+# The most gaps a run may take per quadrant, from a seeded draw or a sweep.
+MAX_TRIALS = 1_000_000
+
 DEFAULTS: dict[str, dict[str, object]] = {
     "world": {
         "n_lanes": 4,
@@ -211,9 +214,20 @@ class RunConfig:
         if (not all(map(math.isfinite, (lo, step, hi))) or step <= 0 or hi < lo
                 or not math.isfinite((hi - lo) / step)):  # too many points to count
             raise ConfigError(f"bad sweep spec {spec!r}")
+        if math.floor((hi - lo) / step + 1e-9) + 1 > MAX_TRIALS:  # sweep_gaps's point count
+            raise ConfigError(f"bad sweep spec {spec!r}: more than MAX_TRIALS = {MAX_TRIALS} points")
+        if step < 1e-10:  # sweep_gaps rounds to 10 decimals, so a finer step repeats gaps
+            raise ConfigError(f"bad sweep spec {spec!r}: step below 1e-10")
         gaps = sweep_gaps(lo, step, hi)
         self.accepted_gap(gaps[0])
         return gaps
+
+    def trial_count(self) -> int:
+        """``run.trials``, the number of seeded gaps per quadrant, if a run can draw them."""
+        n = self.run["trials"]
+        if not 1 <= n <= MAX_TRIALS:
+            raise ConfigError(f"run.trials must be in [1, MAX_TRIALS = {MAX_TRIALS}], got {n}")
+        return n
 
     def accepted_gap(self, gap: float) -> float:
         """``gap`` if a pedestrian can accept it: finite and no shorter than

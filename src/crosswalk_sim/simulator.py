@@ -20,8 +20,8 @@ several controllers, each stepping its own block of rows.
 A lockstep row is a gap class, not a trial. A trial reads its accepted gap only
 in its waiting pedestrian's arm test, which no controller reads, so trials whose
 pedestrians arm on the same tick are the same trial. ``gap_classes`` finds those
-classes from one scalar reference trial per quadrant, and ``run_batch`` runs one
-row per (quadrant, class) and hands each trial its class's result, which is
+classes from the trace of one ``run_trial`` per quadrant, and ``run_batch`` runs
+one row per (quadrant, class) and hands each trial its class's result, which is
 exact, not an approximation. A ``TrialResult`` is immutable and holds no gap, so
 the trials of a class share one; the gaps stay with the caller. Rows never move:
 a row's result is built on the tick it finishes, and the row then ticks on unread.
@@ -243,7 +243,8 @@ def trial_events(overrun: bool, timed_out: bool) -> tuple[str, ...]:
 
 def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller) -> TrialResult:
     """Run one trial with the pedestrian's ``accepted_gap`` to completion and
-    collect its metrics and its trace, one row per counted tick. The trial's
+    collect its metrics and its trace, one row per tick it runs; the metrics
+    leave out a colliding tick, the last row, but for its distance. The trial's
     state is its own ``TrialState``, so one controller can serve many trials.
     """
     accepted_gap = float(accepted_gap)
@@ -266,7 +267,7 @@ def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller) -
     mode = s.mode
     label = modes[mode]
     mode_trace: list[tuple[float, str]] = [(0.0, label)]
-    trace: list[tuple] = []  # one row per tick that counts towards the metrics
+    trace: list[tuple] = []  # one row per tick, a colliding one included
 
     while True:
         if t >= max_sim_time:
@@ -285,6 +286,7 @@ def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller) -
         t += dt
         tick += 1
 
+        trace.append((t, s.d, s.v, a_cmd, a_actual, s.x_p, label))
         dist = vehicle_pedestrian_distance(s, line)
         if dist < min_distance:
             min_distance = dist
@@ -294,14 +296,14 @@ def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller) -
         v_sum += s.v
         if abs(a_actual) > peak_accel:
             peak_accel = abs(a_actual)
-        trace.append((t, s.d, s.v, a_cmd, a_actual, s.x_p, label))
 
         if s.phase == DONE_CODE and past:
             break
 
+    n = len(trace) - collision  # the ticks the metrics count: not a colliding one
     return TrialResult(
         min_distance=min_distance,
-        avg_velocity=v_sum / len(trace) if trace else 0.0,
+        avg_velocity=v_sum / n if n else 0.0,
         peak_accel=peak_accel,
         collision=collision,
         timed_out=timed_out,
@@ -331,33 +333,16 @@ def class_edges(scenario: Scenario, controller: Controller) -> list[float]:
     order, of the time gap ``line / v`` (``line > 0``) that a waiting pedestrian
     reads at each tick of a reference trial.
 
-    The reference is ``run_trial``'s trial whose pedestrian never arms on time
-    gap (an infinite accepted gap), ticked by the same controller ``step``,
-    ``plant_tick``, ``walking_line``, ``pedestrian_tick`` and distance. It ends
-    at the first tick that arms every pedestrian (the vehicle stopped or past),
-    which adds no edge, or after a collision or at the timeout, whose ticks do.
+    The reference is ``run_trial``'s trial with an infinite accepted gap, whose
+    pedestrian never arms on time gap, cut before the first tick that arms every
+    pedestrian (the vehicle stopped); once the vehicle has passed, ``line`` only
+    falls and adds no edge, so ``past`` may read False. A colliding tick adds one.
     """
-    geometry, dt, model = scenario.geometry, scenario.dt, scenario.gap_model
-    s = TrialState(scenario, math.inf)
-    fifo = [0.0] * scenario.delay_ticks()
-    step = controller.step
-    lines: list[float] = []
-    speeds: list[float] = []
-    t = 0.0
-    tick = 0
-    while t < scenario.max_sim_time:
-        plant_tick(s, step(s, tick), dt, fifo, tick)
-        line, past = s.walking_line(geometry)
-        pedestrian_tick(s, model, dt, line, past)
-        if s.delay_left >= 0.0:  # armed: the vehicle has stopped or passed
-            break
-        lines.append(line)
-        speeds.append(s.v)
-        t += dt
-        tick += 1
-        if vehicle_pedestrian_distance(s, line) < scenario.collision_radius:
-            break
-    least = arming_gap(np.array(speeds), np.array(lines), False)
+    trace = run_trial(scenario, math.inf, controller).trace
+    d, v = (np.fromiter((row[k] for row in trace), float, len(trace)) for k in (1, 2))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # v == 0 after the cut
+        least = arming_gap(v, d + scenario.geometry.delta, False)
+    least = least[:np.argmax(np.append(least, -np.inf) == -np.inf)]
     lowest_before = np.minimum.accumulate(np.concatenate(([np.inf], least)))[:-1]
     return least[least < lowest_before].tolist()
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,11 @@ class TestSimulate:
             ("CWSIM_POMDP__ACTIONS", "0,-0", ["solve-pomdp"]),
             (None, None, ["simulate", "--sweep=0.5:1e-320:1"]),  # (hi - lo) / step overflows
             (None, None, ["simulate", "--sweep=-1e308:1:1e308"]),  # hi - lo overflows
+            (None, None, ["simulate", "--sweep=0.5:1e-300:1"]),  # about 5e299 points
+            (None, None, ["simulate", "--sweep=1:1:1000001"]),  # MAX_TRIALS + 1 points
+            (None, None, ["simulate", "--sweep=1:1e-11:1"]),  # one point, but a step below 1e-10
+            (None, None, ["simulate", "--trials", "1000001"]),  # MAX_TRIALS + 1 seeded gaps
+            ("CWSIM_RUN__TRIALS", "1000000000000", ["compare"]),
         ],
     )
     def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):
@@ -553,6 +559,19 @@ class TestReplay:
         assert err == "config error: unrecognized arguments: --seed 5\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.fixture
+    def trials(self, monkeypatch):
+        """The results of the CLI's ``run_trial`` calls, in call order."""
+        results = []
+        run_trial = cli.run_trial
+
+        def recorded(*args, **kwargs):
+            results.append(run_trial(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_trial", recorded)
+        return results
+
     @staticmethod
     def csv_writer_trace(trace: list[tuple]) -> bytes:
         """trace.csv as ``csv.writer`` renders it, numbers through ``_fmt``: the
@@ -571,21 +590,30 @@ class TestReplay:
             ["replay", "--gap", "2.5", "--controller", "pomdp"],
         ],
     )
-    def test_trace_matches_csv_writer(self, tmp_path, monkeypatch, argv):
-        results = []
-        run_trial = cli.run_trial
-
-        def recorded(*args, **kwargs):
-            results.append(run_trial(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(cli, "run_trial", recorded)
+    def test_trace_matches_csv_writer(self, tmp_path, trials, argv):
         out = tmp_path / "rep"
         assert main([*argv, "--out", str(out)]) == 0
-        (result,) = results
+        (result,) = trials
         data = (out / "trace.csv").read_bytes()
         assert data == self.csv_writer_trace(result.trace)
         assert data.startswith(b"t,d,v,a_cmd,a_actual,x_p,mode\r\n") and data.endswith(b"\r\n")
+
+    def test_colliding_trace_ends_on_the_collision(self, tmp_path, trials):
+        # The hybrid's known collision (experiment preset, lane B, far side): the
+        # trace's last row is the colliding tick, which the metrics leave out.
+        out = tmp_path / "rep"
+        argv = ["replay", "--preset", "experiment", "--lane", "B", "--side", "far", "--gap", "1.1"]
+        assert main([*argv, "--out", str(out)]) == 1
+        (result,) = trials
+        assert result.collision
+        assert (out / "trace.csv").read_bytes() == self.csv_writer_trace(result.trace)
+        scenario = load_config(preset="experiment", env={}).scenario(lane="B", side="far")
+        *counted, (_, d, _, _, _, x_p, _) = result.trace
+        dx, line = x_p - scenario.lane_center(), d + scenario.geometry.delta
+        distance = math.sqrt(dx * dx + line * line)
+        assert distance < scenario.collision_radius and distance == result.min_distance
+        assert result.avg_velocity == sum(row[2] for row in counted) / len(counted)
+        assert result.peak_accel == max(abs(row[4]) for row in counted)
 
     def test_reused_parser_keeps_no_state(self, tmp_path, monkeypatch):
         trial_4 = ["replay", "--preset", "experiment", "--trial", "4"]

@@ -9,6 +9,7 @@ import pytest
 
 from crosswalk_sim.config import (
     DEFAULTS,
+    MAX_TRIALS,
     ConfigError,
     RunConfig,
     load_config,
@@ -187,11 +188,24 @@ class TestSweepSpec:
     def test_empty_means_none(self):
         assert load_config(env={}).sweep_values() is None
 
-    @pytest.mark.parametrize("spec", ["1:2", "a:b:c", "5:0:6", "9:1:2", "nan:1:2", "1:1:inf"])
+    @pytest.mark.parametrize("spec", ["1:2", "a:b:c", "5:0:6", "9:1:2", "nan:1:2", "1:1:inf",
+                                      f"1:1:{MAX_TRIALS + 1}", "0.5:1e-300:1", "1:1e-11:1"])
     def test_bad_specs(self, spec):
         cfg = load_config(env={"CWSIM_RUN__SWEEP": spec})
         with pytest.raises(ConfigError):
             cfg.sweep_values()
+
+    def test_point_limit(self):
+        # MAX_TRIALS points pass, and so does a step of 1e-10, whose gaps are distinct.
+        at_limit = load_config(env={"CWSIM_RUN__SWEEP": f"1:1:{MAX_TRIALS}"}).sweep_values()
+        assert len(at_limit) == MAX_TRIALS and at_limit[-1] == MAX_TRIALS
+        assert load_config(env={"CWSIM_RUN__SWEEP": "1:1e-10:1.0000000005"}).sweep_values() == [
+            1.0, 1.0000000001, 1.0000000002, 1.0000000003, 1.0000000004, 1.0000000005]
+
+    def test_trial_limit(self):
+        assert load_config(env={"CWSIM_RUN__TRIALS": str(MAX_TRIALS)}).trial_count() == MAX_TRIALS
+        with pytest.raises(ConfigError, match="MAX_TRIALS"):
+            load_config(env={"CWSIM_RUN__TRIALS": str(MAX_TRIALS + 1)}).trial_count()
 
 
 class TestEcho:
