@@ -3,8 +3,8 @@
 A deterministic simulator for an autonomous vehicle negotiating an
 unsignalized mid-block crosswalk with a gap-accepting pedestrian, with two
 interchangeable longitudinal controllers (a four-mode hybrid state machine
-and a value-iteration-solved decision-process baseline) and a seeded Monte
-Carlo harness for safety, efficiency, and smoothness evaluation.
+and an exactly solved decision-process baseline) and a seeded Monte Carlo
+harness for safety, efficiency, and smoothness evaluation.
 """
 
 __version__ = "0.1.0"

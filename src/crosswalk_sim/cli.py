@@ -147,6 +147,9 @@ def _policy(config: RunConfig) -> tuple[PomdpModel, QTable]:
         table = solve_or_load(model, cache_dir, tol=config.pomdp["tol"])
     except ConvergenceError as exc:
         raise ConfigError(f"pomdp policy: {exc}; check the [pomdp] weights, gamma and tol") from exc
+    origin = (f"solved exactly ({len(model.d_grid)} layers, {table.rounds} policy-iteration "
+              f"rounds, residual {table.residuals[0]:.3e})" if table.residuals else "cache")
+    print(f"pomdp policy: {origin}, key={model.cache_key}")
     return model, table
 
 
@@ -167,9 +170,6 @@ def _controller(config: RunConfig, method: str, scenario: Scenario) -> tuple[str
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         model, table = _policy(config)
-        n_sweeps = len(table.residuals)  # 0 for a table loaded from the cache
-        origin = f"solved ({n_sweeps} iterations)" if n_sweeps else "cache"
-        print(f"pomdp policy: {origin}, key={model.cache_key}")
         return method, PomdpController(model, table, sim_dt=scenario.dt)
     raise ConfigError(f"run.controller must be one of {', '.join(METHODS)}, got {method!r}")
 
@@ -323,10 +323,7 @@ def cmd_solve_pomdp(args: argparse.Namespace) -> int:
     export = args.export and _output_path(Path(args.export), directory=False)
     model, table = _policy(config)
     path = policy_cache_path(Path(config.pomdp["cache_dir"]), model)
-    print(
-        f"policy key={model.cache_key} states={model.n_states} actions={model.n_actions} "
-        f"cached at {path}"
-    )
+    print(f"policy states={model.n_states} actions={model.n_actions} cached at {path}")
     if export:
         export_policy_csv(export, model, table)
         print(f"exported flat table -> {args.export}")

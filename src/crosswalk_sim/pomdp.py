@@ -1,4 +1,4 @@
-"""Discretized crosswalk decision process solved by QMDP-style value iteration.
+"""Discretized crosswalk decision process, solved exactly one distance layer at a time.
 
 The comparison controller plans over a coarse grid of (speed, pedestrian
 in crosswalk, distance, previous action). Vehicle motion is a deterministic
@@ -6,7 +6,7 @@ point mass; the crosswalk flag follows a hazard derived from the same
 gap-acceptance distribution the simulator's pedestrian uses, so the planner
 and the world share one behavioral model. With the pedestrian posture fixed
 and the crosswalk flag directly observed, the belief is a point mass and the
-QMDP policy reduces to a greedy lookup on the solved Q-table.
+QMDP policy reduces to a greedy lookup on the Q-table ``qmdp_solve`` certifies.
 """
 
 from __future__ import annotations
@@ -145,7 +145,8 @@ class PomdpModel:
         v_next = np.clip(v + a * self.dt, self.v_grid[0], self.v_grid[-1])
         d_next = d - v * self.dt - 0.5 * a * self.dt * self.dt
         self._v_next_idx = self.v_bin(v_next)
-        self._d_next_idx = self.d_bin(d_next)
+        # Never up a bin, as the plant never reverses (braking at v = 0 would); see qmdp_solve.
+        self._d_next_idx = np.minimum(self.d_bin(d_next), np.arange(nd)[:, None])
 
         # Entry hazard: probability that the sampled accepted gap falls inside
         # the gap interval swept during this step, zero once the vehicle has
@@ -202,107 +203,106 @@ class PomdpModel:
 
 
 class ConvergenceError(RuntimeError):
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(f"value iteration residual {residual:.3e} after {iterations} iterations")
+    def __init__(self, residual: float, tol: float, layers: int, rounds: int):
+        super().__init__(f"not solved exactly ({layers} layers, {rounds} policy-iteration rounds, "
+                         f"residual {residual:.3e} not below tol {tol:g})")
         self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass
 class QTable:
-    """Converged state-action values plus the greedy policy."""
+    """Solved state-action values; a fresh solve also carries its certificate and round count."""
 
     q: np.ndarray
     residuals: list[float] = field(default_factory=list)
+    rounds: int = 0
 
 
-def qmdp_solve(model: PomdpModel, tol: float, max_iters: int = 5000) -> QTable:
-    """Value-iterate Q to a sup-norm residual below ``tol``.
+def qmdp_solve(model: PomdpModel, tol: float) -> QTable:
+    """Solve Q exactly, one distance layer at a time, and certify it.
 
-    During the sweeps Q is held as (a_prev, a, v·c·d), because NumPy reduces
-    and broadcasts over a trailing axis of length ``n_actions`` (6) slowly.
-    V is a max over the middle (action) axis. The next-state values of both
-    crosswalk flags come from one flat ``np.take`` with a (c', a, v·c·d)
-    index built here, and the discounted continuation value ``x``, of shape
-    (a, v·c·d), broadcasts over the leading a_prev axis as whole contiguous
-    blocks: each sweep sets Q to ``r + x``. Every step writes into a buffer
-    made once, and Q is the only table of Q's size that a sweep writes.
-
-    The residual ``max|q_new - q|`` needs no second table either. Q before
-    the sweep was ``r + y``, with ``y`` the last sweep's ``x``, and rounding
-    keeps each ``|fl(r + x) - fl(r + y)|`` close to ``|x - y|``, so the
-    residual is taken exactly, from the max and min of the signed
-    difference, over the few (a, v·c·d) columns whose ``|x - y|`` comes near
-    the largest.
-
-    Each element of Q and of the residual goes through the same IEEE
-    operations in the same order as on the (S, A) layout, so Q and every
-    residual are bitwise the same as the plain (S, A) update's. The returned
-    ``q`` is (S, A), C-contiguous.
-
-    Raises ``ConvergenceError`` at the first residual that is not finite (a
-    Q that overflows) or, carrying the final residual, if the budget runs out
-    first.
+    The model never moves the vehicle up a distance bin, so each distance bin's
+    states (a layer) read only their layer and those below, and the layers are
+    solved from the lowest up (topological value iteration, Dai & Goldsmith
+    2007). A speed whose every action leaves its layer takes one backup from
+    below. The speeds that can stay, all of them in the clamped lowest layer,
+    are solved by policy iteration (Howard 1960), one dense linear solve over
+    their (v, c, a_prev) states a round. X, the discounted next-state value,
+    does not depend on a_prev, so it is held over (v, c, d, a), and Q is built
+    once as R + X. ``residuals``' one entry is the certificate: the sup-norm
+    change of one Bellman backup of Q. Raises ``ConvergenceError`` if it is not
+    finite or not below ``tol``.
     """
-    na = model.n_actions
-    n_vcd = model.n_states // na
-    # Model arrays moved once into V's (a_prev, v·c·d) layout: a flat state
-    # (v·c·d)·na + a_prev becomes a_prev·n_vcd + v·c·d.
-    r = np.ascontiguousarray(
-        model.reward_table.reshape(n_vcd, na, na).transpose(1, 2, 0)).reshape(na, na * n_vcd)
+    nv, nd, na = len(model.v_grid), len(model.d_grid), model.n_actions
+    gamma, p_c1, ns0, ns1 = model.discount, model._p_c1, model._ns0, model._ns1
+    r = model.reward_table.reshape(nv, 2, nd, na, na)  # (v, c, d, a_prev, a)
     r_max = _sup_norm(r)
-    p_c1 = np.moveaxis(model._p_c1, 3, 0).reshape(-1)  # (a·v·c·d)
-    p = np.stack([1.0 - p_c1, p_c1])
-    # Next-state indices over (a, v, d), broadcast over c to the same (c', a·v·c·d).
-    full = (na, *model._p_c1.shape[:3])  # (a, v, c, d)
-    idx = np.stack([np.broadcast_to(np.moveaxis(ns % na * n_vcd + ns // na, 2, 0)[:, :, None, :],
-                                    full).reshape(-1)
-                    for ns in (model._ns0, model._ns1)])
-    gamma = model.discount
-    # Buffers reused by every sweep; fresh temporaries re-fault trimmed heap pages (~20% slower).
-    q = np.zeros_like(r)  # (a_prev, a·v·c·d)
-    v = np.empty(na * n_vcd)  # (a_prev·v·c·d)
-    g = np.empty_like(p)
-    g0, g1 = g
-    x, y, delta = np.empty((3, na * n_vcd))
-    q3, v2 = q.reshape(na, na, n_vcd), v.reshape(na, n_vcd)
-    residuals: list[float] = []
-    y_max = 0.0
-    # A Q that overflows shows as a non-finite residual, checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sweep in range(max_iters):
-            q3.max(axis=1, out=v2)
-            np.take(v, idx, out=g, mode="clip")
-            np.multiply(p, g, out=g)
-            np.add(g0, g1, out=x)
-            np.multiply(gamma, x, out=x)
-            np.add(r, x, out=q)
-            x_max = _sup_norm(x)
-            if sweep == 0:
-                residual = _sup_norm(q)  # from Q = 0
-            else:
-                # With u = 2**-53 and R, X, Y, D the largest |r|, |x|, |y| and
-                # fl(|x - y|), every |fl(r + x) - fl(r + y)| lies within
-                # 2.01·u·(2R + X + Y + D) of its column's fl(|x - y|) unless a sum
-                # overflows. So a column whose fl(|x - y|) falls short of D by more
-                # than twice that cannot hold the largest difference. The slack is
-                # 16·u·(...), which also covers its own rounding.
-                np.abs(np.subtract(x, y, out=delta), out=delta)
-                d_max = float(delta.max())
-                slack = 2.0 ** -49 * (2.0 * r_max + x_max + y_max + d_max)
-                if math.isfinite(slack):
-                    cols = np.flatnonzero(delta >= d_max - slack)
-                    residual = _sup_norm(q[:, cols] - (r[:, cols] + y[cols]))
-                else:  # an overflow or NaN: every column
-                    residual = _sup_norm(q - (r + y))
-            residuals.append(residual)
-            if not math.isfinite(residual):
-                raise ConvergenceError(residual, len(residuals))
-            if residual < tol:
-                out = np.ascontiguousarray(q3.transpose(2, 0, 1))
-                return QTable(q=out.reshape(model.n_states, na), residuals=residuals)
-            x, y, y_max = y, x, x_max
-    raise ConvergenceError(residuals[-1], max_iters)
+    v = np.zeros((nv, 2, nd, na))  # V over (v, c, d, a_prev): v.flat is V by state index
+    x = np.empty_like(v)  # X over (v, c, d, a)
+    rounds = 0
+
+    def backup(speeds, d):  # X of layer d's speeds from the current V, as (speed, c, a)
+        p, v_flat = p_c1[speeds, :, d], v.reshape(-1)
+        return gamma * ((1.0 - p) * v_flat[ns0[speeds, d]][:, None]
+                        + p * v_flat[ns1[speeds, d]][:, None])
+
+    def pick(q, actions):
+        return np.take_along_axis(q, actions[..., None], axis=-1)[..., 0]
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the certificate
+        for d in range(nd):
+            stays = model._d_next_idx[:, d] == d  # (v, a)
+            ahead, cyc = np.flatnonzero(~stays.any(axis=1)), np.flatnonzero(stays.any(axis=1))
+            x[ahead, :, d] = backup(ahead, d)
+            v[ahead, :, d] = (r[ahead, :, d] + x[ahead, :, d][:, :, None]).max(axis=-1)
+            if not cyc.size:
+                continue
+            k, n = len(cyc), len(cyc) * 2 * na
+            # M = I - gamma·P_pi is diagonally dominant: |M^-1| <= 1/(1 - gamma). With |V| <=
+            # r_max/(1 - gamma), a solve's rounding (backward error ~n·u·|M|, u = 2**-53) and
+            # its right-hand side's move V by about 4·n·u·r_max/(1 - gamma)**2 at most, and a
+            # gain by twice that. A smaller gain may be round-off; switching on it could cycle.
+            eps = n * 2.0 ** -50 * r_max / (1.0 - gamma) ** 2
+            col = np.full(nv, -1)
+            col[cyc] = np.arange(k) * 2 * na  # each cycling speed's first unknown
+            # Per (speed, a): the successor's first unknown, or -1 where its V is known.
+            succ = np.where(stays[cyc], col[model._v_next_idx[cyc, 0]], -1)
+            rc, pc, jj = r[cyc, :, d], p_c1[cyc, :, d], np.arange(k)[:, None, None]
+            v[cyc, :, d] = v[cyc, :, d - 1] if d else 0.0  # the first policy's guess
+            policy = None
+            while True:
+                xc = backup(cyc, d)
+                q = rc + xc[:, :, None]  # (speed, c, a_prev, a)
+                best = q.argmax(axis=-1)
+                if policy is not None:
+                    switch = pick(q, best) - pick(q, policy) > eps  # False on NaN
+                    if not switch.any():
+                        break
+                    best = np.where(switch, best, policy)
+                policy = best
+                # Newton form of the evaluation: M (V_pi - V) = R_pi + X_pi - V.
+                j = succ[jj, policy]
+                on = j >= 0
+                i, j = np.flatnonzero(on), j[on] + policy[on]
+                p = np.take_along_axis(pc, policy, axis=-1)[on]
+                m = np.eye(n)
+                m[i, j] -= gamma * (1.0 - p)
+                m[i, j + na] -= gamma * p
+                step = np.linalg.solve(m, (pick(q, policy) - v[cyc, :, d]).reshape(n))
+                v[cyc, :, d] += step.reshape(k, 2, na)
+                rounds += 1
+            x[cyc, :, d] = xc
+            v[cyc, :, d] = q.max(axis=-1)
+
+        q5 = r + x[:, :, :, None]
+        q = q5.reshape(model.n_states, na)
+        # One Bellman backup of Q, compared an a_prev slice at a time: no temporary is Q's size.
+        v_q = q.max(axis=1)
+        x_q = gamma * ((1.0 - p_c1) * v_q[ns0][:, None] + p_c1 * v_q[ns1][:, None])
+        residual = float(np.max([_sup_norm(r[..., b, :] + x_q - q5[..., b, :]) for b in range(na)]))
+    if not residual < tol:  # also NaN
+        raise ConvergenceError(residual, tol, nd, rounds)
+    return QTable(q=q, residuals=[residual], rounds=rounds)
 
 
 def greedy_action_table(model: PomdpModel, qtable: QTable) -> np.ndarray:

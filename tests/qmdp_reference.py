@@ -1,10 +1,10 @@
-"""The plain (S, A) QMDP update, which ``qmdp_solve`` must match bit for bit."""
+"""Dense (S, A) oracles for ``qmdp_solve``: one Bellman backup, and value iteration built on it."""
 
 import numpy as np
 
 
-def dense_reference(m, tol):
-    """The plain update on the kernel broadcast to (S, A) tables; returns (Q, residuals)."""
+def bellman_backup(m):
+    """The map Q -> R + gamma·E[max_a Q(s', a)], on the kernel broadcast to (S, A) tables."""
     nv, nd, na = len(m.v_grid), len(m.d_grid), len(m.a_grid)
     full = (nv, 2, nd, na, na)  # v, c, d, a_prev, a
     s_v = m._v_next_idx[:, None, :, None, :]
@@ -19,11 +19,42 @@ def dense_reference(m, tol):
         axis=1,
     ).reshape(m.n_states, na)
 
+    def backup(q):
+        v = q.max(axis=1)
+        return m.reward_table + m.discount * ((1.0 - p1) * v[ns0] + p1 * v[ns1])
+
+    return backup
+
+
+def dense_reference(m, tol):
+    """Plain value iteration from Q = 0 until the sup-norm change is below ``tol``.
+
+    Returns (Q, residuals). Its Q lies within gamma·residuals[-1]/(1 - gamma) of
+    the exact one, up to rounding."""
+    backup = bellman_backup(m)
     q = np.zeros_like(m.reward_table)
     residuals = [np.inf]
     while residuals[-1] >= tol:
-        v = q.max(axis=1)
-        q_new = m.reward_table + m.discount * ((1.0 - p1) * v[ns0] + p1 * v[ns1])
+        q_new = backup(q)
         residuals.append(float(np.max(np.abs(q_new - q))))
         q = q_new
     return q, residuals[1:]
+
+
+def backup_change(m, q):
+    """The sup-norm change of one dense Bellman backup of ``q``."""
+    return float(np.max(np.abs(bellman_backup(m)(q) - q)))
+
+
+def assert_near_value_iteration(m, table, tol):
+    """Assert that ``table``'s Q lies within value iteration's own bound of the
+    oracle's, and return the oracle's Q.
+
+    Value iteration stops within gamma·res/(1 - gamma) of the exact Q, and the table
+    within certificate/(1 - gamma) of it. The slack, 32 ulps of max|r|/(1 - gamma)
+    summed by the contraction, covers the rounding of the oracle's sweeps."""
+    q_vi, res = dense_reference(m, tol)
+    gamma, scale = m.discount, np.abs(m.reward_table).max() / (1.0 - m.discount)
+    bound = (gamma * res[-1] + table.residuals[0] + 2.0 ** -48 * scale) / (1.0 - gamma)
+    assert np.abs(table.q - q_vi).max() <= bound
+    return q_vi

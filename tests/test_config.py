@@ -74,7 +74,7 @@ class TestDefaults:
         keyword_defaults = {
             PomdpModel.__init__: [],
             HybridController.__init__: [],
-            qmdp_solve: ["max_iters"],  # a solver limit, not a parameter of the config
+            qmdp_solve: [],
             sweep_gaps: [],
         }
         for fn, expected in keyword_defaults.items():

@@ -14,7 +14,7 @@ from crosswalk_sim.pomdp import (
     solve_or_load,
 )
 
-from qmdp_reference import dense_reference
+from qmdp_reference import assert_near_value_iteration, backup_change
 from states import CONFIG, config_with, scaled_weights, trial_state
 
 
@@ -24,6 +24,14 @@ def small_model(**pomdp):
 
 
 TOL = CONFIG.pomdp["tol"]
+
+
+def assert_matches_value_iteration(m):
+    """The certificate is a dense backup's change; Q and the greedy table are value iteration's."""
+    table = qmdp_solve(m, tol=TOL)
+    assert table.residuals == [backup_change(m, table.q)]
+    q_vi = assert_near_value_iteration(m, table, TOL)
+    assert np.array_equal(greedy_action_table(m, table), greedy_action_table(m, QTable(q=q_vi)))
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +105,16 @@ class TestSolver:
         assert solved_policy.residuals[-1] < TOL
         assert np.all(np.isfinite(solved_policy.q))
 
-    def test_residuals_non_increasing_after_first(self, solved_policy):
-        res = solved_policy.residuals
-        assert all(res[i + 1] <= res[i] + 1e-12 for i in range(1, len(res) - 1))
+    def test_certificate_is_one_dense_backup(self, pomdp_model, solved_policy):
+        # The one residual is the sup-norm change of a dense Bellman backup of Q.
+        assert solved_policy.residuals == [backup_change(pomdp_model, solved_policy.q)]
+        assert solved_policy.rounds > 0
+        assert solved_policy.q.flags.c_contiguous
+
+    @pytest.mark.parametrize("preset", [None, "experiment"], ids=["default", "experiment"])
+    def test_presets_match_value_iteration(self, preset):
+        # The controller reads only the greedy table, which must be value iteration's.
+        assert_matches_value_iteration(config_with(preset).pomdp_model())
 
     def test_zero_discount_gives_reward(self):
         m = small_model(gamma=0.0)
@@ -112,18 +127,20 @@ class TestSolver:
         assert np.all(table.q == 0.0)
 
     def test_non_convergence_raises(self):
+        # A tol the certificate does not get below raises, carrying the certificate.
         m = small_model(gamma=0.99)
-        with pytest.raises(ConvergenceError) as err:
-            qmdp_solve(m, tol=1e-12, max_iters=3)
-        assert err.value.residual > 0.0
+        residual = qmdp_solve(m, tol=TOL).residuals[0]
+        with pytest.raises(ConvergenceError, match="not solved exactly") as err:
+            qmdp_solve(m, tol=residual)
+        assert err.value.residual == residual
 
-    def test_overflow_stops_at_first_non_finite_residual(self):
-        # A finite weight whose Q overflows: sweep 1 gives 1e308, sweep 2 inf. The
-        # solve stops there, without a NumPy warning, not after 5000 NaN sweeps.
+    def test_overflowing_q_raises(self):
+        # A finite weight whose Q overflows gives a certificate that is not finite,
+        # raised without a NumPy warning.
         m = small_model(w_safety=1e308)
         with pytest.raises(ConvergenceError) as err:
             qmdp_solve(m, tol=TOL)
-        assert err.value.iterations == 2 and err.value.residual == np.inf
+        assert not np.isfinite(err.value.residual)
 
     def test_overflowing_reward_table_is_rejected(self):
         with pytest.raises(ValueError, match="overflow the reward table"):
@@ -136,14 +153,8 @@ class TestSolver:
         g2 = greedy_action_table(m2, qmdp_solve(m2, tol=TOL))
         assert np.array_equal(g1, g2)
 
-    dense_reference = staticmethod(dense_reference)
-
     def test_matches_dense_reference(self):
-        m = small_model()
-        q, residuals = self.dense_reference(m, TOL)
-        table = qmdp_solve(m, tol=TOL)
-        assert np.array_equal(table.q, q)
-        assert table.residuals == residuals
+        assert_matches_value_iteration(small_model())
 
     def test_matches_dense_reference_on_asymmetric_rewards(self):
         # The model's only action-pair term, -|a - a_prev|, is symmetric, so an
@@ -151,10 +162,9 @@ class TestSolver:
         # 4-action grid expose it and any hard-coded action count.
         m = small_model(actions="-2,-1,0,1")
         m.reward_table = np.random.default_rng(7).normal(size=(m.n_states, m.n_actions))
-        q, residuals = self.dense_reference(m, TOL)
         table = qmdp_solve(m, tol=TOL)
-        assert np.array_equal(table.q, q)
-        assert table.residuals == residuals
+        assert table.residuals == [backup_change(m, table.q)]
+        assert_near_value_iteration(m, table, TOL)
 
     def test_actions_within_limits(self, pomdp_model, params):
         assert pomdp_model.a_grid.min() >= -params.a_max
@@ -265,6 +275,13 @@ class TestSerialization:
     def test_save_leaves_only_the_policy(self, tmp_path, pomdp_model, solved_policy):
         save_policy(tmp_path / "policy.npz", pomdp_model, solved_policy)
         assert [p.name for p in tmp_path.iterdir()] == ["policy.npz"]
+
+    @pytest.mark.parametrize("preset,key", [(None, "e4fe05bdd6f00d25"),
+                                            ("experiment", "e566ab781fa52e70")],
+                             ids=["default", "experiment"])
+    def test_preset_keys_are_pinned(self, preset, key):
+        # A change that moves a preset's key re-solves every user's cached policy.
+        assert config_with(preset).pomdp_model().cache_key == key
 
     def test_key_covers_model_internals(self, monkeypatch, config, pomdp_model):
         import crosswalk_sim.pomdp as pomdp
