@@ -34,6 +34,7 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 _erf = np.frompyfunc(math.erf, 1, 1)
+_ROUNDING = 2.0 ** -50  # qmdp_solve's allowance for the rounding of a policy's values
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -61,19 +62,10 @@ class RewardWeights:
 class PomdpModel:
     """Grids, transition kernel, and reward table for the planner."""
 
-    def __init__(
-        self,
-        params: ControllerParams,
-        geometry: WorldGeometry,
-        gap_model: GapAcceptanceModel,
-        weights: RewardWeights,
-        dt: float,
-        discount: float,
-        n_v_bins: int,
-        n_d_bins: int,
-        d_range: tuple[float, float],
-        actions: tuple[float, ...],
-    ):
+    def __init__(self, params: ControllerParams, geometry: WorldGeometry,
+                 gap_model: GapAcceptanceModel, weights: RewardWeights, dt: float,
+                 discount: float, n_v_bins: int, n_d_bins: int, d_range: tuple[float, float],
+                 actions: tuple[float, ...]):
         require_finite(dt=dt, discount=discount, d_range=d_range, actions=actions)
         if dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -218,20 +210,45 @@ class QTable:
     rounds: int = 0
 
 
+def _evaluate(v, rows, ns, w, rr) -> None:
+    """Set ``v[rows]`` to a fixed policy's values, ``rr + w[0]·v[ns[0]] + w[1]·v[ns[1]]``.
+
+    Rows whose successors are solved, or are themselves, are solved together until none
+    is left; the rows left, on or behind a longer cycle, are solved by Gauss-Jordan
+    elimination, unpivoted, as I - w is row diagonally dominant. Elementwise IEEE
+    operations alone, no BLAS, give V the same bits on every platform and NumPy build.
+    """
+    done = np.ones(len(v), dtype=bool)
+    done[rows] = False
+    loop = (ns == rows) | (w == 0.0)  # a successor a row need not wait for
+    den = 1.0 - (np.where(loop[0], w[0], 0.0) + np.where(loop[1], w[1], 0.0))
+    while (ready := ~done[rows] & (done[ns[0]] | loop[0]) & (done[ns[1]] | loop[1])).any():
+        t, solved = np.where(loop, 0.0, w * v[ns]), rows[ready]
+        v[solved], done[solved] = ((rr + (t[0] + t[1])) / den)[ready], True
+    k = np.flatnonzero(~done[rows])  # often none
+    m, at, open_ = len(k), np.zeros(len(v), dtype=np.int64), ~done[ns[:, k]]
+    at[rows[k]] = np.arange(m)
+    a, t = np.eye(m, m + 1), np.where(open_, 0.0, w[:, k] * v[ns[:, k]])
+    a[:, m] = rr[k] + (t[0] + t[1])
+    np.subtract.at(a, (np.arange(m), at[ns[:, k]]), np.where(open_, w[:, k], 0.0))
+    for i in range(m):
+        a[i] /= a[i, i]
+        a -= np.multiply.outer(np.where(np.arange(m) == i, 0.0, a[:, i]), a[i])
+    v[rows[k]] = a[:, m]
+
+
 def qmdp_solve(model: PomdpModel, tol: float) -> QTable:
     """Solve Q exactly, one distance layer at a time, and certify it.
 
-    The model never moves the vehicle up a distance bin, so each distance bin's
-    states (a layer) read only their layer and those below, and the layers are
-    solved from the lowest up (topological value iteration, Dai & Goldsmith
-    2007). A speed whose every action leaves its layer takes one backup from
-    below. The speeds that can stay, all of them in the clamped lowest layer,
-    are solved by policy iteration (Howard 1960), one dense linear solve over
-    their (v, c, a_prev) states a round. X, the discounted next-state value,
-    does not depend on a_prev, so it is held over (v, c, d, a), and Q is built
-    once as R + X. ``residuals``' one entry is the certificate: the sup-norm
-    change of one Bellman backup of Q. Raises ``ConvergenceError`` if it is not
-    finite or not below ``tol``.
+    The model never moves the vehicle up a distance bin, so a distance bin's states
+    (a layer) read only their layer and those below, and the layers are solved from
+    the lowest up (topological value iteration, Dai & Goldsmith 2007). A speed whose
+    every action leaves its layer takes one backup from below; the speeds that can
+    stay, all of them in the clamped lowest layer, are solved by policy iteration
+    (Howard 1960). X, the discounted next-state value, does not depend on a_prev, so
+    it is held over (v, c, d, a), and Q is built once as R + X. ``residuals``' one
+    entry is the certificate: the sup-norm change of one Bellman backup of Q. Raises
+    ``ConvergenceError`` if it is not finite or not below ``tol``.
     """
     nv, nd, na = len(model.v_grid), len(model.d_grid), model.n_actions
     gamma, p_c1, ns0, ns1 = model.discount, model._p_c1, model._ns0, model._ns1
@@ -246,9 +263,6 @@ def qmdp_solve(model: PomdpModel, tol: float) -> QTable:
         return gamma * ((1.0 - p) * v_flat[ns0[speeds, d]][:, None]
                         + p * v_flat[ns1[speeds, d]][:, None])
 
-    def pick(q, actions):
-        return np.take_along_axis(q, actions[..., None], axis=-1)[..., 0]
-
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the certificate
         for d in range(nd):
             stays = model._d_next_idx[:, d] == d  # (v, a)
@@ -257,39 +271,29 @@ def qmdp_solve(model: PomdpModel, tol: float) -> QTable:
             v[ahead, :, d] = (r[ahead, :, d] + x[ahead, :, d][:, :, None]).max(axis=-1)
             if not cyc.size:
                 continue
-            k, n = len(cyc), len(cyc) * 2 * na
-            # M = I - gamma·P_pi is diagonally dominant: |M^-1| <= 1/(1 - gamma). With |V| <=
-            # r_max/(1 - gamma), a solve's rounding (backward error ~n·u·|M|, u = 2**-53) and
-            # its right-hand side's move V by about 4·n·u·r_max/(1 - gamma)**2 at most, and a
-            # gain by twice that. A smaller gain may be round-off; switching on it could cycle.
-            eps = n * 2.0 ** -50 * r_max / (1.0 - gamma) ** 2
-            col = np.full(nv, -1)
-            col[cyc] = np.arange(k) * 2 * na  # each cycling speed's first unknown
-            # Per (speed, a): the successor's first unknown, or -1 where its V is known.
-            succ = np.where(stays[cyc], col[model._v_next_idx[cyc, 0]], -1)
-            rc, pc, jj = r[cyc, :, d], p_c1[cyc, :, d], np.arange(k)[:, None, None]
+            jj, cc, bb = np.ix_(np.arange(len(cyc)), range(2), range(na))
+            rows = model.state_index(cyc[jj], cc, d, bb).reshape(-1)
+            # A value _evaluate sets carries a few roundings (u = 2**-53) of its successors', or
+            # an elimination's n·u·|M| on I - gamma·P_pi, where |M^-1| <= 1/(1 - gamma). As
+            # |V| <= r_max/(1 - gamma), V is off by less than n·2**-52·r_max/(1 - gamma)**2, a
+            # gain by twice that: eps. A smaller gain may be round-off, and switching on it
+            # could cycle; should the bound fail, meeting a policy again ends the layer.
+            eps = len(rows) * _ROUNDING * r_max / (1.0 - gamma) ** 2
+            rc, pc, ns0c, ns1c = r[cyc, :, d], p_c1[cyc, :, d], ns0[cyc, d], ns1[cyc, d]
             v[cyc, :, d] = v[cyc, :, d - 1] if d else 0.0  # the first policy's guess
-            policy = None
+            policy, seen = np.zeros((len(cyc), 2, na), dtype=np.int64), set()
             while True:
                 xc = backup(cyc, d)
                 q = rc + xc[:, :, None]  # (speed, c, a_prev, a)
-                best = q.argmax(axis=-1)
-                if policy is not None:
-                    switch = pick(q, best) - pick(q, policy) > eps  # False on NaN
-                    if not switch.any():
-                        break
-                    best = np.where(switch, best, policy)
-                policy = best
-                # Newton form of the evaluation: M (V_pi - V) = R_pi + X_pi - V.
-                j = succ[jj, policy]
-                on = j >= 0
-                i, j = np.flatnonzero(on), j[on] + policy[on]
-                p = np.take_along_axis(pc, policy, axis=-1)[on]
-                m = np.eye(n)
-                m[i, j] -= gamma * (1.0 - p)
-                m[i, j + na] -= gamma * p
-                step = np.linalg.solve(m, (pick(q, policy) - v[cyc, :, d]).reshape(n))
-                v[cyc, :, d] += step.reshape(k, 2, na)
+                gain = q.max(axis=-1) - q[jj, cc, bb, policy]  # NaN: no switch
+                best = np.where(gain > eps, q.argmax(axis=-1), policy)
+                if best.tobytes() in seen:  # no switch, or a cycle
+                    break
+                seen.add(best.tobytes())
+                policy, p = best, pc[jj, cc, best].reshape(-1)
+                ns = np.stack([ns0c[jj, policy], ns1c[jj, policy]]).reshape(2, -1)
+                _evaluate(v.reshape(-1), rows, ns, gamma * np.stack([1.0 - p, p]),
+                          rc[jj, cc, bb, policy].reshape(-1))
                 rounds += 1
             x[cyc, :, d] = xc
             v[cyc, :, d] = q.max(axis=-1)
@@ -314,17 +318,11 @@ def greedy_action_table(model: PomdpModel, qtable: QTable) -> np.ndarray:
 
 def pomdp_step(greedy: np.ndarray, model: PomdpModel, s: TrialState, a_prev_bin: int) -> int:
     """The action bin ``greedy_action_table`` picks for trial ``s``'s observed state."""
-    if not (model.d_grid[0] <= s.d <= model.d_grid[-1]) or not (
-        model.v_grid[0] <= s.v <= model.v_grid[-1]
-    ):
+    if not (model.d_grid[0] <= s.d <= model.d_grid[-1]
+            and model.v_grid[0] <= s.v <= model.v_grid[-1]):
         log.debug("state outside grid, clamping: d=%.2f v=%.2f", s.d, s.v)
-    state = model.state_index(
-        model.v_bin(s.v),
-        in_crosswalk(s, model.geometry),
-        model.d_bin(s.d),
-        a_prev_bin,
-    )
-    return int(greedy[state])
+    c = in_crosswalk(s, model.geometry)
+    return int(greedy[model.state_index(model.v_bin(s.v), c, model.d_bin(s.d), a_prev_bin)])
 
 
 class PomdpController:
@@ -402,8 +400,7 @@ def policy_cache_path(cache_dir: Path, model: PomdpModel) -> Path:
 def solve_or_load(model: PomdpModel, cache_dir: Path, tol: float) -> QTable:
     """The cached policy for ``model``, else a fresh solve (the only kind with ``residuals``)."""
     path = policy_cache_path(cache_dir, model)
-    cached = load_policy(path, model)
-    if cached is not None:
+    if (cached := load_policy(path, model)) is not None:
         return cached
     table = qmdp_solve(model, tol=tol)
     save_policy(path, model, table)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import crosswalk_sim.pomdp as pomdp
 from crosswalk_sim.pomdp import (
     ConvergenceError,
     PomdpController,
@@ -133,6 +134,69 @@ class TestSolver:
         with pytest.raises(ConvergenceError, match="not solved exactly") as err:
             qmdp_solve(m, tol=residual)
         assert err.value.residual == residual
+
+    def test_policy_cycle_ends_the_layer(self, monkeypatch):
+        # Zero rewards leave no rounding allowance (eps = 0), while this evaluation is
+        # off by 1e-3, with the sign flipping each round, so the greedy policy cycles.
+        # Meeting a policy again ends the layer, and the certificate raises on the
+        # error it leaves.
+        evaluate, calls = pomdp._evaluate, []
+
+        def noisy(v, rows, *args):
+            evaluate(v, rows, *args)
+            calls.append(len(rows))
+            v[rows] += 1e-3 if len(calls) % 2 else -1e-3
+
+        monkeypatch.setattr(pomdp, "_evaluate", noisy)
+        with pytest.raises(ConvergenceError) as err:
+            qmdp_solve(small_model(**scaled_weights(0.0)), tol=TOL)
+        assert err.value.residual >= TOL
+        assert len(calls) < 100
+
+    def test_too_large_rounding_allowance_raises(self, monkeypatch):
+        # An allowance above every gain stops each layer at its first policy, and the
+        # certificate of a Q that is not a fixed point raises.
+        monkeypatch.setattr(pomdp, "_ROUNDING", 1.0)
+        with pytest.raises(ConvergenceError, match="not solved exactly"):
+            qmdp_solve(small_model(), tol=TOL)
+
+    def test_solve_calls_no_blas(self, monkeypatch, pomdp_model, solved_policy):
+        # BLAS and LAPACK round differently by CPU and build; Q's bytes, which the
+        # golden digests pin, must come from elementwise IEEE operations alone.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solve called BLAS or LAPACK")
+
+        for name in ("dot", "vdot", "inner", "matmul", "einsum", "tensordot"):
+            monkeypatch.setattr(np, name, refuse)
+        monkeypatch.setattr(np, "linalg", None)
+        q = qmdp_solve(pomdp_model, tol=TOL).q
+        monkeypatch.undo()
+        assert np.array_equal(q, solved_policy.q)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_evaluate_matches_a_dense_solve(self, seed):
+        # Policies over 30 rows and 20 known states, with self loops, zero weights and
+        # certain moves. Odd seeds only point forward (no cycle, no elimination); even
+        # seeds point mostly at rows, and their cycles leave 11 to 28 rows to the
+        # elimination. The known states keep their bits.
+        rng = np.random.default_rng(seed)
+        n_known, n, gamma = 20, 30, 0.99
+        v = 100.0 * rng.normal(size=n_known + n)
+        rows = np.arange(n_known, n_known + n)
+        ns = rng.integers(n_known - 5, n_known + n, size=(2, n))
+        if seed % 2:
+            ns = np.where(ns >= rows, ns, rng.integers(0, n_known, size=(2, n)))
+        p = rng.choice([0.0, 1.0, 0.3, 0.9], size=n)
+        w, rr = gamma * np.stack([1.0 - p, p]), rng.normal(size=n)
+        m, b = np.eye(n), rr.copy()
+        for s in (0, 1):
+            inside = ns[s] >= n_known
+            np.subtract.at(m, (np.flatnonzero(inside), ns[s, inside] - n_known), w[s, inside])
+            b[~inside] += w[s, ~inside] * v[ns[s, ~inside]]
+        want, known = np.linalg.solve(m, b), v[:n_known].copy()
+        pomdp._evaluate(v, rows, ns, w, rr)
+        assert np.abs(v[rows] - want).max() <= 1e-9 * np.abs(want).max()
+        assert np.array_equal(v[:n_known], known)
 
     def test_overflowing_q_raises(self):
         # A finite weight whose Q overflows gives a certificate that is not finite,

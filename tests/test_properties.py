@@ -227,7 +227,7 @@ def test_qmdp_solve_matches_dense_reference(n_v_bins, n_d_bins, actions, discoun
     model.reward_table = data.draw(arrays(np.float64, model.reward_table.shape, elements=rewards))
     table = qmdp_solve(model, tol=TOL)
     # Q is a fixed point up to the improvement step's threshold, the rounding that
-    # the solves of the largest layer (n unknowns) can leave in V, which
+    # the evaluations of the largest layer (n unknowns) can leave in V, which
     # ``qmdp_solve`` states: n·2**-50·max|r|/(1 - gamma)**2.
     n = 2 * n_v_bins * len(actions)
     scale = np.abs(model.reward_table).max() / (1.0 - discount)
