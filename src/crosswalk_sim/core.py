@@ -19,6 +19,10 @@ import os
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EntrySide(Enum):
@@ -68,6 +72,24 @@ def write_output(path: Path, text: str) -> None:
             os.ftruncate(fd, written)
         finally:
             os.close(fd)
+
+
+def bound(value: float, dtype: object = float) -> np.ndarray:
+    """``value`` as a read-only 0-d NumPy array of ``dtype``, the dtype of the
+    array it meets: int8 for a phase or mode code, float64 (the default) else.
+
+    NumPy converts a Python or NumPy scalar operand on every ufunc call, a
+    third of a call's cost on a few hundred rows; a 0-d array of the array
+    operand's dtype skips that and gives the same IEEE operation. So the batch
+    code binds its operands once per ``run_batch`` call or per controller,
+    never per tick. NumPy is imported here, not at the top: the scalar path
+    needs none.
+    """
+    import numpy as np
+
+    a = np.array(value, dtype)
+    a.flags.writeable = False
+    return a
 
 
 def whole_ticks(duration: float, dt: float, name: str) -> int:

@@ -12,11 +12,14 @@ proportional correction toward a desired velocity profile.
 from __future__ import annotations
 
 import math
+from functools import cached_property
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ControllerParams, WorldGeometry, comfort_brake_distance, max_brake_distance
+from .core import (ControllerParams, WorldGeometry, bound, comfort_brake_distance,
+                   max_brake_distance)
 
 if TYPE_CHECKING:
     from .simulator import BatchState, TrialState
@@ -178,69 +181,85 @@ class HybridController:
         s.mode = mode
         return _clamp(a, -p.a_max, p.a_cmf)
 
+    @cached_property
+    def _operands(self) -> SimpleNamespace:
+        """``step_batch``'s scalar operands, each a read-only 0-d array, bound on
+        its first call: a controller that only serves ``step`` builds no array."""
+        p, code = self.params, np.int8
+        return SimpleNamespace(
+            k_s=bound(p.k_s), v_speedlimit=bound(p.v_speedlimit), tau_max=bound(p.tau_max),
+            a_cmf=bound(p.a_cmf), neg_a_cmf=bound(-p.a_cmf), neg_a_max=bound(-p.a_max),
+            two_a_cmf=bound(2.0 * p.a_cmf), lead=bound(p.t_delay + self.dt),
+            delta=bound(self.geometry.delta), zero=bound(0.0), two=bound(2.0),
+            false=bound(False, np.bool_), driving=bound(DRIVING, code),
+            yielding=bound(YIELDING, code), hard_braking=bound(HARD_BRAKING, code),
+            speed_up=bound(SPEED_UP, code))
+
     def step_batch(self, s: BatchState, tick: int) -> np.ndarray:
         """``step`` for every row of a lockstep batch; returns the commands.
 
         The mode blocks run as masked blocks in the order of ``step``, so the
         same-tick cascade holds, and each array expression does the same IEEE
-        operations in the same order as its scalar counterpart. The start
-        state is all zeros: Driving, nothing latched, no overrun. A finished
-        row ticks on as its scalar trial would, so ``step`` accepts its state.
+        operations in the same order as its scalar counterpart, its scalar
+        operands bound once (``_operands``). The start state is all zeros:
+        Driving, nothing latched, no overrun. A finished row ticks on as its
+        scalar trial would, so ``step`` accepts its state.
         """
-        p, geo = self.params, self.geometry
-        d, v, mode = s.d, s.v, s.mode
-        ped_active = in_crosswalk(s, geo)
-        a = _clip(p.k_s * (p.v_speedlimit - v), -p.a_cmf, p.a_cmf)  # driving_command
+        p, k = self.params, self._operands
+        d, v, mode, zero = s.d, s.v, s.mode, k.zero
+        ped_active = in_crosswalk(s, self.geometry)
+        a = _clip(k.k_s * (k.v_speedlimit - v), k.neg_a_cmf, k.a_cmf)  # driving_command
 
-        check = (mode == DRIVING) & (d > 0.0) & ped_active
+        check = (mode == k.driving) & (d > zero) & ped_active
         if np.count_nonzero(check):
             # time_advantage(...) > tau_max, its inf / -inf cases spelled out.
             t_reach = (s.x_v - s.x_p) / s.xdot_p
-            margin = ((s.xdot_p == 0.0) | (t_reach < 0.0)
-                      | (v > 0.0) & (t_reach - (d + geo.delta) / v > p.tau_max))
+            margin = ((s.xdot_p == zero) | (t_reach < zero)
+                      | (v > zero) & (t_reach - (d + k.delta) / v > k.tau_max))
             enter = check & ~margin
             if np.count_nonzero(enter):
-                new = np.where(d >= comfort_brake_distance(v, p.a_cmf), YIELDING,
-                               np.where(d > max_brake_distance(v, p.a_max), HARD_BRAKING, SPEED_UP))
-                np.putmask(mode, enter, new.astype(mode.dtype))
+                new = np.where(d >= comfort_brake_distance(v, p.a_cmf), k.yielding,
+                               np.where(d > max_brake_distance(v, p.a_max), k.hard_braking,
+                                        k.speed_up))
+                np.putmask(mode, enter, new)
                 np.putmask(s.d_o, enter, d)
                 np.putmask(s.v_o, enter, v)
-                np.putmask(s.latched, enter, False)
+                np.putmask(s.latched, enter, k.false)
         leaving = ~ped_active
 
-        yielding = mode == YIELDING
+        yielding = mode == k.yielding
         if np.count_nonzero(yielding):
             # yielding_command: a coasting trial keeps the driving command.
             steer = yielding
             unlatched = yielding & ~s.latched
             if np.count_nonzero(unlatched):
-                coast = unlatched & (d > comfort_brake_distance(v, p.a_cmf) + (p.t_delay + self.dt) * v)
+                coast = unlatched & (d > comfort_brake_distance(v, p.a_cmf) + k.lead * v)
                 latch = unlatched & ~coast
                 np.putmask(s.d_o, latch, d)
                 np.putmask(s.v_o, latch, v)
                 s.latched |= latch
                 steer = yielding & ~coast
             # yield_speed_profile; arg is never -0.0, as v_o * v_o is not.
-            v_des = np.sqrt(np.maximum(2.0 * p.a_cmf * (d - s.d_o) + s.v_o * s.v_o, 0.0))
-            a_y = _clip(-p.a_cmf + p.k_s * (v_des - v), -p.a_cmf, p.a_cmf)
+            v_des = np.sqrt(np.maximum(k.two_a_cmf * (d - s.d_o) + s.v_o * s.v_o, zero))
+            a_y = _clip(k.neg_a_cmf + k.k_s * (v_des - v), k.neg_a_cmf, k.a_cmf)
             np.putmask(a, steer, a_y)
-            np.putmask(mode, yielding & leaving, DRIVING)
+            np.putmask(mode, yielding & leaving, k.driving)
 
-        braking = mode == HARD_BRAKING
+        braking = mode == k.hard_braking
         if np.count_nonzero(braking):
-            overrun = d <= 0.0
+            overrun = d <= zero
             s.overrun |= braking & overrun
             v_des = s.v_o / np.sqrt(s.d_o) * np.sqrt(d)  # brake_speed_profile
-            np.putmask(v_des, overrun | (s.d_o <= 0.0), 0.0)
-            a_h = _clip(-v * v / (2.0 * d) + p.k_s * (v_des - v), -p.a_max, p.a_cmf)
-            np.putmask(a_h, overrun, -p.a_max)
+            np.putmask(v_des, overrun | (s.d_o <= zero), zero)
+            a_h = _clip(-v * v / (k.two * d) + k.k_s * (v_des - v), k.neg_a_max, k.a_cmf)
+            np.putmask(a_h, overrun, k.neg_a_max)
             np.putmask(a, braking, a_h)
-            np.putmask(mode, braking & leaving, DRIVING)
+            np.putmask(mode, braking & leaving, k.driving)
 
-        speeding = mode == SPEED_UP
+        speeding = mode == k.speed_up
         if np.count_nonzero(speeding):
-            np.putmask(a, speeding, p.a_cmf)
-            np.putmask(mode, speeding & (leaving | (d < 0.0)), DRIVING)
+            np.putmask(a, speeding, k.a_cmf)
+            np.putmask(mode, speeding & (leaving | (d < zero)), k.driving)
 
         # Every mode's command already lies in [-a_max, a_cmf], inside which
         # step's final clamp is the identity.
@@ -251,6 +270,6 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
-def _clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``_clamp`` on arrays (``np.clip`` gives the same values, twice as slowly)."""
     return np.minimum(np.maximum(x, lo), hi)

@@ -24,6 +24,8 @@ import numpy as np
 from .core import require_finite_fields
 
 if TYPE_CHECKING:
+    from types import SimpleNamespace
+
     from .simulator import BatchState, TrialState
 
 # The pedestrian's phases, in the order a trial passes through them.
@@ -68,7 +70,7 @@ def sample_accepted_gap(model: GapAcceptanceModel, rng: np.random.Generator) -> 
     return max(model.min_gap, float(rng.normal(model.mu_gap, model.sigma_gap)))
 
 
-def arming_gap(v: np.ndarray, line: np.ndarray, past) -> np.ndarray:
+def arming_gap(v: np.ndarray, line: np.ndarray, past, k: SimpleNamespace) -> np.ndarray:
     """The least accepted gap that arms a waiting pedestrian this tick, for arrays
     of vehicle speeds ``v`` and ``walking_line`` results ``line`` and ``past``.
 
@@ -76,22 +78,25 @@ def arming_gap(v: np.ndarray, line: np.ndarray, past) -> np.ndarray:
     passed (no conflict), which every pedestrian takes, whatever their gap. While
     the vehicle approaches the walking line (``line > 0``) it is the time gap
     ``line / v``, and otherwise inf: no gap arms. ``arms`` is the test against it.
+    ``k`` is the run's bound operands (``simulator.tick_operands``): ``zero``,
+    ``inf``, ``neg_inf`` and ``eps`` (1e-9).
     """
-    least = np.where(line > 0.0, line / v, np.inf)
-    np.putmask(least, (v <= 1e-9) | past, -np.inf)
+    least = np.where(line > k.zero, line / v, k.inf)
+    np.putmask(least, (v <= k.eps) | past, k.neg_inf)
     return least
 
 
-def arms(gap, least, max_trigger_gap: float):
+def arms(gap, least, k: SimpleNamespace):
     """Whether a waiting pedestrian with accepted gap ``gap`` arms against
     ``arming_gap``'s ``least``: every one at -inf, else one whose gap lies in
-    [least, max_trigger_gap]. Takes scalars or arrays.
+    [least, max_trigger_gap]. Takes scalars or arrays; ``k`` is the run's bound
+    operands, ``neg_inf`` and ``max_trigger_gap``.
 
     With ``arming_gap`` this is the one arm rule of the lockstep engine and of
     ``simulator.gap_classes``. ``pedestrian_tick`` spells the same rule inline,
     to keep a call off each scalar tick.
     """
-    return (least == -np.inf) | (gap <= max_trigger_gap) & (least <= gap)
+    return (least == k.neg_inf) | (gap <= k.max_trigger_gap) & (least <= gap)
 
 
 def pedestrian_tick(s: TrialState, model: GapAcceptanceModel, dt: float, line: float,
@@ -130,31 +135,34 @@ def pedestrian_tick(s: TrialState, model: GapAcceptanceModel, dt: float, line: f
         s.xdot_p = 0.0
 
 
-def pedestrian_tick_batch(s: BatchState, model: GapAcceptanceModel, dt: float,
-                          line: np.ndarray, past: np.ndarray) -> None:
+def pedestrian_tick_batch(s: BatchState, k: SimpleNamespace, line: np.ndarray,
+                          past: np.ndarray) -> None:
     """``pedestrian_tick`` for every row of a lockstep batch, in place.
 
-    ``line`` and ``past`` are ``BatchState.walking_line`` of this tick. Each
-    masked block does the same IEEE operations as the scalar branch it
-    replaces, so every pedestrian follows its scalar path bit for bit; the
-    walk direction and the done test follow each row's entry side.
+    ``k`` is the run's bound operands (``simulator.tick_operands``): the tick
+    ``dt``, the model's ``start_delay``, ``walk_speed`` and ``max_trigger_gap``,
+    the phase codes and the literals, each a 0-d array. ``line`` and ``past``
+    are ``BatchState.walking_line`` of this tick. Each masked block does the
+    same IEEE operations as the scalar branch it replaces, so every pedestrian
+    follows its scalar path bit for bit; the walk direction and the done test
+    follow each row's entry side.
     """
-    waiting = s.phase == WAITING_CODE
+    waiting = s.phase == k.waiting
     if np.count_nonzero(waiting):
-        unarmed = waiting & (s.delay_left < 0.0)
-        armed = unarmed & arms(s.gap, arming_gap(s.v, line, past), model.max_trigger_gap)
+        unarmed = waiting & (s.delay_left < k.zero)
+        armed = unarmed & arms(s.gap, arming_gap(s.v, line, past, k), k)
         counting = waiting & ~unarmed
-        np.putmask(s.delay_left, armed, model.start_delay)
-        np.putmask(s.delay_left, counting, s.delay_left - dt)
-        start = (armed | counting) & ~(s.delay_left > 1e-9)
+        np.putmask(s.delay_left, armed, k.start_delay)
+        np.putmask(s.delay_left, counting, s.delay_left - k.dt)
+        start = (armed | counting) & ~(s.delay_left > k.eps)
         if np.count_nonzero(start):
-            np.putmask(s.phase, start, CROSSING_CODE)
-            np.putmask(s.xdot_p, start, s.sgn * model.walk_speed)  # sign * walk_speed
+            np.putmask(s.phase, start, k.crossing)
+            np.putmask(s.xdot_p, start, s.sgn * k.walk_speed)  # sign * walk_speed
 
     # Only a crossing pedestrian moves: everyone else has xdot_p == 0.0, and
     # x_p + 0.0 * dt is x_p (up to the sign of a zero, which no test sees).
-    s.x_p += s.xdot_p * dt
-    done = (s.phase == CROSSING_CODE) & s.crossed()
+    s.x_p += s.xdot_p * k.dt
+    done = (s.phase == k.crossing) & s.crossed()
     if np.count_nonzero(done):
-        np.putmask(s.phase, done, DONE_CODE)
-        np.putmask(s.xdot_p, done, 0.0)
+        np.putmask(s.phase, done, k.done)
+        np.putmask(s.xdot_p, done, k.zero)

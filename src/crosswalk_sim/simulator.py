@@ -30,15 +30,18 @@ a row's result is built on the tick it finishes, and the row then ticks on unrea
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
+from types import SimpleNamespace
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .core import ControllerParams, EntrySide, WorldGeometry, require_finite_fields, whole_ticks
-from .pedestrian import (DONE_CODE, WAITING_CODE, GapAcceptanceModel, arming_gap, arms,
-                         pedestrian_tick, pedestrian_tick_batch, sample_accepted_gap)
+from .core import (ControllerParams, EntrySide, WorldGeometry, bound, require_finite_fields,
+                   whole_ticks)
+from .pedestrian import (CROSSING_CODE, DONE_CODE, WAITING_CODE, GapAcceptanceModel, arming_gap,
+                         arms, pedestrian_tick, pedestrian_tick_batch, sample_accepted_gap)
 
 
 class Lane(Enum):
@@ -63,6 +66,9 @@ class Controller(Protocol):
     ``step_batch`` writes its fields in place, as ``run_batch`` writes every
     other field, since it steps a view of its controller's rows of a larger
     batch (``BatchState.rows``). It is not called once none of those rows is live.
+    It binds its scalar operands once, as 0-d arrays (``core.bound``), not on
+    every call, and not in the constructor: ``replay`` builds controllers that
+    only ``step``.
 
     Neither reads the trial's ``gap``: ``run_batch``'s gap classes rely on it,
     since they hold the trials whose pedestrians arm on one tick to be one trial.
@@ -337,11 +343,19 @@ def class_edges(scenario: Scenario, controller: Controller) -> list[float]:
     pedestrian never arms on time gap, cut before the first tick that arms every
     pedestrian (the vehicle stopped); once the vehicle has passed, ``line`` only
     falls and adds no edge, so ``past`` may read False. A colliding tick adds one.
+    The reference pedestrian steps off at once and walks past the far curb in one
+    tick: no tick before it arms reads ``start_delay`` or ``walk_speed`` (the
+    controllers hold their own models) and no tick after it adds an edge, so the
+    edges are the same, and the trial ends on the tick the vehicle clears the
+    stripe instead of running on while a pedestrian walks.
     """
-    trace = run_trial(scenario, math.inf, controller).trace
+    gm = scenario.gap_model
+    reach = scenario.geometry.roadway_width + max(gm.near_setback, gm.far_setback, 0.0) + 1.0
+    sprint = replace(gm, start_delay=0.0, walk_speed=min(reach / scenario.dt, sys.float_info.max))
+    trace = run_trial(replace(scenario, gap_model=sprint), math.inf, controller).trace
     d, v = (np.fromiter((row[k] for row in trace), float, len(trace)) for k in (1, 2))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # v == 0 after the cut
-        least = arming_gap(v, d + scenario.geometry.delta, False)
+        least = arming_gap(v, d + scenario.geometry.delta, False, tick_operands(scenario))
     least = least[:np.argmax(np.append(least, -np.inf) == -np.inf)]
     lowest_before = np.minimum.accumulate(np.concatenate(([np.inf], least)))[:-1]
     return least[least < lowest_before].tolist()
@@ -364,7 +378,7 @@ def gap_classes(scenario: Scenario, controller: Controller, gaps: Sequence[float
     g = np.array(gaps, dtype=float)
     j = np.searchsorted(-np.array(edges), -g)  # the first edge <= g, by bisection
     least = np.append(edges, np.inf)[j]
-    return np.where(arms(g, least, scenario.gap_model.max_trigger_gap), j, len(edges)).tolist()
+    return np.where(arms(g, least, tick_operands(scenario)), j, len(edges)).tolist()
 
 
 class BatchState(TrialState):
@@ -399,12 +413,30 @@ class BatchState(TrialState):
         return np.sqrt(dx * dx + line * line)
 
 
-# Tick primitives: np.count_nonzero, never .any(); np.putmask, never copyto(where=) or mask stores.
+# Tick primitives: np.count_nonzero, never .any(); np.putmask, never copyto(where=) or mask
+# stores; and every scalar operand a 0-d array bound once per run (core.bound), never a Python
+# or NumPy scalar, which NumPy converts on every call.
 
 
-def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, dt: float, fifo: np.ndarray,
-                     tick: int) -> None:
-    """``plant_tick`` for every row of a lockstep batch, in place.
+def tick_operands(scenario: Scenario) -> SimpleNamespace:
+    """The scalar operands of ``run_batch``'s tick on ``scenario``, each a read-only
+    0-d array: the plant's, the pedestrians' (``pedestrian_tick_batch``,
+    ``arming_gap`` and ``arms``) and the loop's own. Built once per call."""
+    model, code = scenario.gap_model, np.int8
+    return SimpleNamespace(
+        dt=bound(scenario.dt), radius=bound(scenario.collision_radius),
+        start_delay=bound(model.start_delay), walk_speed=bound(model.walk_speed),
+        max_trigger_gap=bound(model.max_trigger_gap),
+        zero=bound(0.0), half=bound(0.5), minus_two=bound(-2.0), eps=bound(1e-9),
+        inf=bound(math.inf), neg_inf=bound(-math.inf),
+        waiting=bound(WAITING_CODE, code), crossing=bound(CROSSING_CODE, code),
+        done=bound(DONE_CODE, code))
+
+
+def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, k: SimpleNamespace,
+                     fifo: np.ndarray, tick: int) -> None:
+    """``plant_tick`` for every row of a lockstep batch, in place; ``k`` is the
+    run's ``tick_operands``.
 
     ``fifo`` is the same ring as a (delay tick, row) array: every row starts at
     tick 0, so the ring has one head. A row stops inside the step when
@@ -417,14 +449,14 @@ def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, dt: float, fifo: np
         fifo[head] = commanded_a
     else:
         a = commanded_a
-    d, v = s.d, s.v
+    d, v, dt, zero = s.d, s.v, k.dt, k.zero
     v_next = v + a * dt
-    d_next = d - (v * dt + 0.5 * a * dt * dt)
-    stops = v_next < 0.0
+    d_next = d - (v * dt + k.half * a * dt * dt)
+    stops = v_next < zero
     if np.count_nonzero(stops):
-        np.putmask(d_next, stops, d - v * v / (-2.0 * a))
+        np.putmask(d_next, stops, d - v * v / (k.minus_two * a))
     d[:] = d_next
-    v[:] = np.where(v_next > 0.0, v_next, 0.0)  # max(0.0, v_next), which maps -0.0 to 0.0
+    v[:] = np.where(v_next > zero, v_next, zero)  # max(0.0, v_next), which maps -0.0 to 0.0
 
 
 def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
@@ -473,7 +505,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                 trial_rows.append(first[cls])
         bounds.append((lo, len(rows)))
 
-    geometry, dt = scenario.geometry, scenario.dt
+    geometry, dt, k = scenario.geometry, scenario.dt, tick_operands(scenario)
     s = BatchState(scenarios, rows)
     n_rows = len(rows)
     # (controller, lo, hi, its rows' view); and how many of each block's rows are live.
@@ -510,10 +542,10 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                             for r in np.flatnonzero(changed).tolist():
                                 mode_traces[lo + r].append((t, modes[view.mode[r]]))
                 v_before = s.v.copy()
-                plant_tick_batch(s, a_cmd, dt, fifo, tick)
-                a_actual = (s.v - v_before) / dt
+                plant_tick_batch(s, a_cmd, k, fifo, tick)
+                a_actual = (s.v - v_before) / k.dt
                 line, past = s.walking_line(geometry)
-                pedestrian_tick_batch(s, scenario.gap_model, dt, line, past)
+                pedestrian_tick_batch(s, k, line, past)
                 t += dt
                 tick += 1
 
@@ -521,7 +553,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                 # and an absolute value), so each is the scalar ``if x < m: m = x``.
                 dist = s.distance(line)
                 np.minimum(min_distance, dist, out=min_distance)
-                collision = dist < scenario.collision_radius
+                collision = dist < k.radius
                 collided = np.count_nonzero(collision)
                 accel = np.abs(a_actual)
                 if collided:  # a colliding row's last tick is not counted
@@ -532,7 +564,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                     v_sum += s.v
                     np.maximum(peak_accel, accel, out=peak_accel)
 
-                finished = (s.phase == DONE_CODE) & past
+                finished = (s.phase == k.done) & past
                 if collided:
                     finished |= collision
                 finished &= live

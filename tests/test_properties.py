@@ -208,6 +208,47 @@ def test_gap_classes_are_exact(preset_controllers, preset, policy, lane, side, d
                 assert a_armed != b_armed
 
 
+def reference_edges(sc, controller):
+    """The class edges by their definition, on the reference trial as it is: the
+    whole ``run_trial`` with an infinite gap and the scenario's own pedestrian,
+    cut at the first stop, and the record lows of the time gap ``line / v``."""
+    edges = []
+    for _, d, v, *_ in run_trial(sc, math.inf, controller).trace:
+        if v <= 1e-9:  # a stopped vehicle arms every pedestrian
+            break
+        line = d + sc.geometry.delta
+        least = line / v if line > 0.0 else math.inf
+        if least < (edges[-1] if edges else math.inf):
+            edges.append(least)
+    return edges
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    preset=st.sampled_from([None, "experiment"]),
+    policy=st.integers(0, 1),
+    lane=st.sampled_from(list(Lane)),
+    side=sides,
+    near_setback=st.one_of(st.just(0.0), finite(-3.0, 8.0)),
+    far_setback=st.one_of(st.just(0.0), finite(-3.0, 8.0)),
+    initial_v=st.one_of(st.just(0.0), finite(0.0, 12.0)),
+    collision_radius=finite(0.05, 5.0),
+    max_sim_time=finite(0.05, 60.0),
+)
+def test_class_edges_match_the_whole_reference_trial(preset_controllers, preset, policy, lane,
+                                                     side, near_setback, far_setback, initial_v,
+                                                     collision_radius, max_sim_time):
+    # class_edges ends its reference trial early, with a pedestrian that steps
+    # off at once and crosses in one tick; the edges must not change.
+    config, controllers = preset_controllers[preset]
+    sc = config.scenario(lane=lane.value, side=side.value)
+    sc = replace(sc, initial_v=initial_v, collision_radius=collision_radius,
+                 max_sim_time=max_sim_time,
+                 gap_model=replace(sc.gap_model, near_setback=near_setback,
+                                   far_setback=far_setback))
+    assert class_edges(sc, controllers[policy]) == reference_edges(sc, controllers[policy])
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(
     n_v_bins=st.integers(2, 4),

@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
+from crosswalk_sim import simulator
 from crosswalk_sim.config import load_config
 from crosswalk_sim.core import EntrySide
 from crosswalk_sim.pedestrian import CROSSING_CODE, DONE_CODE, pedestrian_tick, sample_accepted_gap
@@ -21,6 +22,7 @@ from crosswalk_sim.simulator import (
     run_trial,
     seeded_gaps,
     sweep_gaps,
+    tick_operands,
     vehicle_pedestrian_distance,
 )
 
@@ -441,6 +443,25 @@ class TestLockstepClassEdges:
         assert all(type(r.mode_trace) is tuple and type(r.safety_events) is tuple for r in batch)
 
 
+@pytest.mark.parametrize("lane,side", QUADRANTS)
+def test_reference_trial_ends_as_the_vehicle_clears_the_stripe(monkeypatch, scenario_factory,
+                                                               hybrid_for, pomdp_model,
+                                                               solved_policy, lane, side):
+    # On the default preset both controllers' vehicles pass, so class_edges'
+    # reference trial ends within a few ticks of the walking line: 256 ticks
+    # (hybrid) and 432 (POMDP), where a pedestrian that walks at its own pace
+    # takes it to 534 and 710.
+    after_tick = []  # the vehicle's d after each plant tick
+    monkeypatch.setattr(simulator, "plant_tick",
+                        lambda s, *args: (plant_tick(s, *args), after_tick.append(s.d)))
+    sc = scenario_factory(lane=Lane(lane), entry_side=EntrySide(side))
+    for controller in (hybrid_for(sc), PomdpController(pomdp_model, solved_policy, sim_dt=sc.dt)):
+        after_tick.clear()
+        assert class_edges(sc, controller)
+        passing = next(t for t, d in enumerate(after_tick, 1) if d + sc.geometry.delta <= 0.0)
+        assert len(after_tick) - passing <= 15
+
+
 class SteppedTicks:
     """``inner``, recording each tick at which ``run_batch`` steps its rows."""
 
@@ -503,7 +524,7 @@ class TestOneCallForEveryController:
         assert s.mode.tolist() == [0, 2, 2, 2, 0]
         # The plant writes the batch's d and v in place, so a view made before sees them.
         d, v = s.d.copy(), s.v.copy()
-        plant_tick_batch(s, np.full(5, -1.0), 0.05, np.zeros((0, 5)), 0)
+        plant_tick_batch(s, np.full(5, -1.0), tick_operands(scenario_factory()), np.zeros((0, 5)), 0)
         assert (s.d < d).all() and (s.v < v).all()
         assert view.d.tolist() == s.d[1:4].tolist() and view.v.tolist() == s.v[1:4].tolist()
 
