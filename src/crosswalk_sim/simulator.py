@@ -25,6 +25,8 @@ one row per (quadrant, class) and hands each trial its class's result, which is
 exact, not an approximation. A ``TrialResult`` is immutable and holds no gap, so
 the trials of a class share one; the gaps stay with the caller. Rows never move:
 a row's result is built on the tick it finishes, and the row then ticks on unread.
+The batch ticks no pedestrian: once armed, one walks open-loop, so each row reads
+its entry side's one ``pedestrian_walk`` from its class, the tick it arms on.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ import numpy as np
 
 from .core import (ControllerParams, EntrySide, WorldGeometry, bound, require_finite_fields,
                    whole_ticks)
-from .pedestrian import (CROSSING_CODE, DONE_CODE, WAITING_CODE, GapAcceptanceModel, arming_gap,
-                         arms, pedestrian_tick, pedestrian_tick_batch, sample_accepted_gap)
+from .pedestrian import (DONE_CODE, WAITING_CODE, GapAcceptanceModel, arming_gap,
+                         pedestrian_tick, sample_accepted_gap)
 
 
 class Lane(Enum):
@@ -72,6 +74,7 @@ class Controller(Protocol):
 
     Neither reads the trial's ``gap``: ``run_batch``'s gap classes rely on it,
     since they hold the trials whose pedestrians arm on one tick to be one trial.
+    Nor ``delay_left``, which ``run_batch`` leaves at its start value.
     """
 
     modes: tuple[str, ...]
@@ -334,6 +337,19 @@ def sweep_gaps(lo: float, step: float, hi: float) -> list[float]:
     return [round(lo + k * step, 10) for k in range(n + 1)]
 
 
+def _reference_arming_gaps(scenario: Scenario, controller: Controller) -> np.ndarray:
+    """``arming_gap`` on each tick of ``class_edges``' reference trial, which is any
+    gap's trial up to its first -inf (the vehicle stopped or passed)."""
+    gm = scenario.gap_model
+    reach = scenario.geometry.roadway_width + max(gm.near_setback, gm.far_setback, 0.0) + 1.0
+    sprint = replace(gm, start_delay=0.0, walk_speed=min(reach / scenario.dt, sys.float_info.max))
+    trace = run_trial(replace(scenario, gap_model=sprint), math.inf, controller).trace
+    d, v = (np.fromiter((row[k] for row in trace), float, len(trace)) for k in (1, 2))
+    line, past = TrialState.walking_line(SimpleNamespace(d=d), scenario.geometry)  # reads d
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a stopped vehicle
+        return arming_gap(v, line, past, tick_operands(scenario))
+
+
 def class_edges(scenario: Scenario, controller: Controller) -> list[float]:
     """The edges of ``gap_classes`` on ``scenario``: the record lows, in falling
     order, of the time gap ``line / v`` (``line > 0``) that a waiting pedestrian
@@ -341,44 +357,50 @@ def class_edges(scenario: Scenario, controller: Controller) -> list[float]:
 
     The reference is ``run_trial``'s trial with an infinite accepted gap, whose
     pedestrian never arms on time gap, cut before the first tick that arms every
-    pedestrian (the vehicle stopped); once the vehicle has passed, ``line`` only
-    falls and adds no edge, so ``past`` may read False. A colliding tick adds one.
+    pedestrian (the vehicle stopped or passed; once it has passed, ``line`` only
+    falls). A colliding tick adds an edge.
     The reference pedestrian steps off at once and walks past the far curb in one
     tick: no tick before it arms reads ``start_delay`` or ``walk_speed`` (the
     controllers hold their own models) and no tick after it adds an edge, so the
     edges are the same, and the trial ends on the tick the vehicle clears the
     stripe instead of running on while a pedestrian walks.
     """
-    gm = scenario.gap_model
-    reach = scenario.geometry.roadway_width + max(gm.near_setback, gm.far_setback, 0.0) + 1.0
-    sprint = replace(gm, start_delay=0.0, walk_speed=min(reach / scenario.dt, sys.float_info.max))
-    trace = run_trial(replace(scenario, gap_model=sprint), math.inf, controller).trace
-    d, v = (np.fromiter((row[k] for row in trace), float, len(trace)) for k in (1, 2))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # v == 0 after the cut
-        least = arming_gap(v, d + scenario.geometry.delta, False, tick_operands(scenario))
-    least = least[:np.argmax(np.append(least, -np.inf) == -np.inf)]
+    least = _reference_arming_gaps(scenario, controller)
     lowest_before = np.minimum.accumulate(np.concatenate(([np.inf], least)))[:-1]
-    return least[least < lowest_before].tolist()
+    return least[(least < lowest_before) & (least > -np.inf)].tolist()
 
 
-def gap_classes(scenario: Scenario, controller: Controller, gaps: Sequence[float]) -> list[int]:
-    """The class of each of ``gaps`` on ``scenario``: trials whose gaps share a
+def gap_classes(scenario: Scenario, controller: Controller,
+                gaps: Sequence[float]) -> list[Optional[int]]:
+    """The class of each of ``gaps`` on ``scenario``: the tick on which its
+    pedestrian arms, or None if its trial ends first. Trials whose gaps share a
     class have one result.
 
-    A trial reads its gap only in the arm test of its waiting pedestrian (no
-    controller reads it), so its gap matters only through the tick where the
-    pedestrian arms. Until then every trial of the scenario is the reference
-    trial of ``class_edges``. A gap arms at the tick of the first edge at or
-    below it, so class j holds the gaps in [edges[j], edges[j - 1]), found by
-    bisection. The top class, ``len(edges)``, holds the gaps below every edge or
-    above ``max_trigger_gap``: they arm only once the vehicle stops or passes,
-    or never (a collision or a timeout first).
+    A trial reads its gap only in its pedestrian's arm test (no controller reads
+    it), and its walk after it reads nothing of the vehicle. Until it arms, every
+    trial of the scenario is ``class_edges``' reference trial. A gap arms on the
+    first tick whose record low of ``arming_gap`` is at or below it (by bisection);
+    one above ``max_trigger_gap`` only at -inf.
     """
-    edges = class_edges(scenario, controller)
+    low = np.minimum.accumulate(_reference_arming_gaps(scenario, controller))
     g = np.array(gaps, dtype=float)
-    j = np.searchsorted(-np.array(edges), -g)  # the first edge <= g, by bisection
-    least = np.append(edges, np.inf)[j]
-    return np.where(arms(g, least, tick_operands(scenario)), j, len(edges)).tolist()
+    ticks = np.searchsorted(-low, -np.where(g <= scenario.gap_model.max_trigger_gap, g, -np.inf))
+    return [tick if tick < len(low) else None for tick in ticks.tolist()]
+
+
+def pedestrian_walk(scenario: Scenario) -> list[tuple[float, float, int]]:
+    """``x_p``, ``xdot_p`` and ``phase`` of ``scenario``'s pedestrian from its
+    waiting start (entry 0) after each call of ``pedestrian_tick``, armed on the
+    first: one armed on tick ``arm`` is at entry ``tick + 1 - arm`` after tick
+    ``tick``. It ends on Done or on the last tick a trial can run."""
+    s, model, dt = TrialState(scenario, math.inf), scenario.gap_model, scenario.dt
+    walk = [(s.x_p, s.xdot_p, s.phase)]
+    t = 0.0  # run_trial's clock
+    while s.phase != DONE_CODE and t < scenario.max_sim_time:
+        pedestrian_tick(s, model, dt, 0.0, True)  # passed: arms on the first call
+        walk.append((s.x_p, s.xdot_p, s.phase))
+        t += dt
+    return walk
 
 
 class BatchState(TrialState):
@@ -420,17 +442,12 @@ class BatchState(TrialState):
 
 def tick_operands(scenario: Scenario) -> SimpleNamespace:
     """The scalar operands of ``run_batch``'s tick on ``scenario``, each a read-only
-    0-d array: the plant's, the pedestrians' (``pedestrian_tick_batch``,
-    ``arming_gap`` and ``arms``) and the loop's own. Built once per call."""
-    model, code = scenario.gap_model, np.int8
+    0-d array: the plant's, ``arming_gap``'s (for ``gap_classes``) and the loop's
+    own. Built once per call."""
     return SimpleNamespace(
-        dt=bound(scenario.dt), radius=bound(scenario.collision_radius),
-        start_delay=bound(model.start_delay), walk_speed=bound(model.walk_speed),
-        max_trigger_gap=bound(model.max_trigger_gap),
-        zero=bound(0.0), half=bound(0.5), minus_two=bound(-2.0), eps=bound(1e-9),
-        inf=bound(math.inf), neg_inf=bound(-math.inf),
-        waiting=bound(WAITING_CODE, code), crossing=bound(CROSSING_CODE, code),
-        done=bound(DONE_CODE, code))
+        dt=bound(scenario.dt), radius=bound(scenario.collision_radius), zero=bound(0.0),
+        half=bound(0.5), minus_two=bound(-2.0), eps=bound(1e-9), inf=bound(math.inf),
+        neg_inf=bound(-math.inf), one=bound(1, np.intp), done=bound(DONE_CODE, np.int8))
 
 
 def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, k: SimpleNamespace,
@@ -469,15 +486,16 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     controller, and the trials of one class are one trial, so one lockstep row
     per (controller, scenario, class) runs, with the class's first gap in
     ``gaps``. Each controller's rows form one block, which its ``step_batch``
-    steps through ``BatchState.rows``; the plant, the pedestrians, the distance
-    and the metrics then tick every row at once. A row's ``TrialResult`` is
-    built on the tick it finishes (done and past, a collision or the timeout),
-    and the row then ticks on unread; a block with no live row is not stepped,
-    and its rows keep their last commands. Every trial of a class gets that
-    class's one result, bitwise equal to ``run_trial`` on the trial's own
-    scenario, gap and controller. Returns one block of results per (controller,
-    scenario), in order: trial i of ``scenarios[k]`` under ``controllers[j]`` is
-    at ``(j * len(scenarios) + k) * len(gaps) + i``.
+    steps through ``BatchState.rows``; the plant, the distance and the metrics
+    then tick every row at once, and each row reads its pedestrian from its
+    walk. A row's ``TrialResult`` is built on the tick it finishes (done and
+    past, a collision or the timeout), and the row then ticks on unread; a block
+    with no live row is not stepped, and its rows keep their last commands.
+    Every trial of a class gets that class's one result, bitwise equal to
+    ``run_trial`` on the trial's own scenario, gap and controller. Returns one
+    block of results per (controller, scenario), in order: trial i of
+    ``scenarios[k]`` under ``controllers[j]`` is at
+    ``(j * len(scenarios) + k) * len(gaps) + i``.
     """
     if not controllers:
         raise ValueError("need at least one controller")
@@ -491,23 +509,42 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     if not gaps:
         raise ValueError("need at least one gap")
 
+    # One table of each entry side's pedestrian_walk, and each side's first and last entry.
+    walks: list[tuple[float, float, int]] = []
+    spans: dict[EntrySide, tuple[int, int]] = {}
+    for side, sc in {sc.entry_side: sc for sc in scenarios}.items():
+        start = len(walks)
+        walks += pedestrian_walk(sc)
+        spans[side] = (start, len(walks) - 1)
+
     rows: list[tuple[int, float]] = []  # (scenario index, the class's first gap)
+    # Each row's (first - arm, first, last): after tick ``tick`` it reads entry
+    # ``first + tick + 1 - arm`` clamped to [first, last], or first if it never arms.
+    entries: list[tuple[int, int, int]] = []
     trial_rows: list[int] = []  # each trial's row, in result order
     bounds: list[tuple[int, int]] = []  # each controller's block of rows, [lo, hi)
     for controller in controllers:
         lo = len(rows)
         for k, sc in enumerate(scenarios):
-            first: dict[int, int] = {}  # class -> row
-            for gap, cls in zip(gaps, gap_classes(sc, controller, gaps)):
-                if cls not in first:
-                    first[cls] = len(rows)
+            first, last = spans[sc.entry_side]
+            row_of: dict[Optional[int], int] = {}  # class -> row
+            for gap, arm in zip(gaps, gap_classes(sc, controller, gaps)):
+                if arm not in row_of:
+                    row_of[arm] = len(rows)
                     rows.append((k, gap))
-                trial_rows.append(first[cls])
+                    entries.append((first, first, first) if arm is None else
+                                   (first - arm, first, last))
+                trial_rows.append(row_of[arm])
         bounds.append((lo, len(rows)))
-
-    geometry, dt, k = scenario.geometry, scenario.dt, tick_operands(scenario)
     s = BatchState(scenarios, rows)
     n_rows = len(rows)
+    walk_x, walk_xdot, walk_phase = (np.array(column, dtype) for column, dtype in
+                                     zip(zip(*walks), (float, float, np.int8)))
+    entry, first_entry, last_entry = np.array(list(zip(*entries)), dtype=np.intp)
+    at = first_entry.copy()
+    del rows, entries, walks  # unread by the loop, they would raise its memory peak
+
+    geometry, dt, k = scenario.geometry, scenario.dt, tick_operands(scenario)
     # (controller, lo, hi, its rows' view); and how many of each block's rows are live.
     blocks = [(c, lo, hi, s.rows(lo, hi)) for c, (lo, hi) in zip(controllers, bounds)]
     block_live = [hi - lo for lo, hi in bounds]
@@ -518,8 +555,9 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     peak_accel = np.zeros(n_rows)
     collision = np.zeros(n_rows, dtype=bool)  # this tick's
     live = np.ones(n_rows, dtype=bool)
-    mode_traces = [[(0.0, c.modes[0])] for c, lo, hi, _ in blocks for _ in range(lo, hi)]
-    results: dict[int, TrialResult] = {}  # row -> its result, built on the tick it finishes
+    # Each row's mode trace: a tuple, which its result shares.
+    mode_traces = [((0.0, c.modes[0]),) for c, lo, hi, _ in blocks for _ in range(lo, hi)]
+    results: list[Optional[TrialResult]] = [None] * n_rows  # each row's, built as it finishes
     t = 0.0
     tick = 0
     # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
@@ -540,12 +578,17 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                         changed = (view.mode != before) & live[lo:hi]
                         if np.count_nonzero(changed):
                             for r in np.flatnonzero(changed).tolist():
-                                mode_traces[lo + r].append((t, modes[view.mode[r]]))
+                                mode_traces[lo + r] += ((t, modes[view.mode[r]]),)
                 v_before = s.v.copy()
                 plant_tick_batch(s, a_cmd, k, fifo, tick)
                 a_actual = (s.v - v_before) / k.dt
                 line, past = s.walking_line(geometry)
-                pedestrian_tick_batch(s, k, line, past)
+                entry += k.one
+                np.maximum(entry, first_entry, out=at)
+                np.minimum(at, last_entry, out=at)
+                walk_x.take(at, out=s.x_p, mode="clip")  # "clip" writes out unbuffered
+                walk_xdot.take(at, out=s.xdot_p, mode="clip")
+                walk_phase.take(at, out=s.phase, mode="clip")
                 t += dt
                 tick += 1
 
@@ -578,7 +621,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                 n = tick - hit
                 results[r] = TrialResult(
                     min_distance=low, avg_velocity=total / n if n else 0.0, peak_accel=peak,
-                    collision=hit, timed_out=timed_out, mode_trace=tuple(mode_traces[r]),
+                    collision=hit, timed_out=timed_out, mode_trace=mode_traces[r],
                     safety_events=trial_events(overrun, timed_out), final_d=d)
             live &= ~finished
             block_live = [np.count_nonzero(live[lo:hi]) for lo, hi in bounds]

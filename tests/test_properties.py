@@ -123,14 +123,24 @@ def test_pedestrian_phases_only_move_forward(side, accepted_gap, d0, v0, segment
     collision_radius=finite(0.5, 3.0),
     gaps=st.lists(finite(0.5, 12.0), min_size=1, max_size=6),
     policy=st.booleans(),
+    near_setback=st.one_of(st.just(0.0), finite(-3.0, 8.0)),
+    far_setback=st.one_of(st.just(0.0), finite(-3.0, 8.0)),
+    start_delay=st.one_of(st.just(0.0), finite(0.0, 3.0)),
+    walk_speed=st.one_of(st.just(1e-300), finite(1e-300, 4.0)),
 )
 def test_lockstep_batch_matches_scalar_trials(pomdp_model, solved_policy, params, quadrants,
                                               initial_d, initial_v, dt, delay_ticks, max_sim_time,
-                                              collision_radius, gaps, policy):
+                                              collision_radius, gaps, policy, near_setback,
+                                              far_setback, start_delay, walk_speed):
     # Start states the presets never reach: stopped, already past the stop
     # point, coarse ticks, short horizons; one batch over a random mix of
-    # quadrants.
-    scenarios = [replace(SCENARIO, params=params, lane=lane, entry_side=side,
+    # quadrants. The pedestrian too, whose walk run_batch reads from a table:
+    # waiting inside the span (a setback of 0 or below), stepping off at once
+    # or after a delay that is no whole number of ticks, and a walk that
+    # outlasts the trial (1e-300 m/s).
+    gap_model = replace(SCENARIO.gap_model, near_setback=near_setback, far_setback=far_setback,
+                        start_delay=start_delay, walk_speed=walk_speed)
+    scenarios = [replace(SCENARIO, params=params, gap_model=gap_model, lane=lane, entry_side=side,
                          initial_d=initial_d, initial_v=initial_v, dt=dt,
                          t_delay_plant=delay_ticks * dt, max_sim_time=max_sim_time,
                          collision_radius=collision_radius)
@@ -145,16 +155,30 @@ def test_lockstep_batch_matches_scalar_trials(pomdp_model, solved_policy, params
     ]
 
 
+def is_armed(s):
+    return s.delay_left >= 0.0 or s.phase != WAITING_CODE
+
+
 class ArmSpy:
     """``inner``, noting the first tick whose step sees the pedestrian armed."""
 
     def __init__(self, inner):
-        self.inner, self.modes, self.armed_at = inner, inner.modes, None
+        self.inner, self.modes, self.armed_at, self.last = inner, inner.modes, None, None
 
     def step(self, s, tick):
-        if self.armed_at is None and (s.delay_left >= 0.0 or s.phase != WAITING_CODE):
+        if self.armed_at is None and is_armed(s):
             self.armed_at = tick
+        self.last = (s, tick)
         return self.inner.step(s, tick)
+
+    def arm_tick(self):
+        """The tick on which the pedestrian armed: the one before ``armed_at``,
+        else the trial's last tick if its end state is armed (no step saw it),
+        else None."""
+        if self.armed_at is not None:
+            return self.armed_at - 1
+        s, tick = self.last
+        return tick if is_armed(s) else None
 
 
 @pytest.fixture(scope="module")
@@ -177,35 +201,45 @@ def preset_controllers():
     policy=st.integers(0, 1),
     lane=st.sampled_from(list(Lane)),
     side=sides,
+    max_sim_time=st.one_of(st.none(), finite(0.05, 20.0)),
     data=st.data(),
 )
-def test_gap_classes_are_exact(preset_controllers, preset, policy, lane, side, data):
-    # Trials whose gaps share a class have equal results (the trace is left
-    # out, as everywhere); trials in different classes arm on different ticks.
+def test_gap_classes_are_exact(preset_controllers, preset, policy, lane, side, max_sim_time,
+                               data):
+    # A gap's class is the tick on which its trial's pedestrian arms, or None if
+    # it never does (a short max_sim_time ends some trials first), and trials
+    # whose gaps share a class have equal results (the trace is left out, as
+    # everywhere).
     # The drawn gaps: an edge, the float below it, one more gap of the edge's class
-    # unless it lies above max_trigger_gap, and up to three anywhere.
+    # unless it lies above max_trigger_gap, two of the top class (above
+    # max_trigger_gap and below the lowest edge), and up to three anywhere.
     config, controllers = preset_controllers[preset]
     sc, controller = config.scenario(lane=lane.value, side=side.value), controllers[policy]
+    if max_sim_time is not None:
+        sc = replace(sc, max_sim_time=max_sim_time)
     edges = class_edges(sc, controller)
     cut = sc.gap_model.max_trigger_gap
-    j = data.draw(st.sampled_from([j for j, e in enumerate(edges) if e <= cut]))
-    upper = edges[j - 1] if j else math.inf
-    gaps = [edges[j], math.nextafter(edges[j], -math.inf),
-            data.draw(st.floats(edges[j], upper, exclude_max=True)),
-            *data.draw(st.lists(finite(0.5, 12.0), max_size=3))]
+    gaps = [math.nextafter(cut, math.inf), *data.draw(st.lists(finite(0.5, 12.0), max_size=3))]
+    armable = [j for j, e in enumerate(edges) if e <= cut]
+    if armable:
+        j = data.draw(st.sampled_from(armable))
+        upper = edges[j - 1] if j else math.inf
+        edge_gaps = [edges[j], math.nextafter(edges[j], -math.inf),
+                     data.draw(st.floats(edges[j], upper, exclude_max=True))]
+        gaps = edge_gaps + [math.nextafter(edges[-1], -math.inf)] + gaps
     classes = gap_classes(sc, controller, gaps)
-    assert classes[0] != classes[1]
-    assert classes[2] == classes[0] or gaps[2] > cut
+    if armable:
+        assert classes[0] != classes[1]
+        assert classes[2] == classes[0] or gaps[2] > cut
     runs = []
-    for g in gaps:
+    for g, cls in zip(gaps, classes):
         spy = ArmSpy(controller)
-        runs.append((replace(run_trial(sc, g, spy), trace=None), spy.armed_at))
-    for (a, a_armed), ca in zip(runs, classes):
-        for (b, b_armed), cb in zip(runs, classes):
+        runs.append(replace(run_trial(sc, g, spy), trace=None))
+        assert cls == spy.arm_tick()
+    for a, ca in zip(runs, classes):
+        for b, cb in zip(runs, classes):
             if ca == cb:
                 assert a == b
-            else:
-                assert a_armed != b_armed
 
 
 def reference_edges(sc, controller):

@@ -16,6 +16,7 @@ from crosswalk_sim.simulator import (
     TrialState,
     class_edges,
     gap_classes,
+    pedestrian_walk,
     plant_tick,
     plant_tick_batch,
     run_batch,
@@ -441,6 +442,20 @@ class TestLockstepClassEdges:
         with pytest.raises(FrozenInstanceError):
             batch[0].collision = True
         assert all(type(r.mode_trace) is tuple and type(r.safety_events) is tuple for r in batch)
+
+
+@pytest.mark.parametrize("side", list(EntrySide))
+def test_pedestrian_walk_ends_on_done_or_on_the_last_tick(scenario_factory, hybrid_for, side):
+    # A walk reaches the far curb and ends on Done. At 1e-300 m/s it never does,
+    # and ends after as many ticks as a trial that times out runs: no row reads
+    # further, and an uncapped walk would never end.
+    sc = scenario_factory(entry_side=side)
+    walk = pedestrian_walk(sc)
+    assert [phase for _, _, phase in walk].index(DONE_CODE) == len(walk) - 1
+    slow = replace(sc, max_sim_time=5.0, gap_model=replace(sc.gap_model, walk_speed=1e-300))
+    trial = run_trial(slow, math.inf, hybrid_for(slow))
+    assert trial.timed_out
+    assert len(pedestrian_walk(slow)) == len(trial.trace) + 1 < len(walk)
 
 
 @pytest.mark.parametrize("lane,side", QUADRANTS)
