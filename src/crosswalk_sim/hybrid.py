@@ -30,22 +30,6 @@ if TYPE_CHECKING:
 DRIVING, YIELDING, HARD_BRAKING, SPEED_UP = range(4)
 
 
-def in_crosswalk(s: TrialState, geometry: WorldGeometry) -> bool:
-    """True while the pedestrian holds the right of way over the vehicle.
-
-    A pedestrian counts from the instant they start moving toward the
-    legally relevant span, even while still on the sidewalk, and stops
-    counting once past the end of that span. Someone standing still inside
-    the span keeps holding the vehicle; someone walking away never
-    triggers it. Takes one trial or the rows of a lockstep batch (then
-    returns a mask).
-    """
-    c = s.span_coord()
-    # Inside the span [0, x_f], or approaching it from before x_f. As x_f > 0,
-    # this is the same Boolean function as (0 <= c <= x_f) | (cdot > 0 & c < x_f).
-    return (c <= geometry.x_f) & ((0.0 <= c) | (s.span_speed() > 0.0))
-
-
 def time_advantage(s: TrialState, geometry: WorldGeometry) -> float:
     """Pedestrian's time to the vehicle's lane minus the vehicle's time to the walking line.
 
@@ -135,7 +119,8 @@ class HybridController:
 
     def step(self, s: TrialState, tick: int) -> float:
         """Run one pass of the mode machine on trial ``s`` and return the
-        acceleration command; ``tick`` is not read.
+        acceleration command; ``tick`` is not read. The pedestrian holds the
+        right of way while ``s.right_of_way``, which the engine sets.
 
         Mode blocks cascade the way the control loop is written: a
         transition out of Driving produces the new mode's command on the
@@ -145,7 +130,7 @@ class HybridController:
         p = self.params
         d, v, mode = s.d, s.v, s.mode
         a = 0.0
-        ped_active = in_crosswalk(s, self.geometry)
+        ped_active = s.right_of_way
 
         if mode == DRIVING:
             a = self.driving_command(v)
@@ -179,7 +164,7 @@ class HybridController:
                 mode = DRIVING
 
         s.mode = mode
-        return _clamp(a, -p.a_max, p.a_cmf)
+        return a  # every mode's command lies in [-a_max, a_cmf]
 
     @cached_property
     def _operands(self) -> SimpleNamespace:
@@ -207,7 +192,7 @@ class HybridController:
         """
         p, k = self.params, self._operands
         d, v, mode, zero = s.d, s.v, s.mode, k.zero
-        ped_active = in_crosswalk(s, self.geometry)
+        ped_active = s.right_of_way
         a = _clip(k.k_s * (k.v_speedlimit - v), k.neg_a_cmf, k.a_cmf)  # driving_command
 
         check = (mode == k.driving) & (d > zero) & ped_active
@@ -261,9 +246,7 @@ class HybridController:
             np.putmask(a, speeding, k.a_cmf)
             np.putmask(mode, speeding & (leaving | (d < zero)), k.driving)
 
-        # Every mode's command already lies in [-a_max, a_cmf], inside which
-        # step's final clamp is the identity.
-        return a
+        return a  # every mode's command lies in [-a_max, a_cmf], as in step
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:

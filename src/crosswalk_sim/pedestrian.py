@@ -7,12 +7,14 @@ whose accepted gap exceeds ``max_trigger_gap`` never treat the approaching
 vehicle as a crossing opportunity; they wait for it to pass and then cross.
 Once crossing, the walk is constant-speed and is never aborted.
 
-A pedestrian's state is the ``x_p``, ``xdot_p``, ``phase``, ``delay_left``
-and ``gap`` fields of the trial's ``TrialState``, with the entry side as its
-``sgn`` / ``lim`` constants. ``pedestrian_tick`` is the one pedestrian tick;
-the lockstep engine reads each row's pedestrian from its entry side's walk
-(``simulator.pedestrian_walk``), and ``arming_gap`` is the arm rule on arrays,
-for ``simulator.gap_classes``.
+A pedestrian's state is the ``x_p``, ``xdot_p``, ``phase``, ``delay_left``,
+``gap`` and ``right_of_way`` fields of the trial's ``TrialState``, with the
+entry side as its ``sgn`` / ``lim`` constants. ``pedestrian_tick`` is the one
+pedestrian tick, and ``in_crosswalk`` the one right-of-way test, which the
+engines store in ``right_of_way`` wherever they write the pedestrian and the
+controllers only read; the lockstep engine reads each row's pedestrian from
+its entry side's walk (``simulator.pedestrian_walk``), and ``arming_gap`` is
+the arm rule on arrays, for ``simulator.gap_classes``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import require_finite_fields
 if TYPE_CHECKING:
     from types import SimpleNamespace
 
+    from .core import WorldGeometry
     from .simulator import TrialState
 
 # The pedestrian's phases, in the order a trial passes through them.
@@ -69,6 +72,22 @@ class GapAcceptanceModel:
 def sample_accepted_gap(model: GapAcceptanceModel, rng: np.random.Generator) -> float:
     """One accepted-gap draw, floored at the model's minimum gap."""
     return max(model.min_gap, float(rng.normal(model.mu_gap, model.sigma_gap)))
+
+
+def in_crosswalk(s: TrialState, geometry: WorldGeometry) -> bool:
+    """True while the pedestrian holds the right of way over the vehicle.
+
+    A pedestrian counts from the instant they start moving toward the
+    legally relevant span, even while still on the sidewalk, and stops
+    counting once past the end of that span. Someone standing still inside
+    the span keeps holding the vehicle; someone walking away never
+    triggers it. Takes one trial or the rows of a lockstep batch (then
+    returns a mask).
+    """
+    c = s.span_coord()
+    # Inside the span [0, x_f], or approaching it from before x_f. As x_f > 0,
+    # this is the same Boolean function as (0 <= c <= x_f) | (cdot > 0 & c < x_f).
+    return (c <= geometry.x_f) & ((0.0 <= c) | (s.span_speed() > 0.0))
 
 
 def arming_gap(v: np.ndarray, line: np.ndarray, past, k: SimpleNamespace) -> np.ndarray:

@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import (ControllerParams, WorldGeometry, require_finite, require_finite_fields,
                    whole_ticks, write_output)
-from .hybrid import in_crosswalk
 from .pedestrian import GapAcceptanceModel
 
 if TYPE_CHECKING:
@@ -317,12 +316,13 @@ def greedy_action_table(model: PomdpModel, qtable: QTable) -> np.ndarray:
 
 
 def pomdp_step(greedy: np.ndarray, model: PomdpModel, s: TrialState, a_prev_bin: int) -> int:
-    """The action bin ``greedy_action_table`` picks for trial ``s``'s observed state."""
+    """The action bin ``greedy_action_table`` picks for trial ``s``'s observed state,
+    whose crosswalk flag is ``s.right_of_way``."""
     if not (model.d_grid[0] <= s.d <= model.d_grid[-1]
             and model.v_grid[0] <= s.v <= model.v_grid[-1]):
         log.debug("state outside grid, clamping: d=%.2f v=%.2f", s.d, s.v)
-    c = in_crosswalk(s, model.geometry)
-    return int(greedy[model.state_index(model.v_bin(s.v), c, model.d_bin(s.d), a_prev_bin)])
+    return int(greedy[model.state_index(model.v_bin(s.v), s.right_of_way, model.d_bin(s.d),
+                                        a_prev_bin)])
 
 
 class PomdpController:
@@ -353,16 +353,16 @@ class PomdpController:
     def step_batch(self, s: BatchState, tick: int) -> np.ndarray:
         """``step`` for every row of a lockstep batch; returns the commands.
 
-        Every row starts at tick 0, so the decision ticks line up and each
-        decision is one gather from the greedy table. The bins clamp to the
-        grid, so a finished row that ticks on still indexes the table.
+        Every row is on one tick, so the decision ticks line up and each
+        decision is one gather from the greedy table. The first call may come
+        on a tick after 0, when ``step`` has started the rows. The bins clamp to
+        the grid, so a finished row that ticks on still indexes the table.
         """
         m = self.model
         if tick == 0:
             s.a_prev_idx[:] = m.a_bin(0.0)  # start
         if tick % self.hold_ticks == 0:
-            c = in_crosswalk(s, m.geometry)
-            state = m.state_index(m.v_bin(s.v), c, m.d_bin(s.d), s.a_prev_idx)
+            state = m.state_index(m.v_bin(s.v), s.right_of_way, m.d_bin(s.d), s.a_prev_idx)
             s.a_prev_idx[:] = self.greedy[state]
         return m.a_grid[s.a_prev_idx]
 

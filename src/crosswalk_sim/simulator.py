@@ -10,7 +10,8 @@ draw nothing themselves; ``seeded_gaps`` is the one seeded draw. Both hold a
 trial in one record, ``TrialState``: the same fields, names and integer codes,
 entry side included, so a controller keeps no per-trial state and serves every
 trial of a run. ``run_trial`` advances one trial in Python floats with
-branches; it serves single trials and traces. ``run_batch`` advances a batch
+branches (a ``TrialRun``, whose one tick loop can stop on a tick and resume);
+it serves single trials and traces. ``run_batch`` advances a batch
 at once in a lockstep NumPy engine (``BatchState``, the same fields as arrays)
 with masks, whose array expressions do the same IEEE operations in the same
 order as the scalar ones, so both give bitwise-equal results. One batch may
@@ -22,11 +23,16 @@ in its waiting pedestrian's arm test, which no controller reads, so trials whose
 pedestrians arm on the same tick are the same trial. ``gap_classes`` finds those
 classes from the trace of one ``run_trial`` per quadrant, and ``run_batch`` runs
 one row per (quadrant, class) and hands each trial its class's result, which is
-exact, not an approximation. A ``TrialResult`` is immutable and holds no gap, so
-the trials of a class share one; the gaps stay with the caller. Rows never move:
-a row's result is built on the tick it finishes, and the row then ticks on unread.
-The batch ticks no pedestrian: once armed, one walks open-loop, so each row reads
-its entry side's one ``pedestrian_walk`` from its class, the tick it arms on.
+exact, not an approximation. Until the first tick on which any class arms, every
+trial of a quadrant is one trial, so the scalar engine runs that prefix once per
+(controller, quadrant) and the lockstep starts from its state on that tick. A
+``TrialResult`` is immutable and holds no gap, so the trials of a class share
+one; the gaps stay with the caller. Rows never move: a row's result is built on
+the tick it finishes, and the row then ticks on unread. The batch ticks no
+pedestrian: once armed, one walks open-loop, so each row reads its entry side's
+one ``pedestrian_walk`` from its class, the tick it arms on, right of way
+included: the controllers read ``right_of_way``, which the engines set with
+``in_crosswalk`` wherever they write the pedestrian.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import numpy as np
 
 from .core import (ControllerParams, EntrySide, WorldGeometry, bound, require_finite_fields,
                    whole_ticks)
-from .pedestrian import (DONE_CODE, WAITING_CODE, GapAcceptanceModel, arming_gap,
+from .pedestrian import (DONE_CODE, WAITING_CODE, GapAcceptanceModel, arming_gap, in_crosswalk,
                          pedestrian_tick, sample_accepted_gap)
 
 
@@ -68,13 +74,18 @@ class Controller(Protocol):
     ``step_batch`` writes its fields in place, as ``run_batch`` writes every
     other field, since it steps a view of its controller's rows of a larger
     batch (``BatchState.rows``). It is not called once none of those rows is live.
+    Its first call may come on a tick after 0: ``run_batch`` starts the lockstep
+    on the first tick on which a gap class arms, from the fields that ``step``
+    wrote on the ticks before.
     It binds its scalar operands once, as 0-d arrays (``core.bound``), not on
     every call, and not in the constructor: ``replay`` builds controllers that
     only ``step``.
 
-    Neither reads the trial's ``gap``: ``run_batch``'s gap classes rely on it,
-    since they hold the trials whose pedestrians arm on one tick to be one trial.
-    Nor ``delay_left``, which ``run_batch`` leaves at its start value.
+    Both read the pedestrian's right of way from ``right_of_way``, which the
+    engines set, and never call ``in_crosswalk``. Neither reads the trial's
+    ``gap``: ``run_batch``'s gap classes rely on it, since they hold the trials
+    whose pedestrians arm on one tick to be one trial. Nor ``delay_left``: a
+    ``BatchState`` holds neither.
     """
 
     modes: tuple[str, ...]
@@ -160,7 +171,9 @@ class TrialState:
     Vehicle: ``d``, ``v`` and ``x_v`` (the lane centre). Pedestrian: ``x_p``,
     ``xdot_p``, ``phase`` (``WAITING_CODE``, ``CROSSING_CODE`` or
     ``DONE_CODE``), ``delay_left`` (negative until the step-off is armed),
-    ``gap`` (the accepted gap), and three constants of the entry side, which
+    ``gap`` (the accepted gap), ``right_of_way`` (``in_crosswalk`` of the
+    pedestrian, set wherever an engine writes it; the controllers read it
+    instead of calling ``in_crosswalk``), and three constants of the entry side, which
     replace per-side branches with exact arithmetic: ``sgn`` (1.0 near, -1.0
     far), ``off`` (0.0 near, roadway_width far) and ``lim`` (roadway_width
     near, 0.0 far). Controller, written only by its ``step`` or ``step_batch``
@@ -169,7 +182,7 @@ class TrialState:
     """
 
     __slots__ = ("d", "v", "x_v", "sgn", "off", "lim", "x_p", "xdot_p", "phase", "delay_left",
-                 "gap", "mode", "d_o", "v_o", "latched", "overrun", "a_prev_idx")
+                 "gap", "right_of_way", "mode", "d_o", "v_o", "latched", "overrun", "a_prev_idx")
 
     def __init__(self, scenario: Scenario, gap: float):
         """The start of a trial on ``scenario``'s lane and entry side with accepted gap ``gap``."""
@@ -182,6 +195,7 @@ class TrialState:
         self.xdot_p, self.phase, self.delay_left, self.gap = 0.0, WAITING_CODE, -1.0, gap
         self.mode, self.d_o, self.v_o, self.latched, self.overrun, self.a_prev_idx = (
             0, 0.0, 0.0, False, False, 0)
+        self.right_of_way = in_crosswalk(self, scenario.geometry)
 
     def span_coord(self):
         """Progress along the crossing from the entry-side curb: ``x_p`` near side
@@ -250,77 +264,105 @@ def trial_events(overrun: bool, timed_out: bool) -> tuple[str, ...]:
     return ((OVERRUN,) if overrun else ()) + (("timed_out",) if timed_out else ())
 
 
+class TrialRun:
+    """A trial in progress: its ``TrialState`` and what its tick loop carries
+    from tick to tick (the clock, the tick, the delay ring, the three metric
+    accumulators, the mode trace and the trace), so that the loop can stop on
+    a tick and resume from it. ``run_trial`` advances one to its end;
+    ``run_batch`` advances one per group to the tick its lockstep starts on.
+    """
+
+    __slots__ = ("scenario", "controller", "s", "t", "tick", "fifo", "min_distance", "v_sum",
+                 "peak_accel", "mode_trace", "trace")
+
+    def __init__(self, scenario: Scenario, accepted_gap: float, controller: Controller):
+        s = self.s = TrialState(scenario, float(accepted_gap))
+        self.scenario, self.controller = scenario, controller
+        self.t, self.tick = 0.0, 0
+        self.fifo = [0.0] * scenario.delay_ticks()
+        self.min_distance = vehicle_pedestrian_distance(s, s.walking_line(scenario.geometry)[0])
+        self.v_sum, self.peak_accel = 0.0, 0.0
+        self.mode_trace: list[tuple[float, str]] = [(0.0, controller.modes[s.mode])]
+        self.trace: list[tuple] = []  # one row per tick, a colliding one included
+
+    def advance(self, stop: int = sys.maxsize) -> Optional[TrialResult]:
+        """Run the trial's ticks until tick ``stop`` or its end. Returns its result
+        if it ended; else None, and the run resumes from tick ``stop``.
+
+        The metrics leave out a colliding tick, the trace's last row, but for
+        its distance.
+        """
+        scenario, s = self.scenario, self.s
+        geometry, dt = scenario.geometry, scenario.dt
+        # Read once per call. plant_tick, pedestrian_tick, in_crosswalk and
+        # vehicle_pedestrian_distance stay module lookups on every tick.
+        step, modes, model = self.controller.step, self.controller.modes, scenario.gap_model
+        max_sim_time, collision_radius = scenario.max_sim_time, scenario.collision_radius
+        t, tick, fifo, mode_trace, trace = self.t, self.tick, self.fifo, self.mode_trace, self.trace
+        min_distance, v_sum, peak_accel = self.min_distance, self.v_sum, self.peak_accel
+        mode = s.mode
+        label = modes[mode]
+        collision = False
+        timed_out = False
+
+        while tick != stop:
+            if t >= max_sim_time:
+                timed_out = True
+                break
+            a_cmd = step(s, tick)
+            if s.mode != mode:
+                mode = s.mode
+                label = modes[mode]
+                mode_trace.append((t, label))
+            v_before = s.v
+            plant_tick(s, a_cmd, dt, fifo, tick)
+            a_actual = (s.v - v_before) / dt
+            line, past = s.walking_line(geometry)
+            pedestrian_tick(s, model, dt, line, past)
+            if s.phase != WAITING_CODE:  # a waiting pedestrian has not moved
+                s.right_of_way = in_crosswalk(s, geometry)
+            t += dt
+            tick += 1
+
+            trace.append((t, s.d, s.v, a_cmd, a_actual, s.x_p, label))
+            dist = vehicle_pedestrian_distance(s, line)
+            if dist < min_distance:
+                min_distance = dist
+            if dist < collision_radius:
+                collision = True
+                break
+            v_sum += s.v
+            if abs(a_actual) > peak_accel:
+                peak_accel = abs(a_actual)
+
+            if s.phase == DONE_CODE and past:
+                break
+        else:  # on tick ``stop``, not ended
+            self.t, self.tick = t, tick
+            self.min_distance, self.v_sum, self.peak_accel = min_distance, v_sum, peak_accel
+            return None
+
+        n = len(trace) - collision  # the ticks the metrics count: not a colliding one
+        return TrialResult(
+            min_distance=min_distance,
+            avg_velocity=v_sum / n if n else 0.0,
+            peak_accel=peak_accel,
+            collision=collision,
+            timed_out=timed_out,
+            mode_trace=tuple(mode_trace),
+            safety_events=trial_events(s.overrun, timed_out),
+            final_d=s.d,
+            trace=trace,
+        )
+
+
 def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller) -> TrialResult:
     """Run one trial with the pedestrian's ``accepted_gap`` to completion and
     collect its metrics and its trace, one row per tick it runs; the metrics
     leave out a colliding tick, the last row, but for its distance. The trial's
     state is its own ``TrialState``, so one controller can serve many trials.
     """
-    accepted_gap = float(accepted_gap)
-    geometry, dt = scenario.geometry, scenario.dt
-    s = TrialState(scenario, accepted_gap)
-    fifo = [0.0] * scenario.delay_ticks()
-
-    # Read once per trial. plant_tick, pedestrian_tick and
-    # vehicle_pedestrian_distance stay module lookups on every tick.
-    step, modes, model = controller.step, controller.modes, scenario.gap_model
-    max_sim_time, collision_radius = scenario.max_sim_time, scenario.collision_radius
-
-    t = 0.0
-    tick = 0
-    min_distance = vehicle_pedestrian_distance(s, s.walking_line(geometry)[0])
-    v_sum = 0.0
-    peak_accel = 0.0
-    collision = False
-    timed_out = False
-    mode = s.mode
-    label = modes[mode]
-    mode_trace: list[tuple[float, str]] = [(0.0, label)]
-    trace: list[tuple] = []  # one row per tick, a colliding one included
-
-    while True:
-        if t >= max_sim_time:
-            timed_out = True
-            break
-        a_cmd = step(s, tick)
-        if s.mode != mode:
-            mode = s.mode
-            label = modes[mode]
-            mode_trace.append((t, label))
-        v_before = s.v
-        plant_tick(s, a_cmd, dt, fifo, tick)
-        a_actual = (s.v - v_before) / dt
-        line, past = s.walking_line(geometry)
-        pedestrian_tick(s, model, dt, line, past)
-        t += dt
-        tick += 1
-
-        trace.append((t, s.d, s.v, a_cmd, a_actual, s.x_p, label))
-        dist = vehicle_pedestrian_distance(s, line)
-        if dist < min_distance:
-            min_distance = dist
-        if dist < collision_radius:
-            collision = True
-            break
-        v_sum += s.v
-        if abs(a_actual) > peak_accel:
-            peak_accel = abs(a_actual)
-
-        if s.phase == DONE_CODE and past:
-            break
-
-    n = len(trace) - collision  # the ticks the metrics count: not a colliding one
-    return TrialResult(
-        min_distance=min_distance,
-        avg_velocity=v_sum / n if n else 0.0,
-        peak_accel=peak_accel,
-        collision=collision,
-        timed_out=timed_out,
-        mode_trace=tuple(mode_trace),
-        safety_events=trial_events(s.overrun, timed_out),
-        final_d=s.d,
-        trace=trace,
-    )
+    return TrialRun(scenario, accepted_gap, controller).advance()
 
 
 def seeded_gaps(gap_model: GapAcceptanceModel, seed: int, n_trials: int) -> list[float]:
@@ -388,44 +430,45 @@ def gap_classes(scenario: Scenario, controller: Controller,
     return [tick if tick < len(low) else None for tick in ticks.tolist()]
 
 
-def pedestrian_walk(scenario: Scenario) -> list[tuple[float, float, int]]:
-    """``x_p``, ``xdot_p`` and ``phase`` of ``scenario``'s pedestrian from its
-    waiting start (entry 0) after each call of ``pedestrian_tick``, armed on the
-    first: one armed on tick ``arm`` is at entry ``tick + 1 - arm`` after tick
-    ``tick``. It ends on Done or on the last tick a trial can run."""
+def pedestrian_walk(scenario: Scenario) -> list[tuple[float, float, int, bool]]:
+    """``x_p``, ``xdot_p``, ``phase`` and ``right_of_way`` of ``scenario``'s
+    pedestrian from its waiting start (entry 0) after each call of
+    ``pedestrian_tick``, armed on the first: one armed on tick ``arm`` is at entry
+    ``tick + 1 - arm`` after tick ``tick``. It ends on Done or on the last tick a
+    trial can run."""
     s, model, dt = TrialState(scenario, math.inf), scenario.gap_model, scenario.dt
-    walk = [(s.x_p, s.xdot_p, s.phase)]
+    walk = [(s.x_p, s.xdot_p, s.phase, s.right_of_way)]
     t = 0.0  # run_trial's clock
     while s.phase != DONE_CODE and t < scenario.max_sim_time:
         pedestrian_tick(s, model, dt, 0.0, True)  # passed: arms on the first call
-        walk.append((s.x_p, s.xdot_p, s.phase))
+        s.right_of_way = in_crosswalk(s, scenario.geometry)
+        walk.append((s.x_p, s.xdot_p, s.phase, s.right_of_way))
         t += dt
     return walk
 
 
 class BatchState(TrialState):
-    """The rows of a lockstep batch: every ``TrialState`` field as an array with
-    one element per row, and nothing else. Row r is the start of
-    ``scenarios[rows[r][0]]`` with gap ``rows[r][1]``. Rows never move: a
-    finished row ticks on with the others, and nothing reads it.
+    """The rows of a lockstep batch: each ``TrialState`` field that the lockstep
+    reads (``FIELDS``: all but ``delay_left`` and ``gap``, which only the scalar
+    pedestrian reads) as an array with one element per row, and nothing else.
+    Row r starts as ``starts[which[r]]``. Rows never move: a finished row ticks
+    on with the others, and nothing reads it.
     """
 
     __slots__ = ()
+    FIELDS = tuple(name for name in TrialState.__slots__ if name not in ("delay_left", "gap"))
 
-    def __init__(self, scenarios: Sequence[Scenario], rows: Sequence[tuple[int, float]]):
-        which = [k for k, _ in rows]
-        starts = [TrialState(q, 0.0) for q in scenarios]
-        for name in TrialState.__slots__:
+    def __init__(self, starts: Sequence[TrialState], which: Sequence[int]):
+        for name in BatchState.FIELDS:
             values = np.array([getattr(start, name) for start in starts])[which]
             setattr(self, name, values.astype(np.int8) if name in ("phase", "mode") else values)
-        self.gap = np.array([g for _, g in rows], dtype=float)
 
     def rows(self, lo: int, hi: int) -> BatchState:
         """Rows ``lo`` to ``hi`` as a batch of their own whose fields are the
         views ``arr[lo:hi]``, so a write to the view writes this batch: every
         field is written in place."""
         view = object.__new__(BatchState)
-        for name in TrialState.__slots__:
+        for name in BatchState.FIELDS:
             setattr(view, name, getattr(self, name)[lo:hi])
         return view
 
@@ -483,18 +526,25 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
 
     The scenarios (a run's quadrants) may differ only in ``lane`` and
     ``entry_side``. Each scenario's gaps fall into ``gap_classes`` under each
-    controller, and the trials of one class are one trial, so one lockstep row
-    per (controller, scenario, class) runs, with the class's first gap in
-    ``gaps``. Each controller's rows form one block, which its ``step_batch``
-    steps through ``BatchState.rows``; the plant, the distance and the metrics
-    then tick every row at once, and each row reads its pedestrian from its
-    walk. A row's ``TrialResult`` is built on the tick it finishes (done and
-    past, a collision or the timeout), and the row then ticks on unread; a block
-    with no live row is not stepped, and its rows keep their last commands.
-    Every trial of a class gets that class's one result, bitwise equal to
-    ``run_trial`` on the trial's own scenario, gap and controller. Returns one
-    block of results per (controller, scenario), in order: trial i of
-    ``scenarios[k]`` under ``controllers[j]`` is at
+    controller, and the trials of one class are one trial. Until the first tick
+    on which any class arms, every trial of a (controller, scenario) group is
+    the group's prefix, its scenario's trial with an infinite gap, whose
+    pedestrian arms no earlier than any gap's: the scalar engine advances it
+    there (``TrialRun``). A group whose prefix ends first hands that result to
+    every trial. The other groups run from that tick on in the lockstep, one
+    row per (group, class), each started from its group's prefix: the vehicle,
+    the controller fields, the delay ring, the metric accumulators, the mode
+    trace and the clock. Each controller's rows form one block, which its
+    ``step_batch`` steps through ``BatchState.rows``; the plant, the distance
+    and the metrics then tick every row at once, and each row reads its
+    pedestrian, right of way included, from its walk. A row's ``TrialResult``
+    is built on the tick it finishes (done and past, a collision or the
+    timeout), and the row then ticks on unread; a block with no live row is not
+    stepped, and its rows keep their last commands. Every trial of a class gets
+    that class's one result, bitwise equal to ``run_trial`` on the trial's own
+    scenario, gap and controller but for the trace, which it leaves out.
+    Returns one block of results per (controller, scenario), in order: trial i
+    of ``scenarios[k]`` under ``controllers[j]`` is at
     ``(j * len(scenarios) + k) * len(gaps) + i``.
     """
     if not controllers:
@@ -509,57 +559,78 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     if not gaps:
         raise ValueError("need at least one gap")
 
+    # The (controller, scenario) groups in result order, each gap's class in each
+    # group, and the tick the lockstep starts on: the first on which a class arms.
+    groups = [(c, sc) for c in controllers for sc in scenarios]
+    classes = [gap_classes(sc, c, gaps) for c, sc in groups]
+    start = min((arm for arms in classes for arm in arms if arm is not None), default=sys.maxsize)
+    prefixes = [TrialRun(sc, math.inf, c) for c, sc in groups]
+    prefix_results: list[Optional[TrialResult]] = []  # each group's, if its prefix ended
+    for run in prefixes:
+        result = run.advance(start)
+        run.trace.clear()  # no result keeps it
+        prefix_results.append(None if result is None else replace(result, trace=None))
+    if None not in prefix_results:
+        return [result for result in prefix_results for _ in gaps]
+
     # One table of each entry side's pedestrian_walk, and each side's first and last entry.
-    walks: list[tuple[float, float, int]] = []
+    walks: list[tuple[float, float, int, bool]] = []
     spans: dict[EntrySide, tuple[int, int]] = {}
     for side, sc in {sc.entry_side: sc for sc in scenarios}.items():
-        start = len(walks)
+        first = len(walks)
         walks += pedestrian_walk(sc)
-        spans[side] = (start, len(walks) - 1)
+        spans[side] = (first, len(walks) - 1)
 
-    rows: list[tuple[int, float]] = []  # (scenario index, the class's first gap)
-    # Each row's (first - arm, first, last): after tick ``tick`` it reads entry
-    # ``first + tick + 1 - arm`` clamped to [first, last], or first if it never arms.
+    which: list[int] = []  # each row's group
+    # Each row's (first + start - arm, first, last): after tick ``tick`` it reads
+    # entry ``first + tick + 1 - arm`` clamped to [first, last], or first if it never arms.
     entries: list[tuple[int, int, int]] = []
-    trial_rows: list[int] = []  # each trial's row, in result order
+    # Each group's trials' rows, in result order; None if its prefix ended.
+    trial_rows: list[Optional[list[int]]] = []
     bounds: list[tuple[int, int]] = []  # each controller's block of rows, [lo, hi)
-    for controller in controllers:
-        lo = len(rows)
+    for j in range(len(controllers)):
+        lo = len(which)
         for k, sc in enumerate(scenarios):
+            g = j * len(scenarios) + k
+            if prefix_results[g] is not None:
+                trial_rows.append(None)
+                continue
             first, last = spans[sc.entry_side]
             row_of: dict[Optional[int], int] = {}  # class -> row
-            for gap, arm in zip(gaps, gap_classes(sc, controller, gaps)):
+            for arm in classes[g]:
                 if arm not in row_of:
-                    row_of[arm] = len(rows)
-                    rows.append((k, gap))
+                    row_of[arm] = len(which)
+                    which.append(g)
                     entries.append((first, first, first) if arm is None else
-                                   (first - arm, first, last))
-                trial_rows.append(row_of[arm])
-        bounds.append((lo, len(rows)))
-    s = BatchState(scenarios, rows)
-    n_rows = len(rows)
-    walk_x, walk_xdot, walk_phase = (np.array(column, dtype) for column, dtype in
-                                     zip(zip(*walks), (float, float, np.int8)))
+                                   (first + start - arm, first, last))
+            trial_rows.append([row_of[arm] for arm in classes[g]])
+        bounds.append((lo, len(which)))
+    s = BatchState([run.s for run in prefixes], which)
+    n_rows = len(which)
+    walk_x, walk_xdot, walk_phase, walk_row = (
+        np.array(column, dtype) for column, dtype in
+        zip(zip(*walks), (float, float, np.int8, bool)))
     entry, first_entry, last_entry = np.array(list(zip(*entries)), dtype=np.intp)
     at = first_entry.copy()
-    del rows, entries, walks  # unread by the loop, they would raise its memory peak
+    # The prefixes' delay rings, as (delay tick, row), and metric accumulators.
+    fifo = np.array([run.fifo for run in prefixes], dtype=float)[which].T.copy()
+    min_distance, v_sum, peak_accel = (np.array([getattr(run, name) for run in prefixes])[which]
+                                       for name in ("min_distance", "v_sum", "peak_accel"))
+    # Each row's mode trace: a tuple, which its result shares.
+    group_traces = [tuple(run.mode_trace) for run in prefixes]
+    mode_traces = [group_traces[g] for g in which]
+    t = prefixes[which[0]].t  # every live prefix is on tick ``start``
+    tick = start
+    del classes, which, entries, walks, prefixes  # unread by the loop: they would raise its peak
 
     geometry, dt, k = scenario.geometry, scenario.dt, tick_operands(scenario)
     # (controller, lo, hi, its rows' view); and how many of each block's rows are live.
     blocks = [(c, lo, hi, s.rows(lo, hi)) for c, (lo, hi) in zip(controllers, bounds)]
     block_live = [hi - lo for lo, hi in bounds]
-    fifo = np.zeros((scenario.delay_ticks(), n_rows))
     a_cmd = np.zeros(n_rows)
-    min_distance = s.distance(s.walking_line(geometry)[0])
-    v_sum = np.zeros(n_rows)
-    peak_accel = np.zeros(n_rows)
     collision = np.zeros(n_rows, dtype=bool)  # this tick's
     live = np.ones(n_rows, dtype=bool)
-    # Each row's mode trace: a tuple, which its result shares.
-    mode_traces = [((0.0, c.modes[0]),) for c, lo, hi, _ in blocks for _ in range(lo, hi)]
     results: list[Optional[TrialResult]] = [None] * n_rows  # each row's, built as it finishes
-    t = 0.0
-    tick = 0
     # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
     # a root of a negative number. An overflow that counts is inf, as in Python.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -589,6 +660,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                 walk_x.take(at, out=s.x_p, mode="clip")  # "clip" writes out unbuffered
                 walk_xdot.take(at, out=s.xdot_p, mode="clip")
                 walk_phase.take(at, out=s.phase, mode="clip")
+                walk_row.take(at, out=s.right_of_way, mode="clip")
                 t += dt
                 tick += 1
 
@@ -626,4 +698,5 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
             live &= ~finished
             block_live = [np.count_nonzero(live[lo:hi]) for lo, hi in bounds]
 
-    return [results[r] for r in trial_rows]
+    return [r for result, rows in zip(prefix_results, trial_rows)
+            for r in ([result] * len(gaps) if rows is None else [results[row] for row in rows])]

@@ -6,9 +6,10 @@ import pytest
 
 from crosswalk_sim.core import EntrySide, comfort_brake_distance, max_brake_distance
 from crosswalk_sim.hybrid import (DRIVING, HARD_BRAKING, SPEED_UP, YIELDING, HybridController,
-                                  in_crosswalk, time_advantage)
+                                  time_advantage)
+from crosswalk_sim.pedestrian import in_crosswalk
 
-from states import SCENARIO, trial_state
+from states import SCENARIO, set_fields, trial_state
 
 
 def state(d=30.0, v=4.5, x_p=-2.5, xdot_p=0.0, side=EntrySide.NEAR, geometry=SCENARIO.geometry,
@@ -201,14 +202,14 @@ class TestStepTransitions:
         s = state(0.5, 4.5, -1.0, 1.2)
         ctrl.step(s, 0)
         assert s.mode == SPEED_UP
-        s.d, s.v, s.x_p = -0.1, 4.6, -0.5
+        set_fields(s, d=-0.1, v=4.6, x_p=-0.5)
         ctrl.step(s, 1)
         assert s.mode == DRIVING
 
     def test_yield_exits_when_cleared(self, geometry, ctrl):
         s = state(20.0, 4.5, -1.0, 1.2)
         ctrl.step(s, 0)
-        s.d, s.x_p = 19.0, geometry.x_f + 0.1
+        set_fields(s, geometry, d=19.0, x_p=geometry.x_f + 0.1)
         ctrl.step(s, 1)
         assert s.mode == DRIVING
 
@@ -217,10 +218,8 @@ class TestStepTransitions:
         rng = np.random.default_rng(4)
         s = state()
         for k in range(2000):
-            s.d = rng.uniform(-10.0, 45.0)
-            s.v = rng.uniform(0.0, 6.0)
-            s.x_p = rng.uniform(-3.0, 16.0)
-            s.xdot_p = rng.choice([0.0, 1.2, -1.2])
+            set_fields(s, d=rng.uniform(-10.0, 45.0), v=rng.uniform(0.0, 6.0),
+                       x_p=rng.uniform(-3.0, 16.0), xdot_p=rng.choice([0.0, 1.2, -1.2]))
             a = ctrl.step(s, k)
             assert -params.a_max <= a <= params.a_cmf
 
@@ -230,9 +229,9 @@ class TestStepTransitions:
             s = state(30.0, 4.5, -1.0, 0.0)
             for k in range(200):
                 if k == 40:
-                    s.xdot_p = 1.2
+                    set_fields(s, xdot_p=1.2)
                 elif k > 40:
-                    s.x_p += 1.2 * 0.05
+                    set_fields(s, x_p=s.x_p + 1.2 * 0.05)
                 a = ctrl.step(s, k)
                 s.v = max(0.0, s.v + a * 0.05)
                 s.d -= s.v * 0.05

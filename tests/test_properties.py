@@ -3,8 +3,15 @@ for the lockstep batch engine's bitwise equality with scalar trials, for the gap
 classes it runs, and for the QMDP solver against the dense Bellman backup and
 value iteration.
 
-Examples are derived from a fixed seed and no example database is kept, so
-every run checks the same cases.
+Examples are derived from a fixed seed and no example database is kept, yet
+runs that load different modules check different cases: Hypothesis (6.155)
+mixes into its draws the literal constants it mines from every local source
+module loaded so far (``_get_local_constants`` in
+``hypothesis/internal/conjecture/providers.py``), so a ``-k`` run, a run of
+this file alone and a full-suite run each draw their own examples, with
+``derandomize=True`` and ``database=None`` alike. A case that must run every
+time is a plain test: ``tests/test_simulator.py``'s ``OVERRIDES`` holds the
+one-tick run (``max_sim_time`` 0.05 s) that only a full-suite run drew here.
 """
 
 import math
@@ -33,7 +40,7 @@ from crosswalk_sim.simulator import (Lane, class_edges, gap_classes, plant_tick,
                                      run_trial)
 
 from qmdp_reference import assert_near_value_iteration, backup_change
-from states import CONFIG, SCENARIO, config_with, trial_state
+from states import CONFIG, SCENARIO, config_with, set_fields, trial_state
 
 PARAMS = SCENARIO.params
 GEOMETRY = SCENARIO.geometry
@@ -83,8 +90,7 @@ def test_hybrid_command_stays_in_envelope(params, states):
     controller = HybridController(params, GEOMETRY, dt=SCENARIO.dt)
     trials = {side: trial_state(GEOMETRY, side) for side in EntrySide}
     for tick, (d, v, x_p, xdot_p, side) in enumerate(states):
-        s = trials[side]
-        s.d, s.v, s.x_p, s.xdot_p = d, v, x_p, xdot_p
+        s = set_fields(trials[side], GEOMETRY, d=d, v=v, x_p=x_p, xdot_p=xdot_p)
         a = controller.step(s, tick)
         assert type(a) is float
         assert -params.a_max <= a <= params.a_cmf

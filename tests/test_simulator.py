@@ -7,12 +7,14 @@ import pytest
 from crosswalk_sim import simulator
 from crosswalk_sim.config import load_config
 from crosswalk_sim.core import EntrySide
-from crosswalk_sim.pedestrian import CROSSING_CODE, DONE_CODE, pedestrian_tick, sample_accepted_gap
+from crosswalk_sim.pedestrian import (CROSSING_CODE, DONE_CODE, in_crosswalk, pedestrian_tick,
+                                     sample_accepted_gap)
 from crosswalk_sim.pomdp import PomdpController, qmdp_solve
 from crosswalk_sim.simulator import (
     BatchState,
     Lane,
     TrialResult,
+    TrialRun,
     TrialState,
     class_edges,
     gap_classes,
@@ -326,7 +328,10 @@ QUADRANTS = [("A", "near"), ("A", "far"), ("B", "near"), ("B", "far")]
 SWEEP = sweep_gaps(0.5, 0.05, 10.0)
 SEEDED = 25  # trials drawn by seeded_gaps from seed 17
 COARSE = sweep_gaps(0.5, 0.5, 10.0)
-OVERRIDES = [{"max_sim_time": 5.0}, {"collision_radius": 4.0}]
+# A 0.05 s run is one tick: every trial ends before any lockstep tick on the
+# default preset, or on the lockstep's first tick on the experiment one, whose
+# longest gaps arm on tick 0.
+OVERRIDES = [{"max_sim_time": 5.0}, {"collision_radius": 4.0}, {"max_sim_time": 0.05}]
 SHORT = sweep_gaps(0.05, 0.05, 1.0)  # below min_gap too: a trial takes any gap
 
 
@@ -451,11 +456,98 @@ def test_pedestrian_walk_ends_on_done_or_on_the_last_tick(scenario_factory, hybr
     # further, and an uncapped walk would never end.
     sc = scenario_factory(entry_side=side)
     walk = pedestrian_walk(sc)
-    assert [phase for _, _, phase in walk].index(DONE_CODE) == len(walk) - 1
+    assert [phase for _, _, phase, _ in walk].index(DONE_CODE) == len(walk) - 1
     slow = replace(sc, max_sim_time=5.0, gap_model=replace(sc.gap_model, walk_speed=1e-300))
     trial = run_trial(slow, math.inf, hybrid_for(slow))
     assert trial.timed_out
     assert len(pedestrian_walk(slow)) == len(trial.trace) + 1 < len(walk)
+
+
+class RightOfWaySpy:
+    """``inner``, checking on every step that the trial's ``right_of_way`` is
+    ``in_crosswalk`` of its pedestrian, and collecting the values it saw."""
+
+    def __init__(self, inner, geometry):
+        self.inner, self.modes, self.geometry, self.seen = inner, inner.modes, geometry, set()
+
+    def step(self, s, tick):
+        assert s.right_of_way is in_crosswalk(s, self.geometry), tick
+        self.seen.add(s.right_of_way)
+        return self.inner.step(s, tick)
+
+
+@pytest.mark.parametrize("side", list(EntrySide))
+def test_right_of_way_is_in_crosswalk_after_every_tick(scenario_factory, hybrid_for, pomdp_model,
+                                                       solved_policy, side):
+    # The engines set right_of_way wherever they write the pedestrian, and the
+    # controllers read it: on every scalar tick (the trial's start and end
+    # state included) and on every walk entry, which the lockstep reads. A
+    # setback of 0 or below starts the pedestrian inside the span.
+    seen = set()
+    for setback, start_delay in [(2.5, 0.2), (0.0, 0.0), (-1.0, 0.2)]:
+        model = replace(scenario_factory().gap_model, near_setback=setback, far_setback=setback,
+                        start_delay=start_delay)
+        sc = scenario_factory(entry_side=side, gap_model=model)
+        for controller in (hybrid_for(sc), PomdpController(pomdp_model, solved_policy, sim_dt=sc.dt)):
+            for gap in (1.0, 4.0, math.inf):
+                spy = RightOfWaySpy(controller, sc.geometry)
+                run = TrialRun(sc, gap, spy)
+                run.advance()
+                assert run.s.right_of_way is in_crosswalk(run.s, sc.geometry)
+                seen |= spy.seen
+        for x_p, xdot_p, _, right_of_way in pedestrian_walk(sc):
+            s = TrialState(sc, math.inf)
+            s.x_p, s.xdot_p = x_p, xdot_p
+            assert right_of_way is in_crosswalk(s, sc.geometry)
+    assert seen == {False, True}
+
+
+def test_lockstep_runs_from_the_first_arm_tick_to_the_last_trial_end(
+        monkeypatch, scenario_factory, hybrid_for, pomdp_model, solved_policy):
+    # compare's batch on seed-1 gaps: both controllers, all quadrants, 250 gaps.
+    # Before the first tick on which a class arms, every trial of a group is its
+    # scalar prefix, so the lockstep ticks only from there to the longest trial's
+    # end (its last tick + 1 - 124 = 586 ticks, not 710).
+    quadrants = [scenario_factory(lane=Lane(lane), entry_side=EntrySide(side))
+                 for lane, side in QUADRANTS]
+    controllers = (hybrid_for(quadrants[0]),
+                   PomdpController(pomdp_model, solved_policy, sim_dt=quadrants[0].dt))
+    gaps = seeded_gaps(quadrants[0].gap_model, 1, 250)
+    ticks = []
+    monkeypatch.setattr(simulator, "plant_tick_batch",
+                        lambda s, a, k, fifo, tick: (ticks.append(tick),
+                                                     plant_tick_batch(s, a, k, fifo, tick)))
+    run_batch(quadrants, gaps, *controllers)
+    start = first_arm_tick(quadrants, gaps, *controllers)
+    # One gap of each class stands for the class.
+    end = max(len(run_trial(sc, gap, c).trace) for c in controllers for sc in quadrants
+              for gap in {arm: g for g, arm in zip(gaps, gap_classes(sc, c, gaps))}.values())
+    assert ticks == list(range(start, end))
+    assert (start, len(ticks)) == (124, 586)
+
+
+def test_a_quadrant_that_ends_before_the_first_arm_tick(scenario_factory, hybrid_for, pomdp_model,
+                                                        solved_policy):
+    # A pedestrian waiting 0.5 m before the near curb is within 3 m of the
+    # hybrid's vehicle as it passes in lane A, so with gaps no time gap arms
+    # that trial collides before its pedestrian arms, and before the pedestrians
+    # of the other quadrants arm (the vehicle stopped or passed): its prefix
+    # ends, and hands its result to every trial of it, while the other groups
+    # run on in the lockstep.
+    model = replace(scenario_factory().gap_model, near_setback=0.5)
+    quadrants = [scenario_factory(lane=Lane(lane), entry_side=EntrySide(side), gap_model=model,
+                                  collision_radius=3.0) for lane, side in QUADRANTS]
+    controllers = (hybrid_for(quadrants[0]),
+                   PomdpController(pomdp_model, solved_policy, sim_dt=quadrants[0].dt))
+    gaps = [10.5, 11.0, 12.0]
+    start = first_arm_tick(quadrants, gaps, *controllers)
+    early = [(c, sc) for c in controllers for sc in quadrants
+             if len(run_trial(sc, math.inf, c).trace) < start]
+    assert early and len(early) < len(controllers) * len(quadrants)
+    assert all(run_trial(sc, math.inf, c).collision for c, sc in early)
+    assert_bitwise_equal(run_batch(quadrants, gaps, *controllers),
+                         [run_trial(sc, g, c) for c in controllers for sc in quadrants
+                          for g in gaps])
 
 
 @pytest.mark.parametrize("lane,side", QUADRANTS)
@@ -491,6 +583,13 @@ class SteppedTicks:
         return self.inner.step_batch(s, tick)
 
 
+def first_arm_tick(quadrants, gaps, *controllers):
+    """The first tick on which any of ``gaps``' classes arms, over ``quadrants``
+    and ``controllers``: the tick ``run_batch``'s lockstep starts on."""
+    return min(arm for c in controllers for sc in quadrants for arm in gap_classes(sc, c, gaps)
+               if arm is not None)
+
+
 class TestOneCallForEveryController:
     """run_batch over several controllers against one call per controller, with no
     tolerance: one clock for every row must not couple the controllers' trials."""
@@ -500,7 +599,8 @@ class TestOneCallForEveryController:
         sc = preset_config.scenario()
         return hybrid_for(sc), PomdpController(*preset_policy, sim_dt=sc.dt)
 
-    @pytest.mark.parametrize("override", [{}, *OVERRIDES], ids=["plain", "timeout", "collision"])
+    @pytest.mark.parametrize("override", [{}, *OVERRIDES],
+                             ids=["plain", "timeout", "collision", "one-tick"])
     def test_equals_one_call_per_controller(self, preset_config, hybrid_and_pomdp, override):
         # A timeout ends every block on one tick; a collision ends a row before
         # that tick's velocity and peak-acceleration updates.
@@ -517,21 +617,27 @@ class TestOneCallForEveryController:
 
     def test_a_finished_block_is_not_stepped(self, preset_config, hybrid_and_pomdp):
         # The hybrid rows finish long before the POMDP rows, so the merged call
-        # runs ticks on which only the POMDP block is stepped.
+        # runs ticks on which only the POMDP block is stepped. Each block is
+        # stepped on consecutive ticks from the lockstep's first, the first tick
+        # on which a class arms, to its own last row's end.
         quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
         alone = [SteppedTicks(c) for c in hybrid_and_pomdp]
         expected = [r for c in alone for r in run_batch(quadrants, SWEEP, c)]
         merged = [SteppedTicks(c) for c in hybrid_and_pomdp]
         assert_bitwise_equal(run_batch(quadrants, SWEEP, *merged), expected)
-        for own, shared in zip(alone, merged):
-            assert shared.ticks == own.ticks == list(range(len(own.ticks)))
-        hybrid, pomdp = (len(c.ticks) for c in merged)
+        start = first_arm_tick(quadrants, SWEEP, *hybrid_and_pomdp)
+        for controller, own, shared in zip(hybrid_and_pomdp, alone, merged):
+            own_start = first_arm_tick(quadrants, SWEEP, controller)
+            assert own.ticks == list(range(own_start, own_start + len(own.ticks)))
+            assert shared.ticks == list(range(start, own.ticks[-1] + 1))
+        hybrid, pomdp = (c.ticks[-1] for c in merged)
         assert hybrid + 100 < pomdp
 
     def test_rows_are_views(self, scenario_factory):
-        s = BatchState([scenario_factory()], [(0, 2.0)] * 5)
+        s = BatchState([TrialState(scenario_factory(), 2.0)], [0] * 5)
+        assert not hasattr(s, "gap") and not hasattr(s, "delay_left")  # the lockstep reads neither
         view = s.rows(1, 4)
-        for name in TrialState.__slots__:
+        for name in BatchState.FIELDS:
             field = getattr(view, name)
             assert field.base is not None and np.shares_memory(field, getattr(s, name)), name
             assert len(field) == 3
@@ -550,25 +656,22 @@ class TestOneCallForEveryController:
 
 class SealedGap:
     """``inner`` with the stepped trials' ``gap`` unset, so that reading it raises
-    AttributeError."""
+    AttributeError. A lockstep row holds no gap at all."""
 
     def __init__(self, inner):
         self.inner, self.modes = inner, inner.modes
 
     def step(self, s, tick):
-        return self.sealed(self.inner.step, s, tick)
-
-    def step_batch(self, s, tick):
-        return self.sealed(self.inner.step_batch, s, tick)
-
-    @staticmethod
-    def sealed(step, s, tick):
         gap = s.gap
         del s.gap
         try:
-            return step(s, tick)
+            return self.inner.step(s, tick)
         finally:
             s.gap = gap
+
+    def step_batch(self, s, tick):
+        assert not hasattr(s, "gap")
+        return self.inner.step_batch(s, tick)
 
 
 def test_controllers_never_read_gap(preset_config, preset_controller):
@@ -606,7 +709,8 @@ class TestBatchIdentities:
         # One element per (side, value): the near-side trials, then the far-side ones.
         def make(values):
             scenarios = [scenario_factory(entry_side=side) for side in self.SIDES]
-            s = BatchState(scenarios, [(k, 2.0) for k in range(len(scenarios)) for _ in values])
+            s = BatchState([TrialState(sc, 2.0) for sc in scenarios],
+                           [k for k in range(len(scenarios)) for _ in values])
             sides = [side for side in self.SIDES for _ in values]
             return s, sides, [*values, *values]
 
