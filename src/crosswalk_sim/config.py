@@ -26,6 +26,8 @@ ENV_PREFIX = "CWSIM_"
 
 # The most gaps a run may take per quadrant, from a seeded draw or a sweep.
 MAX_TRIALS = 1_000_000
+# The most ticks a trial may run, run.max_sim_time / run.dt; the presets run 1200.
+MAX_TICKS = 100_000
 
 DEFAULTS: dict[str, dict[str, object]] = {
     "world": {
@@ -187,7 +189,7 @@ class RunConfig:
         try:
             params = self.controller_params()
             initial_v = r["initial_v"] if r["initial_v"] >= 0.0 else params.v_speedlimit
-            return Scenario(
+            scenario = Scenario(
                 geometry=self.geometry(),
                 params=params,
                 gap_model=self.gap_model(),
@@ -202,6 +204,10 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if scenario.max_sim_time / scenario.dt > MAX_TICKS:
+            raise ConfigError(f"run.max_sim_time / run.dt = {r['max_sim_time']!r} / {r['dt']!r} "
+                              f"is more than MAX_TICKS = {MAX_TICKS} ticks")
+        return scenario
 
     def sweep_values(self) -> Optional[list[float]]:
         spec = str(self.run["sweep"]).strip()

@@ -7,27 +7,27 @@ whose accepted gap exceeds ``max_trigger_gap`` never treat the approaching
 vehicle as a crossing opportunity; they wait for it to pass and then cross.
 Once crossing, the walk is constant-speed and is never aborted.
 
-A pedestrian's state is the ``x_p``, ``xdot_p``, ``phase``, ``delay_left``,
-``gap`` and ``right_of_way`` fields of the trial's ``TrialState``, with the
-entry side as its ``sgn`` / ``lim`` constants. ``pedestrian_tick`` is the one
-pedestrian tick, and ``in_crosswalk`` the one right-of-way test, which the
-engines store in ``right_of_way`` wherever they write the pedestrian and the
-controllers only read; the lockstep engine reads each row's pedestrian from
-its entry side's walk (``simulator.pedestrian_walk``), and ``arming_gap`` is
-the arm rule on arrays, for ``simulator.gap_classes``.
+The gap decides one instant, the tick the pedestrian arms on: the first on
+which ``arming_gap``, the least gap that arms on that tick, is at or below
+the pedestrian's ``trigger``. After it the walk reads nothing of the vehicle,
+so both engines read it from ``simulator.pedestrian_walk``, which runs the
+step-off latency and then ``pedestrian_tick``, the one crossing step. A pedestrian's state is the ``x_p``, ``xdot_p``, ``phase`` and
+``right_of_way`` fields of the trial's ``TrialState``, with the entry side as
+its ``sgn`` / ``lim`` constants; ``in_crosswalk`` is the one right-of-way
+test, which the engines store in ``right_of_way`` wherever they write the
+pedestrian and the controllers only read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .core import require_finite_fields
 
 if TYPE_CHECKING:
-    from types import SimpleNamespace
+    import numpy as np
 
     from .core import WorldGeometry
     from .simulator import TrialState
@@ -90,52 +90,35 @@ def in_crosswalk(s: TrialState, geometry: WorldGeometry) -> bool:
     return (c <= geometry.x_f) & ((0.0 <= c) | (s.span_speed() > 0.0))
 
 
-def arming_gap(v: np.ndarray, line: np.ndarray, past, k: SimpleNamespace) -> np.ndarray:
-    """The least accepted gap that arms a waiting pedestrian this tick, for arrays
-    of vehicle speeds ``v`` and ``walking_line`` results ``line`` and ``past``.
+def arming_gap(v: float, line: float, past: bool) -> float:
+    """The least accepted gap that arms a waiting pedestrian on a tick whose
+    vehicle speed is ``v`` and whose ``walking_line`` is (``line``, ``past``).
 
     It is -inf once the vehicle has stopped (``v <= 1e-9``, an infinite gap) or
     passed (no conflict), which every pedestrian takes, whatever their gap. While
     the vehicle approaches the walking line (``line > 0``) it is the time gap
-    ``line / v``, and otherwise inf: no gap arms. A gap in [least, max_trigger_gap]
-    arms. ``k`` is the run's bound operands (``simulator.tick_operands``):
-    ``zero``, ``inf``, ``neg_inf`` and ``eps`` (1e-9).
+    ``line / v``, and otherwise inf: no gap arms. A pedestrian arms on the first
+    tick on which it is at or below their ``trigger``.
     """
-    least = np.where(line > k.zero, line / v, k.inf)
-    np.putmask(least, (v <= k.eps) | past, k.neg_inf)
-    return least
+    if v <= 1e-9 or past:
+        return -math.inf
+    return line / v if line > 0.0 else math.inf
 
 
-def pedestrian_tick(s: TrialState, model: GapAcceptanceModel, dt: float, line: float,
-                    past: bool) -> None:
-    """Advance the pedestrian by one time step against the current ego state.
+def trigger(model: GapAcceptanceModel, gap: float) -> float:
+    """The ``arming_gap`` at or below which a pedestrian with accepted gap
+    ``gap`` arms: ``gap`` itself, or -inf above ``max_trigger_gap``, which
+    waits for the vehicle to stop or pass."""
+    return gap if gap <= model.max_trigger_gap else -math.inf
 
-    ``line`` and ``past`` are ``s.walking_line`` of this tick, taken after the
-    plant has moved.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    phase = s.phase
-    if phase == DONE_CODE:
-        return
 
-    if phase == WAITING_CODE:
-        if s.delay_left < 0.0:
-            # A stopped vehicle offers an infinite gap and a passed one no
-            # conflict: every pedestrian takes those. Otherwise the time gap to
-            # the walking line must have shrunk to the accepted one. This is
-            # arming_gap's rule, inline.
-            if not (s.v <= 1e-9 or past):
-                if s.gap > model.max_trigger_gap or line <= 0.0 or not line / s.v <= s.gap:
-                    return
-            s.delay_left = model.start_delay
-        else:
-            s.delay_left -= dt
-        if s.delay_left > 1e-9:
-            return
+def pedestrian_tick(s: TrialState, model: GapAcceptanceModel, dt: float) -> None:
+    """One tick of an armed pedestrian whose step-off latency has run out:
+    step off if still waiting, walk at constant speed, and finish once off
+    the road."""
+    if s.phase == WAITING_CODE:
         s.phase = CROSSING_CODE
         s.xdot_p = s.sgn * model.walk_speed
-
     s.x_p += s.xdot_p * dt
     if s.crossed():
         s.phase = DONE_CODE

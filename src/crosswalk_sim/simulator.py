@@ -19,20 +19,22 @@ span several quadrants (lane and entry side), each row carrying its own, and
 several controllers, each stepping its own block of rows.
 
 A lockstep row is a gap class, not a trial. A trial reads its accepted gap only
-in its waiting pedestrian's arm test, which no controller reads, so trials whose
-pedestrians arm on the same tick are the same trial. ``gap_classes`` finds those
-classes from the trace of one ``run_trial`` per quadrant, and ``run_batch`` runs
+in its waiting pedestrian's arm test, ``arming_gap(...) <= trigger``, which the
+engine runs and no controller sees (a ``TrialState`` holds no gap), so trials
+whose pedestrians arm on the same tick are the same trial. ``gap_classes`` finds
+those classes from the trace of one ``run_trial`` per quadrant, and ``run_batch`` runs
 one row per (quadrant, class) and hands each trial its class's result, which is
 exact, not an approximation. Until the first tick on which any class arms, every
 trial of a quadrant is one trial, so the scalar engine runs that prefix once per
 (controller, quadrant) and the lockstep starts from its state on that tick. A
 ``TrialResult`` is immutable and holds no gap, so the trials of a class share
 one; the gaps stay with the caller. Rows never move: a row's result is built on
-the tick it finishes, and the row then ticks on unread. The batch ticks no
-pedestrian: once armed, one walks open-loop, so each row reads its entry side's
-one ``pedestrian_walk`` from its class, the tick it arms on, right of way
-included: the controllers read ``right_of_way``, which the engines set with
-``in_crosswalk`` wherever they write the pedestrian.
+the tick it finishes, and the row then ticks on unread. Once armed, a
+pedestrian walks open-loop, so both engines read it from ``pedestrian_walk``,
+right of way included: ``run_trial`` draws its walk's entries one per tick
+from the tick it arms on, and each lockstep row reads its entry side's one walk
+table from its class's arm tick. The controllers read ``right_of_way``, which
+the engines set with ``in_crosswalk`` wherever they write the pedestrian.
 """
 
 from __future__ import annotations
@@ -42,14 +44,14 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from types import SimpleNamespace
-from typing import Optional, Protocol, Sequence
+from typing import Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
 from .core import (ControllerParams, EntrySide, WorldGeometry, bound, require_finite_fields,
                    whole_ticks)
 from .pedestrian import (DONE_CODE, WAITING_CODE, GapAcceptanceModel, arming_gap, in_crosswalk,
-                         pedestrian_tick, sample_accepted_gap)
+                         pedestrian_tick, sample_accepted_gap, trigger)
 
 
 class Lane(Enum):
@@ -82,10 +84,7 @@ class Controller(Protocol):
     only ``step``.
 
     Both read the pedestrian's right of way from ``right_of_way``, which the
-    engines set, and never call ``in_crosswalk``. Neither reads the trial's
-    ``gap``: ``run_batch``'s gap classes rely on it, since they hold the trials
-    whose pedestrians arm on one tick to be one trial. Nor ``delay_left``: a
-    ``BatchState`` holds neither.
+    engines set, and never call ``in_crosswalk``.
     """
 
     modes: tuple[str, ...]
@@ -168,31 +167,30 @@ class TrialState:
     ``BatchState`` holds the same fields as arrays, one element per row, and
     the methods below serve both.
 
-    Vehicle: ``d``, ``v`` and ``x_v`` (the lane centre). Pedestrian: ``x_p``,
-    ``xdot_p``, ``phase`` (``WAITING_CODE``, ``CROSSING_CODE`` or
-    ``DONE_CODE``), ``delay_left`` (negative until the step-off is armed),
-    ``gap`` (the accepted gap), ``right_of_way`` (``in_crosswalk`` of the
-    pedestrian, set wherever an engine writes it; the controllers read it
-    instead of calling ``in_crosswalk``), and three constants of the entry side, which
-    replace per-side branches with exact arithmetic: ``sgn`` (1.0 near, -1.0
-    far), ``off`` (0.0 near, roadway_width far) and ``lim`` (roadway_width
-    near, 0.0 far). Controller, written only by its ``step`` or ``step_batch``
-    and zero at the start: ``mode``, ``d_o``, ``v_o``, ``latched``, ``overrun``
-    and ``a_prev_idx``.
+    Vehicle: ``d``, ``v`` and ``x_v`` (the lane centre). Pedestrian, as its
+    ``pedestrian_walk`` has it: ``x_p``, ``xdot_p``, ``phase`` (``WAITING_CODE``,
+    ``CROSSING_CODE`` or ``DONE_CODE``), ``right_of_way`` (``in_crosswalk`` of the
+    pedestrian; the controllers read it instead of calling ``in_crosswalk``), and
+    three constants of the entry side, which replace per-side branches with exact
+    arithmetic: ``sgn`` (1.0 near, -1.0 far), ``off`` (0.0 near, roadway_width
+    far) and ``lim`` (roadway_width near, 0.0 far). Controller, written only by
+    its ``step`` or ``step_batch`` and zero at the start: ``mode``, ``d_o``,
+    ``v_o``, ``latched``, ``overrun`` and ``a_prev_idx``. The accepted gap is no
+    field: only the engine's arm test reads it (``TrialRun.trigger``).
     """
 
-    __slots__ = ("d", "v", "x_v", "sgn", "off", "lim", "x_p", "xdot_p", "phase", "delay_left",
-                 "gap", "right_of_way", "mode", "d_o", "v_o", "latched", "overrun", "a_prev_idx")
+    __slots__ = ("d", "v", "x_v", "sgn", "off", "lim", "x_p", "xdot_p", "phase", "right_of_way",
+                 "mode", "d_o", "v_o", "latched", "overrun", "a_prev_idx")
 
-    def __init__(self, scenario: Scenario, gap: float):
-        """The start of a trial on ``scenario``'s lane and entry side with accepted gap ``gap``."""
+    def __init__(self, scenario: Scenario):
+        """The start of a trial on ``scenario``'s lane and entry side."""
         width, model = scenario.geometry.roadway_width, scenario.gap_model
         self.d, self.v, self.x_v = scenario.initial_d, scenario.initial_v, scenario.lane_center()
         if scenario.entry_side is EntrySide.NEAR:  # waiting on the sidewalk before the curb
             self.sgn, self.off, self.lim, self.x_p = 1.0, 0.0, width, -model.near_setback
         else:
             self.sgn, self.off, self.lim, self.x_p = -1.0, width, 0.0, width + model.far_setback
-        self.xdot_p, self.phase, self.delay_left, self.gap = 0.0, WAITING_CODE, -1.0, gap
+        self.xdot_p, self.phase = 0.0, WAITING_CODE
         self.mode, self.d_o, self.v_o, self.latched, self.overrun, self.a_prev_idx = (
             0, 0.0, 0.0, False, False, 0)
         self.right_of_way = in_crosswalk(self, scenario.geometry)
@@ -267,17 +265,22 @@ def trial_events(overrun: bool, timed_out: bool) -> tuple[str, ...]:
 class TrialRun:
     """A trial in progress: its ``TrialState`` and what its tick loop carries
     from tick to tick (the clock, the tick, the delay ring, the three metric
-    accumulators, the mode trace and the trace), so that the loop can stop on
-    a tick and resume from it. ``run_trial`` advances one to its end;
-    ``run_batch`` advances one per group to the tick its lockstep starts on.
+    accumulators, the mode trace, the trace, and its pedestrian's ``trigger``,
+    ``arm`` tick, None while it waits, and walk with its last entry), so that
+    the loop can stop on a tick and resume from it. ``run_trial`` advances one
+    to its end; ``run_batch`` advances one per group to the tick its lockstep
+    starts on.
     """
 
     __slots__ = ("scenario", "controller", "s", "t", "tick", "fifo", "min_distance", "v_sum",
-                 "peak_accel", "mode_trace", "trace")
+                 "peak_accel", "mode_trace", "trace", "trigger", "arm", "walk", "entry")
 
     def __init__(self, scenario: Scenario, accepted_gap: float, controller: Controller):
-        s = self.s = TrialState(scenario, float(accepted_gap))
+        s = self.s = TrialState(scenario)
         self.scenario, self.controller = scenario, controller
+        self.trigger, self.arm = trigger(scenario.gap_model, float(accepted_gap)), None
+        self.walk = pedestrian_walk(scenario)
+        self.entry = next(self.walk)  # the waiting start, which ``s`` holds
         self.t, self.tick = 0.0, 0
         self.fifo = [0.0] * scenario.delay_ticks()
         self.min_distance = vehicle_pedestrian_distance(s, s.walking_line(scenario.geometry)[0])
@@ -294,11 +297,12 @@ class TrialRun:
         """
         scenario, s = self.scenario, self.s
         geometry, dt = scenario.geometry, scenario.dt
-        # Read once per call. plant_tick, pedestrian_tick, in_crosswalk and
-        # vehicle_pedestrian_distance stay module lookups on every tick.
-        step, modes, model = self.controller.step, self.controller.modes, scenario.gap_model
+        # Read once per call. plant_tick, arming_gap and vehicle_pedestrian_distance
+        # stay module lookups on every tick.
+        step, modes = self.controller.step, self.controller.modes
         max_sim_time, collision_radius = scenario.max_sim_time, scenario.collision_radius
         t, tick, fifo, mode_trace, trace = self.t, self.tick, self.fifo, self.mode_trace, self.trace
+        trigger, arm, walk, entry = self.trigger, self.arm, self.walk, self.entry
         min_distance, v_sum, peak_accel = self.min_distance, self.v_sum, self.peak_accel
         mode = s.mode
         label = modes[mode]
@@ -318,9 +322,10 @@ class TrialRun:
             plant_tick(s, a_cmd, dt, fifo, tick)
             a_actual = (s.v - v_before) / dt
             line, past = s.walking_line(geometry)
-            pedestrian_tick(s, model, dt, line, past)
-            if s.phase != WAITING_CODE:  # a waiting pedestrian has not moved
-                s.right_of_way = in_crosswalk(s, geometry)
+            if arm is None and arming_gap(s.v, line, past) <= trigger:
+                arm = tick
+            if arm is not None:  # an armed pedestrian reads nothing of the vehicle
+                s.x_p, s.xdot_p, s.phase, s.right_of_way = entry = next(walk, entry)
             t += dt
             tick += 1
 
@@ -338,10 +343,11 @@ class TrialRun:
             if s.phase == DONE_CODE and past:
                 break
         else:  # on tick ``stop``, not ended
-            self.t, self.tick = t, tick
+            self.t, self.tick, self.arm, self.entry = t, tick, arm, entry
             self.min_distance, self.v_sum, self.peak_accel = min_distance, v_sum, peak_accel
             return None
 
+        self.arm = arm
         n = len(trace) - collision  # the ticks the metrics count: not a colliding one
         return TrialResult(
             min_distance=min_distance,
@@ -386,10 +392,9 @@ def _reference_arming_gaps(scenario: Scenario, controller: Controller) -> np.nda
     reach = scenario.geometry.roadway_width + max(gm.near_setback, gm.far_setback, 0.0) + 1.0
     sprint = replace(gm, start_delay=0.0, walk_speed=min(reach / scenario.dt, sys.float_info.max))
     trace = run_trial(replace(scenario, gap_model=sprint), math.inf, controller).trace
-    d, v = (np.fromiter((row[k] for row in trace), float, len(trace)) for k in (1, 2))
+    d = np.fromiter((row[1] for row in trace), float, len(trace))
     line, past = TrialState.walking_line(SimpleNamespace(d=d), scenario.geometry)  # reads d
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a stopped vehicle
-        return arming_gap(v, line, past, tick_operands(scenario))
+    return np.array(list(map(arming_gap, [row[2] for row in trace], line.tolist(), past.tolist())))
 
 
 def class_edges(scenario: Scenario, controller: Controller) -> list[float]:
@@ -421,45 +426,45 @@ def gap_classes(scenario: Scenario, controller: Controller,
     A trial reads its gap only in its pedestrian's arm test (no controller reads
     it), and its walk after it reads nothing of the vehicle. Until it arms, every
     trial of the scenario is ``class_edges``' reference trial. A gap arms on the
-    first tick whose record low of ``arming_gap`` is at or below it (by bisection);
-    one above ``max_trigger_gap`` only at -inf.
+    first tick whose record low of ``arming_gap`` is at or below its ``trigger`` (by
+    bisection).
     """
     low = np.minimum.accumulate(_reference_arming_gaps(scenario, controller))
-    g = np.array(gaps, dtype=float)
-    ticks = np.searchsorted(-low, -np.where(g <= scenario.gap_model.max_trigger_gap, g, -np.inf))
+    model = scenario.gap_model
+    ticks = np.searchsorted(-low, -np.array([trigger(model, g) for g in gaps], dtype=float))
     return [tick if tick < len(low) else None for tick in ticks.tolist()]
 
 
-def pedestrian_walk(scenario: Scenario) -> list[tuple[float, float, int, bool]]:
+def pedestrian_walk(scenario: Scenario) -> Iterator[tuple[float, float, int, bool]]:
     """``x_p``, ``xdot_p``, ``phase`` and ``right_of_way`` of ``scenario``'s
-    pedestrian from its waiting start (entry 0) after each call of
-    ``pedestrian_tick``, armed on the first: one armed on tick ``arm`` is at entry
-    ``tick + 1 - arm`` after tick ``tick``. It ends on Done or on the last tick a
-    trial can run."""
-    s, model, dt = TrialState(scenario, math.inf), scenario.gap_model, scenario.dt
-    walk = [(s.x_p, s.xdot_p, s.phase, s.right_of_way)]
-    t = 0.0  # run_trial's clock
+    pedestrian: its waiting start (entry 0), then one entry per tick from the
+    tick it arms on, so one armed on tick ``arm`` is at entry ``tick + 1 - arm``
+    after tick ``tick``. It waits out ``start_delay``, then ``pedestrian_tick``
+    steps it. It ends on Done or after as many ticks as a trial can run, since
+    a slow walk may outlast the run."""
+    s, model, dt = TrialState(scenario), scenario.gap_model, scenario.dt
+    yield s.x_p, s.xdot_p, s.phase, s.right_of_way
+    left, t = model.start_delay, 0.0  # the step-off latency left, and run_trial's clock
     while s.phase != DONE_CODE and t < scenario.max_sim_time:
-        pedestrian_tick(s, model, dt, 0.0, True)  # passed: arms on the first call
-        s.right_of_way = in_crosswalk(s, scenario.geometry)
-        walk.append((s.x_p, s.xdot_p, s.phase, s.right_of_way))
+        if left > 1e-9:
+            left -= dt
+        else:
+            pedestrian_tick(s, model, dt)
+            s.right_of_way = in_crosswalk(s, scenario.geometry)
+        yield s.x_p, s.xdot_p, s.phase, s.right_of_way
         t += dt
-    return walk
 
 
 class BatchState(TrialState):
-    """The rows of a lockstep batch: each ``TrialState`` field that the lockstep
-    reads (``FIELDS``: all but ``delay_left`` and ``gap``, which only the scalar
-    pedestrian reads) as an array with one element per row, and nothing else.
-    Row r starts as ``starts[which[r]]``. Rows never move: a finished row ticks
-    on with the others, and nothing reads it.
+    """The rows of a lockstep batch: each ``TrialState`` field as an array with
+    one element per row. Row r starts as ``starts[which[r]]``. Rows never move:
+    a finished row ticks on with the others, and nothing reads it.
     """
 
     __slots__ = ()
-    FIELDS = tuple(name for name in TrialState.__slots__ if name not in ("delay_left", "gap"))
 
     def __init__(self, starts: Sequence[TrialState], which: Sequence[int]):
-        for name in BatchState.FIELDS:
+        for name in TrialState.__slots__:
             values = np.array([getattr(start, name) for start in starts])[which]
             setattr(self, name, values.astype(np.int8) if name in ("phase", "mode") else values)
 
@@ -468,7 +473,7 @@ class BatchState(TrialState):
         views ``arr[lo:hi]``, so a write to the view writes this batch: every
         field is written in place."""
         view = object.__new__(BatchState)
-        for name in BatchState.FIELDS:
+        for name in TrialState.__slots__:
             setattr(view, name, getattr(self, name)[lo:hi])
         return view
 
@@ -485,12 +490,11 @@ class BatchState(TrialState):
 
 def tick_operands(scenario: Scenario) -> SimpleNamespace:
     """The scalar operands of ``run_batch``'s tick on ``scenario``, each a read-only
-    0-d array: the plant's, ``arming_gap``'s (for ``gap_classes``) and the loop's
-    own. Built once per call."""
+    0-d array: the plant's and the loop's own. Built once per call."""
     return SimpleNamespace(
         dt=bound(scenario.dt), radius=bound(scenario.collision_radius), zero=bound(0.0),
-        half=bound(0.5), minus_two=bound(-2.0), eps=bound(1e-9), inf=bound(math.inf),
-        neg_inf=bound(-math.inf), one=bound(1, np.intp), done=bound(DONE_CODE, np.int8))
+        half=bound(0.5), minus_two=bound(-2.0), one=bound(1, np.intp),
+        done=bound(DONE_CODE, np.int8))
 
 
 def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, k: SimpleNamespace,

@@ -38,10 +38,10 @@ def set_fields(s, geometry=SCENARIO.geometry, **values):
     return s
 
 
-def trial_state(geometry=SCENARIO.geometry, side=EntrySide.NEAR, gap=2.0,
-                gap_model=SCENARIO.gap_model, **values) -> TrialState:
+def trial_state(geometry=SCENARIO.geometry, side=EntrySide.NEAR, gap_model=SCENARIO.gap_model,
+                **values) -> TrialState:
     """The start of a trial on ``geometry`` from ``side``, lane A, with ``values``
     written over its fields (for example ``d``, ``v``, ``x_p``, ``xdot_p``) by
     ``set_fields``."""
-    s = TrialState(replace(SCENARIO, geometry=geometry, gap_model=gap_model, entry_side=side), gap)
+    s = TrialState(replace(SCENARIO, geometry=geometry, gap_model=gap_model, entry_side=side))
     return set_fields(s, geometry, **values)

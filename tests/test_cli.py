@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,8 +18,6 @@ pytestmark = pytest.mark.usefixtures("pomdp_cache_env")
 
 @pytest.fixture(scope="module")
 def pomdp_cache_env(tmp_path_factory):
-    import os
-
     cache = tmp_path_factory.mktemp("pomdp_cache")
     old = os.environ.get("CWSIM_POMDP__CACHE_DIR")
     os.environ["CWSIM_POMDP__CACHE_DIR"] = str(cache)
@@ -195,9 +196,31 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_pomdp_controller_solves_and_caches(self, tmp_path, capsys):
-        import os
+    @pytest.mark.parametrize("env,argv", [
+        ({"CWSIM_RUN__DT": "1e-7"}, ["replay", "--gap", "3"]),
+        ({"CWSIM_PEDESTRIAN__WALK_SPEED": "1e-300", "CWSIM_RUN__MAX_SIM_TIME": "1e9"},
+         ["compare", "--trials", "2"]),
+    ], ids=["replay", "compare"])
+    def test_horizon_above_max_ticks_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                                              env, argv):
+        # Nothing else bounds a trial's ticks: 6e8 and 2e10 of them would run for hours.
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
 
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_trial", no_trial)
+        monkeypatch.setattr(cli, "run_batch", no_trial)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: run.max_sim_time / run.dt = ")
+        assert "MAX_TICKS" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pomdp_controller_solves_and_caches(self, tmp_path, capsys):
         cache_dir = Path(os.environ["CWSIM_POMDP__CACHE_DIR"])
         out = tmp_path / "p1"
         rc = main(
@@ -273,6 +296,21 @@ class TestCompare:
         assert len(by_key) == 4
         for quadrant, methods in by_key.items():
             assert methods["hybrid"] == methods["pomdp"] == drawn
+
+
+def test_console_script_ends_a_walk_that_outlasts_the_run(tmp_path):
+    # At 1e-300 m/s no pedestrian reaches the far curb, so every trial times out:
+    # 2 methods x 4 quadrants x 5 trials = 40, exit 1 and no traceback. No gap
+    # class arms by 5 s (tick 100), so every trial ends in its scalar prefix.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {"PYTHONPATH": str(src), "CWSIM_POMDP__CACHE_DIR": os.environ["CWSIM_POMDP__CACHE_DIR"],
+           "CWSIM_PEDESTRIAN__WALK_SPEED": "1e-300", "CWSIM_RUN__MAX_SIM_TIME": "5"}
+    child = subprocess.run(
+        [sys.executable, "-m", "crosswalk_sim.cli", "compare", "--trials", "5", "--seed", "0"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 1, child.stderr[-500:]
+    assert "timeouts=40" in child.stdout
+    assert "Traceback" not in child.stderr
 
 
 class TestTablesMatchCsvModule:

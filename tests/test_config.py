@@ -9,6 +9,7 @@ import pytest
 
 from crosswalk_sim.config import (
     DEFAULTS,
+    MAX_TICKS,
     MAX_TRIALS,
     ConfigError,
     RunConfig,
@@ -206,6 +207,16 @@ class TestSweepSpec:
         assert load_config(env={"CWSIM_RUN__TRIALS": str(MAX_TRIALS)}).trial_count() == MAX_TRIALS
         with pytest.raises(ConfigError, match="MAX_TRIALS"):
             load_config(env={"CWSIM_RUN__TRIALS": str(MAX_TRIALS + 1)}).trial_count()
+
+    def test_tick_limit(self):
+        # A trial of MAX_TICKS ticks passes, one more tick does not; an overflowing ratio neither.
+        dt = 0.0625  # exact in binary, so max_sim_time / dt is exact
+        env = {"CWSIM_RUN__DT": repr(dt), "CWSIM_RUN__MAX_SIM_TIME": repr(MAX_TICKS * dt)}
+        assert load_config(env=env).scenario().max_sim_time / dt == MAX_TICKS
+        for env in ({**env, "CWSIM_RUN__MAX_SIM_TIME": repr((MAX_TICKS + 1) * dt)},
+                    {"CWSIM_RUN__DT": "5e-324"}):
+            with pytest.raises(ConfigError, match="MAX_TICKS"):
+                load_config(env=env).scenario()
 
 
 class TestEcho:

@@ -34,10 +34,10 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from crosswalk_sim.core import EntrySide
 from crosswalk_sim.hybrid import HybridController
-from crosswalk_sim.pedestrian import WAITING_CODE, pedestrian_tick
+from crosswalk_sim.pedestrian import DONE_CODE
 from crosswalk_sim.pomdp import PomdpController, qmdp_solve
-from crosswalk_sim.simulator import (Lane, class_edges, gap_classes, plant_tick, run_batch,
-                                     run_trial)
+from crosswalk_sim.simulator import (Lane, TrialRun, class_edges, gap_classes, pedestrian_walk,
+                                     plant_tick, run_batch, run_trial)
 
 from qmdp_reference import assert_near_value_iteration, backup_change
 from states import CONFIG, SCENARIO, config_with, set_fields, trial_state
@@ -99,22 +99,34 @@ def test_hybrid_command_stays_in_envelope(params, states):
 @deterministic
 @given(
     side=sides,
-    accepted_gap=finite(0.5, 12.0),
-    d0=finite(0.0, 80.0),
-    v0=finite(0.0, 10.0),
-    segments=st.lists(commands, min_size=1, max_size=30),
+    near_setback=st.one_of(st.just(0.0), finite(-3.0, 8.0)),
+    far_setback=st.one_of(st.just(0.0), finite(-3.0, 8.0)),
+    start_delay=st.one_of(st.just(0.0), finite(0.0, 3.0)),
+    walk_speed=st.one_of(st.just(1e-300), finite(1e-300, 4.0)),
+    dt=finite(0.01, 0.5),
+    max_sim_time=finite(0.05, 20.0),
 )
-def test_pedestrian_phases_only_move_forward(side, accepted_gap, d0, v0, segments):
-    dt = 0.05
-    model = SCENARIO.gap_model
-    s = trial_state(GEOMETRY, side, accepted_gap, model, d=d0, v=v0)
-    rank = s.phase
-    for a in segments:
-        for _ in range(20):
-            plant_tick(s, a, dt, [], 0)
-            pedestrian_tick(s, model, dt, *s.walking_line(GEOMETRY))
-            assert s.phase >= rank  # the codes run Waiting < Crossing < Done
-            rank = s.phase
+def test_pedestrian_walk_only_moves_forward(side, near_setback, far_setback, start_delay,
+                                            walk_speed, dt, max_sim_time):
+    # The walk, which both engines read: its phases never go back, it moves only
+    # into the road at its one speed, and it ends on Done or after as many ticks
+    # as a trial can run.
+    gap_model = replace(SCENARIO.gap_model, near_setback=near_setback, far_setback=far_setback,
+                        start_delay=start_delay, walk_speed=walk_speed)
+    sc = replace(SCENARIO, entry_side=side, gap_model=gap_model, dt=dt, max_sim_time=max_sim_time)
+    sgn = 1.0 if side is EntrySide.NEAR else -1.0
+    walk = list(pedestrian_walk(sc))
+    for (x0, _, phase0, _), (x1, xdot, phase1, _) in zip(walk, walk[1:]):
+        assert phase0 <= phase1  # the codes run Waiting < Crossing < Done
+        assert sgn * (x1 - x0) >= 0.0
+        assert xdot in (0.0, sgn * walk_speed)
+    ticks, t = 0, 0.0  # run_trial's clock, up to the timeout
+    while t < max_sim_time:
+        t += dt
+        ticks += 1
+    phases = [phase for _, _, phase, _ in walk]
+    assert DONE_CODE not in phases[:-1] and len(walk) <= ticks + 1
+    assert phases[-1] == DONE_CODE or len(walk) == ticks + 1
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -159,32 +171,6 @@ def test_lockstep_batch_matches_scalar_trials(pomdp_model, solved_policy, params
     assert run_batch(scenarios, gaps, controller) == [
         replace(run_trial(sc, g, controller), trace=None) for sc in scenarios for g in gaps
     ]
-
-
-def is_armed(s):
-    return s.delay_left >= 0.0 or s.phase != WAITING_CODE
-
-
-class ArmSpy:
-    """``inner``, noting the first tick whose step sees the pedestrian armed."""
-
-    def __init__(self, inner):
-        self.inner, self.modes, self.armed_at, self.last = inner, inner.modes, None, None
-
-    def step(self, s, tick):
-        if self.armed_at is None and is_armed(s):
-            self.armed_at = tick
-        self.last = (s, tick)
-        return self.inner.step(s, tick)
-
-    def arm_tick(self):
-        """The tick on which the pedestrian armed: the one before ``armed_at``,
-        else the trial's last tick if its end state is armed (no step saw it),
-        else None."""
-        if self.armed_at is not None:
-            return self.armed_at - 1
-        s, tick = self.last
-        return tick if is_armed(s) else None
 
 
 @pytest.fixture(scope="module")
@@ -239,9 +225,9 @@ def test_gap_classes_are_exact(preset_controllers, preset, policy, lane, side, m
         assert classes[2] == classes[0] or gaps[2] > cut
     runs = []
     for g, cls in zip(gaps, classes):
-        spy = ArmSpy(controller)
-        runs.append(replace(run_trial(sc, g, spy), trace=None))
-        assert cls == spy.arm_tick()
+        run = TrialRun(sc, g, controller)
+        runs.append(replace(run.advance(), trace=None))
+        assert cls == run.arm
     for a, ca in zip(runs, classes):
         for b, cb in zip(runs, classes):
             if ca == cb:

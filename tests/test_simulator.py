@@ -455,12 +455,12 @@ def test_pedestrian_walk_ends_on_done_or_on_the_last_tick(scenario_factory, hybr
     # and ends after as many ticks as a trial that times out runs: no row reads
     # further, and an uncapped walk would never end.
     sc = scenario_factory(entry_side=side)
-    walk = pedestrian_walk(sc)
+    walk = list(pedestrian_walk(sc))
     assert [phase for _, _, phase, _ in walk].index(DONE_CODE) == len(walk) - 1
     slow = replace(sc, max_sim_time=5.0, gap_model=replace(sc.gap_model, walk_speed=1e-300))
     trial = run_trial(slow, math.inf, hybrid_for(slow))
     assert trial.timed_out
-    assert len(pedestrian_walk(slow)) == len(trial.trace) + 1 < len(walk)
+    assert len(list(pedestrian_walk(slow))) == len(trial.trace) + 1 < len(walk)
 
 
 class RightOfWaySpy:
@@ -496,7 +496,7 @@ def test_right_of_way_is_in_crosswalk_after_every_tick(scenario_factory, hybrid_
                 assert run.s.right_of_way is in_crosswalk(run.s, sc.geometry)
                 seen |= spy.seen
         for x_p, xdot_p, _, right_of_way in pedestrian_walk(sc):
-            s = TrialState(sc, math.inf)
+            s = TrialState(sc)
             s.x_p, s.xdot_p = x_p, xdot_p
             assert right_of_way is in_crosswalk(s, sc.geometry)
     assert seen == {False, True}
@@ -634,10 +634,9 @@ class TestOneCallForEveryController:
         assert hybrid + 100 < pomdp
 
     def test_rows_are_views(self, scenario_factory):
-        s = BatchState([TrialState(scenario_factory(), 2.0)], [0] * 5)
-        assert not hasattr(s, "gap") and not hasattr(s, "delay_left")  # the lockstep reads neither
+        s = BatchState([TrialState(scenario_factory())], [0] * 5)
         view = s.rows(1, 4)
-        for name in BatchState.FIELDS:
+        for name in TrialState.__slots__:
             field = getattr(view, name)
             assert field.base is not None and np.shares_memory(field, getattr(s, name)), name
             assert len(field) == 3
@@ -654,47 +653,25 @@ class TestOneCallForEveryController:
             run_batch([scenario_factory()], [2.0])
 
 
-class SealedGap:
-    """``inner`` with the stepped trials' ``gap`` unset, so that reading it raises
-    AttributeError. A lockstep row holds no gap at all."""
-
-    def __init__(self, inner):
-        self.inner, self.modes = inner, inner.modes
-
-    def step(self, s, tick):
-        gap = s.gap
-        del s.gap
-        try:
-            return self.inner.step(s, tick)
-        finally:
-            s.gap = gap
-
-    def step_batch(self, s, tick):
-        assert not hasattr(s, "gap")
-        return self.inner.step_batch(s, tick)
-
-
-def test_controllers_never_read_gap(preset_config, preset_controller):
-    # run_batch's gap classes rely on it: only the pedestrian's arm test reads a trial's gap.
-    quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
-    sealed = SealedGap(preset_controller)
-    assert [run_trial(quadrants[0], g, sealed) for g in COARSE] == \
-        [run_trial(quadrants[0], g, preset_controller) for g in COARSE]
-    assert run_batch(quadrants, COARSE, sealed) == run_batch(quadrants, COARSE, preset_controller)
-
-
-def test_sealed_gap_raises_when_read(scenario_factory):
+@pytest.mark.parametrize("scalar", [True, False], ids=["run_trial", "run_batch"])
+def test_controllers_cannot_read_gap(scenario_factory, scalar):
+    # run_batch's gap classes rely on it: only the engine's arm test reads a
+    # trial's gap, and neither a TrialState nor a BatchState holds one.
     class Reader:
+        """Holds the vehicle's speed, reading the gap in the engine's own step:
+        run_batch's reference trials and prefixes call ``step`` too."""
+
         modes = ("reader",)
 
         def step(self, s, tick):
+            return 0.0 * s.gap if scalar else 0.0
+
+        def step_batch(self, s, tick):
             return 0.0 * s.gap
 
-        step_batch = step
-
-    for run in (run_trial, lambda sc, g, c: run_batch([sc], [g], c)):
-        with pytest.raises(AttributeError):
-            run(scenario_factory(), 2.0, SealedGap(Reader()))
+    sc = scenario_factory()
+    with pytest.raises(AttributeError, match="gap"):
+        run_trial(sc, 2.0, Reader()) if scalar else run_batch([sc], [2.0], Reader())
 
 
 class TestBatchIdentities:
@@ -709,7 +686,7 @@ class TestBatchIdentities:
         # One element per (side, value): the near-side trials, then the far-side ones.
         def make(values):
             scenarios = [scenario_factory(entry_side=side) for side in self.SIDES]
-            s = BatchState([TrialState(sc, 2.0) for sc in scenarios],
+            s = BatchState([TrialState(sc) for sc in scenarios],
                            [k for k in range(len(scenarios)) for _ in values])
             sides = [side for side in self.SIDES for _ in values]
             return s, sides, [*values, *values]
@@ -754,7 +731,7 @@ class TestBatchIdentities:
         done = []
         for x, side in zip(x_ps, sides):
             p = self.scalar(geometry, side, x_p=float(x), phase=CROSSING_CODE)
-            pedestrian_tick(p, gap_model, 0.05, *p.walking_line(geometry))
+            pedestrian_tick(p, gap_model, 0.05)
             done.append(p.phase == DONE_CODE)
         assert done == want
 
