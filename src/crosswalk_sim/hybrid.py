@@ -64,6 +64,7 @@ class HybridController:
     """
 
     modes = ("Driving", "Yielding", "HardBraking", "SpeedUp")  # labels of the mode codes
+    hold_ticks = 1  # a new command every tick
 
     def __init__(self, params: ControllerParams, geometry: WorldGeometry, dt: float):
         self.params = params

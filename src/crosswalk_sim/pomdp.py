@@ -90,6 +90,10 @@ class PomdpModel:
         if self.a_grid.min() < -params.a_max or self.a_grid.max() > params.a_cmf:
             raise ValueError("action grid exceeds [-a_max, +a_cmf]")
         self.crossing_exit_prob = dt / (geometry.roadway_width / gap_model.walk_speed)
+        # Each grid's first point, step, last index and last point as Python floats,
+        # so that ``pomdp_step`` bins one state with no NumPy call.
+        self.v_snap, self.d_snap = ((float(g[0]), float(g[1] - g[0]), len(g) - 1.0, float(g[-1]))
+                                    for g in (self.v_grid, self.d_grid))
 
         self._build()
 
@@ -317,12 +321,20 @@ def greedy_action_table(model: PomdpModel, qtable: QTable) -> np.ndarray:
 
 def pomdp_step(greedy: np.ndarray, model: PomdpModel, s: TrialState, a_prev_bin: int) -> int:
     """The action bin ``greedy_action_table`` picks for trial ``s``'s observed state,
-    whose crosswalk flag is ``s.right_of_way``."""
-    if not (model.d_grid[0] <= s.d <= model.d_grid[-1]
-            and model.v_grid[0] <= s.v <= model.v_grid[-1]):
-        log.debug("state outside grid, clamping: d=%.2f v=%.2f", s.d, s.v)
-    return int(greedy[model.state_index(model.v_bin(s.v), s.right_of_way, model.d_bin(s.d),
-                                        a_prev_bin)])
+    whose crosswalk flag is ``s.right_of_way``.
+
+    ``_snap`` of one state in Python floats: the same quotient, clamped, then
+    ``round``, which ties to even as ``np.rint`` does (clamping first keeps an
+    infinite quotient from ``round``).
+    """
+    v, d = s.v, s.d
+    v_lo, v_step, v_top, v_hi = model.v_snap
+    d_lo, d_step, d_top, d_hi = model.d_snap
+    if not (d_lo <= d <= d_hi and v_lo <= v <= v_hi):
+        log.debug("state outside grid, clamping: d=%.2f v=%.2f", d, v)
+    v_bin = round(min(max((v - v_lo) / v_step, 0.0), v_top))
+    d_bin = round(min(max((d - d_lo) / d_step, 0.0), d_top))
+    return int(greedy[model.state_index(v_bin, s.right_of_way, d_bin, a_prev_bin)])
 
 
 class PomdpController:
@@ -342,10 +354,11 @@ class PomdpController:
         self.greedy = greedy_action_table(model, qtable)
         self.hold_ticks = max(1, whole_ticks(model.dt, sim_dt, "model.dt"))
         self.commands = tuple(model.a_grid.tolist())  # each action as a Python float
+        self.start_bin = model.a_bin(0.0)  # the previous action at a trial's start
 
     def step(self, s: TrialState, tick: int) -> float:
         if tick == 0:
-            s.a_prev_idx = self.model.a_bin(0.0)  # start
+            s.a_prev_idx = self.start_bin
         if tick % self.hold_ticks == 0:
             s.a_prev_idx = pomdp_step(self.greedy, self.model, s, s.a_prev_idx)
         return self.commands[s.a_prev_idx]
@@ -354,13 +367,15 @@ class PomdpController:
         """``step`` for every row of a lockstep batch; returns the commands.
 
         Every row is on one tick, so the decision ticks line up and each
-        decision is one gather from the greedy table. The first call may come
-        on a tick after 0, when ``step`` has started the rows. The bins clamp to
-        the grid, so a finished row that ticks on still indexes the table.
+        decision is one gather from the greedy table; between decisions it writes
+        nothing and returns the held commands, so ``run_batch`` may call it on
+        decision ticks only (``hold_ticks``). The first call may come on a tick
+        after 0, when ``step`` has started the rows. The bins clamp to the grid,
+        so a finished row that ticks on still indexes the table.
         """
         m = self.model
         if tick == 0:
-            s.a_prev_idx[:] = m.a_bin(0.0)  # start
+            s.a_prev_idx[:] = self.start_bin
         if tick % self.hold_ticks == 0:
             state = m.state_index(m.v_bin(s.v), s.right_of_way, m.d_bin(s.d), s.a_prev_idx)
             s.a_prev_idx[:] = self.greedy[state]

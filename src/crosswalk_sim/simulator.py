@@ -35,6 +35,13 @@ right of way included: ``run_trial`` draws its walk's entries one per tick
 from the tick it arms on, and each lockstep row reads its entry side's one walk
 table from its class's arm tick. The controllers read ``right_of_way``, which
 the engines set with ``in_crosswalk`` wherever they write the pedestrian.
+
+A controller may hold its command for several ticks (``hold_ticks``: the
+POMDP's decision period). Once every live block holds, the lockstep runs each
+hold window at once: one ``step_batch`` call, then the window's ticks as one
+set of NumPy calls on (tick, row) arrays, whose accumulations along the tick
+axis repeat the tick's IEEE operations in order, so the results stay bitwise
+equal.
 """
 
 from __future__ import annotations
@@ -85,9 +92,17 @@ class Controller(Protocol):
 
     Both read the pedestrian's right of way from ``right_of_way``, which the
     engines set, and never call ``in_crosswalk``.
+
+    ``hold_ticks`` is how many ticks a command holds: on every tick of each hold
+    window, ticks ``k * hold_ticks`` to ``(k + 1) * hold_ticks - 1``, ``step`` and
+    ``step_batch`` return the same commands and write no field but on its first
+    tick. So ``run_batch`` may call ``step_batch`` only on a window's first tick
+    and advance its rows through the window at once. A controller without the
+    attribute holds for one tick.
     """
 
     modes: tuple[str, ...]
+    hold_ticks: int
 
     def step(self, s: TrialState, tick: int) -> float: ...
     def step_batch(self, s: BatchState, tick: int) -> np.ndarray: ...
@@ -544,7 +559,12 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     pedestrian, right of way included, from its walk. A row's ``TrialResult``
     is built on the tick it finishes (done and past, a collision or the
     timeout), and the row then ticks on unread; a block with no live row is not
-    stepped, and its rows keep their last commands. Every trial of a class gets
+    stepped, and its rows keep their last commands. When every live block holds
+    its commands for ``span`` > 1 ticks (the gcd of their ``hold_ticks``), the
+    live blocks' rows run each window of ``span`` ticks at once from its first
+    tick, a multiple of ``span``; a window runs tick by tick instead if the delay
+    ring is not a whole number of windows, the run times out in it, or a live
+    row would stop in it. Every trial of a class gets
     that class's one result, bitwise equal to ``run_trial`` on the trial's own
     scenario, gap and controller but for the trace, which it leaves out.
     Returns one block of results per (controller, scenario), in order: trial i
@@ -628,18 +648,95 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     del classes, which, entries, walks, prefixes  # unread by the loop: they would raise its peak
 
     geometry, dt, k = scenario.geometry, scenario.dt, tick_operands(scenario)
-    # (controller, lo, hi, its rows' view); and how many of each block's rows are live.
+    max_sim_time, ring = scenario.max_sim_time, len(fifo)
+    # (controller, lo, hi, its rows' view), and each controller's hold.
     blocks = [(c, lo, hi, s.rows(lo, hi)) for c, (lo, hi) in zip(controllers, bounds)]
-    block_live = [hi - lo for lo, hi in bounds]
+    holds = [getattr(c, "hold_ticks", 1) for c in controllers]
     a_cmd = np.zeros(n_rows)
     collision = np.zeros(n_rows, dtype=bool)  # this tick's
     live = np.ones(n_rows, dtype=bool)
     results: list[Optional[TrialResult]] = [None] * n_rows  # each row's, built as it finishes
+
+    def blocks_live() -> tuple[list[int], int]:
+        """How many of each block's rows are live, and ``span``, the ticks for
+        which every live block holds its commands (the gcd of their holds)."""
+        counts = [np.count_nonzero(live[lo:hi]) for lo, hi in bounds]
+        return counts, math.gcd(*(h for h, n_live in zip(holds, counts) if n_live))
+
+    def finish(r, n, low, total, peak, hit, overrun, d, timed_out):
+        """Row ``r``'s result, from its accumulators as Python scalars and the
+        ``n`` ticks its metrics count (not a colliding last tick)."""
+        results[r] = TrialResult(
+            min_distance=low, avg_velocity=total / n if n else 0.0, peak_accel=peak,
+            collision=hit, timed_out=timed_out, mode_trace=mode_traces[r],
+            safety_events=trial_events(overrun, timed_out), final_d=d)
+
+    steps = np.arange(1, max(holds) + 1)[:, None]  # each tick of a window, as a walk entry step
+
+    def window(lo: int, hi: int, span: int) -> bool:
+        """Advance rows ``lo`` to ``hi`` through the ``span`` ticks from tick ``tick``,
+        whose applied commands are one array, with one set of calls on (tick, row)
+        arrays. Each expression is the tick's; ``v``, ``d`` and the speed sum
+        accumulate in tick order, and the least distance and peak acceleration
+        need none. A live row that ends in the window gets its result from its
+        own last tick; a finished row may run on to a negative speed, unread.
+        Returns False, having changed nothing, if a live row would reach
+        ``v <= 0``, where the plant branches.
+        """
+        a = fifo[tick % ring, lo:hi] if ring else a_cmd[lo:hi]
+        v = np.empty((span + 1, hi - lo))  # v[i], d[i]: after the window's ith tick
+        v[0] = s.v[lo:hi]
+        np.multiply(a, k.dt, out=v[1:])
+        np.add.accumulate(v, axis=0, out=v)
+        on = live[lo:hi]
+        if np.count_nonzero((v[span] <= k.zero) & on):  # v is monotone over the window
+            return False
+        d = np.empty_like(v)
+        d[0] = s.d[lo:hi]
+        np.multiply(v[:-1], k.dt, out=d[1:])
+        d[1:] += k.half * a * k.dt * k.dt
+        np.subtract.accumulate(d, axis=0, out=d)
+        line, past = TrialState.walking_line(SimpleNamespace(d=d[1:]), geometry)
+        walked = entry[lo:hi] + steps[:span]
+        np.maximum(walked, first_entry[lo:hi], out=walked)
+        np.minimum(walked, last_entry[lo:hi], out=walked)
+        x_p, phase = walk_x[walked], walk_phase[walked]
+        dist = BatchState.distance(SimpleNamespace(x_p=x_p, x_v=s.x_v[lo:hi]), line)
+        accel = np.abs((v[1:] - v[:-1]) / k.dt)
+        hit = dist < k.radius
+        ends = (phase == k.done) & past | hit
+        ends &= on
+        if np.count_nonzero(ends):
+            rows = np.flatnonzero(ends.any(axis=0))
+            ended = (lo + rows).tolist()
+            for r, i, dist_r, v_r, accel_r, hit_r, d_r, low, total, peak, overrun in zip(
+                    ended, ends.argmax(axis=0)[rows].tolist(),  # each row's first end
+                    *(x[:, rows].T.tolist() for x in (dist, v, accel, hit, d)),
+                    *(x[ended].tolist() for x in (min_distance, v_sum, peak_accel, s.overrun))):
+                n = i + 1 - hit_r[i]  # the window's ticks its metrics count
+                for x in v_r[1:n + 1]:
+                    total += x
+                finish(r, tick + n, min([low, *dist_r[:i + 1]]), total,
+                       max([peak, *accel_r[:n]]), hit_r[i], overrun, d_r[i + 1], False)
+            live[ended] = False
+        s.d[lo:hi], s.v[lo:hi], s.x_p[lo:hi], s.phase[lo:hi] = d[span], v[span], x_p[-1], phase[-1]
+        s.xdot_p[lo:hi], s.right_of_way[lo:hi] = walk_xdot[walked[-1]], walk_row[walked[-1]]
+        np.minimum(min_distance[lo:hi], dist.min(axis=0), out=min_distance[lo:hi])
+        np.maximum(peak_accel[lo:hi], accel.max(axis=0), out=peak_accel[lo:hi])
+        total = v_sum[lo:hi]
+        for i in range(1, span + 1):
+            total += v[i]
+        entry[lo:hi] += span
+        if ring:
+            fifo[tick % ring:tick % ring + span, lo:hi] = a_cmd[lo:hi]
+        return True
+
     # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
     # a root of a negative number. An overflow that counts is inf, as in Python.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        block_live, span = blocks_live()
         while any(block_live):
-            timed_out = t >= scenario.max_sim_time
+            timed_out = t >= max_sim_time
             if timed_out:
                 finished = live
             else:
@@ -654,6 +751,21 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                         if np.count_nonzero(changed):
                             for r in np.flatnonzero(changed).tolist():
                                 mode_traces[lo + r] += ((t, modes[view.mode[r]]),)
+
+                # Every live block holds its commands for ``span`` ticks from a
+                # multiple of ``span``, and so does a ring of whole windows: the
+                # live blocks' rows run them as one window unless the run times out
+                # in it or a live row would stop.
+                if span > 1 and tick % span == 0 and ring % span == 0:
+                    clock = [t]
+                    for _ in range(span):
+                        clock.append(clock[-1] + dt)
+                    held = [b for b, n_live in zip(bounds, block_live) if n_live]
+                    if clock[-2] < max_sim_time and window(held[0][0], held[-1][1], span):
+                        t, tick = clock[-1], tick + span
+                        block_live, span = blocks_live()
+                        continue
+
                 v_before = s.v.copy()
                 plant_tick_batch(s, a_cmd, k, fifo, tick)
                 a_actual = (s.v - v_before) / k.dt
@@ -689,18 +801,13 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                 finished &= live
                 if not np.count_nonzero(finished):
                     continue
-            # Their results, in Python scalars: a colliding row's last tick is not counted.
             ended = np.flatnonzero(finished)
             for r, low, total, peak, hit, overrun, d in zip(
                     ended.tolist(), *(x[ended].tolist() for x in (
                         min_distance, v_sum, peak_accel, collision, s.overrun, s.d))):
-                n = tick - hit
-                results[r] = TrialResult(
-                    min_distance=low, avg_velocity=total / n if n else 0.0, peak_accel=peak,
-                    collision=hit, timed_out=timed_out, mode_trace=mode_traces[r],
-                    safety_events=trial_events(overrun, timed_out), final_d=d)
+                finish(r, tick - hit, low, total, peak, hit, overrun, d, timed_out)
             live &= ~finished
-            block_live = [np.count_nonzero(live[lo:hi]) for lo, hi in bounds]
+            block_live, span = blocks_live()
 
     return [r for result, rows in zip(prefix_results, trial_rows)
             for r in ([result] * len(gaps) if rows is None else [results[row] for row in rows])]

@@ -298,19 +298,92 @@ class TestCompare:
             assert methods["hybrid"] == methods["pomdp"] == drawn
 
 
+def console(cwd: Path, *argv: str, **env: str) -> subprocess.CompletedProcess:
+    """``crosswalk-sim argv`` as a child process in ``cwd``, with only ``env`` and
+    the package's path in its environment."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, "-m", "crosswalk_sim.cli", *argv], cwd=cwd,
+                          env={"PYTHONPATH": str(src), **env}, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_console_script_ends_a_walk_that_outlasts_the_run(tmp_path):
     # At 1e-300 m/s no pedestrian reaches the far curb, so every trial times out:
     # 2 methods x 4 quadrants x 5 trials = 40, exit 1 and no traceback. No gap
     # class arms by 5 s (tick 100), so every trial ends in its scalar prefix.
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {"PYTHONPATH": str(src), "CWSIM_POMDP__CACHE_DIR": os.environ["CWSIM_POMDP__CACHE_DIR"],
-           "CWSIM_PEDESTRIAN__WALK_SPEED": "1e-300", "CWSIM_RUN__MAX_SIM_TIME": "5"}
-    child = subprocess.run(
-        [sys.executable, "-m", "crosswalk_sim.cli", "compare", "--trials", "5", "--seed", "0"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    child = console(tmp_path, "compare", "--trials", "5", "--seed", "0",
+                    CWSIM_POMDP__CACHE_DIR=os.environ["CWSIM_POMDP__CACHE_DIR"],
+                    CWSIM_PEDESTRIAN__WALK_SPEED="1e-300", CWSIM_RUN__MAX_SIM_TIME="5")
     assert child.returncode == 1, child.stderr[-500:]
     assert "timeouts=40" in child.stdout
     assert "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize("preset", ["default", "experiment"])
+def test_console_script_runs_both_controllers_in_one_batch_without_coupling_them(tmp_path,
+                                                                                  preset):
+    # compare runs every method's rows in one lockstep batch on one clock. Each
+    # method's lane B, far side rows there, trial_id aside, must equal a simulate
+    # run of that method alone. The lockstep starts on the first tick on which a
+    # gap class arms, from each group's scalar prefix: on the experiment preset
+    # that is tick 12 of these gaps, so a full 10-tick delay ring is handed over,
+    # which the POMDP's 5-tick hold windows then read. Its runs collide and time
+    # out, so they exit 1.
+    flags, expected = ([], 0) if preset == "default" else (["--preset", "experiment"], 1)
+    cache = os.environ["CWSIM_POMDP__CACHE_DIR"]
+
+    def run(*argv):  # a 20-trial run, which must exit ``expected``
+        child = console(tmp_path, *argv, *flags, "--trials", "20", "--seed", "0",
+                        CWSIM_POMDP__CACHE_DIR=cache)
+        assert child.returncode == expected, child.stderr[-500:]
+
+    def rows(path, keep):
+        return [{k: v for k, v in r.items() if k != "trial_id"} for r in read_rows(path)
+                if keep(r)]
+
+    run("compare", "--out", "both")
+    for method in ("hybrid", "pomdp"):
+        run("simulate", "--controller", method, "--lane", "B", "--side", "far", "--out", method)
+        alone = rows(tmp_path / method / "trials.csv", lambda r: True)
+        both = rows(tmp_path / "both" / "trials.csv",
+                    lambda r: (r["method"], r["lane"], r["entry_side"]) == (method, "B", "far"))
+        assert alone and alone == both
+
+
+def test_console_script_rejects_a_config_path_it_cannot_open(tmp_path):
+    # A config path that exists but cannot be opened (a directory) is one
+    # `config error:` line, exit 2, no output, and not "not found".
+    (tmp_path / "adir").mkdir()
+    child = console(tmp_path, "simulate", "--config", "adir", "--out", "out")
+    assert child.returncode == 2
+    assert child.stderr.count("\n") == 1 and "not found" not in child.stderr, child.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_console_script_solves_caches_and_rejects_an_overflowing_weight(tmp_path):
+    # Into an empty cache: a fresh solve and a cache hit export the same bytes, on
+    # both presets; a fresh solve says it solved exactly; a model with
+    # standstill-braking states (dt 0.5) solves; compare then reads the cache; a
+    # weight whose Q overflows is one `config error:` line, exit 2, and no cache.
+    def run(*argv, **env):
+        child = console(tmp_path, *argv, **env)
+        assert child.returncode == 0, child.stderr[-500:]
+        return child.stdout
+
+    assert "pomdp policy: solved exactly (51 layers, " in run("solve-pomdp", "--export", "a.csv")
+    run("solve-pomdp", "--export", "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    run("solve-pomdp", "--preset", "experiment", "--export", "c.csv")
+    assert "pomdp policy: cache" in run("solve-pomdp", "--preset", "experiment", "--export",
+                                        "d.csv")
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+    assert "pomdp policy: solved exactly" in run("solve-pomdp", CWSIM_POMDP__DT="0.5")
+    assert "pomdp policy: cache" in run("compare", "--trials", "5", "--out", "out")
+    child = console(tmp_path, "solve-pomdp", CWSIM_POMDP__W_SAFETY="1e308",
+                    CWSIM_POMDP__CACHE_DIR="overflow")
+    assert child.returncode == 2
+    assert child.stderr.count("\n") == 1, child.stderr
+    assert not (tmp_path / "overflow").exists()
 
 
 class TestTablesMatchCsvModule:

@@ -35,9 +35,10 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from crosswalk_sim.core import EntrySide
 from crosswalk_sim.hybrid import HybridController
 from crosswalk_sim.pedestrian import DONE_CODE
-from crosswalk_sim.pomdp import PomdpController, qmdp_solve
-from crosswalk_sim.simulator import (Lane, TrialRun, class_edges, gap_classes, pedestrian_walk,
-                                     plant_tick, run_batch, run_trial)
+from crosswalk_sim.pomdp import PomdpController, pomdp_step, qmdp_solve
+from crosswalk_sim.simulator import (BatchState, Lane, TrialRun, TrialState, class_edges,
+                                     gap_classes, pedestrian_walk, plant_tick, run_batch,
+                                     run_trial)
 
 from qmdp_reference import assert_near_value_iteration, backup_change
 from states import CONFIG, SCENARIO, config_with, set_fields, trial_state
@@ -185,6 +186,36 @@ def preset_controllers():
             PomdpController(model, qmdp_solve(model, tol=config.pomdp["tol"]), sim_dt=sc.dt),
         ])
     return out
+
+
+def grid_coordinates(grid):
+    """Floats to bin on ``grid``: its half-bin points, where a bin's rounding ties,
+    its ends and points beyond both, signed zeros, and floats far beyond both (not
+    so far that the quotient overflows, which no trial reaches)."""
+    lo, step = float(grid[0]), float(grid[1] - grid[0])
+    return st.one_of(
+        st.integers(-3, len(grid) + 2).map(lambda k: lo + (k + 0.5) * step),
+        st.sampled_from([-0.0, 0.0, lo, float(grid[-1])]),
+        finite(lo - 10.0 * step, float(grid[-1]) + 10.0 * step),
+        finite(-1e300, 1e300),
+    )
+
+
+@deterministic
+@given(preset=st.sampled_from([None, "experiment"]), data=st.data())
+def test_scalar_decision_matches_the_batch_decision(preset_controllers, preset, data):
+    # pomdp_step bins one state in Python floats, step_batch a batch through
+    # _snap's NumPy calls: both must pick the same action, ties to even included.
+    controller = preset_controllers[preset][1][1]
+    model = controller.model
+    s = TrialState(preset_controllers[preset][0].scenario())
+    s.v = data.draw(grid_coordinates(model.v_grid), label="v")
+    s.d = data.draw(grid_coordinates(model.d_grid), label="d")
+    for s.right_of_way in (False, True):
+        for s.a_prev_idx in range(model.n_actions):
+            batch = BatchState([s], [0])
+            controller.step_batch(batch, controller.hold_ticks)  # a decision tick after 0
+            assert pomdp_step(controller.greedy, model, s, s.a_prev_idx) == batch.a_prev_idx[0]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

@@ -382,6 +382,62 @@ class TestLockstepMatchesScalar:
             assert_batch_matches_scalar([replace(sc, **override) for sc in quadrants], COARSE,
                                         controller, scalar_oracle)
 
+    @pytest.mark.parametrize("override,windows", [
+        ({}, True), ({"t_delay_plant": 0.25}, True), ({"t_delay_plant": 0.15}, False),
+        ({"max_sim_time": 30.12}, True),
+    ], ids=["own-ring", "5-tick-ring", "3-tick-ring", "timeout-mid-window"])
+    def test_pomdp_hold_windows(self, preset_config, preset_policy, scalar_oracle, override,
+                                windows):
+        # The POMDP holds each command for 5 ticks, so a POMDP-only batch runs a
+        # window of 5 ticks per step_batch call where it can: with no delay ring,
+        # the experiment preset's 10-tick ring or a 5-tick one, not a 3-tick one.
+        # A window the timeout lands in (at tick 603 of 30.12 s) runs tick by
+        # tick, and so do rows at rest, as the experiment preset's come to stand
+        # long before their timeout at tick 1200.
+        quadrants = [replace(preset_config.scenario(lane=lane, side=side), **override)
+                     for lane, side in QUADRANTS]
+        pomdp = PomdpController(*preset_policy, sim_dt=quadrants[0].dt)
+        spy = SteppedTicks(pomdp)
+        spy.hold_ticks = pomdp.hold_ticks
+        batch = run_batch(quadrants, COARSE, spy)
+        n = len(COARSE)
+        for k, sc in enumerate(quadrants):
+            assert_bitwise_equal(batch[k * n:(k + 1) * n], scalar_oracle(sc, COARSE, pomdp))
+        held = [(tick, after) for tick, after in zip(spy.ticks, spy.ticks[1:])
+                if after != tick + 1]
+        assert all(tick % 5 == 0 and after == tick + 5 for tick, after in held)
+        assert bool(held) is windows
+        if "max_sim_time" in override:
+            assert spy.ticks[-3:] == [600, 601, 602] and any(r.timed_out for r in batch)
+        elif windows and any(r.timed_out for r in batch):  # the experiment preset's rows
+            assert held[-1][1] < 300 and spy.ticks[-900:] == list(range(301, 1201))
+
+    def test_a_collision_on_a_window_s_first_tick(self, scenario_factory):
+        # A held command of 1 m/s² on ticks 0-4, then 3 m/s² from tick 5, and a
+        # 24.1 m radius that the vehicle, 25 m from the pedestrian at the start
+        # and arming it at once, first reaches on tick 5: the colliding tick's
+        # acceleration, the first at 3 m/s², counts in neither peak.
+        class Scripted:
+            modes, hold_ticks = ("scripted",), 5
+
+            def __init__(self):
+                self.ticks = []
+
+            def step(self, s, tick):
+                return 1.0 if tick < 5 else 3.0
+
+            def step_batch(self, s, tick):
+                self.ticks.append(tick)
+                return np.full(len(s.v), self.step(s, tick))
+
+        sc = scenario_factory(initial_d=20.0, collision_radius=24.1)
+        held = Scripted()
+        scalar = run_trial(sc, 6.0, held)
+        assert scalar.collision and len(scalar.trace) == 6
+        assert scalar.peak_accel < 1.5 < scalar.trace[-1][4]
+        assert_bitwise_equal(run_batch([sc], [6.0], held), [scalar])
+        assert held.ticks == [0, 5]  # two windows, the second ended by the collision
+
 
 @pytest.fixture(params=["hybrid", "pomdp"])
 def preset_controller(request, preset_config, preset_policy, hybrid_for):
@@ -507,23 +563,30 @@ def test_lockstep_runs_from_the_first_arm_tick_to_the_last_trial_end(
     # compare's batch on seed-1 gaps: both controllers, all quadrants, 250 gaps.
     # Before the first tick on which a class arms, every trial of a group is its
     # scalar prefix, so the lockstep ticks only from there to the longest trial's
-    # end (its last tick + 1 - 124 = 586 ticks, not 710).
+    # end (its last tick + 1 - 124 = 586 ticks, not 710). Once the hybrid rows
+    # have ended, the POMDP rows run windows of 5 ticks with no plant_tick_batch
+    # call: each starts on a tick the POMDP is stepped on and the plant is not.
     quadrants = [scenario_factory(lane=Lane(lane), entry_side=EntrySide(side))
                  for lane, side in QUADRANTS]
-    controllers = (hybrid_for(quadrants[0]),
-                   PomdpController(pomdp_model, solved_policy, sim_dt=quadrants[0].dt))
+    pomdp = PomdpController(pomdp_model, solved_policy, sim_dt=quadrants[0].dt)
+    controllers = (hybrid_for(quadrants[0]), pomdp)
+    stepped = SteppedTicks(pomdp)
+    stepped.hold_ticks = pomdp.hold_ticks
     gaps = seeded_gaps(quadrants[0].gap_model, 1, 250)
     ticks = []
     monkeypatch.setattr(simulator, "plant_tick_batch",
                         lambda s, a, k, fifo, tick: (ticks.append(tick),
                                                      plant_tick_batch(s, a, k, fifo, tick)))
-    run_batch(quadrants, gaps, *controllers)
+    run_batch(quadrants, gaps, controllers[0], stepped)
+    windows = sorted(set(stepped.ticks) - set(ticks))
+    covered = sorted(ticks + [tick + i for tick in windows for i in range(pomdp.hold_ticks)])
     start = first_arm_tick(quadrants, gaps, *controllers)
     # One gap of each class stands for the class.
     end = max(len(run_trial(sc, gap, c).trace) for c in controllers for sc in quadrants
               for gap in {arm: g for g, arm in zip(gaps, gap_classes(sc, c, gaps))}.values())
-    assert ticks == list(range(start, end))
-    assert (start, len(ticks)) == (124, 586)
+    assert covered == list(range(start, end))
+    assert (start, len(covered)) == (124, 586)
+    assert (len(windows), len(ticks)) == (32, 426)  # 160 ticks in windows
 
 
 def test_a_quadrant_that_ends_before_the_first_arm_tick(scenario_factory, hybrid_for, pomdp_model,
