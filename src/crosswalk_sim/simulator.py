@@ -37,11 +37,11 @@ table from its class's arm tick. The controllers read ``right_of_way``, which
 the engines set with ``in_crosswalk`` wherever they write the pedestrian.
 
 A controller may hold its command for several ticks (``hold_ticks``: the
-POMDP's decision period). Once every live block holds, the lockstep runs each
-hold window at once: one ``step_batch`` call, then the window's ticks as one
-set of NumPy calls on (tick, row) arrays, whose accumulations along the tick
-axis repeat the tick's IEEE operations in order, so the results stay bitwise
-equal.
+POMDP's decision period). Once every live block holds, the lockstep runs the
+ticks to the end of each hold at once: one ``step_batch`` call, the plant's one
+step (``plant_step``) and the delay ring's one reader (``applied``) on each
+tick, then the window's walk, distance and metrics as one set of NumPy calls on
+(tick, row) arrays, so the results stay bitwise equal.
 """
 
 from __future__ import annotations
@@ -93,12 +93,12 @@ class Controller(Protocol):
     Both read the pedestrian's right of way from ``right_of_way``, which the
     engines set, and never call ``in_crosswalk``.
 
-    ``hold_ticks`` is how many ticks a command holds: on every tick of each hold
-    window, ticks ``k * hold_ticks`` to ``(k + 1) * hold_ticks - 1``, ``step`` and
-    ``step_batch`` return the same commands and write no field but on its first
-    tick. So ``run_batch`` may call ``step_batch`` only on a window's first tick
-    and advance its rows through the window at once. A controller without the
-    attribute holds for one tick.
+    ``hold_ticks`` is how many ticks a command holds (1 for a new command every
+    tick): on every tick of each hold window, ticks ``k * hold_ticks`` to
+    ``(k + 1) * hold_ticks - 1``, ``step`` and ``step_batch`` return the same
+    commands and write no field but on its first tick. So ``run_batch`` may call
+    ``step_batch`` on any tick of a window, the lockstep's first included, and
+    advance its rows from there to the window's end at once.
     """
 
     modes: tuple[str, ...]
@@ -401,8 +401,16 @@ def sweep_gaps(lo: float, step: float, hi: float) -> list[float]:
 
 
 def _reference_arming_gaps(scenario: Scenario, controller: Controller) -> np.ndarray:
-    """``arming_gap`` on each tick of ``class_edges``' reference trial, which is any
-    gap's trial up to its first -inf (the vehicle stopped or passed)."""
+    """``arming_gap`` on each tick of ``gap_classes``' reference trial: ``run_trial``'s
+    trial with an infinite accepted gap, whose pedestrian never arms on time gap.
+    It is any gap's trial up to its first -inf (the vehicle stopped or passed).
+
+    The reference pedestrian steps off at once and walks past the far curb in one
+    tick: no tick before it arms reads ``start_delay`` or ``walk_speed`` (the
+    controllers hold their own models), and none after it changes a class, so the
+    classes are the same, and the trial ends on the tick the vehicle clears the
+    stripe instead of running on while a pedestrian walks.
+    """
     gm = scenario.gap_model
     reach = scenario.geometry.roadway_width + max(gm.near_setback, gm.far_setback, 0.0) + 1.0
     sprint = replace(gm, start_delay=0.0, walk_speed=min(reach / scenario.dt, sys.float_info.max))
@@ -410,26 +418,6 @@ def _reference_arming_gaps(scenario: Scenario, controller: Controller) -> np.nda
     d = np.fromiter((row[1] for row in trace), float, len(trace))
     line, past = TrialState.walking_line(SimpleNamespace(d=d), scenario.geometry)  # reads d
     return np.array(list(map(arming_gap, [row[2] for row in trace], line.tolist(), past.tolist())))
-
-
-def class_edges(scenario: Scenario, controller: Controller) -> list[float]:
-    """The edges of ``gap_classes`` on ``scenario``: the record lows, in falling
-    order, of the time gap ``line / v`` (``line > 0``) that a waiting pedestrian
-    reads at each tick of a reference trial.
-
-    The reference is ``run_trial``'s trial with an infinite accepted gap, whose
-    pedestrian never arms on time gap, cut before the first tick that arms every
-    pedestrian (the vehicle stopped or passed; once it has passed, ``line`` only
-    falls). A colliding tick adds an edge.
-    The reference pedestrian steps off at once and walks past the far curb in one
-    tick: no tick before it arms reads ``start_delay`` or ``walk_speed`` (the
-    controllers hold their own models) and no tick after it adds an edge, so the
-    edges are the same, and the trial ends on the tick the vehicle clears the
-    stripe instead of running on while a pedestrian walks.
-    """
-    least = _reference_arming_gaps(scenario, controller)
-    lowest_before = np.minimum.accumulate(np.concatenate(([np.inf], least)))[:-1]
-    return least[(least < lowest_before) & (least > -np.inf)].tolist()
 
 
 def gap_classes(scenario: Scenario, controller: Controller,
@@ -440,9 +428,9 @@ def gap_classes(scenario: Scenario, controller: Controller,
 
     A trial reads its gap only in its pedestrian's arm test (no controller reads
     it), and its walk after it reads nothing of the vehicle. Until it arms, every
-    trial of the scenario is ``class_edges``' reference trial. A gap arms on the
-    first tick whose record low of ``arming_gap`` is at or below its ``trigger`` (by
-    bisection).
+    trial of the scenario is the reference trial of ``_reference_arming_gaps``. A gap
+    arms on the first tick whose record low of ``arming_gap`` is at or below its
+    ``trigger`` (by bisection).
     """
     low = np.minimum.accumulate(_reference_arming_gaps(scenario, controller))
     model = scenario.gap_model
@@ -512,30 +500,25 @@ def tick_operands(scenario: Scenario) -> SimpleNamespace:
         done=bound(DONE_CODE, np.int8))
 
 
-def plant_tick_batch(s: BatchState, commanded_a: np.ndarray, k: SimpleNamespace,
-                     fifo: np.ndarray, tick: int) -> None:
-    """``plant_tick`` for every row of a lockstep batch, in place; ``k`` is the
-    run's ``tick_operands``.
+def plant_step(v: np.ndarray, d: np.ndarray, a: np.ndarray,
+               k: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
+    """``plant_tick`` on arrays, after the delay: the speeds and distances one step
+    on from ``v`` and ``d`` under the applied commands ``a``; ``k`` is the run's
+    ``tick_operands``.
 
-    ``fifo`` is the same ring as a (delay tick, row) array: every row starts at
-    tick 0, so the ring has one head. A row stops inside the step when
-    ``v + a * dt < 0.0``, which with ``v >= 0.0`` implies the scalar test's
-    ``a < 0.0``.
+    A row stops inside the step when ``v + a * dt < 0.0``, which with ``v >= 0.0``
+    implies the scalar test's ``a < 0.0``. The stop branch and ``max(0.0, v_next)``
+    (which maps -0.0 to 0.0) run only when some row does not move on: else both
+    leave every row as it is.
     """
-    if len(fifo):
-        head = tick % len(fifo)
-        a = fifo[head].copy()
-        fifo[head] = commanded_a
-    else:
-        a = commanded_a
-    d, v, dt, zero = s.d, s.v, k.dt, k.zero
+    dt, zero = k.dt, k.zero
     v_next = v + a * dt
     d_next = d - (v * dt + k.half * a * dt * dt)
-    stops = v_next < zero
-    if np.count_nonzero(stops):
-        np.putmask(d_next, stops, d - v * v / (k.minus_two * a))
-    d[:] = d_next
-    v[:] = np.where(v_next > zero, v_next, zero)  # max(0.0, v_next), which maps -0.0 to 0.0
+    moving = v_next > zero
+    if np.count_nonzero(moving) < moving.size:
+        np.putmask(d_next, v_next < zero, d - v * v / (k.minus_two * a))
+        v_next = np.where(moving, v_next, zero)
+    return v_next, d_next
 
 
 def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
@@ -561,12 +544,13 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     timeout), and the row then ticks on unread; a block with no live row is not
     stepped, and its rows keep their last commands. When every live block holds
     its commands for ``span`` > 1 ticks (the gcd of their ``hold_ticks``), the
-    live blocks' rows run each window of ``span`` ticks at once from its first
-    tick, a multiple of ``span``; a window runs tick by tick instead if the delay
-    ring is not a whole number of windows, the run times out in it, or a live
-    row would stop in it. Every trial of a class gets
-    that class's one result, bitwise equal to ``run_trial`` on the trial's own
-    scenario, gap and controller but for the trace, which it leaves out.
+    live blocks' rows run from each tick on which they are stepped to the next
+    multiple of ``span`` at once, as one window, which the timeout cuts short.
+    Both the tick and the window advance the plant one ``plant_step`` call per
+    tick, on the commands ``applied`` reads from the delay ring. Every trial of a
+    class gets that class's one result, bitwise equal to ``run_trial`` on the
+    trial's own scenario, gap and controller but for the trace, which it leaves
+    out.
     Returns one block of results per (controller, scenario), in order: trial i
     of ``scenarios[k]`` under ``controllers[j]`` is at
     ``(j * len(scenarios) + k) * len(gaps) + i``.
@@ -651,7 +635,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     max_sim_time, ring = scenario.max_sim_time, len(fifo)
     # (controller, lo, hi, its rows' view), and each controller's hold.
     blocks = [(c, lo, hi, s.rows(lo, hi)) for c, (lo, hi) in zip(controllers, bounds)]
-    holds = [getattr(c, "hold_ticks", 1) for c in controllers]
+    holds = [c.hold_ticks for c in controllers]
     a_cmd = np.zeros(n_rows)
     collision = np.zeros(n_rows, dtype=bool)  # this tick's
     live = np.ones(n_rows, dtype=bool)
@@ -663,6 +647,17 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
         counts = [np.count_nonzero(live[lo:hi]) for lo, hi in bounds]
         return counts, math.gcd(*(h for h, n_live in zip(holds, counts) if n_live))
 
+    def applied(tick: int, lo: int, hi: int) -> np.ndarray:
+        """The commands that rows ``lo`` to ``hi`` apply on tick ``tick``: with a delay,
+        the ring's head ``tick % ring``, which then takes their ``a_cmd``; else
+        ``a_cmd``. Every row starts at tick 0, so the ring has one head."""
+        if not ring:
+            return a_cmd[lo:hi]
+        head = fifo[tick % ring, lo:hi]
+        a = head.copy()
+        head[:] = a_cmd[lo:hi]
+        return a
+
     def finish(r, n, low, total, peak, hit, overrun, d, timed_out):
         """Row ``r``'s result, from its accumulators as Python scalars and the
         ``n`` ticks its metrics count (not a colliding last tick)."""
@@ -673,31 +668,22 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
 
     steps = np.arange(1, max(holds) + 1)[:, None]  # each tick of a window, as a walk entry step
 
-    def window(lo: int, hi: int, span: int) -> bool:
-        """Advance rows ``lo`` to ``hi`` through the ``span`` ticks from tick ``tick``,
-        whose applied commands are one array, with one set of calls on (tick, row)
-        arrays. Each expression is the tick's; ``v``, ``d`` and the speed sum
-        accumulate in tick order, and the least distance and peak acceleration
-        need none. A live row that ends in the window gets its result from its
-        own last tick; a finished row may run on to a negative speed, unread.
-        Returns False, having changed nothing, if a live row would reach
-        ``v <= 0``, where the plant branches.
+    def window(lo: int, hi: int, n: int) -> None:
+        """Advance rows ``lo`` to ``hi`` through the ``n`` ticks from tick ``tick``, on
+        which their commands hold: ``applied`` and ``plant_step`` on each tick, then
+        the rest at once, with one set of calls on (tick, row) arrays. Each
+        expression is the tick's; the speed sum accumulates in tick order, and the
+        least distance and peak acceleration need none. A live row that ends in
+        the window gets its result from its own last tick.
         """
-        a = fifo[tick % ring, lo:hi] if ring else a_cmd[lo:hi]
-        v = np.empty((span + 1, hi - lo))  # v[i], d[i]: after the window's ith tick
-        v[0] = s.v[lo:hi]
-        np.multiply(a, k.dt, out=v[1:])
-        np.add.accumulate(v, axis=0, out=v)
-        on = live[lo:hi]
-        if np.count_nonzero((v[span] <= k.zero) & on):  # v is monotone over the window
-            return False
-        d = np.empty_like(v)
-        d[0] = s.d[lo:hi]
-        np.multiply(v[:-1], k.dt, out=d[1:])
-        d[1:] += k.half * a * k.dt * k.dt
-        np.subtract.accumulate(d, axis=0, out=d)
+        v, d = [s.v[lo:hi]], [s.d[lo:hi]]
+        for i in range(n):
+            v_next, d_next = plant_step(v[-1], d[-1], applied(tick + i, lo, hi), k)
+            v.append(v_next)
+            d.append(d_next)
+        v, d = np.array(v), np.array(d)  # v[i], d[i]: after the window's ith tick
         line, past = TrialState.walking_line(SimpleNamespace(d=d[1:]), geometry)
-        walked = entry[lo:hi] + steps[:span]
+        walked = entry[lo:hi] + steps[:n]
         np.maximum(walked, first_entry[lo:hi], out=walked)
         np.minimum(walked, last_entry[lo:hi], out=walked)
         x_p, phase = walk_x[walked], walk_phase[walked]
@@ -705,7 +691,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
         accel = np.abs((v[1:] - v[:-1]) / k.dt)
         hit = dist < k.radius
         ends = (phase == k.done) & past | hit
-        ends &= on
+        ends &= live[lo:hi]
         if np.count_nonzero(ends):
             rows = np.flatnonzero(ends.any(axis=0))
             ended = (lo + rows).tolist()
@@ -713,23 +699,20 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                     ended, ends.argmax(axis=0)[rows].tolist(),  # each row's first end
                     *(x[:, rows].T.tolist() for x in (dist, v, accel, hit, d)),
                     *(x[ended].tolist() for x in (min_distance, v_sum, peak_accel, s.overrun))):
-                n = i + 1 - hit_r[i]  # the window's ticks its metrics count
-                for x in v_r[1:n + 1]:
+                counted = i + 1 - hit_r[i]  # the window's ticks its metrics count
+                for x in v_r[1:counted + 1]:
                     total += x
-                finish(r, tick + n, min([low, *dist_r[:i + 1]]), total,
-                       max([peak, *accel_r[:n]]), hit_r[i], overrun, d_r[i + 1], False)
+                finish(r, tick + counted, min([low, *dist_r[:i + 1]]), total,
+                       max([peak, *accel_r[:counted]]), hit_r[i], overrun, d_r[i + 1], False)
             live[ended] = False
-        s.d[lo:hi], s.v[lo:hi], s.x_p[lo:hi], s.phase[lo:hi] = d[span], v[span], x_p[-1], phase[-1]
+        s.d[lo:hi], s.v[lo:hi], s.x_p[lo:hi], s.phase[lo:hi] = d[n], v[n], x_p[-1], phase[-1]
         s.xdot_p[lo:hi], s.right_of_way[lo:hi] = walk_xdot[walked[-1]], walk_row[walked[-1]]
         np.minimum(min_distance[lo:hi], dist.min(axis=0), out=min_distance[lo:hi])
         np.maximum(peak_accel[lo:hi], accel.max(axis=0), out=peak_accel[lo:hi])
         total = v_sum[lo:hi]
-        for i in range(1, span + 1):
+        for i in range(1, n + 1):
             total += v[i]
-        entry[lo:hi] += span
-        if ring:
-            fifo[tick % ring:tick % ring + span, lo:hi] = a_cmd[lo:hi]
-        return True
+        entry[lo:hi] += n
 
     # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
     # a root of a negative number. An overflow that counts is inf, as in Python.
@@ -752,23 +735,23 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                             for r in np.flatnonzero(changed).tolist():
                                 mode_traces[lo + r] += ((t, modes[view.mode[r]]),)
 
-                # Every live block holds its commands for ``span`` ticks from a
-                # multiple of ``span``, and so does a ring of whole windows: the
-                # live blocks' rows run them as one window unless the run times out
-                # in it or a live row would stop.
-                if span > 1 and tick % span == 0 and ring % span == 0:
-                    clock = [t]
-                    for _ in range(span):
-                        clock.append(clock[-1] + dt)
+                # Every live block holds its commands to the next multiple of
+                # ``span``: the live blocks' rows run there as one window, cut
+                # short where the run times out.
+                if span > 1:
+                    n, t_next = 0, t
+                    while n < span - tick % span and t_next < max_sim_time:
+                        t_next += dt
+                        n += 1
                     held = [b for b, n_live in zip(bounds, block_live) if n_live]
-                    if clock[-2] < max_sim_time and window(held[0][0], held[-1][1], span):
-                        t, tick = clock[-1], tick + span
-                        block_live, span = blocks_live()
-                        continue
+                    window(held[0][0], held[-1][1], n)
+                    t, tick = t_next, tick + n
+                    block_live, span = blocks_live()
+                    continue
 
-                v_before = s.v.copy()
-                plant_tick_batch(s, a_cmd, k, fifo, tick)
-                a_actual = (s.v - v_before) / k.dt
+                v, d = plant_step(s.v, s.d, applied(tick, 0, n_rows), k)
+                a_actual = (v - s.v) / k.dt
+                s.v[:], s.d[:] = v, d
                 line, past = s.walking_line(geometry)
                 entry += k.one
                 np.maximum(entry, first_entry, out=at)

@@ -1,0 +1,17 @@
+"""The edges of ``simulator.gap_classes``, which the tests place gaps on."""
+
+import numpy as np
+
+from crosswalk_sim.simulator import _reference_arming_gaps
+
+
+def class_edges(scenario, controller) -> list[float]:
+    """The edges of ``gap_classes`` on ``scenario``: the record lows, in falling
+    order, of the time gap ``line / v`` (``line > 0``) that a waiting pedestrian
+    reads at each tick of ``gap_classes``' reference trial, which is any gap's
+    trial up to its first tick that arms every pedestrian (the vehicle stopped or
+    passed; once it has passed, ``line`` only falls). A colliding tick adds an edge.
+    """
+    least = _reference_arming_gaps(scenario, controller)
+    lowest_before = np.minimum.accumulate(np.concatenate(([np.inf], least)))[:-1]
+    return least[(least < lowest_before) & (least > -np.inf)].tolist()

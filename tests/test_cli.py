@@ -386,6 +386,77 @@ def test_console_script_solves_caches_and_rejects_an_overflowing_weight(tmp_path
     assert not (tmp_path / "overflow").exists()
 
 
+def test_console_script_replays_a_scripted_trial(tmp_path):
+    # Scripted trial 4 of the experiment preset (0.5 s plant delay) confirms its
+    # expected HardBraking and writes its trace; TestReplay checks the bytes.
+    child = console(tmp_path, "replay", "--preset", "experiment", "--trial", "4", "--out", "t4")
+    assert child.returncode == 0, child.stderr[-500:]
+    assert "trial 4: expected mode HardBraking confirmed" in child.stdout
+    assert (tmp_path / "t4" / "trace.csv").is_file()
+
+
+def test_console_script_sweep_stops_at_its_upper_bound(tmp_path):
+    # 1:0.6:2 has no grid point at 2, so the last gap is 1.6, never 2.2.
+    child = console(tmp_path, "simulate", "--sweep", "1:0.6:2", "--out", "sweep")
+    assert child.returncode == 0, child.stderr[-500:]
+    assert [r["accepted_gap_s"] for r in read_rows(tmp_path / "sweep" / "trials.csv")] == \
+        ["1", "1.6"]
+
+
+def test_console_script_rewrites_a_longer_run_in_place(tmp_path):
+    # compare --trials 5 into an --out holding a --trials 20 run gives the same
+    # files, byte for byte, as into a fresh one (a relative --out: the same config
+    # echo).
+    cache = os.environ["CWSIM_POMDP__CACHE_DIR"]
+
+    def compare(cwd, trials):
+        child = console(cwd, "compare", "--trials", trials, "--seed", "0", "--out", "out",
+                        CWSIM_POMDP__CACHE_DIR=cache)
+        assert child.returncode == 0, child.stderr[-500:]
+        return {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+
+    (tmp_path / "reused").mkdir()
+    (tmp_path / "fresh").mkdir()
+    compare(tmp_path / "reused", "20")
+    assert compare(tmp_path / "reused", "5") == compare(tmp_path / "fresh", "5")
+
+
+def test_console_script_traces_a_replay_s_colliding_tick(tmp_path):
+    # The hybrid collides on the experiment preset, lane B, far side, at gap 1.1 s:
+    # exit 1, and trace.csv's last row is the colliding tick, within 1.0 m of the
+    # vehicle at x = 5.25 (lane B's centre) and y = -(d + 5).
+    child = console(tmp_path, "replay", "--preset", "experiment", "--lane", "B", "--side", "far",
+                    "--gap", "1.1", "--out", "hit")
+    assert child.returncode == 1, child.stderr[-500:]
+    last = read_rows(tmp_path / "hit" / "trace.csv")[-1]
+    assert math.hypot(float(last["x_p"]) - 5.25, float(last["d"]) + 5.0) < 1.0, last
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay", "--gap", "2.5", "--lane", "C"],  # a bad flag value: argparse's usage error
+    ["simulate", "--sweep=0.5:1e-320:1"],  # (hi - lo) / step overflows a float
+    ["simulate", "--sweep=0.5:1e-300:1"],  # a finite point count above MAX_TRIALS
+    ["simulate", "--config", "no-header.ini"],  # a config file with no section header
+    ["simulate", "--config", "no-equals.ini"],  # and one with a line with no =
+    ["replay", "--preset", "experiment", "--trial", "1", "--controller", "pomdp"],
+    ["replay", "--gap", "2.5", "--seed", "5"],  # a replay draws nothing
+], ids=["bad-flag-value", "sweep-overflow", "sweep-above-max-trials", "config-no-header",
+        "config-no-equals", "scripted-trial-not-hybrid", "replay-seed"])
+def test_console_script_rejects_bad_input(tmp_path, argv):
+    # Bad input is one `config error:` line, exit 2, no traceback, and no output or
+    # policy cache: a scripted --trial checks the hybrid controller's modes, so
+    # another controller stops before any solve. The child is given no cache
+    # directory, so a solve would write .pomdp_cache here.
+    (tmp_path / "no-header.ini").write_text("k_s = 1\n")
+    (tmp_path / "no-equals.ini").write_text("[controller]\nk_s\n")
+    child = console(tmp_path, *argv, "--out", "out")
+    assert child.returncode == 2
+    assert child.stderr.startswith("config error: ") and child.stderr.count("\n") == 1, \
+        child.stderr
+    assert child.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["no-equals.ini", "no-header.ini"]
+
+
 class TestTablesMatchCsvModule:
     """The one-pass tables against the csv module rendering the same trials:
     ``csv.DictWriter`` rows for trials.csv, ``csv.writer`` for summary.csv and

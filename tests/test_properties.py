@@ -36,10 +36,11 @@ from crosswalk_sim.core import EntrySide
 from crosswalk_sim.hybrid import HybridController
 from crosswalk_sim.pedestrian import DONE_CODE
 from crosswalk_sim.pomdp import PomdpController, pomdp_step, qmdp_solve
-from crosswalk_sim.simulator import (BatchState, Lane, TrialRun, TrialState, class_edges,
-                                     gap_classes, pedestrian_walk, plant_tick, run_batch,
-                                     run_trial)
+from crosswalk_sim.simulator import (BatchState, Lane, TrialRun, TrialState, gap_classes,
+                                     pedestrian_walk, plant_step, plant_tick, run_batch,
+                                     run_trial, tick_operands)
 
+from edges import class_edges
 from qmdp_reference import assert_near_value_iteration, backup_change
 from states import CONFIG, SCENARIO, config_with, set_fields, trial_state
 
@@ -75,6 +76,35 @@ def test_plant_never_reverses_and_respects_braking_authority(d, v, dt, pending, 
     assert vehicle.v >= 0.0
     assert vehicle.d <= d
     assert abs(vehicle.v - v) <= PARAMS.a_max * dt + 1e-9
+
+
+def plant_rows():
+    """A row of ``plant_step``, as ``(d, v, a)``: moving on, stopping inside the step
+    (``0 < v < -a * dt`` at the default tick), or at rest under a braking, zero
+    (either sign) or accelerating command."""
+    dt = SCENARIO.dt
+    d = finite(-100.0, 100.0)
+    moving = st.tuples(d, finite(0.0, 30.0), st.one_of(st.sampled_from([0.0, -0.0]), commands))
+    stopping = st.tuples(d, finite(0.01, 0.99), finite(-PARAMS.a_max, -0.1)).map(
+        lambda row: (row[0], row[1] * -row[2] * dt, row[2]))
+    resting = st.tuples(d, st.just(0.0),
+                        st.one_of(st.sampled_from([-PARAMS.a_max, -1.0, 0.0, -0.0, 1.0]), commands))
+    return st.one_of(moving, stopping, resting)
+
+
+@deterministic
+@given(rows=st.lists(plant_rows(), min_size=1, max_size=12))
+def test_plant_step_matches_plant_tick(rows):
+    # The lockstep's plant against the scalar one with no delay, row by row and bit
+    # for bit (a zero's sign included), on batches that all move on and batches
+    # where some row stops or stands.
+    d, v, a = (np.array(column) for column in zip(*rows))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as in run_batch
+        v_next, d_next = plant_step(v, d, a, tick_operands(SCENARIO))
+    for (d0, v0, a0), v1, d1 in zip(rows, v_next.tolist(), d_next.tolist()):
+        vehicle = trial_state(d=d0, v=v0)
+        plant_tick(vehicle, a0, SCENARIO.dt, [], 0)
+        assert (v1.hex(), d1.hex()) == (vehicle.v.hex(), vehicle.d.hex()), (d0, v0, a0)
 
 
 @deterministic

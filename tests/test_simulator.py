@@ -16,11 +16,10 @@ from crosswalk_sim.simulator import (
     TrialResult,
     TrialRun,
     TrialState,
-    class_edges,
     gap_classes,
     pedestrian_walk,
+    plant_step,
     plant_tick,
-    plant_tick_batch,
     run_batch,
     run_trial,
     seeded_gaps,
@@ -29,6 +28,7 @@ from crosswalk_sim.simulator import (
     vehicle_pedestrian_distance,
 )
 
+from edges import class_edges
 from states import SCENARIO, trial_state
 
 ALLOWED_TRANSITIONS = {
@@ -382,35 +382,50 @@ class TestLockstepMatchesScalar:
             assert_batch_matches_scalar([replace(sc, **override) for sc in quadrants], COARSE,
                                         controller, scalar_oracle)
 
-    @pytest.mark.parametrize("override,windows", [
-        ({}, True), ({"t_delay_plant": 0.25}, True), ({"t_delay_plant": 0.15}, False),
-        ({"max_sim_time": 30.12}, True),
+    @pytest.mark.parametrize("override", [
+        {}, {"t_delay_plant": 0.25}, {"t_delay_plant": 0.15}, {"max_sim_time": 30.12},
     ], ids=["own-ring", "5-tick-ring", "3-tick-ring", "timeout-mid-window"])
-    def test_pomdp_hold_windows(self, preset_config, preset_policy, scalar_oracle, override,
-                                windows):
-        # The POMDP holds each command for 5 ticks, so a POMDP-only batch runs a
-        # window of 5 ticks per step_batch call where it can: with no delay ring,
-        # the experiment preset's 10-tick ring or a 5-tick one, not a 3-tick one.
-        # A window the timeout lands in (at tick 603 of 30.12 s) runs tick by
-        # tick, and so do rows at rest, as the experiment preset's come to stand
-        # long before their timeout at tick 1200.
+    def test_pomdp_hold_windows(self, preset_config, preset_policy, scalar_oracle, override):
+        # The POMDP holds each command for 5 ticks, so a POMDP-only batch steps its
+        # rows once per hold and runs the ticks to the next multiple of 5 as one
+        # window: with no delay ring, the experiment preset's 10-tick ring, a 5-tick
+        # ring or a 3-tick one, which wraps inside a window. The timeout at tick 603
+        # of 30.12 s cuts the window from tick 600 to 3 ticks, and the experiment
+        # preset's rows, at rest long before their timeout, run windows through
+        # tick 1200, their last.
         quadrants = [replace(preset_config.scenario(lane=lane, side=side), **override)
                      for lane, side in QUADRANTS]
         pomdp = PomdpController(*preset_policy, sim_dt=quadrants[0].dt)
         spy = SteppedTicks(pomdp)
-        spy.hold_ticks = pomdp.hold_ticks
         batch = run_batch(quadrants, COARSE, spy)
         n = len(COARSE)
         for k, sc in enumerate(quadrants):
             assert_bitwise_equal(batch[k * n:(k + 1) * n], scalar_oracle(sc, COARSE, pomdp))
-        held = [(tick, after) for tick, after in zip(spy.ticks, spy.ticks[1:])
-                if after != tick + 1]
-        assert all(tick % 5 == 0 and after == tick + 5 for tick, after in held)
-        assert bool(held) is windows
+        assert all(after == tick + 5 - tick % 5 for tick, after in zip(spy.ticks, spy.ticks[1:]))
         if "max_sim_time" in override:
-            assert spy.ticks[-3:] == [600, 601, 602] and any(r.timed_out for r in batch)
-        elif windows and any(r.timed_out for r in batch):  # the experiment preset's rows
-            assert held[-1][1] < 300 and spy.ticks[-900:] == list(range(301, 1201))
+            assert spy.ticks[-3:] == [590, 595, 600] and any(r.timed_out for r in batch)
+        elif any(r.timed_out for r in batch):  # the experiment preset's rows
+            assert spy.ticks == list(range(0, 1201, 5))
+
+    @pytest.mark.parametrize("delay,start", [(0.5, 137), (0.15, 171)],
+                             ids=["10-tick-ring", "3-tick-ring"])
+    def test_pomdp_windows_from_a_start_off_the_hold(self, scalar_oracle, delay, start):
+        # On the experiment preset the first class of the seed-17 gaps arms on tick
+        # 137 (tick 171 with a 3-tick delay), so a POMDP-only lockstep starts inside
+        # a hold: its first step_batch call returns the commands decided on tick 135
+        # (170), a window runs to tick 139 (174), and windows of 5 ticks follow.
+        config = load_config(preset="experiment", env={})
+        model = config.pomdp_model()
+        quadrants = [replace(config.scenario(lane=lane, side=side), t_delay_plant=delay)
+                     for lane, side in QUADRANTS]
+        pomdp = PomdpController(model, qmdp_solve(model, tol=config.pomdp["tol"]),
+                                sim_dt=quadrants[0].dt)
+        gaps = seeded_gaps(quadrants[0].gap_model, 17, SEEDED)
+        spy = SteppedTicks(pomdp)
+        batch = assert_batch_matches_scalar(quadrants, gaps, spy, scalar_oracle)
+        assert first_arm_tick(quadrants, gaps, pomdp) == start
+        assert spy.ticks == [start, *range(start + 5 - start % 5, 1201, 5)]
+        assert any(r.timed_out for r in batch)
 
     def test_a_collision_on_a_window_s_first_tick(self, scenario_factory):
         # A held command of 1 m/s² on ticks 0-4, then 3 m/s² from tick 5, and a
@@ -563,30 +578,33 @@ def test_lockstep_runs_from_the_first_arm_tick_to_the_last_trial_end(
     # compare's batch on seed-1 gaps: both controllers, all quadrants, 250 gaps.
     # Before the first tick on which a class arms, every trial of a group is its
     # scalar prefix, so the lockstep ticks only from there to the longest trial's
-    # end (its last tick + 1 - 124 = 586 ticks, not 710). Once the hybrid rows
-    # have ended, the POMDP rows run windows of 5 ticks with no plant_tick_batch
-    # call: each starts on a tick the POMDP is stepped on and the plant is not.
+    # end (its last tick + 1 - 124 = 586 ticks, not 710). While a hybrid row is
+    # live, each tick steps both blocks and calls plant_step once on every row.
+    # Once the hybrid rows have ended, the POMDP rows run windows to the next
+    # multiple of 5, each from a tick the POMDP is stepped on, with one plant_step
+    # call per tick on the POMDP rows alone.
     quadrants = [scenario_factory(lane=Lane(lane), entry_side=EntrySide(side))
                  for lane, side in QUADRANTS]
     pomdp = PomdpController(pomdp_model, solved_policy, sim_dt=quadrants[0].dt)
     controllers = (hybrid_for(quadrants[0]), pomdp)
     stepped = SteppedTicks(pomdp)
-    stepped.hold_ticks = pomdp.hold_ticks
     gaps = seeded_gaps(quadrants[0].gap_model, 1, 250)
-    ticks = []
-    monkeypatch.setattr(simulator, "plant_tick_batch",
-                        lambda s, a, k, fifo, tick: (ticks.append(tick),
-                                                     plant_tick_batch(s, a, k, fifo, tick)))
+    rows = []  # each plant_step call's row count
+    monkeypatch.setattr(simulator, "plant_step",
+                        lambda v, d, a, k: (rows.append(len(v)), plant_step(v, d, a, k))[1])
     run_batch(quadrants, gaps, controllers[0], stepped)
-    windows = sorted(set(stepped.ticks) - set(ticks))
-    covered = sorted(ticks + [tick + i for tick in windows for i in range(pomdp.hold_ticks)])
+    n_ticks = rows.count(max(rows))  # the tick path's calls, on every row
+    ticks, windows = stepped.ticks[:n_ticks], stepped.ticks[n_ticks:]
     start = first_arm_tick(quadrants, gaps, *controllers)
     # One gap of each class stands for the class.
     end = max(len(run_trial(sc, gap, c).trace) for c in controllers for sc in quadrants
               for gap in {arm: g for g, arm in zip(gaps, gap_classes(sc, c, gaps))}.values())
-    assert covered == list(range(start, end))
-    assert (start, len(covered)) == (124, 586)
-    assert (len(windows), len(ticks)) == (32, 426)  # 160 ticks in windows
+    assert ticks == list(range(start, start + n_ticks))
+    assert all(after == tick + 5 - tick % 5 for tick, after in zip(windows, windows[1:]))
+    assert windows[0] == ticks[-1] + 1 and windows[-1] < end <= windows[-1] + 5
+    assert len(rows) == end - start  # one plant_step call per tick, in windows too
+    assert (start, len(rows)) == (124, 586)
+    assert (len(windows), n_ticks) == (33, 424)  # 162 ticks in windows
 
 
 def test_a_quadrant_that_ends_before_the_first_arm_tick(scenario_factory, hybrid_for, pomdp_model,
@@ -617,7 +635,7 @@ def test_a_quadrant_that_ends_before_the_first_arm_tick(scenario_factory, hybrid
 def test_reference_trial_ends_as_the_vehicle_clears_the_stripe(monkeypatch, scenario_factory,
                                                                hybrid_for, pomdp_model,
                                                                solved_policy, lane, side):
-    # On the default preset both controllers' vehicles pass, so class_edges'
+    # On the default preset both controllers' vehicles pass, so gap_classes'
     # reference trial ends within a few ticks of the walking line: 256 ticks
     # (hybrid) and 432 (POMDP), where a pedestrian that walks at its own pace
     # takes it to 534 and 710.
@@ -636,7 +654,8 @@ class SteppedTicks:
     """``inner``, recording each tick at which ``run_batch`` steps its rows."""
 
     def __init__(self, inner):
-        self.inner, self.modes, self.ticks = inner, inner.modes, []
+        self.inner, self.modes, self.hold_ticks, self.ticks = (
+            inner, inner.modes, inner.hold_ticks, [])
 
     def step(self, s, tick):
         return self.inner.step(s, tick)
@@ -680,21 +699,29 @@ class TestOneCallForEveryController:
 
     def test_a_finished_block_is_not_stepped(self, preset_config, hybrid_and_pomdp):
         # The hybrid rows finish long before the POMDP rows, so the merged call
-        # runs ticks on which only the POMDP block is stepped. Each block is
-        # stepped on consecutive ticks from the lockstep's first, the first tick
-        # on which a class arms, to its own last row's end.
+        # runs ticks on which only the POMDP block is stepped. From the lockstep's
+        # first tick, the first on which a class arms, the hybrid block is stepped
+        # on every tick to its own last row's end, and so is the POMDP block while
+        # the hybrid's rows are live; after, and alone, the POMDP block is stepped
+        # once per window, up to each multiple of 5, to its own last row's end.
         quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
         alone = [SteppedTicks(c) for c in hybrid_and_pomdp]
         expected = [r for c in alone for r in run_batch(quadrants, SWEEP, c)]
         merged = [SteppedTicks(c) for c in hybrid_and_pomdp]
         assert_bitwise_equal(run_batch(quadrants, SWEEP, *merged), expected)
+
+        def windows(first, last):  # the ticks that start a window, from ``first``
+            return [first, *range(first + 5 - first % 5, last + 1, 5)]
+
         start = first_arm_tick(quadrants, SWEEP, *hybrid_and_pomdp)
-        for controller, own, shared in zip(hybrid_and_pomdp, alone, merged):
-            own_start = first_arm_tick(quadrants, SWEEP, controller)
-            assert own.ticks == list(range(own_start, own_start + len(own.ticks)))
-            assert shared.ticks == list(range(start, own.ticks[-1] + 1))
-        hybrid, pomdp = (c.ticks[-1] for c in merged)
-        assert hybrid + 100 < pomdp
+        own_starts = [first_arm_tick(quadrants, SWEEP, c) for c in hybrid_and_pomdp]
+        (hybrid_own, pomdp_own), (hybrid, pomdp) = ([c.ticks for c in spies]
+                                                    for spies in (alone, merged))
+        assert hybrid_own == list(range(own_starts[0], hybrid[-1] + 1))
+        assert hybrid == list(range(start, hybrid[-1] + 1))
+        assert pomdp_own == windows(own_starts[1], pomdp[-1])
+        assert pomdp == list(range(start, hybrid[-1] + 1)) + windows(hybrid[-1] + 1, pomdp[-1])
+        assert hybrid[-1] + 100 < pomdp[-1]
 
     def test_rows_are_views(self, scenario_factory):
         s = BatchState([TrialState(scenario_factory())], [0] * 5)
@@ -705,9 +732,9 @@ class TestOneCallForEveryController:
             assert len(field) == 3
         view.mode[:] = 2
         assert s.mode.tolist() == [0, 2, 2, 2, 0]
-        # The plant writes the batch's d and v in place, so a view made before sees them.
+        # run_batch writes the plant's d and v in place, so a view made before sees them.
         d, v = s.d.copy(), s.v.copy()
-        plant_tick_batch(s, np.full(5, -1.0), tick_operands(scenario_factory()), np.zeros((0, 5)), 0)
+        s.v[:], s.d[:] = plant_step(s.v, s.d, np.full(5, -1.0), tick_operands(scenario_factory()))
         assert (s.d < d).all() and (s.v < v).all()
         assert view.d.tolist() == s.d[1:4].tolist() and view.v.tolist() == s.v[1:4].tolist()
 
@@ -724,7 +751,7 @@ def test_controllers_cannot_read_gap(scenario_factory, scalar):
         """Holds the vehicle's speed, reading the gap in the engine's own step:
         run_batch's reference trials and prefixes call ``step`` too."""
 
-        modes = ("reader",)
+        modes, hold_ticks = ("reader",), 1
 
         def step(self, s, tick):
             return 0.0 * s.gap if scalar else 0.0
