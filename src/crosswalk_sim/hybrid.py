@@ -76,7 +76,7 @@ class HybridController:
     def driving_command(self, v: float) -> float:
         p = self.params
         a = p.k_s * (p.v_speedlimit - v)
-        return _clamp(a, -p.a_cmf, p.a_cmf)
+        return -p.a_cmf if a < -p.a_cmf else p.a_cmf if a > p.a_cmf else a
 
     def yielding_command(self, s: TrialState) -> float:
         p = self.params
@@ -90,12 +90,12 @@ class HybridController:
             s.d_o, s.v_o, s.latched = d, v, True
         v_des = self.yield_speed_profile(d, s.d_o, s.v_o)
         a = -p.a_cmf + p.k_s * (v_des - v)
-        return _clamp(a, -p.a_cmf, p.a_cmf)
+        return -p.a_cmf if a < -p.a_cmf else p.a_cmf if a > p.a_cmf else a
 
     def yield_speed_profile(self, d: float, d_o: float, v_o: float) -> float:
         """Constant-deceleration profile, v_o at d_o and 0 at the stop point."""
         arg = 2.0 * self.params.a_cmf * (d - d_o) + v_o * v_o
-        return math.sqrt(max(0.0, arg))
+        return math.sqrt(arg if arg > 0.0 else 0.0)  # max(0.0, arg): -0.0 and NaN give 0.0
 
     def hard_braking_command(self, s: TrialState) -> float:
         p = self.params
@@ -105,7 +105,7 @@ class HybridController:
             return -p.a_max
         v_des = self.brake_speed_profile(d, s.d_o, s.v_o)
         a = -v * v / (2.0 * d) + p.k_s * (v_des - v)
-        return _clamp(a, -p.a_max, p.a_cmf)
+        return -p.a_max if a < -p.a_max else p.a_cmf if a > p.a_cmf else a
 
     def brake_speed_profile(self, d: float, d_o: float, v_o: float) -> float:
         """Square-root profile matching v_o at d_o and 0 at the stop point."""
@@ -250,10 +250,7 @@ class HybridController:
         return a  # every mode's command lies in [-a_max, a_cmf], as in step
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
-
-
 def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``_clamp`` on arrays (``np.clip`` gives the same values, twice as slowly)."""
+    """The scalar commands' clamp, ``lo if x < lo else hi if x > hi else x``, on
+    arrays (``np.clip`` gives the same values, twice as slowly)."""
     return np.minimum(np.maximum(x, lo), hi)

@@ -11,11 +11,12 @@ The gap decides one instant, the tick the pedestrian arms on: the first on
 which ``arming_gap``, the least gap that arms on that tick, is at or below
 the pedestrian's ``trigger``. After it the walk reads nothing of the vehicle,
 so both engines read it from ``simulator.pedestrian_walk``, which runs the
-step-off latency and then ``pedestrian_tick``, the one crossing step. A pedestrian's state is the ``x_p``, ``xdot_p``, ``phase`` and
-``right_of_way`` fields of the trial's ``TrialState``, with the entry side as
-its ``sgn`` / ``lim`` constants; ``in_crosswalk`` is the one right-of-way
-test, which the engines store in ``right_of_way`` wherever they write the
-pedestrian and the controllers only read.
+step-off latency and then ``pedestrian_tick``, the one crossing step. A
+pedestrian's state is the ``x_p``, ``xdot_p``, ``phase`` and ``right_of_way``
+fields of the trial's ``TrialState``, with the entry side as its ``sgn``,
+``off`` and ``lim`` constants; ``in_crosswalk`` is the one right-of-way test,
+which a trial's start and its walk store in ``right_of_way`` and the
+controllers only read.
 """
 
 from __future__ import annotations
@@ -75,19 +76,22 @@ def sample_accepted_gap(model: GapAcceptanceModel, rng: np.random.Generator) -> 
 
 
 def in_crosswalk(s: TrialState, geometry: WorldGeometry) -> bool:
-    """True while the pedestrian holds the right of way over the vehicle.
+    """True while the pedestrian of trial ``s`` holds the right of way over the vehicle.
 
     A pedestrian counts from the instant they start moving toward the
     legally relevant span, even while still on the sidewalk, and stops
     counting once past the end of that span. Someone standing still inside
     the span keeps holding the vehicle; someone walking away never
-    triggers it. Takes one trial or the rows of a lockstep batch (then
-    returns a mask).
+    triggers it. ``pedestrian_walk`` stores it in each entry, which both
+    engines read, so no lockstep code calls it.
     """
-    c = s.span_coord()
-    # Inside the span [0, x_f], or approaching it from before x_f. As x_f > 0,
-    # this is the same Boolean function as (0 <= c <= x_f) | (cdot > 0 & c < x_f).
-    return (c <= geometry.x_f) & ((0.0 <= c) | (s.span_speed() > 0.0))
+    # c is the progress from the entry-side curb, x_p near side and W - x_p far
+    # side (exactly; a zero may change sign, which no comparison sees), and
+    # sgn * xdot_p the speed into the road. Inside the span [0, x_f], or
+    # approaching it from before x_f: as x_f > 0, the same Boolean function as
+    # (0 <= c <= x_f) or (cdot > 0 and c < x_f).
+    c = s.sgn * s.x_p + s.off
+    return c <= geometry.x_f and (0.0 <= c or s.sgn * s.xdot_p > 0.0)
 
 
 def arming_gap(v: float, line: float, past: bool) -> float:
@@ -115,11 +119,12 @@ def trigger(model: GapAcceptanceModel, gap: float) -> float:
 def pedestrian_tick(s: TrialState, model: GapAcceptanceModel, dt: float) -> None:
     """One tick of an armed pedestrian whose step-off latency has run out:
     step off if still waiting, walk at constant speed, and finish once off
-    the road."""
+    the road: ``x_p > roadway_width`` near side and ``x_p < 0.0`` far side,
+    spelled ``sgn * x_p > lim`` (``-x_p > 0.0`` is the far test)."""
     if s.phase == WAITING_CODE:
         s.phase = CROSSING_CODE
         s.xdot_p = s.sgn * model.walk_speed
     s.x_p += s.xdot_p * dt
-    if s.crossed():
+    if s.sgn * s.x_p > s.lim:
         s.phase = DONE_CODE
         s.xdot_p = 0.0

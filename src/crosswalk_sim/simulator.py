@@ -180,7 +180,7 @@ class TrialState:
 
     ``run_trial`` holds a trial in Python floats, ints and bools; a
     ``BatchState`` holds the same fields as arrays, one element per row, and
-    the methods below serve both.
+    ``walking_line`` serves both.
 
     Vehicle: ``d``, ``v`` and ``x_v`` (the lane centre). Pedestrian, as its
     ``pedestrian_walk`` has it: ``x_p``, ``xdot_p``, ``phase`` (``WAITING_CODE``,
@@ -210,28 +210,19 @@ class TrialState:
             0, 0.0, 0.0, False, False, 0)
         self.right_of_way = in_crosswalk(self, scenario.geometry)
 
-    def span_coord(self):
-        """Progress along the crossing from the entry-side curb: ``x_p`` near side
-        and ``roadway_width - x_p`` far side, both exactly (a zero may change
-        sign, which no comparison sees)."""
-        return self.sgn * self.x_p + self.off
-
-    def span_speed(self):
-        """Signed speed in the crossing direction (positive = into the road)."""
-        return self.sgn * self.xdot_p
-
-    def crossed(self):
-        """Whether the pedestrian has left the road: ``x_p > roadway_width`` near
-        side, ``x_p < 0.0`` far side (``-x_p > 0.0`` is the same test)."""
-        return self.sgn * self.x_p > self.lim
-
     def walking_line(self, geometry: WorldGeometry):
         """``d + delta``, the vehicle's distance to the walking line (its y is
-        ``-(d + delta)``), and whether the vehicle has cleared the stripe by a
-        1 m margin, ``y > depth / 2 + 1``, spelled ``d + delta < -margin`` since
-        negation is exact."""
+        ``-(d + delta)``), and whether the vehicle has cleared the stripe: the
+        line is below ``past_bound``."""
         line = self.d + geometry.delta
-        return line, line < -(geometry.crosswalk_depth / 2.0 + 1.0)
+        return line, line < past_bound(geometry)
+
+
+def past_bound(geometry: WorldGeometry) -> float:
+    """The walking line below which the vehicle has cleared the stripe by a 1 m
+    margin, ``y > depth / 2 + 1``, spelled ``d + delta < -margin`` since negation
+    is exact."""
+    return -(geometry.crosswalk_depth / 2.0 + 1.0)
 
 
 def plant_tick(s: TrialState, commanded_a: float, dt: float, fifo: list[float], tick: int) -> None:
@@ -256,7 +247,8 @@ def plant_tick(s: TrialState, commanded_a: float, dt: float, fifo: list[float], 
         s.v = 0.0
         return
     s.d -= v * dt + 0.5 * a * dt * dt
-    s.v = max(0.0, v + a * dt)
+    v += a * dt
+    s.v = v if v > 0.0 else 0.0  # max(0.0, v): -0.0 gives 0.0
 
 
 def vehicle_pedestrian_distance(s: TrialState, line: float) -> float:
@@ -312,9 +304,10 @@ class TrialRun:
         """
         scenario, s = self.scenario, self.s
         geometry, dt = scenario.geometry, scenario.dt
-        # Read once per call. plant_tick, arming_gap and vehicle_pedestrian_distance
-        # stay module lookups on every tick.
+        # Read once per call, walking_line's operands included. plant_tick, arming_gap
+        # and vehicle_pedestrian_distance stay module lookups on every tick.
         step, modes = self.controller.step, self.controller.modes
+        delta, clear = geometry.delta, past_bound(geometry)
         max_sim_time, collision_radius = scenario.max_sim_time, scenario.collision_radius
         t, tick, fifo, mode_trace, trace = self.t, self.tick, self.fifo, self.mode_trace, self.trace
         trigger, arm, walk, entry = self.trigger, self.arm, self.walk, self.entry
@@ -336,7 +329,8 @@ class TrialRun:
             v_before = s.v
             plant_tick(s, a_cmd, dt, fifo, tick)
             a_actual = (s.v - v_before) / dt
-            line, past = s.walking_line(geometry)
+            line = s.d + delta  # walking_line
+            past = line < clear
             if arm is None and arming_gap(s.v, line, past) <= trigger:
                 arm = tick
             if arm is not None:  # an armed pedestrian reads nothing of the vehicle
@@ -507,9 +501,9 @@ def plant_step(v: np.ndarray, d: np.ndarray, a: np.ndarray,
     ``tick_operands``.
 
     A row stops inside the step when ``v + a * dt < 0.0``, which with ``v >= 0.0``
-    implies the scalar test's ``a < 0.0``. The stop branch and ``max(0.0, v_next)``
-    (which maps -0.0 to 0.0) run only when some row does not move on: else both
-    leave every row as it is.
+    implies the scalar test's ``a < 0.0``. The stop branch and the scalar clamp of
+    ``v_next`` at 0.0 (which maps -0.0 to 0.0) run only when some row does not move
+    on: else both leave every row as it is.
     """
     dt, zero = k.dt, k.zero
     v_next = v + a * dt

@@ -14,7 +14,7 @@ from crosswalk_sim.core import (
     max_brake_distance,
     write_output,
 )
-from crosswalk_sim.pedestrian import GapAcceptanceModel
+from crosswalk_sim.pedestrian import GapAcceptanceModel, in_crosswalk
 from crosswalk_sim.pomdp import PomdpModel, RewardWeights
 
 from states import CONFIG, SCENARIO, trial_state
@@ -106,13 +106,16 @@ class TestControllerParams:
 class TestPedestrianState:
     """The pedestrian's fields of a trial's state."""
 
-    def test_span_coordinates(self, geometry):
-        near = trial_state(geometry, EntrySide.NEAR, x_p=2.0, xdot_p=1.2)
-        far = trial_state(geometry, EntrySide.FAR, x_p=12.0, xdot_p=-1.2)
-        assert near.span_coord() == 2.0
-        assert far.span_coord() == 2.0
-        assert near.span_speed() == 1.2
-        assert far.span_speed() == 1.2
+    def test_far_side_mirrors_near_side(self, geometry):
+        # A far-side pedestrian at x_p = W - c walking at -cdot is where a near-side
+        # one at x_p = c walking at cdot is, in the crossing's own coordinates.
+        w = geometry.roadway_width
+        for c, cdot in [(2.0, 1.2), (2.0, 0.0), (-1.0, 1.2), (-1.0, 0.0), (-1.0, -1.2),
+                        (w + 1.0, 1.2)]:
+            near = trial_state(geometry, EntrySide.NEAR, x_p=c, xdot_p=cdot)
+            far = trial_state(geometry, EntrySide.FAR, x_p=w - c, xdot_p=-cdot)
+            assert in_crosswalk(near, geometry) is in_crosswalk(far, geometry) is (
+                0.0 <= c <= geometry.x_f or cdot > 0.0 and c < geometry.x_f), (c, cdot)
 
     def test_vehicle_state_rejects_reverse(self, scenario_factory):
         with pytest.raises(ValueError, match="initial_v"):

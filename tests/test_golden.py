@@ -20,9 +20,12 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from crosswalk_sim.cli import main
 
@@ -81,3 +84,19 @@ def test_outputs_match_golden_digests(tmp_path):
     assert sorted(got["files"]) == sorted(want["files"])
     assert {k: v for k, v in got["files"].items() if v != want["files"][k]} == {}
     assert got["stdout"] == want["stdout"]
+
+
+@pytest.mark.parametrize("core", ["Prescott", "Nehalem"])
+def test_golden_digests_hold_under_other_blas_kernels(core):
+    # The golden digests pin Q's bytes, so the solver uses elementwise IEEE
+    # operations only: BLAS and LAPACK round differently by kernel. OpenBLAS picks
+    # its kernel by CPU when it loads, so a child process runs the digest test
+    # under each of two kernels that any x86-64 CPU runs.
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_outputs_match_golden_digests"],
+        cwd=root, env=dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0 and "1 passed" in child.stdout, child.stdout[-2000:]

@@ -47,34 +47,24 @@ class TestInCrosswalk:
         assert not in_crosswalk(ped(-0.01, -1.2, EntrySide.FAR), geometry)
 
     def test_matches_unfactored_form(self, geometry):
-        """The factored test equals ``(0 <= s <= x_f) | (sdot > 0 & s < x_f)`` at
-        the edges of the span, for one pedestrian and for a batch."""
+        """The factored test equals ``(0 <= c <= x_f) | (cdot > 0 & c < x_f)`` at the
+        edges of the span, on trials of both sides, where c is the progress from the
+        entry-side curb (``x_p`` near side, ``W - x_p`` far side) and cdot the
+        speed into the road."""
 
-        class Span:
-            def __init__(self, s, sdot):
-                self.s, self.sdot = s, sdot
+        def unfactored(c, cdot):
+            return ((0.0 <= c) & (c <= x_f)) | ((cdot > 0.0) & (c < x_f))
 
-            def span_coord(self):
-                return self.s
-
-            def span_speed(self):
-                return self.sdot
-
-        def unfactored(s, sdot):
-            return ((0.0 <= s) & (s <= x_f)) | ((sdot > 0.0) & (s < x_f))
-
-        x_f = geometry.x_f
+        x_f, w = geometry.x_f, geometry.roadway_width
         coords = [math.nan, 0.0, -0.0, math.inf, -math.inf, -1.0, 1.0, x_f,
                   math.nextafter(x_f, -math.inf), math.nextafter(x_f, math.inf)]
         speeds = [-1.0, -0.0, 0.0, 1.0]
-        pairs = [(s, sdot) for s in coords for sdot in speeds]
-        for s, sdot in pairs:
-            got = in_crosswalk(Span(s, sdot), geometry)
-            assert type(got) is bool and got == unfactored(s, sdot), (s, sdot)
-        s, sdot = np.array(pairs).T
-        got = in_crosswalk(Span(s, sdot), geometry)
-        assert got.dtype == bool
-        np.testing.assert_array_equal(got, unfactored(s, sdot))
+        for side, sgn in ((EntrySide.NEAR, 1.0), (EntrySide.FAR, -1.0)):
+            for x_p in coords + [w - c for c in coords]:
+                for xdot_p in speeds:
+                    got = in_crosswalk(ped(x_p, xdot_p, side), geometry)
+                    want = unfactored(x_p if sgn > 0.0 else w - x_p, sgn * xdot_p)
+                    assert type(got) is bool and got == want, (side, x_p, xdot_p)
 
 
 class TestTimeAdvantage:

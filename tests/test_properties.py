@@ -80,14 +80,15 @@ def test_plant_never_reverses_and_respects_braking_authority(d, v, dt, pending, 
 
 def plant_rows():
     """A row of ``plant_step``, as ``(d, v, a)``: moving on, stopping inside the step
-    (``0 < v < -a * dt`` at the default tick), or at rest under a braking, zero
-    (either sign) or accelerating command."""
+    (``0 < v < -a * dt`` at the default tick), or at rest (at 0.0 or -0.0, which
+    the clamp at 0.0 maps to 0.0) under a braking, zero (either sign) or
+    accelerating command."""
     dt = SCENARIO.dt
     d = finite(-100.0, 100.0)
     moving = st.tuples(d, finite(0.0, 30.0), st.one_of(st.sampled_from([0.0, -0.0]), commands))
     stopping = st.tuples(d, finite(0.01, 0.99), finite(-PARAMS.a_max, -0.1)).map(
         lambda row: (row[0], row[1] * -row[2] * dt, row[2]))
-    resting = st.tuples(d, st.just(0.0),
+    resting = st.tuples(d, st.sampled_from([0.0, -0.0]),
                         st.one_of(st.sampled_from([-PARAMS.a_max, -1.0, 0.0, -0.0, 1.0]), commands))
     return st.one_of(moving, stopping, resting)
 
@@ -125,6 +126,47 @@ def test_hybrid_command_stays_in_envelope(params, states):
         a = controller.step(s, tick)
         assert type(a) is float
         assert -params.a_max <= a <= params.a_cmf
+
+
+def hybrid_states():
+    """An entry side, and the fields of a trial that ``HybridController.step`` reads
+    or writes: every mode code, latched or not, overrun or not, the right of way
+    either way, with ``d`` = ±0.0, ``v`` = 0.0 and ``d_o`` <= 0 among the draws."""
+    zeros = st.sampled_from([0.0, -0.0])
+    return st.tuples(sides, st.fixed_dictionaries(dict(
+        d=st.one_of(zeros, finite(-20.0, 60.0)),
+        v=st.one_of(st.just(0.0), finite(0.0, 15.0)), x_p=finite(-2.0, 16.0),
+        xdot_p=st.one_of(zeros, finite(-2.0, 2.0)), right_of_way=st.booleans(),
+        mode=st.integers(0, len(HybridController.modes) - 1),
+        d_o=st.one_of(st.sampled_from([0.0, -0.0, -1.0]), finite(-20.0, 60.0)),
+        v_o=st.one_of(st.just(0.0), finite(0.0, 15.0)), latched=st.booleans(),
+        overrun=st.booleans())))
+
+
+@deterministic
+@given(params=st.sampled_from(PRESET_PARAMS),
+       states=st.lists(hybrid_states(), min_size=1, max_size=20))
+def test_hybrid_step_matches_step_batch(params, states):
+    # One controller step on each state, row by row and bit for bit: the command and
+    # every field that step or step_batch writes, for the scalar clamps and the
+    # profiles' guards against the batch's _clip, np.maximum and masks.
+    controller = HybridController(params, GEOMETRY, dt=SCENARIO.dt)
+    def bits(values):
+        return [x.hex() if type(x) is float else x for x in values]
+
+    trials = []
+    for side, fields in states:
+        s = trial_state(GEOMETRY, side)
+        for name, value in fields.items():
+            setattr(s, name, value)
+        trials.append(s)
+    batch = BatchState(trials, range(len(trials)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as in run_batch
+        commands = controller.step_batch(batch, 1).tolist()
+    written = ("mode", "d_o", "v_o", "latched", "overrun")
+    for s, *row in zip(trials, commands, *(getattr(batch, name).tolist() for name in written)):
+        a = controller.step(s, 1)
+        assert bits(row) == bits([a, *(getattr(s, name) for name in written)])
 
 
 @deterministic

@@ -7,6 +7,7 @@ import pytest
 from crosswalk_sim import simulator
 from crosswalk_sim.config import load_config
 from crosswalk_sim.core import EntrySide
+from crosswalk_sim.hybrid import HybridController
 from crosswalk_sim.pedestrian import (CROSSING_CODE, DONE_CODE, in_crosswalk, pedestrian_tick,
                                      sample_accepted_gap)
 from crosswalk_sim.pomdp import PomdpController, qmdp_solve
@@ -29,7 +30,7 @@ from crosswalk_sim.simulator import (
 )
 
 from edges import class_edges
-from states import SCENARIO, trial_state
+from states import SCENARIO, config_with, trial_state
 
 ALLOWED_TRANSITIONS = {
     ("Driving", "Yielding"),
@@ -573,6 +574,30 @@ def test_right_of_way_is_in_crosswalk_after_every_tick(scenario_factory, hybrid_
     assert seen == {False, True}
 
 
+@pytest.mark.parametrize("side", list(EntrySide))
+def test_scalar_tick_calls_each_per_tick_layer(monkeypatch, side):
+    # perfbench's traced layers wrap these names where the scalar tick looks them up,
+    # in the module or the class, so each must be called on every tick it serves:
+    # inlined into the loop, a layer's traced count would read 0.
+    sc = replace(config_with("experiment").scenario(), entry_side=side)
+    calls = dict.fromkeys(["plant_tick", "step", "vehicle_pedestrian_distance",
+                           "pedestrian_tick"], 0)
+    for owner, name in ((simulator, "plant_tick"), (HybridController, "step"),
+                        (simulator, "vehicle_pedestrian_distance"), (simulator, "pedestrian_tick")):
+        def counted(*args, fn=getattr(owner, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    trace = run_trial(sc, 2.0, HybridController(sc.params, sc.geometry, dt=sc.dt)).trace
+    # pedestrian_tick runs on the walk's crossing ticks, the ones on which the
+    # pedestrian moves: after the step-off latency, up to and including Done.
+    x_p = [TrialState(sc).x_p] + [row[5] for row in trace]
+    crossing = sum(x1 != x0 for x0, x1 in zip(x_p, x_p[1:]))
+    assert 0 < crossing < len(trace)
+    assert calls == {"plant_tick": len(trace), "step": len(trace),
+                     "vehicle_pedestrian_distance": len(trace) + 1, "pedestrian_tick": crossing}
+
+
 def test_lockstep_runs_from_the_first_arm_tick_to_the_last_trial_end(
         monkeypatch, scenario_factory, hybrid_for, pomdp_model, solved_policy):
     # compare's batch on seed-1 gaps: both controllers, all quadrants, 250 gaps.
@@ -766,8 +791,10 @@ def test_controllers_cannot_read_gap(scenario_factory, scalar):
 
 class TestBatchIdentities:
     """The exact rewrites that ``TrialState`` makes of the paper's per-side and
-    vehicle-position tests, which both engines use, checked element by element
-    against those tests as written here, in their branchy paper form."""
+    vehicle-position tests, checked element by element against those tests as
+    written here, in their branchy paper form: ``walking_line`` and the distance,
+    which both engines run, on floats and on arrays; ``in_crosswalk`` and
+    ``pedestrian_tick``'s done test, which only the walk runs, on floats."""
 
     SIDES = (EntrySide.NEAR, EntrySide.FAR)
 
@@ -792,36 +819,51 @@ class TestBatchIdentities:
     def scalar(geometry, side, **values):
         return trial_state(geometry, side, **values)
 
-    def test_span_coord(self, batch, geometry):
-        # 1.0 * x + 0.0 == x (near) and W + (-1.0 * x) == W - x (far).
-        s, sides, x_ps = batch(self.positions(geometry.roadway_width))
-        s.x_p = np.array(x_ps)
-        want = [x if side is EntrySide.NEAR else geometry.roadway_width - x
-                for x, side in zip(x_ps, sides)]
-        assert s.span_coord().tolist() == want
-        assert [self.scalar(geometry, side, x_p=float(x)).span_coord()
-                for x, side in zip(x_ps, sides)] == want
+    @staticmethod
+    def paper_in_crosswalk(geometry, side, x_p, xdot_p):
+        # The progress from the entry-side curb and the speed into the road.
+        near = side is EntrySide.NEAR
+        c = x_p if near else geometry.roadway_width - x_p
+        cdot = xdot_p if near else -xdot_p
+        return 0.0 <= c <= geometry.x_f or (cdot > 0.0 and c < geometry.x_f)
 
-    def test_span_speed(self, batch, geometry):
-        s, sides, speeds = batch([1.2, -1.2, 0.0, 1e-300, -1e-300])
-        s.xdot_p = np.array(speeds)
-        want = [xdot if side is EntrySide.NEAR else -xdot for xdot, side in zip(speeds, sides)]
-        assert s.span_speed().tolist() == want
-        assert [self.scalar(geometry, side, xdot_p=xdot).span_speed()
-                for xdot, side in zip(speeds, sides)] == want
-
-    def test_crossed_matches_done_test(self, batch, geometry, gap_model):
-        s, sides, x_ps = batch(self.positions(geometry.roadway_width))
-        s.x_p = np.array(x_ps)
+    def test_in_crosswalk_span_coord(self, geometry):
+        # 1.0 * x + 0.0 == x (near) and W + (-1.0 * x) == W - x (far): standing
+        # still, a pedestrian holds the vehicle exactly while 0 <= c <= x_f.
         width = geometry.roadway_width
-        want = [x > width if side is EntrySide.NEAR else x < 0.0 for x, side in zip(x_ps, sides)]
-        assert s.crossed().tolist() == want
+        cases = [(side, float(x), xdot) for side in self.SIDES
+                 for x in self.positions(width) for xdot in (0.0, -0.0)]
+        want = [self.paper_in_crosswalk(geometry, *case) for case in cases]
+        assert [in_crosswalk(self.scalar(geometry, side, x_p=x, xdot_p=xdot), geometry)
+                for side, x, xdot in cases] == want
         assert any(want) and not all(want)
+
+    def test_in_crosswalk_span_speed(self, geometry):
+        # Before the span (c < 0), only the speed into the road, sgn * xdot_p > 0,
+        # decides: xdot_p near side and -xdot_p far side.
+        width = geometry.roadway_width
+        before = [(EntrySide.NEAR, -2.5), (EntrySide.NEAR, -1e-300), (EntrySide.FAR, width + 0.25),
+                  (EntrySide.FAR, float(np.nextafter(width, np.inf)))]
+        cases = [(side, x, xdot) for side, x in before
+                 for xdot in (1.2, -1.2, 0.0, -0.0, 1e-300, -1e-300)]
+        want = [self.paper_in_crosswalk(geometry, *case) for case in cases]
+        assert [in_crosswalk(self.scalar(geometry, side, x_p=x, xdot_p=xdot), geometry)
+                for side, x, xdot in cases] == want
+        assert want == [(xdot if side is EntrySide.NEAR else -xdot) > 0.0
+                        for side, x, xdot in cases]
+
+    def test_done_test_of_pedestrian_tick(self, geometry, gap_model):
+        # sgn * x_p > lim is x_p > W (near) and -x_p > 0.0, so x_p < 0.0 (far).
         # pedestrian_tick with xdot_p = 0.0 leaves x_p in place and applies its done test.
+        width = geometry.roadway_width
+        cases = [(side, float(x)) for side in self.SIDES for x in self.positions(width)]
+        want = [x > width if side is EntrySide.NEAR else x < 0.0 for side, x in cases]
+        assert any(want) and not all(want)
         done = []
-        for x, side in zip(x_ps, sides):
-            p = self.scalar(geometry, side, x_p=float(x), phase=CROSSING_CODE)
+        for side, x in cases:
+            p = self.scalar(geometry, side, x_p=x, phase=CROSSING_CODE)
             pedestrian_tick(p, gap_model, 0.05)
+            assert p.x_p == x
             done.append(p.phase == DONE_CODE)
         assert done == want
 
