@@ -8,9 +8,10 @@ Verbs:
 * ``replay``     one trial with a fixed gap, full event trace CSV
 * ``solve-pomdp``  pre-solve and cache the baseline policy
 
-``simulate`` and ``compare`` render each trial once, in ``trials.csv`` row
-order, and build ``summary.csv`` and ``panels_*.csv`` from those cells. Every
-table has CRLF rows, as ``csv.writer`` writes them; no field needs quoting.
+``simulate`` and ``compare`` render each gap and each gap class once, and
+build ``summary.csv`` and ``panels_*.csv`` from the cells in ``trials.csv`` row
+order. Every table has CRLF rows, as ``csv.writer`` writes them; no field needs
+quoting.
 Every output file is written in place by ``core.write_output``.
 
 Exit status is 0 only when the run completed with zero collisions and zero
@@ -69,7 +70,6 @@ SUMMARY_BIN = 0.5
 # Every table as csv.writer would write it: CRLF rows, every number as _fmt
 # renders it. Methods, lanes, sides and mode labels hold no comma, quote or line
 # break, so no field needs quoting.
-TRIALS_ROW = "%d,%s,%s,%s,%s,%s,%s,%s,%s,%s\r\n"
 SUMMARY_HEADER = ("method,gap_bin_lo_s,gap_bin_hi_s,n_trials,"
                   + "".join(f"mean_{column}," for column, _ in METRIC_COLUMNS.values())
                   + "max_peak_accel_mps2,collisions\r\n")
@@ -77,8 +77,8 @@ SUMMARY_ROW = "%s,%s,%s,%d,%s,%s,%s,%s,%d\r\n"
 TRACE_HEADER = "t,d,v,a_cmd,a_actual,x_p,mode\r\n"
 TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%s\r\n"
 
-# One trial as every table prints it, rendered once: method, accepted gap, the
-# METRIC_COLUMNS values in order, and collision.
+# One trial as every table prints it: method, accepted gap, the METRIC_COLUMNS
+# values in order, and collision, each rendered once per gap or per result.
 Cells = tuple[str, str, str, str, str, str]
 # A run's trials or their cells keyed by (side, lane, method), in trials.csv row order.
 Key = tuple[str, str, str]
@@ -90,18 +90,30 @@ def _fmt(x: float) -> str:
 
 def write_trials_csv(path: Path, gaps: Sequence[float],
                      batches: dict[Key, list[TrialResult]]) -> dict[Key, list[Cells]]:
-    """Render each trial once into a row of trials.csv; return the cells of every row.
-    Trial i of every batch has accepted gap ``gaps[i]``, which is formatted once."""
+    """Render trials.csv; return the cells of every row. Trial i of every batch
+    has accepted gap ``gaps[i]``. Each gap is formatted once, and so is each
+    distinct result, which ``run_batch`` shares among a gap class's trials."""
     gap_cells = [_fmt(g) for g in gaps]
+    # Each distinct result's metric and collision cells and the rest of its rows
+    # (a row is its id, quadrant and gap cell, then that rest), keyed by the
+    # object, which ``batches`` keeps alive. Lists, not tuples: CPython keeps up
+    # to 2000 freed tuples of each length for reuse, so about 500 freed 4- and
+    # 2-tuples per run stayed allocated for the life of the process.
+    rendered: dict[int, list[str]] = {}
     table: dict[Key, list[Cells]] = {}
     lines: list[str] = []
     for (side, lane, method), batch in batches.items():
+        quadrant = f",{method},{lane},{side},"
         cells = table[side, lane, method] = []
         for gap, r in zip(gap_cells, batch):
-            c = (method, gap, _fmt(r.min_distance), _fmt(r.avg_velocity),
-                 _fmt(r.peak_accel), "true" if r.collision else "false")
-            cells.append(c)
-            lines.append(TRIALS_ROW % (len(lines), method, lane, side, *c[1:], r.mode_sequence()))
+            known = rendered.get(id(r))
+            if known is None:
+                known = rendered[id(r)] = [_fmt(r.min_distance), _fmt(r.avg_velocity),
+                                           _fmt(r.peak_accel), "true" if r.collision else "false"]
+                known.append(f",{','.join(known)},{r.mode_sequence()}\r\n")
+            distance, velocity, accel, collision, rest = known
+            cells.append((method, gap, distance, velocity, accel, collision))
+            lines.append(f"{len(lines)}{quadrant}{gap}{rest}")
     write_output(path, ",".join(TRIALS_HEADER) + "\r\n" + "".join(lines))
     return table
 

@@ -403,12 +403,20 @@ def _reference_arming_gaps(scenario: Scenario, controller: Controller) -> np.nda
     tick: no tick before it arms reads ``start_delay`` or ``walk_speed`` (the
     controllers hold their own models), and none after it changes a class, so the
     classes are the same, and the trial ends on the tick the vehicle clears the
-    stripe instead of running on while a pedestrian walks.
+    stripe instead of running on while a pedestrian walks. No tick after the
+    first -inf changes a class either, so the trace ends on it, also where the
+    vehicle stops and never passes.
     """
     gm = scenario.gap_model
     reach = scenario.geometry.roadway_width + max(gm.near_setback, gm.far_setback, 0.0) + 1.0
     sprint = replace(gm, start_delay=0.0, walk_speed=min(reach / scenario.dt, sys.float_info.max))
-    trace = run_trial(replace(scenario, gap_model=sprint), math.inf, controller).trace
+    run = TrialRun(replace(scenario, gap_model=sprint), math.inf, controller)
+    stop = 0
+    while run.arm is None:  # checked every 64 ticks: advance tests no more per tick
+        stop += 64
+        if run.advance(stop) is not None:
+            break
+    trace = run.trace if run.arm is None else run.trace[:run.arm + 1]
     d = np.fromiter((row[1] for row in trace), float, len(trace))
     line, past = TrialState.walking_line(SimpleNamespace(d=d), scenario.geometry)  # reads d
     return np.array(list(map(arming_gap, [row[2] for row in trace], line.tolist(), past.tolist())))

@@ -2,13 +2,15 @@
 
 Hand-rolled on purpose: output bytes are a pure function of the input
 rows, so plots from identical runs diff clean. One marker per trial, one
-series per controller.
+series per controller. Each distinct x and y is formatted once, from the
+float expressions that a marker of its own would format, so markers that
+share a coordinate share its text.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 40, 52
@@ -19,8 +21,8 @@ SERIES_STYLE = {
 OTHER_STYLE = ("#2ca02c", "circle")
 # One trial's marker: a circle takes its centre and colour, a cross its corners
 # (left, top, right, bottom, left, bottom, right, top) and colour.
-CIRCLE = '<circle cx="%.2f" cy="%.2f" r="2.4" fill="%s" fill-opacity="0.55" class="marker"/>'
-CROSS = ('<path d="M%.2f %.2fL%.2f %.2fM%.2f %.2fL%.2f %.2f" '
+CIRCLE = '<circle cx="%s" cy="%s" r="2.4" fill="%s" fill-opacity="0.55" class="marker"/>'
+CROSS = ('<path d="M%s %sL%s %sM%s %sL%s %s" '
          'stroke="%s" stroke-opacity="0.55" stroke-width="1.3" class="marker"/>')
 
 
@@ -43,6 +45,18 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _cells(values: Sequence[float],
+           scale: Callable[[float], float]) -> dict[float, tuple[str, str, str]]:
+    """Each distinct value's marker coordinate ``scale(value)``, formatted once,
+    and the two 2.4 below and above it: a circle reads the first, a cross the others.
+    0.0 and -0.0 share a key, which is exact: an axis scale adds a nonzero margin."""
+    cells = {}
+    for value in set(values):
+        p = scale(value)
+        cells[value] = "%.2f" % p, "%.2f" % (p - 2.4), "%.2f" % (p + 2.4)
+    return cells
 
 
 def _text(s: str) -> str:
@@ -130,15 +144,16 @@ def scatter_svg(
         f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{_text(y_label)}</text>'
     )
 
+    x_cells, y_cells = _cells(xs, sx), _cells(ys, sy)
     for series, x, y in points:
         color, shape = SERIES_STYLE.get(series, OTHER_STYLE)
-        px = MARGIN_L + (x - x_lo) / x_span * plot_w  # sx(x) and sy(y), inlined
-        py = y_base - (y - y_lo) / y_span * plot_h
+        px, left, right = x_cells[x]
+        py, top, bottom = y_cells[y]
         if shape == "circle":
             parts.append(CIRCLE % (px, py, color))
         else:
-            left, top, right, bottom = px - 2.4, py - 2.4, px + 2.4, py + 2.4
             parts.append(CROSS % (left, top, right, bottom, left, bottom, right, top, color))
+    del x_cells, y_cells  # unread from here, so the join does not hold them
 
     legend_y = MARGIN_T + 14
     for i, series in enumerate(dict.fromkeys(p[0] for p in points)):
@@ -158,5 +173,5 @@ def scatter_svg(
             f'{_text(series)}</text>'
         )
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -11,7 +11,7 @@ import pytest
 from crosswalk_sim import cli
 from crosswalk_sim.cli import TRIALS_HEADER, main
 from crosswalk_sim.config import load_config
-from crosswalk_sim.simulator import seeded_gaps
+from crosswalk_sim.simulator import gap_classes, run_batch, seeded_gaps
 
 pytestmark = pytest.mark.usefixtures("pomdp_cache_env")
 
@@ -574,6 +574,40 @@ class TestTablesMatchCsvModule:
             assert (out / name).read_bytes() == data, name
         printed = capsys.readouterr().out.splitlines()
         assert [line for line in printed if not line.startswith("pomdp policy:")] == stdout
+
+
+def test_each_gap_class_is_one_result_rendered_once(tmp_path, monkeypatch):
+    config = load_config(cli_overrides={"run": {"trials": 40, "seed": 0}})
+    scenarios = [config.scenario(lane=lane, side=side)
+                 for side, lane in (("near", "A"), ("far", "B"))]
+    gaps = seeded_gaps(config.gap_model(), 0, 40)
+    methods = dict(cli._controller(config, method, scenarios[0]) for method in cli.METHODS)
+    results = run_batch(scenarios, gaps, *methods.values())
+    n = len(gaps)
+    batches = {}
+    for j, (method, controller) in enumerate(methods.items()):
+        for k, scenario in enumerate(scenarios):
+            batch = results[(j * len(scenarios) + k) * n:(j * len(scenarios) + k + 1) * n]
+            arms = gap_classes(scenario, controller, gaps)
+            # The trials of one class share one result object, and only they do.
+            assert all((a is b) == (arm_a == arm_b) for a, arm_a in zip(batch, arms)
+                       for b, arm_b in zip(batch, arms))
+            batches[scenario.entry_side.value, scenario.lane.value, method] = batch
+    distinct = len({id(r) for r in results})
+    assert distinct < len(results)  # classes repeat
+
+    calls = []
+    fmt = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda x: calls.append(x) or fmt(x))
+    table = cli.write_trials_csv(tmp_path / "trials.csv", gaps, batches)
+    # Once per gap, and once per metric of each distinct result; a per-trial
+    # copy of the results would be rendered once per trial.
+    assert len(calls) == n + 3 * distinct
+    rows = read_rows(tmp_path / "trials.csv")
+    assert [(r["method"], r["accepted_gap_s"], *(r[c] for c, _ in cli.METRIC_COLUMNS.values()),
+             r["collision"]) for r in rows] == [c for cells in table.values() for c in cells]
+    assert [r["final_mode_sequence"] for r in rows] == [
+        r.mode_sequence() for batch in batches.values() for r in batch]
 
 
 class TestPlot:

@@ -86,17 +86,33 @@ def test_outputs_match_golden_digests(tmp_path):
     assert got["stdout"] == want["stdout"]
 
 
+def _digest_test_in_child(**env: str) -> None:
+    """Run ``test_outputs_match_golden_digests`` in a child pytest with ``env``
+    added to this process's environment, and require that it passes."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_outputs_match_golden_digests"],
+        cwd=root, env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0 and "1 passed" in child.stdout, child.stdout[-2000:]
+
+
 @pytest.mark.parametrize("core", ["Prescott", "Nehalem"])
 def test_golden_digests_hold_under_other_blas_kernels(core):
     # The golden digests pin Q's bytes, so the solver uses elementwise IEEE
     # operations only: BLAS and LAPACK round differently by kernel. OpenBLAS picks
     # its kernel by CPU when it loads, so a child process runs the digest test
     # under each of two kernels that any x86-64 CPU runs.
-    root = Path(__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         f"{Path(__file__).resolve()}::test_outputs_match_golden_digests"],
-        cwd=root, env=dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=300)
-    assert child.returncode == 0 and "1 passed" in child.stdout, child.stdout[-2000:]
+    _digest_test_in_child(OPENBLAS_CORETYPE=core)
+
+
+@pytest.mark.parametrize("seed", ["3", "11"])
+def test_golden_digests_hold_under_other_hash_seeds(seed):
+    # A set of strings iterates in the order of their hashes, which Python salts
+    # per process, and the benchmark pins PYTHONHASHSEED=0. So a child process
+    # runs the digest test under two other seeds, each of which iterates a set of
+    # the two methods, the two sides or the two lanes in the order opposite to
+    # seed 0's (on CPython 3.11): no output may depend on a hash order.
+    _digest_test_in_child(PYTHONHASHSEED=seed)

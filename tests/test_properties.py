@@ -36,9 +36,9 @@ from crosswalk_sim.core import EntrySide
 from crosswalk_sim.hybrid import HybridController
 from crosswalk_sim.pedestrian import DONE_CODE
 from crosswalk_sim.pomdp import PomdpController, pomdp_step, qmdp_solve
-from crosswalk_sim.simulator import (BatchState, Lane, TrialRun, TrialState, gap_classes,
-                                     pedestrian_walk, plant_step, plant_tick, run_batch,
-                                     run_trial, tick_operands)
+from crosswalk_sim.simulator import (BatchState, Lane, TrialRun, TrialState,
+                                     _reference_arming_gaps, gap_classes, pedestrian_walk,
+                                     plant_step, plant_tick, run_batch, run_trial, tick_operands)
 
 from edges import class_edges
 from qmdp_reference import assert_near_value_iteration, backup_change
@@ -335,6 +335,21 @@ def test_gap_classes_are_exact(preset_controllers, preset, policy, lane, side, m
         for b, cb in zip(runs, classes):
             if ca == cb:
                 assert a == b
+
+
+@pytest.mark.parametrize("preset", [None, "experiment"])
+def test_reference_trial_ends_on_its_first_minus_inf(preset_controllers, preset):
+    # After the first tick that arms every pedestrian no class can change, so
+    # gap_classes' reference trace ends on it, also where the vehicle stops and
+    # never passes: the experiment preset's POMDP stops on tick 294 and would
+    # otherwise run to its 1201-tick timeout.
+    config, controllers = preset_controllers[preset]
+    for controller in controllers:
+        for side in EntrySide:
+            least = _reference_arming_gaps(config.scenario(side=side.value), controller)
+            assert least[-1] == -math.inf and np.count_nonzero(least == -math.inf) == 1
+            if preset == "experiment" and isinstance(controller, PomdpController):
+                assert len(least) == 295
 
 
 def reference_edges(sc, controller):

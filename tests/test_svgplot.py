@@ -5,6 +5,7 @@ float expression, so the two must give the same bytes wherever the old one
 drew a plot.
 """
 
+import csv
 import random
 import re
 import resource
@@ -15,6 +16,7 @@ from typing import Sequence
 
 import pytest
 
+from crosswalk_sim.cli import METRIC_COLUMNS, main
 from crosswalk_sim.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, SERIES_STYLE,
                                    WIDTH, _fmt, _text, _ticks, scatter_svg)
 
@@ -161,6 +163,24 @@ def test_matches_oracle_on_rounding_edges():
     points = [("hybrid", 0.0, 20.0), ("pomdp", 3.0, 0.0)]
     points += [(series, x, y) for series in ("hybrid", "pomdp") for x, y in zip(xs, ys)]
     assert scatter_svg(points, "x", "y") == oracle_svg(points, "x", "y")
+
+
+def test_matches_oracle_on_a_compare_run(tmp_path, monkeypatch):
+    # Real output: each gap on 8 rows, results shared by the trials of a gap
+    # class, and both marker shapes, in all three metric plots.
+    monkeypatch.setenv("CWSIM_POMDP__CACHE_DIR", str(tmp_path / "cache"))
+    run = tmp_path / "run"
+    assert main(["compare", "--trials", "20", "--seed", "0", "--out", str(run)]) == 0
+    with open(run / "trials.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert len({row["accepted_gap_s"] for row in rows}) == 20 and len(rows) == 160
+    for metric, (column, label) in METRIC_COLUMNS.items():
+        svg = tmp_path / f"{metric}.svg"
+        assert main(["plot", str(run / "trials.csv"), str(svg), "--metric", metric]) == 0
+        points = [(row["method"], float(row["accepted_gap_s"]), float(row[column])) for row in rows]
+        assert len(set(points)) < len(points)  # repeated markers
+        want = oracle_svg(points, "pedestrian accepted gap (s)", label)
+        assert svg.read_bytes() == want.encode("utf-8"), metric
 
 
 def test_both_shapes_and_the_fallback_are_drawn():
