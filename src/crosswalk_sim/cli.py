@@ -201,6 +201,7 @@ def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Seque
     scenarios = [config.scenario(lane=lane, side=side) for side, lane in quadrants]
     gaps = config.sweep_values() or seeded_gaps(scenarios[0].gap_model, config.run["seed"],
                                                   config.trial_count())
+    config.accepted_gap(max(gaps))  # a sweep's last gap, or the longest seeded draw
     n = len(gaps)  # trials per quadrant
     controllers = dict(_controller(config, method, scenarios[0]) for method in methods)
     write_config_echo(config, out_dir)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
 
-from .core import ControllerParams, EntrySide, WorldGeometry, write_output
+from .core import MAX_TICKS, ControllerParams, EntrySide, WorldGeometry, write_output
 from .pedestrian import GapAcceptanceModel
 from .pomdp import PomdpModel, RewardWeights
 from .simulator import Lane, Scenario, sweep_gaps
@@ -26,8 +26,10 @@ ENV_PREFIX = "CWSIM_"
 
 # The most gaps a run may take per quadrant, from a seeded draw or a sweep.
 MAX_TRIALS = 1_000_000
-# The most ticks a trial may run, run.max_sim_time / run.dt; the presets run 1200.
-MAX_TICKS = 100_000
+# The longest accepted gap a run may take, in seconds. Every gap above
+# pedestrian.max_trigger_gap gives the same trial, so no longer one is meant; the
+# bound keeps each gap's summary.csv bin, gap // 0.5, a finite whole number.
+MAX_GAP = 1e9
 
 DEFAULTS: dict[str, dict[str, object]] = {
     "world": {
@@ -236,12 +238,13 @@ class RunConfig:
         return n
 
     def accepted_gap(self, gap: float) -> float:
-        """``gap`` if a pedestrian can accept it: finite and no shorter than
-        ``pedestrian.min_gap``, the floor the gap sampler applies."""
+        """``gap`` if a pedestrian can accept it: no shorter than
+        ``pedestrian.min_gap``, the floor the gap sampler applies, and no longer
+        than ``MAX_GAP``."""
         min_gap = self.pedestrian["min_gap"]
-        if not math.isfinite(gap) or gap < min_gap:
-            raise ConfigError(f"accepted gap {gap!r} s must be finite and >= pedestrian.min_gap "
-                              f"({min_gap!r} s)")
+        if not min_gap <= gap <= MAX_GAP:  # NaN included
+            raise ConfigError(f"accepted gap {gap!r} s must be finite, >= pedestrian.min_gap "
+                              f"({min_gap!r} s) and <= MAX_GAP ({MAX_GAP:g} s)")
         return gap
 
 

@@ -92,10 +92,18 @@ def bound(value: float, dtype: object = float) -> np.ndarray:
     return a
 
 
+# The most ticks a trial may run, run.max_sim_time / run.dt; the presets run 1200.
+MAX_TICKS = 100_000
+
+
 def whole_ticks(duration: float, dt: float, name: str) -> int:
     """``duration / dt`` as an int; ``ValueError`` naming ``name`` unless the
-    ratio lies within 1e-9 of a whole number, so no duration is rounded silently."""
+    ratio lies within 1e-9 of a whole number, so no duration is rounded silently,
+    and within ``MAX_TICKS`` of zero: no delay or decision period outlasts a run."""
     ratio = duration / dt
+    if not abs(ratio) <= MAX_TICKS:  # inf and NaN included
+        raise ValueError(f"{name} = {duration!r} s spans more than MAX_TICKS = {MAX_TICKS} "
+                         f"ticks of {dt!r} s")
     n = round(ratio)
     if abs(ratio - n) > 1e-9:
         raise ValueError(f"{name} = {duration!r} s is not a whole number of {dt!r} s ticks")

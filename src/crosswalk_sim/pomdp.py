@@ -368,10 +368,11 @@ class PomdpController:
 
         Every row is on one tick, so the decision ticks line up and each
         decision is one gather from the greedy table; between decisions it writes
-        nothing and returns the held commands, so ``run_batch`` may call it on
-        decision ticks only (``hold_ticks``). The first call may come on a tick
-        after 0, when ``step`` has started the rows. The bins clamp to the grid,
-        so a finished row that ticks on still indexes the table.
+        nothing and returns the held commands, so ``run_batch`` calls it only on
+        the lockstep's first tick and on the decision ticks (``hold_ticks``). That
+        first call may come on a tick after 0, when ``step`` has started the rows,
+        and inside a hold. The bins clamp to the grid, so a finished row that
+        ticks on still indexes the table.
         """
         m = self.model
         if tick == 0:

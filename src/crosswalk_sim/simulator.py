@@ -15,7 +15,7 @@ it serves single trials and traces. ``run_batch`` advances a batch
 at once in a lockstep NumPy engine (``BatchState``, the same fields as arrays)
 with masks, whose array expressions do the same IEEE operations in the same
 order as the scalar ones, so both give bitwise-equal results. One batch may
-span several quadrants (lane and entry side), each row carrying its own, and
+cover several quadrants (lane and entry side), each row carrying its own, and
 several controllers, each stepping its own block of rows.
 
 A lockstep row is a gap class, not a trial. A trial reads its accepted gap only
@@ -29,19 +29,17 @@ trial of a quadrant is one trial, so the scalar engine runs that prefix once per
 (controller, quadrant) and the lockstep starts from its state on that tick. A
 ``TrialResult`` is immutable and holds no gap, so the trials of a class share
 one; the gaps stay with the caller. Rows never move: a row's result is built on
-the tick it finishes, and the row then ticks on unread. Once armed, a
-pedestrian walks open-loop, so both engines read it from ``pedestrian_walk``,
-right of way included: ``run_trial`` draws its walk's entries one per tick
-from the tick it arms on, and each lockstep row reads its entry side's one walk
-table from its class's arm tick. The controllers read ``right_of_way``, which
-the engines set with ``in_crosswalk`` wherever they write the pedestrian.
+the tick it finishes, and the row then ticks on unread while its block is live.
+Once armed, a pedestrian walks open-loop, so both engines read it from
+``pedestrian_walk``, right of way included: ``run_trial`` draws its walk's
+entries one per tick from the tick it arms on, and each lockstep row reads its
+entry side's one walk table from its class's arm tick. The controllers read
+``right_of_way``, which the engines set with ``in_crosswalk`` wherever they write
+the pedestrian.
 
 A controller may hold its command for several ticks (``hold_ticks``: the
-POMDP's decision period). Once every live block holds, the lockstep runs the
-ticks to the end of each hold at once: one ``step_batch`` call, the plant's one
-step (``plant_step``) and the delay ring's one reader (``applied``) on each
-tick, then the window's walk, distance and metrics as one set of NumPy calls on
-(tick, row) arrays, so the results stay bitwise equal.
+POMDP's decision period), so ``run_batch`` steps a block only on its decision
+ticks, and ticks only the live blocks' rows.
 """
 
 from __future__ import annotations
@@ -93,12 +91,11 @@ class Controller(Protocol):
     Both read the pedestrian's right of way from ``right_of_way``, which the
     engines set, and never call ``in_crosswalk``.
 
-    ``hold_ticks`` is how many ticks a command holds (1 for a new command every
-    tick): on every tick of each hold window, ticks ``k * hold_ticks`` to
-    ``(k + 1) * hold_ticks - 1``, ``step`` and ``step_batch`` return the same
-    commands and write no field but on its first tick. So ``run_batch`` may call
-    ``step_batch`` on any tick of a window, the lockstep's first included, and
-    advance its rows from there to the window's end at once.
+    ``hold_ticks`` is the decision period (1 for a new command every tick): on
+    every tick of each hold, ticks ``k * hold_ticks`` to ``(k + 1) * hold_ticks - 1``,
+    ``step`` and ``step_batch`` return the same commands and write no field but
+    on its first tick. ``run_batch`` steps a block on the lockstep's first tick and
+    on every multiple of ``hold_ticks``.
     """
 
     modes: tuple[str, ...]
@@ -540,19 +537,17 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     the controller fields, the delay ring, the metric accumulators, the mode
     trace and the clock. Each controller's rows form one block, which its
     ``step_batch`` steps through ``BatchState.rows``; the plant, the distance
-    and the metrics then tick every row at once, and each row reads its
-    pedestrian, right of way included, from its walk. A row's ``TrialResult``
-    is built on the tick it finishes (done and past, a collision or the
-    timeout), and the row then ticks on unread; a block with no live row is not
-    stepped, and its rows keep their last commands. When every live block holds
-    its commands for ``span`` > 1 ticks (the gcd of their ``hold_ticks``), the
-    live blocks' rows run from each tick on which they are stepped to the next
-    multiple of ``span`` at once, as one window, which the timeout cuts short.
-    Both the tick and the window advance the plant one ``plant_step`` call per
-    tick, on the commands ``applied`` reads from the delay ring. Every trial of a
-    class gets that class's one result, bitwise equal to ``run_trial`` on the
-    trial's own scenario, gap and controller but for the trace, which it leaves
-    out.
+    and the metrics then tick the live blocks' rows at once, and each row reads
+    its pedestrian, right of way included, from its walk. A live block is
+    stepped on the lockstep's first tick and on each multiple of its
+    controller's ``hold_ticks``; between those, its rows keep their commands. A
+    row's ``TrialResult`` is built on the tick it finishes (done and past, a
+    collision or the timeout), and the row then ticks on unread while its block
+    is live; once a block has no live row, it is neither stepped nor ticked:
+    each tick runs on the rows from the first live block's to the last one's.
+    Every trial of a class gets that class's one result, bitwise equal to
+    ``run_trial`` on the trial's own scenario, gap and controller but for the
+    trace, which it leaves out.
     Returns one block of results per (controller, scenario), in order: trial i
     of ``scenarios[k]`` under ``controllers[j]`` is at
     ``(j * len(scenarios) + k) * len(gaps) + i``.
@@ -585,11 +580,11 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
 
     # One table of each entry side's pedestrian_walk, and each side's first and last entry.
     walks: list[tuple[float, float, int, bool]] = []
-    spans: dict[EntrySide, tuple[int, int]] = {}
+    walk_ends: dict[EntrySide, tuple[int, int]] = {}
     for side, sc in {sc.entry_side: sc for sc in scenarios}.items():
         first = len(walks)
         walks += pedestrian_walk(sc)
-        spans[side] = (first, len(walks) - 1)
+        walk_ends[side] = (first, len(walks) - 1)
 
     which: list[int] = []  # each row's group
     # Each row's (first + start - arm, first, last): after tick ``tick`` it reads
@@ -605,7 +600,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
             if prefix_results[g] is not None:
                 trial_rows.append(None)
                 continue
-            first, last = spans[sc.entry_side]
+            first, last = walk_ends[sc.entry_side]
             row_of: dict[Optional[int], int] = {}  # class -> row
             for arm in classes[g]:
                 if arm not in row_of:
@@ -635,164 +630,95 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
 
     geometry, dt, k = scenario.geometry, scenario.dt, tick_operands(scenario)
     max_sim_time, ring = scenario.max_sim_time, len(fifo)
-    # (controller, lo, hi, its rows' view), and each controller's hold.
     blocks = [(c, lo, hi, s.rows(lo, hi)) for c, (lo, hi) in zip(controllers, bounds)]
-    holds = [c.hold_ticks for c in controllers]
     a_cmd = np.zeros(n_rows)
-    collision = np.zeros(n_rows, dtype=bool)  # this tick's
     live = np.ones(n_rows, dtype=bool)
     results: list[Optional[TrialResult]] = [None] * n_rows  # each row's, built as it finishes
-
-    def blocks_live() -> tuple[list[int], int]:
-        """How many of each block's rows are live, and ``span``, the ticks for
-        which every live block holds its commands (the gcd of their holds)."""
-        counts = [np.count_nonzero(live[lo:hi]) for lo, hi in bounds]
-        return counts, math.gcd(*(h for h, n_live in zip(holds, counts) if n_live))
-
-    def applied(tick: int, lo: int, hi: int) -> np.ndarray:
-        """The commands that rows ``lo`` to ``hi`` apply on tick ``tick``: with a delay,
-        the ring's head ``tick % ring``, which then takes their ``a_cmd``; else
-        ``a_cmd``. Every row starts at tick 0, so the ring has one head."""
-        if not ring:
-            return a_cmd[lo:hi]
-        head = fifo[tick % ring, lo:hi]
-        a = head.copy()
-        head[:] = a_cmd[lo:hi]
-        return a
-
-    def finish(r, n, low, total, peak, hit, overrun, d, timed_out):
-        """Row ``r``'s result, from its accumulators as Python scalars and the
-        ``n`` ticks its metrics count (not a colliding last tick)."""
-        results[r] = TrialResult(
-            min_distance=low, avg_velocity=total / n if n else 0.0, peak_accel=peak,
-            collision=hit, timed_out=timed_out, mode_trace=mode_traces[r],
-            safety_events=trial_events(overrun, timed_out), final_d=d)
-
-    steps = np.arange(1, max(holds) + 1)[:, None]  # each tick of a window, as a walk entry step
-
-    def window(lo: int, hi: int, n: int) -> None:
-        """Advance rows ``lo`` to ``hi`` through the ``n`` ticks from tick ``tick``, on
-        which their commands hold: ``applied`` and ``plant_step`` on each tick, then
-        the rest at once, with one set of calls on (tick, row) arrays. Each
-        expression is the tick's; the speed sum accumulates in tick order, and the
-        least distance and peak acceleration need none. A live row that ends in
-        the window gets its result from its own last tick.
-        """
-        v, d = [s.v[lo:hi]], [s.d[lo:hi]]
-        for i in range(n):
-            v_next, d_next = plant_step(v[-1], d[-1], applied(tick + i, lo, hi), k)
-            v.append(v_next)
-            d.append(d_next)
-        v, d = np.array(v), np.array(d)  # v[i], d[i]: after the window's ith tick
-        line, past = TrialState.walking_line(SimpleNamespace(d=d[1:]), geometry)
-        walked = entry[lo:hi] + steps[:n]
-        np.maximum(walked, first_entry[lo:hi], out=walked)
-        np.minimum(walked, last_entry[lo:hi], out=walked)
-        x_p, phase = walk_x[walked], walk_phase[walked]
-        dist = BatchState.distance(SimpleNamespace(x_p=x_p, x_v=s.x_v[lo:hi]), line)
-        accel = np.abs((v[1:] - v[:-1]) / k.dt)
-        hit = dist < k.radius
-        ends = (phase == k.done) & past | hit
-        ends &= live[lo:hi]
-        if np.count_nonzero(ends):
-            rows = np.flatnonzero(ends.any(axis=0))
-            ended = (lo + rows).tolist()
-            for r, i, dist_r, v_r, accel_r, hit_r, d_r, low, total, peak, overrun in zip(
-                    ended, ends.argmax(axis=0)[rows].tolist(),  # each row's first end
-                    *(x[:, rows].T.tolist() for x in (dist, v, accel, hit, d)),
-                    *(x[ended].tolist() for x in (min_distance, v_sum, peak_accel, s.overrun))):
-                counted = i + 1 - hit_r[i]  # the window's ticks its metrics count
-                for x in v_r[1:counted + 1]:
-                    total += x
-                finish(r, tick + counted, min([low, *dist_r[:i + 1]]), total,
-                       max([peak, *accel_r[:counted]]), hit_r[i], overrun, d_r[i + 1], False)
-            live[ended] = False
-        s.d[lo:hi], s.v[lo:hi], s.x_p[lo:hi], s.phase[lo:hi] = d[n], v[n], x_p[-1], phase[-1]
-        s.xdot_p[lo:hi], s.right_of_way[lo:hi] = walk_xdot[walked[-1]], walk_row[walked[-1]]
-        np.minimum(min_distance[lo:hi], dist.min(axis=0), out=min_distance[lo:hi])
-        np.maximum(peak_accel[lo:hi], accel.max(axis=0), out=peak_accel[lo:hi])
-        total = v_sum[lo:hi]
-        for i in range(1, n + 1):
-            total += v[i]
-        entry[lo:hi] += n
 
     # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
     # a root of a negative number. An overflow that counts is inf, as in Python.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        block_live, span = blocks_live()
-        while any(block_live):
-            timed_out = t >= max_sim_time
-            if timed_out:
-                finished = live
-            else:
-                for (controller, lo, hi, view), n_live in zip(blocks, block_live):
-                    if not n_live:
-                        continue
-                    modes = controller.modes
-                    before = view.mode.copy() if len(modes) > 1 else None
-                    a_cmd[lo:hi] = controller.step_batch(view, tick)
-                    if before is not None:
-                        changed = (view.mode != before) & live[lo:hi]
-                        if np.count_nonzero(changed):
-                            for r in np.flatnonzero(changed).tolist():
-                                mode_traces[lo + r] += ((t, modes[view.mode[r]]),)
-
-                # Every live block holds its commands to the next multiple of
-                # ``span``: the live blocks' rows run there as one window, cut
-                # short where the run times out.
-                if span > 1:
-                    n, t_next = 0, t
-                    while n < span - tick % span and t_next < max_sim_time:
-                        t_next += dt
-                        n += 1
-                    held = [b for b, n_live in zip(bounds, block_live) if n_live]
-                    window(held[0][0], held[-1][1], n)
-                    t, tick = t_next, tick + n
-                    block_live, span = blocks_live()
-                    continue
-
-                v, d = plant_step(s.v, s.d, applied(tick, 0, n_rows), k)
-                a_actual = (v - s.v) / k.dt
-                s.v[:], s.d[:] = v, d
-                line, past = s.walking_line(geometry)
-                entry += k.one
-                np.maximum(entry, first_entry, out=at)
-                np.minimum(at, last_entry, out=at)
-                walk_x.take(at, out=s.x_p, mode="clip")  # "clip" writes out unbuffered
-                walk_xdot.take(at, out=s.xdot_p, mode="clip")
-                walk_phase.take(at, out=s.phase, mode="clip")
-                walk_row.take(at, out=s.right_of_way, mode="clip")
-                t += dt
-                tick += 1
-
-                # Neither operand of np.minimum / np.maximum is ever -0.0 (a root
-                # and an absolute value), so each is the scalar ``if x < m: m = x``.
-                dist = s.distance(line)
-                np.minimum(min_distance, dist, out=min_distance)
-                collision = dist < k.radius
-                collided = np.count_nonzero(collision)
-                accel = np.abs(a_actual)
-                if collided:  # a colliding row's last tick is not counted
-                    counted = ~collision
-                    np.add(v_sum, s.v, out=v_sum, where=counted)
-                    np.maximum(peak_accel, accel, out=peak_accel, where=counted)
+        while stepped := [block for block in blocks if np.count_nonzero(live[block[1]:block[2]])]:
+            # The live blocks' rows [lo, hi), as views, until a block's last row ends.
+            lo, hi = stepped[0][1], stepped[-1][2]
+            batch, cmd, alive, queue = s.rows(lo, hi), a_cmd[lo:hi], live[lo:hi], fifo[:, lo:hi]
+            low, total, peak, walked, first, last = (x[lo:hi] for x in (
+                min_distance, v_sum, peak_accel, entry, first_entry, last_entry))
+            at, collision = first.copy(), np.zeros(hi - lo, dtype=bool)
+            while True:
+                timed_out = t >= max_sim_time
+                if timed_out:
+                    finished = alive
                 else:
-                    v_sum += s.v
-                    np.maximum(peak_accel, accel, out=peak_accel)
+                    for controller, c_lo, c_hi, view in stepped:
+                        if tick != start and tick % controller.hold_ticks:
+                            continue  # its rows keep their commands
+                        modes = controller.modes
+                        before = view.mode.copy() if len(modes) > 1 else None
+                        a_cmd[c_lo:c_hi] = controller.step_batch(view, tick)
+                        if before is not None:
+                            changed = (view.mode != before) & live[c_lo:c_hi]
+                            if np.count_nonzero(changed):
+                                for r in np.flatnonzero(changed).tolist():
+                                    mode_traces[c_lo + r] += ((t, modes[view.mode[r]]),)
 
-                finished = (s.phase == k.done) & past
-                if collided:
-                    finished |= collision
-                finished &= live
-                if not np.count_nonzero(finished):
-                    continue
-            ended = np.flatnonzero(finished)
-            for r, low, total, peak, hit, overrun, d in zip(
-                    ended.tolist(), *(x[ended].tolist() for x in (
-                        min_distance, v_sum, peak_accel, collision, s.overrun, s.d))):
-                finish(r, tick - hit, low, total, peak, hit, overrun, d, timed_out)
-            live &= ~finished
-            block_live, span = blocks_live()
+                    # The delay ring's head ``tick % ring`` is applied and takes
+                    # ``a_cmd``: every row starts at tick 0, so the ring has one head.
+                    if ring:
+                        head = queue[tick % ring]
+                        applied = head.copy()
+                        head[:] = cmd
+                    else:
+                        applied = cmd
+                    v, d = plant_step(batch.v, batch.d, applied, k)
+                    a_actual = (v - batch.v) / k.dt
+                    batch.v[:], batch.d[:] = v, d
+                    line, past = batch.walking_line(geometry)
+                    walked += k.one
+                    np.maximum(walked, first, out=at)
+                    np.minimum(at, last, out=at)
+                    walk_x.take(at, out=batch.x_p, mode="clip")  # "clip" writes out unbuffered
+                    walk_xdot.take(at, out=batch.xdot_p, mode="clip")
+                    walk_phase.take(at, out=batch.phase, mode="clip")
+                    walk_row.take(at, out=batch.right_of_way, mode="clip")
+                    t += dt
+                    tick += 1
+
+                    # Neither operand of np.minimum / np.maximum is ever -0.0 (a root
+                    # and an absolute value), so each is the scalar ``if x < m: m = x``.
+                    dist = batch.distance(line)
+                    np.minimum(low, dist, out=low)
+                    collision = dist < k.radius
+                    collided = np.count_nonzero(collision)
+                    accel = np.abs(a_actual)
+                    if collided:  # a colliding row's last tick is not counted
+                        counted = ~collision
+                        np.add(total, batch.v, out=total, where=counted)
+                        np.maximum(peak, accel, out=peak, where=counted)
+                    else:
+                        total += batch.v
+                        np.maximum(peak, accel, out=peak)
+
+                    finished = (batch.phase == k.done) & past
+                    if collided:
+                        finished |= collision
+                    finished &= alive
+                    if not np.count_nonzero(finished):
+                        continue
+                # Each ended row's result, from its accumulators as Python scalars.
+                ended = np.flatnonzero(finished)
+                for r, min_d, v_total, a_peak, hit, overrun, d_end in zip(
+                        (ended + lo).tolist(), *(x[ended].tolist() for x in (
+                            low, total, peak, collision, batch.overrun, batch.d))):
+                    n = tick - hit  # the ticks its metrics count: not a colliding last one
+                    results[r] = TrialResult(
+                        min_distance=min_d, avg_velocity=v_total / n if n else 0.0,
+                        peak_accel=a_peak, collision=hit, timed_out=timed_out,
+                        mode_trace=mode_traces[r], safety_events=trial_events(overrun, timed_out),
+                        final_d=d_end)
+                alive &= ~finished
+                if not all(np.count_nonzero(live[c_lo:c_hi]) for _, c_lo, c_hi, _ in stepped):
+                    break
 
     return [r for result, rows in zip(prefix_results, trial_rows)
             for r in ([result] * len(gaps) if rows is None else [results[row] for row in rows])]

@@ -10,7 +10,7 @@ import pytest
 
 from crosswalk_sim import cli
 from crosswalk_sim.cli import TRIALS_HEADER, main
-from crosswalk_sim.config import load_config
+from crosswalk_sim.config import DEFAULTS, load_config
 from crosswalk_sim.simulator import gap_classes, run_batch, seeded_gaps
 
 pytestmark = pytest.mark.usefixtures("pomdp_cache_env")
@@ -134,6 +134,16 @@ class TestSimulate:
             (None, None, ["simulate", "--sweep=1:1e-11:1"]),  # one point, but a step below 1e-10
             (None, None, ["simulate", "--trials", "1000001"]),  # MAX_TRIALS + 1 seeded gaps
             ("CWSIM_RUN__TRIALS", "1000000000000", ["compare"]),
+            # A delay or decision period of more than MAX_TICKS ticks, whose ratio
+            # to run.dt is inf or whose delay ring would hold 2e10 commands.
+            ("CWSIM_RUN__T_DELAY_PLANT", "1e308", ["simulate", "--trials", "3"]),
+            ("CWSIM_POMDP__DT", "1e308", ["simulate", "--trials", "3", "--controller", "pomdp"]),
+            ("CWSIM_RUN__T_DELAY_PLANT", "1e9", ["replay", "--gap", "2.5"]),
+            # A gap above MAX_GAP, whose summary bin gap // 0.5 would be inf.
+            (None, None, ["simulate", "--sweep", "1e308:1:1e308"]),
+            ("CWSIM_PEDESTRIAN__MU_GAP", "1e308", ["simulate", "--trials", "3"]),
+            (None, None, ["simulate", "--sweep", "0.5:1e9:2e9"]),  # a first gap in range
+            (None, None, ["replay", "--gap", "1e10"]),
         ],
     )
     def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):
@@ -148,6 +158,25 @@ class TestSimulate:
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []  # rejected before any output or cache is written
+
+    @pytest.mark.parametrize("section,key", [(s, k) for s, keys in DEFAULTS.items() for k in keys
+                                             if k not in ("cache_dir", "out_dir")])
+    def test_extreme_value_of_any_key_exits_0_1_or_2(self, tmp_path, monkeypatch, capsys,
+                                                     section, key):
+        # Each config key but the two paths, set through its environment variable
+        # to each extreme value, under a seeded simulate and a replay: a run exits
+        # 0 or 1, or 2 with one config error line, and never raises. The POMDP
+        # runs, which solve a policy per value, and the values -0.0, 1e-300, 0.5
+        # and 3 are left out, to keep all 516 runs near one second.
+        monkeypatch.chdir(tmp_path)
+        for value in ("nan", "inf", "1e308", "1e9", "0", "-1"):
+            monkeypatch.setenv(f"CWSIM_{section.upper()}__{key.upper()}", value)
+            for argv in (["simulate", "--trials", "3"], ["replay", "--gap", "2.5"]):
+                status = main([*argv, "--out", "out"])
+                err = capsys.readouterr().err
+                assert status in (0, 1, 2), (value, argv)
+                assert status != 2 or (err.startswith("config error: ")
+                                       and err.count("\n") == 1), (value, argv, err)
 
     @pytest.mark.parametrize("text", [
         b"k_s = 1\n",  # no section header
@@ -243,7 +272,7 @@ class TestSimulate:
         assert [r["method"] for r in read_rows(tmp_path / "run" / "trials.csv")] == ["pomdp"]
 
     def test_corrupt_cache_file_is_resolved(self, tmp_path, monkeypatch, capsys):
-        from crosswalk_sim.config import load_config
+        from crosswalk_sim.config import DEFAULTS, load_config
         from crosswalk_sim.pomdp import policy_cache_path
 
         monkeypatch.setenv("CWSIM_POMDP__CACHE_DIR", str(tmp_path / "cache"))
@@ -327,8 +356,8 @@ def test_console_script_runs_both_controllers_in_one_batch_without_coupling_them
     # run of that method alone. The lockstep starts on the first tick on which a
     # gap class arms, from each group's scalar prefix: on the experiment preset
     # that is tick 12 of these gaps, so a full 10-tick delay ring is handed over,
-    # which the POMDP's 5-tick hold windows then read. Its runs collide and time
-    # out, so they exit 1.
+    # which the POMDP's rows then read, stepped only on its decision ticks, every
+    # 5th. Its runs collide and time out, so they exit 1.
     flags, expected = ([], 0) if preset == "default" else (["--preset", "experiment"], 1)
     cache = os.environ["CWSIM_POMDP__CACHE_DIR"]
 

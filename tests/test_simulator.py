@@ -385,15 +385,15 @@ class TestLockstepMatchesScalar:
 
     @pytest.mark.parametrize("override", [
         {}, {"t_delay_plant": 0.25}, {"t_delay_plant": 0.15}, {"max_sim_time": 30.12},
-    ], ids=["own-ring", "5-tick-ring", "3-tick-ring", "timeout-mid-window"])
-    def test_pomdp_hold_windows(self, preset_config, preset_policy, scalar_oracle, override):
+    ], ids=["own-ring", "5-tick-ring", "3-tick-ring", "timeout-mid-hold"])
+    def test_pomdp_holds(self, preset_config, preset_policy, scalar_oracle, override):
         # The POMDP holds each command for 5 ticks, so a POMDP-only batch steps its
-        # rows once per hold and runs the ticks to the next multiple of 5 as one
-        # window: with no delay ring, the experiment preset's 10-tick ring, a 5-tick
-        # ring or a 3-tick one, which wraps inside a window. The timeout at tick 603
-        # of 30.12 s cuts the window from tick 600 to 3 ticks, and the experiment
-        # preset's rows, at rest long before their timeout, run windows through
-        # tick 1200, their last.
+        # rows once per hold, on each multiple of 5, and its rows keep their
+        # commands on the ticks between: with no delay ring, the experiment preset's
+        # 10-tick ring, a 5-tick ring or a 3-tick one, which wraps inside a hold.
+        # The timeout at tick 603 of 30.12 s cuts the hold from tick 600 to 3
+        # ticks, and the experiment preset's rows, at rest long before their
+        # timeout, are stepped through tick 1200, their last.
         quadrants = [replace(preset_config.scenario(lane=lane, side=side), **override)
                      for lane, side in QUADRANTS]
         pomdp = PomdpController(*preset_policy, sim_dt=quadrants[0].dt)
@@ -410,11 +410,11 @@ class TestLockstepMatchesScalar:
 
     @pytest.mark.parametrize("delay,start", [(0.5, 137), (0.15, 171)],
                              ids=["10-tick-ring", "3-tick-ring"])
-    def test_pomdp_windows_from_a_start_off_the_hold(self, scalar_oracle, delay, start):
+    def test_pomdp_holds_from_a_start_off_the_hold(self, scalar_oracle, delay, start):
         # On the experiment preset the first class of the seed-17 gaps arms on tick
         # 137 (tick 171 with a 3-tick delay), so a POMDP-only lockstep starts inside
         # a hold: its first step_batch call returns the commands decided on tick 135
-        # (170), a window runs to tick 139 (174), and windows of 5 ticks follow.
+        # (170), which hold to tick 139 (174), and holds of 5 ticks follow.
         config = load_config(preset="experiment", env={})
         model = config.pomdp_model()
         quadrants = [replace(config.scenario(lane=lane, side=side), t_delay_plant=delay)
@@ -428,7 +428,7 @@ class TestLockstepMatchesScalar:
         assert spy.ticks == [start, *range(start + 5 - start % 5, 1201, 5)]
         assert any(r.timed_out for r in batch)
 
-    def test_a_collision_on_a_window_s_first_tick(self, scenario_factory):
+    def test_a_collision_on_a_hold_s_first_tick(self, scenario_factory):
         # A held command of 1 m/s² on ticks 0-4, then 3 m/s² from tick 5, and a
         # 24.1 m radius that the vehicle, 25 m from the pedestrian at the start
         # and arming it at once, first reaches on tick 5: the colliding tick's
@@ -452,7 +452,7 @@ class TestLockstepMatchesScalar:
         assert scalar.collision and len(scalar.trace) == 6
         assert scalar.peak_accel < 1.5 < scalar.trace[-1][4]
         assert_bitwise_equal(run_batch([sc], [6.0], held), [scalar])
-        assert held.ticks == [0, 5]  # two windows, the second ended by the collision
+        assert held.ticks == [0, 5]  # two holds, the second ended by the collision
 
 
 @pytest.fixture(params=["hybrid", "pomdp"])
@@ -603,11 +603,10 @@ def test_lockstep_runs_from_the_first_arm_tick_to_the_last_trial_end(
     # compare's batch on seed-1 gaps: both controllers, all quadrants, 250 gaps.
     # Before the first tick on which a class arms, every trial of a group is its
     # scalar prefix, so the lockstep ticks only from there to the longest trial's
-    # end (its last tick + 1 - 124 = 586 ticks, not 710). While a hybrid row is
-    # live, each tick steps both blocks and calls plant_step once on every row.
-    # Once the hybrid rows have ended, the POMDP rows run windows to the next
-    # multiple of 5, each from a tick the POMDP is stepped on, with one plant_step
-    # call per tick on the POMDP rows alone.
+    # end (its last tick + 1 - 124 = 586 ticks, not 710). The POMDP block is
+    # stepped on the lockstep's first tick and on each multiple of 5 after it.
+    # Each tick calls plant_step once on the live blocks' rows: every row while
+    # a hybrid row is live, then the POMDP rows alone.
     quadrants = [scenario_factory(lane=Lane(lane), entry_side=EntrySide(side))
                  for lane, side in QUADRANTS]
     pomdp = PomdpController(pomdp_model, solved_policy, sim_dt=quadrants[0].dt)
@@ -618,18 +617,18 @@ def test_lockstep_runs_from_the_first_arm_tick_to_the_last_trial_end(
     monkeypatch.setattr(simulator, "plant_step",
                         lambda v, d, a, k: (rows.append(len(v)), plant_step(v, d, a, k))[1])
     run_batch(quadrants, gaps, controllers[0], stepped)
-    n_ticks = rows.count(max(rows))  # the tick path's calls, on every row
-    ticks, windows = stepped.ticks[:n_ticks], stepped.ticks[n_ticks:]
     start = first_arm_tick(quadrants, gaps, *controllers)
-    # One gap of each class stands for the class.
-    end = max(len(run_trial(sc, gap, c).trace) for c in controllers for sc in quadrants
-              for gap in {arm: g for g, arm in zip(gaps, gap_classes(sc, c, gaps))}.values())
-    assert ticks == list(range(start, start + n_ticks))
-    assert all(after == tick + 5 - tick % 5 for tick, after in zip(windows, windows[1:]))
-    assert windows[0] == ticks[-1] + 1 and windows[-1] < end <= windows[-1] + 5
-    assert len(rows) == end - start  # one plant_step call per tick, in windows too
+    # Each controller's longest trial; one gap of each class stands for the class.
+    hybrid_end, end = (max(len(run_trial(sc, gap, c).trace) for sc in quadrants for gap in
+                           {arm: g for g, arm in zip(gaps, gap_classes(sc, c, gaps))}.values())
+                       for c in controllers)
+    pomdp_rows = sum(len(set(gap_classes(sc, pomdp, gaps))) for sc in quadrants)
+    n_ticks = hybrid_end - start  # the ticks on which a hybrid row is live
+    assert stepped.ticks == [start, *range(start + 5 - start % 5, end, 5)]
+    assert rows == [max(rows)] * n_ticks + [pomdp_rows] * (end - hybrid_end)
+    assert max(rows) > pomdp_rows
     assert (start, len(rows)) == (124, 586)
-    assert (len(windows), n_ticks) == (33, 424)  # 162 ticks in windows
+    assert (n_ticks, len(rows) - n_ticks) == (424, 162)
 
 
 def test_a_quadrant_that_ends_before_the_first_arm_tick(scenario_factory, hybrid_for, pomdp_model,
@@ -726,16 +725,16 @@ class TestOneCallForEveryController:
         # The hybrid rows finish long before the POMDP rows, so the merged call
         # runs ticks on which only the POMDP block is stepped. From the lockstep's
         # first tick, the first on which a class arms, the hybrid block is stepped
-        # on every tick to its own last row's end, and so is the POMDP block while
-        # the hybrid's rows are live; after, and alone, the POMDP block is stepped
-        # once per window, up to each multiple of 5, to its own last row's end.
+        # on every tick to its own last row's end; the POMDP block, merged or
+        # alone, on that first tick and on each multiple of 5 to its own last
+        # row's end.
         quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
         alone = [SteppedTicks(c) for c in hybrid_and_pomdp]
         expected = [r for c in alone for r in run_batch(quadrants, SWEEP, c)]
         merged = [SteppedTicks(c) for c in hybrid_and_pomdp]
         assert_bitwise_equal(run_batch(quadrants, SWEEP, *merged), expected)
 
-        def windows(first, last):  # the ticks that start a window, from ``first``
+        def decisions(first, last):  # the POMDP's stepped ticks, from ``first``
             return [first, *range(first + 5 - first % 5, last + 1, 5)]
 
         start = first_arm_tick(quadrants, SWEEP, *hybrid_and_pomdp)
@@ -744,8 +743,8 @@ class TestOneCallForEveryController:
                                                     for spies in (alone, merged))
         assert hybrid_own == list(range(own_starts[0], hybrid[-1] + 1))
         assert hybrid == list(range(start, hybrid[-1] + 1))
-        assert pomdp_own == windows(own_starts[1], pomdp[-1])
-        assert pomdp == list(range(start, hybrid[-1] + 1)) + windows(hybrid[-1] + 1, pomdp[-1])
+        assert pomdp_own == decisions(own_starts[1], pomdp[-1])
+        assert pomdp == decisions(start, pomdp[-1])
         assert hybrid[-1] + 100 < pomdp[-1]
 
     def test_rows_are_views(self, scenario_factory):
