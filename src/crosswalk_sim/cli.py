@@ -25,6 +25,7 @@ import argparse
 import csv
 import functools
 import math
+import operator
 import sys
 from pathlib import Path
 from typing import NoReturn, Optional, Sequence
@@ -37,10 +38,10 @@ from .config import (
     load_config,
     write_config_echo,
 )
-from .core import whole_ticks, write_output
+from .core import write_output
 from .hybrid import HybridController
-from .pomdp import (ConvergenceError, PomdpController, PomdpModel, QTable, export_policy_csv,
-                    policy_cache_path, solve_or_load)
+from .pomdp import (ConvergenceError, PomdpController, PomdpModel, QTable, decision_ticks,
+                    export_policy_csv, policy_cache_path, solve_or_load)
 from .simulator import Controller, Scenario, TrialResult, run_batch, run_trial, seeded_gaps
 from .svgplot import scatter_svg
 
@@ -88,6 +89,13 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _mean(values: Sequence[float]) -> float:
+    """The mean of ``values``, added left to right as the engine adds a trial's
+    speeds: from Python 3.12 on, ``sum`` of floats compensates its rounding, which
+    would change a table's last digits with the Python version."""
+    return functools.reduce(operator.add, values, 0) / len(values)
+
+
 def write_trials_csv(path: Path, gaps: Sequence[float],
                      batches: dict[Key, list[TrialResult]]) -> dict[Key, list[Cells]]:
     """Render trials.csv; return the cells of every row. Trial i of every batch
@@ -129,7 +137,7 @@ def write_summary_csv(path: Path, table: dict[Key, list[Cells]]) -> None:
     lines = [SUMMARY_HEADER]
     for (method, b), sel in sorted(bins.items()):
         _, _, *metrics, collisions = zip(*sel)
-        means = [_fmt(sum(map(float, values)) / len(sel)) for values in metrics]
+        means = [_fmt(_mean(tuple(map(float, values)))) for values in metrics]
         lines.append(SUMMARY_ROW % (method, _fmt(b * SUMMARY_BIN), _fmt((b + 1) * SUMMARY_BIN),
                                     len(sel), *means, _fmt(max(map(float, metrics[peak]))),
                                     collisions.count("true")))
@@ -178,7 +186,7 @@ def _controller(config: RunConfig, method: str, scenario: Scenario) -> tuple[str
         return method, HybridController(scenario.params, scenario.geometry, dt=scenario.dt)
     if method == "pomdp":
         try:  # before the policy is solved, so a rejected run writes no cache file
-            whole_ticks(config.pomdp["dt"], scenario.dt, "pomdp.dt")
+            decision_ticks(config.pomdp["dt"], scenario.dt, "pomdp.dt")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         model, table = _policy(config)
@@ -219,7 +227,7 @@ def _finish(results: list[TrialResult], out_dir: Path) -> int:
     n = len(results)
     collisions = sum(r.collision for r in results)
     timeouts = sum(r.timed_out for r in results)
-    mean_v = sum(r.avg_velocity for r in results) / n
+    mean_v = _mean([r.avg_velocity for r in results])
     max_peak = max(r.peak_accel for r in results)
     print(
         f"n={n} collisions={collisions} timeouts={timeouts} "

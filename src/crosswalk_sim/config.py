@@ -209,6 +209,9 @@ class RunConfig:
         if scenario.max_sim_time / scenario.dt > MAX_TICKS:
             raise ConfigError(f"run.max_sim_time / run.dt = {r['max_sim_time']!r} / {r['dt']!r} "
                               f"is more than MAX_TICKS = {MAX_TICKS} ticks")
+        if scenario.t_delay_plant >= scenario.max_sim_time:  # no command would ever apply
+            raise ConfigError(f"run.t_delay_plant = {r['t_delay_plant']!r} s is not shorter "
+                              f"than run.max_sim_time = {r['max_sim_time']!r} s")
         return scenario
 
     def sweep_values(self) -> Optional[list[float]]:

@@ -337,6 +337,16 @@ def pomdp_step(greedy: np.ndarray, model: PomdpModel, s: TrialState, a_prev_bin:
     return int(greedy[model.state_index(v_bin, s.right_of_way, d_bin, a_prev_bin)])
 
 
+def decision_ticks(dt: float, sim_dt: float, name: str) -> int:
+    """The decision period ``dt`` in whole ticks of ``sim_dt`` (``whole_ticks``);
+    ``ValueError`` naming ``name`` if it is shorter than one tick, since no
+    controller decides more than once a tick."""
+    n = whole_ticks(dt, sim_dt, name)
+    if n < 1:
+        raise ValueError(f"{name} = {dt!r} s is shorter than one {sim_dt!r} s tick")
+    return n
+
+
 class PomdpController:
     """Solved-policy controller behind the same per-tick step interface.
 
@@ -352,7 +362,7 @@ class PomdpController:
     def __init__(self, model: PomdpModel, qtable: QTable, sim_dt: float):
         self.model = model
         self.greedy = greedy_action_table(model, qtable)
-        self.hold_ticks = max(1, whole_ticks(model.dt, sim_dt, "model.dt"))
+        self.hold_ticks = decision_ticks(model.dt, sim_dt, "model.dt")
         self.commands = tuple(model.a_grid.tolist())  # each action as a Python float
         self.start_bin = model.a_bin(0.0)  # the previous action at a trial's start
 

@@ -22,14 +22,15 @@ A lockstep row is a gap class, not a trial. A trial reads its accepted gap only
 in its waiting pedestrian's arm test, ``arming_gap(...) <= trigger``, which the
 engine runs and no controller sees (a ``TrialState`` holds no gap), so trials
 whose pedestrians arm on the same tick are the same trial. ``gap_classes`` finds
-those classes from the trace of one ``run_trial`` per quadrant, and ``run_batch`` runs
-one row per (quadrant, class) and hands each trial its class's result, which is
-exact, not an approximation. Until the first tick on which any class arms, every
-trial of a quadrant is one trial, so the scalar engine runs that prefix once per
-(controller, quadrant) and the lockstep starts from its state on that tick. A
-``TrialResult`` is immutable and holds no gap, so the trials of a class share
-one; the gaps stay with the caller. Rows never move: a row's result is built on
-the tick it finishes, and the row then ticks on unread while its block is live.
+those classes from the trace of one infinite-gap ``TrialRun`` per quadrant, which
+stops on its arm tick, and ``run_batch`` runs one row per (quadrant, class) and
+hands each trial its class's result, which is exact, not an approximation. Until
+the first tick on which any class arms, every trial of a quadrant is one trial,
+so the scalar engine runs that prefix once per (controller, quadrant) and the
+lockstep starts from its state on that tick. A ``TrialResult`` is immutable and
+holds no gap, so the trials of a class share one; the gaps stay with the caller.
+Rows never move: a row's result is built on the tick it finishes, and the row
+then ticks on unread while its block is live.
 Once armed, a pedestrian walks open-loop, so both engines read it from
 ``pedestrian_walk``, right of way included: ``run_trial`` draws its walk's
 entries one per tick from the tick it arms on, and each lockstep row reads its
@@ -271,9 +272,10 @@ class TrialRun:
     from tick to tick (the clock, the tick, the delay ring, the three metric
     accumulators, the mode trace, the trace, and its pedestrian's ``trigger``,
     ``arm`` tick, None while it waits, and walk with its last entry), so that
-    the loop can stop on a tick and resume from it. ``run_trial`` advances one
-    to its end; ``run_batch`` advances one per group to the tick its lockstep
-    starts on.
+    the loop can stop on a tick and resume from it. It stops after the tick its
+    pedestrian arms on, the one instant its gap decides: ``gap_classes`` reads
+    the trial up to there. ``run_trial`` advances one to its end; ``run_batch``
+    advances one per group to the tick its lockstep starts on.
     """
 
     __slots__ = ("scenario", "controller", "s", "t", "tick", "fifo", "min_distance", "v_sum",
@@ -293,8 +295,9 @@ class TrialRun:
         self.trace: list[tuple] = []  # one row per tick, a colliding one included
 
     def advance(self, stop: int = sys.maxsize) -> Optional[TrialResult]:
-        """Run the trial's ticks until tick ``stop`` or its end. Returns its result
-        if it ended; else None, and the run resumes from tick ``stop``.
+        """Run the trial's ticks until tick ``stop``, the tick after the one its
+        pedestrian arms on, or its end. Returns its result if it ended; else None,
+        and the run resumes from the tick it stopped on.
 
         The metrics leave out a colliding tick, the trace's last row, but for
         its distance.
@@ -329,7 +332,7 @@ class TrialRun:
             line = s.d + delta  # walking_line
             past = line < clear
             if arm is None and arming_gap(s.v, line, past) <= trigger:
-                arm = tick
+                arm, stop = tick, tick + 1
             if arm is not None:  # an armed pedestrian reads nothing of the vehicle
                 s.x_p, s.xdot_p, s.phase, s.right_of_way = entry = next(walk, entry)
             t += dt
@@ -374,7 +377,8 @@ def run_trial(scenario: Scenario, accepted_gap: float, controller: Controller) -
     leave out a colliding tick, the last row, but for its distance. The trial's
     state is its own ``TrialState``, so one controller can serve many trials.
     """
-    return TrialRun(scenario, accepted_gap, controller).advance()
+    run = TrialRun(scenario, accepted_gap, controller)
+    return run.advance() or run.advance()  # the second resumes after the arm tick
 
 
 def seeded_gaps(gap_model: GapAcceptanceModel, seed: int, n_trials: int) -> list[float]:
@@ -392,31 +396,15 @@ def sweep_gaps(lo: float, step: float, hi: float) -> list[float]:
 
 
 def _reference_arming_gaps(scenario: Scenario, controller: Controller) -> np.ndarray:
-    """``arming_gap`` on each tick of ``gap_classes``' reference trial: ``run_trial``'s
-    trial with an infinite accepted gap, whose pedestrian never arms on time gap.
-    It is any gap's trial up to its first -inf (the vehicle stopped or passed).
-
-    The reference pedestrian steps off at once and walks past the far curb in one
-    tick: no tick before it arms reads ``start_delay`` or ``walk_speed`` (the
-    controllers hold their own models), and none after it changes a class, so the
-    classes are the same, and the trial ends on the tick the vehicle clears the
-    stripe instead of running on while a pedestrian walks. No tick after the
-    first -inf changes a class either, so the trace ends on it, also where the
-    vehicle stops and never passes.
-    """
-    gm = scenario.gap_model
-    reach = scenario.geometry.roadway_width + max(gm.near_setback, gm.far_setback, 0.0) + 1.0
-    sprint = replace(gm, start_delay=0.0, walk_speed=min(reach / scenario.dt, sys.float_info.max))
-    run = TrialRun(replace(scenario, gap_model=sprint), math.inf, controller)
-    stop = 0
-    while run.arm is None:  # checked every 64 ticks: advance tests no more per tick
-        stop += 64
-        if run.advance(stop) is not None:
-            break
-    trace = run.trace if run.arm is None else run.trace[:run.arm + 1]
-    d = np.fromiter((row[1] for row in trace), float, len(trace))
-    line, past = TrialState.walking_line(SimpleNamespace(d=d), scenario.geometry)  # reads d
-    return np.array(list(map(arming_gap, [row[2] for row in trace], line.tolist(), past.tolist())))
+    """``arming_gap`` on each tick of ``gap_classes``' reference trial: the trial
+    with an infinite accepted gap up to the tick it arms on, its first -inf (the
+    vehicle stopped or passed), where its ``TrialRun`` stops. Until then it is
+    any gap's trial, and no later tick changes a class."""
+    run = TrialRun(scenario, math.inf, controller)
+    run.advance()
+    delta, clear = scenario.geometry.delta, past_bound(scenario.geometry)
+    return np.array([arming_gap(v, d + delta, d + delta < clear)
+                     for _, d, v, _, _, _, _ in run.trace])  # *_ would build a list per row
 
 
 def gap_classes(scenario: Scenario, controller: Controller,
@@ -531,20 +519,20 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     on which any class arms, every trial of a (controller, scenario) group is
     the group's prefix, its scenario's trial with an infinite gap, whose
     pedestrian arms no earlier than any gap's: the scalar engine advances it
-    there (``TrialRun``). A group whose prefix ends first hands that result to
-    every trial. The other groups run from that tick on in the lockstep, one
-    row per (group, class), each started from its group's prefix: the vehicle,
-    the controller fields, the delay ring, the metric accumulators, the mode
-    trace and the clock. Each controller's rows form one block, which its
-    ``step_batch`` steps through ``BatchState.rows``; the plant, the distance
-    and the metrics then tick the live blocks' rows at once, and each row reads
-    its pedestrian, right of way included, from its walk. A live block is
-    stepped on the lockstep's first tick and on each multiple of its
-    controller's ``hold_ticks``; between those, its rows keep their commands. A
-    row's ``TrialResult`` is built on the tick it finishes (done and past, a
-    collision or the timeout), and the row then ticks on unread while its block
-    is live; once a block has no live row, it is neither stepped nor ticked:
-    each tick runs on the rows from the first live block's to the last one's.
+    there (``TrialRun``). From that tick on the lockstep runs one row per
+    (group, class), each started from its group's prefix: the vehicle, the
+    controller fields, the delay ring, the metric accumulators, the mode trace
+    and the clock. A group whose prefix ends first has one class, None, whose
+    row starts finished, with the prefix's result. Each controller's rows form
+    one block, which its ``step_batch`` steps through ``BatchState.rows``; the
+    plant, the distance and the metrics then tick the live blocks' rows at once,
+    and each row reads its pedestrian, right of way included, from its walk. A
+    live block is stepped on the lockstep's first tick and on each multiple of
+    its controller's ``hold_ticks``; between those, its rows keep their
+    commands. A row's ``TrialResult`` is built on the tick it finishes (done and
+    past, a collision or the timeout), and the row then ticks on unread while its
+    block is live; once a block has no live row, it is neither stepped nor
+    ticked: each tick runs on the rows from the first live block's to the last one's.
     Every trial of a class gets that class's one result, bitwise equal to
     ``run_trial`` on the trial's own scenario, gap and controller but for the
     trace, which it leaves out.
@@ -570,13 +558,6 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     classes = [gap_classes(sc, c, gaps) for c, sc in groups]
     start = min((arm for arms in classes for arm in arms if arm is not None), default=sys.maxsize)
     prefixes = [TrialRun(sc, math.inf, c) for c, sc in groups]
-    prefix_results: list[Optional[TrialResult]] = []  # each group's, if its prefix ended
-    for run in prefixes:
-        result = run.advance(start)
-        run.trace.clear()  # no result keeps it
-        prefix_results.append(None if result is None else replace(result, trace=None))
-    if None not in prefix_results:
-        return [result for result in prefix_results for _ in gaps]
 
     # One table of each entry side's pedestrian_walk, and each side's first and last entry.
     walks: list[tuple[float, float, int, bool]] = []
@@ -590,22 +571,22 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     # Each row's (first + start - arm, first, last): after tick ``tick`` it reads
     # entry ``first + tick + 1 - arm`` clamped to [first, last], or first if it never arms.
     entries: list[tuple[int, int, int]] = []
-    # Each group's trials' rows, in result order; None if its prefix ended.
-    trial_rows: list[Optional[list[int]]] = []
+    trial_rows: list[list[int]] = []  # each group's trials' rows, in result order
+    results: list[Optional[TrialResult]] = []  # each row's: its ended prefix's, or built later
     bounds: list[tuple[int, int]] = []  # each controller's block of rows, [lo, hi)
     for j in range(len(controllers)):
         lo = len(which)
         for k, sc in enumerate(scenarios):
             g = j * len(scenarios) + k
-            if prefix_results[g] is not None:
-                trial_rows.append(None)
-                continue
+            end = prefixes[g].advance(start)  # the group's result, if its prefix ended
+            prefixes[g].trace.clear()  # no result keeps it: freed before the next prefix runs
             first, last = walk_ends[sc.entry_side]
             row_of: dict[Optional[int], int] = {}  # class -> row
             for arm in classes[g]:
                 if arm not in row_of:
                     row_of[arm] = len(which)
                     which.append(g)
+                    results.append(None if end is None else replace(end, trace=None))
                     entries.append((first, first, first) if arm is None else
                                    (first + start - arm, first, last))
             trial_rows.append([row_of[arm] for arm in classes[g]])
@@ -624,7 +605,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     # Each row's mode trace: a tuple, which its result shares.
     group_traces = [tuple(run.mode_trace) for run in prefixes]
     mode_traces = [group_traces[g] for g in which]
-    t = prefixes[which[0]].t  # every live prefix is on tick ``start``
+    t = max(run.t for run in prefixes)  # a live prefix's, on ``start``: an ended one's is earlier
     tick = start
     del classes, which, entries, walks, prefixes  # unread by the loop: they would raise its peak
 
@@ -632,8 +613,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     max_sim_time, ring = scenario.max_sim_time, len(fifo)
     blocks = [(c, lo, hi, s.rows(lo, hi)) for c, (lo, hi) in zip(controllers, bounds)]
     a_cmd = np.zeros(n_rows)
-    live = np.ones(n_rows, dtype=bool)
-    results: list[Optional[TrialResult]] = [None] * n_rows  # each row's, built as it finishes
+    live = np.array([result is None for result in results])
 
     # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
     # a root of a negative number. An overflow that counts is inf, as in Python.
@@ -720,5 +700,4 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                 if not all(np.count_nonzero(live[c_lo:c_hi]) for _, c_lo, c_hi, _ in stepped):
                     break
 
-    return [r for result, rows in zip(prefix_results, trial_rows)
-            for r in ([result] * len(gaps) if rows is None else [results[row] for row in rows])]
+    return [results[row] for rows in trial_rows for row in rows]

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from crosswalk_sim import cli
 from crosswalk_sim.cli import TRIALS_HEADER, main
 from crosswalk_sim.config import DEFAULTS, load_config
-from crosswalk_sim.simulator import gap_classes, run_batch, seeded_gaps
+from crosswalk_sim.simulator import TrialResult, gap_classes, run_batch, seeded_gaps
 
 pytestmark = pytest.mark.usefixtures("pomdp_cache_env")
 
@@ -59,6 +61,21 @@ class TestSimulate:
         summary = read_rows(out / "summary.csv")
         assert sum(int(r["n_trials"]) for r in summary) == len(read_rows(out / "trials.csv")) == 9
         assert [r["gap_bin_lo_s"] for r in summary][-3:] == ["11", "11.5", "12"]
+
+    def test_means_add_left_to_right(self, tmp_path, capsys):
+        # 1e16 + 1 rounds back to 1e16, so adding left to right, as the engine adds
+        # a trial's speeds, gives a mean of 0; the compensated sum() of Python 3.12
+        # and later gives 1 / 3. The means must not depend on the Python version.
+        speeds = [1e16, 1.0, -1e16]
+        cells = [("hybrid", "1", "2", cli._fmt(v), "0", "false") for v in speeds]
+        cli.write_summary_csv(tmp_path / "summary.csv", {("near", "A", "hybrid"): cells})
+        (row,) = read_rows(tmp_path / "summary.csv")
+        assert row["mean_avg_velocity_mps"] == "0"
+        results = [TrialResult(min_distance=2.0, avg_velocity=v, peak_accel=0.0, collision=False,
+                               timed_out=False, mode_trace=(), safety_events=(), final_d=0.0)
+                   for v in speeds]
+        assert cli._finish(results, tmp_path) == 0
+        assert "mean_avg_velocity=0.000 " in capsys.readouterr().out
 
     def test_trials_run(self, tmp_path):
         out = tmp_path / "run"
@@ -120,6 +137,9 @@ class TestSimulate:
             (None, None, ["replay", "--preset", "experiment", "--trial", "1", "--side", "far"]),
             ("CWSIM_RUN__T_DELAY_PLANT", "0.07", ["simulate", "--trials", "5"]),
             ("CWSIM_POMDP__DT", "0.23", ["simulate", "--controller", "pomdp", "--trials", "5"]),
+            # A decision period of 0 ticks, and a plant delay as long as the run.
+            ("CWSIM_POMDP__DT", "1e-12", ["simulate", "--controller", "pomdp", "--trials", "3"]),
+            ("CWSIM_RUN__T_DELAY_PLANT", "100", ["replay", "--gap", "2.5"]),
             ("CWSIM_CONTROLLER__V_SPEEDLIMIT", "-1", ["simulate", "--trials", "3"]),
             ("CWSIM_CONTROLLER__V_SPEEDLIMIT", "0", ["replay", "--gap", "3"]),
             ("CWSIM_CONTROLLER__V_SPEEDLIMIT", "0", ["solve-pomdp"]),
@@ -531,7 +551,7 @@ class TestTablesMatchCsvModule:
             ["method", "gap_bin_lo_s", "gap_bin_hi_s", "n_trials",
              *(f"mean_{c}" for c in columns), "max_peak_accel_mps2", "collisions"],
             [[method, fmt(b * cli.SUMMARY_BIN), fmt((b + 1) * cli.SUMMARY_BIN), len(sel),
-              *(fmt(sum(float(r[c]) for r in sel) / len(sel)) for c in columns),
+              *(fmt(reduce(add, (float(r[c]) for r in sel), 0) / len(sel)) for c in columns),
               fmt(max(float(r["peak_accel_mps2"]) for r in sel)),
               sum(r["collision"] == "true" for r in sel)]
              for (method, b), sel in sorted(bins.items())],
@@ -554,10 +574,11 @@ class TestTablesMatchCsvModule:
                              if method == m for r in batch) for m in cli.METHODS}
             stdout.append("per-method collisions: "
                           + " ".join(f"{m}={c}" for m, c in counts.items()))
+        mean_v = reduce(add, (r.avg_velocity for r in results), 0) / len(results)
         stdout.append(
             f"n={len(results)} collisions={sum(r.collision for r in results)} "
             f"timeouts={sum(r.timed_out for r in results)} "
-            f"mean_avg_velocity={sum(r.avg_velocity for r in results) / len(results):.3f} "
+            f"mean_avg_velocity={mean_v:.3f} "
             f"max_peak_accel={max(r.peak_accel for r in results):.3f} -> {out_dir}"
         )
         return files, stdout
@@ -857,7 +878,7 @@ class TestReplay:
         dx, line = x_p - scenario.lane_center(), d + scenario.geometry.delta
         distance = math.sqrt(dx * dx + line * line)
         assert distance < scenario.collision_radius and distance == result.min_distance
-        assert result.avg_velocity == sum(row[2] for row in counted) / len(counted)
+        assert result.avg_velocity == reduce(add, (row[2] for row in counted), 0) / len(counted)
         assert result.peak_accel == max(abs(row[4]) for row in counted)
 
     def test_reused_parser_keeps_no_state(self, tmp_path, monkeypatch):

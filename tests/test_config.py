@@ -208,6 +208,13 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="MAX_TRIALS"):
             load_config(env={"CWSIM_RUN__TRIALS": str(MAX_TRIALS + 1)}).trial_count()
 
+    def test_plant_delay_shorter_than_the_run(self):
+        # A delay as long as the 60 s run would apply no command; one tick less applies one.
+        scenario = load_config(env={"CWSIM_RUN__T_DELAY_PLANT": "59.95"}).scenario()
+        assert scenario.delay_ticks() == 1199
+        with pytest.raises(ConfigError, match="run.t_delay_plant = 60.0 s is not shorter"):
+            load_config(env={"CWSIM_RUN__T_DELAY_PLANT": "60"}).scenario()
+
     def test_tick_limit(self):
         # A trial of MAX_TICKS ticks passes, one more tick does not; an overflowing ratio neither.
         dt = 0.0625  # exact in binary, so max_sim_time / dt is exact

@@ -268,6 +268,11 @@ class TestPolicy:
         ctrl.step(s, 0)
         assert s.a_prev_idx == pomdp_step(ctrl.greedy, pomdp_model, s, pomdp_model.a_bin(0.0))
 
+    def test_controller_rejects_a_period_under_one_tick(self, pomdp_model, solved_policy):
+        # 0.25 s is within 1e-9 of 0 ticks of 1e12 s: a period of 0 ticks, not 1.
+        with pytest.raises(ValueError, match="model.dt = 0.25 s is shorter than one"):
+            PomdpController(pomdp_model, solved_policy, sim_dt=1e12)
+
     def test_tie_break_prefers_small_accel(self, pomdp_model, solved_policy):
         flat = QTable(q=np.zeros_like(solved_policy.q))
         greedy = greedy_action_table(pomdp_model, flat)

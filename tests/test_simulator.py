@@ -564,7 +564,7 @@ def test_right_of_way_is_in_crosswalk_after_every_tick(scenario_factory, hybrid_
             for gap in (1.0, 4.0, math.inf):
                 spy = RightOfWaySpy(controller, sc.geometry)
                 run = TrialRun(sc, gap, spy)
-                run.advance()
+                run.advance() or run.advance()  # a second call runs on from its arm tick
                 assert run.s.right_of_way is in_crosswalk(run.s, sc.geometry)
                 seen |= spy.seen
         for x_p, xdot_p, _, right_of_way in pedestrian_walk(sc):
@@ -637,8 +637,8 @@ def test_a_quadrant_that_ends_before_the_first_arm_tick(scenario_factory, hybrid
     # hybrid's vehicle as it passes in lane A, so with gaps no time gap arms
     # that trial collides before its pedestrian arms, and before the pedestrians
     # of the other quadrants arm (the vehicle stopped or passed): its prefix
-    # ends, and hands its result to every trial of it, while the other groups
-    # run on in the lockstep.
+    # ends, and its one row starts finished with that result, while the other
+    # groups run on in the lockstep.
     model = replace(scenario_factory().gap_model, near_setback=0.5)
     quadrants = [scenario_factory(lane=Lane(lane), entry_side=EntrySide(side), gap_model=model,
                                   collision_radius=3.0) for lane, side in QUADRANTS]
@@ -660,9 +660,9 @@ def test_reference_trial_ends_as_the_vehicle_clears_the_stripe(monkeypatch, scen
                                                                hybrid_for, pomdp_model,
                                                                solved_policy, lane, side):
     # On the default preset both controllers' vehicles pass, so gap_classes'
-    # reference trial ends within a few ticks of the walking line: 256 ticks
-    # (hybrid) and 432 (POMDP), where a pedestrian that walks at its own pace
-    # takes it to 534 and 710.
+    # reference trial, the infinite-gap trial, arms once the vehicle has cleared
+    # the stripe and stops on that tick: after 256 ticks (hybrid) and 432 (POMDP),
+    # where run to its end, with the pedestrian walking, it takes 534 and 710.
     after_tick = []  # the vehicle's d after each plant tick
     monkeypatch.setattr(simulator, "plant_tick",
                         lambda s, *args: (plant_tick(s, *args), after_tick.append(s.d)))
@@ -672,6 +672,26 @@ def test_reference_trial_ends_as_the_vehicle_clears_the_stripe(monkeypatch, scen
         assert class_edges(sc, controller)
         passing = next(t for t, d in enumerate(after_tick, 1) if d + sc.geometry.delta <= 0.0)
         assert len(after_tick) - passing <= 15
+
+
+@pytest.mark.parametrize("lane,side", QUADRANTS)
+def test_a_run_stops_after_its_arm_tick(preset_config, preset_controller, lane, side):
+    # A TrialRun stops after the tick its pedestrian arms on, the one its gap
+    # decides, unless the trial ends first; a second advance resumes there and
+    # gives run_trial's result, trace included.
+    sc = preset_config.scenario(lane=lane, side=side)
+    stopped = 0
+    for gap in COARSE + [math.inf]:
+        run = TrialRun(sc, gap, preset_controller)
+        result = run.advance()
+        if result is None:
+            stopped += 1
+            assert run.arm is not None and run.tick == run.arm + 1 == len(run.trace)
+            result = run.advance()
+        want = run_trial(sc, gap, preset_controller)
+        assert_bitwise_equal([result], [want])
+        assert result.trace == want.trace
+    assert stopped > len(COARSE) // 2
 
 
 class SteppedTicks:
