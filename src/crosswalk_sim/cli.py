@@ -173,6 +173,15 @@ def _policy(config: RunConfig) -> tuple[PomdpModel, QTable]:
     return model, table
 
 
+def _check_decision_period(config: RunConfig, sim_dt: float) -> None:
+    """``decision_ticks`` of ``pomdp.dt`` as a config error. Called before the policy
+    is solved, so a rejected run writes no cache file."""
+    try:
+        decision_ticks(config.pomdp["dt"], sim_dt, "pomdp.dt")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _controller(config: RunConfig, method: str, scenario: Scenario) -> tuple[str, Controller]:
     """The method's canonical name and the one controller a run uses for it.
 
@@ -185,10 +194,7 @@ def _controller(config: RunConfig, method: str, scenario: Scenario) -> tuple[str
     if method == "hybrid":
         return method, HybridController(scenario.params, scenario.geometry, dt=scenario.dt)
     if method == "pomdp":
-        try:  # before the policy is solved, so a rejected run writes no cache file
-            decision_ticks(config.pomdp["dt"], scenario.dt, "pomdp.dt")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        _check_decision_period(config, scenario.dt)
         model, table = _policy(config)
         return method, PomdpController(model, table, sim_dt=scenario.dt)
     raise ConfigError(f"run.controller must be one of {', '.join(METHODS)}, got {method!r}")
@@ -339,6 +345,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_solve_pomdp(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    _check_decision_period(config, config.run["dt"])  # as a pomdp run checks it
     if args.export == "":
         raise ConfigError("--export needs a file path")
     export = args.export and _output_path(Path(args.export), directory=False)

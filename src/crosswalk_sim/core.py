@@ -100,7 +100,7 @@ def whole_ticks(duration: float, dt: float, name: str) -> int:
     """``duration / dt`` as an int; ``ValueError`` naming ``name`` unless the
     ratio lies within 1e-9 of a whole number, so no duration is rounded silently,
     and within ``MAX_TICKS`` of zero: no delay or decision period outlasts a run."""
-    ratio = duration / dt
+    ratio = duration / dt if dt else math.inf  # a 0 s tick: more than MAX_TICKS of them
     if not abs(ratio) <= MAX_TICKS:  # inf and NaN included
         raise ValueError(f"{name} = {duration!r} s spans more than MAX_TICKS = {MAX_TICKS} "
                          f"ticks of {dt!r} s")

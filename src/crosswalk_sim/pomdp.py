@@ -149,8 +149,9 @@ class PomdpModel:
         v_step = self.v_grid[1] - self.v_grid[0]
         v_eff = np.maximum(v, 0.5 * v_step)
         v_eff_next = np.maximum(v_next, 0.5 * v_step)
-        g_now = np.broadcast_to((d + geo.delta) / v_eff, (nv, nd, na))
-        g_next = (d_next + geo.delta) / v_eff_next
+        with np.errstate(over="ignore"):  # an infinite gap is capped at max_trigger_gap below
+            g_now = np.broadcast_to((d + geo.delta) / v_eff, (nv, nd, na))
+            g_next = (d_next + geo.delta) / v_eff_next
 
         def z(g):
             return (np.minimum(g, gm.max_trigger_gap) - gm.mu_gap) / gm.sigma_gap
@@ -216,28 +217,75 @@ class QTable:
 def _evaluate(v, rows, ns, w, rr) -> None:
     """Set ``v[rows]`` to a fixed policy's values, ``rr + w[0]·v[ns[0]] + w[1]·v[ns[1]]``.
 
-    Rows whose successors are solved, or are themselves, are solved together until none
-    is left; the rows left, on or behind a longer cycle, are solved by Gauss-Jordan
-    elimination, unpivoted, as I - w is row diagonally dominant. Elementwise IEEE
-    operations alone, no BLAS, give V the same bits on every platform and NumPy build.
+    A row is solved as ``(rr + (t0 + t1)) / den`` once each successor is known, is
+    the row itself or has weight 0.0 (those two go into ``den``). The rows are swept
+    in Python floats, at this size much cheaper than NumPy calls, until a sweep
+    solves none; a row's value depends only on its successors' final values, so the
+    sweep order changes no bit. The rows left, on or behind a longer cycle, go to
+    ``_eliminate``. Python floats and elementwise NumPy round the same IEEE
+    operations the same way, and no BLAS runs, so V has the same bits on every
+    platform and NumPy build.
     """
-    done = np.ones(len(v), dtype=bool)
-    done[rows] = False
-    loop = (ns == rows) | (w == 0.0)  # a successor a row need not wait for
-    den = 1.0 - (np.where(loop[0], w[0], 0.0) + np.where(loop[1], w[1], 0.0))
-    while (ready := ~done[rows] & (done[ns[0]] | loop[0]) & (done[ns[1]] | loop[1])).any():
-        t, solved = np.where(loop, 0.0, w * v[ns]), rows[ready]
-        v[solved], done[solved] = ((rr + (t[0] + t[1])) / den)[ready], True
-    k = np.flatnonzero(~done[rows])  # often none
-    m, at, open_ = len(k), np.zeros(len(v), dtype=np.int64), ~done[ns[:, k]]
-    at[rows[k]] = np.arange(m)
-    a, t = np.eye(m, m + 1), np.where(open_, 0.0, w[:, k] * v[ns[:, k]])
-    a[:, m] = rr[k] + (t[0] + t[1])
-    np.subtract.at(a, (np.arange(m), at[ns[:, k]]), np.where(open_, w[:, k], 0.0))
+    rows_l = rows.tolist()
+    at = {s: i for i, s in enumerate(rows_l)}
+    val, wait = [None] * len(rows_l), []
+    for i, row, s0, s1, w0, w1, v0, v1, r in zip(range(len(rows_l)), rows_l, *ns.tolist(),
+                                                  *w.tolist(), *v[ns].tolist(), rr.tolist()):
+        # A successor's t is w·V if it is known, its w while it is an unsolved row j, and
+        # 0.0 if it is the row itself or w is 0.0; den is 1 - the weight of those last.
+        if s0 == row or w0 == 0.0:
+            j0, t0, own = None, 0.0, w0
+        else:
+            j0 = at.get(s0)
+            t0, own = (w0 * v0 if j0 is None else w0), 0.0
+        if s1 == row or w1 == 0.0:
+            j1, t1, own = None, 0.0, own + w1
+        else:
+            j1 = at.get(s1)
+            t1 = w1 * v1 if j1 is None else w1
+        wait.append((i, j0, t0, j1, t1, r, 1.0 - own))
+    while wait:
+        left = []
+        for item in wait:
+            i, j0, t0, j1, t1, r, den = item
+            if j0 is not None:
+                if (y := val[j0]) is None:
+                    left.append(item)
+                    continue
+                t0 *= y
+            if j1 is not None:
+                if (y := val[j1]) is None:
+                    left.append(item)
+                    continue
+                t1 *= y
+            val[i] = (r + (t0 + t1)) / den
+        if len(left) == len(wait):
+            break
+        wait = left
+    if not wait:
+        v[rows] = val
+        return
+    k = np.array([item[0] for item in wait])
+    solved = np.ones(len(rows_l), dtype=bool)
+    solved[k] = False
+    v[rows[solved]] = [y for y in val if y is not None]
+    _eliminate(v, rows[k], ns[:, k], w[:, k], rr[k])
+
+
+def _eliminate(v, rows, ns, w, rr) -> None:
+    """Set ``v[rows]`` as ``_evaluate`` does, where each successor is one of ``rows``
+    or has its value in ``v``, by Gauss-Jordan elimination in NumPy: unpivoted, as
+    I - w is row diagonally dominant, and elementwise, so no BLAS."""
+    m = len(rows)
+    col = (ns[:, :, None] == rows).argmax(axis=-1)  # which row a successor is; 0 if none
+    open_ = rows[col] == ns
+    a, t = np.eye(m, m + 1), np.where(open_, 0.0, w * v[ns])
+    a[:, m] = rr + (t[0] + t[1])
+    np.subtract.at(a, (np.arange(m), col), np.where(open_, w, 0.0))
     for i in range(m):
         a[i] /= a[i, i]
         a -= np.multiply.outer(np.where(np.arange(m) == i, 0.0, a[:, i]), a[i])
-    v[rows[k]] = a[:, m]
+    v[rows] = a[:, m]
 
 
 def qmdp_solve(model: PomdpModel, tol: float) -> QTable:
@@ -245,11 +293,13 @@ def qmdp_solve(model: PomdpModel, tol: float) -> QTable:
 
     The model never moves the vehicle up a distance bin, so a distance bin's states
     (a layer) read only their layer and those below, and the layers are solved from
-    the lowest up (topological value iteration, Dai & Goldsmith 2007). A speed whose
-    every action leaves its layer takes one backup from below; the speeds that can
-    stay, all of them in the clamped lowest layer, are solved by policy iteration
-    (Howard 1960). X, the discounted next-state value, does not depend on a_prev, so
-    it is held over (v, c, d, a), and Q is built once as R + X. ``residuals``' one
+    the lowest up (topological value iteration, Dai & Goldsmith 2007). The speeds
+    that can stay in a layer, all of them in the clamped lowest layer, are solved by
+    policy iteration (Howard 1960), seeded with the layer below. One backup of all a
+    layer's speeds gives the final X of those whose every action leaves the layer
+    and round 1's X of those that can stay; ``_evaluate`` runs each round's policy
+    in Python floats. X, the discounted next-state value, does not depend on a_prev,
+    so it is held over (v, c, d, a), and Q is built once as R + X. ``residuals``' one
     entry is the certificate: the sup-norm change of one Bellman backup of Q. Raises
     ``ConvergenceError`` if it is not finite or not below ``tol``.
     """
@@ -260,6 +310,14 @@ def qmdp_solve(model: PomdpModel, tol: float) -> QTable:
     v = np.zeros((nv, 2, nd, na))  # V over (v, c, d, a_prev): v.flat is V by state index
     x = np.empty_like(v)  # X over (v, c, d, a)
     rounds = 0
+    stays = model._d_next_idx == np.arange(nd)[:, None]  # (v, d, a)
+    can_stay = stays.any(axis=2)  # (v, d)
+    # The layers where a move that stays reaches a speed that cannot stay (none on the
+    # presets; a grid with no braking action has them): round 1 there must read that
+    # speed's final V, which is set after the layer's backup.
+    reread = (stays & ~can_stay[model._v_next_idx[:, 0][:, None], np.arange(nd)[:, None]]).any(
+        axis=(0, 2))
+    j_all, cc, bb = np.ix_(np.arange(nv), range(2), range(na))
 
     def backup(speeds, d):  # X of layer d's speeds from the current V, as (speed, c, a)
         p, v_flat = p_c1[speeds, :, d], v.reshape(-1)
@@ -268,13 +326,15 @@ def qmdp_solve(model: PomdpModel, tol: float) -> QTable:
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the certificate
         for d in range(nd):
-            stays = model._d_next_idx[:, d] == d  # (v, a)
-            ahead, cyc = np.flatnonzero(~stays.any(axis=1)), np.flatnonzero(stays.any(axis=1))
-            x[ahead, :, d] = backup(ahead, d)
-            v[ahead, :, d] = (r[ahead, :, d] + x[ahead, :, d][:, :, None]).max(axis=-1)
+            cyc = np.flatnonzero(can_stay[:, d])
+            if d:
+                v[:, :, d] = v[:, :, d - 1]  # the first policy's guess
+            x[:, :, d] = backup(slice(None), d)  # final for the speeds that cannot stay
+            np.copyto(v[:, :, d], (r[:, :, d] + x[:, :, d, None]).max(axis=-1),
+                      where=~can_stay[:, d, None, None])
             if not cyc.size:
                 continue
-            jj, cc, bb = np.ix_(np.arange(len(cyc)), range(2), range(na))
+            jj = j_all[:len(cyc)]
             rows = model.state_index(cyc[jj], cc, d, bb).reshape(-1)
             # A value _evaluate sets carries a few roundings (u = 2**-53) of its successors', or
             # an elimination's n·u·|M| on I - gamma·P_pi, where |M^-1| <= 1/(1 - gamma). As
@@ -282,22 +342,23 @@ def qmdp_solve(model: PomdpModel, tol: float) -> QTable:
             # gain by twice that: eps. A smaller gain may be round-off, and switching on it
             # could cycle; should the bound fail, meeting a policy again ends the layer.
             eps = len(rows) * _ROUNDING * r_max / (1.0 - gamma) ** 2
-            rc, pc, ns0c, ns1c = r[cyc, :, d], p_c1[cyc, :, d], ns0[cyc, d], ns1[cyc, d]
-            v[cyc, :, d] = v[cyc, :, d - 1] if d else 0.0  # the first policy's guess
+            rc, pc = r[cyc, :, d], p_c1[cyc, :, d]
+            # The successors' states over (c', speed, a) and weights over (c', speed, c, a).
+            ns_c, w_c = np.stack([ns0[cyc, d], ns1[cyc, d]]), gamma * np.stack([1.0 - pc, pc])
+            xc = backup(cyc, d) if reread[d] else x[cyc, :, d]
             policy, seen = np.zeros((len(cyc), 2, na), dtype=np.int64), set()
             while True:
-                xc = backup(cyc, d)
                 q = rc + xc[:, :, None]  # (speed, c, a_prev, a)
                 gain = q.max(axis=-1) - q[jj, cc, bb, policy]  # NaN: no switch
                 best = np.where(gain > eps, q.argmax(axis=-1), policy)
-                if best.tobytes() in seen:  # no switch, or a cycle
+                if (key := best.tobytes()) in seen:  # no switch, or a cycle
                     break
-                seen.add(best.tobytes())
-                policy, p = best, pc[jj, cc, best].reshape(-1)
-                ns = np.stack([ns0c[jj, policy], ns1c[jj, policy]]).reshape(2, -1)
-                _evaluate(v.reshape(-1), rows, ns, gamma * np.stack([1.0 - p, p]),
-                          rc[jj, cc, bb, policy].reshape(-1))
+                seen.add(key)
+                policy = best
+                _evaluate(v.reshape(-1), rows, ns_c[:, jj, policy].reshape(2, -1),
+                          w_c[:, jj, cc, policy].reshape(2, -1), rc[jj, cc, bb, policy].reshape(-1))
                 rounds += 1
+                xc = backup(cyc, d)
             x[cyc, :, d] = xc
             v[cyc, :, d] = q.max(axis=-1)
 

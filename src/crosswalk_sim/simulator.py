@@ -297,7 +297,8 @@ class TrialRun:
     def advance(self, stop: int = sys.maxsize) -> Optional[TrialResult]:
         """Run the trial's ticks until tick ``stop``, the tick after the one its
         pedestrian arms on, or its end. Returns its result if it ended; else None,
-        and the run resumes from the tick it stopped on.
+        and the run resumes from the tick it stopped on. Either way the run then
+        holds the clock, tick, walk entry and metric accumulators of that tick.
 
         The metrics leave out a colliding tick, the trace's last row, but for
         its distance.
@@ -316,6 +317,7 @@ class TrialRun:
         label = modes[mode]
         collision = False
         timed_out = False
+        ended = True
 
         while tick != stop:
             if t >= max_sim_time:
@@ -351,12 +353,13 @@ class TrialRun:
 
             if s.phase == DONE_CODE and past:
                 break
-        else:  # on tick ``stop``, not ended
-            self.t, self.tick, self.arm, self.entry = t, tick, arm, entry
-            self.min_distance, self.v_sum, self.peak_accel = min_distance, v_sum, peak_accel
+        else:  # on tick ``stop``
+            ended = False
+        self.t, self.tick, self.arm, self.entry = t, tick, arm, entry
+        self.min_distance, self.v_sum, self.peak_accel = min_distance, v_sum, peak_accel
+        if not ended:
             return None
 
-        self.arm = arm
         n = len(trace) - collision  # the ticks the metrics count: not a colliding one
         return TrialResult(
             min_distance=min_distance,
@@ -605,7 +608,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     # Each row's mode trace: a tuple, which its result shares.
     group_traces = [tuple(run.mode_trace) for run in prefixes]
     mode_traces = [group_traces[g] for g in which]
-    t = max(run.t for run in prefixes)  # a live prefix's, on ``start``: an ended one's is earlier
+    t = max(run.t for run in prefixes)  # the clock on ``start``: a prefix that ended is no later
     tick = start
     del classes, which, entries, walks, prefixes  # unread by the loop: they would raise its peak
 

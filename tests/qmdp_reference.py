@@ -1,4 +1,5 @@
-"""Dense (S, A) oracles for ``qmdp_solve``: one Bellman backup, and value iteration built on it."""
+"""Oracles for ``qmdp_solve``: one dense (S, A) Bellman backup, value iteration built on
+it, and a NumPy policy evaluation that ``pomdp._evaluate`` must match bit for bit."""
 
 import numpy as np
 
@@ -58,3 +59,26 @@ def assert_near_value_iteration(m, table, tol):
     bound = (gamma * res[-1] + table.residuals[0] + 2.0 ** -48 * scale) / (1.0 - gamma)
     assert np.abs(table.q - q_vi).max() <= bound
     return q_vi
+
+
+def wavefront_evaluate(v, rows, ns, w, rr):
+    """``pomdp._evaluate`` in NumPy arrays: each wavefront level, the rows whose
+    successors are solved, is one round of array operations. It applies the same
+    IEEE operations to each value, so it sets the same bits."""
+    done = np.ones(len(v), dtype=bool)
+    done[rows] = False
+    loop = (ns == rows) | (w == 0.0)  # a successor a row need not wait for
+    den = 1.0 - (np.where(loop[0], w[0], 0.0) + np.where(loop[1], w[1], 0.0))
+    while (ready := ~done[rows] & (done[ns[0]] | loop[0]) & (done[ns[1]] | loop[1])).any():
+        t, solved = np.where(loop, 0.0, w * v[ns]), rows[ready]
+        v[solved], done[solved] = ((rr + (t[0] + t[1])) / den)[ready], True
+    k = np.flatnonzero(~done[rows])  # the rows on or behind a longer cycle
+    m, at, open_ = len(k), np.zeros(len(v), dtype=np.int64), ~done[ns[:, k]]
+    at[rows[k]] = np.arange(m)
+    a, t = np.eye(m, m + 1), np.where(open_, 0.0, w[:, k] * v[ns[:, k]])
+    a[:, m] = rr[k] + (t[0] + t[1])
+    np.subtract.at(a, (np.arange(m), at[ns[:, k]]), np.where(open_, w[:, k], 0.0))
+    for i in range(m):
+        a[i] /= a[i, i]
+        a -= np.multiply.outer(np.where(np.arange(m) == i, 0.0, a[:, i]), a[i])
+    v[rows[k]] = a[:, m]

@@ -164,6 +164,7 @@ class TestSimulate:
             ("CWSIM_PEDESTRIAN__MU_GAP", "1e308", ["simulate", "--trials", "3"]),
             (None, None, ["simulate", "--sweep", "0.5:1e9:2e9"]),  # a first gap in range
             (None, None, ["replay", "--gap", "1e10"]),
+            ("CWSIM_POMDP__DT", "1e308", ["solve-pomdp"]),  # checked as a pomdp run checks it
         ],
     )
     def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):
@@ -184,15 +185,17 @@ class TestSimulate:
     def test_extreme_value_of_any_key_exits_0_1_or_2(self, tmp_path, monkeypatch, capsys,
                                                      section, key):
         # Each config key but the two paths, set through its environment variable
-        # to each extreme value, under a seeded simulate and a replay: a run exits
-        # 0 or 1, or 2 with one config error line, and never raises. The POMDP
-        # runs, which solve a policy per value, and the values -0.0, 1e-300, 0.5
-        # and 3 are left out, to keep all 516 runs near one second.
+        # to each extreme value, under a seeded simulate, a replay and a solve: a
+        # run exits 0 or 1, or 2 with one config error line, and never raises or
+        # warns. The solve runs on the hybrid's values too, where it hits the cache.
+        # The POMDP trial runs and the values -0.0, 1e-300, 0.5 and 3 are left out,
+        # to keep all 774 runs near two seconds.
         monkeypatch.chdir(tmp_path)
         for value in ("nan", "inf", "1e308", "1e9", "0", "-1"):
             monkeypatch.setenv(f"CWSIM_{section.upper()}__{key.upper()}", value)
-            for argv in (["simulate", "--trials", "3"], ["replay", "--gap", "2.5"]):
-                status = main([*argv, "--out", "out"])
+            for argv in (["simulate", "--trials", "3", "--out", "out"],
+                         ["replay", "--gap", "2.5", "--out", "out"], ["solve-pomdp"]):
+                status = main(argv)
                 err = capsys.readouterr().err
                 assert status in (0, 1, 2), (value, argv)
                 assert status != 2 or (err.startswith("config error: ")
@@ -269,8 +272,9 @@ class TestSimulate:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
-    def test_pomdp_controller_solves_and_caches(self, tmp_path, capsys):
-        cache_dir = Path(os.environ["CWSIM_POMDP__CACHE_DIR"])
+    def test_pomdp_controller_solves_and_caches(self, tmp_path, monkeypatch, capsys):
+        cache_dir = tmp_path / "cache"  # empty, whatever ran before
+        monkeypatch.setenv("CWSIM_POMDP__CACHE_DIR", str(cache_dir))
         out = tmp_path / "p1"
         rc = main(
             ["simulate", "--controller", "pomdp", "--sweep", "4:1:6", "--out", str(out)]

@@ -15,7 +15,7 @@ from crosswalk_sim.pomdp import (
     solve_or_load,
 )
 
-from qmdp_reference import assert_near_value_iteration, backup_change
+from qmdp_reference import assert_near_value_iteration, backup_change, wavefront_evaluate
 from states import CONFIG, config_with, scaled_weights, trial_state
 
 
@@ -153,6 +153,13 @@ class TestSolver:
         assert err.value.residual >= TOL
         assert len(calls) < 100
 
+    def test_round_one_reads_the_final_value_of_a_speed_that_cannot_stay(self):
+        # With no braking action a move that stays in its layer can reach a speed that
+        # cannot stay. Round 1 of that layer reads the speed's final V, not the layer
+        # below's guess, which would take 34 rounds here.
+        table = qmdp_solve(small_model(n_v_bins=13, n_d_bins=21, actions="0,1"), tol=TOL)
+        assert table.rounds == 33
+
     def test_too_large_rounding_allowance_raises(self, monkeypatch):
         # An allowance above every gain stops each layer at its first policy, and the
         # certificate of a Q that is not a fixed point raises.
@@ -197,6 +204,38 @@ class TestSolver:
         pomdp._evaluate(v, rows, ns, w, rr)
         assert np.abs(v[rows] - want).max() <= 1e-9 * np.abs(want).max()
         assert np.array_equal(v[:n_known], known)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_evaluate_matches_the_numpy_wavefront_bit_for_bit(self, monkeypatch, seed):
+        # Policies over 60 rows, in shuffled state order, and 10 known states. State 0 is
+        # infinite and reached only by weight-0 edges, which must count as 0.0, not 0·inf.
+        # Every seed has self loops, p in {0, 1}, edges to later rows and a chain 20
+        # levels deep; odd seeds close a cycle of 2 to 5 rows, which with the rows
+        # behind it goes to _eliminate.
+        rng = np.random.default_rng(seed)
+        n_known, n, gamma = 10, 60, 0.99
+        v = 100.0 * rng.normal(size=n_known + n)
+        v[0] = np.inf
+        rows, rr = n_known + rng.permutation(n), rng.normal(size=n)
+        p = rng.choice([0.0, 1.0, 0.3, rng.uniform()], size=n)
+        later = rows[np.minimum(np.arange(n) + rng.integers(1, 10, size=(2, n)), n - 1)]
+        ns = np.where(rng.random((2, n)) < 0.3, later, rng.integers(1, n_known, size=(2, n)))
+        ns = np.where(rng.random((2, n)) < 0.1, rows, ns)  # self loops
+        ns[0, :20] = rows[1:21]  # the chain
+        if seed % 2:
+            cycle = np.arange(40, 40 + rng.integers(2, 6))
+            p[cycle], ns[1, cycle] = 0.5, rows[np.roll(cycle, -1)]
+        w = gamma * np.stack([1.0 - p, p])
+        ns = np.where((w == 0.0) & (rng.random((2, n)) < 0.5), 0, ns)
+        eliminated, eliminate = [], pomdp._eliminate
+        monkeypatch.setattr(pomdp, "_eliminate", lambda v, rows, *args: (
+            eliminated.append(len(rows)), eliminate(v, rows, *args)))
+        want = v.copy()
+        with np.errstate(invalid="ignore"):  # as in qmdp_solve: 0·inf is NaN in an elimination
+            wavefront_evaluate(want, rows, ns, w, rr)
+            pomdp._evaluate(v, rows, ns, w, rr)
+        assert v.tobytes() == want.tobytes()
+        assert bool(eliminated) == bool(seed % 2)
 
     def test_overflowing_q_raises(self):
         # A finite weight whose Q overflows gives a certificate that is not finite,

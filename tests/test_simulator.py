@@ -678,7 +678,7 @@ def test_reference_trial_ends_as_the_vehicle_clears_the_stripe(monkeypatch, scen
 def test_a_run_stops_after_its_arm_tick(preset_config, preset_controller, lane, side):
     # A TrialRun stops after the tick its pedestrian arms on, the one its gap
     # decides, unless the trial ends first; a second advance resumes there and
-    # gives run_trial's result, trace included.
+    # gives run_trial's result, trace included. An ended run holds its last tick.
     sc = preset_config.scenario(lane=lane, side=side)
     stopped = 0
     for gap in COARSE + [math.inf]:
@@ -688,6 +688,8 @@ def test_a_run_stops_after_its_arm_tick(preset_config, preset_controller, lane, 
             stopped += 1
             assert run.arm is not None and run.tick == run.arm + 1 == len(run.trace)
             result = run.advance()
+        assert run.tick == len(result.trace) and run.t == result.trace[-1][0]
+        assert run.min_distance == result.min_distance
         want = run_trial(sc, gap, preset_controller)
         assert_bitwise_equal([result], [want])
         assert result.trace == want.trace
