@@ -110,18 +110,11 @@ def whole_ticks(duration: float, dt: float, name: str) -> int:
     return n
 
 
-def comfort_brake_distance(v: float, a_cmf: float) -> float:
-    """Distance needed to stop from speed ``v`` at the comfortable deceleration."""
-    if a_cmf <= 0.0:
-        raise ValueError("a_cmf must be positive")
-    return v * v / (2.0 * a_cmf)
-
-
-def max_brake_distance(v: float, a_max: float) -> float:
-    """Distance needed to stop from speed ``v`` at the maximum deceleration."""
-    if a_max <= 0.0:
-        raise ValueError("a_max must be positive")
-    return v * v / (2.0 * a_max)
+def brake_distance(v: float, a: float) -> float:
+    """Distance needed to stop from speed ``v`` at the deceleration ``a``."""
+    if a <= 0.0:
+        raise ValueError("the deceleration must be positive")
+    return v * v / (2.0 * a)
 
 
 @dataclass(frozen=True)

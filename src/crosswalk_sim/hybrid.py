@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (ControllerParams, WorldGeometry, bound, comfort_brake_distance,
-                   max_brake_distance)
+from .core import ControllerParams, WorldGeometry, bound, brake_distance
 
 if TYPE_CHECKING:
     from .simulator import BatchState, TrialState
@@ -64,7 +63,6 @@ class HybridController:
     """
 
     modes = ("Driving", "Yielding", "HardBraking", "SpeedUp")  # labels of the mode codes
-    hold_ticks = 1  # a new command every tick
 
     def __init__(self, params: ControllerParams, geometry: WorldGeometry, dt: float):
         self.params = params
@@ -85,7 +83,7 @@ class HybridController:
             # Coast phase: hold the speed limit until the comfortable braking
             # point, led by the brake-communication delay plus one sample so
             # the quantized switch lands at or before the stop point.
-            if d > comfort_brake_distance(v, p.a_cmf) + (p.t_delay + self.dt) * v:
+            if d > brake_distance(v, p.a_cmf) + (p.t_delay + self.dt) * v:
                 return self.driving_command(v)
             s.d_o, s.v_o, s.latched = d, v, True
         v_des = self.yield_speed_profile(d, s.d_o, s.v_o)
@@ -139,8 +137,8 @@ class HybridController:
                 if time_advantage(s, self.geometry) > p.tau_max:
                     pass  # enough margin to continue through
                 else:
-                    d_cmf = comfort_brake_distance(v, p.a_cmf)
-                    d_max = max_brake_distance(v, p.a_max)
+                    d_cmf = brake_distance(v, p.a_cmf)
+                    d_max = brake_distance(v, p.a_max)
                     if d >= d_cmf:
                         mode = YIELDING
                     elif d > d_max:
@@ -204,8 +202,8 @@ class HybridController:
                       | (v > zero) & (t_reach - (d + k.delta) / v > k.tau_max))
             enter = check & ~margin
             if np.count_nonzero(enter):
-                new = np.where(d >= comfort_brake_distance(v, p.a_cmf), k.yielding,
-                               np.where(d > max_brake_distance(v, p.a_max), k.hard_braking,
+                new = np.where(d >= brake_distance(v, p.a_cmf), k.yielding,
+                               np.where(d > brake_distance(v, p.a_max), k.hard_braking,
                                         k.speed_up))
                 np.putmask(mode, enter, new)
                 np.putmask(s.d_o, enter, d)
@@ -219,7 +217,7 @@ class HybridController:
             steer = yielding
             unlatched = yielding & ~s.latched
             if np.count_nonzero(unlatched):
-                coast = unlatched & (d > comfort_brake_distance(v, p.a_cmf) + k.lead * v)
+                coast = unlatched & (d > brake_distance(v, p.a_cmf) + k.lead * v)
                 latch = unlatched & ~coast
                 np.putmask(s.d_o, latch, d)
                 np.putmask(s.v_o, latch, v)

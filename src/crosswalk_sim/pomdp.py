@@ -137,8 +137,11 @@ class PomdpModel:
         d = self.d_grid[None, :, None]
         a = self.a_grid[None, None, :]
 
-        v_next = np.clip(v + a * self.dt, self.v_grid[0], self.v_grid[-1])
-        d_next = d - v * self.dt - 0.5 * a * self.dt * self.dt
+        with np.errstate(over="ignore"):  # checked below
+            v_next = np.clip(v + a * self.dt, self.v_grid[0], self.v_grid[-1])
+            d_next = d - v * self.dt - 0.5 * a * self.dt * self.dt
+        if not np.isfinite(d_next).all():
+            raise ValueError(f"dt = {self.dt!r} s overflows the distance covered in one step")
         self._v_next_idx = self.v_bin(v_next)
         # Never up a bin, as the plant never reverses (braking at v = 0 would); see qmdp_solve.
         self._d_next_idx = np.minimum(self.d_bin(d_next), np.arange(nd)[:, None])
@@ -439,11 +442,9 @@ class PomdpController:
 
         Every row is on one tick, so the decision ticks line up and each
         decision is one gather from the greedy table; between decisions it writes
-        nothing and returns the held commands, so ``run_batch`` calls it only on
-        the lockstep's first tick and on the decision ticks (``hold_ticks``). That
-        first call may come on a tick after 0, when ``step`` has started the rows,
-        and inside a hold. The bins clamp to the grid, so a finished row that
-        ticks on still indexes the table.
+        nothing and returns the held commands. Its first call may come on a tick
+        after 0, when ``step`` has started the rows, and inside a hold. The bins
+        clamp to the grid, so a finished row that ticks on still indexes the table.
         """
         m = self.model
         if tick == 0:

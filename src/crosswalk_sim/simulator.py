@@ -38,9 +38,8 @@ entry side's one walk table from its class's arm tick. The controllers read
 ``right_of_way``, which the engines set with ``in_crosswalk`` wherever they write
 the pedestrian.
 
-A controller may hold its command for several ticks (``hold_ticks``: the
-POMDP's decision period), so ``run_batch`` steps a block only on its decision
-ticks, and ticks only the live blocks' rows.
+``run_batch`` steps every live block on every tick, as ``run_trial`` steps its
+trial, and ticks only the live blocks' rows.
 """
 
 from __future__ import annotations
@@ -91,16 +90,9 @@ class Controller(Protocol):
 
     Both read the pedestrian's right of way from ``right_of_way``, which the
     engines set, and never call ``in_crosswalk``.
-
-    ``hold_ticks`` is the decision period (1 for a new command every tick): on
-    every tick of each hold, ticks ``k * hold_ticks`` to ``(k + 1) * hold_ticks - 1``,
-    ``step`` and ``step_batch`` return the same commands and write no field but
-    on its first tick. ``run_batch`` steps a block on the lockstep's first tick and
-    on every multiple of ``hold_ticks``.
     """
 
     modes: tuple[str, ...]
-    hold_ticks: int
 
     def step(self, s: TrialState, tick: int) -> float: ...
     def step_batch(self, s: BatchState, tick: int) -> np.ndarray: ...
@@ -530,12 +522,11 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     one block, which its ``step_batch`` steps through ``BatchState.rows``; the
     plant, the distance and the metrics then tick the live blocks' rows at once,
     and each row reads its pedestrian, right of way included, from its walk. A
-    live block is stepped on the lockstep's first tick and on each multiple of
-    its controller's ``hold_ticks``; between those, its rows keep their
-    commands. A row's ``TrialResult`` is built on the tick it finishes (done and
-    past, a collision or the timeout), and the row then ticks on unread while its
-    block is live; once a block has no live row, it is neither stepped nor
-    ticked: each tick runs on the rows from the first live block's to the last one's.
+    live block is stepped on every tick. A row's ``TrialResult`` is built on the
+    tick it finishes (done and past, a collision or the timeout), and the row then
+    ticks on unread while its block is live; once a block has no live row, it is
+    neither stepped nor ticked: each tick runs on the rows from the first live
+    block's to the last one's.
     Every trial of a class gets that class's one result, bitwise equal to
     ``run_trial`` on the trial's own scenario, gap and controller but for the
     trace, which it leaves out.
@@ -634,8 +625,6 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                     finished = alive
                 else:
                     for controller, c_lo, c_hi, view in stepped:
-                        if tick != start and tick % controller.hold_ticks:
-                            continue  # its rows keep their commands
                         modes = controller.modes
                         before = view.mode.copy() if len(modes) > 1 else None
                         a_cmd[c_lo:c_hi] = controller.step_batch(view, tick)

@@ -14,7 +14,7 @@ import pytest
 
 from crosswalk_sim.cli import main
 from crosswalk_sim.config import EXPERIMENT_TRIALS, load_config
-from crosswalk_sim.core import EntrySide, comfort_brake_distance
+from crosswalk_sim.core import EntrySide, brake_distance
 from crosswalk_sim.pedestrian import sample_accepted_gap
 from crosswalk_sim.pomdp import PomdpController, greedy_action_table, qmdp_solve
 from crosswalk_sim.simulator import Lane, run_batch, run_trial, seeded_gaps, sweep_gaps
@@ -178,7 +178,7 @@ def test_criterion_07_controller_math_oracles(ctrl):
         worst = max(worst, abs(v * v / d - ratio0) / ratio0)
     assert worst <= 1e-6
 
-    assert comfort_brake_distance(4.5, 2.0) == 5.0625
+    assert brake_distance(4.5, 2.0) == 5.0625
     report(7, f"profile endpoints exact; v^2/d drift {worst:.2e} <= 1e-6; d_cmf exact")
 
 

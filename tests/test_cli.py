@@ -165,11 +165,16 @@ class TestSimulate:
             (None, None, ["simulate", "--sweep", "0.5:1e9:2e9"]),  # a first gap in range
             (None, None, ["replay", "--gap", "1e10"]),
             ("CWSIM_POMDP__DT", "1e308", ["solve-pomdp"]),  # checked as a pomdp run checks it
+            # A decision period of one tick whose distance step overflows.
+            (("CWSIM_RUN__DT", "CWSIM_POMDP__DT"), "1e300", ["solve-pomdp"]),
+            (("CWSIM_RUN__DT", "CWSIM_POMDP__DT"), "1e300",
+             ["simulate", "--controller", "pomdp", "--trials", "3"]),
+            ("CWSIM_RUN", "1", ["simulate", "--trials", "3"]),  # no __KEY
         ],
     )
     def test_bad_value_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys, var, value, argv):
-        if var is not None:
-            monkeypatch.setenv(var, value)
+        for name in (var,) if isinstance(var, str) else var or ():
+            monkeypatch.setenv(name, value)
         if var == "CWSIM_CONTROLLER__V_SPEEDLIMIT":  # not the start speed, which has its own check
             monkeypatch.setenv("CWSIM_RUN__INITIAL_V", "4.5")
         monkeypatch.delenv("CWSIM_POMDP__CACHE_DIR")  # the policy cache goes to .pomdp_cache
@@ -352,12 +357,14 @@ class TestCompare:
 
 
 def console(cwd: Path, *argv: str, **env: str) -> subprocess.CompletedProcess:
-    """``crosswalk-sim argv`` as a child process in ``cwd``, with only ``env`` and
-    the package's path in its environment."""
+    """``crosswalk-sim argv`` as a child process in ``cwd``, with only ``env``, the
+    package's path and the suite's warning filter in its environment: a
+    RuntimeWarning is an error there too."""
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run([sys.executable, "-m", "crosswalk_sim.cli", *argv], cwd=cwd,
-                          env={"PYTHONPATH": str(src), **env}, capture_output=True, text=True,
-                          timeout=120)
+                          env={"PYTHONPATH": str(src), "PYTHONWARNINGS": "error::RuntimeWarning",
+                               **env},
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_console_script_ends_a_walk_that_outlasts_the_run(tmp_path):
@@ -380,8 +387,8 @@ def test_console_script_runs_both_controllers_in_one_batch_without_coupling_them
     # run of that method alone. The lockstep starts on the first tick on which a
     # gap class arms, from each group's scalar prefix: on the experiment preset
     # that is tick 12 of these gaps, so a full 10-tick delay ring is handed over,
-    # which the POMDP's rows then read, stepped only on its decision ticks, every
-    # 5th. Its runs collide and time out, so they exit 1.
+    # which the POMDP's rows then read, holding each decision for 5 ticks. Its
+    # runs collide and time out, so they exit 1.
     flags, expected = ([], 0) if preset == "default" else (["--preset", "experiment"], 1)
     cache = os.environ["CWSIM_POMDP__CACHE_DIR"]
 
@@ -778,6 +785,15 @@ class TestReplay:
              "--out", str(tmp_path / "t2")]
         )
         assert rc == 0
+
+    def test_preset_trial_mode_mismatch(self, tmp_path, monkeypatch, capsys):
+        # With tau_max at 0.01 s the vehicle of trial 2 passes first and never
+        # leaves Driving: exit 1, one error line, and the trace is still written.
+        monkeypatch.setenv("CWSIM_CONTROLLER__TAU_MAX", "0.01")
+        out = tmp_path / "t2"
+        assert main(["replay", "--preset", "experiment", "--trial", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: expected mode SpeedUp, saw []\n"
+        assert {r["mode"] for r in read_rows(out / "trace.csv")} == {"Driving"}
 
     def test_gap_required_without_trial(self, tmp_path):
         rc = main(["replay", "--out", str(tmp_path / "x")])

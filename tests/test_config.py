@@ -225,6 +225,13 @@ class TestSweepSpec:
             with pytest.raises(ConfigError, match="MAX_TICKS"):
                 load_config(env=env).scenario()
 
+    def test_decision_period_whose_distance_step_overflows(self):
+        # 0.5 * a * dt * dt overflows at 1e300 s: one config error naming dt, and
+        # no RuntimeWarning, which the suite turns into an error.
+        config = load_config(env={"CWSIM_RUN__DT": "1e300", "CWSIM_POMDP__DT": "1e300"})
+        with pytest.raises(ConfigError, match=r"^dt = 1e\+300 s overflows"):
+            config.pomdp_model()
+
 
 class TestEcho:
     def test_resolved_echo_parses_back(self, tmp_path):

@@ -10,8 +10,7 @@ from crosswalk_sim.core import (
     ControllerParams,
     EntrySide,
     WorldGeometry,
-    comfort_brake_distance,
-    max_brake_distance,
+    brake_distance,
     write_output,
 )
 from crosswalk_sim.pedestrian import GapAcceptanceModel, in_crosswalk
@@ -22,25 +21,25 @@ from states import CONFIG, SCENARIO, trial_state
 
 class TestBrakeDistances:
     def test_comfort_values(self):
-        assert comfort_brake_distance(4.5, 2.0) == 5.0625
-        assert comfort_brake_distance(0.0, 2.0) == 0.0
-        assert comfort_brake_distance(7.0, 2.0) == 12.25
+        assert brake_distance(4.5, 2.0) == 5.0625
+        assert brake_distance(0.0, 2.0) == 0.0
+        assert brake_distance(7.0, 2.0) == 12.25
 
     def test_max_values(self):
-        assert max_brake_distance(4.5, 9.0) == 1.125
-        assert max_brake_distance(0.0, 9.0) == 0.0
-        assert max_brake_distance(9.0, 9.0) == 4.5
+        assert brake_distance(4.5, 9.0) == 1.125
+        assert brake_distance(0.0, 9.0) == 0.0
+        assert brake_distance(9.0, 9.0) == 4.5
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            comfort_brake_distance(4.5, 0.0)
+            brake_distance(4.5, 0.0)
         with pytest.raises(ValueError):
-            max_brake_distance(4.5, -1.0)
+            brake_distance(4.5, -1.0)
 
     def test_max_never_exceeds_comfort(self):
         for v in np.linspace(0.0, 12.0, 200):
-            dm = max_brake_distance(v, 9.0)
-            dc = comfort_brake_distance(v, 2.0)
+            dm = brake_distance(v, 9.0)
+            dc = brake_distance(v, 2.0)
             if v == 0.0:
                 assert dm == dc == 0.0
             else:
@@ -123,8 +122,8 @@ class TestPedestrianState:
 
 
 def test_operations_are_pure():
-    assert comfort_brake_distance(3.3, 2.0) == comfort_brake_distance(3.3, 2.0)
-    assert max_brake_distance(3.3, 9.0) == max_brake_distance(3.3, 9.0)
+    assert brake_distance(3.3, 2.0) == brake_distance(3.3, 2.0)
+    assert brake_distance(3.3, 9.0) == brake_distance(3.3, 9.0)
 
 
 def _scenario(**kwargs):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crosswalk_sim.core import EntrySide, comfort_brake_distance, max_brake_distance
+from crosswalk_sim.core import EntrySide, brake_distance
 from crosswalk_sim.hybrid import (DRIVING, HARD_BRAKING, SPEED_UP, YIELDING, HybridController,
                                   time_advantage)
 from crosswalk_sim.pedestrian import in_crosswalk
@@ -162,12 +162,12 @@ class TestStepTransitions:
         assert s.mode == DRIVING
 
     def test_boundary_d_cmf_goes_to_yielding(self, params, ctrl):
-        s = state(comfort_brake_distance(4.5, params.a_cmf), 4.5, -1.0, 1.2)
+        s = state(brake_distance(4.5, params.a_cmf), 4.5, -1.0, 1.2)
         ctrl.step(s, 0)
         assert s.mode == YIELDING
 
     def test_boundary_d_max_goes_to_speed_up(self, params, ctrl):
-        s = state(max_brake_distance(4.5, params.a_max), 4.5, -1.0, 1.2)
+        s = state(brake_distance(4.5, params.a_max), 4.5, -1.0, 1.2)
         ctrl.step(s, 0)
         assert s.mode == SPEED_UP
 
@@ -178,8 +178,8 @@ class TestStepTransitions:
             v = rng.uniform(0.5, 4.5)
             s = state(d, v, -1.0, 1.2)
             ctrl.step(s, 0)
-            d_cmf = comfort_brake_distance(v, params.a_cmf)
-            d_max = max_brake_distance(v, params.a_max)
+            d_cmf = brake_distance(v, params.a_cmf)
+            d_max = brake_distance(v, params.a_max)
             if d >= d_cmf:
                 expected = YIELDING
             elif d > d_max:
@@ -256,7 +256,7 @@ class TestClosedLoopGuarantees:
 
     def test_yielding_stops_at_stop_point(self, params, geometry):
         for v0 in np.linspace(1.0, 4.5, 50):
-            d_cmf = comfort_brake_distance(v0, params.a_cmf)
+            d_cmf = brake_distance(v0, params.a_cmf)
             for d0 in np.linspace(d_cmf + 0.05, 45.0, 50):
                 d, v = self._stop_from(YIELDING, float(d0), float(v0), params, geometry)
                 assert v <= 0.05
@@ -264,8 +264,8 @@ class TestClosedLoopGuarantees:
 
     def test_hard_braking_stops_at_stop_point(self, params, geometry):
         for v0 in np.linspace(1.0, 4.5, 50):
-            d_cmf = comfort_brake_distance(v0, params.a_cmf)
-            d_max = max_brake_distance(v0, params.a_max)
+            d_cmf = brake_distance(v0, params.a_cmf)
+            d_max = brake_distance(v0, params.a_max)
             for d0 in np.linspace(d_max + 1e-3, d_cmf, 50):
                 d, v = self._stop_from(HARD_BRAKING, float(d0), float(v0), params, geometry)
                 assert v <= 0.05

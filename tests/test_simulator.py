@@ -387,26 +387,28 @@ class TestLockstepMatchesScalar:
         {}, {"t_delay_plant": 0.25}, {"t_delay_plant": 0.15}, {"max_sim_time": 30.12},
     ], ids=["own-ring", "5-tick-ring", "3-tick-ring", "timeout-mid-hold"])
     def test_pomdp_holds(self, preset_config, preset_policy, scalar_oracle, override):
-        # The POMDP holds each command for 5 ticks, so a POMDP-only batch steps its
-        # rows once per hold, on each multiple of 5, and its rows keep their
-        # commands on the ticks between: with no delay ring, the experiment preset's
-        # 10-tick ring, a 5-tick ring or a 3-tick one, which wraps inside a hold.
-        # The timeout at tick 603 of 30.12 s cuts the hold from tick 600 to 3
-        # ticks, and the experiment preset's rows, at rest long before their
-        # timeout, are stepped through tick 1200, their last.
+        # The POMDP holds each command for 5 ticks. run_batch steps its rows on
+        # every tick from the lockstep's first to the last row's end, and
+        # step_batch returns the held commands on the ticks between decisions:
+        # with no delay ring, the experiment preset's 10-tick ring, a 5-tick ring
+        # or a 3-tick one, which wraps inside a hold. The timeout at tick 603 of
+        # 30.12 s cuts the hold from tick 600 to 3 ticks, and the experiment
+        # preset's rows, at rest long before their timeout, are stepped through
+        # tick 1200, their last.
         quadrants = [replace(preset_config.scenario(lane=lane, side=side), **override)
                      for lane, side in QUADRANTS]
         pomdp = PomdpController(*preset_policy, sim_dt=quadrants[0].dt)
         spy = SteppedTicks(pomdp)
         batch = run_batch(quadrants, COARSE, spy)
-        n = len(COARSE)
-        for k, sc in enumerate(quadrants):
-            assert_bitwise_equal(batch[k * n:(k + 1) * n], scalar_oracle(sc, COARSE, pomdp))
-        assert all(after == tick + 5 - tick % 5 for tick, after in zip(spy.ticks, spy.ticks[1:]))
+        n, scalar = len(COARSE), [scalar_oracle(sc, COARSE, pomdp) for sc in quadrants]
+        for k, results in enumerate(scalar):
+            assert_bitwise_equal(batch[k * n:(k + 1) * n], results)
+        end = max(len(r.trace) for results in scalar for r in results)  # the last tick + 1
+        assert spy.ticks == list(range(first_arm_tick(quadrants, COARSE, pomdp), end))
         if "max_sim_time" in override:
-            assert spy.ticks[-3:] == [590, 595, 600] and any(r.timed_out for r in batch)
+            assert end == 603 and any(r.timed_out for r in batch)
         elif any(r.timed_out for r in batch):  # the experiment preset's rows
-            assert spy.ticks == list(range(0, 1201, 5))
+            assert spy.ticks == list(range(0, 1201))
 
     @pytest.mark.parametrize("delay,start", [(0.5, 137), (0.15, 171)],
                              ids=["10-tick-ring", "3-tick-ring"])
@@ -425,7 +427,7 @@ class TestLockstepMatchesScalar:
         spy = SteppedTicks(pomdp)
         batch = assert_batch_matches_scalar(quadrants, gaps, spy, scalar_oracle)
         assert first_arm_tick(quadrants, gaps, pomdp) == start
-        assert spy.ticks == [start, *range(start + 5 - start % 5, 1201, 5)]
+        assert spy.ticks == list(range(start, 1201))
         assert any(r.timed_out for r in batch)
 
     def test_a_collision_on_a_hold_s_first_tick(self, scenario_factory):
@@ -434,7 +436,7 @@ class TestLockstepMatchesScalar:
         # and arming it at once, first reaches on tick 5: the colliding tick's
         # acceleration, the first at 3 m/s², counts in neither peak.
         class Scripted:
-            modes, hold_ticks = ("scripted",), 5
+            modes = ("scripted",)
 
             def __init__(self):
                 self.ticks = []
@@ -452,7 +454,7 @@ class TestLockstepMatchesScalar:
         assert scalar.collision and len(scalar.trace) == 6
         assert scalar.peak_accel < 1.5 < scalar.trace[-1][4]
         assert_bitwise_equal(run_batch([sc], [6.0], held), [scalar])
-        assert held.ticks == [0, 5]  # two holds, the second ended by the collision
+        assert held.ticks == list(range(6))  # every tick, the colliding one included
 
 
 @pytest.fixture(params=["hybrid", "pomdp"])
@@ -604,7 +606,7 @@ def test_lockstep_runs_from_the_first_arm_tick_to_the_last_trial_end(
     # Before the first tick on which a class arms, every trial of a group is its
     # scalar prefix, so the lockstep ticks only from there to the longest trial's
     # end (its last tick + 1 - 124 = 586 ticks, not 710). The POMDP block is
-    # stepped on the lockstep's first tick and on each multiple of 5 after it.
+    # stepped on each of them.
     # Each tick calls plant_step once on the live blocks' rows: every row while
     # a hybrid row is live, then the POMDP rows alone.
     quadrants = [scenario_factory(lane=Lane(lane), entry_side=EntrySide(side))
@@ -624,7 +626,7 @@ def test_lockstep_runs_from_the_first_arm_tick_to_the_last_trial_end(
                        for c in controllers)
     pomdp_rows = sum(len(set(gap_classes(sc, pomdp, gaps))) for sc in quadrants)
     n_ticks = hybrid_end - start  # the ticks on which a hybrid row is live
-    assert stepped.ticks == [start, *range(start + 5 - start % 5, end, 5)]
+    assert stepped.ticks == list(range(start, end))
     assert rows == [max(rows)] * n_ticks + [pomdp_rows] * (end - hybrid_end)
     assert max(rows) > pomdp_rows
     assert (start, len(rows)) == (124, 586)
@@ -700,8 +702,7 @@ class SteppedTicks:
     """``inner``, recording each tick at which ``run_batch`` steps its rows."""
 
     def __init__(self, inner):
-        self.inner, self.modes, self.hold_ticks, self.ticks = (
-            inner, inner.modes, inner.hold_ticks, [])
+        self.inner, self.modes, self.ticks = inner, inner.modes, []
 
     def step(self, s, tick):
         return self.inner.step(s, tick)
@@ -746,18 +747,13 @@ class TestOneCallForEveryController:
     def test_a_finished_block_is_not_stepped(self, preset_config, hybrid_and_pomdp):
         # The hybrid rows finish long before the POMDP rows, so the merged call
         # runs ticks on which only the POMDP block is stepped. From the lockstep's
-        # first tick, the first on which a class arms, the hybrid block is stepped
-        # on every tick to its own last row's end; the POMDP block, merged or
-        # alone, on that first tick and on each multiple of 5 to its own last
-        # row's end.
+        # first tick, the first on which a class arms, each block, merged or
+        # alone, is stepped on every tick to its own last row's end.
         quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
         alone = [SteppedTicks(c) for c in hybrid_and_pomdp]
         expected = [r for c in alone for r in run_batch(quadrants, SWEEP, c)]
         merged = [SteppedTicks(c) for c in hybrid_and_pomdp]
         assert_bitwise_equal(run_batch(quadrants, SWEEP, *merged), expected)
-
-        def decisions(first, last):  # the POMDP's stepped ticks, from ``first``
-            return [first, *range(first + 5 - first % 5, last + 1, 5)]
 
         start = first_arm_tick(quadrants, SWEEP, *hybrid_and_pomdp)
         own_starts = [first_arm_tick(quadrants, SWEEP, c) for c in hybrid_and_pomdp]
@@ -765,8 +761,8 @@ class TestOneCallForEveryController:
                                                     for spies in (alone, merged))
         assert hybrid_own == list(range(own_starts[0], hybrid[-1] + 1))
         assert hybrid == list(range(start, hybrid[-1] + 1))
-        assert pomdp_own == decisions(own_starts[1], pomdp[-1])
-        assert pomdp == decisions(start, pomdp[-1])
+        assert pomdp_own == list(range(own_starts[1], pomdp[-1] + 1))
+        assert pomdp == list(range(start, pomdp[-1] + 1))
         assert hybrid[-1] + 100 < pomdp[-1]
 
     def test_rows_are_views(self, scenario_factory):
@@ -797,7 +793,7 @@ def test_controllers_cannot_read_gap(scenario_factory, scalar):
         """Holds the vehicle's speed, reading the gap in the engine's own step:
         run_batch's reference trials and prefixes call ``step`` too."""
 
-        modes, hold_ticks = ("reader",), 1
+        modes = ("reader",)
 
         def step(self, s, tick):
             return 0.0 * s.gap if scalar else 0.0
