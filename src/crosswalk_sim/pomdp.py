@@ -192,6 +192,12 @@ class PomdpModel:
         self._p_c1 = np.stack(
             [self._entry_p, np.full_like(self._entry_p, 1.0 - self.crossing_exit_prob)], axis=1
         )
+        # Each transition's two weights, p and 1 - p, form a distribution; NaN fails too.
+        if not ((self._p_c1 >= 0.0) & (self._p_c1 <= 1.0)).all():
+            raise ValueError(
+                f"dt = {self.dt!r} s, the decision period, is longer than the crossing time "
+                f"{geo.roadway_width / gm.walk_speed!r} s (roadway_width / walk_speed), "
+                "so P(c'=1) leaves [0, 1]")
 
         # The key covers everything `qmdp_solve` reads, so any change to the
         # model, reward shapes included, selects a different cached policy.

@@ -64,9 +64,6 @@ class Lane(Enum):
     B = "B"
 
 
-OVERRUN = "hard_braking_overrun"
-
-
 class Controller(Protocol):
     """Per-tick controller, one instance shared by every trial it drives.
 
@@ -146,7 +143,9 @@ class Scenario:
 @dataclass(frozen=True)
 class TrialResult:
     """The outcome of a trial, shared by every trial of its gap class in
-    ``run_batch``; the accepted gap stays with the caller."""
+    ``run_batch``; the accepted gap stays with the caller. ``overrun`` is the
+    trial's final ``TrialState.overrun``, set once the hybrid's HardBraking
+    runs past the stop point."""
 
     min_distance: float
     avg_velocity: float
@@ -154,7 +153,7 @@ class TrialResult:
     collision: bool
     timed_out: bool
     mode_trace: tuple[tuple[float, str], ...]
-    safety_events: tuple[str, ...]
+    overrun: bool
     final_d: float
     trace: Optional[list[tuple]] = None
 
@@ -252,11 +251,6 @@ def vehicle_pedestrian_distance(s: TrialState, line: float) -> float:
     """
     dx = s.x_p - s.x_v
     return math.sqrt(dx * dx + line * line)
-
-
-def trial_events(overrun: bool, timed_out: bool) -> tuple[str, ...]:
-    """A finished trial's safety events, as ``TrialResult`` lists them."""
-    return ((OVERRUN,) if overrun else ()) + (("timed_out",) if timed_out else ())
 
 
 class TrialRun:
@@ -360,7 +354,7 @@ class TrialRun:
             collision=collision,
             timed_out=timed_out,
             mode_trace=tuple(mode_trace),
-            safety_events=trial_events(s.overrun, timed_out),
+            overrun=s.overrun,
             final_d=s.d,
             trace=trace,
         )
@@ -591,7 +585,6 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
         np.array(column, dtype) for column, dtype in
         zip(zip(*walks), (float, float, np.int8, bool)))
     entry, first_entry, last_entry = np.array(list(zip(*entries)), dtype=np.intp)
-    at = first_entry.copy()
     # The prefixes' delay rings, as (delay tick, row), and metric accumulators.
     fifo = np.array([run.fifo for run in prefixes], dtype=float)[which].T.copy()
     min_distance, v_sum, peak_accel = (np.array([getattr(run, name) for run in prefixes])[which]
@@ -686,8 +679,7 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                     results[r] = TrialResult(
                         min_distance=min_d, avg_velocity=v_total / n if n else 0.0,
                         peak_accel=a_peak, collision=hit, timed_out=timed_out,
-                        mode_trace=mode_traces[r], safety_events=trial_events(overrun, timed_out),
-                        final_d=d_end)
+                        mode_trace=mode_traces[r], overrun=overrun, final_d=d_end)
                 alive &= ~finished
                 if not all(np.count_nonzero(live[c_lo:c_hi]) for _, c_lo, c_hi, _ in stepped):
                     break

@@ -72,7 +72,7 @@ class TestSimulate:
         (row,) = read_rows(tmp_path / "summary.csv")
         assert row["mean_avg_velocity_mps"] == "0"
         results = [TrialResult(min_distance=2.0, avg_velocity=v, peak_accel=0.0, collision=False,
-                               timed_out=False, mode_trace=(), safety_events=(), final_d=0.0)
+                               timed_out=False, mode_trace=(), overrun=False, final_d=0.0)
                    for v in speeds]
         assert cli._finish(results, tmp_path) == 0
         assert "mean_avg_velocity=0.000 " in capsys.readouterr().out
@@ -165,6 +165,10 @@ class TestSimulate:
             (None, None, ["simulate", "--sweep", "0.5:1e9:2e9"]),  # a first gap in range
             (None, None, ["replay", "--gap", "1e10"]),
             ("CWSIM_POMDP__DT", "1e308", ["solve-pomdp"]),  # checked as a pomdp run checks it
+            # A decision period longer than the crossing time, 11.67 s on the default
+            # preset and 5.83 s on the experiment one: P(c'=1) would be negative.
+            ("CWSIM_POMDP__DT", "20", ["solve-pomdp"]),
+            ("CWSIM_POMDP__DT", "6", ["compare", "--preset", "experiment", "--trials", "5"]),
             # A decision period of one tick whose distance step overflows.
             (("CWSIM_RUN__DT", "CWSIM_POMDP__DT"), "1e300", ["solve-pomdp"]),
             (("CWSIM_RUN__DT", "CWSIM_POMDP__DT"), "1e300",

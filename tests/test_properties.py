@@ -32,6 +32,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from crosswalk_sim.config import ConfigError
 from crosswalk_sim.core import EntrySide
 from crosswalk_sim.hybrid import HybridController
 from crosswalk_sim.pedestrian import DONE_CODE
@@ -433,3 +434,24 @@ def test_model_never_raises_the_distance_bin(dt, n_d_bins, actions):
     pomdp = {"dt": dt, "n_d_bins": n_d_bins, "actions": ",".join(map(repr, actions))}
     model = config_with(pomdp=pomdp).pomdp_model()
     assert np.all(model._d_next_idx <= np.arange(n_d_bins)[:, None])
+
+
+@deterministic
+@given(
+    dt=finite(0.01, 60.0),
+    n_lanes=st.integers(1, 6),
+    lane_width=finite(0.5, 10.0),
+    walk_speed=finite(0.1, 10.0),
+)
+def test_model_kernel_is_a_distribution(dt, n_lanes, lane_width, walk_speed):
+    # A pedestrian in the crosswalk stays there with probability 1 - dt / the
+    # crossing time, so a decision period longer than the crossing is rejected,
+    # naming dt, and every model accepted weighs each transition in [0, 1].
+    config = config_with(world={"n_lanes": n_lanes, "lane_width": lane_width},
+                         pedestrian={"walk_speed": walk_speed}, pomdp={"dt": dt})
+    try:
+        model = config.pomdp_model()
+    except ConfigError as exc:
+        assert str(exc).startswith("dt = ") and dt > n_lanes * lane_width / walk_speed
+        return
+    assert np.all((model._p_c1 >= 0.0) & (model._p_c1 <= 1.0))
