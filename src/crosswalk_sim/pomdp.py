@@ -18,12 +18,14 @@ import os
 import zipfile
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .core import (ControllerParams, WorldGeometry, require_finite, require_finite_fields,
+from .core import (ControllerParams, WorldGeometry, bound, require_finite, require_finite_fields,
                    whole_ticks, write_output)
 from .pedestrian import GapAcceptanceModel
 
@@ -443,22 +445,40 @@ class PomdpController:
             s.a_prev_idx = pomdp_step(self.greedy, self.model, s, s.a_prev_idx)
         return self.commands[s.a_prev_idx]
 
+    @cached_property
+    def _operands(self) -> SimpleNamespace:
+        """``step_batch``'s scalar operands, each a read-only 0-d array, bound on
+        its first call: ``_snap``'s grid constants and ``state_index``'s sizes. A
+        controller that only serves ``step`` builds none."""
+        m, index = self.model, np.intp
+        v, d = m.v_grid, m.d_grid
+        return SimpleNamespace(
+            v_lo=bound(v[0]), v_step=bound(v[1] - v[0]), v_top=bound(len(v) - 1.0),
+            d_lo=bound(d[0]), d_step=bound(d[1] - d[0]), d_top=bound(len(d) - 1.0),
+            zero=bound(0.0), two=bound(2, index), n_d=bound(len(d), index),
+            n_a=bound(m.n_actions, index))
+
     def step_batch(self, s: BatchState, tick: int) -> np.ndarray:
         """``step`` for every row of a lockstep batch; returns the commands.
 
-        Every row is on one tick, so the decision ticks line up and each
-        decision is one gather from the greedy table; between decisions it writes
-        nothing and returns the held commands. Its first call may come on a tick
-        after 0, when ``step`` has started the rows, and inside a hold. The bins
-        clamp to the grid, so a finished row that ticks on still indexes the table.
+        Every row is on one tick, so the decision ticks line up. A decision is
+        ``_snap`` and ``state_index`` of every row, on operands bound once
+        (``_operands``), and one gather from the greedy table; between
+        decisions it writes nothing and returns the held commands. Its first call
+        may come on a tick after 0, when ``step`` has started the rows, and inside
+        a hold. The bins clamp to the grid, so a finished row that ticks on still
+        indexes the table.
         """
-        m = self.model
         if tick == 0:
             s.a_prev_idx[:] = self.start_bin
         if tick % self.hold_ticks == 0:
-            state = m.state_index(m.v_bin(s.v), s.right_of_way, m.d_bin(s.d), s.a_prev_idx)
-            s.a_prev_idx[:] = self.greedy[state]
-        return m.a_grid[s.a_prev_idx]
+            k = self._operands
+            v_bin = np.minimum(np.maximum(np.rint((s.v - k.v_lo) / k.v_step), k.zero), k.v_top)
+            d_bin = np.minimum(np.maximum(np.rint((s.d - k.d_lo) / k.d_step), k.zero), k.d_top)
+            c = s.right_of_way  # adds as 0 or 1
+            state = ((v_bin.astype(np.intp) * k.two + c) * k.n_d + d_bin.astype(np.intp)) * k.n_a
+            s.a_prev_idx[:] = self.greedy[state + s.a_prev_idx]
+        return self.model.a_grid[s.a_prev_idx]
 
 
 def save_policy(path: Path, model: PomdpModel, qtable: QTable) -> None:
@@ -476,10 +496,17 @@ def save_policy(path: Path, model: PomdpModel, qtable: QTable) -> None:
 
 
 def load_policy(path: Path, model: PomdpModel) -> Optional[QTable]:
-    """The cached table matching ``model``'s key and shape; None if missing, unreadable or stale."""
+    """The cached table matching ``model``'s key and shape; None if missing, unreadable or stale.
+
+    The file is opened here, so it is closed whatever ``np.load`` makes of it,
+    a truncated archive included; a file that holds no archive is a miss too."""
     try:
-        with np.load(path, allow_pickle=False) as data:
-            key, q = str(data["cache_key"]), data["q"]
+        with open(path, "rb") as f:
+            data = np.load(f, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):  # a plain .npy array
+                return None
+            with data:
+                key, q = str(data["cache_key"]), data["q"]
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error):
         return None
     if key != model.cache_key or q.shape != (model.n_states, model.n_actions):

@@ -22,12 +22,17 @@ A lockstep row is a gap class, not a trial. A trial reads its accepted gap only
 in its waiting pedestrian's arm test, ``arming_gap(...) <= trigger``, which the
 engine runs and no controller sees (a ``TrialState`` holds no gap), so trials
 whose pedestrians arm on the same tick are the same trial. ``gap_classes`` finds
-those classes from the trace of one infinite-gap ``TrialRun`` per quadrant, which
-stops on its arm tick, and ``run_batch`` runs one row per (quadrant, class) and
-hands each trial its class's result, which is exact, not an approximation. Until
-the first tick on which any class arms, every trial of a quadrant is one trial,
-so the scalar engine runs that prefix once per (controller, quadrant) and the
-lockstep starts from its state on that tick. A ``TrialResult`` is immutable and
+those classes from the trace of one infinite-gap ``TrialRun``, which stops on its
+arm tick, and ``run_batch`` runs one row per (quadrant, class) and hands each
+trial its class's result, which is exact, not an approximation. Until its
+pedestrian arms, a controller reads it only through ``right_of_way``, so the
+quadrants whose waiting pedestrians hold the same right of way run one trial
+until then but for their distances: ``run_batch`` runs one reference trial per
+group of them under each controller, unless a member's distance along it
+reaches ``collision_radius``. Until the first tick on which any class arms,
+every trial of a group is one trial, so the scalar engine runs that prefix once
+per group and the lockstep starts from its state on that tick, each quadrant
+with its own lane, pedestrian and distance. A ``TrialResult`` is immutable and
 holds no gap, so the trials of a class share one; the gaps stay with the caller.
 Rows never move: a row's result is built on the tick it finishes, and the row
 then ticks on unread while its block is live.
@@ -86,7 +91,10 @@ class Controller(Protocol):
     only ``step``.
 
     Both read the pedestrian's right of way from ``right_of_way``, which the
-    engines set, and never call ``in_crosswalk``.
+    engines set, and never call ``in_crosswalk``. Until the pedestrian arms,
+    they read it only through ``right_of_way`` (the hybrid's ``time_advantage``
+    is +inf while ``xdot_p == 0``): ``run_batch`` runs the quadrants whose
+    waiting pedestrians hold the same right of way as one trial until then.
     """
 
     modes: tuple[str, ...]
@@ -206,6 +214,19 @@ class TrialState:
         line = self.d + geometry.delta
         return line, line < past_bound(geometry)
 
+    def distance(self, line):
+        """``vehicle_pedestrian_distance`` on arrays, given ``walking_line``'s
+        ``line``: a batch's rows, or one trial's vehicle at each of the lines
+        ``line`` with its pedestrian where it stands."""
+        dx = self.x_p - self.x_v
+        return np.sqrt(dx * dx + line * line)
+
+
+# The fields of a trial's vehicle and controller: until its pedestrian arms, the
+# trials of every quadrant whose waiting pedestrian holds the same right of way
+# have the same ones (``run_batch``).
+PRE_ARM = ("d", "v", "mode", "d_o", "v_o", "latched", "overrun", "a_prev_idx")
+
 
 def past_bound(geometry: WorldGeometry) -> float:
     """The walking line below which the vehicle has cleared the stripe by a 1 m
@@ -246,7 +267,7 @@ def vehicle_pedestrian_distance(s: TrialState, line: float) -> float:
     up to its sign.
 
     Spelled ``sqrt(dx*dx + dy*dy)`` rather than ``hypot``, whose NumPy and
-    ``math`` versions differ in the last bit; ``BatchState.distance`` is the
+    ``math`` versions differ in the last bit; ``TrialState.distance`` is the
     same formula on arrays.
     """
     dx = s.x_p - s.x_v
@@ -384,16 +405,34 @@ def sweep_gaps(lo: float, step: float, hi: float) -> list[float]:
     return [round(lo + k * step, 10) for k in range(n + 1)]
 
 
-def _reference_arming_gaps(scenario: Scenario, controller: Controller) -> np.ndarray:
-    """``arming_gap`` on each tick of ``gap_classes``' reference trial: the trial
-    with an infinite accepted gap up to the tick it arms on, its first -inf (the
-    vehicle stopped or passed), where its ``TrialRun`` stops. Until then it is
-    any gap's trial, and no later tick changes a class."""
+def _reference(scenario: Scenario, controller: Controller) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``gap_classes``' reference trial: the trial with an infinite accepted gap up
+    to the tick it arms on, its first -inf ``arming_gap`` (the vehicle stopped or
+    passed), where its ``TrialRun`` stops. Until then it is any gap's trial, and no
+    later tick changes a class. Returns ``arming_gap`` and the walking line on each
+    of its ticks, and whether it collided; its trace is freed on return."""
     run = TrialRun(scenario, math.inf, controller)
-    run.advance()
+    end = run.advance()
     delta, clear = scenario.geometry.delta, past_bound(scenario.geometry)
-    return np.array([arming_gap(v, d + delta, d + delta < clear)
-                     for _, d, v, _, _, _, _ in run.trace])  # *_ would build a list per row
+    least, lines = [], []
+    for _, d, v, _, _, _, _ in run.trace:  # *_ would build a list per row
+        line = d + delta
+        least.append(arming_gap(v, line, line < clear))
+        lines.append(line)
+    return np.array(least), np.array(lines), end is not None and end.collision
+
+
+def _reference_arming_gaps(scenario: Scenario, controller: Controller) -> np.ndarray:
+    """``arming_gap`` on each tick of ``gap_classes``' reference trial (``_reference``)."""
+    return _reference(scenario, controller)[0]
+
+
+def _classes(least: np.ndarray, model: GapAcceptanceModel,
+             gaps: Sequence[float]) -> list[Optional[int]]:
+    """``gap_classes`` from its reference trial's ``arming_gap`` on each tick, ``least``."""
+    low = np.minimum.accumulate(least)
+    ticks = np.searchsorted(-low, -np.array([trigger(model, g) for g in gaps], dtype=float))
+    return [tick if tick < len(low) else None for tick in ticks.tolist()]
 
 
 def gap_classes(scenario: Scenario, controller: Controller,
@@ -404,14 +443,12 @@ def gap_classes(scenario: Scenario, controller: Controller,
 
     A trial reads its gap only in its pedestrian's arm test (no controller reads
     it), and its walk after it reads nothing of the vehicle. Until it arms, every
-    trial of the scenario is the reference trial of ``_reference_arming_gaps``. A gap
-    arms on the first tick whose record low of ``arming_gap`` is at or below its
-    ``trigger`` (by bisection).
+    trial of the scenario is the reference trial of ``_reference``. A gap arms on
+    the first tick whose record low of ``arming_gap`` is at or below its
+    ``trigger`` (by bisection). ``run_batch`` shares one reference trial among
+    the quadrants whose trials are one trial until they arm.
     """
-    low = np.minimum.accumulate(_reference_arming_gaps(scenario, controller))
-    model = scenario.gap_model
-    ticks = np.searchsorted(-low, -np.array([trigger(model, g) for g in gaps], dtype=float))
-    return [tick if tick < len(low) else None for tick in ticks.tolist()]
+    return _classes(_reference_arming_gaps(scenario, controller), scenario.gap_model, gaps)
 
 
 def pedestrian_walk(scenario: Scenario) -> Iterator[tuple[float, float, int, bool]]:
@@ -456,11 +493,6 @@ class BatchState(TrialState):
             setattr(view, name, getattr(self, name)[lo:hi])
         return view
 
-    def distance(self, line: np.ndarray) -> np.ndarray:
-        """``vehicle_pedestrian_distance`` on arrays, given ``walking_line``'s ``line``."""
-        dx = self.x_p - self.x_v
-        return np.sqrt(dx * dx + line * line)
-
 
 # Tick primitives: np.count_nonzero, never .any(); np.putmask, never copyto(where=) or mask
 # stores; and every scalar operand a 0-d array bound once per run (core.bound), never a Python
@@ -504,18 +536,29 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
 
     The scenarios (a run's quadrants) may differ only in ``lane`` and
     ``entry_side``. Each scenario's gaps fall into ``gap_classes`` under each
-    controller, and the trials of one class are one trial. Until the first tick
-    on which any class arms, every trial of a (controller, scenario) group is
-    the group's prefix, its scenario's trial with an infinite gap, whose
-    pedestrian arms no earlier than any gap's: the scalar engine advances it
-    there (``TrialRun``). From that tick on the lockstep runs one row per
-    (group, class), each started from its group's prefix: the vehicle, the
-    controller fields, the delay ring, the metric accumulators, the mode trace
-    and the clock. A group whose prefix ends first has one class, None, whose
-    row starts finished, with the prefix's result. Each controller's rows form
-    one block, which its ``step_batch`` steps through ``BatchState.rows``; the
-    plant, the distance and the metrics then tick the live blocks' rows at once,
-    and each row reads its pedestrian, right of way included, from its walk. A
+    controller, and the trials of one class are one trial. Before its
+    pedestrian arms, a trial differs from another scenario's only in the
+    pedestrian's ``right_of_way``, the one pedestrian field a controller then
+    reads, and in its distances. So each controller's scenarios form groups:
+    the first scenario left leads, and another joins it if its waiting
+    pedestrian holds the same right of way, the lead's reference trial does not
+    collide, and the scenario's own distance along that trial never reaches
+    ``collision_radius``; one that joins no group leads its own. Each group
+    runs one reference trial, which gives its members' classes. Until the
+    first tick on which any class arms, every trial of a group is the group's
+    prefix, its lead's trial with an infinite gap, whose pedestrian arms no
+    earlier than any gap's: the scalar engine advances it there
+    (``TrialRun``). From that tick on the lockstep runs one row per
+    (controller, scenario, class), each started from its own scenario's lane
+    and waiting pedestrian, its own ``min_distance`` over the prefix's ticks,
+    and its group's prefix: the vehicle, the controller fields, the delay
+    ring, the other metric accumulators, the mode trace and the clock. A group
+    whose prefix ends first has one class, None, whose rows start finished,
+    with the prefix's result and their own ``min_distance``. Each controller's
+    rows form one block, which its ``step_batch`` steps through
+    ``BatchState.rows``; the plant, the distance and the metrics then tick the
+    live blocks' rows at once, and each row reads its pedestrian, right of way
+    included, from its walk. A
     live block is stepped on every tick. A row's ``TrialResult`` is built on the
     tick it finishes (done and past, a collision or the timeout), and the row then
     ticks on unread while its block is live; once a block has no live row, it is
@@ -540,12 +583,49 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     if not gaps:
         raise ValueError("need at least one gap")
 
-    # The (controller, scenario) groups in result order, each gap's class in each
-    # group, and the tick the lockstep starts on: the first on which a class arms.
-    groups = [(c, sc) for c in controllers for sc in scenarios]
-    classes = [gap_classes(sc, c, gaps) for c, sc in groups]
-    start = min((arm for arms in classes for arm in arms if arm is not None), default=sys.maxsize)
-    prefixes = [TrialRun(sc, math.inf, c) for c, sc in groups]
+    # Each controller's quadrants in groups that share one pre-arm run: those whose
+    # waiting pedestrians hold the lead's right of way, if the lead's reference does
+    # not collide and no member's own distance along it reaches collision_radius.
+    # Each group's classes, and the tick the lockstep starts on: the first on which
+    # a class arms.
+    waiting = [TrialState(sc) for sc in scenarios]
+    groups: list[tuple[int, list[int], list[Optional[int]]]] = []  # (controller, members, classes)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow that counts is inf
+        for j, c in enumerate(controllers):
+            left = list(range(len(scenarios)))
+            while left:
+                lead = waiting[left[0]]
+                least, lines, collided = _reference(scenarios[left[0]], c)
+                members = [k for k in left if waiting[k] is lead or (
+                    not collided and waiting[k].right_of_way == lead.right_of_way
+                    and not np.count_nonzero(waiting[k].distance(lines)
+                                             < scenario.collision_radius))]
+                groups.append((j, members, _classes(least, scenario.gap_model, gaps)))
+                left = [k for k in left if k not in members]
+        start = min((arm for _, _, arms in groups for arm in arms if arm is not None),
+                    default=sys.maxsize)
+
+        # Each group's prefix, advanced to ``start``, and each member's start on it:
+        # its own quadrant's fields and min_distance, and the prefix's vehicle and
+        # controller fields, delay ring, accumulators, mode trace and clock, or its
+        # result if it ended.
+        quads = {}  # (controller, scenario), by its index in result order
+        delta = scenario.geometry.delta
+        for j, members, arms in groups:
+            run = TrialRun(scenarios[members[0]], math.inf, controllers[j])
+            end = run.advance(start)
+            lines = np.array([scenario.initial_d + delta] +
+                             [d + delta for _, d, _, _, _, _, _ in run.trace])
+            run.trace.clear()  # no result keeps it: freed before the next prefix runs
+            for k in members:
+                own = TrialState(scenarios[k])
+                for name in PRE_ARM:
+                    setattr(own, name, getattr(run.s, name))
+                low = own.distance(lines).min().item()
+                quads[j * len(scenarios) + k] = (
+                    own, run, low, arms,
+                    None if end is None else replace(end, min_distance=low, trace=None))
+    starts, prefixes, lows, classes, ends = zip(*(quads[q] for q in sorted(quads)))
 
     # One table of each entry side's pedestrian_walk, and each side's first and last entry.
     walks: list[tuple[float, float, int, bool]] = []
@@ -555,31 +635,29 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
         walks += pedestrian_walk(sc)
         walk_ends[side] = (first, len(walks) - 1)
 
-    which: list[int] = []  # each row's group
+    which: list[int] = []  # each row's (controller, scenario)
     # Each row's (first + start - arm, first, last): after tick ``tick`` it reads
     # entry ``first + tick + 1 - arm`` clamped to [first, last], or first if it never arms.
     entries: list[tuple[int, int, int]] = []
-    trial_rows: list[list[int]] = []  # each group's trials' rows, in result order
+    trial_rows: list[list[int]] = []  # each (controller, scenario)'s trials' rows, in result order
     results: list[Optional[TrialResult]] = []  # each row's: its ended prefix's, or built later
     bounds: list[tuple[int, int]] = []  # each controller's block of rows, [lo, hi)
     for j in range(len(controllers)):
         lo = len(which)
         for k, sc in enumerate(scenarios):
-            g = j * len(scenarios) + k
-            end = prefixes[g].advance(start)  # the group's result, if its prefix ended
-            prefixes[g].trace.clear()  # no result keeps it: freed before the next prefix runs
+            q = j * len(scenarios) + k
             first, last = walk_ends[sc.entry_side]
             row_of: dict[Optional[int], int] = {}  # class -> row
-            for arm in classes[g]:
+            for arm in classes[q]:
                 if arm not in row_of:
                     row_of[arm] = len(which)
-                    which.append(g)
-                    results.append(None if end is None else replace(end, trace=None))
+                    which.append(q)
+                    results.append(ends[q])
                     entries.append((first, first, first) if arm is None else
                                    (first + start - arm, first, last))
-            trial_rows.append([row_of[arm] for arm in classes[g]])
+            trial_rows.append([row_of[arm] for arm in classes[q]])
         bounds.append((lo, len(which)))
-    s = BatchState([run.s for run in prefixes], which)
+    s = BatchState(starts, which)
     n_rows = len(which)
     walk_x, walk_xdot, walk_phase, walk_row = (
         np.array(column, dtype) for column, dtype in
@@ -587,14 +665,16 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     entry, first_entry, last_entry = np.array(list(zip(*entries)), dtype=np.intp)
     # The prefixes' delay rings, as (delay tick, row), and metric accumulators.
     fifo = np.array([run.fifo for run in prefixes], dtype=float)[which].T.copy()
-    min_distance, v_sum, peak_accel = (np.array([getattr(run, name) for run in prefixes])[which]
-                                       for name in ("min_distance", "v_sum", "peak_accel"))
+    min_distance = np.array(lows)[which]
+    v_sum, peak_accel = (np.array([getattr(run, name) for run in prefixes])[which]
+                         for name in ("v_sum", "peak_accel"))
     # Each row's mode trace: a tuple, which its result shares.
     group_traces = [tuple(run.mode_trace) for run in prefixes]
-    mode_traces = [group_traces[g] for g in which]
+    mode_traces = [group_traces[q] for q in which]
     t = max(run.t for run in prefixes)  # the clock on ``start``: a prefix that ended is no later
     tick = start
-    del classes, which, entries, walks, prefixes  # unread by the loop: they would raise its peak
+    # Unread by the loop: they would raise its peak.
+    del classes, which, entries, walks, prefixes, starts, lows, ends, groups, quads
 
     geometry, dt, k = scenario.geometry, scenario.dt, tick_operands(scenario)
     max_sim_time, ring = scenario.max_sim_time, len(fifo)

@@ -8,11 +8,13 @@ from functools import reduce
 from operator import add
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crosswalk_sim import cli
 from crosswalk_sim.cli import TRIALS_HEADER, main
 from crosswalk_sim.config import DEFAULTS, load_config
+from crosswalk_sim.pomdp import load_policy, policy_cache_path
 from crosswalk_sim.simulator import TrialResult, gap_classes, run_batch, seeded_gaps
 
 pytestmark = pytest.mark.usefixtures("pomdp_cache_env")
@@ -448,6 +450,21 @@ def test_console_script_solves_caches_and_rejects_an_overflowing_weight(tmp_path
     assert child.returncode == 2
     assert child.stderr.count("\n") == 1, child.stderr
     assert not (tmp_path / "overflow").exists()
+
+
+def test_console_script_solves_over_a_cache_file_holding_a_plain_array(tmp_path):
+    # np.load reads a plain .npy file under the policy's cache name as an array,
+    # not an archive: a cache miss, so solve-pomdp solves again (exit 0, no
+    # traceback) and writes a cache that the next load reads.
+    model = load_config(env={}).pomdp_model()
+    path = policy_cache_path(tmp_path / "cache", model)
+    path.parent.mkdir()
+    with open(path, "wb") as f:
+        np.save(f, np.zeros(3))
+    child = console(tmp_path, "solve-pomdp", CWSIM_POMDP__CACHE_DIR="cache")
+    assert child.returncode == 0, child.stderr[-500:]
+    assert "pomdp policy: solved exactly" in child.stdout
+    assert load_policy(path, model) is not None
 
 
 def test_console_script_replays_a_scripted_trial(tmp_path):

@@ -358,6 +358,13 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:200])
         assert load_policy(path, pomdp_model) is None
 
+    def test_npy_file_is_a_miss(self, tmp_path, pomdp_model, solved_policy):
+        # np.load gives a plain .npy file's array, not an archive.
+        path = tmp_path / "policy.npz"
+        with open(path, "wb") as f:
+            np.save(f, solved_policy.q)
+        assert load_policy(path, pomdp_model) is None
+
     def test_compressed_cache_still_loads(self, tmp_path, pomdp_model, solved_policy):
         # Caches written deflated, as save_policy once wrote them, stay valid.
         path = policy_cache_path(tmp_path, pomdp_model)

@@ -386,6 +386,19 @@ class TestLockstepMatchesScalar:
             assert_batch_matches_scalar([replace(sc, **override) for sc in quadrants], COARSE,
                                         controller, scalar_oracle)
 
+    def test_quadrants_whose_waiting_pedestrians_differ_in_right_of_way(
+            self, preset_config, controller, scalar_oracle):
+        # With no near setback a pedestrian waiting at the near curb holds the
+        # right of way and one at the far curb does not. The POMDP reads it before
+        # any pedestrian arms, so its near and far trials differ from the start,
+        # and run_batch gives each right of way its own pre-arm run.
+        quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
+        quadrants = [replace(sc, gap_model=replace(sc.gap_model, near_setback=0.0))
+                     for sc in quadrants]
+        assert [TrialState(sc).right_of_way for sc in quadrants] == [True, False, True, False]
+        for gaps in (COARSE, seeded_gaps(quadrants[0].gap_model, 17, SEEDED)):
+            assert_batch_matches_scalar(quadrants, gaps, controller, scalar_oracle)
+
     @pytest.mark.parametrize("override", [
         {}, {"t_delay_plant": 0.25}, {"t_delay_plant": 0.15}, {"max_sim_time": 30.12},
     ], ids=["own-ring", "5-tick-ring", "3-tick-ring", "timeout-mid-hold"])
@@ -660,6 +673,25 @@ def test_a_quadrant_that_ends_before_the_first_arm_tick(scenario_factory, hybrid
                           for g in gaps])
 
 
+@pytest.mark.parametrize("first", range(len(QUADRANTS)))
+def test_a_quadrant_that_collides_before_it_arms_has_its_own_pre_arm_run(
+        scenario_factory, hybrid_for, pomdp_model, solved_policy, first):
+    # The batch above with each quadrant first in turn. run_batch runs the first
+    # quadrant's reference trial for every quadrant whose waiting pedestrian has
+    # the same right of way, so the lane-A near-side trial, which collides before
+    # it arms, must get a run of its own whether it is that first quadrant or not.
+    model = replace(scenario_factory().gap_model, near_setback=0.5)
+    quadrants = [scenario_factory(lane=Lane(lane), entry_side=EntrySide(side), gap_model=model,
+                                  collision_radius=3.0)
+                 for lane, side in QUADRANTS[first:] + QUADRANTS[:first]]
+    controllers = (hybrid_for(quadrants[0]),
+                   PomdpController(pomdp_model, solved_policy, sim_dt=quadrants[0].dt))
+    gaps = [10.5, 11.0, 12.0]
+    assert_bitwise_equal(run_batch(quadrants, gaps, *controllers),
+                         [run_trial(sc, g, c) for c in controllers for sc in quadrants
+                          for g in gaps])
+
+
 @pytest.mark.parametrize("lane,side", QUADRANTS)
 def test_reference_trial_ends_as_the_vehicle_clears_the_stripe(monkeypatch, scenario_factory,
                                                                hybrid_for, pomdp_model,
@@ -699,6 +731,23 @@ def test_a_run_stops_after_its_arm_tick(preset_config, preset_controller, lane, 
         assert_bitwise_equal([result], [want])
         assert result.trace == want.trace
     assert stopped > len(COARSE) // 2
+
+
+def test_quadrants_agree_until_the_pedestrian_arms(preset_config, preset_controller):
+    # Until its pedestrian arms, a controller reads it only through right_of_way,
+    # False for a pedestrian waiting on either side of the presets. So the four
+    # quadrants' infinite-gap trials, which run_batch groups into one pre-arm run,
+    # arm on one tick and agree up to it in every trace column but x_p: t, d, v,
+    # a_cmd, a_actual and the mode. (A TrialRun's trace to its arm tick is
+    # run_trial's; test_a_run_stops_after_its_arm_tick pins that.)
+    runs = [TrialRun(preset_config.scenario(lane=lane, side=side), math.inf, preset_controller)
+            for lane, side in QUADRANTS]
+    for run in runs:
+        assert not TrialState(run.scenario).right_of_way
+        assert run.advance() is None  # stopped after its arm tick
+    assert len({run.arm for run in runs}) == 1
+    traces = [[row[:5] + row[6:] for row in run.trace] for run in runs]
+    assert all(trace == traces[0] for trace in traces[1:])
 
 
 class SteppedTicks:
