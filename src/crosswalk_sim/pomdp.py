@@ -18,15 +18,13 @@ import os
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .core import (ControllerParams, WorldGeometry, bound, require_finite, require_finite_fields,
-                   whole_ticks, write_output)
+from .core import (MAX_Q_ENTRIES, ControllerParams, WorldGeometry, bound, require_finite,
+                   require_finite_fields, whole_ticks, write_output)
 from .pedestrian import GapAcceptanceModel
 
 if TYPE_CHECKING:
@@ -36,6 +34,7 @@ log = logging.getLogger(__name__)
 
 _erf = np.frompyfunc(math.erf, 1, 1)
 _ROUNDING = 2.0 ** -50  # qmdp_solve's allowance for the rounding of a policy's values
+_ZERO = bound(0.0)  # the lowest bin, v_bin's and d_bin's clamp
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
@@ -74,6 +73,10 @@ class PomdpModel:
             raise ValueError("discount must lie in [0, 1)")
         if n_v_bins < 2 or n_d_bins < 2 or not actions:
             raise ValueError("grids must be non-empty")
+        if n_v_bins * 2 * n_d_bins * len(actions) ** 2 > MAX_Q_ENTRIES:  # before any allocation
+            raise ValueError(f"the pomdp grid (n_v_bins = {n_v_bins}, n_d_bins = {n_d_bins}, "
+                             f"{len(actions)} actions) has more than MAX_Q_ENTRIES = "
+                             f"{MAX_Q_ENTRIES} Q entries, n_v_bins * 2 * n_d_bins * actions**2")
         if len(set(actions)) != len(actions):  # -0.0 == 0.0
             raise ValueError(f"actions must not repeat, got {actions!r}")
         if d_range[1] <= d_range[0]:
@@ -96,26 +99,30 @@ class PomdpModel:
         # so that ``pomdp_step`` bins one state with no NumPy call.
         self.v_snap, self.d_snap = ((float(g[0]), float(g[1] - g[0]), len(g) - 1.0, float(g[-1]))
                                     for g in (self.v_grid, self.d_grid))
+        # The first three of each and ``state_index``'s sizes (2, n_d, n_a) as 0-d arrays
+        # (``core.bound``), which ``v_bin``, ``d_bin`` and ``step_batch`` compute on.
+        self.v_bound, self.d_bound = (tuple(bound(x) for x in snap[:3])
+                                      for snap in (self.v_snap, self.d_snap))
+        self.bound_sizes = tuple(bound(n, np.int64) for n in (2, n_d_bins, len(actions)))
 
         self._build()
 
     # -- grid helpers --------------------------------------------------------
 
     def v_bin(self, v):
-        return self._snap(v, self.v_grid)
+        """The nearest speed bin (ties to even), clamped to the grid, of a float or of
+        each of an array; ``d_bin`` is its twin on the distance grid."""
+        lo, step, top = self.v_bound
+        i = np.rint((v - lo) / step)
+        return np.minimum(np.maximum(i, _ZERO), top).astype(np.int64)
 
     def d_bin(self, d):
-        return self._snap(d, self.d_grid)
+        lo, step, top = self.d_bound
+        i = np.rint((d - lo) / step)
+        return np.minimum(np.maximum(i, _ZERO), top).astype(np.int64)
 
     def a_bin(self, a: float) -> int:
         return int(np.argmin(np.abs(self.a_grid - a)))
-
-    @staticmethod
-    def _snap(x, grid: np.ndarray):
-        """Nearest grid index (ties to even), clamped to the grid; takes a float or an array."""
-        step = grid[1] - grid[0]
-        i = np.rint((x - grid[0]) / step)
-        return np.minimum(np.maximum(i, 0), len(grid) - 1).astype(np.int64)
 
     def state_index(self, v_bin, c, d_bin, a_prev_bin):
         """Flat C-order index over (v, c, d, a_prev); takes ints or NumPy arrays."""
@@ -395,7 +402,7 @@ def pomdp_step(greedy: np.ndarray, model: PomdpModel, s: TrialState, a_prev_bin:
     """The action bin ``greedy_action_table`` picks for trial ``s``'s observed state,
     whose crosswalk flag is ``s.right_of_way``.
 
-    ``_snap`` of one state in Python floats: the same quotient, clamped, then
+    ``v_bin`` and ``d_bin`` of one state in Python floats: the same quotient, clamped, then
     ``round``, which ties to even as ``np.rint`` does (clamping first keeps an
     infinite quotient from ``round``).
     """
@@ -445,25 +452,12 @@ class PomdpController:
             s.a_prev_idx = pomdp_step(self.greedy, self.model, s, s.a_prev_idx)
         return self.commands[s.a_prev_idx]
 
-    @cached_property
-    def _operands(self) -> SimpleNamespace:
-        """``step_batch``'s scalar operands, each a read-only 0-d array, bound on
-        its first call: ``_snap``'s grid constants and ``state_index``'s sizes. A
-        controller that only serves ``step`` builds none."""
-        m, index = self.model, np.intp
-        v, d = m.v_grid, m.d_grid
-        return SimpleNamespace(
-            v_lo=bound(v[0]), v_step=bound(v[1] - v[0]), v_top=bound(len(v) - 1.0),
-            d_lo=bound(d[0]), d_step=bound(d[1] - d[0]), d_top=bound(len(d) - 1.0),
-            zero=bound(0.0), two=bound(2, index), n_d=bound(len(d), index),
-            n_a=bound(m.n_actions, index))
-
     def step_batch(self, s: BatchState, tick: int) -> np.ndarray:
         """``step`` for every row of a lockstep batch; returns the commands.
 
         Every row is on one tick, so the decision ticks line up. A decision is
-        ``_snap`` and ``state_index`` of every row, on operands bound once
-        (``_operands``), and one gather from the greedy table; between
+        the model's ``v_bin``, ``d_bin`` and ``state_index`` of every row, on its
+        bound constants and sizes, and one gather from the greedy table; between
         decisions it writes nothing and returns the held commands. Its first call
         may come on a tick after 0, when ``step`` has started the rows, and inside
         a hold. The bins clamp to the grid, so a finished row that ticks on still
@@ -472,11 +466,10 @@ class PomdpController:
         if tick == 0:
             s.a_prev_idx[:] = self.start_bin
         if tick % self.hold_ticks == 0:
-            k = self._operands
-            v_bin = np.minimum(np.maximum(np.rint((s.v - k.v_lo) / k.v_step), k.zero), k.v_top)
-            d_bin = np.minimum(np.maximum(np.rint((s.d - k.d_lo) / k.d_step), k.zero), k.d_top)
+            m = self.model
+            two, n_d, n_a = m.bound_sizes
             c = s.right_of_way  # adds as 0 or 1
-            state = ((v_bin.astype(np.intp) * k.two + c) * k.n_d + d_bin.astype(np.intp)) * k.n_a
+            state = ((m.v_bin(s.v) * two + c) * n_d + m.d_bin(s.d)) * n_a
             s.a_prev_idx[:] = self.greedy[state + s.a_prev_idx]
         return self.model.a_grid[s.a_prev_idx]
 

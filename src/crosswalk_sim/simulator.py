@@ -86,9 +86,9 @@ class Controller(Protocol):
     Its first call may come on a tick after 0: ``run_batch`` starts the lockstep
     on the first tick on which a gap class arms, from the fields that ``step``
     wrote on the ticks before.
-    It binds its scalar operands once, as 0-d arrays (``core.bound``), not on
-    every call, and not in the constructor: ``replay`` builds controllers that
-    only ``step``.
+    Its scalar operands are bound once, as 0-d arrays (``core.bound``), not on
+    every call: the hybrid binds its own on its first call, as ``replay`` builds
+    controllers that only ``step``; the POMDP reads its model's.
 
     Both read the pedestrian's right of way from ``right_of_way``, which the
     engines set, and never call ``in_crosswalk``. Until the pedestrian arms,
@@ -422,11 +422,6 @@ def _reference(scenario: Scenario, controller: Controller) -> tuple[np.ndarray, 
     return np.array(least), np.array(lines), end is not None and end.collision
 
 
-def _reference_arming_gaps(scenario: Scenario, controller: Controller) -> np.ndarray:
-    """``arming_gap`` on each tick of ``gap_classes``' reference trial (``_reference``)."""
-    return _reference(scenario, controller)[0]
-
-
 def _classes(least: np.ndarray, model: GapAcceptanceModel,
              gaps: Sequence[float]) -> list[Optional[int]]:
     """``gap_classes`` from its reference trial's ``arming_gap`` on each tick, ``least``."""
@@ -448,7 +443,7 @@ def gap_classes(scenario: Scenario, controller: Controller,
     ``trigger`` (by bisection). ``run_batch`` shares one reference trial among
     the quadrants whose trials are one trial until they arm.
     """
-    return _classes(_reference_arming_gaps(scenario, controller), scenario.gap_model, gaps)
+    return _classes(_reference(scenario, controller)[0], scenario.gap_model, gaps)
 
 
 def pedestrian_walk(scenario: Scenario) -> Iterator[tuple[float, float, int, bool]]:
@@ -668,9 +663,12 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     min_distance = np.array(lows)[which]
     v_sum, peak_accel = (np.array([getattr(run, name) for run in prefixes])[which]
                          for name in ("v_sum", "peak_accel"))
-    # Each row's mode trace: a tuple, which its result shares.
+    # Each row's mode trace: a tuple, which its result shares; the mode it last
+    # recorded, its prefix's; and its own controller's mode labels.
     group_traces = [tuple(run.mode_trace) for run in prefixes]
     mode_traces = [group_traces[q] for q in which]
+    traced = s.mode.copy()
+    labels = [c.modes for c, (lo, hi) in zip(controllers, bounds) for _ in range(lo, hi)]
     t = max(run.t for run in prefixes)  # the clock on ``start``: a prefix that ended is no later
     tick = start
     # Unread by the loop: they would raise its peak.
@@ -689,8 +687,8 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
             # The live blocks' rows [lo, hi), as views, until a block's last row ends.
             lo, hi = stepped[0][1], stepped[-1][2]
             batch, cmd, alive, queue = s.rows(lo, hi), a_cmd[lo:hi], live[lo:hi], fifo[:, lo:hi]
-            low, total, peak, walked, first, last = (x[lo:hi] for x in (
-                min_distance, v_sum, peak_accel, entry, first_entry, last_entry))
+            low, total, peak, walked, first, last, was = (x[lo:hi] for x in (
+                min_distance, v_sum, peak_accel, entry, first_entry, last_entry, traced))
             at, collision = first.copy(), np.zeros(hi - lo, dtype=bool)
             while True:
                 timed_out = t >= max_sim_time
@@ -698,14 +696,17 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                     finished = alive
                 else:
                     for controller, c_lo, c_hi, view in stepped:
-                        modes = controller.modes
-                        before = view.mode.copy() if len(modes) > 1 else None
                         a_cmd[c_lo:c_hi] = controller.step_batch(view, tick)
-                        if before is not None:
-                            changed = (view.mode != before) & live[c_lo:c_hi]
-                            if np.count_nonzero(changed):
-                                for r in np.flatnonzero(changed).tolist():
-                                    mode_traces[c_lo + r] += ((t, modes[view.mode[r]]),)
+                    # A live row whose mode changed traces it; a finished one's change
+                    # is only marked as recorded. A compare of the int8 codes' bytes tests
+                    # for a change several times faster than a ufunc and a count.
+                    if batch.mode.tobytes() != was.tobytes():
+                        rows = np.flatnonzero(batch.mode != was)
+                        for r, mode, on in zip((rows + lo).tolist(), batch.mode[rows].tolist(),
+                                               alive[rows].tolist()):
+                            if on:
+                                mode_traces[r] += ((t, labels[r][mode]),)
+                        was[:] = batch.mode
 
                     # The delay ring's head ``tick % ring`` is applied and takes
                     # ``a_cmd``: every row starts at tick 0, so the ring has one head.

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from crosswalk_sim.simulator import _reference_arming_gaps
+from crosswalk_sim.simulator import _reference
 
 
 def class_edges(scenario, controller) -> list[float]:
@@ -12,6 +12,6 @@ def class_edges(scenario, controller) -> list[float]:
     trial up to its first tick that arms every pedestrian (the vehicle stopped or
     passed; once it has passed, ``line`` only falls). A colliding tick adds an edge.
     """
-    least = _reference_arming_gaps(scenario, controller)
+    least = _reference(scenario, controller)[0]
     lowest_before = np.minimum.accumulate(np.concatenate(([np.inf], least)))[:-1]
     return least[(least < lowest_before) & (least > -np.inf)].tolist()

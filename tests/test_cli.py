@@ -149,6 +149,10 @@ class TestSimulate:
             ("CWSIM_RUN__SEED", "-1", ["replay", "--gap", "3"]),
             ("CWSIM_POMDP__ACTIONS", "-4,-4,0", ["solve-pomdp"]),
             ("CWSIM_POMDP__ACTIONS", "0,-0", ["solve-pomdp"]),
+            # A grid of more than MAX_Q_ENTRIES Q entries, rejected before it is allocated.
+            ("CWSIM_POMDP__N_D_BINS", "20000000", ["solve-pomdp"]),
+            ("CWSIM_POMDP__N_V_BINS", "100000", ["simulate", "--controller", "pomdp",
+                                                 "--trials", "3"]),
             (None, None, ["simulate", "--sweep=0.5:1e-320:1"]),  # (hi - lo) / step overflows
             (None, None, ["simulate", "--sweep=-1e308:1:1e308"]),  # hi - lo overflows
             (None, None, ["simulate", "--sweep=0.5:1e-300:1"]),  # about 5e299 points

@@ -37,9 +37,9 @@ from crosswalk_sim.core import EntrySide
 from crosswalk_sim.hybrid import HybridController
 from crosswalk_sim.pedestrian import DONE_CODE
 from crosswalk_sim.pomdp import PomdpController, pomdp_step, qmdp_solve
-from crosswalk_sim.simulator import (BatchState, Lane, TrialRun, TrialState,
-                                     _reference_arming_gaps, gap_classes, pedestrian_walk,
-                                     plant_step, plant_tick, run_batch, run_trial, tick_operands)
+from crosswalk_sim.simulator import (BatchState, Lane, TrialRun, TrialState, _reference,
+                                     gap_classes, pedestrian_walk, plant_step, plant_tick,
+                                     run_batch, run_trial, tick_operands)
 
 from edges import class_edges
 from qmdp_reference import assert_near_value_iteration, backup_change
@@ -277,8 +277,8 @@ def grid_coordinates(grid):
 @deterministic
 @given(preset=st.sampled_from([None, "experiment"]), data=st.data())
 def test_scalar_decision_matches_the_batch_decision(preset_controllers, preset, data):
-    # pomdp_step bins one state in Python floats, step_batch a batch through
-    # _snap's NumPy calls: both must pick the same action, ties to even included.
+    # pomdp_step bins one state in Python floats, step_batch a batch through the
+    # model's v_bin and d_bin: both must pick the same action, ties to even included.
     controller = preset_controllers[preset][1][1]
     model = controller.model
     s = TrialState(preset_controllers[preset][0].scenario())
@@ -347,7 +347,7 @@ def test_reference_trial_ends_on_its_first_minus_inf(preset_controllers, preset)
     config, controllers = preset_controllers[preset]
     for controller in controllers:
         for side in EntrySide:
-            least = _reference_arming_gaps(config.scenario(side=side.value), controller)
+            least = _reference(config.scenario(side=side.value), controller)[0]
             assert least[-1] == -math.inf and np.count_nonzero(least == -math.inf) == 1
             if preset == "experiment" and isinstance(controller, PomdpController):
                 assert len(least) == 295

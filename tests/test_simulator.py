@@ -817,6 +817,19 @@ class TestOneCallForEveryController:
         assert pomdp == list(range(start, pomdp[-1] + 1))
         assert hybrid[-1] + 100 < pomdp[-1]
 
+    def test_a_finished_block_between_two_live_ones(self, preset_config, hybrid_and_pomdp):
+        # In the order (pomdp, hybrid, pomdp) the hybrid block finishes first, and
+        # the ticks after it run a window with a finished block in its middle. Each
+        # row's mode trace takes its own controller's labels.
+        quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
+        gaps = SWEEP + seeded_gaps(quadrants[0].gap_model, 17, SEEDED)
+        alone = [run_batch(quadrants, gaps, c) for c in hybrid_and_pomdp]
+        order = [1, 0, 1]
+        spies = [SteppedTicks(hybrid_and_pomdp[j]) for j in order]
+        merged = run_batch(quadrants, gaps, *spies)
+        assert_bitwise_equal(merged, [r for j in order for r in alone[j]])
+        assert spies[1].ticks[-1] < spies[0].ticks[-1] == spies[2].ticks[-1]
+
     def test_rows_are_views(self, scenario_factory):
         s = BatchState([TrialState(scenario_factory())], [0] * 5)
         view = s.rows(1, 4)
