@@ -32,6 +32,7 @@ from typing import NoReturn, Optional, Sequence
 
 from .config import (
     EXPERIMENT_TRIALS,
+    METHODS,
     ConfigError,
     PRESETS,
     RunConfig,
@@ -63,8 +64,6 @@ TRIALS_HEADER = [
     "collision",
     "final_mode_sequence",
 ]
-
-METHODS = ("hybrid", "pomdp")
 
 SUMMARY_BIN = 0.5
 
@@ -183,7 +182,8 @@ def _check_decision_period(config: RunConfig, sim_dt: float) -> None:
 
 
 def _controller(config: RunConfig, method: str, scenario: Scenario) -> tuple[str, Controller]:
-    """The method's canonical name and the one controller a run uses for it.
+    """The method's canonical name and the one controller a run uses for it;
+    ``method`` is one of ``METHODS`` in any case, as ``load_config`` checks.
 
     A controller keeps no per-trial state: each trial's mode and held command
     live in its ``TrialState``, or in the arrays of ``run_batch``'s
@@ -193,11 +193,9 @@ def _controller(config: RunConfig, method: str, scenario: Scenario) -> tuple[str
     method = method.lower()
     if method == "hybrid":
         return method, HybridController(scenario.params, scenario.geometry, dt=scenario.dt)
-    if method == "pomdp":
-        _check_decision_period(config, scenario.dt)
-        model, table = _policy(config)
-        return method, PomdpController(model, table, sim_dt=scenario.dt)
-    raise ConfigError(f"run.controller must be one of {', '.join(METHODS)}, got {method!r}")
+    _check_decision_period(config, scenario.dt)
+    model, table = _policy(config)
+    return method, PomdpController(model, table, sim_dt=scenario.dt)
 
 
 def _run(config: RunConfig, quadrants: Sequence[tuple[str, str]], methods: Sequence[str],

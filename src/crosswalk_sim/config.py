@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -30,6 +30,9 @@ MAX_TRIALS = 1_000_000
 # pedestrian.max_trigger_gap gives the same trial, so no longer one is meant; the
 # bound keeps each gap's summary.csv bin, gap // 0.5, a finite whole number.
 MAX_GAP = 1e9
+
+METHODS = ("hybrid", "pomdp")
+LANES, SIDES = tuple(x.value for x in Lane), tuple(x.value for x in EntrySide)
 
 DEFAULTS: dict[str, dict[str, object]] = {
     "world": {
@@ -155,13 +158,7 @@ class RunConfig:
         return GapAcceptanceModel(sigma_gap=math.sqrt(sigma2), **p)
 
     def reward_weights(self) -> RewardWeights:
-        p = self.pomdp
-        return RewardWeights(
-            w_legality=p["w_legality"],
-            w_safety=p["w_safety"],
-            w_efficient=p["w_efficient"],
-            w_smooth=p["w_smooth"],
-        )
+        return RewardWeights(**{f.name: self.pomdp[f.name] for f in fields(RewardWeights)})
 
     def pomdp_model(self) -> PomdpModel:
         p = self.pomdp
@@ -327,6 +324,12 @@ def load_config(
                 if key not in sections[name]:
                     raise ConfigError(f"{source}: unknown key {key!r} in section [{name}]")
                 sections[name][key] = _coerce(name, key, str(value))
+    run = sections["run"]  # checked for every verb, in any case, and echoed as given
+    for key, allowed, spelled in (("controller", METHODS, run["controller"].lower()),
+                                  ("lane", LANES, run["lane"].upper()),
+                                  ("side", SIDES, run["side"].lower())):
+        if spelled not in allowed:
+            raise ConfigError(f"run.{key} must be one of {', '.join(allowed)}, got {run[key]!r}")
     return RunConfig(**sections)
 
 

@@ -99,11 +99,10 @@ class PomdpModel:
         # so that ``pomdp_step`` bins one state with no NumPy call.
         self.v_snap, self.d_snap = ((float(g[0]), float(g[1] - g[0]), len(g) - 1.0, float(g[-1]))
                                     for g in (self.v_grid, self.d_grid))
-        # The first three of each and ``state_index``'s sizes (2, n_d, n_a) as 0-d arrays
-        # (``core.bound``), which ``v_bin``, ``d_bin`` and ``step_batch`` compute on.
+        # The first three of each as 0-d arrays (``core.bound``), which ``v_bin`` and
+        # ``d_bin`` compute on.
         self.v_bound, self.d_bound = (tuple(bound(x) for x in snap[:3])
                                       for snap in (self.v_snap, self.d_snap))
-        self.bound_sizes = tuple(bound(n, np.int64) for n in (2, n_d_bins, len(actions)))
 
         self._build()
 
@@ -197,7 +196,7 @@ class PomdpModel:
         # The kernel, once, on the axes it depends on (none is a_prev): next-state
         # indices for c'=0/1 over (v, d, a), and P(c'=1) over (v, c, d, a).
         self._ns0 = self.state_index(self._v_next_idx, 0, self._d_next_idx, np.arange(na))
-        self._ns1 = self._ns0 + nd * na
+        self._ns1 = self.state_index(self._v_next_idx, 1, self._d_next_idx, np.arange(na))
         self._p_c1 = np.stack(
             [self._entry_p, np.full_like(self._entry_p, 1.0 - self.crossing_exit_prob)], axis=1
         )
@@ -456,9 +455,9 @@ class PomdpController:
         """``step`` for every row of a lockstep batch; returns the commands.
 
         Every row is on one tick, so the decision ticks line up. A decision is
-        the model's ``v_bin``, ``d_bin`` and ``state_index`` of every row, on its
-        bound constants and sizes, and one gather from the greedy table; between
-        decisions it writes nothing and returns the held commands. Its first call
+        the model's ``state_index`` of every row's ``v_bin`` and ``d_bin``, and
+        one gather from the greedy table; between decisions it writes nothing
+        and returns the held commands. Its first call
         may come on a tick after 0, when ``step`` has started the rows, and inside
         a hold. The bins clamp to the grid, so a finished row that ticks on still
         indexes the table.
@@ -467,10 +466,8 @@ class PomdpController:
             s.a_prev_idx[:] = self.start_bin
         if tick % self.hold_ticks == 0:
             m = self.model
-            two, n_d, n_a = m.bound_sizes
-            c = s.right_of_way  # adds as 0 or 1
-            state = ((m.v_bin(s.v) * two + c) * n_d + m.d_bin(s.d)) * n_a
-            s.a_prev_idx[:] = self.greedy[state + s.a_prev_idx]
+            state = m.state_index(m.v_bin(s.v), s.right_of_way, m.d_bin(s.d), s.a_prev_idx)
+            s.a_prev_idx[:] = self.greedy[state]
         return self.model.a_grid[s.a_prev_idx]
 
 

@@ -88,7 +88,7 @@ class Controller(Protocol):
     wrote on the ticks before.
     Its scalar operands are bound once, as 0-d arrays (``core.bound``), not on
     every call: the hybrid binds its own on its first call, as ``replay`` builds
-    controllers that only ``step``; the POMDP reads its model's.
+    controllers that only ``step``; the POMDP reads its model's and three ints.
 
     Both read the pedestrian's right of way from ``right_of_way``, which the
     engines set, and never call ``in_crosswalk``. Until the pedestrian arms,
@@ -409,12 +409,13 @@ def _reference(scenario: Scenario, controller: Controller) -> tuple[np.ndarray, 
     """``gap_classes``' reference trial: the trial with an infinite accepted gap up
     to the tick it arms on, its first -inf ``arming_gap`` (the vehicle stopped or
     passed), where its ``TrialRun`` stops. Until then it is any gap's trial, and no
-    later tick changes a class. Returns ``arming_gap`` and the walking line on each
-    of its ticks, and whether it collided; its trace is freed on return."""
+    later tick changes a class. Returns ``arming_gap`` on each of its ticks, the
+    walking line at its start and on each of its ticks, and whether it collided; its
+    trace is freed on return."""
     run = TrialRun(scenario, math.inf, controller)
     end = run.advance()
     delta, clear = scenario.geometry.delta, past_bound(scenario.geometry)
-    least, lines = [], []
+    least, lines = [], [scenario.initial_d + delta]
     for _, d, v, _, _, _, _ in run.trace:  # *_ would build a list per row
         line = d + delta
         least.append(arming_gap(v, line, line < clear))
@@ -491,7 +492,8 @@ class BatchState(TrialState):
 
 # Tick primitives: np.count_nonzero, never .any(); np.putmask, never copyto(where=) or mask
 # stores; and every scalar operand a 0-d array bound once per run (core.bound), never a Python
-# or NumPy scalar, which NumPy converts on every call.
+# or NumPy scalar, which NumPy converts on every call; but for PomdpModel.state_index's three
+# grid sizes, Python ints, in the POMDP's batch decisions (about 117 per compare-warm call).
 
 
 def tick_operands(scenario: Scenario) -> SimpleNamespace:
@@ -545,9 +547,10 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     earlier than any gap's: the scalar engine advances it there
     (``TrialRun``). From that tick on the lockstep runs one row per
     (controller, scenario, class), each started from its own scenario's lane
-    and waiting pedestrian, its own ``min_distance`` over the prefix's ticks,
-    and its group's prefix: the vehicle, the controller fields, the delay
-    ring, the other metric accumulators, the mode trace and the clock. A group
+    and waiting pedestrian, its own ``min_distance`` over the prefix's ticks
+    (the first of its distances along the reference), and its group's
+    prefix: the vehicle, the controller fields, the delay ring, the other
+    metric accumulators, the mode trace and the clock. A group
     whose prefix ends first has one class, None, whose rows start finished,
     with the prefix's result and their own ``min_distance``. Each controller's
     rows form one block, which its ``step_batch`` steps through
@@ -584,39 +587,37 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     # Each group's classes, and the tick the lockstep starts on: the first on which
     # a class arms.
     waiting = [TrialState(sc) for sc in scenarios]
-    groups: list[tuple[int, list[int], list[Optional[int]]]] = []  # (controller, members, classes)
+    # (controller, members, classes, each quadrant left's distances along the reference)
+    groups: list[tuple[int, list[int], list[Optional[int]], dict[int, np.ndarray]]] = []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow that counts is inf
         for j, c in enumerate(controllers):
             left = list(range(len(scenarios)))
             while left:
                 lead = waiting[left[0]]
                 least, lines, collided = _reference(scenarios[left[0]], c)
-                members = [k for k in left if waiting[k] is lead or (
+                dists = {k: waiting[k].distance(lines) for k in left}
+                members = [k for k in left if waiting[k] is lead or (  # its ticks, not its start
                     not collided and waiting[k].right_of_way == lead.right_of_way
-                    and not np.count_nonzero(waiting[k].distance(lines)
-                                             < scenario.collision_radius))]
-                groups.append((j, members, _classes(least, scenario.gap_model, gaps)))
+                    and not np.count_nonzero(dists[k][1:] < scenario.collision_radius))]
+                groups.append((j, members, _classes(least, scenario.gap_model, gaps), dists))
                 left = [k for k in left if k not in members]
-        start = min((arm for _, _, arms in groups for arm in arms if arm is not None),
+        start = min((arm for _, _, arms, _ in groups for arm in arms if arm is not None),
                     default=sys.maxsize)
 
-        # Each group's prefix, advanced to ``start``, and each member's start on it:
-        # its own quadrant's fields and min_distance, and the prefix's vehicle and
-        # controller fields, delay ring, accumulators, mode trace and clock, or its
-        # result if it ended.
+        # Each group's prefix, advanced to ``start``, and each member's start on it: its
+        # own quadrant's fields, its min_distance over the start line and the reference's
+        # first ``start`` ticks (the prefix's), and the prefix's vehicle and controller
+        # fields, delay ring, accumulators, mode trace and clock, or its result if it ended.
         quads = {}  # (controller, scenario), by its index in result order
-        delta = scenario.geometry.delta
-        for j, members, arms in groups:
+        for j, members, arms, dists in groups:
             run = TrialRun(scenarios[members[0]], math.inf, controllers[j])
             end = run.advance(start)
-            lines = np.array([scenario.initial_d + delta] +
-                             [d + delta for _, d, _, _, _, _, _ in run.trace])
             run.trace.clear()  # no result keeps it: freed before the next prefix runs
             for k in members:
                 own = TrialState(scenarios[k])
                 for name in PRE_ARM:
                     setattr(own, name, getattr(run.s, name))
-                low = own.distance(lines).min().item()
+                low = dists[k][:start + 1].min().item()
                 quads[j * len(scenarios) + k] = (
                     own, run, low, arms,
                     None if end is None else replace(end, min_distance=low, trace=None))

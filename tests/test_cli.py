@@ -133,6 +133,10 @@ class TestSimulate:
             ("CWSIM_RUN__T_DELAY_PLANT", "-1", ["simulate", "--trials", "3"]),
             ("CWSIM_POMDP__TOL", "0", ["solve-pomdp"]),
             ("CWSIM_RUN__CONTROLLER", "foo", ["replay", "--gap", "2.5"]),
+            # Checked by every verb, not only by the code that reads the name.
+            ("CWSIM_RUN__CONTROLLER", "pomdb", ["compare", "--trials", "2"]),
+            ("CWSIM_RUN__LANE", "C", ["compare", "--trials", "2"]),
+            ("CWSIM_RUN__SIDE", "up", ["solve-pomdp"]),
             (None, None, ["replay", "--trial", "1"]),
             (None, None, ["replay"]),
             (None, None, ["replay", "--preset", "experiment", "--trial", "1", "--gap", "9"]),

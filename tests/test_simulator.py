@@ -692,6 +692,34 @@ def test_a_quadrant_that_collides_before_it_arms_has_its_own_pre_arm_run(
                           for g in gaps])
 
 
+def test_a_pedestrian_who_steps_away_on_the_first_lockstep_tick(scenario_factory):
+    # A pedestrian waiting 3 m past the near curb, beyond lane A's centre, with no
+    # step-off latency, and a vehicle that holds its speed: the 0.05 s gap arms
+    # 0.1 m before the walking line, on the lockstep's first tick, and the
+    # pedestrian steps away from the lane on that tick. Had it still been waiting,
+    # its distance on that tick would be below the trial's min_distance, so the
+    # pre-arm min_distance must stop at the tick before.
+    class Cruise:
+        modes = ("cruise",)
+
+        def step(self, s, tick):
+            return 0.0
+
+        def step_batch(self, s, tick):
+            return np.zeros(len(s.v))
+
+    model = replace(scenario_factory().gap_model, near_setback=-3.0, start_delay=0.0)
+    sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR, gap_model=model)
+    cruise = Cruise()
+    scalar = run_trial(sc, 0.05, cruise)
+    start = first_arm_tick([sc], [0.05], cruise)
+    waiting = TrialState(sc)
+    waiting.d = scalar.trace[start][1]  # the vehicle after tick ``start``
+    assert waiting.x_p > waiting.x_v and 0.0 < waiting.walking_line(sc.geometry)[0] < 0.2
+    assert waiting.distance(waiting.walking_line(sc.geometry)[0]) < scalar.min_distance
+    assert_bitwise_equal(run_batch([sc], [0.05], cruise), [scalar])
+
+
 @pytest.mark.parametrize("lane,side", QUADRANTS)
 def test_reference_trial_ends_as_the_vehicle_clears_the_stripe(monkeypatch, scenario_factory,
                                                                hybrid_for, pomdp_model,
