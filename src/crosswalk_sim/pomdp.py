@@ -241,7 +241,9 @@ def _evaluate(v, rows, ns, w, rr) -> None:
     sweep order changes no bit. The rows left, on or behind a longer cycle, go to
     ``_eliminate``. Python floats and elementwise NumPy round the same IEEE
     operations the same way, and no BLAS runs, so V has the same bits on every
-    platform and NumPy build.
+    platform and NumPy build. The one difference measured is the sign of NaN + NaN:
+    CPython keeps the second operand's NaN and NumPy's arrays the first's. No output
+    can show it, as a Q holding a NaN fails its certificate.
     """
     rows_l = rows.tolist()
     at = {s: i for i, s in enumerate(rows_l)}
@@ -291,18 +293,56 @@ def _evaluate(v, rows, ns, w, rr) -> None:
 
 def _eliminate(v, rows, ns, w, rr) -> None:
     """Set ``v[rows]`` as ``_evaluate`` does, where each successor is one of ``rows``
-    or has its value in ``v``, by Gauss-Jordan elimination in NumPy: unpivoted, as
-    I - w is row diagonally dominant, and elementwise, so no BLAS."""
-    m = len(rows)
-    col = (ns[:, :, None] == rows).argmax(axis=-1)  # which row a successor is; 0 if none
-    open_ = rows[col] == ns
-    a, t = np.eye(m, m + 1), np.where(open_, 0.0, w * v[ns])
-    a[:, m] = rr + (t[0] + t[1])
-    np.subtract.at(a, (np.arange(m), col), np.where(open_, w, 0.0))
-    for i in range(m):
-        a[i] /= a[i, i]
-        a -= np.multiply.outer(np.where(np.arange(m) == i, 0.0, a[:, i]), a[i])
-    v[rows] = a[:, m]
+    or has its value in ``v``, by Gauss-Jordan elimination on the nonzeros, with the
+    bits of the dense form (``tests/qmdp_reference.py``)."""
+    # The dense form on each row's entries in Python floats: the same pivot order,
+    # unpivoted as I - w is row diagonally dominant, and the same IEEE operation on
+    # every entry the dense form changes. Each row is a dict, built in np.subtract.at's
+    # order (successor 0, then 1), and each column lists the other rows with an entry.
+    # At pivot i, row i is divided by the pivot, and each row j with an entry f in
+    # column i gets a_jk - f·a_ik (a missing a_jk is 0.0) and b_j - f·b_i, and drops
+    # the entry, which the dense form leaves as +0.0. Every other row has multiplier
+    # +0.0 and gets b_j - 0.0·b_i. That runs on row i, where it turns -0.0 into +0.0,
+    # and on the others only if b_i is not finite: otherwise it can only turn a -0.0
+    # b_j into +0.0, which row j's own pivot does anyway, and no step makes a -0.0.
+    # The entries off the diagonal stay <= 0 and the pivots in (0, 1], so the matrix
+    # part of those updates changes nothing. The right-hand side is NumPy's sum, as
+    # NumPy and Python floats keep different NaNs of NaN + NaN.
+    at = {s: j for j, s in enumerate(rows.tolist())}
+    m = len(at)
+    t = np.where((ns[:, :, None] == rows).any(axis=-1), 0.0, w * v[ns])
+    b = (rr + (t[0] + t[1])).tolist()
+    a = [{j: 1.0} for j in range(m)]
+    cols = [[] for _ in range(m)]
+    for j, s0, s1, w0, w1 in zip(range(m), *ns.tolist(), *w.tolist()):
+        aj = a[j]
+        for s, ws in ((s0, w0), (s1, w1)):
+            if ws and (k := at.get(s)) is not None:  # subtracting 0.0 changes no entry
+                if (y := aj.get(k)) is None:
+                    aj[k] = 0.0 - ws
+                    cols[k].append(j)
+                else:
+                    aj[k] = y - ws
+    for i, ai in enumerate(a):
+        p = ai.pop(i)
+        for k in ai:
+            ai[k] /= p
+        bi = b[i] / p
+        b[i] = bi - 0.0 * bi
+        for j in cols[i]:
+            aj = a[j]
+            f = aj.pop(i)
+            for k, x in ai.items():
+                if (y := aj.get(k)) is None:
+                    aj[k] = 0.0 - f * x
+                    cols[k].append(j)
+                else:
+                    aj[k] = y - f * x
+            b[j] -= f * bi
+        if not math.isfinite(bi):
+            for j in set(range(m)).difference(cols[i], [i]):
+                b[j] -= 0.0 * bi
+    v[rows] = b
 
 
 def qmdp_solve(model: PomdpModel, tol: float) -> QTable:
@@ -480,9 +520,13 @@ def save_policy(path: Path, model: PomdpModel, qtable: QTable) -> None:
     reads compressed caches as well."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        np.savez(f, q=qtable.q, cache_key=np.array(model.cache_key))
-    os.replace(tmp, path)
+    try:  # a write that fails removes the temporary file
+        with open(tmp, "wb") as f:
+            np.savez(f, q=qtable.q, cache_key=np.array(model.cache_key))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_policy(path: Path, model: PomdpModel) -> Optional[QTable]:

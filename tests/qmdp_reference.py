@@ -1,5 +1,6 @@
 """Oracles for ``qmdp_solve``: one dense (S, A) Bellman backup, value iteration built on
-it, and a NumPy policy evaluation that ``pomdp._evaluate`` must match bit for bit."""
+it, and a NumPy policy evaluation and dense elimination that ``pomdp._evaluate`` and
+``pomdp._eliminate`` must match bit for bit."""
 
 import numpy as np
 
@@ -72,13 +73,20 @@ def wavefront_evaluate(v, rows, ns, w, rr):
     while (ready := ~done[rows] & (done[ns[0]] | loop[0]) & (done[ns[1]] | loop[1])).any():
         t, solved = np.where(loop, 0.0, w * v[ns]), rows[ready]
         v[solved], done[solved] = ((rr + (t[0] + t[1])) / den)[ready], True
-    k = np.flatnonzero(~done[rows])  # the rows on or behind a longer cycle
-    m, at, open_ = len(k), np.zeros(len(v), dtype=np.int64), ~done[ns[:, k]]
-    at[rows[k]] = np.arange(m)
-    a, t = np.eye(m, m + 1), np.where(open_, 0.0, w[:, k] * v[ns[:, k]])
-    a[:, m] = rr[k] + (t[0] + t[1])
-    np.subtract.at(a, (np.arange(m), at[ns[:, k]]), np.where(open_, w[:, k], 0.0))
+    if (k := np.flatnonzero(~done[rows])).size:  # the rows on or behind a longer cycle
+        dense_eliminate(v, rows[k], ns[:, k], w[:, k], rr[k])
+
+
+def dense_eliminate(v, rows, ns, w, rr):
+    """``pomdp._eliminate`` on the dense matrix, which it must match bit for bit:
+    Gauss-Jordan elimination in NumPy, unpivoted and elementwise, so no BLAS."""
+    m = len(rows)
+    col = (ns[:, :, None] == rows).argmax(axis=-1)  # which row a successor is; 0 if none
+    open_ = rows[col] == ns
+    a, t = np.eye(m, m + 1), np.where(open_, 0.0, w * v[ns])
+    a[:, m] = rr + (t[0] + t[1])
+    np.subtract.at(a, (np.arange(m), col), np.where(open_, w, 0.0))
     for i in range(m):
         a[i] /= a[i, i]
         a -= np.multiply.outer(np.where(np.arange(m) == i, 0.0, a[:, i]), a[i])
-    v[rows[k]] = a[:, m]
+    v[rows] = a[:, m]

@@ -1,3 +1,5 @@
+import errno
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from crosswalk_sim.pomdp import (
     solve_or_load,
 )
 
-from qmdp_reference import assert_near_value_iteration, backup_change, wavefront_evaluate
+from qmdp_reference import (assert_near_value_iteration, backup_change, dense_eliminate,
+                            wavefront_evaluate)
 from states import CONFIG, config_with, scaled_weights, trial_state
 
 
@@ -237,6 +240,82 @@ class TestSolver:
         assert v.tobytes() == want.tobytes()
         assert bool(eliminated) == bool(seed % 2)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_eliminate_matches_the_dense_form_bit_for_bit(self, seed):
+        # 150 systems of 1 to 12 rows, in shuffled state order, and 4 known states whose
+        # values include ±0.0, ±inf and NaN of both signs; rewards include ±0.0, weights
+        # 0.0, and successors self loops and the same state twice.
+        rng = np.random.default_rng(seed)
+        known = [1.0, -2.0, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        for _ in range(150):
+            n_known, n = 4, int(rng.integers(1, 13))
+            v = rng.choice(known, size=n_known + n) * rng.uniform(0.5, 2.0, size=n_known + n)
+            rows = n_known + rng.permutation(n)
+            ns = np.where(rng.random((2, n)) < 0.6, rng.choice(rows, size=(2, n)),
+                          rng.integers(0, n_known, size=(2, n)))
+            ns[1] = np.where(rng.random(n) < 0.2, ns[0], ns[1])
+            ns = np.where(rng.random((2, n)) < 0.1, rows, ns)
+            p = rng.choice([0.0, 1.0, 0.5, rng.uniform()], size=n)
+            w = rng.choice([0.0, 0.5, 0.99]) * np.stack([1.0 - p, p])
+            rr = rng.choice([0.0, -0.0, -1.0, 3.0], size=n) * rng.uniform(0.5, 2.0, size=n)
+            want = v.copy()
+            with np.errstate(invalid="ignore"):
+                dense_eliminate(want, rows, ns, w, rr)
+                pomdp._eliminate(v, rows, ns, w, rr)
+            assert v.tobytes() == want.tobytes()
+
+    # Hand-built systems over rows 2 and 3, pivoted in that order, and known states 0 and 1.
+    @pytest.mark.parametrize("known,ns,w,rr,want", [
+        # Row 3's right-hand side is -0.0 (both successors known) and it has no entry in
+        # column 2, whose right-hand side is -1.0: the dense update b - 0.0·(-1.0) makes
+        # it +0.0, as does its own pivot's b - 0.0·b.
+        ((-0.0, 0.0), [[3, 0], [0, 0]], [[0.5, 0.5], [0.0, 0.4]], [-1.0, -0.0], ["-1.0", "0.0"]),
+        # Row 3's right-hand side is +inf, and row 2, pivoted before it, holds -0.5 in
+        # column 3: row 2 gets one update, to +inf, not the NaN of a second one,
+        # b - 0.0·inf. Row 3's own update, b - 0.0·b, makes it NaN.
+        ((np.inf, 0.0), [[3, 0], [1, 0]], [[0.5, 0.5], [0.4, 0.4]], [1.0, 0.0], ["inf", "nan"]),
+        # Row 2's successors are known as NaN and -NaN: NumPy's sum of their terms keeps
+        # the first NaN, where Python floats keep the second.
+        ((np.nan, -np.nan), [[0, 2], [1, 2]], [[0.5, 0.5], [0.4, 0.4]], [0.0, -1.0], ["nan", "nan"]),
+    ], ids=["negative-zero-under-negative-pivot", "no-second-update", "nan-plus-nan"])
+    def test_eliminate_hand_built_cases(self, known, ns, w, rr, want):
+        v, rows = np.array([*known, 0.0, 0.0]), np.array([2, 3])
+        v_dense, args = v.copy(), (rows, np.array(ns), np.array(w), np.array(rr))
+        with np.errstate(invalid="ignore"):
+            dense_eliminate(v_dense, *args)
+            pomdp._eliminate(v, *args)
+        assert v.tobytes() == v_dense.tobytes()
+        assert [repr(x) for x in v[rows].tolist()] == want
+
+    def test_solve_with_the_dense_elimination_has_the_same_bits(self, monkeypatch):
+        # (n_v_bins, n_d_bins, actions, gamma, reward weights' scale): gamma 0, zero weights,
+        # weights whose Q overflows (the same ConvergenceError on both sides) and the
+        # grid with no braking action among them.
+        configs = [(2, 11, "-3,-1,0,1", 0.9, 1.0), (2, 11, "-3,-1.5,-0.5,0,0.5,1", 0.98, 1.0),
+                   (2, 11, "0,1", 0.98, 0.0), (2, 11, "-2,-1,0", 0.9, 1e300),
+                   (5, 11, "-3,-1,0,1", 0.0, 1.0), (5, 11, "0,1", 0.9, 1.0),
+                   (5, 11, "-3,0,1", 0.98, 1e300), (5, 11, "-3,-2,-1,0,1,2", 0.98, 0.0),
+                   (13, 11, "0,1", 0.98, 1.0), (13, 51, "-3,-1,0,1", 0.9, 1.0),
+                   (13, 51, "-3,-1.5,-0.5,0,0.5,1", 0.0, 0.0), (31, 11, "-2,-1,0", 0.98, 1.0),
+                   (31, 11, "0,1", 0.9, 1e300), (2, 51, "-3,-2,-1,0,1,2", 0.98, 1.0),
+                   (5, 101, "-3,0,1", 0.9, 1.0), (13, 11, "-3,-1.5,-0.5,0,0.5,1", 0.9, 0.0)]
+        eliminate, calls = pomdp._eliminate, []
+
+        def solve(m, elimination):
+            monkeypatch.setattr(pomdp, "_eliminate", elimination)
+            try:
+                table = qmdp_solve(m, tol=TOL)
+            except ConvergenceError as err:
+                return str(err), np.float64(err.residual).tobytes()
+            return table.q.tobytes(), table.rounds, table.residuals
+
+        for n_v, n_d, actions, gamma, k in configs:
+            m = config_with(pomdp={"n_v_bins": n_v, "n_d_bins": n_d, "actions": actions,
+                                   "gamma": gamma, **scaled_weights(k)}).pomdp_model()
+            shipped = solve(m, lambda *args: (calls.append(1), eliminate(*args)))
+            assert shipped == solve(m, dense_eliminate)
+        assert calls  # the set reaches the elimination
+
     def test_overflowing_q_raises(self):
         # A finite weight whose Q overflows gives a certificate that is not finite,
         # raised without a NumPy warning.
@@ -390,6 +469,21 @@ class TestSerialization:
     def test_save_leaves_only_the_policy(self, tmp_path, pomdp_model, solved_policy):
         save_policy(tmp_path / "policy.npz", pomdp_model, solved_policy)
         assert [p.name for p in tmp_path.iterdir()] == ["policy.npz"]
+
+    def test_failed_save_leaves_no_file(self, monkeypatch, tmp_path, pomdp_model):
+        # A full disk: np.savez writes part of the archive, then fails.
+        def savez(f, **arrays):
+            f.write(b"PK\x03\x04partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", savez)
+        with pytest.raises(OSError, match="No space left"):
+            solve_or_load(pomdp_model, tmp_path, tol=TOL)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        assert solve_or_load(pomdp_model, tmp_path, tol=TOL).residuals  # solved again
+        assert [p.name for p in tmp_path.iterdir()] == [policy_cache_path(tmp_path, pomdp_model).name]
+        assert solve_or_load(pomdp_model, tmp_path, tol=TOL).residuals == []  # now a hit
 
     @pytest.mark.parametrize("preset,key", [(None, "e4fe05bdd6f00d25"),
                                             ("experiment", "e566ab781fa52e70")],
