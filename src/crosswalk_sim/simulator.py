@@ -21,30 +21,18 @@ several controllers, each stepping its own block of rows.
 A lockstep row is a gap class, not a trial. A trial reads its accepted gap only
 in its waiting pedestrian's arm test, ``arming_gap(...) <= trigger``, which the
 engine runs and no controller sees (a ``TrialState`` holds no gap), so trials
-whose pedestrians arm on the same tick are the same trial. ``gap_classes`` finds
-those classes from the trace of one infinite-gap ``TrialRun``, which stops on its
-arm tick, and ``run_batch`` runs one row per (quadrant, class) and hands each
-trial its class's result, which is exact, not an approximation. Until its
-pedestrian arms, a controller reads it only through ``right_of_way``, so the
-quadrants whose waiting pedestrians hold the same right of way run one trial
-until then but for their distances: ``run_batch`` runs one reference trial per
-group of them under each controller, unless a member's distance along it
-reaches ``collision_radius``. Until the first tick on which any class arms,
-every trial of a group is one trial, so the scalar engine runs that prefix once
-per group and the lockstep starts from its state on that tick, each quadrant
-with its own lane, pedestrian and distance. A ``TrialResult`` is immutable and
-holds no gap, so the trials of a class share one; the gaps stay with the caller.
-Rows never move: a row's result is built on the tick it finishes, and the row
-then ticks on unread while its block is live.
+whose pedestrians arm on the same tick are the same trial. ``run_batch`` runs
+``plan_batch``, which lays out one row per (controller, quadrant, class) in the
+scalar engine, then ``_lockstep``, which runs the rows from the first tick on
+which a class arms and hands each trial its class's result: exact, not an
+approximation. A ``TrialResult`` is immutable and holds no gap, so the trials of
+a class share one; the gaps stay with the caller.
 Once armed, a pedestrian walks open-loop, so both engines read it from
 ``pedestrian_walk``, right of way included: ``run_trial`` draws its walk's
 entries one per tick from the tick it arms on, and each lockstep row reads its
 entry side's one walk table from its class's arm tick. The controllers read
 ``right_of_way``, which the engines set with ``in_crosswalk`` wherever they write
 the pedestrian.
-
-``run_batch`` steps every live block on every tick, as ``run_trial`` steps its
-trial, and ticks only the live blocks' rows.
 """
 
 from __future__ import annotations
@@ -80,12 +68,12 @@ class Controller(Protocol):
     ``BatchState``, and one command per row. It also runs on finished rows, so
     it must accept any state a finished row reaches.
 
-    ``step_batch`` writes its fields in place, as ``run_batch`` writes every
+    ``step_batch`` writes its fields in place, as the lockstep writes every
     other field, since it steps a view of its controller's rows of a larger
     batch (``BatchState.rows``). It is not called once none of those rows is live.
-    Its first call may come on a tick after 0: ``run_batch`` starts the lockstep
-    on the first tick on which a gap class arms, from the fields that ``step``
-    wrote on the ticks before.
+    Its first call may come on a tick after 0: the lockstep starts on the plan's
+    ``start``, the first tick on which a gap class arms, from the fields that
+    ``step`` wrote on the ticks before.
     Its scalar operands are bound once, as 0-d arrays (``core.bound``), not on
     every call: the hybrid binds its own on its first call, as ``replay`` builds
     controllers that only ``step``; the POMDP reads its model's and three ints.
@@ -93,7 +81,7 @@ class Controller(Protocol):
     Both read the pedestrian's right of way from ``right_of_way``, which the
     engines set, and never call ``in_crosswalk``. Until the pedestrian arms,
     they read it only through ``right_of_way`` (the hybrid's ``time_advantage``
-    is +inf while ``xdot_p == 0``): ``run_batch`` runs the quadrants whose
+    is +inf while ``xdot_p == 0``): ``plan_batch`` runs the quadrants whose
     waiting pedestrians hold the same right of way as one trial until then.
     """
 
@@ -224,7 +212,7 @@ class TrialState:
 
 # The fields of a trial's vehicle and controller: until its pedestrian arms, the
 # trials of every quadrant whose waiting pedestrian holds the same right of way
-# have the same ones (``run_batch``).
+# have the same ones (``plan_batch``).
 PRE_ARM = ("d", "v", "mode", "d_o", "v_o", "latched", "overrun", "a_prev_idx")
 
 
@@ -280,8 +268,8 @@ class TrialRun:
     accumulators, the mode trace, the trace, and its pedestrian's ``trigger``,
     ``arm`` tick, None while it waits, and walk with its last entry), so that
     the loop can stop on a tick and resume from it. It stops after the tick its
-    pedestrian arms on, the one instant its gap decides: ``gap_classes`` reads
-    the trial up to there. ``run_trial`` advances one to its end; ``run_batch``
+    pedestrian arms on, the one instant its gap decides: a group's reference
+    trial is read up to there. ``run_trial`` advances one to its end; ``plan_batch``
     advances one per group to the tick its lockstep starts on.
     """
 
@@ -406,7 +394,7 @@ def sweep_gaps(lo: float, step: float, hi: float) -> list[float]:
 
 
 def _reference(scenario: Scenario, controller: Controller) -> tuple[np.ndarray, np.ndarray, bool]:
-    """``gap_classes``' reference trial: the trial with an infinite accepted gap up
+    """A group's reference trial: the trial with an infinite accepted gap up
     to the tick it arms on, its first -inf ``arming_gap`` (the vehicle stopped or
     passed), where its ``TrialRun`` stops. Until then it is any gap's trial, and no
     later tick changes a class. Returns ``arming_gap`` on each of its ticks, the
@@ -425,26 +413,11 @@ def _reference(scenario: Scenario, controller: Controller) -> tuple[np.ndarray, 
 
 def _classes(least: np.ndarray, model: GapAcceptanceModel,
              gaps: Sequence[float]) -> list[Optional[int]]:
-    """``gap_classes`` from its reference trial's ``arming_gap`` on each tick, ``least``."""
+    """Each gap's class, its arm tick or None, from the reference trial's ``arming_gap``
+    on each tick, ``least``: the first tick with a record low at most its ``trigger``."""
     low = np.minimum.accumulate(least)
     ticks = np.searchsorted(-low, -np.array([trigger(model, g) for g in gaps], dtype=float))
     return [tick if tick < len(low) else None for tick in ticks.tolist()]
-
-
-def gap_classes(scenario: Scenario, controller: Controller,
-                gaps: Sequence[float]) -> list[Optional[int]]:
-    """The class of each of ``gaps`` on ``scenario``: the tick on which its
-    pedestrian arms, or None if its trial ends first. Trials whose gaps share a
-    class have one result.
-
-    A trial reads its gap only in its pedestrian's arm test (no controller reads
-    it), and its walk after it reads nothing of the vehicle. Until it arms, every
-    trial of the scenario is the reference trial of ``_reference``. A gap arms on
-    the first tick whose record low of ``arming_gap`` is at or below its
-    ``trigger`` (by bisection). ``run_batch`` shares one reference trial among
-    the quadrants whose trials are one trial until they arm.
-    """
-    return _classes(_reference(scenario, controller)[0], scenario.gap_model, gaps)
 
 
 def pedestrian_walk(scenario: Scenario) -> Iterator[tuple[float, float, int, bool]]:
@@ -526,48 +499,62 @@ def plant_step(v: np.ndarray, d: np.ndarray, a: np.ndarray,
     return v_next, d_next
 
 
-def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
-              *controllers: Controller) -> list[TrialResult]:
-    """Run trial i with accepted gap ``gaps[i]`` in every scenario under each of
-    ``controllers``, all in one lockstep batch on one clock.
+@dataclass(frozen=True)
+class BatchPlan:
+    """``plan_batch``'s plan. A quad is a (controller, scenario), in result order:
+    scenario k under controller j is quad ``j * len(scenarios) + k``.
+
+    ``scenario`` is the first, whose clock, geometry and limits all share;
+    ``start`` is the lockstep's first tick (``sys.maxsize`` if no class arms);
+    ``groups`` holds each group's controller and members, lead first. Per quad:
+    ``classes``, each gap's arm tick or None; ``starts``, its ``TrialState`` on
+    ``start``; ``prefixes``, its group's ``TrialRun``, stopped there or ended;
+    ``lows``, its pre-arm ``min_distance``; ``ends``, its ended prefix's result or
+    None. ``walks`` holds the columns of one table of each entry side's
+    ``pedestrian_walk``. Per row: ``which``, its quad, and ``entries``, its
+    ``(first + start - arm, first, last)`` into ``walks`` (after tick ``tick`` it
+    reads entry ``first + tick + 1 - arm`` clamped to [first, last]), or ``(first,
+    first, first)`` if it never arms. ``blocks`` holds each controller's rows
+    ``[lo, hi)``, and ``trial_rows`` each quad's trials' rows.
+    """
+
+    scenario: Scenario
+    start: int
+    groups: tuple[tuple[int, tuple[int, ...]], ...]
+    classes: tuple[list[Optional[int]], ...]
+    starts: tuple[TrialState, ...]
+    prefixes: tuple[TrialRun, ...]
+    lows: tuple[float, ...]
+    ends: tuple[Optional[TrialResult], ...]
+    walks: tuple[np.ndarray, ...]
+    which: list[int]
+    entries: np.ndarray
+    blocks: list[tuple[int, int]]
+    trial_rows: list[list[int]]
+
+
+def plan_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
+               *controllers: Controller) -> BatchPlan:
+    """The plan of ``run_batch``'s lockstep, from the scalar engine alone.
 
     The scenarios (a run's quadrants) may differ only in ``lane`` and
-    ``entry_side``. Each scenario's gaps fall into ``gap_classes`` under each
-    controller, and the trials of one class are one trial. Before its
-    pedestrian arms, a trial differs from another scenario's only in the
-    pedestrian's ``right_of_way``, the one pedestrian field a controller then
-    reads, and in its distances. So each controller's scenarios form groups:
-    the first scenario left leads, and another joins it if its waiting
-    pedestrian holds the same right of way, the lead's reference trial does not
-    collide, and the scenario's own distance along that trial never reaches
-    ``collision_radius``; one that joins no group leads its own. Each group
-    runs one reference trial, which gives its members' classes. Until the
-    first tick on which any class arms, every trial of a group is the group's
-    prefix, its lead's trial with an infinite gap, whose pedestrian arms no
-    earlier than any gap's: the scalar engine advances it there
-    (``TrialRun``). From that tick on the lockstep runs one row per
-    (controller, scenario, class), each started from its own scenario's lane
-    and waiting pedestrian, its own ``min_distance`` over the prefix's ticks
-    (the first of its distances along the reference), and its group's
-    prefix: the vehicle, the controller fields, the delay ring, the other
-    metric accumulators, the mode trace and the clock. A group
-    whose prefix ends first has one class, None, whose rows start finished,
-    with the prefix's result and their own ``min_distance``. Each controller's
-    rows form one block, which its ``step_batch`` steps through
-    ``BatchState.rows``; the plant, the distance and the metrics then tick the
-    live blocks' rows at once, and each row reads its pedestrian, right of way
-    included, from its walk. A
-    live block is stepped on every tick. A row's ``TrialResult`` is built on the
-    tick it finishes (done and past, a collision or the timeout), and the row then
-    ticks on unread while its block is live; once a block has no live row, it is
-    neither stepped nor ticked: each tick runs on the rows from the first live
-    block's to the last one's.
-    Every trial of a class gets that class's one result, bitwise equal to
-    ``run_trial`` on the trial's own scenario, gap and controller but for the
-    trace, which it leaves out.
-    Returns one block of results per (controller, scenario), in order: trial i
-    of ``scenarios[k]`` under ``controllers[j]`` is at
-    ``(j * len(scenarios) + k) * len(gaps) + i``.
+    ``entry_side``. A gap's class is the tick on which its trial's pedestrian
+    arms, or None if the trial ends first. Before it arms, a trial differs from
+    another scenario's only in the pedestrian's ``right_of_way``, the one
+    pedestrian field a controller then reads, and in its distances. So each
+    controller's scenarios form groups: the first scenario left leads, and another
+    joins it if its waiting pedestrian holds the same right of way, the lead's
+    reference trial does not collide, and the scenario's own distance along that
+    trial never reaches ``collision_radius``; one that joins no group leads its
+    own. The reference gives every member's classes. Until ``start``, the first
+    tick on which any class arms, every trial of a group is the group's prefix,
+    the lead's trial with an infinite gap, which a ``TrialRun`` advances there.
+    Each (controller, scenario, class) is one row, started from its own
+    scenario's lane and waiting pedestrian, its own ``min_distance`` along the
+    reference up to ``start``, and the prefix's vehicle, controller fields, delay
+    ring, other metric accumulators, mode trace and clock. A group whose prefix
+    ends first has one class, None, whose rows start finished, with the prefix's
+    result and their own ``min_distance``.
     """
     if not controllers:
         raise ValueError("need at least one controller")
@@ -581,11 +568,6 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     if not gaps:
         raise ValueError("need at least one gap")
 
-    # Each controller's quadrants in groups that share one pre-arm run: those whose
-    # waiting pedestrians hold the lead's right of way, if the lead's reference does
-    # not collide and no member's own distance along it reaches collision_radius.
-    # Each group's classes, and the tick the lockstep starts on: the first on which
-    # a class arms.
     waiting = [TrialState(sc) for sc in scenarios]
     # (controller, members, classes, each quadrant left's distances along the reference)
     groups: list[tuple[int, list[int], list[Optional[int]], dict[int, np.ndarray]]] = []
@@ -604,11 +586,8 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
         start = min((arm for _, _, arms, _ in groups for arm in arms if arm is not None),
                     default=sys.maxsize)
 
-        # Each group's prefix, advanced to ``start``, and each member's start on it: its
-        # own quadrant's fields, its min_distance over the start line and the reference's
-        # first ``start`` ticks (the prefix's), and the prefix's vehicle and controller
-        # fields, delay ring, accumulators, mode trace and clock, or its result if it ended.
-        quads = {}  # (controller, scenario), by its index in result order
+        # Each group's prefix, advanced to ``start``, and each member's start on it.
+        quads = {}
         for j, members, arms, dists in groups:
             run = TrialRun(scenarios[members[0]], math.inf, controllers[j])
             end = run.advance(start)
@@ -623,21 +602,14 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                     None if end is None else replace(end, min_distance=low, trace=None))
     starts, prefixes, lows, classes, ends = zip(*(quads[q] for q in sorted(quads)))
 
-    # One table of each entry side's pedestrian_walk, and each side's first and last entry.
-    walks: list[tuple[float, float, int, bool]] = []
-    walk_ends: dict[EntrySide, tuple[int, int]] = {}
+    walks: list[tuple[float, float, int, bool]] = []  # one table of each side's walk
+    walk_ends: dict[EntrySide, tuple[int, int]] = {}  # each side's first and last entry
     for side, sc in {sc.entry_side: sc for sc in scenarios}.items():
         first = len(walks)
         walks += pedestrian_walk(sc)
         walk_ends[side] = (first, len(walks) - 1)
 
-    which: list[int] = []  # each row's (controller, scenario)
-    # Each row's (first + start - arm, first, last): after tick ``tick`` it reads
-    # entry ``first + tick + 1 - arm`` clamped to [first, last], or first if it never arms.
-    entries: list[tuple[int, int, int]] = []
-    trial_rows: list[list[int]] = []  # each (controller, scenario)'s trials' rows, in result order
-    results: list[Optional[TrialResult]] = []  # each row's: its ended prefix's, or built later
-    bounds: list[tuple[int, int]] = []  # each controller's block of rows, [lo, hi)
+    which, entries, blocks, trial_rows = [], [], [], []  # typed as BatchPlan's fields
     for j in range(len(controllers)):
         lo = len(which)
         for k, sc in enumerate(scenarios):
@@ -648,20 +620,35 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                 if arm not in row_of:
                     row_of[arm] = len(which)
                     which.append(q)
-                    results.append(ends[q])
                     entries.append((first, first, first) if arm is None else
                                    (first + start - arm, first, last))
             trial_rows.append([row_of[arm] for arm in classes[q]])
-        bounds.append((lo, len(which)))
-    s = BatchState(starts, which)
-    n_rows = len(which)
-    walk_x, walk_xdot, walk_phase, walk_row = (
-        np.array(column, dtype) for column, dtype in
-        zip(zip(*walks), (float, float, np.int8, bool)))
-    entry, first_entry, last_entry = np.array(list(zip(*entries)), dtype=np.intp)
+        blocks.append((lo, len(which)))
+    columns = tuple(np.array(column, dtype) for column, dtype in
+                    zip(zip(*walks), (float, float, np.int8, bool)))
+    return BatchPlan(scenario, start, tuple((j, tuple(members)) for j, members, _, _ in groups),
+                     classes, starts, prefixes, lows, ends, columns, which,
+                     np.array(list(zip(*entries)), dtype=np.intp), blocks, trial_rows)
+
+
+def _lockstep(plan: BatchPlan, controllers: Sequence[Controller]) -> list[TrialResult]:
+    """One ``TrialResult`` per row of ``plan``, from tick ``plan.start`` on one clock.
+    Each controller's block of rows is stepped by its ``step_batch`` through
+    ``BatchState.rows``; the plant, the distance and the metrics then tick the
+    live blocks' rows at once, and each row reads its pedestrian, right of way
+    included, from its walk. A live block is stepped on every tick. A row's result
+    is built on the tick it finishes (done and past, a collision or the timeout),
+    and the row then ticks on unread while its block is live; a block with no live
+    row is neither stepped nor ticked: each tick runs on the rows from the first
+    live block's to the last one's.
+    """
+    which, prefixes = plan.which, plan.prefixes
+    s = BatchState(plan.starts, which)
+    walk_x, walk_xdot, walk_phase, walk_row = plan.walks
+    entry, first_entry, last_entry = plan.entries.copy()  # the loop advances ``entry``
     # The prefixes' delay rings, as (delay tick, row), and metric accumulators.
     fifo = np.array([run.fifo for run in prefixes], dtype=float)[which].T.copy()
-    min_distance = np.array(lows)[which]
+    min_distance = np.array(plan.lows)[which]
     v_sum, peak_accel = (np.array([getattr(run, name) for run in prefixes])[which]
                          for name in ("v_sum", "peak_accel"))
     # Each row's mode trace: a tuple, which its result shares; the mode it last
@@ -669,16 +656,14 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
     group_traces = [tuple(run.mode_trace) for run in prefixes]
     mode_traces = [group_traces[q] for q in which]
     traced = s.mode.copy()
-    labels = [c.modes for c, (lo, hi) in zip(controllers, bounds) for _ in range(lo, hi)]
+    labels = [c.modes for c, (lo, hi) in zip(controllers, plan.blocks) for _ in range(lo, hi)]
     t = max(run.t for run in prefixes)  # the clock on ``start``: a prefix that ended is no later
-    tick = start
-    # Unread by the loop: they would raise its peak.
-    del classes, which, entries, walks, prefixes, starts, lows, ends, groups, quads
-
+    scenario, tick = plan.scenario, plan.start
     geometry, dt, k = scenario.geometry, scenario.dt, tick_operands(scenario)
     max_sim_time, ring = scenario.max_sim_time, len(fifo)
-    blocks = [(c, lo, hi, s.rows(lo, hi)) for c, (lo, hi) in zip(controllers, bounds)]
-    a_cmd = np.zeros(n_rows)
+    blocks = [(c, lo, hi, s.rows(lo, hi)) for c, (lo, hi) in zip(controllers, plan.blocks)]
+    a_cmd = np.zeros(len(which))
+    results = [plan.ends[q] for q in which]
     live = np.array([result is None for result in results])
 
     # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
@@ -766,4 +751,19 @@ def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                 if not all(np.count_nonzero(live[c_lo:c_hi]) for _, c_lo, c_hi, _ in stepped):
                     break
 
-    return [results[row] for rows in trial_rows for row in rows]
+    return results
+
+
+def run_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
+              *controllers: Controller) -> list[TrialResult]:
+    """Run trial i with accepted gap ``gaps[i]`` in every scenario under each of
+    ``controllers``, all in one lockstep batch on one clock (``plan_batch``, then
+    ``_lockstep``). Every trial of a class gets that class's one result, bitwise
+    equal to ``run_trial`` on the trial's own scenario, gap and controller but for
+    the trace, which it leaves out. Returns one block of results per (controller,
+    scenario), in order: trial i of ``scenarios[k]`` under ``controllers[j]`` is at
+    ``(j * len(scenarios) + k) * len(gaps) + i``.
+    """
+    plan = plan_batch(scenarios, gaps, *controllers)
+    results = _lockstep(plan, controllers)
+    return [results[row] for rows in plan.trial_rows for row in rows]

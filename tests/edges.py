@@ -1,4 +1,4 @@
-"""The edges of ``simulator.gap_classes``, which the tests place gaps on."""
+"""The edges of ``simulator.plan_batch``'s gap classes, which the tests place gaps on."""
 
 import numpy as np
 
@@ -6,9 +6,9 @@ from crosswalk_sim.simulator import _reference
 
 
 def class_edges(scenario, controller) -> list[float]:
-    """The edges of ``gap_classes`` on ``scenario``: the record lows, in falling
+    """The edges of the gap classes on ``scenario``: the record lows, in falling
     order, of the time gap ``line / v`` (``line > 0``) that a waiting pedestrian
-    reads at each tick of ``gap_classes``' reference trial, which is any gap's
+    reads at each tick of the reference trial (``simulator._reference``), any gap's
     trial up to its first tick that arms every pedestrian (the vehicle stopped or
     passed; once it has passed, ``line`` only falls). A colliding tick adds an edge.
     """

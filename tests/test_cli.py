@@ -15,7 +15,7 @@ from crosswalk_sim import cli
 from crosswalk_sim.cli import TRIALS_HEADER, main
 from crosswalk_sim.config import DEFAULTS, load_config
 from crosswalk_sim.pomdp import load_policy, policy_cache_path
-from crosswalk_sim.simulator import TrialResult, gap_classes, run_batch, seeded_gaps
+from crosswalk_sim.simulator import TrialResult, plan_batch, run_batch, seeded_gaps
 
 pytestmark = pytest.mark.usefixtures("pomdp_cache_env")
 
@@ -673,12 +673,13 @@ def test_each_gap_class_is_one_result_rendered_once(tmp_path, monkeypatch):
     gaps = seeded_gaps(config.gap_model(), 0, 40)
     methods = dict(cli._controller(config, method, scenarios[0]) for method in cli.METHODS)
     results = run_batch(scenarios, gaps, *methods.values())
+    classes = plan_batch(scenarios, gaps, *methods.values()).classes
     n = len(gaps)
     batches = {}
-    for j, (method, controller) in enumerate(methods.items()):
+    for j, method in enumerate(methods):
         for k, scenario in enumerate(scenarios):
             batch = results[(j * len(scenarios) + k) * n:(j * len(scenarios) + k + 1) * n]
-            arms = gap_classes(scenario, controller, gaps)
+            arms = classes[j * len(scenarios) + k]
             # The trials of one class share one result object, and only they do.
             assert all((a is b) == (arm_a == arm_b) for a, arm_a in zip(batch, arms)
                        for b, arm_b in zip(batch, arms))

@@ -38,7 +38,7 @@ from crosswalk_sim.hybrid import HybridController
 from crosswalk_sim.pedestrian import DONE_CODE
 from crosswalk_sim.pomdp import PomdpController, pomdp_step, qmdp_solve
 from crosswalk_sim.simulator import (BatchState, Lane, TrialRun, TrialState, _reference,
-                                     gap_classes, pedestrian_walk, plant_step, plant_tick,
+                                     pedestrian_walk, plan_batch, plant_step, plant_tick,
                                      run_batch, run_trial, tick_operands)
 
 from edges import class_edges
@@ -300,8 +300,8 @@ def test_scalar_decision_matches_the_batch_decision(preset_controllers, preset, 
     max_sim_time=st.one_of(st.none(), finite(0.05, 20.0)),
     data=st.data(),
 )
-def test_gap_classes_are_exact(preset_controllers, preset, policy, lane, side, max_sim_time,
-                               data):
+def test_plan_classes_are_exact(preset_controllers, preset, policy, lane, side, max_sim_time,
+                                data):
     # A gap's class is the tick on which its trial's pedestrian arms, or None if
     # it never does (a short max_sim_time ends some trials first), and trials
     # whose gaps share a class have equal results (the trace is left out, as
@@ -323,7 +323,7 @@ def test_gap_classes_are_exact(preset_controllers, preset, policy, lane, side, m
         edge_gaps = [edges[j], math.nextafter(edges[j], -math.inf),
                      data.draw(st.floats(edges[j], upper, exclude_max=True))]
         gaps = edge_gaps + [math.nextafter(edges[-1], -math.inf)] + gaps
-    classes = gap_classes(sc, controller, gaps)
+    classes = plan_batch([sc], gaps, controller).classes[0]
     if armable:
         assert classes[0] != classes[1]
         assert classes[2] == classes[0] or gaps[2] > cut
@@ -341,7 +341,7 @@ def test_gap_classes_are_exact(preset_controllers, preset, policy, lane, side, m
 @pytest.mark.parametrize("preset", [None, "experiment"])
 def test_reference_trial_ends_on_its_first_minus_inf(preset_controllers, preset):
     # After the first tick that arms every pedestrian no class can change, so
-    # gap_classes' reference trace ends on it, also where the vehicle stops and
+    # plan_batch's reference trace ends on it, also where the vehicle stops and
     # never passes: the experiment preset's POMDP stops on tick 294 and would
     # otherwise run to its 1201-tick timeout.
     config, controllers = preset_controllers[preset]

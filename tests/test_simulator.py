@@ -17,8 +17,8 @@ from crosswalk_sim.simulator import (
     TrialResult,
     TrialRun,
     TrialState,
-    gap_classes,
     pedestrian_walk,
+    plan_batch,
     plant_step,
     plant_tick,
     run_batch,
@@ -263,8 +263,9 @@ class TestRunBatch:
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="known defect, ROADMAP item 5: the hybrid controller "
-                   "collides at gaps 1.05-1.3 s on the experiment preset, lane B, far side")
+                   reason="known defect, ROADMAP's Known limitation section: the hybrid "
+                   "controller collides at gaps 1.05-1.3 s on the experiment preset, lane B, "
+                   "far side")
 def test_experiment_lane_b_far_side_sweep_has_no_collision(hybrid_for):
     sc = load_config(preset="experiment", env={}).scenario(lane="B", side="far")
     gaps = sweep_gaps(0.5, 0.05, 10.0)
@@ -420,7 +421,7 @@ class TestLockstepMatchesScalar:
         for k, results in enumerate(scalar):
             assert_bitwise_equal(batch[k * n:(k + 1) * n], results)
         end = max(len(r.trace) for results in scalar for r in results)  # the last tick + 1
-        assert spy.ticks == list(range(first_arm_tick(quadrants, COARSE, pomdp), end))
+        assert spy.ticks == list(range(plan_batch(quadrants, COARSE, pomdp).start, end))
         if "max_sim_time" in override:
             assert end == 603 and any(r.timed_out for r in batch)
         elif any(r.timed_out for r in batch):  # the experiment preset's rows
@@ -442,7 +443,7 @@ class TestLockstepMatchesScalar:
         gaps = seeded_gaps(quadrants[0].gap_model, 17, SEEDED)
         spy = SteppedTicks(pomdp)
         batch = assert_batch_matches_scalar(quadrants, gaps, spy, scalar_oracle)
-        assert first_arm_tick(quadrants, gaps, pomdp) == start
+        assert plan_batch(quadrants, gaps, pomdp).start == start
         assert spy.ticks == list(range(start, 1201))
         assert any(r.timed_out for r in batch)
 
@@ -529,8 +530,8 @@ class TestLockstepClassEdges:
         batch = assert_batch_matches_scalar(quadrants, gaps, preset_controller, scalar_oracle)
         # One result per lockstep row, shared by its class's trials and immutable.
         n, total = len(gaps), 0
-        for k, sc in enumerate(quadrants):
-            classes = len(set(gap_classes(sc, preset_controller, gaps)))
+        for k, arms in enumerate(plan_batch(quadrants, gaps, preset_controller).classes):
+            classes = len(set(arms))
             assert len({id(r) for r in batch[k * n:(k + 1) * n]}) == classes < n
             total += classes
         assert len({id(r) for r in batch}) == total
@@ -635,12 +636,14 @@ def test_lockstep_runs_from_the_first_arm_tick_to_the_last_trial_end(
     monkeypatch.setattr(simulator, "plant_step",
                         lambda v, d, a, k: (rows.append(len(v)), plant_step(v, d, a, k))[1])
     run_batch(quadrants, gaps, controllers[0], stepped)
-    start = first_arm_tick(quadrants, gaps, *controllers)
+    plan = plan_batch(quadrants, gaps, *controllers)
+    start, n = plan.start, len(quadrants)
     # Each controller's longest trial; one gap of each class stands for the class.
-    hybrid_end, end = (max(len(run_trial(sc, gap, c).trace) for sc in quadrants for gap in
-                           {arm: g for g, arm in zip(gaps, gap_classes(sc, c, gaps))}.values())
-                       for c in controllers)
-    pomdp_rows = sum(len(set(gap_classes(sc, pomdp, gaps))) for sc in quadrants)
+    hybrid_end, end = (max(len(run_trial(sc, gap, c).trace)
+                           for sc, arms in zip(quadrants, plan.classes[j * n:(j + 1) * n])
+                           for gap in {arm: g for g, arm in zip(gaps, arms)}.values())
+                       for j, c in enumerate(controllers))
+    pomdp_rows = sum(len(set(arms)) for arms in plan.classes[n:])
     n_ticks = hybrid_end - start  # the ticks on which a hybrid row is live
     assert stepped.ticks == list(range(start, end))
     assert rows == [max(rows)] * n_ticks + [pomdp_rows] * (end - hybrid_end)
@@ -663,7 +666,7 @@ def test_a_quadrant_that_ends_before_the_first_arm_tick(scenario_factory, hybrid
     controllers = (hybrid_for(quadrants[0]),
                    PomdpController(pomdp_model, solved_policy, sim_dt=quadrants[0].dt))
     gaps = [10.5, 11.0, 12.0]
-    start = first_arm_tick(quadrants, gaps, *controllers)
+    start = plan_batch(quadrants, gaps, *controllers).start
     early = [(c, sc) for c in controllers for sc in quadrants
              if len(run_trial(sc, math.inf, c).trace) < start]
     assert early and len(early) < len(controllers) * len(quadrants)
@@ -680,6 +683,8 @@ def test_a_quadrant_that_collides_before_it_arms_has_its_own_pre_arm_run(
     # quadrant's reference trial for every quadrant whose waiting pedestrian has
     # the same right of way, so the lane-A near-side trial, which collides before
     # it arms, must get a run of its own whether it is that first quadrant or not.
+    # The other three share one: its lead's reference does not collide, and none
+    # of them comes within 3 m of its own pedestrian along it.
     model = replace(scenario_factory().gap_model, near_setback=0.5)
     quadrants = [scenario_factory(lane=Lane(lane), entry_side=EntrySide(side), gap_model=model,
                                   collision_radius=3.0)
@@ -690,6 +695,29 @@ def test_a_quadrant_that_collides_before_it_arms_has_its_own_pre_arm_run(
     assert_bitwise_equal(run_batch(quadrants, gaps, *controllers),
                          [run_trial(sc, g, c) for c in controllers for sc in quadrants
                           for g in gaps])
+    near_a = quadrants.index(scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR,
+                                              gap_model=model, collision_radius=3.0))
+    others = tuple(k for k in range(len(quadrants)) if k != near_a)
+    groups = [(near_a,), others] if near_a == 0 else [others, (near_a,)]  # in their leads' order
+    assert plan_batch(quadrants, gaps, *controllers).groups == tuple(
+        (j, members) for j in range(len(controllers)) for members in groups)
+
+
+def test_the_plan_groups_quadrants_by_the_right_of_way(preset_config, preset_policy, hybrid_for):
+    # Until its pedestrian arms, a controller reads it only through right_of_way,
+    # so under each controller the quadrants whose waiting pedestrians hold the
+    # same one share one pre-arm run: on both presets, where no waiting pedestrian
+    # holds it, all four; with no near setback, the near ones (A, B) and the far
+    # ones. Were each quadrant its own group, every output would stay the same.
+    quadrants = [preset_config.scenario(lane=lane, side=side) for lane, side in QUADRANTS]
+    controllers = (hybrid_for(quadrants[0]),
+                   PomdpController(*preset_policy, sim_dt=quadrants[0].dt))
+    assert plan_batch(quadrants, COARSE, *controllers).groups == (
+        (0, (0, 1, 2, 3)), (1, (0, 1, 2, 3)))
+    quadrants = [replace(sc, gap_model=replace(sc.gap_model, near_setback=0.0))
+                 for sc in quadrants]
+    assert plan_batch(quadrants, COARSE, *controllers).groups == (
+        (0, (0, 2)), (0, (1, 3)), (1, (0, 2)), (1, (1, 3)))
 
 
 def test_a_pedestrian_who_steps_away_on_the_first_lockstep_tick(scenario_factory):
@@ -712,7 +740,7 @@ def test_a_pedestrian_who_steps_away_on_the_first_lockstep_tick(scenario_factory
     sc = scenario_factory(lane=Lane.A, entry_side=EntrySide.NEAR, gap_model=model)
     cruise = Cruise()
     scalar = run_trial(sc, 0.05, cruise)
-    start = first_arm_tick([sc], [0.05], cruise)
+    start = plan_batch([sc], [0.05], cruise).start
     waiting = TrialState(sc)
     waiting.d = scalar.trace[start][1]  # the vehicle after tick ``start``
     assert waiting.x_p > waiting.x_v and 0.0 < waiting.walking_line(sc.geometry)[0] < 0.2
@@ -724,7 +752,7 @@ def test_a_pedestrian_who_steps_away_on_the_first_lockstep_tick(scenario_factory
 def test_reference_trial_ends_as_the_vehicle_clears_the_stripe(monkeypatch, scenario_factory,
                                                                hybrid_for, pomdp_model,
                                                                solved_policy, lane, side):
-    # On the default preset both controllers' vehicles pass, so gap_classes'
+    # On the default preset both controllers' vehicles pass, so plan_batch's
     # reference trial, the infinite-gap trial, arms once the vehicle has cleared
     # the stripe and stops on that tick: after 256 ticks (hybrid) and 432 (POMDP),
     # where run to its end, with the pedestrian walking, it takes 534 and 710.
@@ -792,13 +820,6 @@ class SteppedTicks:
         return self.inner.step_batch(s, tick)
 
 
-def first_arm_tick(quadrants, gaps, *controllers):
-    """The first tick on which any of ``gaps``' classes arms, over ``quadrants``
-    and ``controllers``: the tick ``run_batch``'s lockstep starts on."""
-    return min(arm for c in controllers for sc in quadrants for arm in gap_classes(sc, c, gaps)
-               if arm is not None)
-
-
 class TestOneCallForEveryController:
     """run_batch over several controllers against one call per controller, with no
     tolerance: one clock for every row must not couple the controllers' trials."""
@@ -835,8 +856,8 @@ class TestOneCallForEveryController:
         merged = [SteppedTicks(c) for c in hybrid_and_pomdp]
         assert_bitwise_equal(run_batch(quadrants, SWEEP, *merged), expected)
 
-        start = first_arm_tick(quadrants, SWEEP, *hybrid_and_pomdp)
-        own_starts = [first_arm_tick(quadrants, SWEEP, c) for c in hybrid_and_pomdp]
+        start = plan_batch(quadrants, SWEEP, *hybrid_and_pomdp).start
+        own_starts = [plan_batch(quadrants, SWEEP, c).start for c in hybrid_and_pomdp]
         (hybrid_own, pomdp_own), (hybrid, pomdp) = ([c.ticks for c in spies]
                                                     for spies in (alone, merged))
         assert hybrid_own == list(range(own_starts[0], hybrid[-1] + 1))
