@@ -302,19 +302,17 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if args.trial is not None:
+    if args.trial is None:  # the parser takes exactly one of --gap and --trial
+        gap, side, expected = config.accepted_gap(args.gap), config.run["side"], None
+    else:
         if args.preset != "experiment":
             raise ConfigError("--trial requires --preset experiment")
-        if args.gap is not None or args.side is not None:
-            raise ConfigError("--trial takes its gap and side from the script; omit --gap and --side")
+        if args.side is not None:
+            raise ConfigError("--trial takes its side from the script; omit --side")
         if config.run["controller"].lower() != "hybrid":  # before any policy is solved
             raise ConfigError(f"--trial checks the hybrid controller's modes; "
                               f"run.controller is {config.run['controller']!r}")
         gap, side, expected = EXPERIMENT_TRIALS[args.trial - 1]
-    elif args.gap is None:
-        raise ConfigError("need --gap or --trial")
-    else:
-        gap, side, expected = config.accepted_gap(args.gap), config.run["side"], None
     scenario = config.scenario(side=side)
     out_dir = _output_path(Path(config.run["out_dir"]), directory=True)
     _, controller = _controller(config, config.run["controller"], scenario)
@@ -414,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replay", help="single trial with a fixed accepted gap")
     run_flags(p_rep)
     p_rep.add_argument("--controller", help="hybrid or pomdp, in any case")
-    p_rep.add_argument("--gap", type=float, help="accepted gap in seconds")
-    p_rep.add_argument(
+    gap_or_trial = p_rep.add_mutually_exclusive_group(required=True)
+    gap_or_trial.add_argument("--gap", type=float, help="accepted gap in seconds")
+    gap_or_trial.add_argument(
         "--trial", type=int, choices=range(1, len(EXPERIMENT_TRIALS) + 1),
         help="scripted two-lane trial number (with --preset experiment)",
     )

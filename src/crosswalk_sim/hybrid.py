@@ -69,52 +69,16 @@ class HybridController:
         self.geometry = geometry
         self.dt = dt  # sample time; used as a one-tick lead on the braking point
 
-    # -- mode commands -----------------------------------------------------
-
-    def driving_command(self, v: float) -> float:
-        p = self.params
-        a = p.k_s * (p.v_speedlimit - v)
-        return -p.a_cmf if a < -p.a_cmf else p.a_cmf if a > p.a_cmf else a
-
-    def yielding_command(self, s: TrialState) -> float:
-        p = self.params
-        d, v = s.d, s.v
-        if not s.latched:
-            # Coast phase: hold the speed limit until the comfortable braking
-            # point, led by the brake-communication delay plus one sample so
-            # the quantized switch lands at or before the stop point.
-            if d > brake_distance(v, p.a_cmf) + (p.t_delay + self.dt) * v:
-                return self.driving_command(v)
-            s.d_o, s.v_o, s.latched = d, v, True
-        v_des = self.yield_speed_profile(d, s.d_o, s.v_o)
-        a = -p.a_cmf + p.k_s * (v_des - v)
-        return -p.a_cmf if a < -p.a_cmf else p.a_cmf if a > p.a_cmf else a
-
     def yield_speed_profile(self, d: float, d_o: float, v_o: float) -> float:
         """Constant-deceleration profile, v_o at d_o and 0 at the stop point."""
         arg = 2.0 * self.params.a_cmf * (d - d_o) + v_o * v_o
         return math.sqrt(arg if arg > 0.0 else 0.0)  # max(0.0, arg): -0.0 and NaN give 0.0
-
-    def hard_braking_command(self, s: TrialState) -> float:
-        p = self.params
-        d, v = s.d, s.v
-        if d <= 0.0:
-            s.overrun = True
-            return -p.a_max
-        v_des = self.brake_speed_profile(d, s.d_o, s.v_o)
-        a = -v * v / (2.0 * d) + p.k_s * (v_des - v)
-        return -p.a_max if a < -p.a_max else p.a_cmf if a > p.a_cmf else a
 
     def brake_speed_profile(self, d: float, d_o: float, v_o: float) -> float:
         """Square-root profile matching v_o at d_o and 0 at the stop point."""
         if d <= 0.0 or d_o <= 0.0:
             return 0.0
         return v_o / math.sqrt(d_o) * math.sqrt(d)
-
-    def speed_up_command(self) -> float:
-        return self.params.a_cmf
-
-    # -- one controller tick -----------------------------------------------
 
     def step(self, s: TrialState, tick: int) -> float:
         """Run one pass of the mode machine on trial ``s`` and return the
@@ -128,37 +92,47 @@ class HybridController:
         """
         p = self.params
         d, v, mode = s.d, s.v, s.mode
-        a = 0.0
         ped_active = s.right_of_way
+        a = p.k_s * (p.v_speedlimit - v)  # the driving command
+        a = -p.a_cmf if a < -p.a_cmf else p.a_cmf if a > p.a_cmf else a
 
-        if mode == DRIVING:
-            a = self.driving_command(v)
-            if d > 0.0 and ped_active:
-                if time_advantage(s, self.geometry) > p.tau_max:
-                    pass  # enough margin to continue through
-                else:
-                    d_cmf = brake_distance(v, p.a_cmf)
-                    d_max = brake_distance(v, p.a_max)
-                    if d >= d_cmf:
-                        mode = YIELDING
-                    elif d > d_max:
-                        mode = HARD_BRAKING
-                    else:
-                        mode = SPEED_UP
-                    s.d_o, s.v_o, s.latched = d, v, False
+        # Driving: brake for the pedestrian unless the vehicle passes first by more
+        # than tau_max. This guard and the coast guard negate ``>``, so that a NaN
+        # takes step_batch's branch.
+        if (mode == DRIVING and d > 0.0 and ped_active
+                and not time_advantage(s, self.geometry) > p.tau_max):
+            if d >= brake_distance(v, p.a_cmf):
+                mode = YIELDING
+            elif d > brake_distance(v, p.a_max):
+                mode = HARD_BRAKING
+            else:
+                mode = SPEED_UP
+            s.d_o, s.v_o, s.latched = d, v, False
 
         if mode == YIELDING:
-            a = self.yielding_command(s)
+            # Coast phase: keep the driving command until the comfortable braking
+            # point, led by the brake-communication delay plus one sample so the
+            # quantized switch lands at or before the stop point.
+            if not s.latched and not d > brake_distance(v, p.a_cmf) + (p.t_delay + self.dt) * v:
+                s.d_o, s.v_o, s.latched = d, v, True
+            if s.latched:
+                a = -p.a_cmf + p.k_s * (self.yield_speed_profile(d, s.d_o, s.v_o) - v)
+                a = -p.a_cmf if a < -p.a_cmf else p.a_cmf if a > p.a_cmf else a
             if not ped_active:
                 mode = DRIVING
 
         if mode == HARD_BRAKING:
-            a = self.hard_braking_command(s)
+            if d <= 0.0:
+                s.overrun = True
+                a = -p.a_max
+            else:
+                a = -v * v / (2.0 * d) + p.k_s * (self.brake_speed_profile(d, s.d_o, s.v_o) - v)
+                a = -p.a_max if a < -p.a_max else p.a_cmf if a > p.a_cmf else a
             if not ped_active:
                 mode = DRIVING
 
         if mode == SPEED_UP:
-            a = self.speed_up_command()
+            a = p.a_cmf
             if not ped_active or d < 0.0:
                 mode = DRIVING
 
@@ -192,7 +166,7 @@ class HybridController:
         p, k = self.params, self._operands
         d, v, mode, zero = s.d, s.v, s.mode, k.zero
         ped_active = s.right_of_way
-        a = _clip(k.k_s * (k.v_speedlimit - v), k.neg_a_cmf, k.a_cmf)  # driving_command
+        a = _clip(k.k_s * (k.v_speedlimit - v), k.neg_a_cmf, k.a_cmf)  # the driving command
 
         check = (mode == k.driving) & (d > zero) & ped_active
         if np.count_nonzero(check):
@@ -213,7 +187,7 @@ class HybridController:
 
         yielding = mode == k.yielding
         if np.count_nonzero(yielding):
-            # yielding_command: a coasting trial keeps the driving command.
+            # The coast phase, as in step: a coasting trial keeps the driving command.
             steer = yielding
             unlatched = yielding & ~s.latched
             if np.count_nonzero(unlatched):

@@ -27,8 +27,6 @@ CROSS = ('<path d="M%s %sL%s %sM%s %sL%s %s" '
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / n
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag) if s >= raw)
@@ -90,6 +88,9 @@ def scatter_svg(
         if not math.isfinite(span):
             raise ValueError(f"cannot plot {axis} values from {min(values)!r} to "
                              f"{max(values)!r}: the axis span overflows a float")
+        if span == 0.0:  # one unit is lost on a float of magnitude 2**53 or more
+            raise ValueError(f"cannot plot {axis} values all at {min(values)!r}: "
+                             "the axis cannot be drawn one unit wide there")
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

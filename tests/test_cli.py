@@ -204,15 +204,16 @@ class TestSimulate:
     def test_extreme_value_of_any_key_exits_0_1_or_2(self, tmp_path, monkeypatch, capsys,
                                                      section, key):
         # Each config key but the two paths, set through its environment variable
-        # to each extreme value, under a seeded simulate, a replay and a solve: a
-        # run exits 0 or 1, or 2 with one config error line, and never raises or
-        # warns. The solve runs on the hybrid's values too, where it hits the cache.
-        # The POMDP trial runs and the values -0.0, 1e-300, 0.5 and 3 are left out,
-        # to keep all 774 runs near two seconds.
+        # to each extreme value, under a seeded hybrid and POMDP simulate, a replay
+        # and a solve: a run exits 0 or 1, or 2 with one config error line, and
+        # never raises or warns. The solve runs on the hybrid's values too, where it
+        # hits the cache. The values -0.0, 1e-300, 0.5 and 3 are left out, to keep
+        # all 1032 runs to a few seconds.
         monkeypatch.chdir(tmp_path)
         for value in ("nan", "inf", "1e308", "1e9", "0", "-1"):
             monkeypatch.setenv(f"CWSIM_{section.upper()}__{key.upper()}", value)
             for argv in (["simulate", "--trials", "3", "--out", "out"],
+                         ["simulate", "--controller", "pomdp", "--trials", "3", "--out", "out"],
                          ["replay", "--gap", "2.5", "--out", "out"], ["solve-pomdp"]):
                 status = main(argv)
                 err = capsys.readouterr().err
@@ -761,11 +762,18 @@ class TestPlot:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert value in err and not out.exists()
 
-    @pytest.mark.parametrize("column", ["accepted_gap_s", "min_distance_m"])
-    def test_overflowing_axis_span_exits_2_with_one_line(self, tmp_path, capsys, column):
-        # Finite values whose span (max - min) overflows a float.
+    @pytest.mark.parametrize("column,values,message", [
+        ("accepted_gap_s", ["1e308", "-1e308"], "the axis span overflows a float"),
+        ("min_distance_m", ["1e308", "-1e308"], "the axis span overflows a float"),
+        # Values all so large that the one-unit width of a flat axis rounds away.
+        ("accepted_gap_s", ["1e300", "1e300"], "cannot plot x values all at 1e+300: "),
+        ("min_distance_m", ["-1e300", "-1e300"], "cannot plot y values all at -1e+300: "),
+    ], ids=["accepted_gap_s", "min_distance_m", "accepted_gap_s-flat", "min_distance_m-flat"])
+    def test_overflowing_axis_span_exits_2_with_one_line(self, tmp_path, capsys, column, values,
+                                                         message):
+        # Finite values whose axis a float cannot lay out.
         rows = {"accepted_gap_s": ["2", "3"], "min_distance_m": ["4", "5"]}
-        rows[column] = ["1e308", "-1e308"]
+        rows[column] = values
         bad = tmp_path / "bad.csv"
         bad.write_text("method,accepted_gap_s,min_distance_m\n"
                        + "".join(f"hybrid,{g},{d}\n" for g, d in zip(*rows.values())))
@@ -773,7 +781,7 @@ class TestPlot:
         assert main(["plot", str(bad), str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
-        assert "overflows a float" in err and not out.exists()
+        assert message in err and not out.exists()
 
     def test_title_and_methods_are_escaped(self, tmp_path):
         import xml.etree.ElementTree as ET

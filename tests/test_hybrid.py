@@ -92,14 +92,17 @@ class TestTimeAdvantage:
 
 
 class TestModeCommands:
+    # Each command through ``step`` on a trial in its mode. The Driving trials'
+    # pedestrian stands on the curb; the others' walks into lane A, so each
+    # trial keeps its mode.
     def test_driving_at_setpoint(self, ctrl):
-        assert ctrl.driving_command(4.5) == 0.0
+        assert ctrl.step(state(30.0, 4.5), 0) == 0.0
 
     def test_driving_saturates_up(self, ctrl):
-        assert ctrl.driving_command(3.5) == 2.0
+        assert ctrl.step(state(30.0, 3.5), 0) == 2.0
 
     def test_driving_slows_down(self, ctrl):
-        assert ctrl.driving_command(5.5) == -2.0
+        assert ctrl.step(state(30.0, 5.5), 0) == -2.0
 
     def test_yield_profile_endpoints(self, ctrl):
         assert ctrl.yield_speed_profile(5.0625, 5.0625, 4.5) == pytest.approx(4.5, abs=1e-12)
@@ -118,18 +121,19 @@ class TestModeCommands:
         assert ctrl.brake_speed_profile(0.75, 3.0, 4.5) == pytest.approx(2.25, rel=1e-12)
 
     def test_hard_braking_feedforward(self, ctrl):
-        s = state(3.0, 4.5, mode=HARD_BRAKING, d_o=3.0, v_o=4.5)
+        s = state(3.0, 4.5, -1.0, 1.2, mode=HARD_BRAKING, d_o=3.0, v_o=4.5)
         # On-profile: feedback vanishes, command is the pure feedforward.
-        assert ctrl.hard_braking_command(s) == pytest.approx(-3.375, abs=1e-12)
-        assert not s.overrun
+        assert ctrl.step(s, 0) == pytest.approx(-3.375, abs=1e-12)
+        assert not s.overrun and s.mode == HARD_BRAKING
 
     def test_hard_braking_overrun_clamps(self, params, ctrl):
-        s = state(-0.1, 2.0, mode=HARD_BRAKING, d_o=3.0, v_o=4.5)
-        assert ctrl.hard_braking_command(s) == -params.a_max
-        assert s.overrun
+        s = state(-0.1, 2.0, -1.0, 1.2, mode=HARD_BRAKING, d_o=3.0, v_o=4.5)
+        assert ctrl.step(s, 0) == -params.a_max
+        assert s.overrun and s.mode == HARD_BRAKING
 
     def test_speed_up_value(self, ctrl):
-        assert ctrl.speed_up_command() == 2.0
+        s = state(0.5, 4.5, -1.0, 1.2, mode=SPEED_UP)
+        assert ctrl.step(s, 0) == 2.0 and s.mode == SPEED_UP
 
 
 class TestStepTransitions:
