@@ -160,6 +160,10 @@ def _output_path(path: Path, directory: bool) -> Path:
 
 
 def _policy(config: RunConfig) -> tuple[PomdpModel, QTable]:
+    try:  # pomdp.dt's decision period, checked first: a rejected run writes no cache file
+        decision_ticks(config.pomdp["dt"], config.run["dt"], "pomdp.dt")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     model = config.pomdp_model()
     cache_dir = _output_path(Path(config.pomdp["cache_dir"]), directory=True)
     try:  # a failed solve writes no cache file
@@ -170,15 +174,6 @@ def _policy(config: RunConfig) -> tuple[PomdpModel, QTable]:
               f"rounds, residual {table.residuals[0]:.3e})" if table.residuals else "cache")
     print(f"pomdp policy: {origin}, key={model.cache_key}")
     return model, table
-
-
-def _check_decision_period(config: RunConfig, sim_dt: float) -> None:
-    """``decision_ticks`` of ``pomdp.dt`` as a config error. Called before the policy
-    is solved, so a rejected run writes no cache file."""
-    try:
-        decision_ticks(config.pomdp["dt"], sim_dt, "pomdp.dt")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _controller(config: RunConfig, method: str, scenario: Scenario) -> tuple[str, Controller]:
@@ -193,7 +188,6 @@ def _controller(config: RunConfig, method: str, scenario: Scenario) -> tuple[str
     method = method.lower()
     if method == "hybrid":
         return method, HybridController(scenario.params, scenario.geometry, dt=scenario.dt)
-    _check_decision_period(config, scenario.dt)
     model, table = _policy(config)
     return method, PomdpController(model, table, sim_dt=scenario.dt)
 
@@ -341,7 +335,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_solve_pomdp(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    _check_decision_period(config, config.run["dt"])  # as a pomdp run checks it
     if args.export == "":
         raise ConfigError("--export needs a file path")
     export = args.export and _output_path(Path(args.export), directory=False)
@@ -383,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def run_flags(p: argparse.ArgumentParser) -> None:
         config_flags(p)
-        p.add_argument("--lane", choices=["A", "B"])
-        p.add_argument("--side", choices=["near", "far"])
+        p.add_argument("--lane", help="A or B, in any case")
+        p.add_argument("--side", help="near or far, in any case")
         p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
 
     def batch_flags(p: argparse.ArgumentParser) -> None:

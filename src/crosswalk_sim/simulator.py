@@ -24,8 +24,8 @@ engine runs and no controller sees (a ``TrialState`` holds no gap), so trials
 whose pedestrians arm on the same tick are the same trial. ``run_batch`` runs
 ``plan_batch``, which lays out one row per (controller, quadrant, class) in the
 scalar engine, then ``_lockstep``, which runs the rows from the first tick on
-which a class arms and hands each trial its class's result: exact, not an
-approximation. A ``TrialResult`` is immutable and holds no gap, so the trials of
+which a class arms or a trial ends and hands each trial its class's result:
+exact, not an approximation. A ``TrialResult`` is immutable and holds no gap, so the trials of
 a class share one; the gaps stay with the caller.
 Once armed, a pedestrian walks open-loop, so both engines read it from
 ``pedestrian_walk``, right of way included: ``run_trial`` draws its walk's
@@ -411,13 +411,12 @@ def _reference(scenario: Scenario, controller: Controller) -> tuple[np.ndarray, 
     return np.array(least), np.array(lines), end is not None and end.collision
 
 
-def _classes(least: np.ndarray, model: GapAcceptanceModel,
-             gaps: Sequence[float]) -> list[Optional[int]]:
-    """Each gap's class, its arm tick or None, from the reference trial's ``arming_gap``
-    on each tick, ``least``: the first tick with a record low at most its ``trigger``."""
+def _classes(least: np.ndarray, model: GapAcceptanceModel, gaps: Sequence[float]) -> list[int]:
+    """Each gap's class, its arm tick, from the reference trial's ``arming_gap`` on
+    each tick, ``least``: the first tick with a record low at most its ``trigger``, or
+    ``len(least)``, the tick after the reference's last, if its trial ends first."""
     low = np.minimum.accumulate(least)
-    ticks = np.searchsorted(-low, -np.array([trigger(model, g) for g in gaps], dtype=float))
-    return [tick if tick < len(low) else None for tick in ticks.tolist()]
+    return np.searchsorted(-low, -np.array([trigger(model, g) for g in gaps], dtype=float)).tolist()
 
 
 def pedestrian_walk(scenario: Scenario) -> Iterator[tuple[float, float, int, bool]]:
@@ -505,27 +504,25 @@ class BatchPlan:
     scenario k under controller j is quad ``j * len(scenarios) + k``.
 
     ``scenario`` is the first, whose clock, geometry and limits all share;
-    ``start`` is the lockstep's first tick (``sys.maxsize`` if no class arms);
+    ``start`` is the lockstep's first tick, a tick every trial runs;
     ``groups`` holds each group's controller and members, lead first. Per quad:
-    ``classes``, each gap's arm tick or None; ``starts``, its ``TrialState`` on
-    ``start``; ``prefixes``, its group's ``TrialRun``, stopped there or ended;
-    ``lows``, its pre-arm ``min_distance``; ``ends``, its ended prefix's result or
-    None. ``walks`` holds the columns of one table of each entry side's
+    ``classes``, each gap's arm tick; ``starts``, its ``TrialState`` on ``start``;
+    ``prefixes``, its group's ``TrialRun``, stopped there; ``lows``, its pre-arm
+    ``min_distance``. ``walks`` holds the columns of one table of each entry side's
     ``pedestrian_walk``. Per row: ``which``, its quad, and ``entries``, its
     ``(first + start - arm, first, last)`` into ``walks`` (after tick ``tick`` it
-    reads entry ``first + tick + 1 - arm`` clamped to [first, last]), or ``(first,
-    first, first)`` if it never arms. ``blocks`` holds each controller's rows
-    ``[lo, hi)``, and ``trial_rows`` each quad's trials' rows.
+    reads entry ``first + tick + 1 - arm`` clamped to [first, last]). ``blocks``
+    holds each controller's rows ``[lo, hi)``, and ``trial_rows`` each quad's
+    trials' rows.
     """
 
     scenario: Scenario
     start: int
     groups: tuple[tuple[int, tuple[int, ...]], ...]
-    classes: tuple[list[Optional[int]], ...]
+    classes: tuple[list[int], ...]
     starts: tuple[TrialState, ...]
     prefixes: tuple[TrialRun, ...]
     lows: tuple[float, ...]
-    ends: tuple[Optional[TrialResult], ...]
     walks: tuple[np.ndarray, ...]
     which: list[int]
     entries: np.ndarray
@@ -539,22 +536,22 @@ def plan_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
 
     The scenarios (a run's quadrants) may differ only in ``lane`` and
     ``entry_side``. A gap's class is the tick on which its trial's pedestrian
-    arms, or None if the trial ends first. Before it arms, a trial differs from
-    another scenario's only in the pedestrian's ``right_of_way``, the one
-    pedestrian field a controller then reads, and in its distances. So each
-    controller's scenarios form groups: the first scenario left leads, and another
-    joins it if its waiting pedestrian holds the same right of way, the lead's
-    reference trial does not collide, and the scenario's own distance along that
-    trial never reaches ``collision_radius``; one that joins no group leads its
-    own. The reference gives every member's classes. Until ``start``, the first
-    tick on which any class arms, every trial of a group is the group's prefix,
-    the lead's trial with an infinite gap, which a ``TrialRun`` advances there.
-    Each (controller, scenario, class) is one row, started from its own
-    scenario's lane and waiting pedestrian, its own ``min_distance`` along the
-    reference up to ``start``, and the prefix's vehicle, controller fields, delay
-    ring, other metric accumulators, mode trace and clock. A group whose prefix
-    ends first has one class, None, whose rows start finished, with the prefix's
-    result and their own ``min_distance``.
+    arms, or the tick after its last if the trial ends first. Before it arms, a
+    trial differs from another scenario's only in the pedestrian's
+    ``right_of_way``, the one pedestrian field a controller then reads, and in its
+    distances. So each controller's scenarios form groups: the first scenario left
+    leads, and another joins it if its waiting pedestrian holds the same right of
+    way, the lead's reference trial does not collide, and the scenario's own
+    distance along that trial never reaches ``collision_radius``; one that joins
+    no group leads its own. The reference gives every member's classes. Until ``start``, the first
+    tick on which any class arms or any reference runs its last, every trial of a
+    group is the group's prefix, the lead's trial with an infinite gap, which a
+    ``TrialRun`` advances there. Each (controller, scenario, class) is one row,
+    started from its own scenario's lane and waiting pedestrian, its own
+    ``min_distance`` along the reference up to ``start``, and the prefix's vehicle,
+    controller fields, delay ring, other metric accumulators, mode trace and clock.
+    A row that never arms reads its waiting entry through the reference's last
+    tick, the one its trial ends on.
     """
     if not controllers:
         raise ValueError("need at least one controller")
@@ -570,7 +567,8 @@ def plan_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
 
     waiting = [TrialState(sc) for sc in scenarios]
     # (controller, members, classes, each quadrant left's distances along the reference)
-    groups: list[tuple[int, list[int], list[Optional[int]], dict[int, np.ndarray]]] = []
+    groups: list[tuple[int, list[int], list[int], dict[int, np.ndarray]]] = []
+    firsts = []  # each group's first arm tick or its reference's last tick, if earlier
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow that counts is inf
         for j, c in enumerate(controllers):
             left = list(range(len(scenarios)))
@@ -581,26 +579,25 @@ def plan_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
                 members = [k for k in left if waiting[k] is lead or (  # its ticks, not its start
                     not collided and waiting[k].right_of_way == lead.right_of_way
                     and not np.count_nonzero(dists[k][1:] < scenario.collision_radius))]
-                groups.append((j, members, _classes(least, scenario.gap_model, gaps), dists))
+                arms = _classes(least, scenario.gap_model, gaps)
+                groups.append((j, members, arms, dists))
+                firsts.append(min(*arms, len(least) - 1))
                 left = [k for k in left if k not in members]
-        start = min((arm for _, _, arms, _ in groups for arm in arms if arm is not None),
-                    default=sys.maxsize)
+        start = min(firsts)
 
         # Each group's prefix, advanced to ``start``, and each member's start on it.
         quads = {}
         for j, members, arms, dists in groups:
             run = TrialRun(scenarios[members[0]], math.inf, controllers[j])
-            end = run.advance(start)
+            run.advance(start)
             run.trace.clear()  # no result keeps it: freed before the next prefix runs
             for k in members:
                 own = TrialState(scenarios[k])
                 for name in PRE_ARM:
                     setattr(own, name, getattr(run.s, name))
                 low = dists[k][:start + 1].min().item()
-                quads[j * len(scenarios) + k] = (
-                    own, run, low, arms,
-                    None if end is None else replace(end, min_distance=low, trace=None))
-    starts, prefixes, lows, classes, ends = zip(*(quads[q] for q in sorted(quads)))
+                quads[j * len(scenarios) + k] = (own, run, low, arms)
+    starts, prefixes, lows, classes = zip(*(quads[q] for q in sorted(quads)))
 
     walks: list[tuple[float, float, int, bool]] = []  # one table of each side's walk
     walk_ends: dict[EntrySide, tuple[int, int]] = {}  # each side's first and last entry
@@ -615,19 +612,18 @@ def plan_batch(scenarios: Sequence[Scenario], gaps: Sequence[float],
         for k, sc in enumerate(scenarios):
             q = j * len(scenarios) + k
             first, last = walk_ends[sc.entry_side]
-            row_of: dict[Optional[int], int] = {}  # class -> row
+            row_of: dict[int, int] = {}  # class -> row
             for arm in classes[q]:
                 if arm not in row_of:
                     row_of[arm] = len(which)
                     which.append(q)
-                    entries.append((first, first, first) if arm is None else
-                                   (first + start - arm, first, last))
+                    entries.append((first + start - arm, first, last))
             trial_rows.append([row_of[arm] for arm in classes[q]])
         blocks.append((lo, len(which)))
     columns = tuple(np.array(column, dtype) for column, dtype in
                     zip(zip(*walks), (float, float, np.int8, bool)))
     return BatchPlan(scenario, start, tuple((j, tuple(members)) for j, members, _, _ in groups),
-                     classes, starts, prefixes, lows, ends, columns, which,
+                     classes, starts, prefixes, lows, columns, which,
                      np.array(list(zip(*entries)), dtype=np.intp), blocks, trial_rows)
 
 
@@ -657,14 +653,14 @@ def _lockstep(plan: BatchPlan, controllers: Sequence[Controller]) -> list[TrialR
     mode_traces = [group_traces[q] for q in which]
     traced = s.mode.copy()
     labels = [c.modes for c, (lo, hi) in zip(controllers, plan.blocks) for _ in range(lo, hi)]
-    t = max(run.t for run in prefixes)  # the clock on ``start``: a prefix that ended is no later
+    t = prefixes[0].t  # the clock on ``start``
     scenario, tick = plan.scenario, plan.start
     geometry, dt, k = scenario.geometry, scenario.dt, tick_operands(scenario)
     max_sim_time, ring = scenario.max_sim_time, len(fifo)
     blocks = [(c, lo, hi, s.rows(lo, hi)) for c, (lo, hi) in zip(controllers, plan.blocks)]
     a_cmd = np.zeros(len(which))
-    results = [plan.ends[q] for q in which]
-    live = np.array([result is None for result in results])
+    results: list[Optional[TrialResult]] = [None] * len(which)
+    live = np.ones(len(which), dtype=bool)
 
     # Masked-out lanes may divide by zero, overflow (a speed near 5e-324) or take
     # a root of a negative number. An overflow that counts is inf, as in Python.

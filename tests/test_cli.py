@@ -39,17 +39,20 @@ def read_rows(path: Path) -> list[dict]:
 
 class TestSimulate:
     def test_sweep_run_writes_artifacts(self, tmp_path):
-        out = tmp_path / "run"
-        rc = main(
-            ["simulate", "--sweep", "1:0.5:9", "--lane", "A", "--side", "near",
-             "--out", str(out)]
-        )
-        assert rc == 0
-        rows = read_rows(out / "trials.csv")
-        assert len(rows) == 17
-        assert list(rows[0].keys()) == TRIALS_HEADER
-        assert (out / "summary.csv").exists()
-        assert (out / "resolved_config.ini").exists()
+        # --lane and --side take any case, as the config does: b and FAR are B and far.
+        for lane, side in (("A", "near"), ("b", "FAR")):
+            out = tmp_path / lane
+            rc = main(
+                ["simulate", "--sweep", "1:0.5:9", "--lane", lane, "--side", side,
+                 "--out", str(out)]
+            )
+            assert rc == 0
+            rows = read_rows(out / "trials.csv")
+            assert len(rows) == 17
+            assert list(rows[0].keys()) == TRIALS_HEADER
+            assert {(r["lane"], r["entry_side"]) for r in rows} == {(lane.upper(), side.lower())}
+            assert (out / "summary.csv").exists()
+            assert (out / "resolved_config.ini").exists()
 
     def test_sweep_stops_at_hi(self, tmp_path):
         # 1:0.6:2 has no point at 2; the grid ends at 1.6, not at 2.2.
@@ -523,7 +526,7 @@ def test_console_script_traces_a_replay_s_colliding_tick(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["replay", "--gap", "2.5", "--lane", "C"],  # a bad flag value: argparse's usage error
+    ["replay", "--gap", "2.5", "--lane", "C"],  # a bad flag value: load_config's error
     ["simulate", "--sweep=0.5:1e-320:1"],  # (hi - lo) / step overflows a float
     ["simulate", "--sweep=0.5:1e-300:1"],  # a finite point count above MAX_TRIALS
     ["simulate", "--config", "no-header.ini"],  # a config file with no section header

@@ -302,8 +302,9 @@ def test_scalar_decision_matches_the_batch_decision(preset_controllers, preset, 
 )
 def test_plan_classes_are_exact(preset_controllers, preset, policy, lane, side, max_sim_time,
                                 data):
-    # A gap's class is the tick on which its trial's pedestrian arms, or None if
-    # it never does (a short max_sim_time ends some trials first), and trials
+    # A gap's class is the tick on which its trial's pedestrian arms, or the tick
+    # after its last if it never does (a short max_sim_time ends some trials
+    # first): a trial that never arms runs exactly its reference's ticks. Trials
     # whose gaps share a class have equal results (the trace is left out, as
     # everywhere).
     # The drawn gaps: an edge, the float below it, one more gap of the edge's class
@@ -331,7 +332,7 @@ def test_plan_classes_are_exact(preset_controllers, preset, policy, lane, side, 
     for g, cls in zip(gaps, classes):
         run = TrialRun(sc, g, controller)
         runs.append(replace(run.advance() or run.advance(), trace=None))  # on from its arm tick
-        assert cls == run.arm
+        assert cls == (len(run.trace) if run.arm is None else run.arm)
     for a, ca in zip(runs, classes):
         for b, cb in zip(runs, classes):
             if ca == cb:

@@ -652,25 +652,31 @@ def test_lockstep_runs_from_the_first_arm_tick_to_the_last_trial_end(
     assert (n_ticks, len(rows) - n_ticks) == (424, 162)
 
 
+@pytest.mark.parametrize("max_sim_time, start", [(60.0, 235), (0.05, 0)])
 def test_a_quadrant_that_ends_before_the_first_arm_tick(scenario_factory, hybrid_for, pomdp_model,
-                                                        solved_policy):
+                                                        solved_policy, max_sim_time, start):
     # A pedestrian waiting 0.5 m before the near curb is within 3 m of the
     # hybrid's vehicle as it passes in lane A, so with gaps no time gap arms
     # that trial collides before its pedestrian arms, and before the pedestrians
-    # of the other quadrants arm (the vehicle stopped or passed): its prefix
-    # ends, and its one row starts finished with that result, while the other
-    # groups run on in the lockstep.
+    # of the other quadrants arm (the vehicle stopped or passed). The lockstep
+    # starts on that trial's last tick, 235, so every group's prefix stops there
+    # and every row starts live. With max_sim_time 0.05 s every trial times out
+    # after tick 0, before any pedestrian arms, and the lockstep starts on tick 0.
     model = replace(scenario_factory().gap_model, near_setback=0.5)
     quadrants = [scenario_factory(lane=Lane(lane), entry_side=EntrySide(side), gap_model=model,
-                                  collision_radius=3.0) for lane, side in QUADRANTS]
+                                  collision_radius=3.0, max_sim_time=max_sim_time)
+                 for lane, side in QUADRANTS]
     controllers = (hybrid_for(quadrants[0]),
                    PomdpController(pomdp_model, solved_policy, sim_dt=quadrants[0].dt))
     gaps = [10.5, 11.0, 12.0]
-    start = plan_batch(quadrants, gaps, *controllers).start
-    early = [(c, sc) for c in controllers for sc in quadrants
-             if len(run_trial(sc, math.inf, c).trace) < start]
-    assert early and len(early) < len(controllers) * len(quadrants)
-    assert all(run_trial(sc, math.inf, c).collision for c, sc in early)
+    plan = plan_batch(quadrants, gaps, *controllers)
+    assert plan.start == start
+    assert all(run.tick == plan.start for run in plan.prefixes)
+    references = [run_trial(sc, math.inf, c) for c in controllers for sc in quadrants]
+    last = [len(ref.trace) - 1 for ref in references]
+    assert min(last) == start
+    assert all(ref.collision if max_sim_time > 1 else ref.timed_out
+               for ref, tick in zip(references, last) if tick == start)
     assert_bitwise_equal(run_batch(quadrants, gaps, *controllers),
                          [run_trial(sc, g, c) for c in controllers for sc in quadrants
                           for g in gaps])
