@@ -148,16 +148,16 @@ class TrialResult:
     peak_accel: float
     collision: bool
     timed_out: bool
-    mode_trace: tuple[tuple[float, str], ...]
+    mode_trace: tuple[str, ...]
     overrun: bool
     final_d: float
     trace: Optional[list[tuple]] = None
 
     def mode_sequence(self) -> str:
-        return "|".join(m for _, m in self.mode_trace)
+        return "|".join(self.mode_trace)
 
     def visited_modes(self) -> set[str]:
-        return {m for _, m in self.mode_trace}
+        return set(self.mode_trace)
 
 
 class TrialState:
@@ -223,22 +223,21 @@ def past_bound(geometry: WorldGeometry) -> float:
     return -(geometry.crosswalk_depth / 2.0 + 1.0)
 
 
-def plant_tick(s: TrialState, commanded_a: float, dt: float, fifo: list[float], tick: int) -> None:
-    """Advance the point-mass plant one step under the (possibly delayed) command.
+def plant_tick(s: TrialState, commanded_a: float, dt: float, ring: list[float], tick: int) -> None:
+    """Advance the point-mass plant one step under the delayed command.
 
-    ``fifo`` is the ring of the commands not yet applied, one per delay tick
-    and empty when there is no actuation delay; tick ``tick`` applies the
-    command at its head ``tick % len(fifo)`` and stores ``commanded_a`` there.
+    ``ring`` holds the last ``len(ring)`` commands, one slot per delay tick
+    plus one: tick ``tick`` stores ``commanded_a`` in slot ``tick % len(ring)``
+    and applies slot ``(tick + 1) % len(ring)``, the command stored
+    ``len(ring) - 1`` ticks before (0.0 before the first), which with no
+    actuation delay is ``commanded_a`` itself.
     Exact constant-acceleration kinematics within the step; the vehicle
     never reverses, so a braking step that would cross zero speed stops
     exactly at the stopping distance.
     """
-    if fifo:
-        head = tick % len(fifo)
-        a = fifo[head]
-        fifo[head] = commanded_a
-    else:
-        a = commanded_a
+    m = len(ring)
+    ring[tick % m] = commanded_a
+    a = ring[(tick + 1) % m]
     v = s.v
     if a < 0.0 and v + a * dt < 0.0:
         s.d -= v * v / (-2.0 * a)  # stops inside this step
@@ -271,9 +270,13 @@ class TrialRun:
     pedestrian arms on, the one instant its gap decides: a group's reference
     trial is read up to there. ``run_trial`` advances one to its end; ``plan_batch``
     advances one per group to the tick its lockstep starts on.
+
+    The ring holds ``delay_ticks() + 1`` commands, one with no actuation delay,
+    and every tick's command reaches the plant through it (``plant_tick``). The
+    mode trace is the label of each mode the trial enters, from its start mode on.
     """
 
-    __slots__ = ("scenario", "controller", "s", "t", "tick", "fifo", "min_distance", "v_sum",
+    __slots__ = ("scenario", "controller", "s", "t", "tick", "ring", "min_distance", "v_sum",
                  "peak_accel", "mode_trace", "trace", "trigger", "arm", "walk", "entry")
 
     def __init__(self, scenario: Scenario, accepted_gap: float, controller: Controller):
@@ -283,10 +286,10 @@ class TrialRun:
         self.walk = pedestrian_walk(scenario)
         self.entry = next(self.walk)  # the waiting start, which ``s`` holds
         self.t, self.tick = 0.0, 0
-        self.fifo = [0.0] * scenario.delay_ticks()
+        self.ring = [0.0] * (scenario.delay_ticks() + 1)
         self.min_distance = vehicle_pedestrian_distance(s, s.walking_line(scenario.geometry)[0])
         self.v_sum, self.peak_accel = 0.0, 0.0
-        self.mode_trace: list[tuple[float, str]] = [(0.0, controller.modes[s.mode])]
+        self.mode_trace = [controller.modes[s.mode]]
         self.trace: list[tuple] = []  # one row per tick, a colliding one included
 
     def advance(self, stop: int = sys.maxsize) -> Optional[TrialResult]:
@@ -305,7 +308,7 @@ class TrialRun:
         step, modes = self.controller.step, self.controller.modes
         delta, clear = geometry.delta, past_bound(geometry)
         max_sim_time, collision_radius = scenario.max_sim_time, scenario.collision_radius
-        t, tick, fifo, mode_trace, trace = self.t, self.tick, self.fifo, self.mode_trace, self.trace
+        t, tick, ring, mode_trace, trace = self.t, self.tick, self.ring, self.mode_trace, self.trace
         trigger, arm, walk, entry = self.trigger, self.arm, self.walk, self.entry
         min_distance, v_sum, peak_accel = self.min_distance, self.v_sum, self.peak_accel
         mode = s.mode
@@ -322,9 +325,9 @@ class TrialRun:
             if s.mode != mode:
                 mode = s.mode
                 label = modes[mode]
-                mode_trace.append((t, label))
+                mode_trace.append(label)
             v_before = s.v
-            plant_tick(s, a_cmd, dt, fifo, tick)
+            plant_tick(s, a_cmd, dt, ring, tick)
             a_actual = (s.v - v_before) / dt
             line = s.d + delta  # walking_line
             past = line < clear
@@ -642,8 +645,8 @@ def _lockstep(plan: BatchPlan, controllers: Sequence[Controller]) -> list[TrialR
     s = BatchState(plan.starts, which)
     walk_x, walk_xdot, walk_phase, walk_row = plan.walks
     entry, first_entry, last_entry = plan.entries.copy()  # the loop advances ``entry``
-    # The prefixes' delay rings, as (delay tick, row), and metric accumulators.
-    fifo = np.array([run.fifo for run in prefixes], dtype=float)[which].T.copy()
+    # The prefixes' delay rings, as (slot, row), and metric accumulators.
+    ring = np.array([run.ring for run in prefixes], dtype=float)[which].T.copy()
     min_distance = np.array(plan.lows)[which]
     v_sum, peak_accel = (np.array([getattr(run, name) for run in prefixes])[which]
                          for name in ("v_sum", "peak_accel"))
@@ -656,9 +659,8 @@ def _lockstep(plan: BatchPlan, controllers: Sequence[Controller]) -> list[TrialR
     t = prefixes[0].t  # the clock on ``start``
     scenario, tick = plan.scenario, plan.start
     geometry, dt, k = scenario.geometry, scenario.dt, tick_operands(scenario)
-    max_sim_time, ring = scenario.max_sim_time, len(fifo)
+    max_sim_time, m = scenario.max_sim_time, len(ring)
     blocks = [(c, lo, hi, s.rows(lo, hi)) for c, (lo, hi) in zip(controllers, plan.blocks)]
-    a_cmd = np.zeros(len(which))
     results: list[Optional[TrialResult]] = [None] * len(which)
     live = np.ones(len(which), dtype=bool)
 
@@ -668,7 +670,7 @@ def _lockstep(plan: BatchPlan, controllers: Sequence[Controller]) -> list[TrialR
         while stepped := [block for block in blocks if np.count_nonzero(live[block[1]:block[2]])]:
             # The live blocks' rows [lo, hi), as views, until a block's last row ends.
             lo, hi = stepped[0][1], stepped[-1][2]
-            batch, cmd, alive, queue = s.rows(lo, hi), a_cmd[lo:hi], live[lo:hi], fifo[:, lo:hi]
+            batch, alive, queue = s.rows(lo, hi), live[lo:hi], ring[:, lo:hi]
             low, total, peak, walked, first, last, was = (x[lo:hi] for x in (
                 min_distance, v_sum, peak_accel, entry, first_entry, last_entry, traced))
             at, collision = first.copy(), np.zeros(hi - lo, dtype=bool)
@@ -677,8 +679,11 @@ def _lockstep(plan: BatchPlan, controllers: Sequence[Controller]) -> list[TrialR
                 if timed_out:
                     finished = alive
                 else:
+                    # Tick ``tick`` stores its commands in the delay ring's slot
+                    # ``tick % m`` and applies slot ``(tick + 1) % m``, as ``plant_tick``
+                    # does: every row starts at tick 0, so all rows share their slots.
                     for controller, c_lo, c_hi, view in stepped:
-                        a_cmd[c_lo:c_hi] = controller.step_batch(view, tick)
+                        ring[tick % m, c_lo:c_hi] = controller.step_batch(view, tick)
                     # A live row whose mode changed traces it; a finished one's change
                     # is only marked as recorded. A compare of the int8 codes' bytes tests
                     # for a change several times faster than a ufunc and a count.
@@ -687,18 +692,10 @@ def _lockstep(plan: BatchPlan, controllers: Sequence[Controller]) -> list[TrialR
                         for r, mode, on in zip((rows + lo).tolist(), batch.mode[rows].tolist(),
                                                alive[rows].tolist()):
                             if on:
-                                mode_traces[r] += ((t, labels[r][mode]),)
+                                mode_traces[r] += (labels[r][mode],)
                         was[:] = batch.mode
 
-                    # The delay ring's head ``tick % ring`` is applied and takes
-                    # ``a_cmd``: every row starts at tick 0, so the ring has one head.
-                    if ring:
-                        head = queue[tick % ring]
-                        applied = head.copy()
-                        head[:] = cmd
-                    else:
-                        applied = cmd
-                    v, d = plant_step(batch.v, batch.d, applied, k)
+                    v, d = plant_step(batch.v, batch.d, queue[(tick + 1) % m], k)
                     a_actual = (v - batch.v) / k.dt
                     batch.v[:], batch.d[:] = v, d
                     line, past = batch.walking_line(geometry)

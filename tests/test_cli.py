@@ -404,9 +404,9 @@ def test_console_script_runs_both_controllers_in_one_batch_without_coupling_them
     # method's lane B, far side rows there, trial_id aside, must equal a simulate
     # run of that method alone. The lockstep starts on the first tick on which a
     # gap class arms, from each group's scalar prefix: on the experiment preset
-    # that is tick 12 of these gaps, so a full 10-tick delay ring is handed over,
-    # which the POMDP's rows then read, holding each decision for 5 ticks. Its
-    # runs collide and time out, so they exit 1.
+    # that is tick 12 of these gaps, so an 11-slot delay ring holding the last 10
+    # commands is handed over, which the POMDP's rows then read, holding each
+    # decision for 5 ticks. Its runs collide and time out, so they exit 1.
     flags, expected = ([], 0) if preset == "default" else (["--preset", "experiment"], 1)
     cache = os.environ["CWSIM_POMDP__CACHE_DIR"]
 

@@ -67,7 +67,7 @@ sides = st.sampled_from(list(EntrySide))
     d=finite(-100.0, 100.0),
     v=finite(0.0, 30.0),
     dt=finite(0.001, 0.5),
-    pending=st.lists(commands, max_size=10),
+    pending=st.lists(commands, min_size=1, max_size=11),
     a=commands,
     tick=st.integers(0, 100),
 )
@@ -77,6 +77,21 @@ def test_plant_never_reverses_and_respects_braking_authority(d, v, dt, pending, 
     assert vehicle.v >= 0.0
     assert vehicle.d <= d
     assert abs(vehicle.v - v) <= PARAMS.a_max * dt + 1e-9
+
+
+@deterministic
+@given(delay=st.integers(0, 4), cmds=st.lists(commands, min_size=1, max_size=20))
+def test_delay_ring_applies_the_command_stored_delay_ticks_before(delay, cmds):
+    # The ring of delay + 1 slots against a vehicle fed by hand, through a
+    # one-slot ring, the command of tick t - delay (0.0 before the first), tick by
+    # tick and bit for bit. Distinct commands show which past one was applied;
+    # at 30 m/s no vehicle stops within 20 ticks, so every command shows.
+    ring = [0.0] * (delay + 1)
+    delayed, oracle = trial_state(d=100.0, v=30.0), trial_state(d=100.0, v=30.0)
+    for t, a in enumerate(cmds):
+        plant_tick(delayed, a, SCENARIO.dt, ring, t)
+        plant_tick(oracle, cmds[t - delay] if t >= delay else 0.0, SCENARIO.dt, [0.0], t)
+        assert (delayed.d.hex(), delayed.v.hex()) == (oracle.d.hex(), oracle.v.hex()), t
 
 
 def plant_rows():
@@ -105,7 +120,7 @@ def test_plant_step_matches_plant_tick(rows):
         v_next, d_next = plant_step(v, d, a, tick_operands(SCENARIO))
     for (d0, v0, a0), v1, d1 in zip(rows, v_next.tolist(), d_next.tolist()):
         vehicle = trial_state(d=d0, v=v0)
-        plant_tick(vehicle, a0, SCENARIO.dt, [], 0)
+        plant_tick(vehicle, a0, SCENARIO.dt, [0.0], 0)
         assert (v1.hex(), d1.hex()) == (vehicle.v.hex(), vehicle.d.hex()), (d0, v0, a0)
 
 

@@ -49,34 +49,34 @@ def vehicle(d, v):
 class TestPlantTick:
     def test_euler_arithmetic(self):
         v = vehicle(10.0, 4.5)
-        plant_tick(v, -2.0, 0.05, [], 0)
+        plant_tick(v, -2.0, 0.05, [0.0], 0)
         assert v.v == pytest.approx(4.4, abs=1e-12)
         assert 10.0 - v.d == pytest.approx(0.2225, abs=1e-12)
 
     def test_no_reverse_motion(self):
         v = vehicle(10.0, 0.0)
-        plant_tick(v, -5.0, 0.05, [], 0)
+        plant_tick(v, -5.0, 0.05, [0.0], 0)
         assert v.v == 0.0 and v.d == 10.0
 
     def test_stops_exactly_within_step(self):
         v = vehicle(10.0, 0.05)
-        plant_tick(v, -2.0, 0.05, [], 0)
+        plant_tick(v, -2.0, 0.05, [0.0], 0)
         assert v.v == 0.0
         assert 10.0 - v.d == pytest.approx(0.05**2 / (2 * 2.0), abs=1e-12)
 
     def test_zero_delay_applies_same_tick(self):
         v = vehicle(10.0, 4.0)
-        plant_tick(v, 2.0, 0.05, [], 0)
+        plant_tick(v, 2.0, 0.05, [0.0], 0)
         assert v.v == pytest.approx(4.1)
 
     def test_delay_buffer_postpones_commands(self, scenario_factory):
-        fifo = [0.0] * scenario_factory(t_delay_plant=0.5).delay_ticks()
-        assert len(fifo) == 10
+        ring = [0.0] * (scenario_factory(t_delay_plant=0.5).delay_ticks() + 1)
+        assert len(ring) == 11
         v = vehicle(100.0, 4.0)
         for tick in range(10):
-            plant_tick(v, 2.0, 0.05, fifo, tick)
+            plant_tick(v, 2.0, 0.05, ring, tick)
         assert v.v == pytest.approx(4.0)  # still coasting on the zero backlog
-        plant_tick(v, 2.0, 0.05, fifo, 10)
+        plant_tick(v, 2.0, 0.05, ring, 10)
         assert v.v == pytest.approx(4.1)
 
     def test_kinematic_consistency(self):
@@ -85,7 +85,7 @@ class TestPlantTick:
         v = vehicle(50.0, 4.5)
         for tick in range(2000):
             d0, v0 = v.d, v.v
-            plant_tick(v, float(rng.uniform(-a_max, 2.0)), dt, [], tick)
+            plant_tick(v, float(rng.uniform(-a_max, 2.0)), dt, [0.0], tick)
             assert abs(v.v - v0) <= a_max * dt + 1e-12
             assert abs(v.d - d0) <= (v0 + a_max * dt) * dt + 1e-12
 
@@ -137,7 +137,7 @@ class TestRunTrial:
                 sc = scenario_factory(lane=lane, entry_side=side)
                 for g in sweep_gaps(0.5, 0.5, 10.0):
                     r = run_trial(sc, g, hybrid_for(sc))
-                    modes = [m for _, m in r.mode_trace]
+                    modes = list(r.mode_trace)
                     for pair in zip(modes, modes[1:]):
                         assert pair in ALLOWED_TRANSITIONS, pair
 
@@ -177,7 +177,7 @@ class TestRunTrial:
         r = run_trial(scenario_factory(), 10.0, ctrl)
         assert ctrl.ticks == list(range(len(ctrl.ticks)))  # one call per tick, from 0
         assert not r.timed_out and not r.collision
-        assert r.mode_trace == ((0.0, "fake"),)
+        assert r.mode_trace == ("fake",)
         assert len(r.trace) == len(ctrl.ticks) and {row[6] for row in r.trace} == {"fake"}
         assert r.overrun and not r.timed_out
 
@@ -406,9 +406,10 @@ class TestLockstepMatchesScalar:
     def test_pomdp_holds(self, preset_config, preset_policy, scalar_oracle, override):
         # The POMDP holds each command for 5 ticks. run_batch steps its rows on
         # every tick from the lockstep's first to the last row's end, and
-        # step_batch returns the held commands on the ticks between decisions:
-        # with no delay ring, the experiment preset's 10-tick ring, a 5-tick ring
-        # or a 3-tick one, which wraps inside a hold. The timeout at tick 603 of
+        # step_batch returns the held commands on the ticks between decisions,
+        # which reach the plant through the delay ring: its one slot with no
+        # delay, the experiment preset's 10-tick delay, a 5-tick one or a 3-tick
+        # one, whose 4-slot ring wraps inside a hold. The timeout at tick 603 of
         # 30.12 s cuts the hold from tick 600 to 3 ticks, and the experiment
         # preset's rows, at rest long before their timeout, are stepped through
         # tick 1200, their last.
